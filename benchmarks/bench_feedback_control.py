@@ -105,7 +105,7 @@ def _run_one(family, strategy, seed, fault_ms, run_ms):
     }
     target = record.get("target")
     if target is not None:
-        trace = deployment.trace
+        trace = deployment.obs.log
         if strategy == "feedback":
             detections = [
                 e.time for e in trace.events(

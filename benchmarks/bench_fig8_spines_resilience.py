@@ -81,7 +81,7 @@ def run_mode(mode, attack, self_healing=False, messages=MESSAGES):
 
     stop = simulator.call_every(INTERVAL_MS, send_one, rng_name="probe")
     simulator.run_until(messages * INTERVAL_MS + 500.0)
-    stop()
+    stop.stop()
     simulator.run_for(1_000.0)
     sent = seq_counter["value"]
     delivered = len(receiver.received)

@@ -74,9 +74,7 @@ def fleet_options(devices: int, f: int = 1, k: int = 1,
         k=k,
         fleet=FleetSpec.sized(devices),
         observability=observability,
-        batching=BatchingOptions(
-            enabled=True, max_batch_size=64, max_batch_delay_ms=20.0
-        ),
+        batching=BatchingOptions(max_batch_size=64, max_batch_delay_ms=20.0),
         # n=31 on flooding multiplies every frame by every site pair;
         # the scalability question is ordering cost, so route shortest
         overlay_mode="shortest" if f > 2 else "flooding",

@@ -74,7 +74,7 @@ def test_table7_red_team(benchmark):
         rows,
         out=emit,
     )
-    evicted = spire.trace.count(component="campaign", kind="evicted")
+    evicted = spire.obs.log.count(component="campaign", kind="evicted")
     emit(f"Spire: {evicted} intrusions evicted by proactive recovery; "
          f"{spire_stats.count} updates delivered at mean "
          f"{spire_stats.mean:.1f} ms throughout the exercise")

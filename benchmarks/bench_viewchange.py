@@ -6,8 +6,7 @@ from the fault *firing* (against whoever leads at that instant) to a
 :class:`~repro.chaos.monitors.ViewRecoveryMonitor`. Two protocols:
 
 * **Prime** inside the full Spire deployment (``ChaosEngine`` with a
-  pinned single ``leader_kill`` schedule; delivery batching alternates
-  per seed);
+  pinned single ``leader_kill`` schedule);
 * **PBFT** on the flat baseline cluster (``run_pbft_chaos`` with the
   same pinned schedule shape).
 
@@ -89,8 +88,7 @@ def summarize(samples: list) -> dict:
 def run_prime(seeds: int, emit) -> tuple[dict, list]:
     samples, failures = [], []
     for seed in range(seeds):
-        options = ChaosOptions(seed=seed, batching=(seed % 2 == 1),
-                               **PRIME_SHAPE)
+        options = ChaosOptions(seed=seed, **PRIME_SHAPE)
         result = ChaosEngine(options, schedule=PRIME_SCHEDULE).run()
         samples.extend(result.stats["view_recovery_latencies_ms"])
         if result.violations:

@@ -51,9 +51,7 @@ from repro.core import SpireDeployment, SpireOptions  # noqa: E402
 from repro.core.collector import DeliveryCollector  # noqa: E402
 from repro.core.update import (  # noqa: E402
     BatchDeliveryShare,
-    DeliveryShare,
     batch_record_for,
-    record_for,
 )
 from repro.crypto import FastCrypto, RealCrypto  # noqa: E402
 from repro.crypto.encoding import digest  # noqa: E402
@@ -217,15 +215,14 @@ def bench_ordered_delivery(
     """Ordered-updates/sec through the real delivery pipeline, swept over
     delivery batch sizes.
 
-    Exercises the code endpoints actually run — ``record_for`` /
-    ``batch_record_for`` on the replica side (``threshold`` share
-    signatures per unit of signing) and ``DeliveryCollector.add`` /
-    ``add_batch`` on the endpoint side (robust combine + verify, Merkle
-    proof checks) — over ``RealCrypto``, where RSA share signing and
-    combining dominate exactly as in a production deployment. Batch size
-    1 is the per-update baseline; larger sizes amortize one threshold
-    signature across the whole batch, leaving only hash-cost Merkle
-    proofs per update.
+    Exercises the code endpoints actually run — ``batch_record_for`` on
+    the replica side (``threshold`` share signatures per batch) and
+    ``DeliveryCollector.add_batch`` on the endpoint side (robust combine +
+    verify, Merkle proof checks) — over ``RealCrypto``, where RSA share
+    signing and combining dominate exactly as in a production deployment.
+    Batch size 1 (singleton batches) is the per-update baseline; larger
+    sizes amortize one threshold signature across the whole batch, leaving
+    only hash-cost Merkle proofs per update.
     """
     group = "perf-masters"
     players, threshold = 6, 2  # the paper's f=1, k=1 fleet: f+1 shares
@@ -246,34 +243,23 @@ def bench_ordered_delivery(
             ]
             delivered = 0
             started = perf_counter()
-            if batch_size == 1:
-                for i, update in enumerate(pending):
-                    record = record_for(update, i + 1)
-                    for index in range(1, threshold + 1):
-                        share = crypto.threshold_sign_share(group, index, record)
-                        if collector.add(
-                            DeliveryShare(f"replica:{index}", record, share)
-                        ):
-                            delivered += 1
-                elapsed = perf_counter() - started
-            else:
-                for po_seq, base in enumerate(range(0, updates, batch_size), 1):
-                    chunk = pending[base:base + batch_size]
-                    executed = [
-                        (update, base + j + 1, None)
-                        for j, update in enumerate(chunk)
-                    ]
-                    batch, entries = batch_record_for("origin#0", po_seq, executed)
-                    for index in range(1, threshold + 1):
-                        share = crypto.threshold_sign_share(group, index, batch)
-                        delivered += len(
-                            collector.add_batch(
-                                BatchDeliveryShare(
-                                    f"replica:{index}", batch, share, entries
-                                )
+            for po_seq, base in enumerate(range(0, updates, batch_size), 1):
+                chunk = pending[base:base + batch_size]
+                executed = [
+                    (update, base + j + 1, None)
+                    for j, update in enumerate(chunk)
+                ]
+                batch, entries = batch_record_for("origin#0", po_seq, executed)
+                for index in range(1, threshold + 1):
+                    share = crypto.threshold_sign_share(group, index, batch)
+                    delivered += len(
+                        collector.add_batch(
+                            BatchDeliveryShare(
+                                f"replica:{index}", batch, share, entries
                             )
                         )
-                elapsed = perf_counter() - started
+                    )
+            elapsed = perf_counter() - started
             if delivered != updates:
                 raise RuntimeError(
                     f"batch={batch_size}: delivered {delivered} of {updates}"

@@ -73,7 +73,7 @@ def main() -> None:
     stats = spire.status_recorder.stats()
     print(f"  SCADA updates delivered throughout: {stats.count} "
           f"(mean latency {stats.mean:.1f} ms)")
-    evictions = spire.trace.count(component="campaign", kind="evicted")
+    evictions = spire.obs.log.count(component="campaign", kind="evicted")
     print(f"  intrusions evicted by proactive recovery: {evictions}")
 
 

@@ -164,32 +164,33 @@ def make_share_corruptor(replica: Any) -> Uninstall:
 def make_suspect_spammer(node: PrimeNode) -> Uninstall:
     """Broadcast baseless leader accusations every tick. Fewer than a
     quorum of suspects never forces a view change."""
-    stop = node.every(
+    return node.every(
         node.config.tat_check_interval_ms,
         lambda: node._broadcast(Suspect(node.name, node.view, "spam")),
-    )
-    return stop
+    ).stop
 
 
 def make_delivery_forger(
     replica: Any, fake_record_factory: Callable[[], Any], interval_ms: float = 200.0
 ) -> Uninstall:
     """Send threshold shares for records that were never ordered (trying to
-    trick proxies into operating breakers). With threshold f+1 and only f
-    compromised replicas, the forged record can never be combined."""
-    from ..core.update import DeliveryShare
+    trick proxies into operating breakers), each as a one-entry batch with
+    a valid Merkle proof. With threshold f+1 and only f compromised
+    replicas, the forged batch can never be combined."""
+    from ..core.update import BatchDeliveryShare, batch_of_records
 
     def forge() -> None:
         record = fake_record_factory()
+        # keyed by the record, so colluding forgers sign the same batch
+        batch, entries = batch_of_records("forged", record.client_seq, [record])
         share = replica.crypto.threshold_sign_share(
-            replica.threshold_group, replica.share_index, record
+            replica.threshold_group, replica.share_index, batch
         )
-        delivery = DeliveryShare(replica.name, record, share)
+        delivery = BatchDeliveryShare(replica.name, batch, share, entries)
         targets = list(replica.subscribers) + list(
             set(replica.proxy_of_substation.values())
         )
         for target in targets:
             replica.transport.send(target, delivery, size_bytes=350)
 
-    stop = replica.every(interval_ms, forge)
-    return stop
+    return replica.every(interval_ms, forge).stop

@@ -73,7 +73,7 @@ class LeaderChaser:
         self._retarget()
         self._stop = self.simulator.call_every(
             self.retarget_interval_ms, self._retarget, rng_name="leader-chaser"
-        )
+        ).stop
 
     def stop(self) -> None:
         if self._stop is not None:

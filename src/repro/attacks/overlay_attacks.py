@@ -87,7 +87,7 @@ class FloodingAttacker(Process):
 
     def start(self) -> None:
         interval = 1.0 / self.rate_per_ms
-        self._stop = self.every(interval, self._spam)
+        self._stop = self.every(interval, self._spam).stop
 
     def stop(self) -> None:
         if self._stop is not None:
@@ -138,7 +138,7 @@ class RouteFlapAttacker:
         self._stop = self.daemon.simulator.call_every(
             self.period_ms, self._flip,
             rng_name=f"route-flap/{self.daemon.name}",
-        )
+        ).stop
 
     def stop(self) -> None:
         if self._stop is not None:

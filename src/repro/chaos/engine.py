@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..attacks.dos import LeaderChaser
 from ..control import ControlOptions
-from ..core.batching import BatchingOptions
 from ..core.deployment import SpireDeployment, SpireOptions
 from ..crypto.encoding import digest
 from ..obs import (
@@ -111,15 +110,8 @@ class ChaosOptions:
     #: :class:`ViewRecoveryMonitor`
     view_recovery_bound_ms: float = 3000.0
     #: draw ``leader_kill``/``leader_partition`` faults into generated
-    #: schedules (default-off: existing seeds stay byte-identical) and
-    #: turn on the view-change hardening they require
+    #: schedules (default-off: existing seeds keep their schedules)
     leader_faults: bool = False
-    #: harden the Prime view-change path (VC/new-view retransmission,
-    #: strict state-transfer view adoption) independently of whether the
-    #: schedule targets leaders; implied by ``leader_faults``
-    view_change_hardening: bool = False
-    #: run with delivery batching enabled (PR 7's ``BatchingOptions``)
-    batching: bool = False
     min_actions: int = 3
     max_actions: int = 8
 
@@ -221,10 +213,6 @@ class ChaosEngine:
             seed=opts.seed,
             proactive_recovery=opts.proactive_recovery,
             control=control,
-            batching=BatchingOptions(enabled=True) if opts.batching else None,
-            view_change_hardening=(
-                opts.view_change_hardening or opts.leader_faults
-            ),
         ))
         replica_names = deployment.replica_names()
         endpoints = [deployment.proxy.name] + [h.name for h in deployment.hmis]
@@ -312,7 +300,7 @@ class ChaosEngine:
             )
         adoptions = [
             (event.time, event.component, int(event.details.get("view", -1)))
-            for event in deployment.trace.events(None, EV_NEW_VIEW)
+            for event in deployment.obs.log.events(None, EV_NEW_VIEW)
         ]
         view_recovery.evaluate(adoptions, delivery_times, opts.total_ms)
 
@@ -523,10 +511,9 @@ class ChaosEngine:
             (action.start_ms, action.end_ms + opts.quiet_grace_ms)
             for action in schedule
         ]
-        starts = deployment.trace.events(
-            COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_START
-        )
-        ends = deployment.trace.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_DONE)
+        log = deployment.obs.log
+        starts = log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_START)
+        ends = log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_DONE)
         for event in starts:
             done = min(
                 (e.time for e in ends
@@ -570,8 +557,8 @@ class ChaosEngine:
                 if deployment.recovery_scheduler is not None else 0
             ),
             "quiet_checked_ms": round(watchdog.quiet_checked_ms, 3),
-            "trace_events": deployment.trace.count(),
-            "trace_dropped": deployment.trace.dropped,
+            "trace_events": deployment.obs.log.count(),
+            "trace_dropped": deployment.obs.log.dropped,
         }
 
     @staticmethod
@@ -579,7 +566,7 @@ class ChaosEngine:
         trace_image = tuple(
             (event.time, event.component, event.kind,
              tuple(sorted(event.details.items())))
-            for event in deployment.trace
+            for event in deployment.obs.log
         )
         net = deployment.network.stats
         state_image = tuple(

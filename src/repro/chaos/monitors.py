@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.encoding import digest
+from ..crypto.merkle import verify_merkle_proof
 from ..crypto.provider import CryptoProvider
 from ..prime.messages import ClientUpdate
 from ..simnet import Process, Simulator
@@ -181,12 +182,13 @@ class SafetyMonitor(_BaseMonitor):
 class ProxyGateMonitor(_BaseMonitor):
     """No delivery is acted on without a valid threshold signature.
 
-    Wraps each endpoint's share collector: whenever the collector reports
-    a combined record, the monitor *independently* re-verifies the
-    signature (so a weakened or bypassed gate is caught, not trusted) and
-    checks the record was not already acted on. On proxies it additionally
-    wraps the command execution path: every field write must correspond to
-    a previously gate-verified breaker command.
+    Wraps each endpoint's share collector: whenever the collector releases
+    a record, the monitor *independently* re-verifies the batch signature
+    and the record's Merkle inclusion under the signed root (so a weakened
+    or bypassed gate is caught, not trusted) and checks the record was not
+    already acted on. On proxies it additionally wraps the command
+    execution path: every field write must correspond to a previously
+    gate-verified breaker command.
     """
 
     name = "proxy-gate"
@@ -203,20 +205,21 @@ class ProxyGateMonitor(_BaseMonitor):
         acted = self._acted.setdefault(endpoint.name, set())
         verified_cmds = self._verified_commands.setdefault(endpoint.name, set())
         collector = endpoint.collector
-        original_add = collector.add
+        original_add_batch = collector.add_batch
+        #: batch key -> record key -> proof-carrying entries offered for a
+        #: record not acted on yet (the collector may release a record an
+        #: earlier share carried); a record's entries go once it is released
+        offered: Dict[Tuple, Dict[Tuple, List[Any]]] = {}
 
-        def checked_add(share):
-            result = original_add(share)
-            if result is not None:
-                record, signature = result
+        def checked_add_batch(share):
+            released = original_add_batch(share)
+            batch = share.record
+            entries = offered.setdefault(batch.key(), {})
+            for entry in share.entries:
+                if entry.record.key() not in acted:
+                    entries.setdefault(entry.record.key(), []).append(entry)
+            for record, signature in released:
                 self.deliveries_checked += 1
-                if not self.crypto.threshold_verify(signature, record):
-                    self._flag(
-                        "unverified-delivery",
-                        endpoint=endpoint.name,
-                        client=record.client,
-                        client_seq=record.client_seq,
-                    )
                 key = record.key()
                 if key in acted:
                     self._flag(
@@ -225,12 +228,33 @@ class ProxyGateMonitor(_BaseMonitor):
                         client=record.client,
                         client_seq=record.client_seq,
                     )
+                    continue
                 acted.add(key)
+                leaf = digest(record)
+                carried = entries.pop(key, ())
+                if not (
+                    self.crypto.threshold_verify(signature, batch)
+                    and any(
+                        verify_merkle_proof(
+                            leaf, entry.index, batch.count,
+                            entry.proof, batch.merkle_root,
+                        )
+                        for entry in carried
+                    )
+                ):
+                    self._flag(
+                        "unverified-delivery",
+                        endpoint=endpoint.name,
+                        client=record.client,
+                        client_seq=record.client_seq,
+                    )
                 if record.kind == "command":
                     verified_cmds.add(digest(record.payload))
-            return result
+            if not entries:
+                del offered[batch.key()]
+            return released
 
-        collector.add = checked_add
+        collector.add_batch = checked_add_batch
 
         execute = getattr(endpoint, "_execute_command", None)
         if execute is not None:

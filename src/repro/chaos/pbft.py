@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..crypto import FastCrypto
 from ..crypto.encoding import digest
-from ..obs import EV_PBFT_NEW_VIEW, EventLog, Observability
+from ..obs import EV_PBFT_NEW_VIEW, Observability
 from ..pbft import PbftConfig, PbftNode
 from ..prime import LoggingApp, sign_client_update
 from ..simnet import FailureInjector, LinkSpec, Network, Simulator
@@ -117,7 +117,7 @@ def run_pbft_chaos(
     simulator = Simulator(seed=opts.seed)
     network = Network(simulator, LinkSpec(latency_ms=0.3, jitter_ms=0.1))
     crypto = FastCrypto(seed=f"pbft-chaos/{opts.seed}")
-    trace = EventLog(now_fn=lambda: simulator.now)
+    obs = Observability(now_fn=lambda: simulator.now)
     names = tuple(f"replica:{i}" for i in range(opts.n))
     config = PbftConfig(
         names,
@@ -127,7 +127,7 @@ def run_pbft_chaos(
     )
     nodes = [
         PbftNode(name, simulator, network, config, crypto, LoggingApp(),
-                 trace=trace)
+                 obs=obs)
         for name in names
     ]
 
@@ -221,7 +221,7 @@ def run_pbft_chaos(
     # --- post-run checks ----------------------------------------------
     adoptions = [
         (event.time, event.component, int(event.details.get("view", -1)))
-        for event in trace.events(None, EV_PBFT_NEW_VIEW)
+        for event in obs.log.events(None, EV_PBFT_NEW_VIEW)
     ]
     view_recovery.evaluate(
         adoptions, sorted(first_executed.values()), opts.total_ms,
@@ -277,7 +277,5 @@ def run_pbft_chaos(
         stats=stats,
         injector_log=injector.log,
         fingerprint=fingerprint,
-        obs_snapshot=Observability.for_trace(trace).snapshot(
-            deterministic_only=True
-        ),
+        obs_snapshot=obs.snapshot(deterministic_only=True),
     )

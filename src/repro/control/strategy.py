@@ -29,7 +29,6 @@ from ..obs import (
     COMP_RECOVERY_CONTROLLER,
     EV_CONTROL_DECISION,
     EV_CONTROL_FALLBACK,
-    EventLog,
     Observability,
 )
 from ..simnet import Process, Simulator
@@ -53,15 +52,14 @@ class FeedbackStrategy(RecoveryStrategy):
         control: Optional[ControlOptions] = None,
         hub: Optional[SignalHub] = None,
         max_concurrent: int = 1,
-        trace: Optional[EventLog] = None,
         on_rejuvenate: Optional[Callable[[Process], None]] = None,
         min_live: Optional[int] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         super().__init__(
             simulator, replicas, recovery_duration_ms,
-            max_concurrent=max_concurrent, trace=trace,
-            on_rejuvenate=on_rejuvenate, min_live=min_live, obs=obs,
+            max_concurrent=max_concurrent, on_rejuvenate=on_rejuvenate,
+            min_live=min_live, obs=obs,
         )
         self.control = (control or ControlOptions()).validate()
         #: fallback rotation period (the schedule the controller degrades
@@ -95,7 +93,7 @@ class FeedbackStrategy(RecoveryStrategy):
             self._tick,
             first_delay=first_delay_ms,
             rng_name="recovery-controller",
-        )
+        ).stop
 
     # ------------------------------------------------------------------
     # The control loop

@@ -37,7 +37,6 @@ from .update import (
     BatchEntry,
     BreakerCommand,
     DeliveryRecord,
-    DeliveryShare,
     StatusReading,
     UpdateSubmission,
     batch_record_for,
@@ -75,7 +74,6 @@ __all__ = [
     "BatchEntry",
     "BreakerCommand",
     "DeliveryRecord",
-    "DeliveryShare",
     "StatusReading",
     "UpdateSubmission",
     "batch_record_for",

@@ -1,18 +1,16 @@
 """Knobs of batched ordering and Merkle-amortized delivery crypto.
 
-One frozen :class:`BatchingOptions` parameterizes the batch path end to
-end: how many client updates a pre-order batch may hold, how long the
-origin waits before flushing a partial batch, and whether the amortized
-delivery path (one threshold signature over the Merkle root of a batch,
-per-update inclusion proofs) is engaged at all. Attach it to a deployment
-via ``SpireOptions(batching=BatchingOptions(enabled=True))``.
+One frozen :class:`BatchingOptions` sizes the delivery batches (one
+threshold signature over the Merkle root of a batch, per-update inclusion
+proofs): how many client updates a pre-order batch may hold and how long
+the origin waits before flushing a partial batch. Attach it to a
+deployment via ``SpireOptions(batching=BatchingOptions(max_batch_size=16))``;
+``batching=None`` keeps the Prime preset's sizes.
 
 Determinism contract: batch boundaries are a function of the *agreed*
 order (the certified pre-order request each update arrived in), never of
 local clocks, so every correct replica signs the identical batch record
-and shares combine. With ``enabled=False`` — or ``max_batch_size=1``,
-where a batch is a single update — the deployment takes the exact legacy
-per-update delivery path and is bit-identical to an unbatched run.
+and shares combine. ``max_batch_size=1`` makes every batch a singleton.
 """
 
 from __future__ import annotations
@@ -28,44 +26,22 @@ __all__ = ["BatchingOptions"]
 class BatchingOptions:
     """Configuration of batched ordering + amortized delivery crypto."""
 
-    #: master switch; off keeps the per-update delivery path untouched
-    enabled: bool = False
-    #: max client updates per pre-order batch (flush when full); 1 means
-    #: every batch is a singleton and the legacy path is used verbatim
+    #: max client updates per pre-order batch (flush when full)
     max_batch_size: int = 64
     #: max time a partial batch may wait before flushing; ``None``
     #: inherits the deployment's pre-order aggregation interval
     max_batch_delay_ms: Optional[float] = None
 
-    @property
-    def active(self) -> bool:
-        """True when the amortized batch path actually engages."""
-        return self.enabled and self.max_batch_size > 1
-
     def validate(self) -> "BatchingOptions":
-        """Reject inconsistent knobs with actionable errors; chains."""
+        """Reject out-of-range knobs with actionable errors; chains."""
         if self.max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1 (got {self.max_batch_size})"
             )
-        if self.max_batch_delay_ms is not None:
-            if not self.enabled:
-                raise ValueError(
-                    "max_batch_delay_ms is set but batching is disabled; "
-                    "set enabled=True or drop the delay"
-                )
-            if self.max_batch_delay_ms <= 0:
-                raise ValueError(
-                    f"max_batch_delay_ms must be positive or None "
-                    f"(got {self.max_batch_delay_ms})"
-                )
-        if not self.enabled and self.max_batch_size != 64:
-            # a tuned size with the switch off is almost certainly a
-            # forgotten enabled=True — fail loudly instead of silently
-            # running unbatched
+        if self.max_batch_delay_ms is not None and self.max_batch_delay_ms <= 0:
             raise ValueError(
-                f"max_batch_size={self.max_batch_size} is set but batching "
-                "is disabled; set enabled=True or drop the size"
+                f"max_batch_delay_ms must be positive or None "
+                f"(got {self.max_batch_delay_ms})"
             )
         return self
 

@@ -93,27 +93,14 @@ class TopologyBuilder:
         config = dataclasses.replace(
             config, checkpoint_interval_seqs=opts.checkpoint_interval_seqs
         )
-        if opts.batching is not None and opts.batching.active:
+        if opts.batching is not None:
             # Batch knobs map onto Prime's pre-order aggregation: the
             # origin's size+delay flush IS the batch cutter, so batch
             # boundaries are fixed by the agreed order, not local clocks.
-            overrides = dict(
-                delivery_batching=True,
-                batch_max_updates=opts.batching.max_batch_size,
-            )
+            overrides = dict(batch_max_updates=opts.batching.max_batch_size)
             if opts.batching.max_batch_delay_ms is not None:
                 overrides["batch_interval_ms"] = opts.batching.max_batch_delay_ms
             config = dataclasses.replace(config, **overrides)
-        if opts.view_change_hardening:
-            # Retransmit pending view-change/new-view messages at half the
-            # view-change timeout — fast enough to beat the cascade timer,
-            # slow enough not to flood — and require an f+1 view quorum
-            # before a state-transfer adopts a higher view.
-            config = dataclasses.replace(
-                config,
-                vc_retransmit_ms=config.view_change_timeout_ms / 2,
-                strict_view_adoption=True,
-            )
         return config
 
     # ------------------------------------------------------------------
@@ -165,7 +152,7 @@ class DeploymentWiring:
             app.bind_obs(d.obs)
             replica = SpireReplica(
                 name, d.simulator, d.network, config, d.crypto,
-                app=app, trace=d.trace, obs=d.obs,
+                app=app, obs=d.obs,
             )
             stack = d.overlay.attach(replica, site_name)
             replica.transport = OverlayTransport(stack, obs=d.obs)
@@ -204,7 +191,6 @@ class DeploymentWiring:
             replicas=[r.name for r in d.replicas],
             devices=bindings,
             recorder=d.status_recorder,
-            trace=d.trace,
             poll_interval_ms=opts.poll_interval_ms,
             resubmit_timeout_ms=opts.resubmit_timeout_ms,
             obs=d.obs,
@@ -226,7 +212,6 @@ class DeploymentWiring:
                 f"hmi:{index}", d.simulator, d.network, d.crypto,
                 replicas=[r.name for r in d.replicas],
                 recorder=d.command_recorder,
-                trace=d.trace,
                 resubmit_timeout_ms=d.options.resubmit_timeout_ms,
                 obs=d.obs,
             )
@@ -255,7 +240,8 @@ class DeploymentWiring:
             def counted(share, _original=original):
                 before = d.hmis[0].collector.verified
                 _original(share)
-                if d.hmis[0].collector.verified > before:
-                    d.delivery_series.record(d.simulator.now)
+                released = d.hmis[0].collector.verified - before
+                if released:
+                    d.delivery_series.record(d.simulator.now, released)
 
             d.hmis[0]._on_delivery_share = counted

@@ -1,19 +1,20 @@
 """Threshold-share collection at endpoints (proxies and HMIs).
 
-An endpoint receives :class:`DeliveryShare` messages from individual
+An endpoint receives :class:`BatchDeliveryShare` messages from individual
 replicas. It may act on a delivery record only once it can produce — and
 verify — a combined threshold signature from ``threshold`` distinct shares.
 Corrupted shares from compromised replicas are tolerated by robust
 combining; duplicate records (delivered again after retries or view
 changes) are deduplicated by record key.
 
-On the batched path the unit of threshold signing is a
-:class:`BatchDeliveryRecord` — one signature covers a whole ordered batch
-via its Merkle root — and :meth:`DeliveryCollector.add_batch` releases the
-individual records it carries after checking each entry's inclusion proof
-against the signed root. A combined batch signature is cached, so entries
-arriving later (e.g. a command-target proxy receiving only its slice)
-verify against the cache without re-combining.
+The unit of threshold signing is a :class:`BatchDeliveryRecord` — one
+signature covers a whole ordered batch via its Merkle root.
+:meth:`DeliveryCollector.add` is the threshold gate over that record, and
+:meth:`DeliveryCollector.add_batch` releases the individual records a
+share carries after checking each entry's inclusion proof against the
+signed root. A combined batch signature is cached, so entries arriving later
+(e.g. a command-target proxy receiving only its slice) verify against the
+cache without re-combining.
 
 Share bookkeeping rides on the replication runtime's
 :class:`~repro.replication.quorum.ThresholdShareTracker`: one share per
@@ -30,7 +31,7 @@ from ..crypto.encoding import digest
 from ..crypto.merkle import verify_merkle_proof
 from ..crypto.provider import CryptoProvider, ThresholdSignature
 from ..replication import ThresholdShareTracker
-from .update import BatchDeliveryShare, DeliveryRecord, DeliveryShare
+from .update import BatchDeliveryRecord, BatchDeliveryShare, DeliveryRecord
 
 __all__ = ["DeliveryCollector"]
 
@@ -58,23 +59,24 @@ class DeliveryCollector:
         self.rejected_shares = 0
         self.rejected_entries = 0
 
-    def add(self, share: DeliveryShare) -> Optional[Tuple[DeliveryRecord, ThresholdSignature]]:
-        """Add one share; returns (record, signature) on first verification."""
-        record = share.record
-        key = record.key()
-        if key in self._done:
-            return None
-        self._tracker.add(key, record, share.sender, share)
+    def add(
+        self, share: BatchDeliveryShare
+    ) -> Optional[Tuple[BatchDeliveryRecord, ThresholdSignature]]:
+        """The ``f+1`` gate: track one replica's share over its batch record.
+
+        Returns ``(record, combined signature)`` once ``threshold`` distinct
+        senders' shares over the identical record combine and verify, else
+        None. The shares stay tracked until :meth:`add_batch` has released
+        the entries they carry.
+        """
+        batch = share.record
+        key = batch.key()
+        self._tracker.add(key, batch, share.sender, share)
         _, threshold = self.crypto.threshold_parameters(self.group)
-        if not self._tracker.ready(key, record, threshold):
+        if not self._tracker.ready(key, batch, threshold):
             return None
-        signature = self._combine(record, self._tracker.shares(key, record))
-        if signature is None:
-            return None
-        self._mark_done(key)
-        self._tracker.drop(key)
-        self.verified += 1
-        return record, signature
+        signature = self._combine(batch, self._tracker.shares(key, batch))
+        return None if signature is None else (batch, signature)
 
     def add_batch(
         self, share: BatchDeliveryShare
@@ -82,39 +84,37 @@ class DeliveryCollector:
         """Add one batch share; returns every record newly released by it.
 
         A record is released once (a) a combined threshold signature over
-        its batch exists — freshly combined here or cached from an earlier
-        share — and (b) its Merkle inclusion proof checks out against the
-        signed root. Entries failing (b) are dropped individually
-        (``rejected_entries``); they cannot poison their batch-mates.
+        its batch exists — freshly combined by :meth:`add` or cached from
+        an earlier share — and (b) its Merkle inclusion proof checks out
+        against the signed root. Entries failing (b) are dropped
+        individually (``rejected_entries``); they cannot poison their
+        batch-mates, nor another sender's entry for the same index.
         """
-        batch = share.batch
+        batch = share.record
         key = batch.key()
-        signature = None
         cached = self._batch_signatures.get(key)
         if cached is not None and cached[0] == batch:
             signature = cached[1]
-        if signature is None:
-            self._tracker.add(key, batch, share.sender, share)
-            _, threshold = self.crypto.threshold_parameters(self.group)
-            if not self._tracker.ready(key, batch, threshold):
+            candidates = share.entries
+        else:
+            signed = self.add(share)
+            if signed is None:
                 return []
-            tracked_shares = self._tracker.shares(key, batch)
-            signature = self._combine(batch, tracked_shares)
-            if signature is None:
-                return []
+            signature = signed[1]
+            # release every entry seen so far for this batch, from any
+            # sender whose share we tracked (proofs pin them to the root)
+            candidates = sorted(
+                (
+                    entry
+                    for tracked in self._tracker.shares(key, batch)
+                    for entry in tracked.entries
+                ),
+                key=lambda entry: entry.index,
+            )
             self._tracker.drop(key)
             self._batch_signatures[key] = (batch, signature)
             while len(self._batch_signatures) > self._batch_signature_cap:
                 self._batch_signatures.popitem(last=False)
-            # release every entry seen so far for this batch, from any
-            # sender whose share we tracked (proofs pin them to the root)
-            entries = {}
-            for tracked in tracked_shares:
-                for entry in tracked.entries:
-                    entries.setdefault(entry.index, entry)
-            candidates = [entries[i] for i in sorted(entries)]
-        else:
-            candidates = list(share.entries)
         released = []
         for entry in candidates:
             record_key = entry.record.key()

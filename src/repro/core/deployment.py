@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..crypto.provider import CryptoProvider, FastCrypto, RealCrypto, TimedCrypto
 from ..obs import (
     NULL_OBS,
-    EventLog,
     IntervalCounter,
     LatencyTracker,
     Observability,
@@ -93,9 +92,9 @@ class SpireOptions:
     #: feedback controller (``repro.control``); None (the default) keeps
     #: the bit-identical periodic schedule
     control: Optional[ControlOptions] = None
-    #: batched ordering + Merkle-amortized delivery crypto
+    #: delivery batch sizing
     #: (:class:`~repro.core.batching.BatchingOptions`); None (the default)
-    #: and ``max_batch_size=1`` both keep the bit-identical per-update path
+    #: keeps the Prime preset's batch size and flush interval
     batching: Optional[BatchingOptions] = None
     #: fleet-scale field layer (:class:`~repro.fleet.FleetSpec`): a
     #: hierarchical region → substation → device topology with
@@ -103,15 +102,10 @@ class SpireOptions:
     #: the small-n single-proxy field layer; None (the default) keeps the
     #: classic ``num_substations`` layout bit-identically
     fleet: Optional[FleetSpec] = None
-    #: harden the view-change path for leader-failure chaos: view-change /
-    #: new-view retransmission while a view change is pending, and strict
-    #: quorum-based view adoption during state transfer. Off (the default)
-    #: keeps every non-view-change trace bit-identical.
-    view_change_hardening: bool = False
     checkpoint_interval_seqs: int = 50
     #: False disables the entire observability layer (metrics, spans,
     #: structured events): the deployment's ``obs`` is the shared no-op
-    #: recorder and ``trace`` stays empty. Use for maximum-speed sweeps
+    #: recorder and its event log stays empty. Use for maximum-speed sweeps
     #: where nothing inspects events or metrics afterwards.
     observability: bool = True
 
@@ -235,11 +229,9 @@ class SpireDeployment:
 
     All measurement flows through one :attr:`obs` handle
     (:class:`repro.obs.Observability`): structured events, typed metrics
-    and spans for every layer. The legacy attributes — :attr:`trace`,
-    :attr:`status_recorder`, :attr:`command_recorder`,
-    :attr:`delivery_series` — are kept for one PR as views of the same
-    instruments (``trace`` *is* ``obs.log``; the recorders live in
-    ``obs.registry``).
+    and spans for every layer (the structured event log is ``obs.log``).
+    :attr:`status_recorder`, :attr:`command_recorder` and
+    :attr:`delivery_series` are views of instruments in ``obs.registry``.
     """
 
     def __init__(
@@ -252,10 +244,8 @@ class SpireDeployment:
         self.wall_runtime_s = 0.0
         self.simulator = Simulator(seed=opts.seed)
         self.network = Network(self.simulator, LinkSpec(latency_ms=0.2, jitter_ms=0.05))
-        self.trace = EventLog(now_fn=lambda: self.simulator.now)
         if opts.observability:
-            self.obs = Observability(log=self.trace)
-            self.trace._obs = self.obs  # legacy trace= callers share it
+            self.obs = Observability(now_fn=lambda: self.simulator.now)
             self.simulator.bind_obs(self.obs)
         else:
             self.obs = NULL_OBS
@@ -275,7 +265,6 @@ class SpireDeployment:
             self.topology,
             mode=opts.overlay_mode,
             crypto=self.crypto,
-            trace=self.trace,
             self_healing=opts.overlay_self_healing,
             max_queue_per_source=opts.overlay_queue_limit,
             source_rate_per_ms=opts.overlay_rate_limit_per_ms,
@@ -317,7 +306,6 @@ class SpireDeployment:
             common = dict(
                 recovery_duration_ms=duration_ms,
                 max_concurrent=opts.k if opts.k > 0 else 1,
-                trace=self.trace,
                 obs=self.obs,
                 on_rejuvenate=lambda r: self.diversity.rejuvenate(r.name),
                 min_live=self.prime_config.quorum,
@@ -331,7 +319,7 @@ class SpireDeployment:
                 hub = None
                 if opts.observability:
                     hub = SignalHub(
-                        self.trace,
+                        self.obs.log,
                         self.replicas,
                         self.replica_sites,
                         self.prime_config.leader_of_view,

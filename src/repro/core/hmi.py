@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..crypto.provider import CryptoProvider
-from ..obs import EventLog, LatencyTracker, resolve_obs
+from ..obs import NULL_OBS, LatencyTracker
 from ..simnet import Network, Process, Simulator
 from ..spines.overlay import OverlayStack
 from .collector import DeliveryCollector
 from .client import SubmissionManager
 from .replica import THRESHOLD_GROUP
-from .update import BatchDeliveryShare, BreakerCommand, DeliveryShare, StatusReading
+from .update import BatchDeliveryShare, BreakerCommand, StatusReading
 
 __all__ = ["HmiClient"]
 
@@ -35,7 +35,6 @@ class HmiClient(Process):
         replicas: List[str],
         stack: Optional[OverlayStack] = None,
         recorder: Optional[LatencyTracker] = None,
-        trace: Optional[EventLog] = None,
         resubmit_timeout_ms: float = 500.0,
         threshold_group: str = THRESHOLD_GROUP,
         obs=None,
@@ -43,8 +42,7 @@ class HmiClient(Process):
         super().__init__(name, simulator, network)
         self.crypto = crypto
         self.stack = stack
-        self.trace = trace
-        self.obs = resolve_obs(obs, trace)
+        self.obs = obs if obs is not None else NULL_OBS
         self._status_counter = (
             self.obs.counter("hmi.status_updates") if self.obs.enabled else None
         )
@@ -109,18 +107,12 @@ class HmiClient(Process):
             unwrapped = OverlayStack.unwrap(payload)
             if unwrapped is not None:
                 payload = unwrapped[1]
-        if isinstance(payload, (DeliveryShare, BatchDeliveryShare)):
+        if isinstance(payload, BatchDeliveryShare):
             self._on_delivery_share(payload)
 
-    def _on_delivery_share(self, share) -> None:
-        if isinstance(share, BatchDeliveryShare):
-            for record, _signature in self.collector.add_batch(share):
-                self._on_verified_record(record)
-            return
-        combined = self.collector.add(share)
-        if combined is None:
-            return
-        self._on_verified_record(combined[0])
+    def _on_delivery_share(self, share: BatchDeliveryShare) -> None:
+        for record, _signature in self.collector.add_batch(share):
+            self._on_verified_record(record)
 
     def _on_verified_record(self, record) -> None:
         self.submissions.acknowledged(record.client, record.client_seq)

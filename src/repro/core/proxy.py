@@ -25,13 +25,13 @@ from ..scada.modbus import (
     unscale_measurement,
 )
 from ..scada.rtu import MEASUREMENT_ORDER, RtuDevice
-from ..obs import EV_COMMAND_TO_FIELD, EventLog, LatencyTracker, resolve_obs
+from ..obs import EV_COMMAND_TO_FIELD, NULL_OBS, LatencyTracker
 from ..simnet import Network, Process, Simulator
 from ..spines.overlay import OverlayStack
 from .collector import DeliveryCollector
 from .client import SubmissionManager
 from .replica import THRESHOLD_GROUP
-from .update import BatchDeliveryShare, BreakerCommand, DeliveryShare, StatusReading
+from .update import BatchDeliveryShare, BreakerCommand, StatusReading
 
 __all__ = ["RtuProxy", "DeviceBinding"]
 
@@ -67,7 +67,6 @@ class RtuProxy(Process):
         devices: List[DeviceBinding],
         stack: Optional[OverlayStack] = None,
         recorder: Optional[LatencyTracker] = None,
-        trace: Optional[EventLog] = None,
         poll_interval_ms: float = 100.0,
         device_timeout_ms: float = 50.0,
         resubmit_timeout_ms: float = 500.0,
@@ -79,8 +78,7 @@ class RtuProxy(Process):
         self.devices = {binding.substation: binding for binding in devices}
         self._by_unit = {binding.unit_id: binding for binding in devices}
         self.stack = stack
-        self.trace = trace
-        self.obs = resolve_obs(obs, trace)
+        self.obs = obs if obs is not None else NULL_OBS
         self.poll_interval_ms = poll_interval_ms
         self.device_timeout_ms = device_timeout_ms
         self.collector = DeliveryCollector(crypto, threshold_group)
@@ -153,7 +151,7 @@ class RtuProxy(Process):
             unwrapped = OverlayStack.unwrap(payload)
             if unwrapped is not None:
                 payload = unwrapped[1]
-        if isinstance(payload, (DeliveryShare, BatchDeliveryShare)):
+        if isinstance(payload, BatchDeliveryShare):
             self._on_delivery_share(payload)
 
     def _on_modbus(self, frame: bytes) -> None:
@@ -203,15 +201,9 @@ class RtuProxy(Process):
     # ------------------------------------------------------------------
     # Verified deliveries
     # ------------------------------------------------------------------
-    def _on_delivery_share(self, share) -> None:
-        if isinstance(share, BatchDeliveryShare):
-            for record, _signature in self.collector.add_batch(share):
-                self._on_verified_record(record)
-            return
-        combined = self.collector.add(share)
-        if combined is None:
-            return
-        self._on_verified_record(combined[0])
+    def _on_delivery_share(self, share: BatchDeliveryShare) -> None:
+        for record, _signature in self.collector.add_batch(share):
+            self._on_verified_record(record)
 
     def _on_verified_record(self, record) -> None:
         if record.client == self.name:

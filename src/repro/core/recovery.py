@@ -29,9 +29,8 @@ from ..obs import (
     EV_REJUVENATE_DEFERRED,
     EV_REJUVENATE_DONE,
     EV_REJUVENATE_START,
-    EventLog,
+    NULL_OBS,
     Observability,
-    resolve_obs,
 )
 from ..simnet import Process, Simulator
 
@@ -59,7 +58,6 @@ class RecoveryStrategy:
         replicas: List[Process],
         recovery_duration_ms: float,
         max_concurrent: int = 1,
-        trace: Optional[EventLog] = None,
         on_rejuvenate: Optional[Callable[[Process], None]] = None,
         min_live: Optional[int] = None,
         obs: Optional[Observability] = None,
@@ -70,8 +68,7 @@ class RecoveryStrategy:
         self.replicas = list(replicas)
         self.recovery_duration_ms = recovery_duration_ms
         self.max_concurrent = max_concurrent
-        self.trace = trace
-        self.obs = resolve_obs(obs, trace)
+        self.obs = obs if obs is not None else NULL_OBS
         self.on_rejuvenate = on_rejuvenate
         #: never start a rejuvenation that would leave fewer than this many
         #: replicas live (deployments pass the ordering quorum 2f+k+1);
@@ -172,15 +169,14 @@ class PeriodicStrategy(RecoveryStrategy):
         period_ms: float,
         recovery_duration_ms: float,
         max_concurrent: int = 1,
-        trace: Optional[EventLog] = None,
         on_rejuvenate: Optional[Callable[[Process], None]] = None,
         min_live: Optional[int] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         super().__init__(
             simulator, replicas, recovery_duration_ms,
-            max_concurrent=max_concurrent, trace=trace,
-            on_rejuvenate=on_rejuvenate, min_live=min_live, obs=obs,
+            max_concurrent=max_concurrent, on_rejuvenate=on_rejuvenate,
+            min_live=min_live, obs=obs,
         )
         self.period_ms = period_ms
         self._next_index = 0
@@ -195,7 +191,7 @@ class PeriodicStrategy(RecoveryStrategy):
             self._rejuvenate_next,
             first_delay=first_delay_ms,
             rng_name="recovery-scheduler",
-        )
+        ).stop
 
     # ------------------------------------------------------------------
     def _rejuvenate_next(self) -> None:

@@ -5,10 +5,12 @@ the application-layer duties of a Spire SCADA master replica:
 
 * accept :class:`UpdateSubmission` messages from proxies/HMIs over the
   overlay and inject them into Prime;
-* after each update executes through the agreed order, produce a
-  threshold-signature share over the :class:`DeliveryRecord` and send it to
-  every interested endpoint (the originating client, all HMIs, and — for
-  breaker commands — the proxy that fronts the target substation).
+* after each certified pre-order request executes through the agreed
+  order, produce one threshold-signature share over the Merkle root of
+  its updates' :class:`DeliveryRecord` digests and send every interested
+  endpoint (the originating clients, all HMIs, and — for breaker commands
+  — the proxy that fronts the target substation) the proof-carrying
+  entries it wants.
 
 A compromised replica can refuse to do any of this, or send garbage
 shares; with threshold ``f + 1`` and robust combining at the endpoints,
@@ -18,24 +20,20 @@ shares; with threshold ``f + 1`` and robust combining at the endpoints,
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..crypto.provider import CryptoProvider
 from ..prime.app import ReplicatedApplication
 from ..prime.config import PrimeConfig
-from ..prime.messages import ClientUpdate
 from ..prime.node import PrimeNode
 from ..replication import Transport
-from ..obs import EventLog
 from ..simnet import Network, Simulator
 from .master import ScadaMasterApp
 from .update import (
     BatchDeliveryShare,
     BreakerCommand,
-    DeliveryShare,
     UpdateSubmission,
     batch_record_for,
-    record_for,
 )
 
 __all__ = ["SpireReplica", "THRESHOLD_GROUP"]
@@ -55,15 +53,13 @@ class SpireReplica(PrimeNode):
         config: PrimeConfig,
         crypto: CryptoProvider,
         app: Optional[ReplicatedApplication] = None,
-        trace: Optional[EventLog] = None,
         transport: Optional[Transport] = None,
         threshold_group: str = THRESHOLD_GROUP,
         obs=None,
     ) -> None:
         super().__init__(
             name, simulator, network, config,
-            crypto, app or ScadaMasterApp(), trace=trace, transport=transport,
-            obs=obs,
+            crypto, app or ScadaMasterApp(), transport=transport, obs=obs,
         )
         self.threshold_group = threshold_group
         self._deliveries_counter = (
@@ -87,12 +83,9 @@ class SpireReplica(PrimeNode):
         self._recent_shares: "OrderedDict[tuple, Any]" = OrderedDict()
         self._recent_share_cap = 5000
         self.batches_sent = 0
-        if config.delivery_batching:
-            # Batched delivery: one threshold share per executed
-            # pre-order request, covering the Merkle root of its records.
-            self.batch_execution_listeners.append(self._deliver_batch)
-        else:
-            self.execution_listeners.append(self._deliver_executed)
+        # one threshold share per executed pre-order request, covering
+        # the Merkle root of its records
+        self.batch_execution_listeners.append(self._deliver_batch)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -138,40 +131,10 @@ class SpireReplica(PrimeNode):
     # ------------------------------------------------------------------
     # Outgoing deliveries
     # ------------------------------------------------------------------
-    def _deliver_executed(self, update: ClientUpdate, order_index: int, result: Any) -> None:
-        record = record_for(update, order_index)
-        share = self.crypto.threshold_sign_share(
-            self.threshold_group, self.share_index, record
-        )
-        if self.share_corruptor is not None:
-            share = self.share_corruptor(share)
-        delivery = DeliveryShare(self.name, record, share)
-        self._recent_shares[(update.client, update.client_seq)] = delivery
-        while len(self._recent_shares) > self._recent_share_cap:
-            self._recent_shares.popitem(last=False)
-        targets: Set[str] = set(self.subscribers)
-        targets.add(update.client)
-        if isinstance(update.payload, BreakerCommand):
-            proxy = self._proxy_for(update.payload.substation)
-            if proxy is not None:
-                targets.add(proxy)
-        for target in targets:
-            if target != self.name:
-                self.deliveries_sent += 1
-                if self._deliveries_counter is not None:
-                    self._deliveries_counter.inc()
-                self.transport.send(target, delivery, size_bytes=350)
-
     def _deliver_batch(self, origin: str, po_seq: int, executed: List) -> None:
         """Deliver one executed pre-order batch: a single threshold share
         over the batch's Merkle root, with each target receiving only the
         proof-carrying entries it subscribes to."""
-        if len(executed) == 1:
-            # Singleton batches take the exact legacy per-update path, so
-            # batch mode degrades gracefully to unbatched behaviour.
-            update, order_index, result = executed[0]
-            self._deliver_executed(update, order_index, result)
-            return
         batch, entries = batch_record_for(origin, po_seq, executed)
         share = self.crypto.threshold_sign_share(
             self.threshold_group, self.share_index, batch

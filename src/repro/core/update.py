@@ -6,19 +6,20 @@ Data flow (paper architecture):
   :class:`StatusReading` payloads inside signed ``ClientUpdate``s, which
   they submit to a SCADA-master replica (:class:`UpdateSubmission`).
 * HMIs submit :class:`BreakerCommand` payloads the same way.
-* Every replica that executes an update through the agreed order produces
-  a :class:`DeliveryRecord` and sends its threshold-signature share
-  (:class:`DeliveryShare`) to the interested endpoints; an endpoint that
-  collects ``f + 1`` matching shares combines them into one compact
-  threshold signature and acts on the record — so a proxy never operates a
-  breaker, and an HMI never updates its display, on the say-so of fewer
-  than one correct replica.
+* Every replica that executes a certified pre-order request produces one
+  :class:`BatchDeliveryRecord` over the :class:`DeliveryRecord` of each
+  update in it and sends its threshold-signature share
+  (:class:`BatchDeliveryShare`) to the interested endpoints; an endpoint
+  that collects ``f + 1`` matching shares combines them into one compact
+  threshold signature and acts on the records whose Merkle proofs check
+  out — so a proxy never operates a breaker, and an HMI never updates its
+  display, on the say-so of fewer than one correct replica.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..crypto.encoding import digest
 from ..crypto.merkle import merkle_proof, merkle_root
@@ -29,13 +30,13 @@ __all__ = [
     "StatusReading",
     "BreakerCommand",
     "DeliveryRecord",
-    "DeliveryShare",
     "BatchDeliveryRecord",
     "BatchEntry",
     "BatchDeliveryShare",
     "UpdateSubmission",
     "record_for",
     "batch_record_for",
+    "batch_of_records",
 ]
 
 
@@ -71,9 +72,9 @@ class BreakerCommand:
 class DeliveryRecord:
     """The agreed fact that an update executed at a global position.
 
-    This is what gets threshold-signed: it binds the update identity and
-    content to its execution order, so endpoints can safely deduplicate
-    and order deliveries.
+    It binds the update identity and content to its execution order, so
+    endpoints can safely deduplicate and order deliveries. Its digest is
+    one leaf of the threshold-signed :class:`BatchDeliveryRecord`.
     """
 
     kind: str                 # "status" | "command"
@@ -84,15 +85,6 @@ class DeliveryRecord:
 
     def key(self) -> Tuple[str, str, int]:
         return (self.kind, self.client, self.client_seq)
-
-
-@dataclass(frozen=True)
-class DeliveryShare:
-    """One replica's threshold share over a delivery record."""
-
-    sender: str
-    record: DeliveryRecord
-    share: ThresholdShare
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ class BatchDeliveryShare:
     unless the endpoint subscribes to everything)."""
 
     sender: str
-    batch: BatchDeliveryRecord
+    record: BatchDeliveryRecord       # what ``share`` signs
     share: ThresholdShare
     entries: Tuple[BatchEntry, ...]
 
@@ -166,7 +158,16 @@ def batch_record_for(
     """Build the batch record + proof-carrying entries for one executed
     pre-order request. Deterministic in the executed sequence, so every
     correct replica derives the identical root and signs the same thing."""
-    records = [record_for(update, idx) for update, idx, _ in executed]
+    return batch_of_records(
+        origin, po_seq, [record_for(update, idx) for update, idx, _ in executed]
+    )
+
+
+def batch_of_records(
+    origin: str, po_seq: int, records: Sequence[DeliveryRecord]
+) -> Tuple[BatchDeliveryRecord, Tuple[BatchEntry, ...]]:
+    """The batch record over ``records`` plus one proof-carrying entry per
+    record (a single record makes a one-leaf tree)."""
     leaves = [digest(record) for record in records]
     root = merkle_root(leaves)
     batch = BatchDeliveryRecord(

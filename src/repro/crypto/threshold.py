@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
@@ -147,38 +146,6 @@ class ThresholdGroup:
             if signature is not None:
                 return signature
         return None
-
-    # -- deprecated aliases -------------------------------------------------
-    # Callers used to reach into the group with per-update ``combine``/
-    # ``combine_robust`` calls from the ordering path; the canonical API is
-    # now ``combine_shares``/``combine_shares_robust`` (one combine per
-    # *batch*, via ``CryptoProvider.threshold_combine``). Shims warn once
-    # per call site, matching how the Trace/LatencyRecorder shims were
-    # retired.
-
-    def combine(self, data: bytes, shares: Iterable[PartialSignature]) -> int:
-        """Deprecated alias for :meth:`combine_shares`."""
-        warnings.warn(
-            "ThresholdGroup.combine is deprecated; use combine_shares "
-            "(or CryptoProvider.threshold_combine for provider-managed "
-            "batching)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.combine_shares(data, shares)
-
-    def combine_robust(
-        self, data: bytes, shares: Iterable[PartialSignature]
-    ) -> Optional[int]:
-        """Deprecated alias for :meth:`combine_shares_robust`."""
-        warnings.warn(
-            "ThresholdGroup.combine_robust is deprecated; use "
-            "combine_shares_robust (or CryptoProvider.threshold_combine "
-            "for provider-managed batching)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.combine_shares_robust(data, shares)
 
     def _combine_subset(
         self, data: bytes, subset: Tuple[int, ...], share_map: Dict[int, int]

@@ -149,7 +149,6 @@ def build_fleet_field(deployment, builder: TopologyBuilder) -> None:
             replicas=[r.name for r in d.replicas],
             shard=shard,
             recorder=d.status_recorder,
-            trace=d.trace,
             poll_interval_ms=opts.poll_interval_ms,
             resubmit_timeout_ms=opts.resubmit_timeout_ms,
             obs=d.obs,

@@ -79,7 +79,6 @@ from .recorder import (
     NullObservability,
     Observability,
     merge_obs_snapshots,
-    resolve_obs,
 )
 from .spans import Span, SpanRecord, SpanRecorder
 
@@ -87,7 +86,6 @@ __all__ = [
     "Observability",
     "NullObservability",
     "NULL_OBS",
-    "resolve_obs",
     "MetricRegistry",
     "Counter",
     "Gauge",

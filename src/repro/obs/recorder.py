@@ -8,11 +8,10 @@ object components can share:
 * a :class:`~repro.obs.spans.SpanRecorder` for nested wall/sim timing.
 
 Components never construct their own; they accept an ``obs`` parameter
-and call :func:`resolve_obs` which falls back to :data:`NULL_OBS`, a
-shared :class:`NullObservability` whose instruments swallow every call.
-Hot paths additionally guard optional work (wall-clock reads, span
-creation) behind ``obs.enabled`` so disabled runs pay only an attribute
-test.
+and fall back to :data:`NULL_OBS`, a shared :class:`NullObservability`
+whose instruments swallow every call. Hot paths additionally guard
+optional work (wall-clock reads, span creation) behind ``obs.enabled`` so
+disabled runs pay only an attribute test.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "NullObservability",
     "NULL_OBS",
     "merge_obs_snapshots",
-    "resolve_obs",
 ]
 
 
@@ -82,9 +80,8 @@ class Observability:
     """Owns one system's registry, event log and span recorder.
 
     ``now_fn`` reads the system's (virtual) clock and stamps events and
-    span sim-times. Pass ``log=`` to adopt an existing event log (this is
-    how a deployment's ``trace`` attribute and its ``obs`` handle share
-    one log); otherwise a fresh :class:`EventLog` is created.
+    span sim-times. Pass ``log=`` to adopt an existing event log;
+    otherwise a fresh :class:`EventLog` is created.
     """
 
     enabled = True
@@ -146,19 +143,6 @@ class Observability:
                 "kinds": self.log.kind_counts(),
             },
         }
-
-    @classmethod
-    def for_trace(cls, trace: EventLog) -> "Observability":
-        """Observability wrapper sharing ``trace`` as its event log.
-
-        Cached on the trace object so every component handed the same
-        legacy ``trace=`` ends up on the same registry.
-        """
-        cached = getattr(trace, "_obs", None)
-        if cached is None:
-            cached = cls(log=trace)
-            trace._obs = cached
-        return cached
 
 
 class _NullInstrument:
@@ -350,19 +334,3 @@ class NullObservability(Observability):
 #: Shared no-op recorder — the default for every component not handed an
 #: explicit ``obs``.
 NULL_OBS = NullObservability()
-
-
-def resolve_obs(
-    obs: Optional[Observability] = None, trace: Optional[EventLog] = None
-) -> Observability:
-    """Resolve a component's ``obs`` parameter.
-
-    Priority: an explicit ``obs`` wins; else a legacy ``trace=`` argument
-    is wrapped via :meth:`Observability.for_trace` (all components
-    sharing that trace share one registry); else :data:`NULL_OBS`.
-    """
-    if obs is not None:
-        return obs
-    if trace is not None and not isinstance(trace, NullEventLog):
-        return Observability.for_trace(trace)
-    return NULL_OBS

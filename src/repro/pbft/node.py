@@ -46,9 +46,8 @@ from ..obs import (
     EV_PBFT_NEW_VIEW,
     EV_PBFT_TIMEOUT,
     EV_PBFT_VIEW_CHANGE,
-    EventLog,
+    NULL_OBS,
     Observability,
-    resolve_obs,
 )
 from ..prime.app import ReplicatedApplication
 from ..prime.dedup import ClientDedup
@@ -147,7 +146,6 @@ class PbftNode(Process):
         config: PbftConfig,
         crypto: CryptoProvider,
         app: ReplicatedApplication,
-        trace: Optional[EventLog] = None,
         transport: Optional[Transport] = None,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -155,8 +153,7 @@ class PbftNode(Process):
         self.config = config
         self.crypto = crypto
         self.app = app
-        self.trace = trace
-        self.obs = resolve_obs(obs, trace)
+        self.obs = obs if obs is not None else NULL_OBS
         self.transport: Transport = transport or DirectTransport(self, obs=self.obs)
         self.dispatcher = Dispatcher(obs=self.obs, metric_prefix="pbft")
         self.runtime = ReplicationRuntime(

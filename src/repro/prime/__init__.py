@@ -3,7 +3,8 @@ attack — the replication engine of Spire (reimplementation).
 
 Public API: :class:`PrimeConfig` (+ LAN/WAN presets), :class:`PrimeNode`,
 the application interface (:class:`ReplicatedApplication` and sample apps),
-client-update helpers, transports, and all wire messages.
+client-update helpers, and all wire messages (transports live in
+:mod:`repro.replication`).
 """
 
 from .app import KeyValueApp, LoggingApp, NullApp, ReplicatedApplication
@@ -35,7 +36,6 @@ from .messages import (
 from .node import PrimeNode, client_update_body, sign_client_update, verify_client_update
 from .state import OrderingSlot, OriginState
 from .suspect import SuspectMonitor
-from .transport import DirectTransport, OverlayTransport, Transport
 from .viewchange import ViewChangeManager
 
 __all__ = [
@@ -75,8 +75,5 @@ __all__ = [
     "OrderingSlot",
     "OriginState",
     "SuspectMonitor",
-    "DirectTransport",
-    "OverlayTransport",
-    "Transport",
     "ViewChangeManager",
 ]

@@ -43,25 +43,8 @@ class PrimeConfig:
     # --- batching / flow control ----------------------------------------
     batch_max_updates: int = 64           # max client updates per PO-Request
     recon_window: int = 32                # max updates resent per peer per round
-    # --- batched delivery ------------------------------------------------
-    # When True, ordered updates are delivered in per-PO-Request batches
-    # carrying one threshold signature over a Merkle root (see
-    # repro.core.batching); slot digests switch to the v2 encoding so the
-    # two formats can never collide. Default off: the per-update path.
-    delivery_batching: bool = False
     # --- checkpointing ---------------------------------------------------
     checkpoint_interval_seqs: int = 50    # global seqs between checkpoints
-    # --- view-change hardening (default off: bit-identical traces) ------
-    # Retransmit our pending ViewChange/NewView every this many ms while a
-    # view change is in progress (0 disables). A lossy network can eat the
-    # one-shot broadcasts and leave the cluster wedged until the cascade
-    # timer fires; retransmission converges within the same view instead.
-    vc_retransmit_ms: float = 0.0
-    # When True, a state transfer only adopts a higher view once f+1
-    # replicas claim it (single-reply adoption trusts one possibly-lying
-    # peer), and replicas seeing f+1 higher-view messages proactively
-    # request state instead of stalling in a dead view.
-    strict_view_adoption: bool = False
 
     def __post_init__(self) -> None:
         needed = 3 * self.num_faults + 2 * self.num_recovering + 1

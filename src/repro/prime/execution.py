@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .messages import (
-    ClientUpdate,
-    SignedMessage,
-    verify_client_update,
-    verify_client_updates_batch,
-)
+from .messages import ClientUpdate, SignedMessage, verify_client_updates_batch
 from .state import OrderingSlot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,36 +90,29 @@ class ExecutionCutoff:
             while state.executed_upto < cutoff:
                 po_seq = state.executed_upto + 1
                 request = state.requests[po_seq].payload
-                if batch_listeners:
-                    # The batch unit is the executed-update set of one
-                    # certified PoRequest: its contents are fixed by the
-                    # PO certificate and the executed subset by the agreed
-                    # dedup/verify rules, so every correct replica forms
-                    # the identical batch and threshold shares combine.
-                    verdicts = verify_client_updates_batch(
-                        node.crypto, request.updates
-                    )
-                    executed = [
-                        item
-                        for update, ok in zip(request.updates, verdicts)
-                        if (item := self.execute_update(update, verified=ok))
-                        is not None
-                    ]
-                    if executed:
-                        for listener in batch_listeners:
-                            listener(origin, po_seq, executed)
-                else:
-                    for update in request.updates:
-                        self.execute_update(update)
+                # The batch unit is the executed-update set of one
+                # certified PoRequest: its contents are fixed by the PO
+                # certificate and the executed subset by the agreed
+                # dedup/verify rules, so every correct replica forms the
+                # identical batch and threshold shares combine.
+                verdicts = verify_client_updates_batch(
+                    node.crypto, request.updates
+                )
+                executed = [
+                    item
+                    for update, ok in zip(request.updates, verdicts)
+                    if (item := self.execute_update(update, ok)) is not None
+                ]
+                if executed:
+                    for listener in batch_listeners:
+                        listener(origin, po_seq, executed)
                 state.executed_upto = po_seq
         return True
 
-    def execute_update(self, update: ClientUpdate, verified=None):
+    def execute_update(self, update: ClientUpdate, verified: bool):
         node = self.node
         if node.client_dedup.is_duplicate(update.client, update.client_seq):
             return None  # at-most-once per (client, client_seq)
-        if verified is None:
-            verified = verify_client_update(node.crypto, update)
         if not verified:
             return None  # deterministic: all replicas reject the same forgeries
         node.client_dedup.mark(update.client, update.client_seq)

@@ -140,21 +140,15 @@ class LeadershipStage:
         self._arm_vc_retransmit()
 
     def _arm_vc_retransmit(self) -> None:
-        """Schedule periodic rebroadcast of our pending VC/NewView.
-
-        Off by default (``vc_retransmit_ms == 0``): the one-shot broadcast
-        is the bit-identical legacy behaviour. With hardening on, a lossy
-        network can no longer wedge the view change by eating the single
-        ViewChange or NewView message — the next retransmission converges
-        within the same view instead of waiting out the cascade timer.
-        """
+        """Schedule the next rebroadcast of our pending VC/NewView, at half
+        the view-change timeout: a lossy network that eats the ViewChange
+        or NewView converges on the retransmission within the same view
+        instead of waiting out the cascade timer."""
         node = self.node
-        if node.config.vc_retransmit_ms <= 0:
-            return
         if node._vc_retrans_timer is not None:
             node._vc_retrans_timer.cancel()
         node._vc_retrans_timer = node.set_timer(
-            node.config.vc_retransmit_ms, node._vc_retransmit_tick
+            node.config.view_change_timeout_ms / 2, node._vc_retransmit_tick
         )
 
     def vc_retransmit_tick(self) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..crypto.provider import CryptoProvider
-from ..obs import EV_RECOVERY_START, EventLog, Observability, resolve_obs
+from ..obs import EV_RECOVERY_START, NULL_OBS, Observability
 from ..replication import (
     DirectTransport,
     Dispatcher,
@@ -71,7 +71,7 @@ from .messages import (
     sign_client_update,
     verify_client_update,
 )
-from .ordering import OrderingStage, slot_digest
+from .ordering import OrderingStage
 from .preorder import PreOrderStage
 from .recovery import RecoveryStage
 from .state import OrderingSlot, OriginState
@@ -115,7 +115,6 @@ class PrimeNode(Process):
         config: PrimeConfig,
         crypto: CryptoProvider,
         app: ReplicatedApplication,
-        trace: Optional[EventLog] = None,
         transport: Optional[Transport] = None,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -125,8 +124,7 @@ class PrimeNode(Process):
         self.config = config
         self.crypto = crypto
         self.app = app
-        self.trace = trace
-        self.obs = resolve_obs(obs, trace)
+        self.obs = obs if obs is not None else NULL_OBS
         self.transport: Transport = transport or DirectTransport(self, obs=self.obs)
         self.dispatcher = Dispatcher(obs=self.obs, metric_prefix="prime")
         self.runtime = ReplicationRuntime(
@@ -153,8 +151,8 @@ class PrimeNode(Process):
         self.execution_listeners: List[Callable[[ClientUpdate, int, Any], None]] = []
         # Batch listeners receive the executed updates of one certified
         # PoRequest at once: (origin, po_seq, [(update, order_index,
-        # result), ...]). When any are registered the per-update
-        # execution_listeners still fire — delivery chooses one surface.
+        # result), ...]) — the delivery surface. The per-update
+        # execution_listeners fire for each of them first (monitors).
         self.batch_execution_listeners: List[
             Callable[[str, int, List[Tuple[ClientUpdate, int, Any]]], None]
         ] = []
@@ -195,10 +193,9 @@ class PrimeNode(Process):
         self._last_nv_sent: Optional[NewView] = None
         #: sender -> highest view seen in their ordering-stage messages;
         #: f+1 distinct senders above our view triggers state transfer
-        #: (strict_view_adoption only)
         self._higher_view_seen: Dict[str, int] = {}
-        #: sender -> view claimed in their StateReply (strict adoption
-        #: requires f+1 matching claims before a view is adopted)
+        #: sender -> view claimed in their StateReply (a view is adopted
+        #: only once f+1 replies claim it)
         self._state_view_claims: Dict[str, int] = {}
         self._genesis_replies: Set[str] = set()
         self._state_retry_attempts = 0
@@ -310,8 +307,8 @@ class PrimeNode(Process):
         """Bookkeep evidence that a peer moved to a higher view.
 
         Pure bookkeeping (no sends, no trace events): the recovery stage
-        reads this under ``strict_view_adoption`` to pull a laggard that
-        missed a NewView back into the adopted view via state transfer.
+        reads this to pull a laggard that missed a NewView back into the
+        adopted view via state transfer.
         """
         if view > self._higher_view_seen.get(sender, -1):
             self._higher_view_seen[sender] = view
@@ -334,17 +331,8 @@ class PrimeNode(Process):
     def is_leader(self) -> bool:
         return self.config.leader_of_view(self.view) == self.name
 
-    @property
-    def digest_version(self) -> int:
-        """Slot-digest encoding version: 2 on the batched-delivery path,
-        1 (legacy) otherwise — the formats can never collide."""
-        return 2 if self.config.delivery_batching else 1
-
     # Stable public/compat surface kept from the monolithic node.
     coverage_cutoffs = staticmethod(coverage_cutoffs)
-
-    def slot_digest(self, seq: int, matrix: Tuple[SignedMessage, ...]) -> str:
-        return slot_digest(seq, matrix, self.digest_version)
 
     # ------------------------------------------------------------------
     # Stage entry points

@@ -24,26 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["OrderingStage", "slot_digest"]
 
 
-def slot_digest(
-    seq: int, matrix: Tuple[SignedMessage, ...], version: int = 1
-) -> str:
+def slot_digest(seq: int, matrix: Tuple[SignedMessage, ...]) -> str:
     """Digest of a proposal: the sequence number plus the summary content
-    (not the signatures, which may legitimately differ per receiver).
-
-    ``version=1`` is the legacy single-update-delivery encoding;
-    ``version=2`` (batched delivery) prefixes the digest with ``v2:`` and
-    folds the version into the hashed tuple, so a batched slot digest can
-    never collide with a legacy one even for identical matrices.
-    """
+    (not the signatures, which may legitimately differ per receiver)."""
     content = tuple(
         (entry.payload.sender, entry.payload.summary_seq, entry.payload.vector)
         for entry in matrix
     )
-    if version == 1:
-        return digest((seq, content))
-    if version == 2:
-        return "v2:" + digest((2, seq, content))
-    raise ValueError(f"unknown slot_digest version {version}")
+    return digest((seq, content))
 
 
 class OrderingStage:
@@ -112,7 +100,7 @@ class OrderingStage:
         if msg.view in slot.pre_prepares:
             return  # first proposal per (view, seq) wins
         slot.pre_prepares[msg.view] = signed
-        proposal_digest = slot_digest(msg.seq, msg.matrix, node.digest_version)
+        proposal_digest = slot_digest(msg.seq, msg.matrix)
         # The leader's pre-prepare counts as its prepare vote.
         slot.record_prepare(msg.view, proposal_digest, msg.leader, signed)
         # Turnaround-time sample: did this proposal include our summary
@@ -175,10 +163,7 @@ class OrderingStage:
         pre_prepare = slot.pre_prepares.get(view)
         if pre_prepare is None:
             return
-        if (
-            slot_digest(slot.seq, pre_prepare.payload.matrix, node.digest_version)
-            != proposal_digest
-        ):
+        if slot_digest(slot.seq, pre_prepare.payload.matrix) != proposal_digest:
             return
         slot.ordered = (view, proposal_digest, pre_prepare, proof)
         if slot.prepared_cert is None or slot.prepared_cert[0] < view:

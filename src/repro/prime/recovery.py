@@ -182,23 +182,20 @@ class RecoveryStage:
             node.awaiting_state = True
             self.request_state()
             return
-        # Laggard rejoin (strict adoption only): f+1 distinct peers sending
-        # higher-view messages (ordering traffic or suspects) prove the
-        # cluster moved past us — at least one of them is honest. We missed
-        # the NewView, our old-view messages are being ignored, and no
-        # amount of reconciliation will fix that: pull state (and the
-        # adopted view, claimed by f+1 StateReplies) instead of stalling.
-        # Applies equally to a replica wedged in_view_change for a view the
-        # cluster has already left behind.
-        if node.config.strict_view_adoption:
-            ahead = sum(
-                1 for v in node._higher_view_seen.values() if v > node.view
-            )
-            if ahead >= node.config.num_faults + 1:
-                node._higher_view_seen.clear()
-                node.awaiting_state = True
-                self.request_state()
-                return
+        # Laggard rejoin: f+1 distinct peers sending higher-view messages
+        # (ordering traffic or suspects) prove the cluster moved past us —
+        # at least one of them is honest. We missed the NewView, our
+        # old-view messages are being ignored, and no amount of
+        # reconciliation will fix that: pull state (and the adopted view,
+        # claimed by f+1 StateReplies) instead of stalling. Applies equally
+        # to a replica wedged in_view_change for a view the cluster has
+        # already left behind.
+        ahead = sum(1 for v in node._higher_view_seen.values() if v > node.view)
+        if ahead >= node.config.num_faults + 1:
+            node._higher_view_seen.clear()
+            node.awaiting_state = True
+            self.request_state()
+            return
         self.retransmit_own_requests()
         self.push_recon()
         self.ordering_catchup()
@@ -313,7 +310,7 @@ class RecoveryStage:
             return
         if not node.ordering.validate_matrix(pp.matrix):
             return
-        proposal_digest = slot_digest(msg.seq, pp.matrix, node.digest_version)
+        proposal_digest = slot_digest(msg.seq, pp.matrix)
         senders = collect_valid_voters(
             msg.commits,
             membership=node.config.replicas,
@@ -385,9 +382,9 @@ class RecoveryStage:
     def _maybe_adopt_claimed_view(self) -> None:
         """Adopt the highest view that f+1 distinct StateReplies claim.
 
-        Strict-adoption replacement for trusting a single reply's ``view``
-        field: any set of f+1 claimants contains an honest replica, so the
-        (f+1)-th largest claim is a view some honest replica truly holds.
+        A single reply's ``view`` field is never trusted: any set of f+1
+        claimants contains an honest replica, so the (f+1)-th largest claim
+        is a view some honest replica truly holds.
         """
         node = self.node
         claims = sorted(node._state_view_claims.values(), reverse=True)
@@ -414,24 +411,23 @@ class RecoveryStage:
         node = self.node
         if not node.awaiting_state:
             return
-        if node.config.strict_view_adoption:
-            node._state_view_claims[msg.sender] = msg.view
-            self._maybe_adopt_claimed_view()
-            # "Nothing newer than what we have" from quorum-1 peers ends a
-            # transfer a laggard started for the *view*, not the data —
-            # without this a replica that is ahead of every surviving
-            # checkpoint would wait out the retry budget doing nothing.
-            if 0 < msg.checkpoint_seq <= node.last_executed_seq:
-                node._genesis_replies.add(msg.sender)
-                if len(node._genesis_replies) >= node.config.quorum - 1:
-                    node.awaiting_state = False
-                    node._genesis_replies.clear()
-                    node._state_view_claims.clear()
-                    self.reset_state_retry()
-                    node.obs.event(
-                        node.name, EV_RECOVERY_DONE, seq=node.last_executed_seq,
-                    )
-                return
+        node._state_view_claims[msg.sender] = msg.view
+        self._maybe_adopt_claimed_view()
+        # "Nothing newer than what we have" from quorum-1 peers ends a
+        # transfer a laggard started for the *view*, not the data —
+        # without this a replica that is ahead of every surviving
+        # checkpoint would wait out the retry budget doing nothing.
+        if 0 < msg.checkpoint_seq <= node.last_executed_seq:
+            node._genesis_replies.add(msg.sender)
+            if len(node._genesis_replies) >= node.config.quorum - 1:
+                node.awaiting_state = False
+                node._genesis_replies.clear()
+                node._state_view_claims.clear()
+                self.reset_state_retry()
+                node.obs.event(
+                    node.name, EV_RECOVERY_DONE, seq=node.last_executed_seq,
+                )
+            return
         if msg.checkpoint_seq == 0:
             # "No checkpoint anywhere" is only believable from a quorum —
             # a single early genesis reply must not end recovery while
@@ -473,15 +469,9 @@ class RecoveryStage:
         node.checkpoints.record_own(msg.checkpoint_seq, snapshot)
         for seq in [s for s in node.slots if s <= msg.checkpoint_seq]:
             del node.slots[seq]
-        if msg.view > node.view:
-            if node.config.strict_view_adoption:
-                # Views are adopted only from f+1 matching claims (see
-                # _maybe_adopt_claimed_view) — one lying replica serving a
-                # genuine old checkpoint must not drag us to a fake view.
-                self._maybe_adopt_claimed_view()
-            else:
-                node.view = msg.view
-                node.in_view_change = False
+        # msg.view is not adopted here: on_state_reply already weighed it
+        # as one claim — one lying replica serving a genuine old checkpoint
+        # must not drag us to a fake view.
         node.awaiting_state = False
         node._state_view_claims.clear()
         self.reset_state_retry()

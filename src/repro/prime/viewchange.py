@@ -140,8 +140,7 @@ class ViewChangeManager:
         # its genuine certificate) with a *different* matrix, and the
         # re-proposal derivation — which reads the matrix, not the digest —
         # would rewrite history.
-        version = 2 if self.config.delivery_batching else 1
-        if slot_digest(entry.seq, pp.matrix, version) != entry.digest:
+        if slot_digest(entry.seq, pp.matrix) != entry.digest:
             return False
         # Prepare certificate: quorum of distinct replicas vouching
         # (view, seq, digest); the leader's pre-prepare counts as one.

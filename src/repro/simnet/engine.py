@@ -159,11 +159,10 @@ class PeriodicTimer:
     allocation, which matters because replica/hello/RTU timers dominate
     queue churn.
 
-    Calling the object (legacy style: ``stop = sim.call_every(...);
-    stop()``) or :meth:`stop` ends the series. As in the seed engine, a
-    stop does *not* retract the already-queued tick — that tick still
-    executes (as a no-op) and counts toward ``events_processed``, keeping
-    event budgets bit-identical with the pre-overhaul implementation.
+    :meth:`stop` ends the series. As in the seed engine, a stop does
+    *not* retract the already-queued tick — that tick still executes (as a
+    no-op) and counts toward ``events_processed``, keeping event budgets
+    bit-identical with the pre-overhaul implementation.
     """
 
     __slots__ = (
@@ -221,9 +220,6 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Stop the series after the currently queued tick."""
         self._stopped = True
-
-    #: legacy call style — ``call_every`` used to return a stop function
-    __call__ = stop
 
 
 class Simulator:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .engine import Simulator, Timer
+from .engine import PeriodicTimer, Simulator, Timer
 from .network import Network
 
 __all__ = ["Process"]
@@ -72,8 +72,8 @@ class Process:
 
         return self.simulator.schedule(delay, guarded)
 
-    def every(self, interval: float, action: Callable[..., None], jitter: float = 0.0) -> Callable[[], None]:
-        """Periodic timer guarded by liveness/incarnation; returns stop fn."""
+    def every(self, interval: float, action: Callable[..., None], jitter: float = 0.0) -> PeriodicTimer:
+        """Periodic timer guarded by liveness/incarnation."""
         incarnation = self._incarnation
 
         def guarded() -> None:

@@ -36,7 +36,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from ..crypto.provider import CryptoProvider
-from ..obs import EventLog, Observability, resolve_obs
+from ..obs import NULL_OBS, Observability
 from ..simnet import Network, Process, Simulator
 from .messages import (
     OverlayData,
@@ -67,7 +67,6 @@ class SpinesDaemon(Process):
         network: Network,
         routing: RoutingStrategy,
         crypto: CryptoProvider,
-        trace: Optional[EventLog] = None,
         link_auth: bool = True,
         fairness: bool = True,
         forward_capacity_per_ms: float = 0.0,
@@ -81,8 +80,7 @@ class SpinesDaemon(Process):
         self.site_name = site_name
         self.routing = routing
         self.crypto = crypto
-        self.trace = trace
-        self.obs = resolve_obs(obs, trace)
+        self.obs = obs if obs is not None else NULL_OBS
         # Instruments shared by all daemons of a deployment (same names →
         # same registry entries); resolved once so hops pay a None test.
         self._hop_latency = None

@@ -44,7 +44,7 @@ from ..obs import (
     EV_OVERLAY_REROUTE,
     NULL_OBS,
 )
-from ..simnet import Simulator
+from ..simnet import PeriodicTimer, Simulator
 from .messages import OverlayHello
 from .routing import RoutingStrategy
 from .topology import OverlayTopology
@@ -127,7 +127,7 @@ class LinkMonitor:
         self._alive: Dict[str, bool] = {}
         self._degraded: Dict[str, bool] = {}
         self._mutator: Optional[HelloMutator] = None
-        self._stops: List[Callable[[], None]] = []
+        self._timers: List[PeriodicTimer] = []
         self.hellos_sent = 0
         self.hellos_received = 0
 
@@ -138,15 +138,15 @@ class LinkMonitor:
         Called once at overlay construction and again from the daemon's
         ``on_recover`` — timers set before a crash never fire after it.
         """
-        for stop in self._stops:
-            stop()
+        for timer in self._timers:
+            timer.stop()
         now = self.daemon.simulator.now
         for neighbor in sorted(self.daemon.neighbors):
             self._last_seen[neighbor] = now
             self._alive[neighbor] = True
             self._degraded[neighbor] = False
             self._ewma.pop(neighbor, None)
-        self._stops = [
+        self._timers = [
             self.daemon.every(self.config.hello_interval_ms, self._send_hellos),
             self.daemon.every(self.config.hello_interval_ms, self._check_links),
         ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from ..crypto.provider import CryptoProvider, FastCrypto
-from ..obs import EventLog, Observability, resolve_obs
+from ..obs import NULL_OBS, Observability
 from ..simnet import LinkSpec, Network, Process, Simulator
 from .daemon import SpinesDaemon
 from .messages import OverlayData, OverlayDeliver, OverlayIngress
@@ -80,7 +80,6 @@ class SpinesOverlay:
         topology: OverlayTopology,
         mode: str = "flooding",
         crypto: Optional[CryptoProvider] = None,
-        trace: Optional[EventLog] = None,
         link_auth: bool = True,
         fairness: bool = True,
         forward_capacity_per_ms: float = 0.0,
@@ -98,7 +97,7 @@ class SpinesOverlay:
         self.mode = mode
         self.crypto = crypto or FastCrypto()
         self.last_mile_latency_ms = last_mile_latency_ms
-        self.obs = resolve_obs(obs, trace)
+        self.obs = obs if obs is not None else NULL_OBS
         self.routing = make_routing(mode, topology)
         self.monitor_config = monitor_config or LinkMonitorConfig()
         self.daemons: Dict[str, SpinesDaemon] = {}
@@ -106,7 +105,7 @@ class SpinesOverlay:
         for site in topology.sites:
             self.daemons[site.name] = SpinesDaemon(
                 site.name, simulator, network, self.routing, self.crypto,
-                trace=trace, link_auth=link_auth, fairness=fairness,
+                link_auth=link_auth, fairness=fairness,
                 forward_capacity_per_ms=forward_capacity_per_ms,
                 max_queue_per_source=max_queue_per_source,
                 source_rate_per_ms=source_rate_per_ms,

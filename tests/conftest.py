@@ -11,7 +11,7 @@ from repro.prime import (
     lan_prime_config,
     sign_client_update,
 )
-from repro.obs import EventLog
+from repro.obs import Observability
 from repro.simnet import LinkSpec, Network, Simulator
 
 
@@ -48,12 +48,12 @@ class PrimeCluster:
             self.simulator, LinkSpec(latency_ms=latency_ms, jitter_ms=0.1, loss=loss)
         )
         self.crypto = crypto or FastCrypto(seed=f"cluster/{seed}")
-        self.trace = EventLog(now_fn=lambda: self.simulator.now)
+        self.obs = Observability(now_fn=lambda: self.simulator.now)
         names = tuple(f"replica:{i}" for i in range(n))
         self.config = config or lan_prime_config(names, f=f, k=k)
         self.nodes = [
             PrimeNode(name, self.simulator, self.network, self.config,
-                      self.crypto, app_factory(), trace=self.trace)
+                      self.crypto, app_factory(), obs=self.obs)
             for name in names
         ]
         self._client_seq = 0

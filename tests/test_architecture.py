@@ -1,11 +1,12 @@
 """Architecture guards: keep the decomposition from regressing.
 
 The PrimeNode monolith was decomposed into stage objects mounted on
-``repro.replication`` (see DESIGN.md §8). These guards fail loudly if the
-composition root starts reabsorbing stage logic, or if protocol nodes
-stop going through the shared runtime.
+``repro.replication`` (see DESIGN.md §8). These guards fail loudly if a
+layer starts importing one that sits above it, or if protocol nodes stop
+going through the shared runtime.
 """
 
+import ast
 import pathlib
 
 import repro.pbft.node
@@ -14,15 +15,53 @@ import repro.prime.node
 SRC = pathlib.Path(repro.prime.node.__file__).resolve().parents[2]
 
 
-def _line_count(module) -> int:
-    return len(pathlib.Path(module.__file__).read_text().splitlines())
+def _imports():
+    """module name -> the ``repro`` modules its import statements name."""
+    graph = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = list(path.relative_to(SRC).with_suffix("").parts)
+        package = parts[:-1]
+        if parts[-1] == "__init__":
+            parts = package
+        targets = graph.setdefault(".".join(parts), set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                targets.add(module)
+                # ``from . import x`` / ``from repro.prime import transport``
+                targets.update(f"{module}.{alias.name}" for alias in node.names)
+    return graph
 
 
-def test_prime_node_stays_a_composition_root():
-    # The pre-refactor monolith was ~1200 lines. The composition root
-    # wires stages together; protocol logic belongs in the stage modules
-    # (preorder/ordering/execution/leadership/recovery/checkpoint).
-    assert _line_count(repro.prime.node) < 600
+def _layer(module: str) -> str:
+    parts = module.split(".")
+    return parts[1] if parts[0] == "repro" and len(parts) > 1 else ""
+
+
+def _layers_imported_by(graph, layer: str) -> set:
+    return {
+        _layer(target)
+        for module, targets in graph.items() if _layer(module) == layer
+        for target in targets
+    } - {"", layer}
+
+
+def test_import_graph_keeps_its_layers():
+    graph = _imports()
+    # the shared runtime sits under both protocols, never on top of one
+    assert not _layers_imported_by(graph, "replication") & {"prime", "pbft"}
+    # the base layers import no other repro package
+    for base in ("simnet", "crypto", "obs"):
+        assert _layers_imported_by(graph, base) == set(), base
+    # the re-export shim is gone and stays gone
+    assert not any(
+        target.startswith("repro.prime.transport")
+        for targets in graph.values() for target in targets
+    )
+    assert "repro.prime.transport" not in graph
 
 
 def test_both_nodes_mount_the_shared_runtime():

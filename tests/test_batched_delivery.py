@@ -1,6 +1,6 @@
 """Batched ordering + Merkle-amortized delivery: options plumbing,
-bit-identity of the inactive path, end-to-end convergence, and the
-collector's handling of corrupt shares and tampered entries."""
+singleton batches, end-to-end convergence, and the collector's handling
+of corrupt shares and tampered entries."""
 
 from types import SimpleNamespace
 
@@ -14,14 +14,16 @@ from repro.core import (
     SpireOptions,
     batch_record_for,
 )
+from repro.core.builder import TopologyBuilder
 from repro.core.update import BatchEntry
-from repro.crypto import FastCrypto
+from repro.crypto import FastCrypto, digest
 from repro.prime.messages import (
     ClientUpdate,
     sign_client_update,
     verify_client_updates_batch,
 )
 from repro.prime.ordering import slot_digest
+from repro.spines import wide_area_topology
 
 
 # ----------------------------------------------------------------------
@@ -29,26 +31,33 @@ from repro.prime.ordering import slot_digest
 # ----------------------------------------------------------------------
 
 
-def test_batching_defaults_are_inactive():
-    options = BatchingOptions()
-    options.validate()
-    assert not options.enabled
-    assert not options.active
+def prime_config_for(batching):
+    options = SpireOptions(batching=batching).validate()
+    builder = TopologyBuilder(options, wide_area_topology())
+    return builder.prime_config([f"replica:{i}" for i in range(options.n)])
 
 
-def test_batching_active_requires_enabled_and_size():
-    assert BatchingOptions(enabled=True, max_batch_size=16).active
-    assert not BatchingOptions(enabled=True, max_batch_size=1).active
-    assert not BatchingOptions(enabled=False).active
+def test_batching_defaults_keep_the_preset_sizes():
+    BatchingOptions().validate()
+    preset = prime_config_for(None)
+    assert prime_config_for(BatchingOptions()) == preset
+    assert preset.batch_max_updates == BatchingOptions().max_batch_size
+
+
+@pytest.mark.parametrize("size", [1, 16])
+def test_batching_sizes_map_onto_preorder_aggregation(size):
+    config = prime_config_for(
+        BatchingOptions(max_batch_size=size, max_batch_delay_ms=15.0)
+    )
+    assert config.batch_max_updates == size
+    assert config.batch_interval_ms == 15.0
 
 
 @pytest.mark.parametrize("bad", [
-    dict(enabled=True, max_batch_size=0),
-    dict(enabled=True, max_batch_size=-3),
-    dict(enabled=False, max_batch_delay_ms=50.0),
-    dict(enabled=True, max_batch_delay_ms=0.0),
-    dict(enabled=True, max_batch_delay_ms=-1.0),
-    dict(enabled=False, max_batch_size=16),  # forgotten enabled=True
+    dict(max_batch_size=0),
+    dict(max_batch_size=-3),
+    dict(max_batch_delay_ms=0.0),
+    dict(max_batch_delay_ms=-1.0),
 ])
 def test_batching_validate_rejects(bad):
     with pytest.raises(ValueError):
@@ -56,20 +65,21 @@ def test_batching_validate_rejects(bad):
 
 
 def test_batching_roundtrip():
-    options = BatchingOptions(enabled=True, max_batch_size=32,
-                              max_batch_delay_ms=15.0)
+    options = BatchingOptions(max_batch_size=32, max_batch_delay_ms=15.0)
     assert BatchingOptions.from_dict(options.to_dict()) == options
+    # scenario files written while the on/off switch existed still load
+    assert BatchingOptions.from_dict(
+        {**options.to_dict(), "enabled": True}
+    ) == options
 
 
 def test_deployment_validates_batching():
     with pytest.raises(ValueError):
-        SpireOptions(
-            batching=BatchingOptions(enabled=True, max_batch_size=0)
-        ).validate()
+        SpireOptions(batching=BatchingOptions(max_batch_size=0)).validate()
 
 
 # ----------------------------------------------------------------------
-# slot digest versioning
+# slot digest
 # ----------------------------------------------------------------------
 
 
@@ -81,25 +91,22 @@ def summary_entry(sender, summary_seq, vector):
     return SimpleNamespace(payload=payload)
 
 
-def test_slot_digest_v2_is_prefixed_and_distinct():
+def test_slot_digest_is_seq_and_content_sensitive():
     matrix = (
         summary_entry("origin#0", 1, ("d0",)),
         summary_entry("origin#1", 2, ("d1",)),
     )
-    v1 = slot_digest(7, matrix)
-    v2 = slot_digest(7, matrix, 2)
-    assert not v1.startswith("v2:")
-    assert v2.startswith("v2:")
-    assert v1 != v2
-    # v2 is seq- and content-sensitive like v1
-    assert v2 != slot_digest(8, matrix, 2)
-    assert v2 != slot_digest(7, matrix[:1], 2)
-    assert v2 == slot_digest(7, matrix, 2)
+    reference = slot_digest(7, matrix)
+    assert reference != slot_digest(8, matrix)
+    assert reference != slot_digest(7, matrix[:1])
+    assert reference == slot_digest(7, matrix)
 
 
-def test_slot_digest_unknown_version_rejected():
-    with pytest.raises(ValueError):
-        slot_digest(1, (), 3)
+def test_slot_digest_has_one_encoding():
+    matrix = (summary_entry("origin#0", 1, ("d0",)),)
+    assert slot_digest(7, matrix) == digest((7, (("origin#0", 1, ("d0",)),)))
+    with pytest.raises(TypeError):  # no version selector
+        slot_digest(7, matrix, 2)
 
 
 # ----------------------------------------------------------------------
@@ -136,30 +143,51 @@ def make_batch(crypto, updates=4, po_seq=1):
     return batch_record_for("origin#0", po_seq, executed)
 
 
-def test_tampered_entry_rejected_batchmates_released():
-    crypto = FastCrypto(seed="tamper")
-    crypto.create_threshold_group(GROUP, 4, 2)
+def collect(crypto, batch, entries, second_entries=None):
+    """Every record two valid shares release: the first sender carries
+    ``entries``, the second ``second_entries`` (default: the same)."""
     collector = DeliveryCollector(crypto, GROUP)
-    batch, entries = make_batch(crypto)
-    # replace entry 2's record with a forged one; its proof no longer
-    # matches the signed root
-    forged = entries[2].record.__class__(
-        **{**entries[2].record.__dict__, "order_index": 999}
-    )
-    tampered = entries[:2] + (
-        BatchEntry(entries[2].index, forged, entries[2].proof),
-    ) + entries[3:]
     released = []
-    for index in (1, 2):
+    for index, carried in ((1, entries), (2, second_entries or entries)):
         share = crypto.threshold_sign_share(GROUP, index, batch)
         released += collector.add_batch(
-            BatchDeliveryShare(f"replica:{index}", batch, share, tampered)
+            BatchDeliveryShare(f"replica:{index}", batch, share, carried)
         )
-    assert [record.order_index for record, _ in released] == [1, 2, 4]
-    assert collector.rejected_entries >= 1
     assert all(
         crypto.threshold_verify(signature, batch) for _, signature in released
     )
+    return collector, [record.order_index for record, _ in released]
+
+
+@pytest.mark.parametrize("updates, victim, survivors", [
+    (4, 2, [1, 2, 4]),
+    (1, 0, []),  # a singleton batch: the one-leaf proof, rejected alone
+])
+def test_tampered_entry_rejected_batchmates_released(updates, victim, survivors):
+    crypto = FastCrypto(seed="tamper")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    batch, entries = make_batch(crypto, updates)
+    assert batch.count == updates
+    # untampered, every proof (a one-leaf proof included) verifies
+    honest, released = collect(crypto, batch, entries)
+    assert released == list(range(1, updates + 1))
+    assert honest.rejected_entries == 0
+    # replace the victim's record with a forged one; its proof no longer
+    # matches the signed root
+    forged = entries[victim].record.__class__(
+        **{**entries[victim].record.__dict__, "order_index": 999}
+    )
+    tampered = entries[:victim] + (
+        BatchEntry(entries[victim].index, forged, entries[victim].proof),
+    ) + entries[victim + 1:]
+    collector, released = collect(crypto, batch, tampered)
+    assert released == survivors
+    assert collector.rejected_entries >= 1
+    # tampered by the first sender only: the second sender's honest entry
+    # for the same index is tried next, so nothing is withheld
+    collector, released = collect(crypto, batch, tampered, entries)
+    assert released == list(range(1, updates + 1))
+    assert collector.rejected_entries == 1
 
 
 def test_late_slice_verifies_against_cached_signature():
@@ -221,38 +249,40 @@ def run_deployment(**overrides):
 def trace_image(deployment):
     return tuple(
         (e.time, e.component, e.kind, tuple(sorted(e.details.items())))
-        for e in deployment.trace
+        for e in deployment.obs.log
     )
 
 
 @pytest.fixture(scope="module")
-def unbatched():
-    return run_deployment()
+def singletons():
+    return run_deployment(batching=BatchingOptions(max_batch_size=1))
 
 
 @pytest.fixture(scope="module")
 def batched():
-    return run_deployment(
-        batching=BatchingOptions(enabled=True, max_batch_size=64)
-    )
+    return run_deployment()
 
 
-def test_inactive_batch_size_one_is_bit_identical(unbatched):
-    shimmed = run_deployment(
-        batching=BatchingOptions(enabled=True, max_batch_size=1)
-    )
-    assert shimmed.simulator.events_processed == \
-        unbatched.simulator.events_processed
-    assert trace_image(shimmed) == trace_image(unbatched)
-    assert [r.last_executed_seq for r in shimmed.replicas] == \
-        [r.last_executed_seq for r in unbatched.replicas]
+def test_singleton_batches_are_batches_of_one(singletons):
+    cached = [
+        share
+        for replica in singletons.replicas
+        for share in replica._recent_shares.values()
+    ]
+    assert cached
+    assert all(share.record.count == 1 for share in cached)
+    hmi = singletons.hmis[0]
+    assert sorted(hmi.view) == sorted(singletons.grid.substations)
+    assert hmi.collector.rejected_entries == 0
 
 
-def test_disabled_batching_is_bit_identical(unbatched):
-    disabled = run_deployment(batching=BatchingOptions(enabled=False))
-    assert disabled.simulator.events_processed == \
-        unbatched.simulator.events_processed
-    assert trace_image(disabled) == trace_image(unbatched)
+def test_default_batching_is_bit_identical_to_no_options(batched):
+    explicit = run_deployment(batching=BatchingOptions())
+    assert explicit.simulator.events_processed == \
+        batched.simulator.events_processed
+    assert trace_image(explicit) == trace_image(batched)
+    assert [r.last_executed_seq for r in explicit.replicas] == \
+        [r.last_executed_seq for r in batched.replicas]
 
 
 def test_batched_deployment_converges(batched):
@@ -267,25 +297,25 @@ def test_batched_deployment_converges(batched):
     assert hmi.collector.verified > 0
 
 
-def test_batched_state_matches_unbatched(unbatched, batched):
-    # batching changes message shape, not the replicated state machine:
-    # both modes execute the same updates in the same order
+def test_batched_state_matches_singletons(singletons, batched):
+    # the batch size changes message shape, not the replicated state
+    # machine: both runs execute the same updates in the same order
     batched_state = {
         repr(sorted(replica.app.latest_status))
         for replica in batched.replicas
     }
-    unbatched_state = {
+    singleton_state = {
         repr(sorted(replica.app.latest_status))
-        for replica in unbatched.replicas
+        for replica in singletons.replicas
     }
     assert len(batched_state) == 1
-    assert batched_state == unbatched_state
+    assert batched_state == singleton_state
 
 
-def test_batching_cuts_delivery_messages(unbatched, batched):
+def test_batching_cuts_delivery_messages(singletons, batched):
     batched_sent = sum(r.deliveries_sent for r in batched.replicas)
-    unbatched_sent = sum(r.deliveries_sent for r in unbatched.replicas)
-    assert batched_sent < unbatched_sent / 2
+    singleton_sent = sum(r.deliveries_sent for r in singletons.replicas)
+    assert batched_sent < singleton_sent / 2
 
 
 def test_retry_cache_holds_single_entry_slices(batched):
@@ -293,16 +323,13 @@ def test_retry_cache_holds_single_entry_slices(batched):
         cached
         for replica in batched.replicas
         for cached in replica._recent_shares.values()
-        if isinstance(cached, BatchDeliveryShare)
     ]
     assert slices
     assert all(len(cached.entries) == 1 for cached in slices)
 
 
 def test_corrupt_share_tolerated_in_batched_mode():
-    deployment = SpireDeployment(SpireOptions(
-        **BASE, batching=BatchingOptions(enabled=True, max_batch_size=64),
-    ))
+    deployment = SpireDeployment(SpireOptions(**BASE))
 
     def corrupt(share):
         return share.__class__(share.group, share.index, "garbage")

@@ -67,7 +67,7 @@ def test_spire_campaign_eviction_via_recovery():
     deployment.start()
     campaign.start()
     deployment.run_for(45_000)
-    evictions = deployment.trace.count(component="campaign", kind="evicted")
-    compromises = deployment.trace.count(component="campaign", kind="compromised")
+    evictions = deployment.obs.log.count(component="campaign", kind="evicted")
+    compromises = deployment.obs.log.count(component="campaign", kind="compromised")
     assert compromises >= 1
     assert evictions >= 1  # rejuvenation healed at least one intrusion

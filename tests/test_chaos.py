@@ -25,7 +25,7 @@ from repro.chaos import (
     load_scenario,
     shrink_schedule,
 )
-from repro.core.update import DeliveryRecord, DeliveryShare
+from repro.core.update import BatchDeliveryShare, DeliveryRecord, batch_record_for
 from repro.crypto.provider import FastCrypto, ThresholdSignature
 from repro.prime.messages import ClientUpdate
 from repro.simnet import LinkSpec, Network, Process, Simulator
@@ -177,55 +177,82 @@ def _delivery_fixture():
     crypto.create_threshold_group("g", players=4, threshold=2)
     sim, _ = _sim_net()
     collector = DeliveryCollector(crypto, "g")
-    record = DeliveryRecord("status", "proxy", 1, 1, "reading")
+    batch, entries = batch_record_for(
+        "r1#0", 1, [(ClientUpdate("proxy", 1, "reading"), 1, None)]
+    )
     shares = [
-        DeliveryShare(f"r{i}", record, crypto.threshold_sign_share("g", i, record))
+        BatchDeliveryShare(
+            f"r{i}", batch, crypto.threshold_sign_share("g", i, batch), entries
+        )
         for i in (1, 2)
     ]
-    return sim, crypto, collector, record, shares
+    return sim, crypto, collector, shares
 
 
 def test_proxy_gate_monitor_passes_honest_collector():
-    sim, crypto, collector, record, shares = _delivery_fixture()
+    sim, crypto, collector, shares = _delivery_fixture()
     monitor = ProxyGateMonitor(sim, crypto)
     monitor.attach(_Endpoint("proxy", collector))
-    assert collector.add(shares[0]) is None
-    assert collector.add(shares[1]) is not None
+    assert collector.add_batch(shares[0]) == []
+    assert len(collector.add_batch(shares[1])) == 1
     assert monitor.violations() == []
     assert monitor.deliveries_checked == 1
 
 
+def _gullible_add_batch(share):
+    return [
+        (entry.record, ThresholdSignature("g", "forged"))
+        for entry in share.entries
+    ]
+
+
 def test_proxy_gate_monitor_catches_forged_signature():
-    sim, crypto, collector, record, shares = _delivery_fixture()
-
-    def gullible_add(share):
-        return share.record, ThresholdSignature("g", "forged")
-
-    collector.add = gullible_add
+    sim, crypto, collector, shares = _delivery_fixture()
+    collector.add_batch = _gullible_add_batch
     monitor = ProxyGateMonitor(sim, crypto)
     monitor.attach(_Endpoint("proxy", collector))
-    collector.add(shares[0])
+    collector.add_batch(shares[0])
     [violation] = monitor.violations()
     assert violation.kind == "unverified-delivery"
 
 
-def test_proxy_gate_monitor_catches_duplicate_delivery():
-    sim, crypto, collector, record, shares = _delivery_fixture()
-    real_add = collector.add
-    state = {"first": None}
+def test_proxy_gate_monitor_catches_record_outside_the_signed_root():
+    sim, crypto, collector, shares = _delivery_fixture()
+    real_add_batch = collector.add_batch
+    smuggled = DeliveryRecord("command", "hmi", 7, 2, "open-breaker")
 
-    def replaying_add(share):
-        result = real_add(share)
-        if result is not None:
-            state["first"] = result
-        return result or state["first"]
+    def smuggling_add_batch(share):
+        released = real_add_batch(share)
+        # a genuine batch signature vouching for a record it never covered
+        return released + [(smuggled, signature) for _, signature in released]
 
-    collector.add = replaying_add
+    collector.add_batch = smuggling_add_batch
     monitor = ProxyGateMonitor(sim, crypto)
     monitor.attach(_Endpoint("proxy", collector))
-    collector.add(shares[0])
-    collector.add(shares[1])   # combines: first legitimate delivery
-    collector.add(shares[0])   # replays the same record again
+    collector.add_batch(shares[0])
+    collector.add_batch(shares[1])
+    [violation] = monitor.violations()
+    assert violation.kind == "unverified-delivery"
+    assert dict(violation.details)["client"] == "hmi"
+
+
+def test_proxy_gate_monitor_catches_duplicate_delivery():
+    sim, crypto, collector, shares = _delivery_fixture()
+    real_add_batch = collector.add_batch
+    state = {"first": []}
+
+    def replaying_add_batch(share):
+        released = real_add_batch(share)
+        if released:
+            state["first"] = released
+        return released or state["first"]
+
+    collector.add_batch = replaying_add_batch
+    monitor = ProxyGateMonitor(sim, crypto)
+    monitor.attach(_Endpoint("proxy", collector))
+    collector.add_batch(shares[0])
+    collector.add_batch(shares[1])   # combines: first legitimate delivery
+    collector.add_batch(shares[0])   # replays the same record again
     kinds = [v.kind for v in monitor.violations()]
     assert kinds == ["duplicate-delivery"]
 

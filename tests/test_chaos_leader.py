@@ -4,8 +4,7 @@ Drives ``leader_kill`` / ``leader_partition`` faults — resolved against
 the *current* leader at fire time — through both protocols:
 
 * **Prime** inside the full Spire deployment (``ChaosEngine`` with
-  ``leader_faults=True``), with delivery batching alternating per seed so
-  both paths stay covered.
+  ``leader_faults=True``).
 * **PBFT** on the flat baseline cluster (``run_pbft_chaos``).
 
 Every run is gated on the :class:`ViewRecoveryMonitor` (a quorum must
@@ -24,12 +23,7 @@ from repro.chaos import (
     PbftChaosOptions,
     run_pbft_chaos,
 )
-from repro.parallel import (
-    CampaignTask,
-    resolve_workers,
-    run_campaign,
-    seed_tasks,
-)
+from repro.parallel import resolve_workers, run_campaign, seed_tasks
 
 #: compact scenario shape shared with test_chaos_smoke.py
 SMOKE = dict(
@@ -45,8 +39,7 @@ WALL_BUDGET_S = 240.0
 
 
 def leader_options(seed: int) -> ChaosOptions:
-    # alternate batching per seed: both delivery paths see leader faults
-    return ChaosOptions(seed=seed, batching=(seed % 2 == 1), **SMOKE)
+    return ChaosOptions(seed=seed, **SMOKE)
 
 
 def test_prime_leader_smoke_sweep():
@@ -54,14 +47,10 @@ def test_prime_leader_smoke_sweep():
     zero violations, and the sweep actually checks leader recoveries.
 
     Runs through the shared campaign runner (``CHAOS_WORKERS`` fans it
-    across cores in CI); batching alternates per seed, so the tasks are
-    built explicitly rather than via ``seed_tasks``."""
+    across cores in CI)."""
     started = time.time()
     report = run_campaign(
-        [
-            CampaignTask(f"leader/seed-{seed}", "chaos", leader_options(seed))
-            for seed in SMOKE_SEEDS
-        ],
+        seed_tasks("chaos", leader_options(0), SMOKE_SEEDS, id_prefix="leader"),
         workers=resolve_workers(default=1),
     )
     wall = time.time() - started
@@ -95,17 +84,15 @@ def test_prime_leader_chaos_deterministic():
 
 def test_prime_mid_batch_leader_kill_exactly_once():
     """Pinned scenario: the leader dies mid-run with traffic in flight.
-    With batching on and off, in-flight records are re-proposed and
-    executed exactly once (no duplicate-execution safety violations)."""
+    In-flight records are re-proposed and executed exactly once (no
+    duplicate-execution safety violations)."""
     schedule = FaultSchedule((
         FaultAction("leader_kill", 1500.0, 2000.0),
     ))
-    for batching in (False, True):
-        options = ChaosOptions(seed=6, batching=batching, **SMOKE)
-        result = ChaosEngine(options, schedule=schedule).run()
-        assert result.ok, (batching, [str(v) for v in result.violations])
-        assert result.stats["view_faults_checked"] == 1
-        assert result.stats["executions_checked"] > 50
+    result = ChaosEngine(leader_options(6), schedule=schedule).run()
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.stats["view_faults_checked"] == 1
+    assert result.stats["executions_checked"] > 50
 
 
 def test_pbft_leader_smoke_sweep():

@@ -106,18 +106,18 @@ def test_replay_detects_divergence():
 
 
 def weaken_proxy_gate(deployment):
-    """Test-only mutant: the proxy's collector 'verifies' after a single
-    share and vouches with a forged combined signature — the bug class the
-    proxy-gate monitor exists to catch."""
+    """Test-only mutant (the one ``benchmarks/e2e/mutants.py`` applies): the
+    proxy's collector passes its f+1 gate after a single share and vouches
+    with a forged combined signature — the bug class the proxy-gate monitor
+    exists to catch."""
     collector = deployment.proxy.collector
+    accepted = set()
 
     def gullible_add(share):
         record = share.record
-        key = record.key()
-        if key in collector._done:
+        if record.key() in accepted:
             return None
-        collector._done.add(key)
-        collector.verified += 1
+        accepted.add(record.key())
         return record, ThresholdSignature(collector.group, "forged")
 
     collector.add = gullible_add

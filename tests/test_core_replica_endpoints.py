@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import (
+    BatchDeliveryShare,
     BreakerCommand,
-    DeliveryShare,
     SpireDeployment,
     SpireOptions,
     StatusReading,
@@ -24,7 +24,7 @@ def deployment():
 
 
 def collect_shares(deployment, endpoint_name):
-    """Intercept DeliveryShare messages arriving at an endpoint."""
+    """Intercept BatchDeliveryShare messages arriving at an endpoint."""
     seen = []
     from repro.spines.messages import OverlayDeliver
 
@@ -32,7 +32,7 @@ def collect_shares(deployment, endpoint_name):
         if (
             isinstance(payload, OverlayDeliver)
             and dst == endpoint_name
-            and isinstance(payload.data.payload, DeliveryShare)
+            and isinstance(payload.data.payload, BatchDeliveryShare)
         ):
             seen.append(payload.data.payload)
         return payload
@@ -58,13 +58,14 @@ def test_command_shares_reach_target_proxy(deployment):
     proxy_shares = collect_shares(deployment, "proxy:field")
     hmi.operate_breaker(substation, breaker, close=False)
     deployment.run_for(1500)
-    command_shares = [
-        share for share in proxy_shares if share.record.kind == "command"
+    command_entries = [
+        entry for share in proxy_shares for entry in share.entries
+        if entry.record.kind == "command"
     ]
-    assert command_shares
+    assert command_entries
     assert all(
-        isinstance(share.record.payload, BreakerCommand)
-        for share in command_shares
+        isinstance(entry.record.payload, BreakerCommand)
+        for entry in command_entries
     )
 
 
@@ -86,14 +87,15 @@ def test_duplicate_submission_gets_cached_share_redelivery(deployment):
     original_send = replica.transport.send
 
     def spy(dst, payload, size_bytes=256):
-        if dst == "client:probe" and isinstance(payload, DeliveryShare):
+        if dst == "client:probe" and isinstance(payload, BatchDeliveryShare):
             probe_shares.append(payload)
         return original_send(dst, payload, size_bytes)
 
     replica.transport.send = spy
     replica.on_message("anyone", UpdateSubmission(update))
     assert probe_shares, "duplicate submission must re-trigger the share"
-    assert probe_shares[0].record.client_seq == 1
+    [entry] = probe_shares[0].entries  # just the client's own slice
+    assert entry.record.client_seq == 1
 
 
 def test_share_corruptor_hook_applied(deployment):

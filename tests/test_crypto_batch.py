@@ -1,5 +1,5 @@
 """Batch crypto operations: equivalence with per-message ops, fail-fast
-MAC bisection, TimedCrypto batch accounting, and the deprecation shims."""
+MAC bisection, and TimedCrypto batch accounting."""
 
 import pytest
 
@@ -7,10 +7,8 @@ from repro.crypto import (
     FastCrypto,
     RealCrypto,
     Signature,
-    ThresholdGroup,
     TimedCrypto,
     bisect_mismatches,
-    generate_threshold_group,
 )
 from repro.obs import Observability
 
@@ -177,34 +175,3 @@ def test_timed_crypto_batch_results_match_inner():
     timed = TimedCrypto(FastCrypto(seed="timed-eq"), Observability())
     assert timed.sign_batch("alice", MESSAGES) == inner.sign_batch("alice", MESSAGES)
     assert timed.mac_batch("a", "b", MESSAGES) == inner.mac_batch("a", "b", MESSAGES)
-
-
-# ----------------------------------------------------------------------
-# Deprecated ThresholdGroup entry points
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def legacy_group():
-    public, shares = generate_threshold_group(4, 2, bits=512, seed="legacy")
-    return public, shares, ThresholdGroup(public)
-
-
-def test_combine_shim_warns_and_delegates(legacy_group):
-    public, shares, combiner = legacy_group
-    data = b"update"
-    partials = [shares[1].sign(data), shares[3].sign(data)]
-    with pytest.warns(DeprecationWarning, match="combine_shares"):
-        signature = combiner.combine(data, partials)
-    assert signature == combiner.combine_shares(data, partials)
-    assert public.verify(data, signature)
-
-
-def test_combine_robust_shim_warns_and_delegates(legacy_group):
-    public, shares, combiner = legacy_group
-    data = b"update"
-    partials = [shares[1].sign(data), shares[2].sign(data)]
-    with pytest.warns(DeprecationWarning, match="combine_shares_robust"):
-        signature = combiner.combine_robust(data, partials)
-    assert signature is not None
-    assert public.verify(data, signature)

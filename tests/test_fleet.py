@@ -250,7 +250,7 @@ def _small_fleet_options(**overrides):
     base = dict(
         seed=13,
         fleet=spec,
-        batching=BatchingOptions(enabled=True, max_batch_size=16),
+        batching=BatchingOptions(max_batch_size=16),
     )
     base.update(overrides)
     return SpireOptions.wan(**base)

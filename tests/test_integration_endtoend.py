@@ -41,7 +41,7 @@ def test_service_continues_through_proactive_recovery():
         2_000.0, deployment.simulator.now - 1_000.0
     )
     assert availability == 1.0
-    assert deployment.trace.count(kind="recovery-done") >= 5
+    assert deployment.obs.log.count(kind="recovery-done") >= 5
     assert master_logs_consistent(deployment)
 
 

@@ -8,10 +8,9 @@ import pytest
 from repro.analysis import ScenarioReport
 from repro.core import SpireDeployment, SpireOptions
 
-#: event budget of the guard configuration measured before the
-#: instrumentation layer existed (seed state of this repo) — the
-#: disabled-observability run must stay within 5% of it
-PRE_INSTRUMENTATION_EVENTS = 75_212
+#: event budget of the guard configuration with nothing instrumented —
+#: the disabled-observability run must stay within 5% of it
+PRE_INSTRUMENTATION_EVENTS = 72_916
 GUARD_OPTIONS = dict(num_substations=2, poll_interval_ms=200.0, seed=7)
 GUARD_RUN_MS = 3000.0
 
@@ -36,7 +35,7 @@ def test_observability_disabled_within_event_budget():
     ), f"disabled-observability run processed {events} events"
     # disabled means *disabled*: no metrics, no events, no spans
     assert deployment.obs.enabled is False
-    assert deployment.trace.count() == 0
+    assert deployment.obs.log.count() == 0
     assert deployment.obs.registry.snapshot() == {}
 
 
@@ -135,7 +134,7 @@ def test_scenario_report_structure_and_rendering():
 
 def test_scenario_report_surfaces_dropped_trace_events():
     deployment = _run(observability=True)
-    deployment.trace.max_events = deployment.trace.count()
+    deployment.obs.log.max_events = deployment.obs.log.count()
     deployment.obs.event("test", "overflow-a")
     deployment.obs.event("test", "overflow-b")
     report = ScenarioReport.from_deployment(deployment)

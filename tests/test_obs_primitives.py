@@ -14,9 +14,9 @@ from repro.obs import (
     MetricRegistry,
     NullObservability,
     Observability,
-    resolve_obs,
 )
-from repro.simnet import Simulator
+from repro.simnet import LinkSpec, Network, Simulator
+from repro.spines import SpinesOverlay, lan_topology
 
 
 # ----------------------------------------------------------------------
@@ -173,25 +173,32 @@ def test_null_obs_swallows_everything():
     assert obs.snapshot()["metrics"] == {}
 
 
-def test_null_obs_is_shared_singleton():
+def test_null_obs_is_the_shared_default_of_components():
     assert isinstance(NULL_OBS, NullObservability)
-    assert resolve_obs(None, None) is NULL_OBS
-    # explicit obs always wins, even the null one
-    assert resolve_obs(NULL_OBS, None) is NULL_OBS
+
+    def overlay(**kwargs):
+        simulator = Simulator(seed=1)
+        network = Network(simulator, LinkSpec(latency_ms=1.0))
+        return SpinesOverlay(simulator, network, lan_topology(1), **kwargs)
+
+    assert overlay().obs is NULL_OBS
+    # explicit obs always wins, and reaches the daemons
+    obs = Observability()
+    observed = overlay(obs=obs)
+    assert observed.obs is obs
+    assert all(daemon.obs is obs for daemon in observed.daemons.values())
 
 
-def test_resolve_obs_shares_one_registry_per_trace():
+def test_obs_adopts_an_existing_event_log():
     simulator = Simulator(seed=1)
-    trace = EventLog(now_fn=lambda: simulator.now)
-    first = resolve_obs(None, trace)
-    second = resolve_obs(None, trace)
-    assert first is second
-    assert first.enabled
-    first.counter("shared").inc()
-    assert second.counter("shared").value == 1
-    # events through obs land in the legacy trace (same log object)
-    first.event("comp", "kind")
-    assert trace.count() == 1
+    log = EventLog(now_fn=lambda: simulator.now)
+    obs = Observability(log=log)
+    assert obs.enabled and obs.log is log
+    obs.counter("shared").inc()
+    assert obs.counter("shared").value == 1
+    # events through obs land in the adopted log
+    obs.event("comp", "kind")
+    assert log.count() == 1
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.attacks import make_slow_proposer
 from repro.crypto import FastCrypto
 from repro.prime import LoggingApp, sign_client_update
 from repro.pbft import PbftConfig, PbftNode
-from repro.obs import EventLog
+from repro.obs import Observability
 from repro.simnet import LinkSpec, Network, Simulator
 
 
@@ -15,13 +15,13 @@ class PbftCluster:
         self.simulator = Simulator(seed=seed)
         self.network = Network(self.simulator, LinkSpec(latency_ms=0.3, jitter_ms=0.1))
         self.crypto = FastCrypto(seed=f"pbft/{seed}")
-        self.trace = EventLog(now_fn=lambda: self.simulator.now)
+        self.obs = Observability(now_fn=lambda: self.simulator.now)
         names = tuple(f"replica:{i}" for i in range(n))
         self.config = PbftConfig(names, num_faults=f,
                                  request_timeout_ms=timeout_ms, **config_kwargs)
         self.nodes = [
             PbftNode(name, self.simulator, self.network, self.config,
-                     self.crypto, LoggingApp(), trace=self.trace)
+                     self.crypto, LoggingApp(), obs=self.obs)
             for name in names
         ]
         self._seq = 0
@@ -97,7 +97,7 @@ def test_leader_crash_view_change_recovers():
     assert all(len(log) == 15 for log in logs)
     assert len(set(logs)) == 1
     assert all(node.view >= 1 for node in pbft.nodes if node.is_up)
-    assert pbft.trace.count(kind="pbft-new-view") >= 1
+    assert pbft.obs.log.count(kind="pbft-new-view") >= 1
 
 
 def test_slow_leader_degrades_latency_without_view_change():
@@ -295,7 +295,7 @@ def test_checkpoint_truncates_log():
         assert node.stable_seq >= 36
         assert min(node.slots) > 4          # old slots truncated
         assert len(node.slots) <= 4 * 4 + 8  # retention window + frontier
-    assert pbft.trace.count(kind="pbft-checkpoint") >= len(pbft.nodes)
+    assert pbft.obs.log.count(kind="pbft-checkpoint") >= len(pbft.nodes)
 
 
 def test_recovered_laggard_catches_up_via_order_proofs():

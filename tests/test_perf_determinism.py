@@ -102,7 +102,9 @@ class TestFiringOrderParity:
                 5.0, lambda log=log, sim=sim: log.append(("b", sim.now)),
                 jitter=0.0, rng_name="p/b",
             ))
-            sim.schedule(40.0, stops[0])  # stop mid-run, tick already queued
+            # stop mid-run, tick already queued (the seed engine hands back
+            # a bare stop function, the live one a PeriodicTimer)
+            sim.schedule(40.0, getattr(stops[0], "stop", stops[0]))
             sim.run_until(120.0)
         assert live_log == seed_log
         assert live.events_processed == seed.events_processed

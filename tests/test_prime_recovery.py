@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.prime import StateReply
+
 
 def small_checkpoint_cluster(cluster_factory, seed=11, interval=10):
     cluster = cluster_factory(seed=seed)
@@ -28,7 +30,7 @@ def test_recovered_replica_catches_up(cluster_factory):
     reference = cluster.assert_safety()
     assert len(reference) == 50
     assert len(cluster.nodes[3].app.log) == 50
-    assert cluster.trace.count(kind="recovery-done") >= 1
+    assert cluster.obs.log.count(kind="recovery-done") >= 1
 
 
 def test_recovered_replica_gets_fresh_origin_stream(cluster_factory):
@@ -105,3 +107,29 @@ def test_two_sequential_recoveries(cluster_factory):
         cluster.run_for(4000)
     reference = cluster.assert_safety()
     assert len(reference) == 31
+
+
+@pytest.mark.parametrize("claimants, adopted", [(1, False), (2, True)])
+def test_view_adopted_only_from_f_plus_one_state_replies(
+    cluster_factory, claimants, adopted
+):
+    """A StateReply's ``view`` is one claim: a single lying replica serving
+    a genuine checkpoint installs the data but never moves ``node.view``;
+    f+1 = 2 matching claims do."""
+    cluster = small_checkpoint_cluster(cluster_factory)
+    cluster.pump(25, gap_ms=25)
+    cluster.run_for(500)
+    victim = cluster.nodes[3]
+    victim.crash()
+    victim.recover()  # its own StateRequest is still in flight
+    assert victim.awaiting_state and victim.view == 0
+    fake_view = 7
+    liars = cluster.nodes[:claimants]
+    seq, snapshot, proof = liars[-1].checkpoints.best_serveable()
+    replies = [StateReply(liar.name, 0, None, (), fake_view) for liar in liars[:-1]]
+    replies.append(StateReply(liars[-1].name, seq, snapshot, proof, fake_view))
+    for liar, reply in zip(liars, replies):
+        victim._dispatch(liar.sign_message(reply))
+    assert victim.last_executed_seq == seq  # the checkpoint itself is genuine
+    assert not victim.awaiting_state
+    assert victim.view == (fake_view if adopted else 0)

@@ -20,7 +20,7 @@ def test_leader_crash_triggers_view_change(cluster):
     assert all(node.view >= 1 for node in healthy)
     reference = cluster.assert_safety(only_up=True)
     assert len(reference) == 10
-    assert cluster.trace.count(kind="new-view") >= 1
+    assert cluster.obs.log.count(kind="new-view") >= 1
 
 
 def test_leader_dos_triggers_view_change_and_recovery(cluster):
@@ -36,7 +36,7 @@ def test_leader_dos_triggers_view_change_and_recovery(cluster):
     assert all(node.view >= 1 for node in cluster.nodes)
     reference = cluster.assert_safety()
     assert len(reference) == 40
-    assert cluster.trace.count(kind="suspect") >= cluster.config.quorum
+    assert cluster.obs.log.count(kind="suspect") >= cluster.config.quorum
 
 
 def test_silent_leader_replaced(cluster):

@@ -48,7 +48,7 @@ def make_prepared_entry(config, signed, seq=5, view=0, matrix=None):
     pp = PrePrepare(leader, view, seq, matrix)
     pp_signed = signed(leader, pp)
     # validation binds the entry digest to the pre-prepare content
-    entry_digest = slot_digest(seq, matrix, 1)
+    entry_digest = slot_digest(seq, matrix)
     proof = tuple(
         signed(f"r{i}", Prepare(f"r{i}", view, seq, entry_digest))
         for i in range(1, config.quorum + 1)

@@ -13,7 +13,7 @@ from repro.core.client import SubmissionManager
 from repro.core.recovery import ProactiveRecoveryScheduler
 from repro.crypto import FastCrypto
 from repro.replication import RetryPolicy
-from repro.obs import EventLog
+from repro.obs import Observability
 from repro.simnet import LinkSpec, Network, Process, Simulator
 
 
@@ -160,11 +160,11 @@ def test_state_transfer_retry_resets_after_success(cluster):
 def test_scheduler_defers_rejuvenation_below_min_live():
     sim = Simulator(seed=5)
     net = Network(sim, LinkSpec(latency_ms=1.0))
-    trace = EventLog(now_fn=lambda: sim.now)
+    obs = Observability(now_fn=lambda: sim.now)
     replicas = [Process(f"r{i}", sim, net) for i in range(6)]
     scheduler = ProactiveRecoveryScheduler(
         sim, replicas, period_ms=100.0, recovery_duration_ms=30.0,
-        trace=trace, min_live=4,
+        obs=obs, min_live=4,
     )
     replicas[0].crash()
     replicas[1].crash()  # 4 live: any rejuvenation would break quorum
@@ -173,7 +173,7 @@ def test_scheduler_defers_rejuvenation_below_min_live():
     assert scheduler.recoveries_started == 0
     assert scheduler.deferred_rounds >= 3
     assert sum(1 for r in replicas if r.is_up) == 4
-    assert trace.count("recovery-scheduler", "rejuvenate-deferred") >= 3
+    assert obs.log.count("recovery-scheduler", "rejuvenate-deferred") >= 3
 
     # once replicas return, the rotation resumes
     replicas[0].recover()

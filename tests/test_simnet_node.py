@@ -69,7 +69,7 @@ def test_every_returns_stop_function():
     sim, net, w = build()
     stop = w.every(10.0, lambda: w.fired.append(sim.now))
     sim.run_until(25.0)
-    stop()
+    stop.stop()
     sim.run_until(100.0)
     assert len(w.fired) == 2
 
