@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
 from ..crypto.encoding import digest
-from ..crypto.merkle import merkle_proof, merkle_root
+from ..crypto.merkle import merkle_tree
 from ..crypto.provider import ThresholdShare, ThresholdSignature
 from ..prime.messages import ClientUpdate
 
@@ -168,8 +168,7 @@ def batch_of_records(
 ) -> Tuple[BatchDeliveryRecord, Tuple[BatchEntry, ...]]:
     """The batch record over ``records`` plus one proof-carrying entry per
     record (a single record makes a one-leaf tree)."""
-    leaves = [digest(record) for record in records]
-    root = merkle_root(leaves)
+    root, proofs = merkle_tree([digest(record) for record in records])
     batch = BatchDeliveryRecord(
         origin=origin,
         po_seq=po_seq,
@@ -178,7 +177,7 @@ def batch_of_records(
         first_order_index=records[0].order_index,
     )
     entries = tuple(
-        BatchEntry(index=i, record=record, proof=merkle_proof(leaves, i))
-        for i, record in enumerate(records)
+        BatchEntry(index=i, record=record, proof=proof)
+        for i, (record, proof) in enumerate(zip(records, proofs))
     )
     return batch, entries

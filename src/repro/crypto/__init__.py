@@ -3,13 +3,12 @@
 Public API: canonical encoding (:func:`encode`), RSA signatures, Shoup-style
 threshold RSA, Merkle trees for batch-amortized delivery proofs, and the
 pluggable :class:`CryptoProvider` (``RealCrypto`` / ``FastCrypto``) that
-protocol code consumes — including first-class batch operations
-(``sign_batch`` / ``verify_batch`` / ``check_mac_batch`` with fail-fast
-bisection).
+protocol code consumes — including batch operations (``sign_batch`` /
+``verify_batch`` / ``threshold_sign_share_batch``).
 """
 
 from .encoding import EncodingError, digest, encode
-from .merkle import merkle_proof, merkle_root, verify_merkle_proof
+from .merkle import merkle_proof, merkle_root, merkle_tree, verify_merkle_proof
 from .provider import (
     CryptoProvider,
     FastCrypto,
@@ -18,7 +17,6 @@ from .provider import (
     ThresholdShare,
     ThresholdSignature,
     TimedCrypto,
-    bisect_mismatches,
 )
 from .rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 from .threshold import (
@@ -35,6 +33,7 @@ __all__ = [
     "encode",
     "merkle_root",
     "merkle_proof",
+    "merkle_tree",
     "verify_merkle_proof",
     "CryptoProvider",
     "FastCrypto",
@@ -43,7 +42,6 @@ __all__ = [
     "ThresholdShare",
     "ThresholdSignature",
     "TimedCrypto",
-    "bisect_mismatches",
     "RsaKeyPair",
     "RsaPublicKey",
     "generate_keypair",

@@ -24,6 +24,7 @@ __all__ = [
     "encode_cached",
     "encode_cache_stats",
     "digest",
+    "digest_bytes",
     "EncodingError",
     "IdentityMemo",
 ]
@@ -279,7 +280,10 @@ class IdentityMemo:
         return len(self.hot) + len(self.cold)
 
 
-#: entry layout: [value, encoded bytes, hex digest | None (lazy)]
+#: entry layout: [value, encoded bytes, raw digest | None, hex digest | None]
+#: (both digest slots lazy). One entry per message object is the whole
+#: authentication state of that object: everything that signs, MACs or
+#: Merkle-hashes it reads the encoding or the digest from here.
 _ENCODE_MEMO = IdentityMemo()
 
 
@@ -288,7 +292,7 @@ def _entry_for(value: Any) -> list:
     key = id(value)
     entry = memo.get(key, value)
     if entry is None:
-        entry = memo.put(key, [value, encode(value), None])
+        entry = memo.put(key, [value, encode(value), None, None])
     return entry
 
 
@@ -297,17 +301,35 @@ def encode_cached(value: Any) -> bytes:
     return _entry_for(value)[1]
 
 
+def digest_bytes(value: Any) -> bytes:
+    """Raw 32-byte SHA-256 digest of the canonical encoding of ``value``.
+
+    Memoized by object identity alongside the encoding, so a message
+    object is encoded and hashed exactly once however many links MAC it;
+    a different object (a tampered copy, say) is encoded afresh.
+    """
+    # the per-hop MAC path lands here twice per forward: peek at the hot
+    # generation before paying for the general lookup
+    entry = _ENCODE_MEMO.hot.get(id(value))
+    if entry is None or entry[0] is not value:
+        entry = _entry_for(value)
+    raw = entry[2]
+    if raw is None:
+        entry[2] = raw = _sha256(entry[1]).digest()
+    return raw
+
+
 def digest(value: Any) -> str:
     """Hex SHA-256 digest of the canonical encoding of ``value``.
 
-    Memoized by object identity alongside the encoding, so the ~86
+    The hex form of :func:`digest_bytes`, memoized with it, so the ~86
     digest/verify call sites across Prime, PBFT, Spines and the proxies
     hash any given message object exactly once.
     """
     entry = _entry_for(value)
-    hexdigest = entry[2]
+    hexdigest = entry[3]
     if hexdigest is None:
-        entry[2] = hexdigest = _sha256(entry[1]).hexdigest()
+        entry[3] = hexdigest = digest_bytes(value).hex()
     return hexdigest
 
 

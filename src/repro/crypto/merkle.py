@@ -22,7 +22,7 @@ from __future__ import annotations
 from hashlib import sha256 as _sha256
 from typing import List, Sequence, Tuple
 
-__all__ = ["merkle_root", "merkle_proof", "verify_merkle_proof"]
+__all__ = ["merkle_root", "merkle_proof", "merkle_tree", "verify_merkle_proof"]
 
 #: domain-separation tags (leaf vs internal node)
 _LEAF = b"\x00"
@@ -60,6 +60,17 @@ def merkle_root(leaves: Sequence[str]) -> str:
     return _levels(leaves)[-1][0]
 
 
+def _proof_in(levels: List[List[str]], index: int) -> Tuple[str, ...]:
+    siblings: List[str] = []
+    position = index
+    for level in levels:  # the root level has no sibling in range
+        sibling = position ^ 1
+        if sibling < len(level):
+            siblings.append(level[sibling])
+        position //= 2
+    return tuple(siblings)
+
+
 def merkle_proof(leaves: Sequence[str], index: int) -> Tuple[str, ...]:
     """Inclusion proof for ``leaves[index]``: sibling digests bottom-up.
 
@@ -69,14 +80,14 @@ def merkle_proof(leaves: Sequence[str], index: int) -> Tuple[str, ...]:
     """
     if not 0 <= index < len(leaves):
         raise IndexError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    siblings: List[str] = []
-    position = index
-    for level in _levels(leaves)[:-1]:
-        sibling = position ^ 1
-        if sibling < len(level):
-            siblings.append(level[sibling])
-        position //= 2
-    return tuple(siblings)
+    return _proof_in(_levels(leaves), index)
+
+
+def merkle_tree(leaves: Sequence[str]) -> Tuple[str, List[Tuple[str, ...]]]:
+    """``(root, proofs)`` from one build of the tree: ``proofs[i]`` equals
+    ``merkle_proof(leaves, i)`` without hashing the tree again per leaf."""
+    levels = _levels(leaves)
+    return levels[-1][0], [_proof_in(levels, i) for i in range(len(leaves))]
 
 
 def verify_merkle_proof(

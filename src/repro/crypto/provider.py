@@ -20,31 +20,38 @@ exists iff at least ``threshold`` distinct genuine shares over the same
 data are presented, and corrupted shares never block combination when
 enough genuine shares are present.
 
+Link MACs
+---------
+A link MAC authenticates the 32-byte digest of a message, not its
+encoding: ``HMAC(pair_key, digest_bytes(message))`` in ``RealCrypto``,
+``sha256(link_key || digest_bytes(message))`` in ``FastCrypto``. The
+digest is memoized per message object by :mod:`repro.crypto.encoding`, so
+a datagram flooded over many links is encoded and hashed once and each
+hop pays one 64-byte hash; the tag itself is never memoized — the sender
+computes it and the receiver recomputes and ``compare_digest``s it. A
+tampered or substituted message is a different object, is encoded afresh,
+and yields a different digest.
+
 Batch operations
 ----------------
-The *canonical* interface is batch-shaped: ``sign_batch`` /
-``verify_batch`` / ``mac_batch`` / ``check_mac_batch`` /
-``threshold_sign_share_batch`` each take a sequence of messages and are
-what high-throughput callers (the batched delivery path, the ordered
-pipeline benchmarks) use. The base class provides loop-based fallbacks
-over the single-message methods, so third-party providers that only
-implement the per-message interface keep working unchanged; the built-in
-providers override the batch ops to amortize per-call setup (key/secret
-lookup, instrument resolution). ``check_mac_batch`` defaults to an
-aggregate comparison with fail-fast bisection: one constant-time compare
-for an all-good batch, ``O(bad · log n)`` comparisons to isolate exactly
-the corrupted items otherwise.
+``sign_batch`` / ``verify_batch`` / ``threshold_sign_share_batch`` take a
+sequence of messages and are what the batched delivery path and the
+ordered pipeline benchmarks use. The base class provides loop-based
+fallbacks over the single-message methods, so third-party providers that
+only implement the per-message interface keep working unchanged; the
+built-in providers override them to amortize per-call setup (key/secret
+lookup, instrument resolution).
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac as hmac_module
+from hashlib import sha256 as _sha256
 from time import perf_counter as _perf_counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .encoding import IdentityMemo, encode, encode_cached
+from .encoding import IdentityMemo, digest_bytes, encode_cached
 from .rsa import RsaKeyPair, generate_keypair
 from .threshold import (
     PartialSignature,
@@ -62,53 +69,21 @@ __all__ = [
     "Signature",
     "ThresholdShare",
     "ThresholdSignature",
-    "bisect_mismatches",
 ]
 
 
-def _aggregate(tags: Sequence[bytes]) -> bytes:
-    digest = hashlib.sha256()
-    for tag in tags:
-        digest.update(tag)
-    return digest.digest()
+class _LinkKeys(dict):
+    """``(src, dst)`` -> the symmetric key of that link, derived on first
+    use, so a MAC per hop costs one lookup and no ``sorted()``."""
 
+    def __init__(self, seed: str) -> None:
+        super().__init__()
+        self.seed = seed
 
-def bisect_mismatches(
-    expected: Sequence[bytes], received: Sequence[bytes]
-) -> Tuple[List[int], int]:
-    """Indices where ``received[i] != expected[i]``, by aggregate bisection.
-
-    Compares aggregate digests of whole ranges first and recurses only
-    into mismatching halves, so an all-good batch costs one comparison
-    and ``k`` corrupted items are isolated in ``O(k log n)`` comparisons
-    instead of ``n``. Returns ``(bad_indices, comparisons_performed)``;
-    the leaf comparisons are constant-time (``hmac.compare_digest``).
-    """
-    if len(expected) != len(received):
-        raise ValueError(
-            f"batch length mismatch: {len(expected)} expected tags vs "
-            f"{len(received)} received"
-        )
-    bad: List[int] = []
-    comparisons = 0
-
-    def walk(lo: int, hi: int) -> None:
-        nonlocal comparisons
-        if hi - lo == 1:
-            comparisons += 1
-            if not hmac_module.compare_digest(expected[lo], received[lo]):
-                bad.append(lo)
-            return
-        comparisons += 1
-        if _aggregate(expected[lo:hi]) == _aggregate(received[lo:hi]):
-            return
-        mid = (lo + hi) // 2
-        walk(lo, mid)
-        walk(mid, hi)
-
-    if expected:
-        walk(0, len(expected))
-    return bad, comparisons
+    def __missing__(self, link: Tuple[str, str]) -> bytes:
+        lo, hi = sorted(link)
+        key = self[link] = _sha256(f"{self.seed}/mac/{lo}/{hi}".encode()).digest()
+        return key
 
 
 @dataclass(frozen=True)
@@ -172,7 +147,7 @@ class CryptoProvider:
     def threshold_verify(self, signature: ThresholdSignature, message: Any) -> bool:
         raise NotImplementedError
 
-    # -- batch operations (canonical interface; loop-based fallbacks) ----
+    # -- batch operations (loop-based fallbacks) ------------------------
     #
     # Subclasses override these to amortize per-call setup; providers
     # that only implement the per-message methods inherit semantics
@@ -193,25 +168,6 @@ class CryptoProvider:
             for signature, message in zip(signatures, messages)
         ]
 
-    def mac_batch(self, src: str, dst: str, messages: Sequence[Any]) -> List[bytes]:
-        return [self.mac(src, dst, message) for message in messages]
-
-    def check_mac_batch(
-        self, src: str, dst: str, messages: Sequence[Any], tags: Sequence[bytes]
-    ) -> List[bool]:
-        """Verify a batch of MACs; fail-fast bisection isolates corruption.
-
-        Recomputes the expected tags (one MAC each — unavoidable), then
-        compares aggregates with :func:`bisect_mismatches` so the
-        constant-time comparisons stay ``O(bad · log n)``.
-        """
-        expected = self.mac_batch(src, dst, messages)
-        bad, _ = bisect_mismatches(expected, list(tags))
-        flags = [True] * len(expected)
-        for index in bad:
-            flags[index] = False
-        return flags
-
     def threshold_sign_share_batch(
         self, group: str, index: int, messages: Sequence[Any]
     ) -> List[ThresholdShare]:
@@ -228,7 +184,7 @@ class RealCrypto(CryptoProvider):
         self.bits = bits
         self._keys: Dict[str, RsaKeyPair] = {}
         self._groups: Dict[str, Tuple[ThresholdPublicKey, Dict[int, ThresholdKeyShare]]] = {}
-        self._pair_keys: Dict[Tuple[str, str], bytes] = {}
+        self._link_keys = _LinkKeys(seed)
 
     def _keypair(self, principal: str) -> RsaKeyPair:
         if principal not in self._keys:
@@ -253,16 +209,10 @@ class RealCrypto(CryptoProvider):
             for message in messages
         ]
 
-    def _pair_key(self, a: str, b: str) -> bytes:
-        lo, hi = sorted((a, b))
-        key = self._pair_keys.get((lo, hi))
-        if key is None:
-            key = hashlib.sha256(f"{self.seed}/mac/{lo}/{hi}".encode()).digest()
-            self._pair_keys[(lo, hi)] = key
-        return key
-
     def mac(self, src: str, dst: str, message: Any) -> bytes:
-        return hmac_module.new(self._pair_key(src, dst), encode_cached(message), "sha256").digest()
+        return hmac_module.digest(
+            self._link_keys[src, dst], digest_bytes(message), "sha256"
+        )
 
     def check_mac(self, src: str, dst: str, message: Any, tag: bytes) -> bool:
         return hmac_module.compare_digest(self.mac(src, dst, message), tag)
@@ -336,61 +286,45 @@ class FastCrypto(CryptoProvider):
         self._groups: Dict[str, Tuple[int, int]] = {}
         #: derived secrets are pure functions of (seed, parts) — derive once
         self._secrets: Dict[Tuple[str, ...], bytes] = {}
-        #: identity-keyed tag memo: sign → mac → verify on the same message
-        #: object re-derives nothing. Entry layout [message, tag].
+        #: identity-keyed tag memo: sign → verify on the same message
+        #: object re-derives nothing. Entry layout [message, tag]. Link
+        #: MACs are not in it: each is one hash over the cached digest.
         self._tags = IdentityMemo()
+        self._link_keys = _LinkKeys(seed)
 
     def _secret(self, *parts: str) -> bytes:
         secret = self._secrets.get(parts)
         if secret is None:
-            secret = hashlib.sha256("/".join((self.seed,) + parts).encode()).digest()
+            secret = _sha256("/".join((self.seed,) + parts).encode()).digest()
             self._secrets[parts] = secret
         return secret
 
-    def _tag(self, kind_key: tuple, message: Any, secret_parts: Tuple[str, ...],
-             hexdigest: bool) -> Any:
-        """Memoized ``sha256(secret || encoding)`` over a message object."""
-        key = kind_key + (id(message),)
+    def _tag(self, signer: str, message: Any) -> str:
+        """Memoized hex ``sha256(secret(signer) || encoding)`` over a
+        message object."""
+        key = ("sig", signer, id(message))
         entry = self._tags.get(key, message)
         if entry is None:
-            raw = hashlib.sha256(
-                self._secret(*secret_parts) + encode_cached(message)
-            )
-            tag = raw.hexdigest() if hexdigest else raw.digest()
+            tag = _sha256(
+                self._secret("sig", signer) + encode_cached(message)
+            ).hexdigest()
             entry = self._tags.put(key, [message, tag])
         return entry[1]
 
     def sign(self, signer: str, message: Any) -> Signature:
-        return Signature(
-            signer, self._tag(("sig", signer), message, ("sig", signer), True)
-        )
+        return Signature(signer, self._tag(signer, message))
 
     def verify(self, signature: Signature, message: Any) -> bool:
-        tag = self._tag(
-            ("sig", signature.signer), message, ("sig", signature.signer), True
-        )
-        return tag == signature.value
+        return self._tag(signature.signer, message) == signature.value
 
     def mac(self, src: str, dst: str, message: Any) -> bytes:
-        lo, hi = sorted((src, dst))
-        return self._tag(("mac", lo, hi), message, ("mac", lo, hi), False)
+        return _sha256(self._link_keys[src, dst] + digest_bytes(message)).digest()
 
     def check_mac(self, src: str, dst: str, message: Any, tag: bytes) -> bool:
         return hmac_module.compare_digest(self.mac(src, dst, message), tag)
 
     def sign_batch(self, signer: str, messages: Sequence[Any]) -> List[Signature]:
-        kind_key = ("sig", signer)
-        return [
-            Signature(signer, self._tag(kind_key, message, kind_key, True))
-            for message in messages
-        ]
-
-    def mac_batch(self, src: str, dst: str, messages: Sequence[Any]) -> List[bytes]:
-        lo, hi = sorted((src, dst))
-        kind_key = ("mac", lo, hi)
-        return [
-            self._tag(kind_key, message, kind_key, False) for message in messages
-        ]
+        return [Signature(signer, self._tag(signer, message)) for message in messages]
 
     def create_threshold_group(self, group: str, players: int, threshold: int) -> None:
         existing = self._groups.get(group)
@@ -408,7 +342,7 @@ class FastCrypto(CryptoProvider):
         key = ("tshare", group, index, id(data))
         entry = self._tags.get(key, data)
         if entry is None:
-            value = hashlib.sha256(
+            value = _sha256(
                 self._secret("tshare", group, str(index)) + data
             ).hexdigest()
             entry = self._tags.put(key, [data, value])
@@ -418,7 +352,7 @@ class FastCrypto(CryptoProvider):
         key = ("tsig", group, id(data))
         entry = self._tags.get(key, data)
         if entry is None:
-            value = hashlib.sha256(self._secret("tsig", group) + data).hexdigest()
+            value = _sha256(self._secret("tsig", group) + data).hexdigest()
             entry = self._tags.put(key, [data, value])
         return entry[1]
 
@@ -441,7 +375,7 @@ class FastCrypto(CryptoProvider):
             key = ("tshare", group, index, id(data))
             entry = self._tags.get(key, data)
             if entry is None:
-                value = hashlib.sha256(secret + data).hexdigest()
+                value = _sha256(secret + data).hexdigest()
                 entry = self._tags.put(key, [data, value])
             shares.append(ThresholdShare(group, index, entry[1]))
         return shares
@@ -475,24 +409,26 @@ class TimedCrypto(CryptoProvider):
     Wraps any :class:`CryptoProvider` and records per-operation wall-clock
     timing histograms (``crypto.<op>.wall_ms``, non-deterministic) plus
     call counters (``crypto.<op>.calls``, deterministic) into a
-    ``repro.obs`` recorder. The underlying provider is untouched, so
-    signatures/MACs are bit-identical with or without the wrapper; if the
-    recorder is disabled the wrapper simply is not installed (deployments
-    construct it only when observability is on).
+    ``repro.obs`` recorder. ``mac`` / ``check_mac`` are counted only: one
+    link MAC is a 64-byte hash, cheaper than the clock reads and the
+    histogram sample that would time it. The underlying provider is
+    untouched, so signatures/MACs are bit-identical with or without the
+    wrapper; if the recorder is disabled the wrapper simply is not
+    installed (deployments construct it only when observability is on).
     """
 
     def __init__(self, inner: CryptoProvider, obs) -> None:
         self.inner = inner
         self._obs = obs
         self._instruments: Dict[str, Tuple[Any, Any]] = {}
-        # per-op (inc, observe) pairs for the four per-message ops,
-        # attached lazily on first call (instruments must not exist
-        # before the op is first used) and inlined into each method to
-        # avoid the _timed frame and varargs packing per call
+        # per-op instruments for the four per-message ops, attached
+        # lazily on first call (instruments must not exist before the op
+        # is first used) and inlined into each method to avoid the _timed
+        # frame and varargs packing per call
         self._sign_pair: Optional[Tuple[Any, Any]] = None
         self._verify_pair: Optional[Tuple[Any, Any]] = None
-        self._mac_pair: Optional[Tuple[Any, Any]] = None
-        self._check_mac_pair: Optional[Tuple[Any, Any]] = None
+        self._mac_inc: Any = None
+        self._check_mac_inc: Any = None
 
     def _pair(self, op: str) -> Tuple[Any, Any]:
         pair = self._instruments.get(op)
@@ -535,28 +471,20 @@ class TimedCrypto(CryptoProvider):
         observe((_perf_counter() - started) * 1000.0)
         return result
 
-    # -- link MACs ------------------------------------------------------
+    # -- link MACs (counted, not timed) ---------------------------------
     def mac(self, src: str, dst: str, message: Any) -> bytes:
-        pair = self._mac_pair
-        if pair is None:
-            pair = self._mac_pair = self._pair("mac")
-        inc, observe = pair
+        inc = self._mac_inc
+        if inc is None:
+            inc = self._mac_inc = self._obs.counter("crypto.mac.calls").inc
         inc()
-        started = _perf_counter()
-        result = self.inner.mac(src, dst, message)
-        observe((_perf_counter() - started) * 1000.0)
-        return result
+        return self.inner.mac(src, dst, message)
 
     def check_mac(self, src: str, dst: str, message: Any, tag: bytes) -> bool:
-        pair = self._check_mac_pair
-        if pair is None:
-            pair = self._check_mac_pair = self._pair("check_mac")
-        inc, observe = pair
+        inc = self._check_mac_inc
+        if inc is None:
+            inc = self._check_mac_inc = self._obs.counter("crypto.check_mac.calls").inc
         inc()
-        started = _perf_counter()
-        result = self.inner.check_mac(src, dst, message, tag)
-        observe((_perf_counter() - started) * 1000.0)
-        return result
+        return self.inner.check_mac(src, dst, message, tag)
 
     # -- threshold signatures ------------------------------------------
     def create_threshold_group(self, group: str, players: int, threshold: int) -> None:
@@ -611,19 +539,6 @@ class TimedCrypto(CryptoProvider):
         return self._timed_batch(
             "verify_batch", len(messages),
             self.inner.verify_batch, signatures, messages,
-        )
-
-    def mac_batch(self, src: str, dst: str, messages: Sequence[Any]) -> List[bytes]:
-        return self._timed_batch(
-            "mac_batch", len(messages), self.inner.mac_batch, src, dst, messages
-        )
-
-    def check_mac_batch(
-        self, src: str, dst: str, messages: Sequence[Any], tags: Sequence[bytes]
-    ) -> List[bool]:
-        return self._timed_batch(
-            "check_mac_batch", len(messages),
-            self.inner.check_mac_batch, src, dst, messages, tags,
         )
 
     def threshold_sign_share_batch(

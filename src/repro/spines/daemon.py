@@ -90,7 +90,7 @@ class SpinesDaemon(Process):
             self._hop_latency = self.obs.histogram("spines.hop_latency_ms")
             self._e2e_latency = self.obs.histogram("spines.transit_latency_ms")
             for reason in ("auth", "dup", "behavior", "overflow", "ratelimit"):
-                self._drop_counters[reason] = self.obs.counter(
+                self._drop_counters[f"dropped_{reason}"] = self.obs.counter(
                     f"spines.dropped_{reason}"
                 )
         self.link_auth = link_auth
@@ -100,7 +100,9 @@ class SpinesDaemon(Process):
         self.max_queue_per_source = max_queue_per_source
         self.source_rate_per_ms = source_rate_per_ms
         self.source_burst = source_burst
-        self.neighbors: Set[str] = set()          # site names
+        #: neighbour site -> its daemon's process name, so no hop has to
+        #: format the name again
+        self.neighbors: Dict[str, str] = {}
         self.attached: Set[str] = set()            # endpoint names homed here
         self.endpoint_home: Dict[str, str] = {}    # endpoint -> site (global map)
         self._seen: Dict[Tuple[str, int], None] = {}
@@ -125,7 +127,7 @@ class SpinesDaemon(Process):
     # Wiring
     # ------------------------------------------------------------------
     def add_neighbor(self, site_name: str) -> None:
-        self.neighbors.add(site_name)
+        self.neighbors[site_name] = self.daemon_name(site_name)
 
     def attach_endpoint(self, endpoint_name: str) -> None:
         self.attached.add(endpoint_name)
@@ -138,9 +140,9 @@ class SpinesDaemon(Process):
     def daemon_name(site_name: str) -> str:
         return f"spines:{site_name}"
 
-    def _count_drop(self, reason: str) -> None:
-        self.stats[f"dropped_{reason}"] += 1
-        counter = self._drop_counters.get(reason)
+    def _count_drop(self, stat: str) -> None:
+        self.stats[stat] += 1
+        counter = self._drop_counters.get(stat)
         if counter is not None:
             counter.inc()
 
@@ -157,7 +159,7 @@ class SpinesDaemon(Process):
 
     def _on_ingress(self, src: str, data: OverlayData) -> None:
         if src not in self.attached or data.origin != src:
-            self._count_drop("auth")
+            self._count_drop("dropped_auth")
             return
         self.stats["ingress"] += 1
         if self._record_seen(data):
@@ -165,31 +167,31 @@ class SpinesDaemon(Process):
 
     def _on_forward(self, src: str, message: OverlayForward) -> None:
         sender_site = message.sender
-        if self.daemon_name(sender_site) != src or sender_site not in self.neighbors:
-            self._count_drop("auth")
+        if self.neighbors.get(sender_site) != src:
+            self._count_drop("dropped_auth")
             return
         if self.link_auth and not self.crypto.check_mac(
             src, self.name, message.data, message.mac
         ):
-            self._count_drop("auth")
+            self._count_drop("dropped_auth")
             return
         if self._hop_latency is not None and message.sent_at:
             self._hop_latency.observe(self.simulator.now - message.sent_at)
         if not self._record_seen(message.data):
-            self._count_drop("dup")
+            self._count_drop("dropped_dup")
             return
         self._route(message.data, arrived_from=sender_site)
 
     def _on_hello(self, src: str, hello: OverlayHello) -> None:
         """Link-monitor keepalive: authenticate, then hand to the monitor."""
         sender = hello.sender
-        if self.daemon_name(sender) != src or sender not in self.neighbors:
-            self._count_drop("auth")
+        if self.neighbors.get(sender) != src:
+            self._count_drop("dropped_auth")
             return
         if self.link_auth and not self.crypto.check_mac(
             src, self.name, (hello.sender, hello.seq, hello.sent_at), hello.mac
         ):
-            self._count_drop("auth")
+            self._count_drop("dropped_auth")
             return
         if self.monitor is not None:
             self.monitor.on_hello(sender, hello)
@@ -218,7 +220,7 @@ class SpinesDaemon(Process):
             before = self.stats["forwarded"] + self.stats["delivered"]
             self._behavior(data, default_action)
             if self.stats["forwarded"] + self.stats["delivered"] == before:
-                self._count_drop("behavior")
+                self._count_drop("dropped_behavior")
         else:
             # no byzantine behavior installed (the common case): route
             # directly, skipping the per-message closure allocation
@@ -239,7 +241,7 @@ class SpinesDaemon(Process):
             self.site_name, dest_site, arrived_from
         )
         if targets and not self._admit(data):
-            self._count_drop("ratelimit")
+            self._count_drop("dropped_ratelimit")
             return
         for neighbor in targets:
             self._enqueue_forward(neighbor, data)
@@ -280,7 +282,7 @@ class SpinesDaemon(Process):
         source = data.origin if self.fairness else "__fifo__"
         queue = self._queues.setdefault(source, deque())
         if self.max_queue_per_source > 0 and len(queue) >= self.max_queue_per_source:
-            self._count_drop("overflow")
+            self._count_drop("dropped_overflow")
             return
         if source not in self._queued_sources:
             self._queued_sources.add(source)
@@ -316,7 +318,7 @@ class SpinesDaemon(Process):
         self._draining = False
 
     def _forward_now(self, neighbor_site: str, data: OverlayData) -> None:
-        dst = self.daemon_name(neighbor_site)
+        dst = self.neighbors[neighbor_site]
         mac = self.crypto.mac(self.name, dst, data) if self.link_auth else b""
         self.stats["forwarded"] += 1
         sent_at = self.simulator.now if self._hop_latency is not None else 0.0

@@ -176,7 +176,7 @@ class LinkMonitor:
                 if mutated is None:
                     continue
                 hello = mutated
-            dst = daemon.daemon_name(neighbor)
+            dst = daemon.neighbors[neighbor]
             if daemon.link_auth:
                 mac = daemon.crypto.mac(
                     daemon.name, dst, (hello.sender, hello.seq, hello.sent_at)

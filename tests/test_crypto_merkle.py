@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.crypto import merkle_proof, merkle_root, verify_merkle_proof
+from repro.core.update import DeliveryRecord, batch_of_records
+from repro.crypto import (
+    digest,
+    merkle,
+    merkle_proof,
+    merkle_root,
+    merkle_tree,
+    verify_merkle_proof,
+)
 from repro.crypto.merkle import _leaf_hash, _node_hash
 
 
@@ -57,6 +65,34 @@ def test_every_index_verifies(count):
         assert verify_merkle_proof(leaves[index], index, count, proof, root), (
             f"index {index} of {count}"
         )
+
+
+def test_one_build_equals_root_and_each_proof():
+    for count in range(1, 34):
+        leaves = leaves_of(count)
+        root, proofs = merkle_tree(leaves)
+        assert root == merkle_root(leaves)
+        assert proofs == [merkle_proof(leaves, i) for i in range(count)]
+
+
+def test_batch_of_records_builds_its_tree_once(monkeypatch):
+    real_sha256 = merkle._sha256
+    hashed = []
+
+    def counting_sha256(data):
+        hashed.append(data)
+        return real_sha256(data)
+
+    monkeypatch.setattr(merkle, "_sha256", counting_sha256)
+    records = [DeliveryRecord("status", "rtu", i, 100 + i, ("v", i)) for i in range(64)]
+    batch, entries = batch_of_records("replica:0#0", 1, records)
+    assert len(hashed) <= 127  # 64 leaves + 63 internal nodes, once
+    assert all(
+        verify_merkle_proof(
+            digest(e.record), e.index, batch.count, e.proof, batch.merkle_root
+        )
+        for e in entries
+    )
 
 
 @pytest.mark.parametrize("count", [2, 4, 8, 16])

@@ -4,9 +4,19 @@
 test here asserts behavioural parity between the two backends.
 """
 
+import hmac
+from hashlib import sha256
+
 import pytest
 
-from repro.crypto import Signature, ThresholdShare, ThresholdSignature
+from repro.crypto import (
+    FastCrypto,
+    RealCrypto,
+    Signature,
+    ThresholdShare,
+    ThresholdSignature,
+    encode,
+)
 
 
 def test_sign_verify_roundtrip(any_crypto):
@@ -43,6 +53,22 @@ def test_mac_rejects_tamper(any_crypto):
     tag = any_crypto.mac("a", "b", "m")
     assert not any_crypto.check_mac("a", "b", "other", tag)
     assert not any_crypto.check_mac("a", "c", "m", tag)
+
+
+def test_real_mac_is_hmac_over_the_message_digest():
+    message = ("reading", 7, 1.5)
+    pair_key = sha256(b"r/mac/a/b").digest()
+    assert RealCrypto(seed="r").mac("b", "a", message) == hmac.new(
+        pair_key, sha256(encode(message)).digest(), "sha256"
+    ).digest()
+
+
+def test_fast_mac_is_recomputed_not_memoized():
+    crypto = FastCrypto()
+    message = ("reading", 7, 1.5)
+    tag = crypto.mac("a", "b", message)
+    assert crypto.check_mac("b", "a", message, tag)
+    assert len(crypto._tags) == 0
 
 
 def test_threshold_group_lifecycle(any_crypto):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import FastCrypto
+from repro.crypto import FastCrypto, RealCrypto
 from repro.simnet import LinkSpec, Network, Process, Simulator
 from repro.spines import (
     FloodingRouting,
@@ -26,11 +26,13 @@ class Endpoint(Process):
             self.received.append((self.simulator.now, *unwrapped))
 
 
-def build(mode="flooding", **kwargs):
+def build(mode="flooding", crypto=None, **kwargs):
     sim = Simulator(seed=11)
     net = Network(sim, LinkSpec(latency_ms=0.1))
     topo = wide_area_topology()
-    overlay = SpinesOverlay(sim, net, topo, mode=mode, crypto=FastCrypto(), **kwargs)
+    overlay = SpinesOverlay(
+        sim, net, topo, mode=mode, crypto=crypto or FastCrypto(), **kwargs
+    )
     a = Endpoint("ep:a", sim, net)
     b = Endpoint("ep:b", sim, net)
     stack_a = overlay.attach(a, "cc1")
@@ -144,6 +146,55 @@ def test_forward_without_valid_mac_rejected():
     attacker.send(daemon.name, OverlayForward(data, "cc1", b"bad-mac"))
     sim.run_for(100)
     assert b.received == []
+
+
+# Link authentication proper: the forward arrives under a real
+# neighbour's process name (an on-path attacker spoofing cc1's address),
+# so the name check passes and only the MAC stands in the way.
+@pytest.fixture(params=[FastCrypto, RealCrypto])
+def spoofed_link(request):
+    sim, net, overlay, (a, sa), (b, sb) = build("flooding", crypto=request.param())
+    return sim, net, overlay, b
+
+
+def test_spoofed_neighbor_with_wrong_mac_rejected(spoofed_link):
+    sim, net, overlay, b = spoofed_link
+    dc2 = overlay.daemon("dc2")
+    data = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="spoof")
+    net.inject("spines:cc1", dc2.name, OverlayForward(data, "cc1", b"\x00" * 32))
+    sim.run_for(100)
+    assert b.received == []
+    assert dc2.stats["dropped_auth"] == 1
+    assert overlay.total_stats()["delivered"] == 0
+
+
+def test_valid_mac_does_not_carry_over_to_altered_datagram(spoofed_link):
+    sim, net, overlay, b = spoofed_link
+    dc2 = overlay.daemon("dc2")
+    genuine = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="open breaker 7")
+    altered = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="open breaker 9")
+    mac = overlay.crypto.mac("spines:cc1", dc2.name, genuine)
+    net.inject("spines:cc1", dc2.name, OverlayForward(altered, "cc1", mac))
+    sim.run_for(100)
+    assert b.received == []
+    # rejected by the MAC check, before the dedup window saw (origin, seq)
+    assert dc2.stats["dropped_auth"] == 1 and dc2.stats["dropped_dup"] == 0
+    # the same tag is good for the datagram it was computed over
+    net.inject("spines:cc1", dc2.name, OverlayForward(genuine, "cc1", mac))
+    sim.run_for(100)
+    assert [payload for _, _, payload in b.received] == ["open breaker 7"]
+
+
+def test_mac_of_one_link_rejected_on_another(spoofed_link):
+    sim, net, overlay, b = spoofed_link
+    dc1 = overlay.daemon("dc1")
+    data = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="x")
+    mac = overlay.crypto.mac("spines:cc1", "spines:cc2", data)
+    net.inject("spines:cc1", dc1.name, OverlayForward(data, "cc1", mac))
+    sim.run_for(100)
+    assert b.received == []
+    assert dc1.stats["dropped_auth"] == 1
+    assert overlay.total_stats()["forwarded"] == 0
 
 
 def test_non_neighbor_forward_rejected():
