@@ -68,6 +68,7 @@ def make_slow_proposer(node: Any, delay_ms: float) -> Uninstall:
     the timeout."""
     original_broadcast = node._broadcast
     original_transport_send = node.transport.send
+    original_transport_multicast = node.transport.multicast
 
     def delayed_broadcast(payload, include_self=True):
         if isinstance(payload, (PrePrepare, PbftPrePrepare)):
@@ -87,8 +88,8 @@ def make_slow_proposer(node: Any, delay_ms: float) -> Uninstall:
         return original_broadcast(payload, include_self)
 
     def delayed_transport_send(dst, payload, size_bytes=256):
-        # retransmission paths send signed pre-prepares directly through
-        # the transport; a malicious slow leader delays those too
+        # retransmission paths hand signed pre-prepares straight to the
+        # transport; a malicious slow leader delays those too
         inner = getattr(payload, "payload", None)
         if isinstance(inner, (PrePrepare, PbftPrePrepare)) and (
             getattr(inner, "leader", None) == node.name
@@ -101,12 +102,20 @@ def make_slow_proposer(node: Any, delay_ms: float) -> Uninstall:
             return True
         return original_transport_send(dst, payload, size_bytes)
 
+    def delayed_transport_multicast(dsts, payload, size_bytes=256):
+        # ``runtime.resend`` multicasts; an overlay transport would map
+        # that straight onto the stack, past the delayed ``send``
+        for dst in dsts:
+            delayed_transport_send(dst, payload, size_bytes)
+
     node._broadcast = delayed_broadcast
     node.transport.send = delayed_transport_send
+    node.transport.multicast = delayed_transport_multicast
 
     def uninstall() -> None:
         node._broadcast = original_broadcast
         node.transport.send = original_transport_send
+        node.transport.multicast = original_transport_multicast
 
     return uninstall
 

@@ -10,8 +10,8 @@ between ``PrimeNode`` and ``PbftNode``.
 The transport is read through the owning process on every send
 (``process.transport``), never captured: deployments install an
 :class:`~repro.replication.transport.OverlayTransport` *after*
-construction, and attack installers wrap ``node.transport.send`` at
-runtime — both must take effect immediately.
+construction, and attack installers wrap ``node.transport.send`` /
+``.multicast`` at runtime — both must take effect immediately.
 """
 
 from __future__ import annotations
@@ -90,23 +90,14 @@ class ReplicationRuntime:
         counter.inc(sends)
 
     def broadcast(self, payload: Any, include_self: bool = True) -> SignedMessage:
-        """Sign once, send to every peer, optionally dispatch locally.
+        """Sign once, multicast to every peer, optionally dispatch locally.
 
         Local dispatch goes through the *process's* ``_dispatch`` so
         instrumentation-time wrappers (attack installers) intercept it
         exactly as they intercept network-delivered messages.
         """
         signed = self.sign(payload)
-        size = self.size_of(payload)
-        name = self.name
-        sends = 0
-        transport = self.transport
-        for peer in self.replicas_fn():
-            if peer == name:
-                continue
-            transport.send(peer, signed, size_bytes=size)
-            sends += 1
-        self._count_send(type(payload), sends)
+        self._fan_out(signed, self.replicas_fn(), self.size_of(payload))
         if include_self:
             self._process._dispatch(signed)
         return signed
@@ -127,16 +118,19 @@ class ReplicationRuntime:
         size_bytes: Optional[int] = None,
     ) -> None:
         """Retransmit an already-signed message (no re-sign, no loopback)."""
-        size = size_bytes if size_bytes is not None else self.size_of(signed.payload)
+        self._fan_out(
+            signed,
+            peers if peers is not None else self.replicas_fn(),
+            size_bytes if size_bytes is not None else self.size_of(signed.payload),
+        )
+
+    def _fan_out(self, signed: SignedMessage, peers: Iterable[str], size: int) -> None:
+        """Hand the transport one multicast for every peer but ourselves."""
         name = self.name
-        sends = 0
-        transport = self.transport
-        for peer in peers if peers is not None else self.replicas_fn():
-            if peer == name:
-                continue
-            transport.send(peer, signed, size_bytes=size)
-            sends += 1
-        self._count_send(type(signed.payload), sends)
+        dsts = [peer for peer in peers if peer != name]
+        if dsts:
+            self.transport.multicast(dsts, signed, size_bytes=size)
+            self._count_send(type(signed.payload), len(dsts))
 
     # ------------------------------------------------------------------
     # Receiving

@@ -3,15 +3,18 @@
 In the paper, all Spire traffic — replica-to-replica Prime messages and
 replica-to-proxy update delivery — flows over the Spines overlay. Tests
 and LAN scenarios can instead use the raw simulated network. Both are
-hidden behind the two-method :class:`Transport` interface, which is the
-bottom layer of the replication runtime: everything a protocol node sends
+hidden behind the :class:`Transport` interface (``send`` / ``multicast`` /
+``unwrap``), which is the bottom layer of the replication runtime:
+everything a protocol node sends
 (:class:`~repro.replication.runtime.ReplicationRuntime`) ends up in one of
-these.
+these. Fan-out belongs here, not to a per-peer loop above: a transport
+that can reach a whole destination set with one datagram (a flooding
+overlay) does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..simnet import Process
 from ..spines.overlay import OverlayStack
@@ -24,6 +27,13 @@ class Transport:
 
     def send(self, dst: str, payload: Any, size_bytes: int = 256) -> bool:
         raise NotImplementedError
+
+    def multicast(self, dsts: Sequence[str], payload: Any,
+                  size_bytes: int = 256) -> None:
+        """Send one payload to every destination; the default is a
+        :meth:`send` per destination."""
+        for dst in dsts:
+            self.send(dst, payload, size_bytes=size_bytes)
 
     def unwrap(self, message: Any) -> Optional[Tuple[str, Any]]:
         """Extract (source, payload) from an incoming raw message, or None
@@ -84,6 +94,16 @@ class OverlayTransport(_SendCounters, Transport):
             sent.value += 1
             self._sent_bytes.value += size_bytes
         return self._stack.send(dst, payload, size_bytes=size_bytes)
+
+    def multicast(self, dsts: Sequence[str], payload: Any,
+                  size_bytes: int = 256) -> None:
+        # counted per destination, like the sends this replaces, so the
+        # counters compare across overlay modes
+        sent = self._sent
+        if sent is not None:
+            sent.value += len(dsts)
+            self._sent_bytes.value += size_bytes * len(dsts)
+        self._stack.multicast(dsts, payload, size_bytes=size_bytes)
 
     def unwrap(self, message: Any) -> Optional[Tuple[str, Any]]:
         return OverlayStack.unwrap(message)

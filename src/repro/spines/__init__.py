@@ -2,7 +2,7 @@
 
 Public API: :class:`OverlayTopology` + builders, :class:`SpinesOverlay`
 (daemon fleet + endpoint attachment), :class:`OverlayStack` (endpoint-side
-send/unwrap), routing strategies, the self-healing control plane
+send/multicast/unwrap), routing strategies, the self-healing control plane
 (:class:`LinkMonitor` / :class:`OverlayControlPlane`), and the daemon
 itself for tests.
 """

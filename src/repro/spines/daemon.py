@@ -79,6 +79,9 @@ class SpinesDaemon(Process):
         super().__init__(f"spines:{site_name}", simulator, network)
         self.site_name = site_name
         self.routing = routing
+        #: resolved once per daemon, not per datagram
+        self._floods = routing.name == "flooding"
+        self._shortest = routing.name == "shortest"
         self.crypto = crypto
         self.obs = obs if obs is not None else NULL_OBS
         # Instruments shared by all daemons of a deployment (same names →
@@ -158,7 +161,14 @@ class SpinesDaemon(Process):
             self._on_hello(src, payload)
 
     def _on_ingress(self, src: str, data: OverlayData) -> None:
-        if src not in self.attached or data.origin != src:
+        # next-hop tables route towards exactly one destination
+        # (``OverlayStack.multicast`` builds nothing else for them); any
+        # other count is malformed outside input: dropped, not raised
+        if (
+            src not in self.attached
+            or data.origin != src
+            or not (self._floods or len(data.dests) == 1)
+        ):
             self._count_drop("dropped_auth")
             return
         self.stats["ingress"] += 1
@@ -227,31 +237,42 @@ class SpinesDaemon(Process):
             self._route_default(data, arrived_from)
 
     def _route_default(self, data: OverlayData, arrived_from: Optional[str]) -> None:
-        self._deliver_local(data)
+        # deliver to every endpoint that is attached here *and* named
+        attached = self.attached
+        for dest in data.dests:
+            if dest in attached:
+                self._deliver_local(dest, data)
         if not self.neighbors:
             # isolated (single-site) daemon: routing can only ever return
             # an empty target set, so skip the strategy call per message
             return
-        dest_site = self.endpoint_home.get(data.dest)
-        if dest_site is None:
+        # forward while at least one destination has a known home; a
+        # routed datagram has one destination and heads for its site, a
+        # flooded one goes out on every link whichever site that is
+        endpoint_home = self.endpoint_home
+        for dest in data.dests:
+            dest_site = endpoint_home.get(dest)
+            if dest_site is not None:
+                break
+        else:
             return
-        if dest_site == self.site_name and self.routing.name == "shortest":
+        if dest_site == self.site_name and self._shortest:
             return  # delivered locally; nothing to forward
         targets = self.routing.forward_targets(
             self.site_name, dest_site, arrived_from
         )
+        # one token per datagram, however many endpoints it names
         if targets and not self._admit(data):
             self._count_drop("dropped_ratelimit")
             return
         for neighbor in targets:
             self._enqueue_forward(neighbor, data)
 
-    def _deliver_local(self, data: OverlayData) -> None:
-        if data.dest in self.attached:
-            self.stats["delivered"] += 1
-            if self._e2e_latency is not None and data.sent_at:
-                self._e2e_latency.observe(self.simulator.now - data.sent_at)
-            self.send(data.dest, OverlayDeliver(data), size_bytes=data.size_bytes)
+    def _deliver_local(self, dest: str, data: OverlayData) -> None:
+        self.stats["delivered"] += 1
+        if self._e2e_latency is not None and data.sent_at:
+            self._e2e_latency.observe(self.simulator.now - data.sent_at)
+        self.send(dest, OverlayDeliver(data), size_bytes=data.size_bytes)
 
     # ------------------------------------------------------------------
     # Forwarding with per-source fairness + overload protection

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Tuple
 
 __all__ = [
     "OverlayData",
@@ -29,12 +29,17 @@ __all__ = [
 class OverlayData:
     """An end-to-end overlay datagram.
 
-    ``origin``/``dest`` are endpoint (not daemon) names; ``seq`` is a
-    per-origin sequence number used for flood deduplication.
+    ``origin``/``dests`` are endpoint (not daemon) names; ``seq`` is a
+    per-origin sequence number used for flood deduplication. ``dests`` is
+    the destination *set*: a unicast names one endpoint, a multicast on a
+    flooding overlay names several and is still one datagram — one flood,
+    one link MAC per hop (the MAC covers the whole datagram, ``dests``
+    included), one delivery per named endpoint. Routed overlays
+    (``shortest``/``disjoint``) accept exactly one destination.
     """
 
     origin: str
-    dest: str
+    dests: Tuple[str, ...]
     seq: int
     payload: Any
     size_bytes: int = 256

@@ -3,8 +3,9 @@
 The :class:`SpinesOverlay` is what deployment code uses: it instantiates
 one :class:`SpinesDaemon` per site, programs the underlying simnet links
 from the topology's latencies, and hands each endpoint an
-:class:`OverlayStack` — the endpoint-side API (``send``/``unwrap``) that
-plays the role of the Spines client library in the real system.
+:class:`OverlayStack` — the endpoint-side API (``send``/``multicast``/
+``unwrap``) that plays the role of the Spines client library in the real
+system.
 
 With ``self_healing=True`` the overlay also builds the control plane from
 :mod:`repro.spines.monitor`: one :class:`LinkMonitor` per daemon probing
@@ -16,7 +17,7 @@ before.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..crypto.provider import CryptoProvider, FastCrypto
 from ..obs import NULL_OBS, Observability
@@ -45,14 +46,37 @@ class OverlayStack:
         self._endpoint_send = endpoint.send
         self._obs_enabled = overlay.obs.enabled
         self._simulator = overlay.simulator
+        self._floods = overlay.mode == "flooding"
 
     def send(self, dest_endpoint: str, payload: Any, size_bytes: int = 256,
              priority: int = 0) -> bool:
         """Send ``payload`` to another overlay endpoint by name."""
+        return self._submit((dest_endpoint,), payload, size_bytes, priority)
+
+    def multicast(self, dests: Sequence[str], payload: Any,
+                  size_bytes: int = 256, priority: int = 0) -> None:
+        """Send ``payload`` to every endpoint in ``dests``.
+
+        A flooding overlay already carries each datagram to every daemon,
+        so the whole set rides one datagram: one flood instead of
+        ``len(dests)`` identical ones. A routed overlay gets one datagram
+        per destination: next-hop tables point along per-destination
+        paths, so a shared datagram would either be forwarded back towards
+        destinations that are not downstream or need re-addressing (a new
+        datagram, encoding and digest) on every branch.
+        """
+        if not self._floods:
+            for dest in dests:
+                self._submit((dest,), payload, size_bytes, priority)
+        elif dests:
+            self._submit(tuple(dests), payload, size_bytes, priority)
+
+    def _submit(self, dests: Tuple[str, ...], payload: Any, size_bytes: int,
+                priority: int) -> bool:
         self._seq += 1
         data = OverlayData(
             self._origin,
-            dest_endpoint,
+            dests,
             self._seq,
             payload,
             size_bytes,

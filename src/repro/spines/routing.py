@@ -96,19 +96,24 @@ class FloodingRouting(RoutingStrategy):
     name = "flooding"
 
     def __init__(self, topology: OverlayTopology) -> None:
-        self.topology = topology
+        self.rebuild(topology)
 
     def rebuild(self, observed: OverlayTopology) -> None:
-        # flooding has no tables; adopting the observed view prunes dead
-        # links from the per-datagram fan-out (saves doomed transmissions)
+        # flooding has no tables beyond each site's neighbour tuple;
+        # adopting the observed view (always a fresh copy from the control
+        # plane) prunes dead links from the per-datagram fan-out
         self.topology = observed
+        self._neighbors: Dict[str, Tuple[str, ...]] = {
+            site.name: tuple(observed.neighbors(site.name))
+            for site in observed.sites
+        }
 
     def forward_targets(
         self, daemon_site: str, dest_site: str, arrived_from: Optional[str]
     ) -> List[str]:
         return [
             neighbor
-            for neighbor in self.topology.neighbors(daemon_site)
+            for neighbor in self._neighbors[daemon_site]
             if neighbor != arrived_from
         ]
 

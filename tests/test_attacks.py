@@ -11,8 +11,10 @@ from repro.attacks import (
     make_delivery_forger,
     make_share_corruptor,
     make_silent,
+    make_slow_proposer,
 )
 from repro.core import BreakerCommand, DeliveryRecord, SpireDeployment, SpireOptions
+from repro.prime.messages import PrePrepare
 
 
 @pytest.fixture
@@ -133,3 +135,59 @@ def test_flooding_attacker_counts():
     attacker.stop()
     sim.run_for(100)
     assert 90 <= attacker.sent <= 110
+
+
+def test_slow_proposer_delays_retransmissions_on_a_flooding_overlay():
+    """``runtime.resend`` multicasts, and an overlay transport maps a
+    multicast straight onto its stack — the installer must sit in that
+    path too, or a retransmitted PrePrepare overtakes the delayed one."""
+    delay_ms = 120.0
+    deployment = SpireDeployment(SpireOptions.wan(seed=5, num_substations=3))
+    assert deployment.overlay.mode == "flooding"
+    deployment.start()
+    deployment.run_for(1000)
+    leader = next(r for r in deployment.replicas if r.is_leader)
+    simulator = deployment.simulator
+    uninstall = make_slow_proposer(leader, delay_ms)
+
+    def leads(payload):
+        return isinstance(payload, PrePrepare) and payload.leader == leader.name
+
+    produced = {"broadcast": [], "resend": []}
+    delayed_broadcast, resend = leader._broadcast, leader.runtime.resend
+
+    def spy_broadcast(payload, include_self=True):
+        if leads(payload):
+            produced["broadcast"].append(simulator.now)
+        return delayed_broadcast(payload, include_self)
+
+    def spy_resend(signed, peers=None, size_bytes=None):
+        if leads(signed.payload):
+            produced["resend"].append(simulator.now)
+        return resend(signed, peers=peers, size_bytes=size_bytes)
+
+    leader._broadcast, leader.runtime.resend = spy_broadcast, spy_resend
+    arrivals = {}
+    for peer in deployment.replicas:
+        if peer is leader:
+            continue
+
+        def spy_dispatch(signed, _dispatch=peer._dispatch,
+                         _seen=arrivals.setdefault(peer.name, [])):
+            if leads(signed.payload):
+                _seen.append(simulator.now)
+            return _dispatch(signed)
+
+        peer._dispatch = spy_dispatch
+    deployment.run_for(3000)
+    assert produced["broadcast"] and produced["resend"]
+    # the i-th copy a peer sees cannot be earlier than the i-th one made
+    # plus the delay (overlay transit comes on top)
+    made = sorted(produced["broadcast"] + produced["resend"])
+    for peer, seen in arrivals.items():
+        assert seen, peer
+        assert all(at >= at_made + delay_ms for at, at_made in zip(seen, made)), peer
+    uninstall()
+    transport = leader.transport
+    assert transport.send.__func__ is type(transport).send
+    assert transport.multicast.__func__ is type(transport).multicast

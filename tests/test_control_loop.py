@@ -462,7 +462,9 @@ SMOKE = dict(
 )
 
 #: fingerprints of the periodic schedule at PYTHONHASHSEED=0 (pinned in
-#: PR 12, see CHANGES.md)
+#: PR 12, see CHANGES.md). The chaos scenarios route ``shortest``; the
+#: fig6 deployment floods, so it alone was re-pinned in PR 15 when a
+#: broadcast became one overlay datagram.
 PINNED_CHAOS = {
     3: ("9e064b076c13ea5780a3058d979c4b3cdb5bbd9d069fa8f659a822ffaa61d343",
         39_522),
@@ -470,7 +472,7 @@ PINNED_CHAOS = {
          55_268),
 }
 
-PINNED_FIG6 = "6499203c575712b5bfa5f49881192cd8f829a4b9107d40c7bd8f798d40d9107f"
+PINNED_FIG6 = "2bb61aa893ff3fb812fc995f3a60a505cdc704f92b79d64a6ff9984c16ce08f8"
 
 
 @pytest.mark.skipif(
@@ -507,5 +509,5 @@ def test_periodic_strategy_fig6_digest_unchanged():
         scheduler.recoveries_started,
         scheduler.deferred_rounds,
     ))
-    assert deployment.simulator.events_processed == 315_273
+    assert deployment.simulator.events_processed == 126_298
     assert fingerprint == PINNED_FIG6

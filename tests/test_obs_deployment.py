@@ -10,7 +10,7 @@ from repro.core import SpireDeployment, SpireOptions
 
 #: event budget of the guard configuration with nothing instrumented —
 #: the disabled-observability run must stay within 5% of it
-PRE_INSTRUMENTATION_EVENTS = 72_916
+PRE_INSTRUMENTATION_EVENTS = 29_708
 GUARD_OPTIONS = dict(num_substations=2, poll_interval_ms=200.0, seed=7)
 GUARD_RUN_MS = 3000.0
 

@@ -141,13 +141,14 @@ def _trace_fingerprint(options, run_ms):
     return digest((image, deployment.simulator.events_processed))
 
 
-#: digests at PYTHONHASHSEED=0 (pinned in PR 12, see CHANGES.md) — the
-#: interned hot path must keep every delivery bit-identical
+#: digests at PYTHONHASHSEED=0 (pinned in PR 12; the flooding ``wan7``
+#: re-pinned in PR 15, see CHANGES.md) — the interned hot path must keep
+#: every delivery bit-identical
 PINNED_TRACES = {
     "wan7": (
         dict(seed=7, num_substations=3),
         6000.0,
-        "5814eadba673732c715256fef0af46a74200d44c8de4b23d32fa233e8cabe6ac",
+        "7a85576d6b15a936c9883815d714c9114954bf78ca048fa9fadf08063318bbf4",
     ),
     "lan21": (
         dict(seed=21, num_substations=2, poll_interval_ms=200.0),

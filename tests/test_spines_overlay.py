@@ -1,13 +1,17 @@
 """Tests for overlay routing, delivery, authentication, and resilience."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import FastCrypto, RealCrypto
 from repro.simnet import LinkSpec, Network, Process, Simulator
 from repro.spines import (
     FloodingRouting,
     OverlayStack,
+    OverlayTopology,
     ShortestPathRouting,
+    Site,
     SpinesOverlay,
     make_routing,
     wide_area_topology,
@@ -130,7 +134,7 @@ def test_forged_ingress_rejected():
     """An endpoint cannot inject traffic claiming another origin."""
     sim, net, overlay, (a, sa), (b, sb) = build("flooding")
     daemon = overlay.daemon("cc1")
-    forged = OverlayData(origin="ep:b", dest="ep:a", seq=1, payload="forged")
+    forged = OverlayData(origin="ep:b", dests=("ep:a",), seq=1, payload="forged")
     a.send(daemon.name, OverlayIngress(forged))
     sim.run_for(100)
     assert a.received == []
@@ -140,7 +144,7 @@ def test_forged_ingress_rejected():
 def test_forward_without_valid_mac_rejected():
     sim, net, overlay, (a, sa), (b, sb) = build("flooding")
     daemon = overlay.daemon("cc2")
-    data = OverlayData(origin="ep:a", dest="ep:b", seq=99, payload="spoof")
+    data = OverlayData(origin="ep:a", dests=("ep:b",), seq=99, payload="spoof")
     # attacker process injects a forward with a bogus MAC from a neighbor id
     attacker = Endpoint("spines:evil", sim, net)
     attacker.send(daemon.name, OverlayForward(data, "cc1", b"bad-mac"))
@@ -160,7 +164,7 @@ def spoofed_link(request):
 def test_spoofed_neighbor_with_wrong_mac_rejected(spoofed_link):
     sim, net, overlay, b = spoofed_link
     dc2 = overlay.daemon("dc2")
-    data = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="spoof")
+    data = OverlayData(origin="ep:a", dests=("ep:b",), seq=1, payload="spoof")
     net.inject("spines:cc1", dc2.name, OverlayForward(data, "cc1", b"\x00" * 32))
     sim.run_for(100)
     assert b.received == []
@@ -171,8 +175,8 @@ def test_spoofed_neighbor_with_wrong_mac_rejected(spoofed_link):
 def test_valid_mac_does_not_carry_over_to_altered_datagram(spoofed_link):
     sim, net, overlay, b = spoofed_link
     dc2 = overlay.daemon("dc2")
-    genuine = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="open breaker 7")
-    altered = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="open breaker 9")
+    genuine = OverlayData(origin="ep:a", dests=("ep:b",), seq=1, payload="open breaker 7")
+    altered = OverlayData(origin="ep:a", dests=("ep:b",), seq=1, payload="open breaker 9")
     mac = overlay.crypto.mac("spines:cc1", dc2.name, genuine)
     net.inject("spines:cc1", dc2.name, OverlayForward(altered, "cc1", mac))
     sim.run_for(100)
@@ -188,7 +192,7 @@ def test_valid_mac_does_not_carry_over_to_altered_datagram(spoofed_link):
 def test_mac_of_one_link_rejected_on_another(spoofed_link):
     sim, net, overlay, b = spoofed_link
     dc1 = overlay.daemon("dc1")
-    data = OverlayData(origin="ep:a", dest="ep:b", seq=1, payload="x")
+    data = OverlayData(origin="ep:a", dests=("ep:b",), seq=1, payload="x")
     mac = overlay.crypto.mac("spines:cc1", "spines:cc2", data)
     net.inject("spines:cc1", dc1.name, OverlayForward(data, "cc1", mac))
     sim.run_for(100)
@@ -201,7 +205,7 @@ def test_non_neighbor_forward_rejected():
     sim, net, overlay, (a, sa), (b, sb) = build("flooding")
     daemon = overlay.daemon("cc1")
     crypto = overlay.crypto
-    data = OverlayData(origin="ep:a", dest="ep:b", seq=7, payload="x")
+    data = OverlayData(origin="ep:a", dests=("ep:b",), seq=7, payload="x")
     evil = Endpoint("spines:field2", sim, net)
     mac = crypto.mac(evil.name, daemon.name, data)
     evil.send(daemon.name, OverlayForward(data, "field2", mac))
@@ -282,3 +286,210 @@ def test_fairness_keeps_honest_latency_low_under_flood():
         results[fairness] = honest_arrivals[0] if honest_arrivals else float("inf")
     assert results[True] < 40.0
     assert results[False] > results[True] * 3
+
+
+# ----------------------------------------------------------------------
+# Destination sets: one flooded datagram serves a whole multicast
+# ----------------------------------------------------------------------
+WAN_SITES = ("cc1", "cc2", "dc1", "dc2", "field")
+
+
+def build_everywhere(mode="flooding", **kwargs):
+    """The WAN topology with one endpoint ``ep:<site>`` at every site."""
+    sim = Simulator(seed=11)
+    net = Network(sim, LinkSpec(latency_ms=0.1))
+    overlay = SpinesOverlay(
+        sim, net, wide_area_topology(), mode=mode, crypto=FastCrypto(), **kwargs
+    )
+    endpoints, stacks = {}, {}
+    for site in WAN_SITES:
+        endpoints[site] = Endpoint(f"ep:{site}", sim, net)
+        stacks[site] = overlay.attach(endpoints[site], site)
+    return sim, net, overlay, endpoints, stacks
+
+
+@st.composite
+def flooded_multicasts(draw):
+    """(site count, links, origin endpoint, named endpoints) on a random
+    connected topology of at most 8 sites with two endpoints per site."""
+    count = draw(st.integers(min_value=2, max_value=8))
+    # a random spanning tree keeps it connected; extra links add cycles
+    links = {
+        (draw(st.integers(min_value=0, max_value=i - 1)), i)
+        for i in range(1, count)
+    }
+    pairs = [(a, b) for b in range(count) for a in range(b)]
+    links |= set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
+    endpoints = [(site, slot) for site in range(count) for slot in (0, 1)]
+    origin = draw(st.sampled_from(endpoints))
+    named = draw(st.lists(st.sampled_from(endpoints), unique=True))
+    return count, sorted(links), origin, named
+
+
+@settings(max_examples=60, deadline=None)
+@given(flooded_multicasts())
+def test_flooded_multicast_serves_exactly_the_named_endpoints(case):
+    count, links, origin, named = case
+    sim = Simulator(seed=3)
+    net = Network(sim, LinkSpec(latency_ms=0.1))
+    topo = OverlayTopology()
+    for site in range(count):
+        topo.add_site(Site(f"s{site}"))
+    for a, b in links:
+        topo.connect(f"s{a}", f"s{b}", latency_ms=1.0 + a + b, jitter_ms=0.3)
+    overlay = SpinesOverlay(sim, net, topo, mode="flooding", crypto=FastCrypto())
+    endpoints, stacks = {}, {}
+    for site in range(count):
+        for slot in (0, 1):
+            endpoint = Endpoint(f"ep:{site}:{slot}", sim, net)
+            endpoints[(site, slot)] = endpoint
+            stacks[(site, slot)] = overlay.attach(endpoint, f"s{site}")
+    stacks[origin].multicast(
+        [endpoints[key].name for key in named], "payload", size_bytes=100
+    )
+    sim.run_for(1000)  # quiescent: the longest path is < 8 hops of < 16 ms
+    for key, endpoint in endpoints.items():
+        expected = [(endpoints[origin].name, "payload")] if key in named else []
+        assert [(o, p) for _, o, p in endpoint.received] == expected
+    totals = overlay.total_stats()
+    assert totals["ingress"] == (1 if named else 0)
+    assert totals["delivered"] == len(named)
+    # the origin's daemon forwards on every link, every other daemon on
+    # every link but the one the first copy arrived on
+    assert totals["forwarded"] == totals["ingress"] * (2 * len(links) - (count - 1))
+
+
+@pytest.mark.parametrize("dropper", ["cc2", "dc1", "dc2", "field"])
+def test_flooded_multicast_survives_one_dropping_daemon(dropper):
+    """The WAN topology is 2-connected: whichever single daemon drops
+    everything, the flood still reaches every other site."""
+    sim, net, overlay, endpoints, stacks = build_everywhere()
+    overlay.daemon(dropper).set_behavior(lambda data, default_action: None)
+    stacks["cc1"].multicast([f"ep:{site}" for site in WAN_SITES if site != "cc1"], "x")
+    sim.run_for(200)
+    for site in WAN_SITES:
+        served = site not in ("cc1", dropper)
+        assert len(endpoints[site].received) == (1 if served else 0), site
+
+
+def test_flooded_multicast_misses_only_the_crashed_daemons_endpoint():
+    sim, net, overlay, endpoints, stacks = build_everywhere()
+    overlay.daemon("dc1").crash()
+    stacks["cc1"].multicast(["ep:cc2", "ep:dc1", "ep:dc2", "ep:field"], "x")
+    sim.run_for(200)
+    assert endpoints["dc1"].received == []
+    for site in ("cc2", "dc2", "field"):
+        assert [p for _, _, p in endpoints[site].received] == ["x"]
+
+
+def test_unnamed_endpoint_at_a_named_site_gets_nothing():
+    sim, net, overlay, endpoints, stacks = build_everywhere()
+    bystander = Endpoint("ep:bystander", sim, net)
+    overlay.attach(bystander, "dc2")
+    stacks["cc1"].multicast(["ep:dc2", "ep:field"], "x")
+    sim.run_for(200)
+    assert bystander.received == []
+    assert len(endpoints["dc2"].received) == 1
+
+
+def test_altered_destination_set_fails_the_link_mac(spoofed_link):
+    """The MAC covers ``dests``: widening the set in flight is a forgery,
+    rejected before the dedup window sees ``(origin, seq)``."""
+    sim, net, overlay, b = spoofed_link
+    dc2 = overlay.daemon("dc2")
+    c = Endpoint("ep:c", sim, net)
+    overlay.attach(c, "dc2")
+    genuine = OverlayData(origin="ep:a", dests=("ep:b",), seq=1, payload="trip")
+    widened = OverlayData(origin="ep:a", dests=("ep:b", "ep:c"), seq=1, payload="trip")
+    mac = overlay.crypto.mac("spines:cc1", dc2.name, genuine)
+    net.inject("spines:cc1", dc2.name, OverlayForward(widened, "cc1", mac))
+    sim.run_for(100)
+    assert b.received == [] and c.received == []
+    assert dc2.stats["dropped_auth"] == 1 and dc2.stats["dropped_dup"] == 0
+    net.inject("spines:cc1", dc2.name, OverlayForward(genuine, "cc1", mac))
+    sim.run_for(100)
+    assert [p for _, _, p in b.received] == ["trip"] and c.received == []
+
+
+def test_multicast_costs_one_token_however_many_destinations():
+    sim, net, overlay, endpoints, stacks = build_everywhere(
+        source_rate_per_ms=0.001, source_burst=4.0
+    )
+    # a fifth destination: a second endpoint next to the sender
+    neighbour = Endpoint("ep:cc1b", sim, net)
+    overlay.attach(neighbour, "cc1")
+    stacks["cc1"].multicast(
+        ["ep:cc1b", "ep:cc2", "ep:dc1", "ep:dc2", "ep:field"], "x"
+    )
+    sim.run_for(200)
+    assert all(
+        len(endpoint.received) == 1
+        for site, endpoint in endpoints.items() if site != "cc1"
+    )
+    assert len(neighbour.received) == 1
+    tokens, _ = overlay.daemon("cc1")._buckets["ep:cc1"]
+    assert tokens == 3.0
+    assert overlay.total_stats()["dropped_ratelimit"] == 0
+
+
+@pytest.mark.parametrize("mode", ["shortest", "disjoint"])
+def test_routed_overlay_multicasts_one_datagram_per_destination(mode):
+    sim, net, overlay, endpoints, stacks = build_everywhere(mode)
+    stacks["cc1"].multicast(["ep:cc2", "ep:dc1", "ep:dc2", "ep:field"], "x")
+    sim.run_for(200)
+    assert overlay.total_stats()["ingress"] == 4
+    for site in ("cc2", "dc1", "dc2", "field"):
+        assert [p for _, _, p in endpoints[site].received] == ["x"]
+
+
+@pytest.mark.parametrize("mode", ["shortest", "disjoint"])
+@pytest.mark.parametrize("dests", [(), ("ep:dc2", "ep:field")])
+def test_routed_overlay_drops_a_destination_set_at_ingress(mode, dests):
+    """Next-hop tables route towards one destination; an attached endpoint
+    that hand-builds anything else is refused like any malformed input."""
+    sim, net, overlay, endpoints, stacks = build_everywhere(mode)
+    data = OverlayData(origin="ep:cc1", dests=dests, seq=1, payload="x")
+    endpoints["cc1"].send("spines:cc1", OverlayIngress(data))
+    sim.run_for(200)
+    totals = overlay.total_stats()
+    assert totals["dropped_auth"] == 1
+    assert totals["ingress"] == totals["forwarded"] == totals["delivered"] == 0
+    assert all(endpoint.received == [] for endpoint in endpoints.values())
+
+
+def test_broadcasts_reach_the_overlay_as_one_datagram_each():
+    """Deployment level: on the flooding WAN every replica broadcast or
+    retransmission is one ingress datagram, every unicast one more."""
+    from repro.core import SpireDeployment, SpireOptions
+
+    deployment = SpireDeployment(SpireOptions.wan(seed=3, num_substations=3))
+    deployment.start()
+    deployment.run_for(2000)
+    registry = deployment.obs.registry
+    peers = len(deployment.replicas) - 1
+    # Prime sends each kind either only point-to-point or only to all peers
+    unicast_kinds = {
+        "Pong", "ReconRequest", "ReconReply", "OrderedRequest", "OrderedReply",
+        "StateReply",
+    }
+    prefix = "prime.send."
+    sends = {
+        name[len(prefix):]: registry.get(name).value
+        for name in registry.names() if name.startswith(prefix)
+    }
+    assert sends["Commit"] > 0 and sends["Pong"] > 0
+    broadcasts = sum(
+        value for kind, value in sends.items() if kind not in unicast_kinds
+    )
+    unicasts = sum(value for kind, value in sends.items() if kind in unicast_kinds)
+    assert broadcasts % peers == 0
+    # whatever else a replica hands its transport is a delivery to a client
+    overlay_sends = registry.get("prime.transport.overlay.sent").value
+    deliveries = overlay_sends - broadcasts - unicasts
+    assert deliveries == sum(r.deliveries_sent for r in deployment.replicas)
+    from_clients = deployment.proxy.stack._seq + sum(
+        hmi.stack._seq for hmi in deployment.hmis
+    )
+    assert deployment.overlay.total_stats()["ingress"] == (
+        broadcasts // peers + unicasts + deliveries + from_clients
+    )
