@@ -13,7 +13,10 @@ the :class:`SafetyMonitor` (agreement + exactly-once over the global
 order), and — for PBFT — per-replica double-execution bookkeeping.
 """
 
+import os
 import time
+
+import pytest
 
 from repro.chaos import (
     ChaosEngine,
@@ -36,6 +39,24 @@ SMOKE = dict(
 )
 SMOKE_SEEDS = range(25)
 WALL_BUDGET_S = 240.0
+
+DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
+
+#: the view-change path pinned at PYTHONHASHSEED=0 (recorded at the
+#: parent of PR 16, before the agreement/view-change twins were merged):
+#: seed -> (fingerprint, events processed) of ``leader_options(seed)``
+PINNED_PRIME_LEADER = {
+    2: ("d8d407712a2e10c057a8f1c467da33277f1eed76e1ba83a0f497a9e859f9932d",
+        52_568),
+    7: ("903de077957b869ecbcd318bc8e300a689ded3371332fd38e387db1ebaa195fa",
+        40_465),
+}
+#: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 goes
+#: seven views deep with three judged leader faults
+PINNED_PBFT_LEADER = {
+    1: "ea793c24f317974e96322b194aede45f2035c8354eaca00ba51792d9b817c254",
+    5: "43bea4359805ff04ca466d8e5507de51acaf2e556cd7fc0c726f8d0b6cad90b2",
+}
 
 
 def leader_options(seed: int) -> ChaosOptions:
@@ -124,3 +145,23 @@ def test_pbft_leader_chaos_deterministic():
     assert first.deterministic_stats == second.deterministic_stats
     assert [v.to_dict() for v in first.violations] == \
         [v.to_dict() for v in second.violations]
+
+
+@pytest.mark.skipif(
+    not DETERMINISTIC_HASHING, reason="fingerprints pinned at PYTHONHASHSEED=0"
+)
+@pytest.mark.parametrize("seed", sorted(PINNED_PRIME_LEADER))
+def test_prime_leader_fault_fingerprints_unchanged(seed):
+    fingerprint, events = PINNED_PRIME_LEADER[seed]
+    result = ChaosEngine(leader_options(seed)).run()
+    assert result.fingerprint == fingerprint
+    assert result.stats["events_processed"] == events
+
+
+@pytest.mark.skipif(
+    not DETERMINISTIC_HASHING, reason="fingerprints pinned at PYTHONHASHSEED=0"
+)
+@pytest.mark.parametrize("seed", sorted(PINNED_PBFT_LEADER))
+def test_pbft_leader_fault_fingerprints_unchanged(seed):
+    result = run_pbft_chaos(PbftChaosOptions(seed=seed))
+    assert result.fingerprint == PINNED_PBFT_LEADER[seed]
