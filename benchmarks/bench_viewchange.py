@@ -13,14 +13,16 @@ from the fault *firing* (against whoever leads at that instant) to a
 Each seeded run contributes one kill→adoption sample; the p50/p99 over
 the seed sweep is the committed number. The run doubles as a gate: any
 monitor violation (no quorum adoption in bound, ordering stalled,
-safety/exactly-once breach) fails the benchmark.
+safety/exactly-once breach) fails the benchmark, and — simulated
+milliseconds being exact at ``PYTHONHASHSEED=0`` — so does a full sweep
+whose summaries differ from the committed ``viewchange`` block.
 
 Usage::
 
-    python benchmarks/bench_viewchange.py                 # full sweep
-    python benchmarks/bench_viewchange.py --smoke         # CI-sized sweep
+    python benchmarks/bench_viewchange.py                 # full sweep, compared
+    python benchmarks/bench_viewchange.py --smoke         # quick look, no compare
     python benchmarks/bench_viewchange.py --record        # write baseline
-    python benchmarks/bench_viewchange.py --smoke --out viewchange_smoke.json
+    python benchmarks/bench_viewchange.py --out viewchange_run.json
 """
 
 from __future__ import annotations
@@ -154,10 +156,26 @@ def record(section: dict, path: str, emit) -> None:
     emit(f"recorded viewchange baseline -> {path}")
 
 
+def matches_committed(section: dict, path: str, emit) -> bool:
+    """Compare this run's summaries with the committed baseline."""
+    with open(path) as handle:
+        committed = json.load(handle).get("viewchange", {})
+    same = True
+    for protocol in ("prime", "pbft"):
+        if section[protocol] != committed.get(protocol):
+            same = False
+            emit(f"FAIL: {protocol} differs from the viewchange block of {path} "
+                 "(recorded at PYTHONHASHSEED=0):")
+            emit(f"  committed: {json.dumps(committed.get(protocol), sort_keys=True)}")
+            emit(f"  this run:  {json.dumps(section[protocol], sort_keys=True)}")
+    return same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help=f"CI-sized sweep ({SMOKE_SEEDS} seeds/protocol)")
+                        help=f"quick sweep ({SMOKE_SEEDS} seeds/protocol), "
+                             "not compared with the baseline")
     parser.add_argument("--record", action="store_true",
                         help="merge results into BENCH_core.json")
     parser.add_argument("--json", default=DEFAULT_OUTPUT)
@@ -202,6 +220,10 @@ def main(argv=None) -> int:
         return 1
     if not prime["samples"] or not pbft["samples"]:
         emit("FAIL: sweep produced no recovery samples (vacuous run)")
+        return 1
+    if not args.smoke and not args.record and not matches_committed(
+        section, args.json, emit
+    ):
         return 1
     emit("view-change recovery gate: OK")
     return 0

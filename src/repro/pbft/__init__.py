@@ -4,23 +4,11 @@ Used by the benchmarks as the comparison point for Prime's bounded-delay
 property (see DESIGN.md experiment F5/F9).
 """
 
-from .messages import (
-    ForwardedUpdate,
-    PbftCommit,
-    PbftNewView,
-    PbftPrepare,
-    PbftPrepared,
-    PbftPrePrepare,
-    PbftViewChange,
-)
+from .messages import ForwardedUpdate, PbftPrePrepare, PbftViewChange
 from .node import PbftConfig, PbftNode
 
 __all__ = [
     "ForwardedUpdate",
-    "PbftCommit",
-    "PbftNewView",
-    "PbftPrepare",
-    "PbftPrepared",
     "PbftPrePrepare",
     "PbftViewChange",
     "PbftConfig",

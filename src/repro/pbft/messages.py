@@ -1,20 +1,21 @@
-"""Wire messages for the PBFT-style baseline protocol."""
+"""Wire messages for the PBFT-style baseline protocol.
+
+Only what is the baseline's own: votes, prepared certificates and the
+NewView are the shared classes of :mod:`repro.replication.messages`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Tuple
 
-from ..prime.messages import ClientUpdate, SignedMessage
+from ..prime.messages import ClientUpdate
+from ..replication.messages import PreparedEntry, SignedMessage
 
 __all__ = [
     "PbftPrePrepare",
-    "PbftPrepare",
-    "PbftCommit",
     "PbftCheckpoint",
     "PbftViewChange",
-    "PbftNewView",
-    "PbftPrepared",
     "PbftFetch",
     "PbftOrderProof",
     "ForwardedUpdate",
@@ -38,22 +39,6 @@ class PbftPrePrepare:
 
 
 @dataclass(frozen=True)
-class PbftPrepare:
-    sender: str
-    view: int
-    seq: int
-    digest: str
-
-
-@dataclass(frozen=True)
-class PbftCommit:
-    sender: str
-    view: int
-    seq: int
-    digest: str
-
-
-@dataclass(frozen=True)
 class PbftCheckpoint:
     """Vote that the sender's state after executing ``seq`` has ``digest``."""
 
@@ -63,22 +48,11 @@ class PbftCheckpoint:
 
 
 @dataclass(frozen=True)
-class PbftPrepared:
-    """Prepared certificate carried in a view change."""
-
-    seq: int
-    view: int
-    digest: str
-    pre_prepare: SignedMessage                # SignedMessage[PbftPrePrepare]
-    proof: Tuple[SignedMessage, ...] = ()     # quorum of Prepare/Commit
-
-
-@dataclass(frozen=True)
 class PbftViewChange:
     sender: str
     new_view: int
     last_executed: int
-    prepared: Tuple[PbftPrepared, ...]
+    prepared: Tuple[PreparedEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -97,18 +71,9 @@ class PbftOrderProof:
 
     sender: str
     seq: int
-    view: int
-    digest: str
     pre_prepare: SignedMessage
-    proof: Tuple[SignedMessage, ...]
+    proof: Tuple[SignedMessage, ...]          # SignedMessage[Commit] x quorum
     #: the server's own execution frontier (last_executed) at serve time;
     #: tells the requester how far the catch-up loop still has to pull
     frontier: int = 0
 
-
-@dataclass(frozen=True)
-class PbftNewView:
-    leader: str
-    view: int
-    view_changes: Tuple[SignedMessage, ...]
-    pre_prepares: Tuple[SignedMessage, ...]

@@ -11,28 +11,22 @@ static request timeout. Two consequences the benchmarks demonstrate:
 * Even when the timeout does fire, latency spikes to the full timeout
   value before recovery.
 
-Scope: the baseline implements the three-phase ordering, batching,
-forwarding to the leader, timeout-driven view changes with deterministic
-re-proposal derivation and Byzantine-proof validation (prepared
-certificates are re-checked, a new leader's re-proposals are re-derived,
-and embedded pre-prepares must be the leader's own signatures — an
-equivocating new leader cannot rewrite history), checkpoint-based log
-truncation, and retransmission against loss. It does not implement state
-transfer — a replica that falls behind a stable checkpoint catches up by
-replaying retained slots; full snapshot transfer is exercised through
-Prime, which is the system under test.
+Scope: what is the baseline's own lives here — client forwarding to the
+leader, batching, the request timeout and its cascade rules, execution,
+checkpoint-based log truncation, and the fetch/retransmission cursor
+against loss. How a proposal is prepared, committed, carried through a
+view change, re-proposed and handed to a laggard is the shared
+:class:`~repro.replication.ordering.ThreePhaseAgreement` and
+:class:`~repro.replication.epoch.ViewChangeCore`, the same code Prime
+runs, configured by :data:`PBFT_AGREEMENT`. There is no state transfer:
+a replica that falls behind a stable checkpoint catches up by fetching
+retained commit-certified slots.
 
 Like Prime, the node rides on the shared
-:class:`~repro.replication.runtime.ReplicationRuntime` (envelope
-discipline, membership fan-out, send accounting), a
-:class:`~repro.replication.dispatch.Dispatcher` for typed routing with
-per-kind observability, :class:`~repro.replication.ordering.ThreePhaseSlot`
-for per-slot agreement state, and
-:class:`~repro.replication.epoch.EpochVoteTable` /
-:func:`~repro.replication.epoch.derive_reproposals` for its view-change
-bookkeeping. Head-of-line retransmission backs off through the shared
-:class:`~repro.replication.retry.RetrySchedule` instead of hammering at a
-fixed interval.
+:class:`~repro.replication.runtime.ReplicationRuntime` and
+:class:`~repro.replication.dispatch.Dispatcher`; head-of-line
+retransmission backs off through the shared
+:class:`~repro.replication.retry.RetrySchedule`.
 """
 
 from __future__ import annotations
@@ -53,37 +47,48 @@ from ..prime.app import ReplicatedApplication
 from ..prime.dedup import ClientDedup
 from ..prime.messages import ClientUpdate, verify_client_update
 from ..replication import (
+    AgreementSpec,
+    Commit,
     Dispatcher,
     DirectTransport,
-    EpochVoteTable,
+    NewView,
+    Prepare,
+    QuorumTracker,
     ReplicationRuntime,
     RetryPolicy,
     RetrySchedule,
     SignedMessage,
+    ThreePhaseAgreement,
     ThreePhaseSlot,
     Transport,
-    derive_reproposals,
-)
-from ..replication.quorum import (
-    QuorumTracker,
-    collect_valid_voters,
-    verify_certificate,
+    ViewChangeCore,
+    prepared_entries,
 )
 from ..simnet import Network, Process, Simulator
 from .messages import (
     ForwardedUpdate,
     PbftCheckpoint,
-    PbftCommit,
     PbftFetch,
-    PbftNewView,
     PbftOrderProof,
-    PbftPrepare,
-    PbftPrepared,
     PbftPrePrepare,
     PbftViewChange,
 )
 
-__all__ = ["PbftConfig", "PbftNode"]
+__all__ = ["PBFT_AGREEMENT", "PbftConfig", "PbftNode", "batch_digest"]
+
+
+def batch_digest(seq: int, batch: Tuple[ClientUpdate, ...]) -> str:
+    return digest((seq, tuple((u.client, u.client_seq, digest(u.payload))
+                              for u in batch)))
+
+
+PBFT_AGREEMENT = AgreementSpec(
+    pre_prepare=PbftPrePrepare,
+    view_change=PbftViewChange,
+    proposal_field="batch",
+    floor_field="last_executed",
+    digest=batch_digest,
+)
 
 
 class PbftConfig:
@@ -182,10 +187,9 @@ class PbftNode(Process):
         self._batch_timer_set = False
         self._next_seq = 1
         self._min_fresh_seq = 1
-        #: new_view -> sender -> signed PbftViewChange
-        self._view_changes = EpochVoteTable()
+        self.ordering = ThreePhaseAgreement(self, PBFT_AGREEMENT)
+        self.view_manager = ViewChangeCore(PBFT_AGREEMENT, config, name)
         self._sent_vc_for: set = set()
-        self._sent_nv_for: set = set()
         #: the signed NewView we last adopted (re-served to laggards)
         self._last_new_view: Optional[SignedMessage] = None
         #: checkpoint votes: seq -> digest -> sender -> signed vote
@@ -212,20 +216,18 @@ class PbftNode(Process):
 
     def _register_handlers(self) -> None:
         reg = self.dispatcher.register
+        sender = _sender_matches_signer
         reg(ForwardedUpdate, self._on_forwarded)
-        # PbftPrePrepare / PbftNewView keep their leader/signer checks
-        # in-handler: new-view replay re-enters _on_pre_prepare directly.
-        reg(PbftPrePrepare, self._on_pre_prepare)
-        reg(PbftPrepare, self._on_prepare, sender_check=_sender_matches_signer)
-        reg(PbftCommit, self._on_commit, sender_check=_sender_matches_signer)
-        reg(PbftCheckpoint, self._on_checkpoint,
-            sender_check=_sender_matches_signer)
-        reg(PbftFetch, self._on_fetch, sender_check=_sender_matches_signer)
-        reg(PbftOrderProof, self._on_order_proof,
-            sender_check=_sender_matches_signer)
-        reg(PbftViewChange, self._on_view_change,
-            sender_check=_sender_matches_signer)
-        reg(PbftNewView, self._on_new_view)
+        # Pre-prepares and NewViews are authenticated in-handler: NewView
+        # replay re-enters on_pre_prepare past the dispatcher.
+        reg(PbftPrePrepare, self.ordering.on_pre_prepare)
+        reg(Prepare, self.ordering.on_prepare, sender_check=sender)
+        reg(Commit, self.ordering.on_commit, sender_check=sender)
+        reg(PbftCheckpoint, self._on_checkpoint, sender_check=sender)
+        reg(PbftFetch, self._on_fetch, sender_check=sender)
+        reg(PbftOrderProof, self._on_order_proof, sender_check=sender)
+        reg(PbftViewChange, self._on_view_change, sender_check=sender)
+        reg(NewView, self._on_new_view)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -339,88 +341,13 @@ class PbftNode(Process):
     def _dispatch(self, signed: SignedMessage) -> None:
         self.dispatcher.dispatch(signed)
 
-    def _slot(self, seq: int) -> ThreePhaseSlot:
-        if seq not in self.slots:
-            self.slots[seq] = ThreePhaseSlot(seq)
-        return self.slots[seq]
-
-    @staticmethod
-    def _batch_digest(seq: int, batch: Tuple[ClientUpdate, ...]) -> str:
-        return digest((seq, tuple((u.client, u.client_seq, digest(u.payload))
-                                  for u in batch)))
-
-    def _on_pre_prepare(
-        self, signed: SignedMessage, msg: PbftPrePrepare, from_new_view: bool = False
-    ) -> None:
-        if msg.view != self.view or (self.in_view_change and not from_new_view):
-            return
-        if msg.leader != self.config.leader_of_view(msg.view):
-            return
-        if signed.signature.signer != msg.leader:
-            return
-        if msg.seq <= self.stable_seq:
-            return
-        if not from_new_view and msg.seq < self._min_fresh_seq:
-            return
-        slot = self._slot(msg.seq)
-        if msg.view in slot.pre_prepares:
-            return
-        slot.pre_prepares[msg.view] = signed
-        batch_digest = self._batch_digest(msg.seq, msg.batch)
-        # the leader's pre-prepare doubles as its prepare vote
-        slot.record_prepare(msg.view, batch_digest, msg.leader, signed)
-        if slot.should_vote_prepare(msg.view):
-            slot.prepared_vote = (msg.view, batch_digest)
-            self._broadcast(PbftPrepare(self.name, msg.view, msg.seq, batch_digest))
-        self._check_prepared(slot, msg.view, batch_digest)
-        self._check_ordered(slot, msg.view, batch_digest)
-
-    def _on_prepare(self, signed: SignedMessage, msg: PbftPrepare) -> None:
-        if msg.seq <= self.stable_seq:
-            return
-        slot = self._slot(msg.seq)
-        slot.record_prepare(msg.view, msg.digest, msg.sender, signed)
-        self._check_prepared(slot, msg.view, msg.digest)
-
-    def _check_prepared(
-        self, slot: ThreePhaseSlot, view: int, batch_digest: str
-    ) -> None:
-        if not slot.note_prepared(view, batch_digest, self.config.quorum):
-            return
-        if slot.should_vote_commit(view, batch_digest):
-            slot.committed_vote = (view, batch_digest)
-            self._broadcast(PbftCommit(self.name, view, slot.seq, batch_digest))
-
-    def _on_commit(self, signed: SignedMessage, msg: PbftCommit) -> None:
-        if msg.seq <= self.stable_seq:
-            return
-        slot = self._slot(msg.seq)
-        slot.record_commit(msg.view, msg.digest, msg.sender, signed)
-        self._check_ordered(slot, msg.view, msg.digest)
-
-    def _check_ordered(
-        self, slot: ThreePhaseSlot, view: int, batch_digest: str
-    ) -> None:
-        if slot.ordered is not None:
-            return
-        if len(slot.commit_voters(view, batch_digest)) < self.config.quorum:
-            return
-        pre_prepare = slot.pre_prepares.get(view)
-        if pre_prepare is None:
-            return
-        if self._batch_digest(slot.seq, pre_prepare.payload.batch) != batch_digest:
-            return
-        slot.ordered = (view, batch_digest, pre_prepare)
-        self._try_execute()
-
     def _try_execute(self) -> None:
         interval = self.config.checkpoint_interval
         while True:
             slot = self.slots.get(self.last_executed + 1)
             if slot is None or slot.ordered is None:
                 break
-            _, _, pre_prepare = slot.ordered
-            for update in pre_prepare.payload.batch:
+            for update in slot.ordered[2].payload.batch:
                 self._execute_update(update)
             self.last_executed += 1
             # Checkpoint exactly at the interval boundary, inside the
@@ -484,58 +411,18 @@ class PbftNode(Process):
             slot = self.slots.get(seq)
             if slot is None or slot.ordered is None:
                 continue
-            view, batch_digest, pre_prepare = slot.ordered
-            proof = slot.commit_certificate(view, batch_digest, self.config.quorum)
-            if proof is None:
-                continue
+            _, _, pre_prepare, proof = slot.ordered
             self._send_to(msg.sender, PbftOrderProof(
-                self.name, seq, view, batch_digest, pre_prepare, proof,
-                frontier=self.last_executed,
+                self.name, seq, pre_prepare, proof, frontier=self.last_executed,
             ))
 
     def _on_order_proof(self, signed: SignedMessage, msg: PbftOrderProof) -> None:
         if msg.seq <= self.last_executed:
             return
-        slot = self._slot(msg.seq)
-        if slot.ordered is not None:
-            return
-        pp_signed = msg.pre_prepare
-        pp = pp_signed.payload
-        if not isinstance(pp, PbftPrePrepare):
-            return
-        if pp.seq != msg.seq or pp.view != msg.view:
-            return
-        if pp.leader != self.config.leader_of_view(pp.view):
-            return
-        if pp_signed.signature.signer != pp.leader:
-            return
-        if not self.verify_signed(pp_signed):
-            return
-        if self._batch_digest(msg.seq, pp.batch) != msg.digest:
-            return
-        # A quorum of commits is transferable: any two quorums intersect
-        # in a correct replica, so a certified decision cannot conflict
-        # with anything we could still order locally — safe to install
-        # whatever view we are in.
-        ok = verify_certificate(
-            msg.proof,
-            quorum=self.config.quorum,
-            membership=self.config.replicas,
-            verify_signed=self.verify_signed,
-            expected_kind=PbftCommit,
-            check=lambda p: (
-                p.view == msg.view
-                and p.seq == msg.seq
-                and p.digest == msg.digest
-            ),
-            strict=False,
-        )
-        if not ok:
-            return
-        self._known_frontier = max(self._known_frontier, msg.frontier)
-        slot.pre_prepares.setdefault(msg.view, pp_signed)
-        slot.ordered = (msg.view, msg.digest, pp_signed)
-        self._try_execute()
+        if self.ordering.install_certified(
+            msg.seq, msg.pre_prepare, msg.proof, strict=False
+        ):
+            self._known_frontier = max(self._known_frontier, msg.frontier)
 
     # ------------------------------------------------------------------
     # Retransmission (bounded backoff over the shared RetrySchedule)
@@ -571,16 +458,7 @@ class PbftNode(Process):
         pre_prepare = slot.pre_prepares.get(self.view)
         if pre_prepare is not None:
             self.runtime.resend(pre_prepare, size_bytes=300)
-        if slot.committed_vote is not None:
-            view, batch_digest = slot.committed_vote
-            self._broadcast(
-                PbftCommit(self.name, view, slot.seq, batch_digest), include_self=False
-            )
-        elif slot.prepared_vote is not None:
-            view, batch_digest = slot.prepared_vote
-            self._broadcast(
-                PbftPrepare(self.name, view, slot.seq, batch_digest), include_self=False
-            )
+        self.ordering.rebroadcast_vote(slot)
 
     # ------------------------------------------------------------------
     # Timeout-based view change (the baseline's only defence)
@@ -617,21 +495,10 @@ class PbftNode(Process):
             self.obs.counter(
                 f"replication.view_changes_total.{self.name}").inc()
             self.obs.gauge(f"replication.view.{self.name}").set(float(new_view))
-        prepared = []
-        for seq in sorted(self.slots):
-            slot = self.slots[seq]
-            if seq <= self.last_executed:
-                continue
-            if slot.prepared_cert is None or slot.prepared_proof is None:
-                continue
-            view, batch_digest = slot.prepared_cert
-            pre_prepare = slot.pre_prepares.get(view)
-            if pre_prepare is None:
-                continue
-            prepared.append(
-                PbftPrepared(seq, view, batch_digest, pre_prepare, slot.prepared_proof)
-            )
-        vc = PbftViewChange(self.name, new_view, self.last_executed, tuple(prepared))
+        vc = PbftViewChange(
+            self.name, new_view, self.last_executed,
+            prepared_entries(self.slots, above=self.last_executed),
+        )
         self._broadcast(vc)
         self.set_timer(
             self.config.request_timeout_ms, self._view_change_timeout, new_view
@@ -653,75 +520,6 @@ class PbftNode(Process):
             return
         self._start_view_change(expected_view + 1)
 
-    @staticmethod
-    def _derive(view_changes: List[PbftViewChange]):
-        return derive_reproposals(
-            view_changes,
-            anchor_of=lambda vc: vc.last_executed,
-            entries_of=lambda vc: vc.prepared,
-            content_of=lambda entry: entry.pre_prepare.payload.batch,
-            empty=(),
-        )
-
-    # ------------------------------------------------------------------
-    # View-change validation (Byzantine-proof, mirrors Prime's)
-    # ------------------------------------------------------------------
-    def _validate_prepared(self, entry: PbftPrepared) -> bool:
-        """A prepared certificate binds (view, seq, digest) to the
-        pre-prepare content it claims: the embedded pre-prepare must be
-        the view leader's own signature over the batch whose digest the
-        quorum vouched for."""
-        pp_signed = entry.pre_prepare
-        pp = pp_signed.payload
-        if not isinstance(pp, PbftPrePrepare):
-            return False
-        if pp.seq != entry.seq or pp.view != entry.view:
-            return False
-        if pp.leader != self.config.leader_of_view(pp.view):
-            return False
-        if pp_signed.signature.signer != pp.leader:
-            return False
-        if not self.verify_signed(pp_signed):
-            return False
-        # Bind the claimed digest to the batch: without this a Byzantine
-        # replica could pair an honest certificate with a different batch
-        # and the re-proposal derivation (which reads the batch, not the
-        # digest) would rewrite history.
-        if self._batch_digest(entry.seq, pp.batch) != entry.digest:
-            return False
-        # Lenient voter scan: appended garbage must not invalidate honest
-        # votes; the leader's pre-prepare counts as its prepare vote.
-        voters = collect_valid_voters(
-            entry.proof,
-            membership=self.config.replicas,
-            verify_signed=self.verify_signed,
-            expected_kind=(PbftPrepare, PbftCommit),
-            check=lambda p: (
-                p.view == entry.view
-                and p.seq == entry.seq
-                and p.digest == entry.digest
-            ),
-            strict=False,
-            initial=(pp.leader,),
-        )
-        return voters is not None and len(voters) >= self.config.quorum
-
-    def _validate_view_change(
-        self, signed: SignedMessage, vc: PbftViewChange
-    ) -> bool:
-        if vc.sender != signed.signature.signer:
-            return False
-        if vc.sender not in self.config.replicas:
-            return False
-        seen_seqs = set()
-        for entry in vc.prepared:
-            if entry.seq in seen_seqs or entry.seq <= vc.last_executed:
-                return False
-            seen_seqs.add(entry.seq)
-            if not self._validate_prepared(entry):
-                return False
-        return True
-
     def _on_view_change(self, signed: SignedMessage, msg: PbftViewChange) -> None:
         if msg.new_view < self.view:
             # A replica still changing into a view we already passed (a
@@ -737,69 +535,30 @@ class PbftNode(Process):
                     self._last_new_view, peers=(msg.sender,), size_bytes=600
                 )
             return
-        if not self._validate_view_change(signed, msg):
+        if not self.view_manager.validate_view_change(
+            signed, msg, self.verify_signed
+        ):
             return
-        count = self._view_changes.record(msg.new_view, msg.sender, signed)
+        count = self.view_manager.add_view_change(signed, msg)
         if msg.new_view > self.view and count >= self.config.num_faults + 1:
             self._start_view_change(msg.new_view)
-        if (
-            self.config.leader_of_view(msg.new_view) == self.name
-            and count >= self.config.quorum
-            and msg.new_view not in self._sent_nv_for
-        ):
-            self._sent_nv_for.add(msg.new_view)
-            chosen = self._view_changes.chosen(msg.new_view, self.config.quorum)
-            _, proposals = self._derive([s.payload for s in chosen])
-            pre_prepares = tuple(
-                self.sign_message(PbftPrePrepare(self.name, msg.new_view, seq, batch))
-                for seq, batch in proposals
-            )
-            self._broadcast(
-                PbftNewView(self.name, msg.new_view, tuple(chosen), pre_prepares)
-            )
+        built = self.view_manager.build_new_view(msg.new_view, self.sign_message)
+        if built is not None:
+            self._broadcast(built[0])
 
-    def _on_new_view(self, signed: SignedMessage, msg: PbftNewView) -> None:
+    def _on_new_view(self, signed: SignedMessage, msg: NewView) -> None:
         if msg.view < self.view or (msg.view == self.view and not self.in_view_change):
             return
-        if msg.leader != self.config.leader_of_view(msg.view):
+        verified = self.view_manager.verify_new_view(
+            signed, msg, self.verify_signed
+        )
+        if verified is None:
             return
-        if signed.signature.signer != msg.leader:
-            return
-        senders = set()
-        payloads = []
-        for vc_signed in msg.view_changes:
-            vc = vc_signed.payload
-            if not isinstance(vc, PbftViewChange) or vc.new_view != msg.view:
-                return
-            if not self.verify_signed(vc_signed):
-                return
-            if not self._validate_view_change(vc_signed, vc):
-                return
-            senders.add(vc.sender)
-            payloads.append(vc)
-        if len(senders) < self.config.quorum:
-            return
-        _, expected = self._derive(payloads)
-        if len(expected) != len(msg.pre_prepares):
-            return
-        for (seq, batch), pp_signed in zip(expected, msg.pre_prepares):
-            pp = pp_signed.payload
-            if not isinstance(pp, PbftPrePrepare):
-                return
-            if pp.seq != seq or pp.batch != batch or pp.view != msg.view:
-                return
-            # Each re-proposal must be the new leader's own signature: a
-            # faulty new leader that equivocates (sends different signed
-            # batches to different replicas) fails the derivation check
-            # above; one that relays someone else's signatures fails here.
-            if pp.leader != msg.leader or pp_signed.signature.signer != msg.leader:
-                return
-            if not self.verify_signed(pp_signed):
-                return
+        pre_prepares, _, max_seq = verified
         self.view = msg.view
         self.in_view_change = False
         self._last_new_view = signed
-        self._min_fresh_seq = (expected[-1][0] if expected else self.last_executed) + 1
+        self._min_fresh_seq = max_seq + 1
         self._next_seq = max(self._next_seq, self._min_fresh_seq)
         # Restart the request timers (Castro-Liskov: the timer restarts
         # when a new view is installed): backlogged requests get a full
@@ -812,11 +571,12 @@ class PbftNode(Process):
         self.obs.event(self.name, EV_PBFT_NEW_VIEW, view=msg.view)
         if self.obs.enabled:
             self.obs.gauge(f"replication.view.{self.name}").set(float(msg.view))
-        for pp_signed in msg.pre_prepares:
-            self._on_pre_prepare(pp_signed, pp_signed.payload, from_new_view=True)
+        for pp_signed in pre_prepares:
+            self.ordering.on_pre_prepare(
+                pp_signed, pp_signed.payload, from_new_view=True
+            )
         # Adopted: drop vote bookkeeping for every view below this one.
-        self._view_changes.drop_below(self.view)
+        self.view_manager.garbage_collect(self.view)
         self._sent_vc_for = {v for v in self._sent_vc_for if v >= self.view}
-        self._sent_nv_for = {v for v in self._sent_nv_for if v >= self.view}
         # re-forward pending work to the new leader
         self._forward_tick()

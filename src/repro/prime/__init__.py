@@ -34,7 +34,7 @@ from .messages import (
     ViewChange,
 )
 from .node import PrimeNode, client_update_body, sign_client_update, verify_client_update
-from .state import OrderingSlot, OriginState
+from .state import OriginState
 from .suspect import SuspectMonitor
 from .viewchange import ViewChangeManager
 
@@ -72,7 +72,6 @@ __all__ = [
     "client_update_body",
     "sign_client_update",
     "verify_client_update",
-    "OrderingSlot",
     "OriginState",
     "SuspectMonitor",
     "ViewChangeManager",

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from ..replication.ordering import ThreePhaseSlot
 from .messages import ClientUpdate, SignedMessage, verify_client_updates_batch
-from .state import OrderingSlot
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import PrimeNode
@@ -59,7 +59,7 @@ class ExecutionCutoff:
             if node.last_executed_seq % node.config.checkpoint_interval_seqs == 0:
                 node.recovery.make_checkpoint(node.last_executed_seq)
 
-    def missing_for_slot(self, slot: OrderingSlot) -> List[Tuple[str, int]]:
+    def missing_for_slot(self, slot: ThreePhaseSlot) -> List[Tuple[str, int]]:
         node = self.node
         _, _, pre_prepare, _ = slot.ordered
         cutoffs = coverage_cutoffs(
@@ -73,7 +73,7 @@ class ExecutionCutoff:
                     missing.append((origin, po_seq))
         return missing
 
-    def execute_slot(self, slot: OrderingSlot) -> bool:
+    def execute_slot(self, slot: ThreePhaseSlot) -> bool:
         node = self.node
         missing = self.missing_for_slot(slot)
         if missing:

@@ -16,12 +16,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Tuple
 
 from ..obs import EV_NEW_VIEW, EV_SUSPECT, EV_VIEW_CHANGE_START
+from ..replication.epoch import prepared_entries
 from .messages import (
     CheckpointMsg,
     NewView,
     Ping,
     Pong,
-    PreparedEntry,
     SignedMessage,
     Suspect,
     ViewChange,
@@ -103,28 +103,12 @@ class LeadershipStage:
         node.monitor.reset_for_new_view()
         node._last_proposed_key = None
         node.obs.event(node.name, EV_VIEW_CHANGE_START, view=new_view)
-        prepared = []
-        for seq in sorted(node.slots):
-            slot = node.slots[seq]
-            if seq <= node.checkpoints.stable_seq:
-                continue
-            cert = slot.prepared_cert
-            if cert is None:
-                continue
-            view, cert_digest = cert
-            pp_signed = slot.pre_prepares.get(view)
-            proof = getattr(slot, "prepared_proof", None)
-            if pp_signed is None or proof is None:
-                continue
-            prepared.append(
-                PreparedEntry(seq, view, cert_digest, pp_signed, tuple(proof))
-            )
         vc = ViewChange(
             node.name,
             new_view,
             node.checkpoints.stable_seq,
             node.checkpoints.stable_proof,
-            tuple(prepared),
+            prepared_entries(node.slots, above=node.checkpoints.stable_seq),
         )
         node._last_vc_sent = vc
         node._broadcast(vc)
@@ -200,17 +184,11 @@ class LeadershipStage:
             and count >= node.config.num_faults + 1
         ):
             self.initiate_view_change(msg.new_view)
-        if (
-            node.config.leader_of_view(msg.new_view) == node.name
-            and count >= node.config.quorum
-            and msg.new_view not in node.view_manager.sent_new_view_for
-            and msg.new_view >= node.view
-        ):
-            built = node.view_manager.build_new_view(msg.new_view, node.sign_message)
-            if built is not None:
-                nv, _ = built
-                node._last_nv_sent = nv
-                node._broadcast(nv)
+        built = node.view_manager.build_new_view(msg.new_view, node.sign_message)
+        if built is not None:
+            nv, _ = built
+            node._last_nv_sent = nv
+            node._broadcast(nv)
 
     def on_new_view(self, signed: SignedMessage, msg: NewView) -> None:
         node = self.node

@@ -14,7 +14,13 @@ from typing import Any, Optional, Tuple
 
 from ..crypto.encoding import digest
 from ..crypto.provider import CryptoProvider, Signature
-from ..replication.messages import SignedMessage
+from ..replication.messages import (
+    Commit,
+    NewView,
+    Prepare,
+    PreparedEntry,
+    SignedMessage,
+)
 
 __all__ = [
     "ClientUpdate",
@@ -112,46 +118,12 @@ class PrePrepare:
 
 
 @dataclass(frozen=True)
-class Prepare:
-    sender: str
-    view: int
-    seq: int
-    digest: str
-
-
-@dataclass(frozen=True)
-class Commit:
-    sender: str
-    view: int
-    seq: int
-    digest: str
-
-
-@dataclass(frozen=True)
 class Suspect:
     """Accusation that the leader of ``view`` violates its TAT bound."""
 
     sender: str
     view: int
     reason: str
-
-
-@dataclass(frozen=True)
-class PreparedEntry:
-    """A prepared-but-possibly-unordered proposal carried in a ViewChange.
-
-    ``proof`` holds the prepare certificate: signed Prepare/Commit messages
-    from a quorum of replicas (the pre-prepare counts as the leader's
-    prepare). Without it, a Byzantine replica colluding with a Byzantine
-    future leader could fabricate a high-view entry and override a
-    committed proposal.
-    """
-
-    seq: int
-    view: int
-    digest: str
-    pre_prepare: SignedMessage                 # SignedMessage[PrePrepare]
-    proof: Tuple[SignedMessage, ...] = ()      # SignedMessage[Prepare|Commit]
 
 
 @dataclass(frozen=True)
@@ -162,16 +134,6 @@ class ViewChange:
     #: q signed CheckpointMsg proving checkpoint_seq is stable (empty for 0)
     checkpoint_proof: Tuple[SignedMessage, ...]
     prepared: Tuple[PreparedEntry, ...]
-
-
-@dataclass(frozen=True)
-class NewView:
-    """New leader's certificate: q ViewChanges plus re-proposals."""
-
-    leader: str
-    view: int
-    view_changes: Tuple[SignedMessage, ...]   # SignedMessage[ViewChange]
-    pre_prepares: Tuple[SignedMessage, ...]   # SignedMessage[PrePrepare] in seq order
 
 
 @dataclass(frozen=True)

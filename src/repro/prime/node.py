@@ -36,6 +36,7 @@ from ..replication import (
     Dispatcher,
     ReplicationRuntime,
     RetryPolicy,
+    ThreePhaseSlot,
     Transport,
     sender_field_check,
 )
@@ -74,7 +75,7 @@ from .messages import (
 from .ordering import OrderingStage
 from .preorder import PreOrderStage
 from .recovery import RecoveryStage
-from .state import OrderingSlot, OriginState
+from .state import OriginState
 from .suspect import SuspectMonitor
 from .viewchange import ViewChangeManager
 
@@ -168,7 +169,7 @@ class PrimeNode(Process):
         self.awaiting_state = False
         self.origin_id = f"{self.name}#{self._recoveries}"
         self.origins: Dict[str, OriginState] = {}
-        self.slots: Dict[int, OrderingSlot] = {}
+        self.slots: Dict[int, ThreePhaseSlot] = {}
         self.last_executed_seq = 0
         self.executed_counter = 0
         self.client_dedup = ClientDedup()
@@ -320,12 +321,9 @@ class PrimeNode(Process):
             self.origins[origin] = state
         return state
 
-    def _slot(self, seq: int) -> OrderingSlot:
-        slot = self.slots.get(seq)
-        if slot is None:
-            slot = OrderingSlot(seq)
-            self.slots[seq] = slot
-        return slot
+    @property
+    def stable_seq(self) -> int:
+        return self.checkpoints.stable_seq
 
     @property
     def is_leader(self) -> bool:

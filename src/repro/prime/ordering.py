@@ -3,11 +3,11 @@
 The second stage of the Prime pipeline: the leader of the current view
 periodically proposes a *matrix* of the latest signed PO-summaries (one
 per replica), and the replicas run pre-prepare/prepare/commit over the
-matrix digest. The per-slot vote state is the shared
-:class:`~repro.replication.ordering.ThreePhaseSlot` (specialised as
-:class:`~repro.prime.state.OrderingSlot`); this stage owns the Prime
-specifics — matrix validation, the leader's pre-prepare doubling as its
-prepare vote, and the turnaround-time samples fed to the suspect monitor.
+matrix digest. The agreement itself is the shared
+:class:`~repro.replication.ordering.ThreePhaseAgreement`; this stage
+adds the Prime specifics — the leader's proposals, matrix validation,
+the turnaround-time samples fed to the suspect monitor, and the
+higher-view evidence laggard rejoin feeds on.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from ..crypto.encoding import digest
-from .messages import Commit, PoSummary, Prepare, PrePrepare, SignedMessage
-from .state import OrderingSlot
+from ..replication.ordering import AgreementSpec, ThreePhaseAgreement
+from .messages import PoSummary, PrePrepare, SignedMessage, ViewChange
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import PrimeNode
 
-__all__ = ["OrderingStage", "slot_digest"]
+__all__ = ["OrderingStage", "PRIME_AGREEMENT", "slot_digest"]
 
 
 def slot_digest(seq: int, matrix: Tuple[SignedMessage, ...]) -> str:
@@ -34,11 +34,20 @@ def slot_digest(seq: int, matrix: Tuple[SignedMessage, ...]) -> str:
     return digest((seq, content))
 
 
-class OrderingStage:
+PRIME_AGREEMENT = AgreementSpec(
+    pre_prepare=PrePrepare,
+    view_change=ViewChange,
+    proposal_field="matrix",
+    floor_field="checkpoint_seq",
+    digest=slot_digest,
+)
+
+
+class OrderingStage(ThreePhaseAgreement):
     """Global ordering (three-phase agreement) for one replica."""
 
     def __init__(self, node: "PrimeNode") -> None:
-        self.node = node
+        super().__init__(node, PRIME_AGREEMENT)
 
     # ------------------------------------------------------------------
     # Leader proposals
@@ -62,9 +71,9 @@ class OrderingStage:
         node._broadcast(pre_prepare)
 
     # ------------------------------------------------------------------
-    # Replica side
+    # Agreement hooks
     # ------------------------------------------------------------------
-    def validate_matrix(self, matrix: Tuple[SignedMessage, ...]) -> bool:
+    def valid_proposal(self, matrix: Tuple[SignedMessage, ...]) -> bool:
         node = self.node
         seen = set()
         for entry in matrix:
@@ -80,93 +89,19 @@ class OrderingStage:
             seen.add(payload.sender)
         return True
 
-    def on_pre_prepare(
-        self, signed: SignedMessage, msg: PrePrepare, from_new_view: bool = False
-    ) -> None:
-        node = self.node
-        if msg.view > node.view:
-            node.note_higher_view(msg.leader, msg.view)
-        if msg.view != node.view or (node.in_view_change and not from_new_view):
-            return
-        if msg.leader != node.config.leader_of_view(msg.view):
-            return
-        if msg.seq <= node.checkpoints.stable_seq:
-            return
-        if not from_new_view and msg.seq < node._min_fresh_seq:
-            return
-        if not self.validate_matrix(msg.matrix):
-            return
-        slot = node._slot(msg.seq)
-        if msg.view in slot.pre_prepares:
-            return  # first proposal per (view, seq) wins
-        slot.pre_prepares[msg.view] = signed
-        proposal_digest = slot_digest(msg.seq, msg.matrix)
-        # The leader's pre-prepare counts as its prepare vote.
-        slot.record_prepare(msg.view, proposal_digest, msg.leader, signed)
+    def note_proposal(self, msg: PrePrepare) -> None:
         # Turnaround-time sample: did this proposal include our summary
         # (from our *current* incarnation)?
-        if msg.leader == node.config.leader_of_view(node.view):
-            own_seq = 0
-            for entry in msg.matrix:
-                if (
-                    entry.payload.sender == node.name
-                    and entry.payload.epoch == node._recoveries
-                ):
-                    own_seq = max(own_seq, entry.payload.summary_seq)
-            if own_seq:
-                node.monitor.note_pre_prepare(own_seq, node.simulator.now)
-        if slot.should_vote_prepare(msg.view):
-            slot.prepared_vote = (msg.view, proposal_digest)
-            node._broadcast(Prepare(node.name, msg.view, msg.seq, proposal_digest))
-        self.check_prepared(slot, msg.view, proposal_digest)
-        self.check_ordered(slot, msg.view, proposal_digest)
-
-    def on_prepare(self, signed: SignedMessage, msg: Prepare) -> None:
         node = self.node
-        if msg.view > node.view:
-            node.note_higher_view(msg.sender, msg.view)
-        if msg.seq <= node.checkpoints.stable_seq:
-            return
-        slot = node._slot(msg.seq)
-        slot.record_prepare(msg.view, msg.digest, msg.sender, signed)
-        self.check_prepared(slot, msg.view, msg.digest)
+        own_seq = 0
+        for entry in msg.matrix:
+            if (
+                entry.payload.sender == node.name
+                and entry.payload.epoch == node._recoveries
+            ):
+                own_seq = max(own_seq, entry.payload.summary_seq)
+        if own_seq:
+            node.monitor.note_pre_prepare(own_seq, node.simulator.now)
 
-    def check_prepared(
-        self, slot: OrderingSlot, view: int, proposal_digest: str
-    ) -> None:
-        node = self.node
-        if not slot.note_prepared(view, proposal_digest, node.config.quorum):
-            return
-        if slot.should_vote_commit(view, proposal_digest):
-            slot.committed_vote = (view, proposal_digest)
-            node._broadcast(Commit(node.name, view, slot.seq, proposal_digest))
-
-    def on_commit(self, signed: SignedMessage, msg: Commit) -> None:
-        node = self.node
-        if msg.view > node.view:
-            node.note_higher_view(msg.sender, msg.view)
-        if msg.seq <= node.checkpoints.stable_seq:
-            return
-        slot = node._slot(msg.seq)
-        slot.record_commit(msg.view, msg.digest, msg.sender, signed)
-        self.check_ordered(slot, msg.view, msg.digest)
-
-    def check_ordered(
-        self, slot: OrderingSlot, view: int, proposal_digest: str
-    ) -> None:
-        node = self.node
-        if slot.is_ordered:
-            return
-        proof = slot.commit_certificate(view, proposal_digest, node.config.quorum)
-        if proof is None:
-            return
-        pre_prepare = slot.pre_prepares.get(view)
-        if pre_prepare is None:
-            return
-        if slot_digest(slot.seq, pre_prepare.payload.matrix) != proposal_digest:
-            return
-        slot.ordered = (view, proposal_digest, pre_prepare, proof)
-        if slot.prepared_cert is None or slot.prepared_cert[0] < view:
-            slot.prepared_cert = (view, proposal_digest)
-            slot.prepared_proof = proof
-        node._try_execute()
+    def note_higher_view(self, sender: str, view: int) -> None:
+        self.node.note_higher_view(sender, view)

@@ -19,24 +19,20 @@ from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..crypto.encoding import digest
 from ..obs import EV_CHECKPOINT_STABLE, EV_NEW_VIEW, EV_RECOVERY_DONE
+from ..replication.ordering import ThreePhaseSlot
 from ..replication.quorum import collect_valid_voters
 from .messages import (
     CheckpointMsg,
-    Commit,
     OrderedReply,
     OrderedRequest,
     PoAck,
     PoRequest,
-    Prepare,
-    PrePrepare,
     ReconReply,
     ReconRequest,
     SignedMessage,
     StateReply,
     StateRequest,
 )
-from .ordering import slot_digest
-from .state import OrderingSlot
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import PrimeNode
@@ -93,7 +89,7 @@ class RecoveryStage:
     # Reconciliation
     # ------------------------------------------------------------------
     def request_recon(
-        self, missing: List[Tuple[str, int]], slot: OrderingSlot
+        self, missing: List[Tuple[str, int]], slot: ThreePhaseSlot
     ) -> None:
         """Pull certified pre-order data we lack from replicas that claim it."""
         node = self.node
@@ -272,18 +268,7 @@ class RecoveryStage:
                 node.runtime.resend(
                     own_pp, size_bytes=node._size_of(own_pp.payload)
                 )
-            if slot.committed_vote is not None:
-                view, vote_digest = slot.committed_vote
-                node._broadcast(
-                    Commit(node.name, view, slot.seq, vote_digest),
-                    include_self=False,
-                )
-            elif slot.prepared_vote is not None:
-                view, vote_digest = slot.prepared_vote
-                node._broadcast(
-                    Prepare(node.name, view, slot.seq, vote_digest),
-                    include_self=False,
-                )
+            node.ordering.rebroadcast_vote(slot)
 
     def on_ordered_request(self, signed: SignedMessage, msg: OrderedRequest) -> None:
         node = self.node
@@ -297,40 +282,9 @@ class RecoveryStage:
         node = self.node
         if msg.seq <= node.checkpoints.stable_seq or msg.seq <= node.last_executed_seq:
             return
-        slot = node._slot(msg.seq)
-        if slot.is_ordered:
-            return
-        pp_signed = msg.pre_prepare
-        pp = pp_signed.payload
-        if not isinstance(pp, PrePrepare) or pp.seq != msg.seq:
-            return
-        if pp.leader != node.config.leader_of_view(pp.view):
-            return
-        if pp_signed.signature.signer != pp.leader or not node.verify_signed(pp_signed):
-            return
-        if not node.ordering.validate_matrix(pp.matrix):
-            return
-        proposal_digest = slot_digest(msg.seq, pp.matrix)
-        senders = collect_valid_voters(
-            msg.commits,
-            membership=node.config.replicas,
-            verify_signed=node.verify_signed,
-            expected_kind=Commit,
-            check=lambda commit: (
-                commit.view == pp.view
-                and commit.seq == msg.seq
-                and commit.digest == proposal_digest
-            ),
-            strict=True,
+        node.ordering.install_certified(
+            msg.seq, msg.pre_prepare, msg.commits, strict=True
         )
-        if senders is None or len(senders) < node.config.quorum:
-            return
-        slot.pre_prepares[pp.view] = pp_signed
-        slot.ordered = (pp.view, proposal_digest, pp_signed, tuple(msg.commits))
-        if slot.prepared_cert is None or slot.prepared_cert[0] < pp.view:
-            slot.prepared_cert = (pp.view, proposal_digest)
-            slot.prepared_proof = tuple(msg.commits)
-        node._try_execute()
 
     # ------------------------------------------------------------------
     # State transfer

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..replication.ordering import ThreePhaseSlot
 from .messages import SignedMessage
 
-__all__ = ["OriginState", "OrderingSlot"]
+__all__ = ["OriginState"]
 
 
 @dataclass
@@ -51,11 +50,3 @@ class OriginState:
             for seq in [s for s in table if s <= below]:
                 del table[seq]
 
-
-@dataclass
-class OrderingSlot(ThreePhaseSlot):
-    """Global-ordering state for one (seq) slot.
-
-    Prime's specialisation of the shared three-phase slot: ``ordered`` is
-    ``(view, digest, signed PrePrepare, commit proof)``.
-    """

@@ -20,57 +20,34 @@ The flow is PBFT-style, adapted to Prime's matrix proposals:
 If the new leader stalls, the view-change timeout fires and replicas
 suspect it in turn, cascading to the next view.
 
-The per-epoch vote tables are shared
-:class:`~repro.replication.epoch.EpochVoteTable` instances and the
-re-proposal derivation delegates to
-:func:`~repro.replication.epoch.derive_reproposals`; Prime keeps only
-its validation rules and NewView construction here.
+Steps 2–4 are the shared
+:class:`~repro.replication.epoch.ViewChangeCore`; Prime adds step 1 —
+the Suspect vote table — and vouches for a ViewChange's floor with the
+checkpoint's quorum proof.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
-from ..replication.epoch import EpochVoteTable, derive_reproposals
-from ..replication.quorum import collect_valid_voters
+from ..replication.epoch import EpochVoteTable, ViewChangeCore
 from .config import PrimeConfig
-from .ordering import slot_digest
-from .messages import (
-    Commit,
-    NewView,
-    Prepare,
-    PreparedEntry,
-    PrePrepare,
-    SignedMessage,
-    Suspect,
-    ViewChange,
-)
+from .messages import SignedMessage, Suspect, ViewChange
+from .ordering import PRIME_AGREEMENT
 
 __all__ = ["ViewChangeManager"]
 
 
-class ViewChangeManager:
-    """Suspect/ViewChange/NewView bookkeeping for one replica.
-
-    The manager is deliberately node-agnostic: the owning ``PrimeNode``
-    passes in verification helpers and reacts to the returned decisions,
-    which keeps this logic unit-testable without a network.
-    """
+class ViewChangeManager(ViewChangeCore):
+    """Suspect/ViewChange/NewView bookkeeping for one replica."""
 
     def __init__(self, config: PrimeConfig, name: str) -> None:
-        self.config = config
-        self.name = name
+        super().__init__(PRIME_AGREEMENT, config, name)
         #: view -> sender -> signed Suspect
         self.suspects = EpochVoteTable()
-        #: new_view -> sender -> signed ViewChange
-        self.view_changes = EpochVoteTable()
         self.sent_suspect_for: set = set()
-        self.sent_new_view_for: set = set()
         self.highest_vc_started: int = 0
 
-    # ------------------------------------------------------------------
-    # Suspects
-    # ------------------------------------------------------------------
     def add_suspect(self, signed: SignedMessage, msg: Suspect, current_view: int
                     ) -> Tuple[bool, bool]:
         """Record a suspect. Returns (should_amplify, should_view_change).
@@ -93,166 +70,16 @@ class ViewChangeManager:
     def note_own_suspect(self, view: int) -> None:
         self.sent_suspect_for.add(view)
 
-    # ------------------------------------------------------------------
-    # ViewChange validation
-    # ------------------------------------------------------------------
-    def validate_view_change(
-        self, signed: SignedMessage, vc: ViewChange, verify_signed, verify_checkpoint
-    ) -> bool:
-        """Full validation of a ViewChange message.
-
-        ``verify_signed(signed) -> bool`` checks an envelope signature and
-        that the signer is a replica; ``verify_checkpoint(seq, proof) ->
-        bool`` checks a checkpoint quorum proof.
-        """
-        if vc.sender != signed.signature.signer:
-            return False
-        if vc.sender not in self.config.replicas:
-            return False
-        if vc.checkpoint_seq > 0 and not verify_checkpoint(
+    def floor_ok(self, vc: ViewChange, verify_checkpoint) -> bool:
+        """``verify_checkpoint(seq, proof) -> bool`` checks a checkpoint
+        quorum proof; genesis (seq 0) needs none."""
+        return vc.checkpoint_seq <= 0 or verify_checkpoint(
             vc.checkpoint_seq, vc.checkpoint_proof
-        ):
-            return False
-        seen_seqs = set()
-        for entry in vc.prepared:
-            if entry.seq in seen_seqs:
-                return False
-            seen_seqs.add(entry.seq)
-            if not self._validate_prepared_entry(entry, verify_signed):
-                return False
-        return True
-
-    def _validate_prepared_entry(self, entry: PreparedEntry, verify_signed) -> bool:
-        pp_signed = entry.pre_prepare
-        pp = pp_signed.payload
-        if not isinstance(pp, PrePrepare):
-            return False
-        if pp.seq != entry.seq or pp.view != entry.view:
-            return False
-        if pp.leader != self.config.leader_of_view(pp.view):
-            return False
-        if pp_signed.signature.signer != pp.leader:
-            return False
-        if not verify_signed(pp_signed):
-            return False
-        # Bind the claimed digest to the pre-prepare content: without this
-        # a Byzantine replica could pair an honestly-prepared digest (and
-        # its genuine certificate) with a *different* matrix, and the
-        # re-proposal derivation — which reads the matrix, not the digest —
-        # would rewrite history.
-        if slot_digest(entry.seq, pp.matrix) != entry.digest:
-            return False
-        # Prepare certificate: quorum of distinct replicas vouching
-        # (view, seq, digest); the leader's pre-prepare counts as one.
-        # Lenient scan: appended garbage must not invalidate honest votes.
-        voters = collect_valid_voters(
-            entry.proof,
-            membership=self.config.replicas,
-            verify_signed=verify_signed,
-            expected_kind=(Prepare, Commit),
-            check=lambda p: (
-                p.view == entry.view
-                and p.seq == entry.seq
-                and p.digest == entry.digest
-            ),
-            strict=False,
-            initial=(pp.leader,),
-        )
-        return voters is not None and len(voters) >= self.config.quorum
-
-    def add_view_change(self, signed: SignedMessage, vc: ViewChange) -> int:
-        """Store a validated ViewChange; returns the count for its view."""
-        return self.view_changes.record(vc.new_view, vc.sender, signed)
-
-    # ------------------------------------------------------------------
-    # NewView construction / verification
-    # ------------------------------------------------------------------
-    @staticmethod
-    def derive_re_proposals(
-        view_changes: List[ViewChange],
-    ) -> Tuple[int, List[Tuple[int, Tuple[SignedMessage, ...]]]]:
-        """Deterministically derive re-proposals from a ViewChange set.
-
-        Returns (start_seq, [(seq, matrix), ...]) where matrices for gap
-        sequences are empty tuples (no-ops).
-        """
-        return derive_reproposals(
-            view_changes,
-            anchor_of=lambda vc: vc.checkpoint_seq,
-            entries_of=lambda vc: vc.prepared,
-            content_of=lambda entry: entry.pre_prepare.payload.matrix,
-            empty=(),
         )
 
-    def build_new_view(
-        self, view: int, sign_pre_prepare
-    ) -> Optional[Tuple[NewView, int]]:
-        """Assemble a NewView from stored ViewChanges (new leader only).
-
-        ``sign_pre_prepare(PrePrepare) -> SignedMessage``. Returns
-        (new_view_message, max_seq) or None if below quorum.
-        """
-        if self.view_changes.count(view) < self.config.quorum:
-            return None
-        chosen = self.view_changes.chosen(view, self.config.quorum)
-        vcs = [signed.payload for signed in chosen]
-        start_seq, proposals = self.derive_re_proposals(vcs)
-        pre_prepares = tuple(
-            sign_pre_prepare(PrePrepare(self.name, view, seq, matrix))
-            for seq, matrix in proposals
-        )
-        max_seq = proposals[-1][0] if proposals else start_seq
-        nv = NewView(self.name, view, tuple(chosen), pre_prepares)
-        self.sent_new_view_for.add(view)
-        return nv, max_seq
-
-    def verify_new_view(
-        self, signed: SignedMessage, nv: NewView, verify_signed, verify_checkpoint
-    ) -> Optional[Tuple[List[SignedMessage], int, int]]:
-        """Verify a NewView end-to-end.
-
-        Returns (signed re-proposals, start_seq, max_seq) when valid,
-        else None.
-        """
-        if nv.leader != self.config.leader_of_view(nv.view):
-            return None
-        if signed.signature.signer != nv.leader:
-            return None
-        senders = set()
-        payloads = []
-        for vc_signed in nv.view_changes:
-            vc = vc_signed.payload
-            if not isinstance(vc, ViewChange) or vc.new_view != nv.view:
-                return None
-            if not verify_signed(vc_signed):
-                return None
-            if not self.validate_view_change(
-                vc_signed, vc, verify_signed, verify_checkpoint
-            ):
-                return None
-            senders.add(vc.sender)
-            payloads.append(vc)
-        if len(senders) < self.config.quorum:
-            return None
-        start_seq, expected = self.derive_re_proposals(payloads)
-        if len(expected) != len(nv.pre_prepares):
-            return None
-        for (seq, matrix), pp_signed in zip(expected, nv.pre_prepares):
-            pp = pp_signed.payload
-            if not isinstance(pp, PrePrepare):
-                return None
-            if pp.leader != nv.leader or pp.view != nv.view or pp.seq != seq:
-                return None
-            if pp.matrix != matrix:
-                return None
-            if pp_signed.signature.signer != nv.leader:
-                return None
-            if not verify_signed(pp_signed):
-                return None
-        max_seq = expected[-1][0] if expected else start_seq
-        return list(nv.pre_prepares), start_seq, max_seq
-
-    # ------------------------------------------------------------------
     def garbage_collect(self, below_view: int) -> None:
+        super().garbage_collect(below_view)
         self.suspects.drop_below(below_view)
-        self.view_changes.drop_below(below_view)
+        self.sent_suspect_for = {
+            v for v in self.sent_suspect_for if v >= below_view
+        }

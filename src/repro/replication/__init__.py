@@ -12,7 +12,9 @@ PBFT baseline) are built on, layered bottom-up:
   path: Prime state transfer, PBFT head-slot retransmission,
   client/proxy resubmission;
 * :mod:`~repro.replication.messages` — the :class:`SignedMessage`
-  envelope (authenticated links);
+  envelope (authenticated links) and the four messages both protocols
+  vote and change views with (:class:`Prepare`, :class:`Commit`,
+  :class:`PreparedEntry`, :class:`NewView`);
 * :mod:`~repro.replication.dispatch` — typed handler registration with
   sender authentication and per-kind receive counters/timing;
 * :mod:`~repro.replication.runtime` — :class:`ReplicationRuntime`:
@@ -22,46 +24,67 @@ PBFT baseline) are built on, layered bottom-up:
   (:class:`QuorumTracker`), threshold-share tracking toward combined
   signatures (:class:`ThresholdShareTracker`), and signed-certificate
   assembly/verification;
-* :mod:`~repro.replication.ordering` — the shared three-phase
-  (pre-prepare/prepare/commit) per-slot agreement state;
-* :mod:`~repro.replication.epoch` — view-change scaffolding: per-epoch
-  vote tables and the deterministic re-proposal derivation.
+* :mod:`~repro.replication.ordering` — the one three-phase agreement:
+  per-slot state (:class:`ThreePhaseSlot`) and the
+  pre-prepare/prepare/commit handlers, quorum transitions, served-slot
+  install and vote re-broadcast over it (:class:`ThreePhaseAgreement`);
+* :mod:`~repro.replication.epoch` — the one view-change core: per-epoch
+  vote tables, prepared-entry collection, prepared-certificate and
+  ViewChange validation, deterministic re-proposal derivation, NewView
+  build and verify (:class:`ViewChangeCore`).
+
+A protocol enters the last two as data — one frozen
+:class:`AgreementSpec` naming its pre-prepare and view-change classes,
+the fields holding the proposal and the floor, and its digest function —
+plus the few hooks it overrides; neither module branches on which
+protocol called it.
 
 Protocol packages (:mod:`repro.prime`, :mod:`repro.pbft`) mount their
 stage objects on these primitives; see DESIGN.md §8 for the layering.
 """
 
 from .dispatch import Dispatcher, sender_field_check
-from .epoch import EpochVoteTable, derive_reproposals
-from .messages import SignedMessage
-from .ordering import ThreePhaseSlot
+from .epoch import (
+    EpochVoteTable,
+    ViewChangeCore,
+    derive_reproposals,
+    prepared_entries,
+)
+from .messages import Commit, NewView, Prepare, PreparedEntry, SignedMessage
+from .ordering import AgreementSpec, ThreePhaseAgreement, ThreePhaseSlot
 from .quorum import (
     QuorumTracker,
     ThresholdShareTracker,
     assemble_certificate,
     collect_valid_voters,
-    verify_certificate,
 )
 from .retry import RetryPolicy, RetrySchedule
 from .runtime import ReplicationRuntime
 from .transport import DirectTransport, OverlayTransport, Transport
 
 __all__ = [
+    "AgreementSpec",
+    "Commit",
     "Dispatcher",
     "DirectTransport",
     "EpochVoteTable",
+    "NewView",
     "OverlayTransport",
+    "Prepare",
+    "PreparedEntry",
     "QuorumTracker",
     "ReplicationRuntime",
     "RetryPolicy",
     "RetrySchedule",
     "SignedMessage",
+    "ThreePhaseAgreement",
     "ThreePhaseSlot",
     "ThresholdShareTracker",
     "Transport",
+    "ViewChangeCore",
     "assemble_certificate",
     "collect_valid_voters",
     "derive_reproposals",
+    "prepared_entries",
     "sender_field_check",
-    "verify_certificate",
 ]

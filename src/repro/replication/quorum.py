@@ -14,8 +14,8 @@ transferable certificate. This module owns that shape once:
 * :func:`assemble_certificate` — the canonical certificate slice: the
   quorum-first voters in sender-name order, so every correct replica
   assembles the identical certificate from the same vote set;
-* :func:`collect_valid_voters` / :func:`verify_certificate` — the receive
-  side: re-check a certificate built elsewhere, either *strictly* (one
+* :func:`collect_valid_voters` — the receive side: re-check a
+  certificate built elsewhere, either *strictly* (one
   bad vote poisons the whole certificate — the rule for checkpoint and
   reconciliation proofs, whose senders claim the set is wholly valid) or
   *leniently* (bad votes are skipped — the rule for view-change prepared
@@ -38,7 +38,6 @@ __all__ = [
     "ThresholdShareTracker",
     "assemble_certificate",
     "collect_valid_voters",
-    "verify_certificate",
 ]
 
 
@@ -245,26 +244,3 @@ def collect_valid_voters(
             return None
     return voters
 
-
-def verify_certificate(
-    proof: Iterable[SignedMessage],
-    *,
-    quorum: int,
-    membership: Any,
-    verify_signed: Callable[[SignedMessage], bool],
-    expected_kind: Any,
-    check: Optional[Callable[[Any], bool]] = None,
-    strict: bool = True,
-    initial: Iterable[str] = (),
-) -> bool:
-    """True when ``proof`` carries a quorum of valid, distinct votes."""
-    voters = collect_valid_voters(
-        proof,
-        membership=membership,
-        verify_signed=verify_signed,
-        expected_kind=expected_kind,
-        check=check,
-        strict=strict,
-        initial=initial,
-    )
-    return voters is not None and len(voters) >= quorum

@@ -78,11 +78,20 @@ def test_protocol_packages_do_not_import_each_others_internals():
         assert "from ..pbft" not in path.read_text(), path
 
 
-def test_view_vote_tables_are_garbage_collected():
-    # Both protocols must drop view-change vote state below the adopted
-    # view after a new-view installs — the vote tables are the only
-    # unbounded-by-construction state on the view-change path.
-    pbft_text = pathlib.Path(repro.pbft.node.__file__).read_text()
-    assert "._view_changes.drop_below(" in pbft_text
-    leadership = SRC / "repro" / "prime" / "leadership.py"
-    assert ".garbage_collect(" in leadership.read_text()
+def test_agreement_and_view_change_are_written_once():
+    # Vote recording and re-proposal derivation happen in the shared
+    # core only; a protocol package that calls them has grown a twin.
+    # (That the vote state is garbage-collected is tested by behaviour,
+    # in test_replication_agreement.py.)
+    shared = SRC / "repro" / "replication"
+    for path in (SRC / "repro").rglob("*.py"):
+        if shared in path.parents:
+            continue
+        text = path.read_text()
+        for call in ("record_prepare(", "record_commit(", "derive_reproposals("):
+            assert call not in text, (path, call)
+    graph = _imports()
+    for module in ("repro.pbft.node", "repro.prime.viewchange"):
+        assert not any(
+            target.endswith(".collect_valid_voters") for target in graph[module]
+        ), module

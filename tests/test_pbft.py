@@ -195,8 +195,9 @@ def _signed(cluster, sender, payload):
 
 def _prepared_entry(cluster, seq=1, view=0, batch=None, proof_len=None,
                     digest=None):
-    from repro.pbft.messages import PbftPrepare, PbftPrepared, PbftPrePrepare
-    from repro.pbft.node import PbftNode
+    from repro.pbft.messages import PbftPrePrepare
+    from repro.pbft.node import batch_digest
+    from repro.replication import Prepare, PreparedEntry
 
     if batch is None:
         update = sign_client_update(
@@ -204,14 +205,14 @@ def _prepared_entry(cluster, seq=1, view=0, batch=None, proof_len=None,
         batch = (update,)
     leader = cluster.config.leader_of_view(view)
     pp_signed = _signed(cluster, leader, PbftPrePrepare(leader, view, seq, batch))
-    entry_digest = digest or PbftNode._batch_digest(seq, batch)
+    entry_digest = digest or batch_digest(seq, batch)
     voters = [n for n in cluster.config.replicas if n != leader]
     count = cluster.config.quorum - 1 if proof_len is None else proof_len
     proof = tuple(
-        _signed(cluster, name, PbftPrepare(name, view, seq, entry_digest))
+        _signed(cluster, name, Prepare(name, view, seq, entry_digest))
         for name in voters[:count]
     )
-    return PbftPrepared(seq, view, entry_digest, pp_signed, proof)
+    return PreparedEntry(seq, view, entry_digest, pp_signed, proof)
 
 
 def _vc_of(cluster, sender, new_view, entries, last_executed=0):
@@ -221,54 +222,60 @@ def _vc_of(cluster, sender, new_view, entries, last_executed=0):
     return _signed(cluster, sender, vc), vc
 
 
+def _validate(node, signed, vc):
+    return node.view_manager.validate_view_change(signed, vc, node.verify_signed)
+
+
 def test_viewchange_validation_accepts_valid(pbft):
     entry = _prepared_entry(pbft)
     signed, vc = _vc_of(pbft, "replica:2", 1, (entry,))
-    assert pbft.nodes[0]._validate_view_change(signed, vc)
+    assert _validate(pbft.nodes[0], signed, vc)
 
 
 def test_viewchange_validation_rejects_weak_proof(pbft):
     # one prepare + the leader's implied vote is far below quorum
     entry = _prepared_entry(pbft, proof_len=1)
     signed, vc = _vc_of(pbft, "replica:2", 1, (entry,))
-    assert not pbft.nodes[0]._validate_view_change(signed, vc)
+    assert not _validate(pbft.nodes[0], signed, vc)
 
 
 def test_viewchange_validation_rejects_digest_mismatch(pbft):
     # quorum vouched for a digest that does not match the batch content
     entry = _prepared_entry(pbft, digest="forged-digest")
     signed, vc = _vc_of(pbft, "replica:2", 1, (entry,))
-    assert not pbft.nodes[0]._validate_view_change(signed, vc)
+    assert not _validate(pbft.nodes[0], signed, vc)
 
 
 def test_viewchange_validation_rejects_wrong_leader_pre_prepare(pbft):
-    from repro.pbft.messages import PbftPrepared, PbftPrePrepare
-    from repro.pbft.node import PbftNode
+    from repro.pbft.messages import PbftPrePrepare
+    from repro.pbft.node import batch_digest
+    from repro.replication import PreparedEntry
 
     good = _prepared_entry(pbft)
     batch = good.pre_prepare.payload.batch
     # replica:3 is not the leader of view 0 but signs its pre-prepare
     evil_pp = _signed(pbft, "replica:3", PbftPrePrepare(
         "replica:3", 0, good.seq, batch))
-    forged = PbftPrepared(
-        good.seq, 0, PbftNode._batch_digest(good.seq, batch), evil_pp, good.proof)
+    forged = PreparedEntry(
+        good.seq, 0, batch_digest(good.seq, batch), evil_pp, good.proof)
     signed, vc = _vc_of(pbft, "replica:2", 1, (forged,))
-    assert not pbft.nodes[0]._validate_view_change(signed, vc)
+    assert not _validate(pbft.nodes[0], signed, vc)
 
 
 def test_viewchange_validation_rejects_sender_mismatch_and_dup_seqs(pbft):
     entry = _prepared_entry(pbft)
     signed, vc = _vc_of(pbft, "replica:2", 1, (entry,))
     relabeled = _signed(pbft, "replica:3", vc)   # signer != vc.sender
-    assert not pbft.nodes[0]._validate_view_change(relabeled, vc)
+    assert not _validate(pbft.nodes[0], relabeled, vc)
     dup_signed, dup_vc = _vc_of(pbft, "replica:2", 1, (entry, entry))
-    assert not pbft.nodes[0]._validate_view_change(dup_signed, dup_vc)
+    assert not _validate(pbft.nodes[0], dup_signed, dup_vc)
 
 
 def test_new_view_from_equivocating_leader_rejected(pbft):
     """A faulty new leader embedding a pre-prepare it did not sign (or
     one signed by someone else) must not be adopted."""
-    from repro.pbft.messages import PbftNewView, PbftPrePrepare
+    from repro.pbft.messages import PbftPrePrepare
+    from repro.replication import NewView
 
     node = pbft.nodes[2]
     vcs = []
@@ -277,7 +284,7 @@ def test_new_view_from_equivocating_leader_rejected(pbft):
         vcs.append(vc_signed)
     # leader of view 1 is replica:1; the embedded proposal is replica:3's
     evil_pp = _signed(pbft, "replica:3", PbftPrePrepare("replica:3", 1, 1, ()))
-    nv = PbftNewView("replica:1", 1, tuple(vcs), (evil_pp,))
+    nv = NewView("replica:1", 1, tuple(vcs), (evil_pp,))
     node._on_new_view(_signed(pbft, "replica:1", nv), nv)
     assert node.view == 0
     assert not node.in_view_change
@@ -328,8 +335,9 @@ def test_vote_table_gc_after_new_view():
     moved = [n for n in pbft.nodes if n.is_up and n.view >= 1]
     assert len(moved) >= pbft.config.quorum
     for node in moved:
-        assert all(epoch >= node.view for epoch in node._view_changes)
-        assert len(node._view_changes) <= 2
+        assert all(
+            epoch >= node.view for epoch in node.view_manager.view_changes)
+        assert len(node.view_manager.view_changes) <= 2
 
 
 def test_view_metrics_recorded():

@@ -14,6 +14,8 @@ from repro.prime import (
     ViewChange,
     ViewChangeManager,
 )
+from repro.prime.ordering import PRIME_AGREEMENT
+from repro.replication import derive_reproposals
 
 
 @pytest.fixture
@@ -156,7 +158,7 @@ def test_derive_re_proposals_highest_view_wins(setup):
         ViewChange("r2", 2, 0, (), (low,)),
         ViewChange("r3", 2, 0, (), (high,)),
     ]
-    start, proposals = ViewChangeManager.derive_re_proposals(vcs)
+    start, proposals = derive_reproposals(PRIME_AGREEMENT, vcs)
     assert start == 0
     assert proposals[-1][0] == 5
     assert proposals[-1][1] == high.pre_prepare.payload.matrix
@@ -165,8 +167,8 @@ def test_derive_re_proposals_highest_view_wins(setup):
 def test_derive_fills_gaps_with_noops(setup):
     config, crypto, manager, signed, verify = setup
     entry = make_prepared_entry(config, signed, seq=3)
-    start, proposals = ViewChangeManager.derive_re_proposals(
-        [ViewChange("r2", 1, 0, (), (entry,))]
+    start, proposals = derive_reproposals(
+        PRIME_AGREEMENT, [ViewChange("r2", 1, 0, (), (entry,))]
     )
     assert [seq for seq, _ in proposals] == [1, 2, 3]
     assert proposals[0][1] == ()  # gap -> no-op matrix
@@ -179,7 +181,7 @@ def test_derive_skips_below_checkpoint(setup):
         ViewChange("r2", 1, 10, (), (entry,)),   # checkpoint past the entry
         ViewChange("r3", 1, 0, (), ()),
     ]
-    start, proposals = ViewChangeManager.derive_re_proposals(vcs)
+    start, proposals = derive_reproposals(PRIME_AGREEMENT, vcs)
     assert start == 10
     assert proposals == []
 
@@ -188,8 +190,8 @@ def test_derive_deterministic(setup):
     config, crypto, manager, signed, verify = setup
     entries = [make_prepared_entry(config, signed, seq=s) for s in (2, 4)]
     vcs = [ViewChange("r2", 1, 0, (), tuple(entries))]
-    assert ViewChangeManager.derive_re_proposals(vcs) == \
-        ViewChangeManager.derive_re_proposals(vcs)
+    assert derive_reproposals(PRIME_AGREEMENT, vcs) == \
+        derive_reproposals(PRIME_AGREEMENT, vcs)
 
 
 def test_build_new_view_requires_quorum(setup):
@@ -306,78 +308,3 @@ def test_suspect_streak_across_views(setup):
         assert triggered, f"view {view} quorum did not trigger"
         manager.garbage_collect(view + 1)
     assert 0 not in manager.suspects and 1 not in manager.suspects
-
-
-# ----------------------------------------------------------------------
-# derive_re_proposals property tests
-# ----------------------------------------------------------------------
-
-def _random_vcs(config, signed, rng, new_view):
-    """Random ViewChanges: per sender, a random subset of seqs, each
-    prepared in a random view with view-distinct content."""
-    vcs = []
-    for index in range(2, 2 + rng.randint(2, config.quorum)):
-        entries = []
-        for seq in sorted(rng.sample(range(1, 10), rng.randint(0, 5))):
-            view = rng.randint(0, 3)
-            entries.append(make_prepared_entry(
-                config, signed, seq=seq, view=view,
-                matrix=make_matrix(signed, upto=100 * view + seq)))
-        vcs.append(ViewChange(f"r{index}", new_view, 0, (), tuple(entries)))
-    return vcs
-
-
-def test_derive_property_highest_view_wins(setup):
-    import random
-
-    config, crypto, manager, signed, verify = setup
-    rng = random.Random(7)
-    for _ in range(15):
-        vcs = _random_vcs(config, signed, rng, new_view=4)
-        start, proposals = ViewChangeManager.derive_re_proposals(vcs)
-        best = {}
-        for vc in vcs:
-            for entry in vc.prepared:
-                if entry.seq not in best or entry.view > best[entry.seq].view:
-                    best[entry.seq] = entry
-        for seq, matrix in proposals:
-            if seq in best:
-                assert matrix == best[seq].pre_prepare.payload.matrix, seq
-
-
-def test_derive_property_no_seq_gaps(setup):
-    import random
-
-    config, crypto, manager, signed, verify = setup
-    rng = random.Random(11)
-    for _ in range(15):
-        vcs = _random_vcs(config, signed, rng, new_view=4)
-        start, proposals = ViewChangeManager.derive_re_proposals(vcs)
-        seqs = [seq for seq, _ in proposals]
-        assert seqs == list(range(start + 1, start + 1 + len(seqs)))
-        prepared_seqs = {e.seq for vc in vcs for e in vc.prepared}
-        if prepared_seqs:
-            assert seqs and seqs[-1] == max(prepared_seqs)
-
-
-def test_derive_property_idempotent_replay(setup):
-    """Re-proposing the derived outcome and deriving again is a fixed
-    point: a second view change right after the first re-proposes the
-    same (seq, matrix) assignment, so replay cannot reorder history."""
-    import random
-
-    config, crypto, manager, signed, verify = setup
-    rng = random.Random(13)
-    for _ in range(10):
-        vcs = _random_vcs(config, signed, rng, new_view=4)
-        start, proposals = ViewChangeManager.derive_re_proposals(vcs)
-        replayed = []
-        for seq, matrix in proposals:
-            replayed.append(make_prepared_entry(
-                config, signed, seq=seq, view=4, matrix=matrix))
-        second = [
-            ViewChange(f"r{i}", 5, start, (), tuple(replayed))
-            for i in range(2, 5)
-        ]
-        start2, proposals2 = ViewChangeManager.derive_re_proposals(second)
-        assert (start2, proposals2) == (start, proposals)

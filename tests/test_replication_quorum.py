@@ -28,7 +28,7 @@ from repro.replication import (  # noqa: E402
 
 def _vote(sender: str) -> SignedMessage:
     # The tracker never inspects payload or signature; envelope checks
-    # happen in collect_valid_voters/verify_certificate.
+    # happen in collect_valid_voters.
     return SignedMessage(("vote", sender), None)
 
 
