@@ -1,11 +1,19 @@
 """Tests for the canonical encoding."""
 
+import gc
+import weakref
 from dataclasses import dataclass
+from hashlib import sha256
 
 import pytest
 
-from repro.crypto import EncodingError, digest, encode
+from repro.core import SpireDeployment, SpireOptions
+from repro.crypto import EncodingError, FastCrypto, Signature, digest, encode
+from repro.crypto import encoding, merkle, provider
 from repro.crypto.encoding import encode_cached
+from repro.replication.messages import SignedMessage
+from repro.spines import lan_topology
+from repro.spines.messages import OverlayData
 
 
 @dataclass(frozen=True)
@@ -108,3 +116,78 @@ def test_bool_not_confused_with_int():
 def test_deeply_nested_roundtrip_determinism():
     value = {"outer": [{"inner": (1, 2, frozenset(["x"]))}, Point(0, 0)]}
     assert encode(value) == encode(value)
+
+
+# --- what is derived from a message lives, and dies, with the message ---
+
+
+def _authenticate_every_way(message):
+    """Encode, digest, sign + verify and MAC ``message``; the provider is
+    returned so it outlives the message."""
+    crypto = FastCrypto(seed="lifetime")
+    assert encode_cached(message) == encode(message)
+    assert digest(message) == sha256(encode(message)).hexdigest()
+    assert crypto.verify(crypto.sign("a", message), message)
+    assert crypto.check_mac("b", "a", message, crypto.mac("a", "b", message))
+    return crypto
+
+
+def test_authenticated_message_dies_with_its_last_reference():
+    message = SignedMessage(Point(1, 2), Signature("a", "tag"))
+    crypto = _authenticate_every_way(message)
+    ref = weakref.ref(message)
+    del message
+    gc.collect()
+    assert ref() is None, "something still pins an authenticated message"
+    del crypto
+
+
+def test_authenticated_overlay_datagram_dies_with_its_last_reference():
+    # a slotted OverlayData cannot be weakly referenced itself; whatever
+    # pins the datagram pins its payload
+    payload = Point(3, 4)
+    datagram = OverlayData("a", ("b",), 1, payload)
+    crypto = _authenticate_every_way(datagram)
+    ref = weakref.ref(payload)
+    del payload, datagram
+    gc.collect()
+    assert ref() is None, "something still pins an authenticated datagram"
+    del crypto
+
+
+def _container_sizes(crypto):
+    """``len()`` of every module-level container of the crypto modules
+    and of every container attribute of the provider."""
+    sizes = {}
+    for module in (encoding, provider, merkle):
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                sizes[f"{module.__name__}.{name}"] = len(value)
+    for name, value in vars(crypto).items():
+        if hasattr(value, "__len__") and not isinstance(value, (str, bytes)):
+            sizes[f"FastCrypto.{name}"] = len(value)
+    return sizes
+
+
+def test_crypto_tables_are_flat_in_run_length():
+    """ROADMAP 3(c), first leg: what the crypto layer keeps is bounded by
+    message classes, principals and links — never by how long a
+    deployment has run."""
+    deployment = SpireDeployment(
+        SpireOptions.lan(
+            seed=3, num_substations=2, observability=False,
+            checkpoint_interval_seqs=10,
+        ),
+        topology=lan_topology(1),
+    )
+    deployment.start()
+    horizon_ms = 2000.0
+    deployment.run_for(horizon_ms)
+    assert min(r.stable_seq for r in deployment.replicas) > 0
+    early = _container_sizes(deployment.crypto)
+    deployment.run_for(2 * horizon_ms)
+    late = _container_sizes(deployment.crypto)
+    assert {name.rpartition(".")[2] for name, size in late.items() if size} <= {
+        "_DISPATCH", "_secrets", "_link_keys", "_groups",
+    }
+    assert late == early
