@@ -10,6 +10,11 @@ tuples/lists, dicts (sorted by key), frozensets (sorted), and dataclasses
 The encoding is injective on the supported domain, which is what
 unforgeability arguments need: two distinct messages never encode to the
 same bytes.
+
+:func:`encode_cached`, :func:`digest_bytes` and :func:`digest` keep what
+they derive on the message object itself (see ``_ENTRY``), so it lives
+exactly as long as the message does; this module holds no per-message
+table.
 """
 
 from __future__ import annotations
@@ -17,16 +22,14 @@ from __future__ import annotations
 import dataclasses
 import struct
 from hashlib import sha256 as _sha256
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 __all__ = [
     "encode",
     "encode_cached",
-    "encode_cache_stats",
     "digest",
     "digest_bytes",
     "EncodingError",
-    "IdentityMemo",
 ]
 
 class EncodingError(TypeError):
@@ -34,6 +37,7 @@ class EncodingError(TypeError):
 
 
 _PACK_D = struct.Struct(">d").pack
+_PACK_STR_HEAD = struct.Struct(">cI").pack
 
 #: exact-type -> encoder function; the per-value isinstance ladder the
 #: encoder used to walk was the single hottest code path under profile.
@@ -59,19 +63,10 @@ def _enc_float(value: Any, out: bytearray) -> None:
     out += b"f" + _PACK_D(value)
 
 
-#: rendered encodings of short strings; process names, message kinds and
-#: field constants recur in nearly every message (bounded, never evicted)
-_STR_BYTES: Dict[str, bytes] = {}
-
-
 def _enc_str(value: Any, out: bytearray) -> None:
-    cached = _STR_BYTES.get(value)
-    if cached is None:
-        data = value.encode("utf-8")
-        cached = b"s" + len(data).to_bytes(4, "big") + data
-        if len(value) <= 64 and len(_STR_BYTES) < 4096:
-            _STR_BYTES[value] = cached
-    out += cached
+    data = value.encode()
+    out += _PACK_STR_HEAD(b"s", len(data))
+    out += data
 
 
 def _enc_bytes(value: Any, out: bytearray) -> None:
@@ -149,13 +144,12 @@ def _compile_dataclass_encoder(cls: type) -> Any:
     fields = tuple(fields)
 
     def enc(value: Any, out: bytearray) -> None:
-        # a nested dataclass that was already encode_cached (a signed
-        # payload inside its envelope, say) appends its cached bytes
-        # instead of re-walking its fields; consult-only, so the memo's
-        # immutability contract is unchanged
-        entry = _ENCODE_MEMO.get(id(value), value)
+        # a nested dataclass that already carries its encoding (a signed
+        # payload inside its envelope, say) appends those bytes instead
+        # of having its fields walked again
+        entry = getattr(value, _ENTRY, None)
         if entry is not None:
-            out += entry[1]
+            out += entry[0]
             return
         out += header
         dispatch = _DISPATCH
@@ -217,122 +211,65 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
-class IdentityMemo:
-    """Two-generation identity-keyed memo.
-
-    Protocol messages are immutable (frozen dataclasses) and the same
-    object is signed once and verified/forwarded many times, so caching
-    derived values by object identity is both safe (each entry holds a
-    strong reference to the keyed object, preventing ``id`` reuse while
-    cached, and every lookup re-checks ``entry[0] is obj``) and very
-    effective.
-
-    Eviction is generational instead of a wholesale ``clear()``: when the
-    hot generation reaches ``cap``, it *becomes* the cold generation (the
-    previous cold one is dropped) and a fresh hot dict starts. A cold hit
-    promotes its entry back into the hot generation, so anything touched
-    within the last generation survives a flush — the seed
-    implementation's epoch clear used to evict entries that were still
-    live and hot, forcing immediate re-encodes of the working set.
-    """
-
-    __slots__ = ("cap", "hot", "cold", "flushes")
-
-    def __init__(self, cap: int = 60_000) -> None:
-        self.cap = cap
-        self.hot: Dict[Any, list] = {}
-        self.cold: Dict[Any, list] = {}
-        self.flushes = 0
-
-    def get(self, key: Any, obj: Any) -> Optional[list]:
-        """The entry for ``key`` if it still belongs to ``obj``, else None.
-
-        Entries are ``[obj, *derived]`` lists; callers own the layout of
-        the derived slots."""
-        entry = self.hot.get(key)
-        if entry is not None and entry[0] is obj:
-            return entry
-        entry = self.cold.get(key)
-        if entry is not None and entry[0] is obj:
-            if len(self.hot) >= self.cap:
-                self.flush()
-            self.hot[key] = entry
-            return entry
-        return None
-
-    def put(self, key: Any, entry: list) -> list:
-        if len(self.hot) >= self.cap:
-            self.flush()
-        self.hot[key] = entry
-        return entry
-
-    def flush(self) -> None:
-        """Age the hot generation to cold; drop the old cold generation."""
-        self.cold = self.hot
-        self.hot = {}
-        self.flushes += 1
-
-    def clear(self) -> None:
-        self.hot = {}
-        self.cold = {}
-
-    def __len__(self) -> int:
-        return len(self.hot) + len(self.cold)
-
-
-#: entry layout: [value, encoded bytes, raw digest | None, hex digest | None]
-#: (both digest slots lazy). One entry per message object is the whole
-#: authentication state of that object: everything that signs, MACs or
-#: Merkle-hashes it reads the encoding or the digest from here.
-_ENCODE_MEMO = IdentityMemo()
+#: the one attribute a message object carries for this module: its entry,
+#: ``[encoding, raw digest | None, hex digest | None, derived tags | None]``
+#: (all but the encoding lazy; the tags belong to ``FastCrypto``). The
+#: entry is the whole authentication state of that object — everything
+#: that signs, MACs or Merkle-hashes it reads the encoding or the digest
+#: from here — and it lives and dies with the object. That is safe because
+#: messages are immutable once built: ``dataclasses.replace`` and every
+#: constructor yield an object without an entry, which is encoded afresh.
+_ENTRY = "_enc"
+_set_entry = object.__setattr__
 
 
 def _entry_for(value: Any) -> list:
-    memo = _ENCODE_MEMO
-    key = id(value)
-    entry = memo.get(key, value)
+    """The entry ``value`` carries, made (and left on it) on first use.
+
+    A value that cannot hold an attribute (tuple, str, bytes, dict) gets
+    a fresh entry per call, pinned nowhere.
+    """
+    entry = getattr(value, _ENTRY, None)
     if entry is None:
-        entry = memo.put(key, [value, encode(value), None, None])
+        entry = [encode(value), None, None, None]
+        try:
+            _set_entry(value, _ENTRY, entry)
+        except AttributeError:
+            pass
     return entry
 
 
 def encode_cached(value: Any) -> bytes:
-    """Like :func:`encode`, memoized by object identity."""
-    return _entry_for(value)[1]
+    """Like :func:`encode`, kept on ``value`` after the first call."""
+    return _entry_for(value)[0]
 
 
 def digest_bytes(value: Any) -> bytes:
     """Raw 32-byte SHA-256 digest of the canonical encoding of ``value``.
 
-    Memoized by object identity alongside the encoding, so a message
-    object is encoded and hashed exactly once however many links MAC it;
-    a different object (a tampered copy, say) is encoded afresh.
+    Kept on the message beside its encoding, so a message object is
+    encoded and hashed exactly once however many links MAC it; a
+    different object (a tampered copy, say) is encoded afresh.
     """
-    # the per-hop MAC path lands here twice per forward: peek at the hot
-    # generation before paying for the general lookup
-    entry = _ENCODE_MEMO.hot.get(id(value))
-    if entry is None or entry[0] is not value:
-        entry = _entry_for(value)
-    raw = entry[2]
+    entry = _entry_for(value)
+    raw = entry[1]
     if raw is None:
-        entry[2] = raw = _sha256(entry[1]).digest()
+        entry[1] = raw = _sha256(entry[0]).digest()
     return raw
 
 
 def digest(value: Any) -> str:
     """Hex SHA-256 digest of the canonical encoding of ``value``.
 
-    The hex form of :func:`digest_bytes`, memoized with it, so the ~86
+    The hex form of :func:`digest_bytes`, kept with it, so the ~86
     digest/verify call sites across Prime, PBFT, Spines and the proxies
     hash any given message object exactly once.
     """
     entry = _entry_for(value)
-    hexdigest = entry[3]
+    hexdigest = entry[2]
     if hexdigest is None:
-        entry[3] = hexdigest = digest_bytes(value).hex()
+        raw = entry[1]
+        if raw is None:
+            entry[1] = raw = _sha256(entry[0]).digest()
+        entry[2] = hexdigest = raw.hex()
     return hexdigest
-
-
-def encode_cache_stats() -> Tuple[int, int, int]:
-    """(hot entries, cold entries, flushes) — for tests and diagnostics."""
-    return len(_ENCODE_MEMO.hot), len(_ENCODE_MEMO.cold), _ENCODE_MEMO.flushes

@@ -25,9 +25,9 @@ Link MACs
 A link MAC authenticates the 32-byte digest of a message, not its
 encoding: ``HMAC(pair_key, digest_bytes(message))`` in ``RealCrypto``,
 ``sha256(link_key || digest_bytes(message))`` in ``FastCrypto``. The
-digest is memoized per message object by :mod:`repro.crypto.encoding`, so
+digest is kept on the message object by :mod:`repro.crypto.encoding`, so
 a datagram flooded over many links is encoded and hashed once and each
-hop pays one 64-byte hash; the tag itself is never memoized — the sender
+hop pays one 64-byte hash; the tag itself is kept nowhere — the sender
 computes it and the receiver recomputes and ``compare_digest``s it. A
 tampered or substituted message is a different object, is encoded afresh,
 and yields a different digest.
@@ -51,7 +51,7 @@ from time import perf_counter as _perf_counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .encoding import IdentityMemo, digest_bytes, encode_cached
+from .encoding import _entry_for, digest_bytes, encode_cached
 from .rsa import RsaKeyPair, generate_keypair
 from .threshold import (
     PartialSignature,
@@ -286,10 +286,6 @@ class FastCrypto(CryptoProvider):
         self._groups: Dict[str, Tuple[int, int]] = {}
         #: derived secrets are pure functions of (seed, parts) — derive once
         self._secrets: Dict[Tuple[str, ...], bytes] = {}
-        #: identity-keyed tag memo: sign → verify on the same message
-        #: object re-derives nothing. Entry layout [message, tag]. Link
-        #: MACs are not in it: each is one hash over the cached digest.
-        self._tags = IdentityMemo()
         self._link_keys = _LinkKeys(seed)
 
     def _secret(self, *parts: str) -> bytes:
@@ -299,23 +295,29 @@ class FastCrypto(CryptoProvider):
             self._secrets[parts] = secret
         return secret
 
-    def _tag(self, signer: str, message: Any) -> str:
-        """Memoized hex ``sha256(secret(signer) || encoding)`` over a
-        message object."""
-        key = ("sig", signer, id(message))
-        entry = self._tags.get(key, message)
-        if entry is None:
-            tag = _sha256(
-                self._secret("sig", signer) + encode_cached(message)
+    def _derive(self, entry: list, *secret_parts: str) -> str:
+        """Hex ``sha256(secret(*secret_parts) || encoding)`` of the message
+        whose ``entry`` this is, kept in that entry so sign → verify and
+        share → combine on one message object hash once. The key carries
+        the seed: two providers never share a tag. Link MACs are not kept
+        here: each is one hash over the message's digest."""
+        tags = entry[3]
+        if tags is None:
+            tags = entry[3] = {}
+        key = (self.seed,) + secret_parts
+        tag = tags.get(key)
+        if tag is None:
+            tag = tags[key] = _sha256(
+                self._secret(*secret_parts) + entry[0]
             ).hexdigest()
-            entry = self._tags.put(key, [message, tag])
-        return entry[1]
+        return tag
 
     def sign(self, signer: str, message: Any) -> Signature:
-        return Signature(signer, self._tag(signer, message))
+        return Signature(signer, self._derive(_entry_for(message), "sig", signer))
 
     def verify(self, signature: Signature, message: Any) -> bool:
-        return self._tag(signature.signer, message) == signature.value
+        tag = self._derive(_entry_for(message), "sig", signature.signer)
+        return tag == signature.value
 
     def mac(self, src: str, dst: str, message: Any) -> bytes:
         return _sha256(self._link_keys[src, dst] + digest_bytes(message)).digest()
@@ -324,7 +326,10 @@ class FastCrypto(CryptoProvider):
         return hmac_module.compare_digest(self.mac(src, dst, message), tag)
 
     def sign_batch(self, signer: str, messages: Sequence[Any]) -> List[Signature]:
-        return [Signature(signer, self._tag(signer, message)) for message in messages]
+        return [
+            Signature(signer, self._derive(_entry_for(message), "sig", signer))
+            for message in messages
+        ]
 
     def create_threshold_group(self, group: str, players: int, threshold: int) -> None:
         existing = self._groups.get(group)
@@ -335,72 +340,45 @@ class FastCrypto(CryptoProvider):
     def threshold_parameters(self, group: str) -> Tuple[int, int]:
         return self._groups[group]
 
-    def _share_value(self, group: str, index: int, data: bytes) -> str:
-        # keyed on the encoding's identity: ``data`` comes from
-        # ``encode_cached``, so the same message yields the same bytes
-        # object and combine/verify hit instead of re-hashing per share
-        key = ("tshare", group, index, id(data))
-        entry = self._tags.get(key, data)
-        if entry is None:
-            value = _sha256(
-                self._secret("tshare", group, str(index)) + data
-            ).hexdigest()
-            entry = self._tags.put(key, [data, value])
-        return entry[1]
-
-    def _combined_value(self, group: str, data: bytes) -> str:
-        key = ("tsig", group, id(data))
-        entry = self._tags.get(key, data)
-        if entry is None:
-            value = _sha256(self._secret("tsig", group) + data).hexdigest()
-            entry = self._tags.put(key, [data, value])
-        return entry[1]
-
-    def threshold_sign_share(self, group: str, index: int, message: Any) -> ThresholdShare:
+    def _share_parts(self, group: str, index: int) -> Tuple[str, str, str]:
         players, _ = self._groups[group]
         if not 1 <= index <= players:
             raise ValueError(f"share index {index} out of range for group {group!r}")
-        return ThresholdShare(group, index, self._share_value(group, index, encode_cached(message)))
+        return "tshare", group, str(index)
+
+    def threshold_sign_share(self, group: str, index: int, message: Any) -> ThresholdShare:
+        parts = self._share_parts(group, index)
+        return ThresholdShare(group, index, self._derive(_entry_for(message), *parts))
 
     def threshold_sign_share_batch(
         self, group: str, index: int, messages: Sequence[Any]
     ) -> List[ThresholdShare]:
-        players, _ = self._groups[group]
-        if not 1 <= index <= players:
-            raise ValueError(f"share index {index} out of range for group {group!r}")
-        secret = self._secret("tshare", group, str(index))
-        shares: List[ThresholdShare] = []
-        for message in messages:
-            data = encode_cached(message)
-            key = ("tshare", group, index, id(data))
-            entry = self._tags.get(key, data)
-            if entry is None:
-                value = _sha256(secret + data).hexdigest()
-                entry = self._tags.put(key, [data, value])
-            shares.append(ThresholdShare(group, index, entry[1]))
-        return shares
+        parts = self._share_parts(group, index)
+        return [
+            ThresholdShare(group, index, self._derive(_entry_for(message), *parts))
+            for message in messages
+        ]
 
     def threshold_combine(
         self, group: str, message: Any, shares: Iterable[ThresholdShare]
     ) -> Optional[ThresholdSignature]:
         players, threshold = self._groups[group]
-        data = encode_cached(message)
+        entry = _entry_for(message)
         valid = {
             s.index
             for s in shares
             if s.group == group
             and 1 <= s.index <= players
-            and s.value == self._share_value(group, s.index, data)
+            and s.value == self._derive(entry, "tshare", group, str(s.index))
         }
         if len(valid) < threshold:
             return None
-        return ThresholdSignature(group, self._combined_value(group, data))
+        return ThresholdSignature(group, self._derive(entry, "tsig", group))
 
     def threshold_verify(self, signature: ThresholdSignature, message: Any) -> bool:
         if signature.group not in self._groups:
             return False
-        tag = self._combined_value(signature.group, encode_cached(message))
-        return signature.value == tag
+        return signature.value == self._derive(_entry_for(message), "tsig", signature.group)
 
 
 class TimedCrypto(CryptoProvider):

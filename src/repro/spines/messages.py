@@ -17,15 +17,17 @@ __all__ = [
 # The four data-path wrappers below are created for every application
 # message crossing the overlay, which puts their constructors on the
 # simulation hot path. They are treated as immutable after construction
-# (the crypto layer memoizes MACs and encodings by object identity) but
-# are deliberately *not* ``frozen=True``: a frozen dataclass pays an
+# but are deliberately *not* ``frozen=True``: a frozen dataclass pays an
 # ``object.__setattr__`` call per field on construction, several times
-# the cost of a plain attribute store. ``slots=True`` keeps instances
-# compact and attribute access fast. OverlayHello stays frozen — it is
+# the cost of a plain attribute store. ``slots=True`` keeps the three
+# envelopes compact and attribute access fast; OverlayData is the object
+# every link MAC digests, so it has an instance dict for the entry the
+# crypto layer leaves on it (its encoding and digest, see
+# ``repro.crypto.encoding``). OverlayHello stays frozen — it is
 # control-plane rate, not data rate.
 
 
-@dataclass(slots=True)
+@dataclass
 class OverlayData:
     """An end-to-end overlay datagram.
 

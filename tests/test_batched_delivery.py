@@ -2,6 +2,7 @@
 singleton batches, end-to-end convergence, and the collector's handling
 of corrupt shares and tampered entries."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -174,9 +175,7 @@ def test_tampered_entry_rejected_batchmates_released(updates, victim, survivors)
     assert honest.rejected_entries == 0
     # replace the victim's record with a forged one; its proof no longer
     # matches the signed root
-    forged = entries[victim].record.__class__(
-        **{**entries[victim].record.__dict__, "order_index": 999}
-    )
+    forged = dataclasses.replace(entries[victim].record, order_index=999)
     tampered = entries[:victim] + (
         BatchEntry(entries[victim].index, forged, entries[victim].proof),
     ) + entries[victim + 1:]

@@ -1,6 +1,9 @@
 """Tests for the canonical encoding."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import weakref
 from dataclasses import dataclass
 from hashlib import sha256
@@ -132,8 +135,17 @@ def _authenticate_every_way(message):
     return crypto
 
 
-def test_authenticated_message_dies_with_its_last_reference():
-    message = SignedMessage(Point(1, 2), Signature("a", "tag"))
+def _signed_message():
+    return SignedMessage(Point(1, 2), Signature("a", "tag"))
+
+
+def _overlay_datagram():
+    return OverlayData("a", ("b",), 1, Point(3, 4))
+
+
+@pytest.mark.parametrize("build", [_signed_message, _overlay_datagram])
+def test_authenticated_message_dies_with_its_last_reference(build):
+    message = build()
     crypto = _authenticate_every_way(message)
     ref = weakref.ref(message)
     del message
@@ -142,17 +154,75 @@ def test_authenticated_message_dies_with_its_last_reference():
     del crypto
 
 
-def test_authenticated_overlay_datagram_dies_with_its_last_reference():
-    # a slotted OverlayData cannot be weakly referenced itself; whatever
-    # pins the datagram pins its payload
-    payload = Point(3, 4)
-    datagram = OverlayData("a", ("b",), 1, payload)
-    crypto = _authenticate_every_way(datagram)
-    ref = weakref.ref(payload)
-    del payload, datagram
-    gc.collect()
-    assert ref() is None, "something still pins an authenticated datagram"
-    del crypto
+@pytest.mark.parametrize("build, change", [
+    (_signed_message, {"payload": Point(9, 9)}),
+    (_overlay_datagram, {"payload": Point(9, 9)}),
+    (_overlay_datagram, {"dests": ("b", "mallory")}),
+])
+def test_replaced_message_is_encoded_afresh(build, change):
+    """The tamper path of ``FailureInjector.corrupt_payload`` and
+    ``attacks/overlay_attacks.py``: a tampered copy never inherits the
+    victim's bytes, digest, signature or link MAC."""
+    victim = build()
+    crypto = _authenticate_every_way(victim)
+    signature, tag = crypto.sign("a", victim), crypto.mac("a", "b", victim)
+    tampered = dataclasses.replace(victim, **change)
+    assert encode_cached(tampered) == encode(tampered) != encode_cached(victim)
+    assert digest(tampered) != digest(victim)
+    assert not crypto.verify(signature, tampered)
+    assert not crypto.check_mac("a", "b", tampered, tag)
+    # an unchanged copy is a new object too, and agrees with the original
+    same = dataclasses.replace(victim)
+    assert same == victim and encode_cached(same) == encode_cached(victim)
+    assert crypto.verify(signature, same) and crypto.check_mac("a", "b", same, tag)
+
+
+@pytest.mark.parametrize("build", [_signed_message, _overlay_datagram])
+def test_copies_agree_with_the_original(build):
+    """``copy.copy`` and a pickle round trip (what ``repro.parallel`` does
+    to results) may or may not carry the entry along; either way they
+    hold the same field values, so they must yield the same bytes."""
+    message = build()
+    _authenticate_every_way(message)
+    for clone in (copy.copy(message), pickle.loads(pickle.dumps(message))):
+        assert clone is not message and clone == message
+        assert encode_cached(clone) == encode(clone) == encode(message)
+        assert digest(clone) == digest(message)
+
+
+def test_entry_is_invisible_to_dataclass_machinery():
+    message, pristine = _signed_message(), _signed_message()
+    _authenticate_every_way(message)
+    assert message == pristine and hash(message) == hash(pristine)
+    assert repr(message) == repr(pristine)
+    assert [f.name for f in dataclasses.fields(message)] == ["payload", "signature"]
+    assert dataclasses.asdict(message) == dataclasses.asdict(pristine)
+
+
+def test_two_providers_never_share_a_tag():
+    message = _signed_message()
+    one, other = FastCrypto(seed="one"), FastCrypto(seed="other")
+    signatures = [crypto.sign("a", message) for crypto in (one, other, one, other)]
+    assert signatures[0] == signatures[2] != signatures[1] == signatures[3]
+    assert one.verify(signatures[0], message) and other.verify(signatures[1], message)
+    assert not one.verify(signatures[1], message)
+    assert not other.verify(signatures[0], message)
+    for crypto in (one, other):
+        crypto.create_threshold_group("g", 4, 2)
+    shares = [one.threshold_sign_share("g", index, message) for index in (1, 2)]
+    assert one.threshold_verify(one.threshold_combine("g", message, shares), message)
+    assert other.threshold_combine("g", message, shares) is None
+
+
+def test_digest_of_an_uncacheable_value_encodes_it_once(monkeypatch):
+    calls = []
+    real_encode = encoding.encode
+    monkeypatch.setattr(
+        encoding, "encode", lambda value: calls.append(value) or real_encode(value)
+    )
+    value = (1, "a")
+    assert digest(value) == sha256(real_encode(value)).hexdigest()
+    assert calls == [value]
 
 
 def _container_sizes(crypto):

@@ -17,6 +17,7 @@ from repro.crypto import (
     ThresholdSignature,
     encode,
 )
+from repro.crypto.encoding import _entry_for
 
 
 def test_sign_verify_roundtrip(any_crypto):
@@ -65,10 +66,12 @@ def test_real_mac_is_hmac_over_the_message_digest():
 
 def test_fast_mac_is_recomputed_not_memoized():
     crypto = FastCrypto()
-    message = ("reading", 7, 1.5)
+    message = Signature("reading", 7)  # any frozen message: it keeps an entry
     tag = crypto.mac("a", "b", message)
     assert crypto.check_mac("b", "a", message, tag)
-    assert len(crypto._tags) == 0
+    encoding, raw_digest, _, derived_tags = _entry_for(message)
+    assert encoding == encode(message) and raw_digest is not None
+    assert derived_tags is None  # the receiver recomputed; nothing was kept
 
 
 def test_threshold_group_lifecycle(any_crypto):

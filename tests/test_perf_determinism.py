@@ -18,7 +18,6 @@ from typing import Tuple
 import pytest
 
 from repro.crypto import encoding
-from repro.crypto.encoding import IdentityMemo
 from repro.crypto.provider import FastCrypto
 from repro.simnet.engine import Simulator
 
@@ -194,53 +193,6 @@ class TestTimerSemantics:
         sim.run_until(2.0)
         with pytest.raises(Exception):
             timer.reschedule(-0.5)
-
-
-class TestTwoGenerationMemo:
-    def test_flush_keeps_recently_touched_entries(self):
-        """A flush ages hot→cold instead of dropping everything; entries
-        touched since the previous flush survive (the seed epoch-clear
-        evicted the live working set)."""
-        memo = IdentityMemo(cap=4)
-        objs = [object() for _ in range(4)]
-        for i, obj in enumerate(objs):
-            memo.put(id(obj), [obj, i])
-        hot_obj = objs[0]
-        overflow = object()
-        memo.put(id(overflow), [overflow, "new"])  # triggers flush
-        assert memo.flushes == 1
-        # previous generation still readable (cold), and the hit promotes
-        entry = memo.get(id(hot_obj), hot_obj)
-        assert entry is not None and entry[1] == 0
-        assert id(hot_obj) in memo.hot
-
-    def test_cold_hit_promotion_survives_next_flush(self):
-        memo = IdentityMemo(cap=2)
-        keeper = object()
-        memo.put(id(keeper), [keeper, "keep"])
-        filler1 = object()
-        memo.put(id(filler1), [filler1, 1])
-        filler2 = object()
-        memo.put(id(filler2), [filler2, 2])  # flush #1: keeper now cold
-        assert memo.get(id(keeper), keeper) is not None  # promote
-        filler3 = object()
-        memo.put(id(filler3), [filler3, 3])  # flush #2
-        assert memo.get(id(keeper), keeper) is not None  # still alive
-
-    def test_untouched_entries_die_after_two_flushes(self):
-        memo = IdentityMemo(cap=1)
-        stale, fill1, fill2 = object(), object(), object()
-        memo.put(id(stale), [stale, "stale"])
-        memo.put(id(fill1), [fill1, 1])  # flush #1 → stale cold
-        memo.put(id(fill2), [fill2, 2])  # flush #2 → stale dropped
-        assert memo.get(id(stale), stale) is None
-
-    def test_identity_recheck_rejects_reused_ids(self):
-        memo = IdentityMemo(cap=8)
-        obj = object()
-        memo.put(id(obj), [obj, "v"])
-        impostor = object()
-        assert memo.get(id(obj), impostor) is None
 
 
 class TestEncodingAndCryptoParity:
