@@ -220,7 +220,6 @@ def encode(value: Any) -> bytes:
 #: messages are immutable once built: ``dataclasses.replace`` and every
 #: constructor yield an object without an entry, which is encoded afresh.
 _ENTRY = "_enc"
-_set_entry = object.__setattr__
 
 
 def _entry_for(value: Any) -> list:
@@ -233,7 +232,7 @@ def _entry_for(value: Any) -> list:
     if entry is None:
         entry = [encode(value), None, None, None]
         try:
-            _set_entry(value, _ENTRY, entry)
+            object.__setattr__(value, _ENTRY, entry)
         except AttributeError:
             pass
     return entry
