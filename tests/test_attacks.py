@@ -14,6 +14,7 @@ from repro.attacks import (
     make_slow_proposer,
 )
 from repro.core import BreakerCommand, DeliveryRecord, SpireDeployment, SpireOptions
+from repro.core.update import BatchDeliveryShare
 from repro.prime.messages import PrePrepare
 
 
@@ -62,6 +63,34 @@ def test_forged_delivery_never_executed(deployment):
     # one replica's shares are below the f+1 threshold: breaker untouched
     assert grid.breaker_closed(substation, breaker_id) is True
     assert deployment.proxy.collector.pending_records >= 1
+
+
+def test_forger_sends_to_subscribers_then_the_targeted_proxy(deployment):
+    grid = deployment.grid
+    substation = sorted(grid.substations)[0]
+    breaker_id = sorted(grid.substations[substation].breakers)[0]
+    replica = deployment.replicas[1]
+    record = DeliveryRecord(
+        kind="command", client="hmi:0", client_seq=999_999,
+        order_index=999_999,
+        payload=BreakerCommand(substation, breaker_id, close=False,
+                               issued_by="attacker"),
+    )
+    forged = []
+    send = replica.transport.send
+
+    def spy(dst, payload, size_bytes=256):
+        if isinstance(payload, BatchDeliveryShare) and \
+                payload.record.origin == "forged":
+            forged.append(dst)
+        return send(dst, payload, size_bytes=size_bytes)
+
+    replica.transport.send = spy
+    stop = make_delivery_forger(replica, lambda: record, interval_ms=100.0)
+    deployment.run_for(150)
+    stop()
+    assert forged == [*replica.subscribers, "proxy:field"]
+    assert replica.subscribers == ["hmi:0"]
 
 
 def test_two_colluding_forgers_would_reach_threshold_doc(deployment):

@@ -85,3 +85,64 @@ def test_no_backup_configuration():
     dep.run_for(500)
     assert dep.backup is None
     assert len(dep.primary.latest_status) == 2
+
+
+# ----------------------------------------------------------------------
+# Crash windows and dead devices: the baseline polls like Spire's proxy
+# ----------------------------------------------------------------------
+
+def test_proxy_polls_again_after_crash_window(deployment):
+    proxy = deployment.proxy
+    proxy.crash()
+    deployment.run_for(500)
+    proxy.recover()
+    sent_at_recovery = proxy.status_sent
+    seq_at_recovery = deployment.primary.latest_status["sub1"].poll_seq
+    deployment.run_for(2000)
+    assert proxy.status_sent > sent_at_recovery
+    for master in (deployment.primary, deployment.backup):
+        assert master.latest_status["sub1"].poll_seq > seq_at_recovery
+
+
+def test_primary_heartbeats_again_after_crash_window(deployment):
+    primary, backup = deployment.primary, deployment.backup
+    primary.crash()
+    deployment.run_for(500)  # shorter than the failover timeout
+    primary.recover()
+    recovered_at = deployment.simulator.now
+    deployment.run_for(3000)
+    assert backup._last_peer_heartbeat > recovered_at
+    assert backup.is_primary is False
+
+
+def test_backup_failover_check_survives_its_own_crash_window(deployment):
+    backup = deployment.backup
+    backup.crash()
+    deployment.run_for(500)
+    backup.recover()
+    deployment.primary.crash()
+    deployment.run_for(5000)
+    assert backup.is_primary is True
+
+
+def test_dead_rtu_times_out_and_is_not_polled_twice_at_once():
+    dep = TraditionalDeployment(num_substations=3, seed=2, poll_interval_ms=20.0)
+    dead = dep.rtus[sorted(dep.rtus)[0]]
+    requests = []
+
+    def spy(src, dst, payload):
+        if dst == dead.name:
+            requests.append(dep.simulator.now)
+        return payload
+
+    dep.network.add_filter(spy)
+    dead.crash()
+    dep.start()
+    dep.run_for(1000)
+    assert dep.proxy.polls_timed_out > 0
+    # one transaction in flight at a time: the next request waits for the
+    # 50 ms device timeout, it does not ride every 20 ms poll tick
+    assert all(b - a > 50.0 for a, b in zip(requests, requests[1:]))
+    assert len(requests) >= 10
+    # the live devices are unaffected
+    assert dep.primary.latest_status[sorted(dep.rtus)[1]].poll_seq > 20

@@ -315,6 +315,37 @@ def test_region_resolver_routes_commands_to_owning_proxy():
     assert replica._proxy_for("nowhere/s0") is None
 
 
+def test_forged_command_reaches_only_the_proxy_it_targets():
+    """A compromised replica's forged breaker command is routed like a
+    genuine one: to the region proxy fronting the substation it names,
+    where one share stays below the f+1 threshold forever."""
+    from repro.attacks import make_delivery_forger
+    from repro.core.update import BreakerCommand, DeliveryRecord
+
+    deployment = SpireDeployment(_small_fleet_options())
+    east, west = deployment.fleet_topology.regions
+    slot = west.slots[0]
+    breaker_id = f"{slot.substation}->{west.source}"
+
+    def fake_record():
+        return DeliveryRecord(
+            kind="command", client="hmi:0", client_seq=999_999,
+            order_index=999_999,
+            payload=BreakerCommand(slot.substation, breaker_id, close=False,
+                                   issued_by="attacker"),
+        )
+
+    deployment.start()
+    make_delivery_forger(deployment.replicas[1], fake_record, interval_ms=100.0)
+    deployment.run_for(1500.0)
+    east_proxy, west_proxy = deployment.region_proxies
+    assert west_proxy.collector.pending_records >= 1
+    assert east_proxy.collector.pending_records == 0
+    # never executed: the device is materialized by its polls, and its
+    # breaker is still closed
+    assert west.grid.breaker_closed(slot.substation, breaker_id) is True
+
+
 def test_fleet_traffic_driver_requires_hmis():
     topology = generate_fleet(FleetSpec.sized(8, num_regions=2), seed=1)
     with pytest.raises(ValueError, match="at least one HMI"):
