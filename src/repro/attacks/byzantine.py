@@ -12,7 +12,7 @@ uses it when a compromised replica is proactively recovered).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable
 
 from ..crypto.provider import ThresholdShare
 from ..pbft.messages import PbftPrePrepare
@@ -186,7 +186,7 @@ def make_delivery_forger(
     trick proxies into operating breakers), each as a one-entry batch with
     a valid Merkle proof. With threshold f+1 and only f compromised
     replicas, the forged batch can never be combined."""
-    from ..core.update import BatchDeliveryShare, batch_of_records
+    from ..core.update import BatchDeliveryShare, BreakerCommand, batch_of_records
 
     def forge() -> None:
         record = fake_record_factory()
@@ -196,9 +196,13 @@ def make_delivery_forger(
             replica.threshold_group, replica.share_index, batch
         )
         delivery = BatchDeliveryShare(replica.name, batch, share, entries)
-        targets = list(replica.subscribers) + list(
-            set(replica.proxy_of_substation.values())
-        )
+        # routed like a genuine record: every subscriber, then the proxy
+        # fronting the substation a breaker command names
+        targets = list(replica.subscribers)
+        if isinstance(record.payload, BreakerCommand):
+            proxy = replica.proxy_resolver(record.payload.substation)
+            if proxy is not None:
+                targets.append(proxy)
         for target in targets:
             replica.transport.send(target, delivery, size_bytes=350)
 

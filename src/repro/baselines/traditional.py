@@ -7,8 +7,9 @@ controls the master host controls every breaker in the field. The
 red-team benchmark compromises it and measures the grid damage, then runs
 the same campaign against Spire.
 
-The data path mirrors Spire's (same Modbus polling, same grid), so the
-comparison isolates the architecture, not the workload.
+The data path is Spire's — the same :mod:`repro.scada.poller` master over
+the same radial field — so the comparison isolates the architecture, not
+the workload.
 """
 
 from __future__ import annotations
@@ -17,18 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import EventLog
-from ..scada.grid import PowerGrid, build_radial_grid
-from ..scada.modbus import (
-    ReadCoilsRequest,
-    ReadCoilsResponse,
-    ReadRequest,
-    ReadResponse,
-    WriteCoilRequest,
-    WriteCoilResponse,
-    encode_frame,
-    unscale_measurement,
-)
-from ..scada.rtu import MEASUREMENT_ORDER, RtuDevice
+from ..scada.poller import DeviceBinding, ModbusPoller, build_radial_field
 from ..simnet import LinkSpec, Network, Process, Simulator
 
 __all__ = [
@@ -76,7 +66,25 @@ class TOperatorCommand:
     close: bool
 
 
-class TraditionalMaster(Process):
+class _Endpoint(Process):
+    """A process whose periodic timers are armed by :meth:`start` and,
+    because timers do not survive a crash, again on recovery."""
+
+    _started = False
+
+    def start(self) -> None:
+        self._started = True
+        self._arm()
+
+    def on_recover(self) -> None:
+        if self._started:
+            self._arm()
+
+    def _arm(self) -> None:
+        raise NotImplementedError
+
+
+class TraditionalMaster(_Endpoint):
     """Single (or hot-standby) SCADA master."""
 
     def __init__(
@@ -103,7 +111,7 @@ class TraditionalMaster(Process):
         self.compromised = False
         self._last_peer_heartbeat = 0.0
 
-    def start(self) -> None:
+    def _arm(self) -> None:
         self.every(self.heartbeat_interval_ms, self._heartbeat_tick)
         if not self.is_primary:
             self.every(self.failover_timeout_ms / 2, self._failover_check)
@@ -144,7 +152,7 @@ class TraditionalMaster(Process):
         self.compromised = True
 
 
-class TraditionalProxy(Process):
+class TraditionalProxy(_Endpoint):
     """Field proxy: Modbus toward devices, token-checked commands inward."""
 
     def __init__(
@@ -154,84 +162,51 @@ class TraditionalProxy(Process):
         network: Network,
         token: str,
         masters: List[str],
-        devices: List[Tuple[str, str, int, Tuple[str, ...]]],
+        devices: List[DeviceBinding],
         poll_interval_ms: float = 100.0,
     ) -> None:
-        """``devices``: (substation, device_name, unit_id, coil_ids)."""
         super().__init__(name, simulator, network)
         self.token = token
         self.masters = list(masters)
         self.poll_interval_ms = poll_interval_ms
-        self.devices = {d[0]: d for d in devices}
-        self._by_unit = {d[2]: d for d in devices}
-        self._poll_seq: Dict[str, int] = {d[0]: 0 for d in devices}
-        self._registers: Dict[str, Tuple[int, ...]] = {}
-        self.commands_executed = 0
+        self.poller = ModbusPoller(self, self._send_status, devices)
         self.status_sent = 0
 
-    def start(self) -> None:
-        self.every(self.poll_interval_ms, self._poll_tick, jitter=2.0)
+    @property
+    def polls_timed_out(self) -> int:
+        return self.poller.polls_timed_out
 
-    def _poll_tick(self) -> None:
-        for substation, (_, device_name, unit_id, _) in self.devices.items():
-            frame = encode_frame(ReadRequest(unit_id, 0, len(MEASUREMENT_ORDER)))
-            self.send(device_name, RtuDevice.wrap(frame), size_bytes=16)
+    @property
+    def commands_executed(self) -> int:
+        return self.poller.writes_confirmed
+
+    def _arm(self) -> None:
+        self.every(self.poll_interval_ms, self.poller.poll_all, jitter=2.0)
+
+    def on_recover(self) -> None:
+        self.poller.reset()
+        super().on_recover()
 
     def on_message(self, src: str, payload: Any) -> None:
-        frame = RtuDevice.unwrap(payload)
-        if frame is not None:
-            self._on_modbus(frame)
+        if self.poller.on_payload(payload):
             return
-        if isinstance(payload, TCommand):
-            self._on_command(payload)
-
-    def _on_modbus(self, frame: bytes) -> None:
-        from ..scada.modbus import ModbusError, decode_frame
-
-        try:
-            message = decode_frame(frame)
-        except ModbusError:
-            return
-        device = self._by_unit.get(getattr(message, "unit", None))
-        if device is None:
-            return
-        substation, device_name, unit_id, coil_ids = device
-        if isinstance(message, ReadResponse):
-            self._registers[substation] = message.values
-            frame_out = encode_frame(ReadCoilsRequest(unit_id, 0, len(coil_ids)))
-            self.send(device_name, RtuDevice.wrap(frame_out), size_bytes=16)
-        elif isinstance(message, ReadCoilsResponse):
-            registers = self._registers.get(substation, ())
-            self._poll_seq[substation] += 1
-            status = TStatus(
-                proxy=self.name,
-                substation=substation,
-                poll_seq=self._poll_seq[substation],
-                measurements=tuple(
-                    (key, unscale_measurement(reg))
-                    for key, reg in zip(MEASUREMENT_ORDER, registers)
-                ),
-                breakers=tuple(sorted(zip(coil_ids, message.values))),
+        # the only protection: a static shared credential
+        if isinstance(payload, TCommand) and payload.token == self.token:
+            self.poller.write_coil(
+                payload.substation, payload.breaker_id, payload.close
             )
-            for master in self.masters:
-                self.send(master, status, size_bytes=200)
-            self.status_sent += 1
-        elif isinstance(message, WriteCoilResponse):
-            self.commands_executed += 1
 
-    def _on_command(self, command: TCommand) -> None:
-        if command.token != self.token:
-            return  # the only protection: a static shared credential
-        device = self.devices.get(command.substation)
-        if device is None:
-            return
-        _, device_name, unit_id, coil_ids = device
-        try:
-            address = coil_ids.index(command.breaker_id)
-        except ValueError:
-            return
-        frame = encode_frame(WriteCoilRequest(unit_id, address, command.close))
-        self.send(device_name, RtuDevice.wrap(frame), size_bytes=16)
+    def _send_status(self, binding: DeviceBinding, measurements, breakers) -> None:
+        status = TStatus(
+            proxy=self.name,
+            substation=binding.substation,
+            poll_seq=binding.poll_seq,
+            measurements=measurements,
+            breakers=breakers,
+        )
+        for master in self.masters:
+            self.send(master, status, size_bytes=200)
+        self.status_sent += 1
 
 
 class TraditionalDeployment:
@@ -248,18 +223,11 @@ class TraditionalDeployment:
         self.simulator = Simulator(seed=seed)
         self.network = Network(self.simulator, LinkSpec(latency_ms=0.2, jitter_ms=0.05))
         self.trace = EventLog(now_fn=lambda: self.simulator.now)
-        self.grid = build_radial_grid(num_substations=num_substations, seed=seed)
         self.token = f"scada-secret-{seed}"
         master_names = ["master:primary"] + (["master:backup"] if with_backup else [])
-        devices = []
-        self.rtus: Dict[str, RtuDevice] = {}
-        for unit_id, substation in enumerate(sorted(self.grid.substations), start=1):
-            rtu = RtuDevice(
-                f"rtu:{substation}", self.simulator, self.network,
-                self.grid, substation, unit_id,
-            )
-            self.rtus[substation] = rtu
-            devices.append((substation, rtu.name, unit_id, tuple(rtu.coil_ids())))
+        self.grid, self.rtus, devices = build_radial_field(
+            self.simulator, self.network, num_substations, seed
+        )
         self.proxy = TraditionalProxy(
             "tproxy:field", self.simulator, self.network, self.token,
             masters=master_names, devices=devices,

@@ -24,7 +24,7 @@ from .diversity import DiversityManager, Exploit
 from .hmi import HmiClient
 from ..obs import LatencyStats
 from .master import Alarm, ScadaMasterApp
-from .proxy import DeviceBinding, RtuProxy
+from .proxy import RtuProxy
 from .recovery import (
     PeriodicStrategy,
     ProactiveRecoveryScheduler,
@@ -62,7 +62,6 @@ __all__ = [
     "Alarm",
     "ScadaMasterApp",
     "LatencyStats",
-    "DeviceBinding",
     "RtuProxy",
     "PeriodicStrategy",
     "ProactiveRecoveryScheduler",

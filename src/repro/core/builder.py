@@ -1,10 +1,8 @@
 """Topology planning and wiring for Spire deployments.
 
-``core/deployment.py`` used to be a 512-line monolith that planned the
-replica placement, instantiated every component, and wired them together
-inline.  Fleet-scale scenarios (``repro.fleet``) need to construct
-deployments through the same machinery without inheriting the small-n
-field layer, so the construction is split in two:
+Fleet-scale scenarios (``repro.fleet``) construct deployments through the
+same machinery as the small-n figures without inheriting the small-n field
+layer, so construction is split in two:
 
 :class:`TopologyBuilder`
     Pure planning — placement of ``3f+2k+1`` replicas over the overlay
@@ -19,25 +17,24 @@ field layer, so the construction is split in two:
     class; the fleet path swaps only the field stage
     (:func:`repro.fleet.deploy.build_fleet_field`).
 
-Every operation happens in exactly the order the monolithic constructor
-performed it, so existing runs stay bit-identical (pinned chaos/fig3/fig6
-fingerprints enforce this).
+Construction order is part of the contract: heap sequence numbers and
+endpoint interning break ties, so RTUs → proxy → overlay attach → device
+links stays in that order (pinned chaos/fig3/fig6 fingerprints enforce it).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..prime.config import PrimeConfig, lan_prime_config, wan_prime_config
 from ..replication import OverlayTransport
-from ..scada.grid import build_radial_grid
-from ..scada.rtu import RtuDevice
-from ..simnet import LinkSpec
+from ..scada.poller import build_radial_field
+from ..scada.region import DEVICE_LINK
 from ..spines.topology import OverlayTopology
 from .hmi import HmiClient
 from .master import ScadaMasterApp
-from .proxy import DeviceBinding, RtuProxy
+from .proxy import RtuProxy
 from .replica import THRESHOLD_GROUP, SpireReplica
 
 __all__ = ["TopologyBuilder", "DeploymentWiring"]
@@ -166,26 +163,10 @@ class DeploymentWiring:
         substation, one proxy at the (single) field site."""
         d = self.deployment
         opts = d.options
-        d.grid = build_radial_grid(
-            num_substations=opts.num_substations, seed=opts.seed
-        )
         d.field_site = self.builder.field_site()
-        d.rtus = {}
-        bindings: List[DeviceBinding] = []
-        for unit_id, substation in enumerate(sorted(d.grid.substations), start=1):
-            rtu = RtuDevice(
-                f"rtu:{substation}", d.simulator, d.network,
-                d.grid, substation, unit_id,
-            )
-            d.rtus[substation] = rtu
-            bindings.append(
-                DeviceBinding(
-                    substation=substation,
-                    device_name=rtu.name,
-                    unit_id=unit_id,
-                    coil_ids=tuple(rtu.coil_ids()),
-                )
-            )
+        d.grid, d.rtus, bindings = build_radial_field(
+            d.simulator, d.network, opts.num_substations, opts.seed
+        )
         d.proxy = RtuProxy(
             "proxy:field", d.simulator, d.network, d.crypto,
             replicas=[r.name for r in d.replicas],
@@ -195,12 +176,10 @@ class DeploymentWiring:
             resubmit_timeout_ms=opts.resubmit_timeout_ms,
             obs=d.obs,
         )
+        d.region_proxies = [d.proxy]
         d.proxy.stack = d.overlay.attach(d.proxy, d.field_site)
         for binding in bindings:
-            d.network.set_link(
-                d.proxy.name, binding.device_name,
-                LinkSpec(latency_ms=0.3, jitter_ms=0.05),
-            )
+            d.network.set_link(d.proxy.name, binding.device_name, DEVICE_LINK)
 
     # ------------------------------------------------------------------
     def build_hmis(self) -> None:
@@ -219,15 +198,14 @@ class DeploymentWiring:
             d.hmis.append(hmi)
 
     # ------------------------------------------------------------------
-    def wire(self) -> None:
-        """Subscriptions and availability accounting (small-n path:
-        every substation routes to the single field proxy)."""
+    def wire(self, proxy_of: Callable[[str], Optional[str]]) -> None:
+        """Subscriptions, command routing (``proxy_of`` maps a substation
+        to the proxy endpoint fronting it) and availability accounting."""
         d = self.deployment
         for replica in d.replicas:
             for hmi in d.hmis:
                 replica.add_subscriber(hmi.name)
-            for substation in d.grid.substations:
-                replica.register_proxy(substation, d.proxy.name)
+            replica.proxy_resolver = proxy_of
         self.wire_delivery_accounting()
 
     def wire_delivery_accounting(self) -> None:

@@ -1,9 +1,11 @@
-"""Client-side submission management shared by proxies and HMIs.
+"""The client personality shared by proxies and HMIs.
 
 A Spire client (RTU proxy or HMI) signs updates, submits them to one
 SCADA-master replica, and fails over to the next replica when no verified
-delivery acknowledges the update in time. Because updates are deduplicated
-at execution by ``(client, client_seq)``, retries are safe.
+delivery acknowledges the update in time (:class:`SubmissionManager`).
+Because updates are deduplicated at execution by ``(client, client_seq)``,
+retries are safe.  Inward it trusts only deliveries that combine to a
+valid threshold signature (:class:`SpireClient`).
 """
 
 from __future__ import annotations
@@ -15,11 +17,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..crypto.provider import CryptoProvider
 from ..prime.messages import ClientUpdate
 from ..prime.node import sign_client_update
-from ..obs import LatencyTracker
+from ..obs import NULL_OBS, LatencyTracker
 from ..replication import RetryPolicy
-from .update import UpdateSubmission
+from ..simnet import Network, Process, Simulator
+from ..spines.overlay import OverlayStack
+from .collector import DeliveryCollector
+from .replica import THRESHOLD_GROUP
+from .update import BatchDeliveryShare, UpdateSubmission
 
-__all__ = ["SubmissionManager"]
+__all__ = ["SubmissionManager", "SpireClient"]
 
 #: send_fn(replica_endpoint, payload, size_bytes) -> bool
 SendFn = Callable[[str, Any, int], bool]
@@ -139,3 +145,80 @@ class SubmissionManager:
     @property
     def outstanding(self) -> int:
         return len(self._outstanding)
+
+
+class SpireClient(Process):
+    """An endpoint that submits signed updates and acts on verified
+    deliveries.  Subclasses say what a verified record means to them
+    (:meth:`_on_verified_record`) and arm whatever polls the outside
+    world (:meth:`_arm_polling`)."""
+
+    def __init__(
+        self,
+        name: str,
+        simulator: Simulator,
+        network: Network,
+        crypto: CryptoProvider,
+        replicas: List[str],
+        stack: Optional[OverlayStack] = None,
+        recorder: Optional[LatencyTracker] = None,
+        resubmit_timeout_ms: float = 500.0,
+        threshold_group: str = THRESHOLD_GROUP,
+        obs=None,
+        start_index: int = 0,
+    ) -> None:
+        super().__init__(name, simulator, network)
+        self.crypto = crypto
+        self.stack = stack
+        self.obs = obs if obs is not None else NULL_OBS
+        self.collector = DeliveryCollector(crypto, threshold_group)
+        self.submissions = SubmissionManager(
+            client_name=name,
+            crypto=crypto,
+            replicas=replicas,
+            send_fn=self._send_to_replica,
+            now_fn=lambda: simulator.now,
+            recorder=recorder,
+            resubmit_timeout_ms=resubmit_timeout_ms,
+            start_index=start_index,
+            rng=simulator.rng(f"submit/{name}"),
+        )
+        self._started = False
+
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        self._started = True
+        self._arm_polling()
+        self.every(
+            self.submissions.resubmit_timeout_ms / 2, self.submissions.retry_tick
+        )
+
+    def on_recover(self) -> None:
+        """Periodic timers from the previous incarnation never fire
+        again; a started client re-arms them."""
+        if self._started:
+            self.start()
+
+    def _arm_polling(self) -> None:
+        """Arm the subclass's own periodic work, before the retry timer."""
+
+    def _send_to_replica(self, replica: str, payload: Any, size_bytes: int) -> bool:
+        if self.stack is not None:
+            return self.stack.send(replica, payload, size_bytes=size_bytes)
+        return self.send(replica, payload, size_bytes=size_bytes)
+
+    # ------------------------------------------------------------------
+    def on_message(self, src: str, payload: Any) -> None:
+        if self.stack is not None:
+            unwrapped = OverlayStack.unwrap(payload)
+            if unwrapped is not None:
+                payload = unwrapped[1]
+        if isinstance(payload, BatchDeliveryShare):
+            self._on_delivery_share(payload)
+
+    def _on_delivery_share(self, share: BatchDeliveryShare) -> None:
+        for record, _signature in self.collector.add_batch(share):
+            self._on_verified_record(record)
+
+    def _on_verified_record(self, record) -> None:
+        raise NotImplementedError

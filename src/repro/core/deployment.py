@@ -282,9 +282,11 @@ class SpireDeployment:
             self.command_recorder = LatencyTracker()
             self.delivery_series = IntervalCounter(interval_ms=1000.0)
 
+        #: every field proxy (the field stage fills it): one per fleet
+        #: region, or just ``self.proxy`` in the classic layout
+        self.region_proxies: List[RtuProxy] = []
         # fleet attributes (populated by the fleet field stage)
         self.fleet_topology = None
-        self.region_proxies: List[RtuProxy] = []
         self.traffic_driver = None
 
         builder = TopologyBuilder(opts, self.topology)
@@ -299,7 +301,10 @@ class SpireDeployment:
         else:
             wiring.build_field()
             wiring.build_hmis()
-            wiring.wire()
+            # one proxy fronts the whole grid
+            wiring.wire(
+                lambda s: self.proxy.name if s in self.grid.substations else None
+            )
         self.recovery_scheduler: Optional[RecoveryStrategy] = None
         if opts.proactive_recovery is not None:
             period_ms, duration_ms = opts.proactive_recovery
@@ -349,11 +354,8 @@ class SpireDeployment:
         """Start every component (call once, then run the simulator)."""
         for replica in self.replicas:
             replica.start()
-        if self.options.fleet is not None:
-            for proxy in self.region_proxies:
-                proxy.start()
-        else:
-            self.proxy.start()
+        for proxy in self.region_proxies:
+            proxy.start()
         for hmi in self.hmis:
             hmi.start()
         if self.traffic_driver is not None:

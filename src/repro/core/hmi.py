@@ -9,79 +9,27 @@ spoof its display or fake command confirmations.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..crypto.provider import CryptoProvider
-from ..obs import NULL_OBS, LatencyTracker
-from ..simnet import Network, Process, Simulator
-from ..spines.overlay import OverlayStack
-from .collector import DeliveryCollector
-from .client import SubmissionManager
-from .replica import THRESHOLD_GROUP
-from .update import BatchDeliveryShare, BreakerCommand, StatusReading
+from .client import SpireClient
+from .update import BreakerCommand, StatusReading
 
 __all__ = ["HmiClient"]
 
 
-class HmiClient(Process):
+class HmiClient(SpireClient):
     """One operator console endpoint."""
 
-    def __init__(
-        self,
-        name: str,
-        simulator: Simulator,
-        network: Network,
-        crypto: CryptoProvider,
-        replicas: List[str],
-        stack: Optional[OverlayStack] = None,
-        recorder: Optional[LatencyTracker] = None,
-        resubmit_timeout_ms: float = 500.0,
-        threshold_group: str = THRESHOLD_GROUP,
-        obs=None,
-    ) -> None:
-        super().__init__(name, simulator, network)
-        self.crypto = crypto
-        self.stack = stack
-        self.obs = obs if obs is not None else NULL_OBS
+    def __init__(self, name, simulator, network, crypto, replicas, **kwargs) -> None:
+        super().__init__(name, simulator, network, crypto, replicas, **kwargs)
         self._status_counter = (
             self.obs.counter("hmi.status_updates") if self.obs.enabled else None
-        )
-        self.collector = DeliveryCollector(crypto, threshold_group)
-        self.submissions = SubmissionManager(
-            client_name=name,
-            crypto=crypto,
-            replicas=replicas,
-            send_fn=self._send_to_replica,
-            now_fn=lambda: simulator.now,
-            recorder=recorder,
-            resubmit_timeout_ms=resubmit_timeout_ms,
-            rng=simulator.rng(f"submit/{name}"),
         )
         #: substation -> (order_index, StatusReading)
         self.view: Dict[str, Tuple[int, StatusReading]] = {}
         #: confirmed command log: (order_index, BreakerCommand)
         self.confirmed_commands: List[Tuple[int, BreakerCommand]] = []
         self.status_updates_seen = 0
-        self._started = False
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._started = True
-        self.every(self.submissions.resubmit_timeout_ms / 2, self._retry_tick)
-
-    def on_recover(self) -> None:
-        """Re-arm the retry timer after a crash (timers do not survive
-        incarnation changes)."""
-        if self._started:
-            self.every(self.submissions.resubmit_timeout_ms / 2, self._retry_tick)
-
-    def _retry_tick(self) -> None:
-        self.submissions.retry_tick()
-
-    def _send_to_replica(self, replica: str, payload: Any, size_bytes: int) -> bool:
-        if self.stack is not None:
-            return self.stack.send(replica, payload, size_bytes=size_bytes)
-        return self.send(replica, payload, size_bytes=size_bytes)
 
     # ------------------------------------------------------------------
     # Operator actions
@@ -102,18 +50,6 @@ class HmiClient(Process):
     # ------------------------------------------------------------------
     # View maintenance
     # ------------------------------------------------------------------
-    def on_message(self, src: str, payload: Any) -> None:
-        if self.stack is not None:
-            unwrapped = OverlayStack.unwrap(payload)
-            if unwrapped is not None:
-                payload = unwrapped[1]
-        if isinstance(payload, BatchDeliveryShare):
-            self._on_delivery_share(payload)
-
-    def _on_delivery_share(self, share: BatchDeliveryShare) -> None:
-        for record, _signature in self.collector.add_batch(share):
-            self._on_verified_record(record)
-
     def _on_verified_record(self, record) -> None:
         self.submissions.acknowledged(record.client, record.client_seq)
         if record.kind == "status" and isinstance(record.payload, StatusReading):

@@ -42,6 +42,10 @@ __all__ = ["SpireReplica", "THRESHOLD_GROUP"]
 THRESHOLD_GROUP = "spire-masters"
 
 
+def _no_proxy(substation: str) -> None:
+    """The resolver of a replica no deployment has wired."""
+
+
 class SpireReplica(PrimeNode):
     """One SCADA-master replica."""
 
@@ -68,12 +72,9 @@ class SpireReplica(PrimeNode):
         self.share_index = config.index_of(name) + 1
         #: endpoints that receive every delivery (HMIs, historians)
         self.subscribers: List[str] = []
-        #: substation -> proxy endpoint fronting it (for command delivery)
-        self.proxy_of_substation: Dict[str, str] = {}
-        #: fallback resolver consulted when the dict misses — fleet
-        #: deployments register one function (substation name -> region
-        #: proxy) instead of 10k per-substation entries on every replica
-        self.proxy_resolver = None
+        #: substation -> name of the proxy endpoint fronting it (or None);
+        #: the deployment wiring sets it, breaker commands are routed by it
+        self.proxy_resolver = _no_proxy
         self.deliveries_sent = 0
         #: attack hook: transform our threshold share before sending
         #: (models a compromised replica emitting garbage shares)
@@ -93,19 +94,6 @@ class SpireReplica(PrimeNode):
     def add_subscriber(self, endpoint: str) -> None:
         if endpoint not in self.subscribers:
             self.subscribers.append(endpoint)
-
-    def register_proxy(self, substation: str, proxy_endpoint: str) -> None:
-        self.proxy_of_substation[substation] = proxy_endpoint
-
-    def register_proxy_resolver(self, resolver) -> None:
-        """Register a substation -> proxy-endpoint fallback function."""
-        self.proxy_resolver = resolver
-
-    def _proxy_for(self, substation: str):
-        proxy = self.proxy_of_substation.get(substation)
-        if proxy is None and self.proxy_resolver is not None:
-            proxy = self.proxy_resolver(substation)
-        return proxy
 
     # ------------------------------------------------------------------
     # Incoming submissions
@@ -151,7 +139,7 @@ class SpireReplica(PrimeNode):
         for i, (update, _order_index, _result) in enumerate(executed):
             wanted.setdefault(update.client, set()).add(i)
             if isinstance(update.payload, BreakerCommand):
-                proxy = self._proxy_for(update.payload.substation)
+                proxy = self.proxy_resolver(update.payload.substation)
                 if proxy is not None:
                     wanted.setdefault(proxy, set()).add(i)
             # retry cache: re-answer a client resubmission with just its

@@ -1,22 +1,17 @@
-"""Fleet field stage: region proxies and deployment wiring.
+"""Fleet field stage: region proxies and their place in the deployment.
 
-This module is the fleet counterpart of
-:meth:`repro.core.builder.DeploymentWiring.build_field` /
-:meth:`~repro.core.builder.DeploymentWiring.wire`.  The deployment
-constructor calls :func:`build_fleet_field` and :func:`wire_fleet` when
-``options.fleet`` is set; the replica/HMI stages are shared with the
-small-n path, so the two layouts differ only in the field layer.
-
-Scale choices, and why they matter at 10k devices:
+The deployment constructor calls :func:`build_fleet_field` and
+:func:`wire_fleet` when ``options.fleet`` is set.  Replicas, HMIs, the
+client personality, the Modbus master and the wiring are the small-n
+ones; what is fleet-specific, and why it matters at 10k devices:
 
 * one :class:`RegionProxy` per region, not one proxy per substation —
-  each owns its shard's devices and a single
+  each polls its shard from a single
   :class:`~repro.scada.region.ShardedPollDriver` timer;
 * devices, grid rows, and serial links materialize lazily on first poll
   or first command (see :class:`~repro.scada.region.RegionShard`);
-* replicas route commands through a O(1) *resolver* function
-  (``region/…`` prefix → proxy name) instead of a per-substation routing
-  dict replicated n times.
+* replicas route commands through an O(1) resolver (``region/…`` prefix →
+  proxy name) rather than a per-substation table.
 """
 
 from __future__ import annotations
@@ -24,11 +19,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.builder import DeploymentWiring, TopologyBuilder
-from ..core.proxy import DeviceBinding, RtuProxy, _PollState
+from ..core.proxy import RtuProxy
 from ..core.update import BreakerCommand
-from ..scada.modbus import ReadRequest, encode_frame
+from ..scada.poller import DeviceBinding
 from ..scada.region import DeviceSlot, RegionShard, ShardedPollDriver
-from ..scada.rtu import MEASUREMENT_ORDER, RtuDevice
 from .generator import generate_fleet
 from .traffic import FleetTrafficDriver
 
@@ -36,92 +30,44 @@ __all__ = ["RegionProxy", "build_fleet_field", "wire_fleet"]
 
 
 class RegionProxy(RtuProxy):
-    """An RTU proxy fronting one region shard.
-
-    Inherits the full client personality — signed submissions, threshold
-    verification, command execution — and replaces only the polling
-    layout: one sharded driver instead of the all-devices poll tick, and
-    lazy device materialization instead of a prebuilt binding list.
-    """
+    """An RTU proxy fronting one region shard: the sharded driver decides
+    which devices are due, and a device exists from its first poll or
+    first command on."""
 
     def __init__(
-        self,
-        name: str,
-        simulator,
-        network,
-        crypto,
-        replicas: List[str],
-        shard: RegionShard,
-        driver_mode: str = "sharded",
-        **kwargs,
+        self, name: str, simulator, network, crypto, replicas: List[str],
+        shard: RegionShard, **kwargs,
     ) -> None:
         super().__init__(
             name, simulator, network, crypto, replicas, devices=[], **kwargs
         )
         self.shard = shard
         self._slots = {slot.substation: slot for slot in shard.slots}
-        self.driver = ShardedPollDriver(
-            self, shard, self._poll_slot, mode=driver_mode
-        )
+        self.driver = ShardedPollDriver(self, shard, self._poll_slot)
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._started = True
+    def _arm_polling(self) -> None:
         self.driver.start()
-        self.every(self.submissions.resubmit_timeout_ms / 2, self._retry_tick)
 
-    def on_recover(self) -> None:
-        for state in self._polls.values():
-            state.phase = "idle"
-        if self._started:
-            self.driver.start()
-            self.every(
-                self.submissions.resubmit_timeout_ms / 2, self._retry_tick
-            )
-
-    # ------------------------------------------------------------------
     def _binding_for(self, slot: DeviceSlot) -> DeviceBinding:
         """Materialize the slot's device on first contact."""
-        binding = self.devices.get(slot.substation)
+        binding = self.poller.devices.get(slot.substation)
         if binding is None:
             device = self.shard.materialize(
                 slot, self.simulator, self.network, self.name
             )
-            binding = DeviceBinding(
-                substation=slot.substation,
-                device_name=device.name,
-                unit_id=slot.unit_id,
-                coil_ids=slot.coil_ids,
-            )
-            self.devices[slot.substation] = binding
-            self._by_unit[slot.unit_id] = binding
-            self._polls[slot.substation] = _PollState()
+            binding = self.poller.add(DeviceBinding(
+                slot.substation, device.name, slot.unit_id, slot.coil_ids
+            ))
         return binding
 
     def _poll_slot(self, slot: DeviceSlot) -> None:
-        """Serial Modbus poll of one due device (driver callback); same
-        state machine as the base class's per-substation poll."""
-        binding = self._binding_for(slot)
-        state = self._polls[slot.substation]
-        now = self.simulator.now
-        if state.phase != "idle":
-            if now - state.started_at > self.device_timeout_ms:
-                self.polls_timed_out += 1
-                state.phase = "idle"
-            else:
-                return
-        state.phase = "await_regs"
-        state.started_at = now
-        frame = encode_frame(
-            ReadRequest(binding.unit_id, 0, len(MEASUREMENT_ORDER))
-        )
-        self.send(binding.device_name, RtuDevice.wrap(frame), size_bytes=16)
+        self.poller.poll(self._binding_for(slot))
 
     def _execute_command(self, command: BreakerCommand) -> None:
         # operator commands can target a not-yet-polled device; they
         # materialize it exactly like a first poll would
         slot = self._slots.get(command.substation)
-        if slot is not None and command.substation not in self.devices:
+        if slot is not None:
             self._binding_for(slot)
         super()._execute_command(command)
 
@@ -171,15 +117,10 @@ def region_resolver(topology) -> "callable":
 
 
 def wire_fleet(deployment, wiring: DeploymentWiring) -> None:
-    """Subscriptions, command routing, accounting, and the open-loop
+    """The shared wiring with the region resolver, then the open-loop
     traffic driver."""
     d = deployment
-    resolve = region_resolver(d.fleet_topology)
-    for replica in d.replicas:
-        for hmi in d.hmis:
-            replica.add_subscriber(hmi.name)
-        replica.register_proxy_resolver(resolve)
-    wiring.wire_delivery_accounting()
+    wiring.wire(region_resolver(d.fleet_topology))
     spec = d.options.fleet
     if spec.traffic is not None and d.hmis:
         d.traffic_driver = FleetTrafficDriver(

@@ -1,4 +1,5 @@
-"""Field layer: the power grid process, Modbus-like protocol, and devices."""
+"""Field layer: the power grid process, the Modbus-like protocol, its
+servers (devices) and its master (the poller proxies mount)."""
 
 from .grid import Breaker, PowerGrid, Substation, build_radial_grid
 from .modbus import (
@@ -17,6 +18,7 @@ from .modbus import (
     unscale_measurement,
 )
 from .plc import PlcDevice, ProtectionRule, undervoltage_rule
+from .poller import DeviceBinding, ModbusPoller, build_radial_field
 from .region import DeviceSlot, RegionShard, ShardedPollDriver
 from .rtu import MEASUREMENT_ORDER, RtuDevice
 
@@ -41,6 +43,9 @@ __all__ = [
     "PlcDevice",
     "ProtectionRule",
     "undervoltage_rule",
+    "DeviceBinding",
+    "ModbusPoller",
+    "build_radial_field",
     "DeviceSlot",
     "RegionShard",
     "ShardedPollDriver",

@@ -95,3 +95,27 @@ def test_agreement_and_view_change_are_written_once():
         assert not any(
             target.endswith(".collect_valid_voters") for target in graph[module]
         ), module
+
+
+def test_modbus_is_spoken_only_inside_scada():
+    # One Modbus master (repro.scada.poller) and one server (RtuDevice):
+    # a proxy that names a frame type or the codec has regrown a copy of
+    # the polling state machine.
+    scada = SRC / "repro" / "scada"
+    names = (
+        "ReadRequest", "ReadCoilsRequest", "WriteCoilRequest",
+        "ReadResponse", "ReadCoilsResponse", "WriteCoilResponse",
+        "encode_frame", "decode_frame", "RtuDevice.wrap",
+    )
+    for path in (SRC / "repro").rglob("*.py"):
+        if scada in path.parents:
+            continue
+        text = path.read_text()
+        for name in names:
+            assert name not in text, (path, name)
+
+
+def test_scada_sits_below_core():
+    # the field layer hands back (binding, measurements, breakers) and
+    # knows nothing of StatusReading, proxies or replicas
+    assert _layers_imported_by(_imports(), "scada") <= {"simnet"}

@@ -311,8 +311,8 @@ def test_region_resolver_routes_commands_to_owning_proxy():
     replica = deployment.replicas[0]
     east = deployment.fleet_topology.regions[0]
     substation = east.slots[0].substation
-    assert replica._proxy_for(substation) == f"proxy:{east.name}"
-    assert replica._proxy_for("nowhere/s0") is None
+    assert replica.proxy_resolver(substation) == f"proxy:{east.name}"
+    assert replica.proxy_resolver("nowhere/s0") is None
 
 
 def test_forged_command_reaches_only_the_proxy_it_targets():
