@@ -4,7 +4,7 @@ SCADA for the Power Grid" (Spire, IEEE/IFIP DSN 2018).
 Subpackages
 -----------
 ``repro.simnet``     deterministic discrete-event substrate (virtual time)
-``repro.obs``        observability: typed metrics, structured events, spans
+``repro.obs``        observability: typed metrics, structured events
 ``repro.crypto``     RSA / threshold-RSA / providers, from scratch
 ``repro.spines``     intrusion-tolerant overlay network
 ``repro.prime``      Prime: BFT replication with bounded delay under attack

@@ -2,11 +2,10 @@
 
 Every wall-clock histogram in a run's registry — ``crypto.<op>.wall_ms``
 from :class:`~repro.crypto.TimedCrypto` (every op but ``mac`` /
-``check_mac``, which are counted and not timed), ``span.<path>.wall_ms``
-from the span recorder — is a measurement of where real time went. This
-module aggregates them into one ranked table so a benchmark (or a future
-PR deciding what to optimize next) can see the cost centers of a run at
-a glance without re-profiling.
+``check_mac``, which are counted and not timed) — is a measurement of
+where real time went. This module aggregates them into one ranked table so
+a benchmark (or a future PR deciding what to optimize next) can see the
+cost centers of a run at a glance without re-profiling.
 
 Wall-clock data is inherently non-deterministic, so these helpers only
 read ``deterministic=False`` instruments and never appear in the

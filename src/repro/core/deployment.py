@@ -103,7 +103,7 @@ class SpireOptions:
     #: classic ``num_substations`` layout bit-identically
     fleet: Optional[FleetSpec] = None
     checkpoint_interval_seqs: int = 50
-    #: False disables the entire observability layer (metrics, spans,
+    #: False disables the entire observability layer (metrics,
     #: structured events): the deployment's ``obs`` is the shared no-op
     #: recorder and its event log stays empty. Use for maximum-speed sweeps
     #: where nothing inspects events or metrics afterwards.
@@ -228,8 +228,8 @@ class SpireDeployment:
     """A fully wired Spire system inside one simulator.
 
     All measurement flows through one :attr:`obs` handle
-    (:class:`repro.obs.Observability`): structured events, typed metrics
-    and spans for every layer (the structured event log is ``obs.log``).
+    (:class:`repro.obs.Observability`): structured events and typed
+    metrics for every layer (the structured event log is ``obs.log``).
     :attr:`status_recorder`, :attr:`command_recorder` and
     :attr:`delivery_series` are views of instruments in ``obs.registry``.
     """

@@ -3,8 +3,7 @@
 Public API: canonical encoding (:func:`encode`), RSA signatures, Shoup-style
 threshold RSA, Merkle trees for batch-amortized delivery proofs, and the
 pluggable :class:`CryptoProvider` (``RealCrypto`` / ``FastCrypto``) that
-protocol code consumes — including batch operations (``sign_batch`` /
-``verify_batch`` / ``threshold_sign_share_batch``).
+protocol code consumes.
 """
 
 from .encoding import EncodingError, digest, encode

@@ -32,15 +32,12 @@ computes it and the receiver recomputes and ``compare_digest``s it. A
 tampered or substituted message is a different object, is encoded afresh,
 and yields a different digest.
 
-Batch operations
-----------------
-``sign_batch`` / ``verify_batch`` / ``threshold_sign_share_batch`` take a
-sequence of messages and are what the batched delivery path and the
-ordered pipeline benchmarks use. The base class provides loop-based
-fallbacks over the single-message methods, so third-party providers that
-only implement the per-message interface keep working unchanged; the
-built-in providers override them to amortize per-call setup (key/secret
-lookup, instrument resolution).
+Batch verification
+------------------
+``verify_batch`` checks a sequence of signatures against their messages
+(:func:`repro.prime.messages.verify_client_updates` verifies a pre-order
+request's client updates with it). It is a loop over :meth:`verify`;
+:class:`TimedCrypto` counts it as one call plus an ``.items`` counter.
 """
 
 from __future__ import annotations
@@ -147,14 +144,6 @@ class CryptoProvider:
     def threshold_verify(self, signature: ThresholdSignature, message: Any) -> bool:
         raise NotImplementedError
 
-    # -- batch operations (loop-based fallbacks) ------------------------
-    #
-    # Subclasses override these to amortize per-call setup; providers
-    # that only implement the per-message methods inherit semantics
-    # identical to calling the single-op methods in a loop.
-    def sign_batch(self, signer: str, messages: Sequence[Any]) -> List[Signature]:
-        return [self.sign(signer, message) for message in messages]
-
     def verify_batch(
         self, signatures: Sequence[Signature], messages: Sequence[Any]
     ) -> List[bool]:
@@ -166,13 +155,6 @@ class CryptoProvider:
         return [
             self.verify(signature, message)
             for signature, message in zip(signatures, messages)
-        ]
-
-    def threshold_sign_share_batch(
-        self, group: str, index: int, messages: Sequence[Any]
-    ) -> List[ThresholdShare]:
-        return [
-            self.threshold_sign_share(group, index, message) for message in messages
         ]
 
 
@@ -202,13 +184,6 @@ class RealCrypto(CryptoProvider):
             return False
         return key.verify(encode_cached(message), signature.value)
 
-    def sign_batch(self, signer: str, messages: Sequence[Any]) -> List[Signature]:
-        keypair = self._keypair(signer)  # key lookup/generation once per batch
-        return [
-            Signature(signer, keypair.sign(encode_cached(message)))
-            for message in messages
-        ]
-
     def mac(self, src: str, dst: str, message: Any) -> bytes:
         return hmac_module.digest(
             self._link_keys[src, dst], digest_bytes(message), "sha256"
@@ -235,16 +210,6 @@ class RealCrypto(CryptoProvider):
         _, shares = self._groups[group]
         partial = shares[index].sign(encode_cached(message))
         return ThresholdShare(group, index, partial.value)
-
-    def threshold_sign_share_batch(
-        self, group: str, index: int, messages: Sequence[Any]
-    ) -> List[ThresholdShare]:
-        _, shares = self._groups[group]
-        key_share = shares[index]  # share lookup once per batch
-        return [
-            ThresholdShare(group, index, key_share.sign(encode_cached(message)).value)
-            for message in messages
-        ]
 
     def threshold_combine(
         self, group: str, message: Any, shares: Iterable[ThresholdShare]
@@ -325,12 +290,6 @@ class FastCrypto(CryptoProvider):
     def check_mac(self, src: str, dst: str, message: Any, tag: bytes) -> bool:
         return hmac_module.compare_digest(self.mac(src, dst, message), tag)
 
-    def sign_batch(self, signer: str, messages: Sequence[Any]) -> List[Signature]:
-        return [
-            Signature(signer, self._derive(_entry_for(message), "sig", signer))
-            for message in messages
-        ]
-
     def create_threshold_group(self, group: str, players: int, threshold: int) -> None:
         existing = self._groups.get(group)
         if existing is not None and existing != (players, threshold):
@@ -349,15 +308,6 @@ class FastCrypto(CryptoProvider):
     def threshold_sign_share(self, group: str, index: int, message: Any) -> ThresholdShare:
         parts = self._share_parts(group, index)
         return ThresholdShare(group, index, self._derive(_entry_for(message), *parts))
-
-    def threshold_sign_share_batch(
-        self, group: str, index: int, messages: Sequence[Any]
-    ) -> List[ThresholdShare]:
-        parts = self._share_parts(group, index)
-        return [
-            ThresholdShare(group, index, self._derive(_entry_for(message), *parts))
-            for message in messages
-        ]
 
     def threshold_combine(
         self, group: str, message: Any, shares: Iterable[ThresholdShare]
@@ -492,37 +442,16 @@ class TimedCrypto(CryptoProvider):
             "threshold_verify", self.inner.threshold_verify, signature, message
         )
 
-    # -- batch operations ----------------------------------------------
-    # Batch ops count one *call* per batch plus an ``.items`` counter so
-    # dashboards can see both the amortization factor and the per-item
-    # volume. Timing covers the whole batch.
-
-    def _timed_batch(self, op: str, items: int, fn, *args):
-        inc, observe = self._pair(op)
-        inc()
-        self._obs.counter(f"crypto.{op}.items").inc(items)
-        started = _perf_counter()
-        result = fn(*args)
-        observe((_perf_counter() - started) * 1000.0)
-        return result
-
-    def sign_batch(self, signer: str, messages: Sequence[Any]) -> List[Signature]:
-        return self._timed_batch(
-            "sign_batch", len(messages), self.inner.sign_batch, signer, messages
-        )
-
     def verify_batch(
         self, signatures: Sequence[Signature], messages: Sequence[Any]
     ) -> List[bool]:
-        return self._timed_batch(
-            "verify_batch", len(messages),
-            self.inner.verify_batch, signatures, messages,
-        )
-
-    def threshold_sign_share_batch(
-        self, group: str, index: int, messages: Sequence[Any]
-    ) -> List[ThresholdShare]:
-        return self._timed_batch(
-            "threshold_sign_share_batch", len(messages),
-            self.inner.threshold_sign_share_batch, group, index, messages,
-        )
+        # one *call* per batch plus an ``.items`` counter, so the ledger
+        # shows both the amortization factor and the per-item volume;
+        # timing covers the whole batch
+        inc, observe = self._pair("verify_batch")
+        inc()
+        self._obs.counter("crypto.verify_batch.items").inc(len(messages))
+        started = _perf_counter()
+        result = self.inner.verify_batch(signatures, messages)
+        observe((_perf_counter() - started) * 1000.0)
+        return result

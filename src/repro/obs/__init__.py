@@ -1,13 +1,12 @@
 """``repro.obs`` — the unified observability layer.
 
 Every measurement in the reproduction flows through this package: typed
-**counters/gauges/histograms** in a central :class:`MetricRegistry`,
-hierarchical **spans** (wall-clock + sim-clock timing with parent/child
-nesting), a bounded structured **event log** (:class:`EventLog`), and
-keyed **latency trackers** / **interval counters**.
+**counters/gauges/histograms** in a central :class:`MetricRegistry`, a
+bounded structured **event log** (:class:`EventLog`), and keyed **latency
+trackers** / **interval counters**.
 
 The entry point is :class:`Observability` — one instance per deployment
-(``deployment.obs``) owns the registry, the event log and the span stack.
+(``deployment.obs``) owns the registry and the event log.
 Components accept an ``obs`` handle; when none is given they fall back to
 :data:`NULL_OBS`, a no-op recorder whose instruments swallow every call,
 so instrumentation has zero cost in un-observed runs.
@@ -18,9 +17,8 @@ Quickstart::
 
     obs = Observability(now_fn=lambda: simulator.now)
     requests = obs.counter("server.requests")
-    with obs.span("handle-request"):
-        requests.inc()
-        obs.event("server", "request-done", status=200)
+    requests.inc()
+    obs.event("server", "request-done", status=200)
     print(obs.snapshot())
 """
 
@@ -80,7 +78,6 @@ from .recorder import (
     Observability,
     merge_obs_snapshots,
 )
-from .spans import Span, SpanRecord, SpanRecorder
 
 __all__ = [
     "Observability",
@@ -100,9 +97,6 @@ __all__ = [
     "Event",
     "EventLog",
     "NullEventLog",
-    "Span",
-    "SpanRecord",
-    "SpanRecorder",
     "COMP_CAMPAIGN",
     "COMP_CHAOS",
     "COMP_OVERLAY",

@@ -1,17 +1,16 @@
 """The :class:`Observability` handle — one per deployment — and its no-op twin.
 
-``Observability`` bundles the three measurement surfaces behind a single
+``Observability`` bundles the two measurement surfaces behind a single
 object components can share:
 
 * a :class:`~repro.obs.instruments.MetricRegistry` of typed instruments,
-* a structured :class:`~repro.obs.events.EventLog`,
-* a :class:`~repro.obs.spans.SpanRecorder` for nested wall/sim timing.
+* a structured :class:`~repro.obs.events.EventLog`.
 
 Components never construct their own; they accept an ``obs`` parameter
 and fall back to :data:`NULL_OBS`, a shared :class:`NullObservability`
 whose instruments swallow every call. Hot paths additionally guard
-optional work (wall-clock reads, span creation) behind ``obs.enabled`` so
-disabled runs pay only an attribute test.
+optional work (wall-clock reads) behind ``obs.enabled`` so disabled runs
+pay only an attribute test.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .instruments import (
     MetricRegistry,
     merge_metric_snapshots,
 )
-from .spans import NULL_SPAN, Span, SpanRecorder
 
 __all__ = [
     "Observability",
@@ -77,11 +75,11 @@ def merge_obs_snapshots(
 
 
 class Observability:
-    """Owns one system's registry, event log and span recorder.
+    """Owns one system's registry and event log.
 
-    ``now_fn`` reads the system's (virtual) clock and stamps events and
-    span sim-times. Pass ``log=`` to adopt an existing event log;
-    otherwise a fresh :class:`EventLog` is created.
+    ``now_fn`` reads the system's (virtual) clock and stamps events.
+    Pass ``log=`` to adopt an existing event log; otherwise a fresh
+    :class:`EventLog` is created.
     """
 
     enabled = True
@@ -91,18 +89,12 @@ class Observability:
         now_fn: Optional[Callable[[], float]] = None,
         log: Optional[EventLog] = None,
         max_events: int = 200_000,
-        wall_now_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         if now_fn is None and log is not None:
             now_fn = log.now_fn
         self.now_fn = now_fn or (lambda: 0.0)
         self.registry = MetricRegistry()
         self.log = log if log is not None else EventLog(self.now_fn, max_events)
-        self.spans = SpanRecorder(
-            sim_now_fn=self.now_fn,
-            wall_now_fn=wall_now_fn,
-            registry=self.registry,
-        )
 
     # -- instruments (get-or-create, delegated to the registry) --------
     def counter(self, name: str, deterministic: bool = True) -> Counter:
@@ -127,10 +119,6 @@ class Observability:
     # -- events --------------------------------------------------------
     def event(self, component: str, kind: str, **details: Any) -> None:
         self.log.event(component, kind, **details)
-
-    # -- spans ---------------------------------------------------------
-    def span(self, name: str, **details: Any) -> Span:
-        return self.spans.start(name, **details)
 
     # -- snapshots -----------------------------------------------------
     def snapshot(self, deterministic_only: bool = False) -> Dict[str, Any]:
@@ -283,27 +271,6 @@ class _NullRegistry:
         return {}
 
 
-class _NullSpanRecorder:
-    """Span recorder facade: never times, never stores."""
-
-    __slots__ = ()
-    records: Tuple = ()
-    dropped = 0
-    depth = 0
-
-    def start(self, name: str, **details: Any):
-        return NULL_SPAN
-
-    def current(self) -> None:
-        return None
-
-    def by_path(self, path: str) -> List:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
 class NullObservability(Observability):
     """Disabled observability: every call is a no-op.
 
@@ -319,13 +286,9 @@ class NullObservability(Observability):
         self.now_fn = lambda: 0.0
         self.registry = _NullRegistry()
         self.log = NullEventLog()
-        self.spans = _NullSpanRecorder()
 
     def event(self, component: str, kind: str, **details: Any) -> None:
         pass
-
-    def span(self, name: str, **details: Any):
-        return NULL_SPAN
 
     def snapshot(self, deterministic_only: bool = False) -> Dict[str, Any]:
         return {"metrics": {}, "events": {"recorded": 0, "dropped": 0, "kinds": {}}}

@@ -1,5 +1,5 @@
-"""Batch crypto operations: equivalence with per-message ops, and
-TimedCrypto accounting."""
+"""Batch signature verification: equivalence with per-message verify,
+and TimedCrypto accounting."""
 
 import pytest
 
@@ -17,20 +17,21 @@ def provider(request):
     return RealCrypto(seed="batch-test", bits=512)
 
 
+def _signed(provider):
+    return [provider.sign("alice", m) for m in MESSAGES]
+
+
 # ----------------------------------------------------------------------
-# Batch ops match the per-message ops bit-for-bit
+# verify_batch matches per-message verify
 # ----------------------------------------------------------------------
 
 
-def test_sign_batch_matches_loop(provider):
-    looped = [provider.sign("alice", m) for m in MESSAGES]
-    batched = provider.sign_batch("alice", MESSAGES)
-    assert batched == looped
-    assert provider.verify_batch(batched, MESSAGES) == [True] * len(MESSAGES)
+def test_verify_batch_accepts_good_signatures(provider):
+    assert provider.verify_batch(_signed(provider), MESSAGES) == [True] * len(MESSAGES)
 
 
 def test_verify_batch_flags_bad_signatures(provider):
-    signatures = provider.sign_batch("alice", MESSAGES)
+    signatures = _signed(provider)
     # mallory's signature value attributed to alice must not verify
     forged = provider.sign("mallory", MESSAGES[3])
     signatures[3] = Signature("alice", forged.value)
@@ -39,32 +40,9 @@ def test_verify_batch_flags_bad_signatures(provider):
 
 
 def test_verify_batch_length_mismatch_raises(provider):
-    signatures = provider.sign_batch("alice", MESSAGES)
+    signatures = _signed(provider)
     with pytest.raises(ValueError):
         provider.verify_batch(signatures[:-1], MESSAGES)
-
-
-def test_threshold_sign_share_batch_matches_loop(provider):
-    provider.create_threshold_group("g", 4, 2)
-    looped = [provider.threshold_sign_share("g", 2, m) for m in MESSAGES]
-    batched = provider.threshold_sign_share_batch("g", 2, MESSAGES)
-    assert batched == looped
-    # shares from the batch path combine exactly like per-message shares
-    other = provider.threshold_sign_share_batch("g", 4, MESSAGES)
-    for message, s1, s2 in zip(MESSAGES, batched, other):
-        combined = provider.threshold_combine("g", message, [s1, s2])
-        assert combined is not None
-        assert provider.threshold_verify(combined, message)
-
-
-def test_threshold_sign_share_batch_bad_index(provider):
-    provider.create_threshold_group("g", 4, 2)
-    if isinstance(provider, FastCrypto):
-        with pytest.raises(ValueError):
-            provider.threshold_sign_share_batch("g", 5, MESSAGES)
-    else:
-        with pytest.raises(KeyError):
-            provider.threshold_sign_share_batch("g", 5, MESSAGES)
 
 
 # ----------------------------------------------------------------------
@@ -86,20 +64,16 @@ def test_timed_crypto_counts_link_macs_without_timing_them():
 def test_timed_crypto_counts_batches_and_items():
     obs = Observability()
     timed = TimedCrypto(FastCrypto(seed="timed"), obs)
-    timed.create_threshold_group("g", 4, 2)
-
-    signatures = timed.sign_batch("alice", MESSAGES)
-    timed.verify_batch(signatures, MESSAGES)
-    timed.threshold_sign_share_batch("g", 1, MESSAGES)
-
+    timed.verify_batch(_signed(timed), MESSAGES)
     metrics = obs.snapshot()["metrics"]
-    n = len(MESSAGES)
-    for op in ("sign_batch", "verify_batch", "threshold_sign_share_batch"):
-        assert metrics[f"crypto.{op}.calls"] == 1, op
-        assert metrics[f"crypto.{op}.items"] == n, op
+    assert metrics["crypto.verify_batch.calls"] == 1
+    assert metrics["crypto.verify_batch.items"] == len(MESSAGES)
 
 
 def test_timed_crypto_batch_results_match_inner():
     inner = FastCrypto(seed="timed-eq")
     timed = TimedCrypto(FastCrypto(seed="timed-eq"), Observability())
-    assert timed.sign_batch("alice", MESSAGES) == inner.sign_batch("alice", MESSAGES)
+    signatures = _signed(inner)
+    signatures[3] = Signature("alice", inner.sign("mallory", MESSAGES[3]).value)
+    assert timed.verify_batch(signatures, MESSAGES) == \
+        inner.verify_batch(signatures, MESSAGES)

@@ -1,9 +1,8 @@
 """Unit tests for the ``repro.obs`` primitives.
 
-Covers the redesigned instrumentation API: typed instruments and the
-registry, hierarchical spans (wall + sim clock, nesting), the structured
-event log, the no-op recorder, and snapshot determinism across runs of
-the same seed.
+Covers the instrumentation API: typed instruments and the registry, the
+structured event log, the no-op recorder, and snapshot determinism across
+runs of the same seed.
 """
 
 import pytest
@@ -80,58 +79,6 @@ def test_latency_tracker_cdf_at_marks_matches_fig3_formula():
 
 
 # ----------------------------------------------------------------------
-# Spans: nesting, sim-vs-wall clocks
-# ----------------------------------------------------------------------
-def test_span_nesting_builds_paths_and_depths():
-    obs = Observability(now_fn=lambda: 0.0)
-    with obs.span("outer"):
-        with obs.span("inner"):
-            pass
-        with obs.span("inner"):
-            pass
-    records = obs.spans.records
-    paths = sorted(r.path for r in records)
-    assert paths == ["outer", "outer/inner", "outer/inner"]
-    by_depth = {r.path: r.depth for r in records}
-    assert by_depth["outer"] == 0
-    assert by_depth["outer/inner"] == 1
-
-
-def test_span_sim_clock_independent_of_wall_clock():
-    sim_now = {"t": 100.0}
-    wall_now = {"t": 5.0}
-    obs = Observability(
-        now_fn=lambda: sim_now["t"], wall_now_fn=lambda: wall_now["t"]
-    )
-    with obs.span("work"):
-        sim_now["t"] += 40.0     # virtual time advances 40 ms
-        wall_now["t"] += 0.002   # wall time advances 2 ms
-    (record,) = obs.spans.records
-    assert record.sim_ms == pytest.approx(40.0)
-    assert record.wall_ms == pytest.approx(2.0)  # wall clock is in seconds
-
-
-def test_span_histograms_separate_deterministic_sim_from_wall():
-    obs = Observability(now_fn=lambda: 0.0)
-    with obs.span("step"):
-        pass
-    deterministic = obs.registry.snapshot(deterministic_only=True)
-    everything = obs.registry.snapshot()
-    assert "span.step.sim_ms" in deterministic
-    assert "span.step.wall_ms" not in deterministic
-    assert "span.step.wall_ms" in everything
-
-
-def test_span_annotate_records_details():
-    obs = Observability(now_fn=lambda: 0.0)
-    with obs.span("op", phase="a") as span:
-        span.annotate(result="ok")
-    (record,) = obs.spans.records
-    assert record.details["phase"] == "a"
-    assert record.details["result"] == "ok"
-
-
-# ----------------------------------------------------------------------
 # Event log
 # ----------------------------------------------------------------------
 def test_event_log_records_and_counts_kinds():
@@ -164,12 +111,9 @@ def test_null_obs_swallows_everything():
     obs.gauge("g").set(1.0)
     obs.histogram("h").observe(1.0)
     obs.event("comp", "kind", a=1)
-    with obs.span("s"):
-        pass
     assert obs.counter("c").value == 0
     assert obs.registry.snapshot() == {}
     assert len(obs.log) == 0
-    assert obs.spans.records == ()
     assert obs.snapshot()["metrics"] == {}
 
 
