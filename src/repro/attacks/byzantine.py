@@ -12,7 +12,7 @@ uses it when a compromised replica is proactively recovered).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, List, Optional
 
 from ..crypto.provider import ThresholdShare
 from ..pbft.messages import PbftPrePrepare

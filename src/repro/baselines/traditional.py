@@ -172,14 +172,6 @@ class TraditionalProxy(_Endpoint):
         self.poller = ModbusPoller(self, self._send_status, devices)
         self.status_sent = 0
 
-    @property
-    def polls_timed_out(self) -> int:
-        return self.poller.polls_timed_out
-
-    @property
-    def commands_executed(self) -> int:
-        return self.poller.writes_confirmed
-
     def _arm(self) -> None:
         self.every(self.poll_interval_ms, self.poller.poll_all, jitter=2.0)
 

@@ -139,7 +139,7 @@ def test_dead_rtu_times_out_and_is_not_polled_twice_at_once():
     dead.crash()
     dep.start()
     dep.run_for(1000)
-    assert dep.proxy.polls_timed_out > 0
+    assert dep.proxy.poller.polls_timed_out > 0
     # one transaction in flight at a time: the next request waits for the
     # 50 ms device timeout, it does not ride every 20 ms poll tick
     assert all(b - a > 50.0 for a, b in zip(requests, requests[1:]))
