@@ -4,18 +4,26 @@ This module provides the scenario-scripting layer the benchmarks use: crash
 a node at t=X, partition a site between t=X and t=Y, run a DoS against a
 replica's links for a window, etc. All injections are expressed against
 virtual time, which is what makes the attack benchmarks deterministic.
+
+Every injection is a *window* — something done at ``start_ms`` and undone
+at ``start_ms + duration_ms`` — and :meth:`FailureInjector.window` is the
+one place that shape is written; each public method says only what its
+fault does and how to undo it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .engine import Simulator
 from .network import Network
 
 __all__ = ["FailureInjector", "DosAttack", "CorruptedPayload"]
+
+#: what a window's ``apply`` returns: (subject for the log, undo)
+Opened = Tuple[str, Callable[[], None]]
 
 
 @dataclass(frozen=True)
@@ -70,27 +78,38 @@ class FailureInjector:
     def _note(self, text: str) -> None:
         self._log.append(f"[t={self.simulator.now:10.1f}ms] {text}")
 
+    def window(
+        self, label: str, start_ms: float, duration_ms: float,
+        apply: Callable[[], Opened], verbs: Tuple[str, str] = ("start", "stop"),
+    ) -> None:
+        """The window primitive every method below is one call of.
+
+        ``apply()`` runs at ``start_ms``, injects the fault and returns
+        ``(subject, undo)``; ``undo()`` runs at ``start_ms + duration_ms``.
+        Both are noted in the log as ``"<label> <verb> <subject>"`` — the
+        subject is known only once ``apply`` has run, so a window may pick
+        its victim at *fire* time.
+        """
+        opened: List[Opened] = []
+
+        def start() -> None:
+            opened.append(apply())
+            self._note(f"{label} {verbs[0]} {opened[0][0]}".lstrip())
+
+        def stop() -> None:
+            subject, undo = opened.pop()
+            undo()
+            self._note(f"{label} {verbs[1]} {subject}".lstrip())
+
+        self.simulator.schedule_at(start_ms, start)
+        self.simulator.schedule_at(start_ms + duration_ms, stop)
+
     # ------------------------------------------------------------------
-    # Crash / recover
+    # Crashes and partitions
     # ------------------------------------------------------------------
-    def crash_at(self, when_ms: float, node_name: str) -> None:
-        def do() -> None:
-            self.network.process(node_name).crash()
-            self._note(f"CRASH {node_name}")
-
-        self.simulator.schedule_at(when_ms, do)
-
-    def recover_at(self, when_ms: float, node_name: str) -> None:
-        def do() -> None:
-            self.network.process(node_name).recover()
-            self._note(f"RECOVER {node_name}")
-
-        self.simulator.schedule_at(when_ms, do)
-
     def crash_window(self, node_name: str, start_ms: float, duration_ms: float) -> None:
         """Crash a node for a bounded window, then recover it."""
-        self.crash_at(start_ms, node_name)
-        self.recover_at(start_ms + duration_ms, node_name)
+        self.crash_resolved_window(lambda: node_name, start_ms, duration_ms, label="")
 
     def crash_resolved_window(
         self,
@@ -105,26 +124,13 @@ class FailureInjector:
         what a ``leader_kill`` needs: the adversary observes who holds the
         leader role at the instant of attack and kills that process.
         """
-        target_holder: dict = {}
-
-        def do_crash() -> None:
+        def apply() -> Opened:
             target = resolve()
-            target_holder["target"] = target
             self.network.process(target).crash()
-            self._note(f"{label} CRASH {target}")
+            return target, lambda: self.network.process(target).recover()
 
-        def do_recover() -> None:
-            target = target_holder.get("target")
-            if target is not None:
-                self.network.process(target).recover()
-                self._note(f"{label} RECOVER {target}")
+        self.window(label, start_ms, duration_ms, apply, ("CRASH", "RECOVER"))
 
-        self.simulator.schedule_at(start_ms, do_crash)
-        self.simulator.schedule_at(start_ms + duration_ms, do_recover)
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
     def partition_window(
         self,
         group_a: Iterable[str],
@@ -133,22 +139,8 @@ class FailureInjector:
         duration_ms: float,
     ) -> None:
         """Cut connectivity between two groups for a window (site outage)."""
-        group_a = list(group_a)
-        group_b = list(group_b)
-        heal_holder: dict = {}
-
-        def cut() -> None:
-            heal_holder["heal"] = self.network.partition(group_a, group_b)
-            self._note(f"PARTITION {group_a} | {group_b}")
-
-        def heal() -> None:
-            fn = heal_holder.get("heal")
-            if fn is not None:
-                fn()
-            self._note(f"HEAL {group_a} | {group_b}")
-
-        self.simulator.schedule_at(start_ms, cut)
-        self.simulator.schedule_at(start_ms + duration_ms, heal)
+        groups = (list(group_a), list(group_b))
+        self.partition_resolved_window(lambda: groups, start_ms, duration_ms, label="")
 
     def partition_resolved_window(
         self,
@@ -163,91 +155,142 @@ class FailureInjector:
         ``leader_partition`` isolates whoever is leader *when the attack
         lands*, not whoever was leader when the schedule was drawn.
         """
-        heal_holder: dict = {}
+        def apply() -> Opened:
+            group_a, group_b = (list(group) for group in resolve_groups())
+            return f"{group_a} | {group_b}", self.network.partition(group_a, group_b)
 
-        def cut() -> None:
-            group_a, group_b = resolve_groups()
-            group_a, group_b = list(group_a), list(group_b)
-            heal_holder["heal"] = self.network.partition(group_a, group_b)
-            self._note(f"{label} PARTITION {group_a} | {group_b}")
-
-        def heal() -> None:
-            fn = heal_holder.get("heal")
-            if fn is not None:
-                fn()
-            self._note(f"{label} HEAL")
-
-        self.simulator.schedule_at(start_ms, cut)
-        self.simulator.schedule_at(start_ms + duration_ms, heal)
+        self.window(label, start_ms, duration_ms, apply, ("PARTITION", "HEAL"))
 
     # ------------------------------------------------------------------
-    # DoS
+    # Link faults: DoS, gray failures, link kill
     # ------------------------------------------------------------------
-    def dos_node(self, attack: DosAttack, peers: Optional[Iterable[str]] = None) -> None:
-        """Degrade every link between the target and its peers for a window.
+    def _degrade_window(
+        self, label: str, src: str, peers: Optional[Iterable[str]],
+        start_ms: float, duration_ms: float, symmetric: bool = True, **extra: float,
+    ) -> None:
+        """Degrade the links from ``src`` to each peer for a window.
 
-        ``peers`` defaults to every registered process; narrowing it keeps
-        large scenarios cheap.
+        ``peers`` defaults to every other registered process; narrowing it
+        keeps large scenarios cheap.
         """
         peer_list = list(peers) if peers is not None else [
-            name for name in self.network.process_names if name != attack.target
+            name for name in self.network.process_names if name != src
         ]
-        restores: List[Callable[[], None]] = []
 
-        def start() -> None:
-            for peer in peer_list:
-                restores.append(
-                    self.network.degrade_link(
-                        attack.target,
-                        peer,
-                        extra_delay_ms=attack.extra_delay_ms,
-                        extra_loss=attack.extra_loss,
-                    )
-                )
-            self._note(
-                f"DOS start on {attack.target} "
-                f"(+{attack.extra_delay_ms}ms, +{attack.extra_loss:.0%} loss)"
-            )
+        def apply() -> Opened:
+            restores = [
+                self.network.degrade_link(src, peer, symmetric=symmetric, **extra)
+                for peer in peer_list
+            ]
 
-        def stop() -> None:
-            for restore in restores:
-                restore()
-            restores.clear()
-            self._note(f"DOS stop on {attack.target}")
+            def undo() -> None:
+                for restore in restores:
+                    restore()
 
-        self.simulator.schedule_at(attack.start_ms, start)
-        self.simulator.schedule_at(attack.end_ms, stop)
+            arrow = "<->" if symmetric else "->"
+            return f"{src}{arrow}{','.join(peer_list)} {extra}", undo
+
+        self.window(label, start_ms, duration_ms, apply)
+
+    def dos_node(self, attack: DosAttack, peers: Optional[Iterable[str]] = None) -> None:
+        """Degrade every link between the target and its peers for a window."""
+        self._degrade_window(
+            "DOS", attack.target, peers, attack.start_ms, attack.duration_ms,
+            extra_delay_ms=attack.extra_delay_ms, extra_loss=attack.extra_loss,
+        )
+
+    def slow_node(
+        self,
+        node_name: str,
+        start_ms: float,
+        duration_ms: float,
+        extra_delay_ms: float = 50.0,
+        peers: Optional[Iterable[str]] = None,
+    ) -> None:
+        """A node that is up but sluggish: all its outbound links slow down
+        (asymmetric — replies still arrive promptly, the classic gray
+        failure that defeats naive crash detectors)."""
+        self._degrade_window(
+            "SLOW-NODE", node_name, peers, start_ms, duration_ms,
+            symmetric=False, extra_delay_ms=extra_delay_ms,
+        )
+
+    def asym_link_window(
+        self,
+        src: str,
+        dst: str,
+        start_ms: float,
+        duration_ms: float,
+        extra_delay_ms: float = 100.0,
+        extra_loss: float = 0.0,
+    ) -> None:
+        """Degrade one direction of one link (asymmetric gray failure)."""
+        self._degrade_window(
+            "ASYM-LINK", src, [dst], start_ms, duration_ms, symmetric=False,
+            extra_delay_ms=extra_delay_ms, extra_loss=extra_loss,
+        )
+
+    def dos_link_window(
+        self,
+        src: str,
+        dst: str,
+        start_ms: float,
+        duration_ms: float,
+        extra_delay_ms: float = 300.0,
+        extra_loss: float = 0.2,
+    ) -> None:
+        """Degrade a single (bidirectional) link for a window."""
+        self._degrade_window(
+            "DOS-LINK", src, [dst], start_ms, duration_ms,
+            extra_delay_ms=extra_delay_ms, extra_loss=extra_loss,
+        )
+
+    def block_link_window(
+        self,
+        a: str,
+        b: str,
+        start_ms: float,
+        duration_ms: float,
+    ) -> None:
+        """Sever one (bidirectional) link for a window — a clean link kill,
+        as opposed to :meth:`dos_link_window`'s degradation. The overlay's
+        self-healing control plane should detect this and reroute."""
+        self.window(
+            "LINK-KILL", start_ms, duration_ms,
+            lambda: (f"{a}<->{b}", self.network.block_link(a, b)),
+        )
 
     # ------------------------------------------------------------------
     # Message-level faults
     # ------------------------------------------------------------------
-    # Each primitive installs a network filter for a bounded window. The
-    # filter matches messages whose source or destination is in ``targets``
-    # (or every message when ``targets`` is None) and draws all randomness
-    # from a named simulator stream, so fault decisions are reproducible
-    # from (seed, schedule).
-
-    def _filter_window(
-        self, fn: Callable, start_ms: float, duration_ms: float, label: str
+    def _message_window(
+        self, label: str, targets: Optional[Iterable[str]], start_ms: float,
+        duration_ms: float, probability: float, rng_name: str,
+        hit: Callable[[Any, str, str, Any], Optional[Any]],
     ) -> None:
-        holder: dict = {}
+        """Install a network filter for a window.
 
-        def install() -> None:
-            holder["remove"] = self.network.add_filter(fn)
-            self._note(f"{label} start")
+        The filter matches messages whose source or destination is in
+        ``targets`` (every message when ``targets`` is None); each match
+        is, with ``probability``, replaced by ``hit(rng, src, dst,
+        payload)`` — None swallows it. All randomness comes from the named
+        simulator stream, so fault decisions are reproducible from
+        (seed, schedule).
+        """
+        scope = frozenset(targets) if targets is not None else None
+        rng = self.simulator.rng(rng_name)
 
-        def remove() -> None:
-            remover = holder.get("remove")
-            if remover is not None:
-                remover()
-            self._note(f"{label} stop")
+        def fn(src: str, dst: str, payload: Any) -> Optional[Any]:
+            if (scope is None or src in scope or dst in scope) \
+                    and rng.random() < probability:
+                return hit(rng, src, dst, payload)
+            return payload
 
-        self.simulator.schedule_at(start_ms, install)
-        self.simulator.schedule_at(start_ms + duration_ms, remove)
-
-    @staticmethod
-    def _matches(targets: Optional[frozenset], src: str, dst: str) -> bool:
-        return targets is None or src in targets or dst in targets
+        subject = f"p={probability} on {sorted(scope) if scope else 'all'}"
+        self.window(
+            label, start_ms, duration_ms,
+            lambda: (subject, self.network.add_filter(fn)),
+        )
 
     def drop_messages(
         self,
@@ -258,17 +301,9 @@ class FailureInjector:
         rng_name: str = "faults/drop",
     ) -> None:
         """Drop each matching message independently with ``probability``."""
-        scope = frozenset(targets) if targets is not None else None
-        rng = self.simulator.rng(rng_name)
-
-        def fn(src: str, dst: str, payload: Any) -> Optional[Any]:
-            if self._matches(scope, src, dst) and rng.random() < probability:
-                return None
-            return payload
-
-        self._filter_window(
-            fn, start_ms, duration_ms,
-            f"DROP p={probability} on {sorted(scope) if scope else 'all'}",
+        self._message_window(
+            "DROP", targets, start_ms, duration_ms, probability, rng_name,
+            lambda rng, src, dst, payload: None,
         )
 
     def duplicate_messages(
@@ -281,19 +316,12 @@ class FailureInjector:
         rng_name: str = "faults/duplicate",
     ) -> None:
         """Deliver a delayed second copy of matching messages."""
-        scope = frozenset(targets) if targets is not None else None
-        rng = self.simulator.rng(rng_name)
-
-        def fn(src: str, dst: str, payload: Any) -> Optional[Any]:
-            if self._matches(scope, src, dst) and rng.random() < probability:
-                self.network.inject(
-                    src, dst, payload, delay_ms=rng.random() * extra_delay_ms
-                )
+        def hit(rng: Any, src: str, dst: str, payload: Any) -> Any:
+            self.network.inject(src, dst, payload, delay_ms=rng.random() * extra_delay_ms)
             return payload
 
-        self._filter_window(
-            fn, start_ms, duration_ms,
-            f"DUPLICATE p={probability} on {sorted(scope) if scope else 'all'}",
+        self._message_window(
+            "DUPLICATE", targets, start_ms, duration_ms, probability, rng_name, hit,
         )
 
     def reorder_window(
@@ -313,14 +341,17 @@ class FailureInjector:
         window. A final flush at the window end releases any remainder, so
         the primitive never swallows messages.
         """
-        scope = frozenset(targets) if targets is not None else None
+        if window_ms <= 0:
+            # a zero-length slice re-arms its flush at the same instant
+            # forever: the run would hang at start_ms
+            raise ValueError(f"reorder_window: window_ms must be positive, got {window_ms}")
         rng = self.simulator.rng(rng_name)
         buffer: List[tuple] = []
-        state = {"active": False}
+
+        def hold(rng: Any, *message: Any) -> None:
+            buffer.append(message)
 
         def flush() -> None:
-            if not buffer:
-                return
             batch = list(buffer)
             buffer.clear()
             rng.shuffle(batch)
@@ -328,35 +359,24 @@ class FailureInjector:
                 # strictly increasing sub-ms offsets preserve the permutation
                 self.network.inject(src, dst, payload, delay_ms=index * 1e-3)
 
-        def fn(src: str, dst: str, payload: Any) -> Optional[Any]:
-            if self._matches(scope, src, dst) and rng.random() < probability:
-                buffer.append((src, dst, payload))
-                return None
-            return payload
+        def start_flushing() -> Opened:
+            # its own stream: a periodic timer draws (zero) jitter per tick
+            ticker = self.simulator.call_every(window_ms, flush, rng_name=f"{rng_name}/tick")
 
-        def tick() -> None:
-            flush()
-            if state["active"]:
-                self.simulator.schedule(window_ms, tick)
+            def stop() -> None:
+                ticker.stop()
+                flush()
 
-        def start() -> None:
-            state["active"] = True
-            self.simulator.schedule(window_ms, tick)
+            return f"every {window_ms}ms", stop
 
-        def stop() -> None:
-            state["active"] = False
-            flush()
-
-        # The filter is scheduled first so that, at the window end, it is
-        # removed before the final flush runs (events at equal times fire
-        # in scheduling order) — no message can enter the buffer after the
-        # last flush.
-        self._filter_window(
-            fn, start_ms, duration_ms,
-            f"REORDER w={window_ms}ms on {sorted(scope) if scope else 'all'}",
+        # The filter window is scheduled first so that, at the window end,
+        # the filter is removed before the final flush runs (events at
+        # equal times fire in scheduling order) — no message can enter the
+        # buffer after the last flush.
+        self._message_window(
+            "REORDER", targets, start_ms, duration_ms, probability, rng_name, hold,
         )
-        self.simulator.schedule_at(start_ms, start)
-        self.simulator.schedule_at(start_ms + duration_ms, stop)
+        self.window("REORDER-FLUSH", start_ms, duration_ms, start_flushing)
 
     def corrupt_payload(
         self,
@@ -373,10 +393,7 @@ class FailureInjector:
         signature verification; everything else becomes an unparseable
         :class:`CorruptedPayload`.
         """
-        scope = frozenset(targets) if targets is not None else None
-        rng = self.simulator.rng(rng_name)
-
-        def mangle(payload: Any) -> Any:
+        def mangle(rng: Any, src: str, dst: str, payload: Any) -> Any:
             nonce = rng.getrandbits(32)
             blob = CorruptedPayload(type(payload).__name__, nonce)
             if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
@@ -388,14 +405,8 @@ class FailureInjector:
                         return blob
             return blob
 
-        def fn(src: str, dst: str, payload: Any) -> Optional[Any]:
-            if self._matches(scope, src, dst) and rng.random() < probability:
-                return mangle(payload)
-            return payload
-
-        self._filter_window(
-            fn, start_ms, duration_ms,
-            f"CORRUPT p={probability} on {sorted(scope) if scope else 'all'}",
+        self._message_window(
+            "CORRUPT", targets, start_ms, duration_ms, probability, rng_name, mangle,
         )
 
     def delay_spike(
@@ -409,88 +420,15 @@ class FailureInjector:
         rng_name: str = "faults/delay",
     ) -> None:
         """Add a latency spike to matching messages (they bypass loss)."""
-        scope = frozenset(targets) if targets is not None else None
-        rng = self.simulator.rng(rng_name)
-
-        def fn(src: str, dst: str, payload: Any) -> Optional[Any]:
-            if self._matches(scope, src, dst) and rng.random() < probability:
-                self.network.inject(
-                    src, dst, payload,
-                    delay_ms=extra_ms + rng.random() * jitter_ms,
-                )
-                return None
-            return payload
-
-        self._filter_window(
-            fn, start_ms, duration_ms,
-            f"DELAY +{extra_ms}ms on {sorted(scope) if scope else 'all'}",
-        )
-
-    # ------------------------------------------------------------------
-    # Gray failures
-    # ------------------------------------------------------------------
-    def slow_node(
-        self,
-        node_name: str,
-        start_ms: float,
-        duration_ms: float,
-        extra_delay_ms: float = 50.0,
-        peers: Optional[Iterable[str]] = None,
-    ) -> None:
-        """A node that is up but sluggish: all its outbound links slow down
-        (asymmetric — replies still arrive promptly, the classic gray
-        failure that defeats naive crash detectors)."""
-        peer_list = list(peers) if peers is not None else [
-            name for name in self.network.process_names if name != node_name
-        ]
-        restores: List[Callable[[], None]] = []
-
-        def start() -> None:
-            for peer in peer_list:
-                restores.append(
-                    self.network.degrade_link(
-                        node_name, peer,
-                        extra_delay_ms=extra_delay_ms, symmetric=False,
-                    )
-                )
-            self._note(f"SLOW-NODE start {node_name} (+{extra_delay_ms}ms out)")
-
-        def stop() -> None:
-            for restore in restores:
-                restore()
-            restores.clear()
-            self._note(f"SLOW-NODE stop {node_name}")
-
-        self.simulator.schedule_at(start_ms, start)
-        self.simulator.schedule_at(start_ms + duration_ms, stop)
-
-    def asym_link_window(
-        self,
-        src: str,
-        dst: str,
-        start_ms: float,
-        duration_ms: float,
-        extra_delay_ms: float = 100.0,
-        extra_loss: float = 0.0,
-    ) -> None:
-        """Degrade one direction of one link (asymmetric gray failure)."""
-        holder: dict = {}
-
-        def start() -> None:
-            holder["restore"] = self.network.degrade_link(
-                src, dst, extra_delay_ms=extra_delay_ms,
-                extra_loss=extra_loss, symmetric=False,
+        def hit(rng: Any, src: str, dst: str, payload: Any) -> None:
+            self.network.inject(
+                src, dst, payload, delay_ms=extra_ms + rng.random() * jitter_ms,
             )
-            self._note(f"ASYM-LINK start {src}->{dst}")
 
-        def stop() -> None:
-            restore = holder.get("restore")
-            if restore is not None:
-                restore()
-            self._note(f"ASYM-LINK stop {src}->{dst}")
-
-        self.simulator.schedule_at(start_ms, start)
-        self.simulator.schedule_at(start_ms + duration_ms, stop)
+        self._message_window(
+            f"DELAY +{extra_ms}ms", targets, start_ms, duration_ms,
+            probability, rng_name, hit,
+        )
 
     def jitter_storm(
         self,
@@ -508,55 +446,3 @@ class FailureInjector:
             extra_ms=0.0, jitter_ms=max_extra_ms,
             probability=probability, rng_name=rng_name,
         )
-
-    def block_link_window(
-        self,
-        a: str,
-        b: str,
-        start_ms: float,
-        duration_ms: float,
-    ) -> None:
-        """Sever one (bidirectional) link for a window — a clean link kill,
-        as opposed to :meth:`dos_link_window`'s degradation. The overlay's
-        self-healing control plane should detect this and reroute."""
-        holder: dict = {}
-
-        def start() -> None:
-            holder["unblock"] = self.network.block_link(a, b)
-            self._note(f"LINK-KILL start {a}<->{b}")
-
-        def stop() -> None:
-            fn = holder.get("unblock")
-            if fn is not None:
-                fn()
-            self._note(f"LINK-KILL stop {a}<->{b}")
-
-        self.simulator.schedule_at(start_ms, start)
-        self.simulator.schedule_at(start_ms + duration_ms, stop)
-
-    def dos_link_window(
-        self,
-        src: str,
-        dst: str,
-        start_ms: float,
-        duration_ms: float,
-        extra_delay_ms: float = 300.0,
-        extra_loss: float = 0.2,
-    ) -> None:
-        """Degrade a single (bidirectional) link for a window."""
-        holder: dict = {}
-
-        def start() -> None:
-            holder["restore"] = self.network.degrade_link(
-                src, dst, extra_delay_ms=extra_delay_ms, extra_loss=extra_loss
-            )
-            self._note(f"DOS-LINK start {src}<->{dst}")
-
-        def stop() -> None:
-            fn = holder.get("restore")
-            if fn is not None:
-                fn()
-            self._note(f"DOS-LINK stop {src}<->{dst}")
-
-        self.simulator.schedule_at(start_ms, start)
-        self.simulator.schedule_at(start_ms + duration_ms, stop)
