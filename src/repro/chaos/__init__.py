@@ -15,14 +15,8 @@ Quickstart::
     assert result.ok, result.violations
 """
 
-from .engine import (
-    HOST_STAT_KEYS,
-    LEADER_FAULT_KINDS,
-    OVERLAY_FAULT_KINDS,
-    ChaosEngine,
-    ChaosOptions,
-    ChaosResult,
-)
+from .engine import HOST_STAT_KEYS, ChaosEngine, ChaosOptions, ChaosResult
+from .faults import FAULT_KINDS, LEADER_FAULT_KINDS, OVERLAY_FAULT_KINDS
 from .generator import ChaosProfile, generate_schedule
 from .monitors import (
     BoundedDelayMonitor,
@@ -34,7 +28,7 @@ from .monitors import (
     ViewRecoveryMonitor,
     Violation,
 )
-from .pbft import PbftChaosOptions, PbftChaosResult, run_pbft_chaos
+from .pbft import PbftChaosOptions, run_pbft_chaos
 from .scenario import (
     SCENARIO_FORMAT,
     ReplayMismatch,
@@ -43,7 +37,7 @@ from .scenario import (
     replay_scenario,
     scenario_dict,
 )
-from .schedule import FAULT_KINDS, FaultAction, FaultSchedule
+from .schedule import FaultAction, FaultSchedule
 from .shrink import ShrinkResult, shrink_schedule
 
 __all__ = [
@@ -67,7 +61,6 @@ __all__ = [
     "OVERLAY_FAULT_KINDS",
     "LEADER_FAULT_KINDS",
     "PbftChaosOptions",
-    "PbftChaosResult",
     "run_pbft_chaos",
     "SCENARIO_FORMAT",
     "scenario_dict",

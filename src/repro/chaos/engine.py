@@ -20,7 +20,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..attacks.dos import LeaderChaser
 from ..control import ControlOptions
 from ..core.deployment import SpireDeployment, SpireOptions
 from ..crypto.encoding import digest
@@ -32,8 +31,8 @@ from ..obs import (
     EV_REJUVENATE_DONE,
     EV_REJUVENATE_START,
 )
-from ..simnet import DosAttack, FailureInjector
-from ..spines import SpinesDaemon
+from ..simnet import FailureInjector
+from .faults import FAULTS, LEADER_PROFILE_KINDS, OVERLAY_FAULT_KINDS, ChaosSystem
 from .generator import ChaosProfile, generate_schedule
 from .monitors import (
     BoundedDelayMonitor,
@@ -47,18 +46,7 @@ from .monitors import (
 )
 from .schedule import FaultAction, FaultSchedule
 
-__all__ = [
-    "ChaosOptions", "ChaosResult", "ChaosEngine",
-    "OVERLAY_FAULT_KINDS", "LEADER_FAULT_KINDS",
-]
-
-#: fault kinds whose targets are overlay *site* names; the engine maps
-#: them to spines daemon processes and the reroute monitor judges them
-OVERLAY_FAULT_KINDS = frozenset({"link_kill", "link_degrade", "daemon_kill"})
-
-#: fault kinds resolved against the *current* leader at fire time; the
-#: view-recovery monitor judges each one
-LEADER_FAULT_KINDS = frozenset({"leader_kill", "leader_partition"})
+__all__ = ["ChaosOptions", "ChaosResult", "ChaosEngine"]
 
 #: deployment mutator applied before monitors attach (test-only hooks that
 #: deliberately weaken a component to prove the monitors catch it)
@@ -142,9 +130,10 @@ HOST_STAT_KEYS = frozenset({"wall_runtime_s"})
 
 @dataclass
 class ChaosResult:
-    """Outcome of one chaos run."""
+    """Outcome of one chaos run, of either harness."""
 
-    options: ChaosOptions
+    #: ``ChaosOptions``, or ``PbftChaosOptions`` from ``run_pbft_chaos``
+    options: Any
     schedule: FaultSchedule
     violations: List[Violation]
     fingerprint: str
@@ -221,7 +210,7 @@ class ChaosEngine:
         if schedule is None:
             kinds = ChaosProfile().kinds
             if opts.leader_faults:
-                kinds = kinds + ("leader_kill", "leader_kill", "leader_partition")
+                kinds = kinds + LEADER_PROFILE_KINDS
             profile = ChaosProfile(
                 window_start_ms=opts.warmup_ms,
                 window_end_ms=opts.warmup_ms + opts.chaos_ms,
@@ -275,11 +264,24 @@ class ChaosEngine:
             monitor.bind_obs(deployment.obs)
 
         # --- fault schedule -------------------------------------------
+        # Each action opens its kind's windows (one row of the fault table)
+        # and draws from its own RNG stream.
         injector = FailureInjector(deployment.simulator, deployment.network)
-        chasers: List[LeaderChaser] = []
+        system = ChaosSystem(
+            deployment.current_leader, deployment.current_view,
+            deployment.dos_peers_of, view_recovery.note_fault,
+        )
         for index, action in enumerate(schedule):
-            self._apply(action, index, deployment, injector, chasers,
-                        view_recovery)
+            # Deterministic per (seed, schedule): emitted at sim time 0 with
+            # content drawn only from the schedule, so it is fingerprint-safe.
+            deployment.obs.event(
+                COMP_CHAOS, EV_FAULT_SCHEDULED,
+                index=index, fault=action.kind, targets=",".join(action.targets),
+                start_ms=action.start_ms, duration_ms=action.duration_ms,
+            )
+            FAULTS[action.kind].apply(
+                action, system, injector, f"chaos/{action.kind}/{index}",
+            )
 
         # --- run ------------------------------------------------------
         deployment.start()
@@ -333,165 +335,6 @@ class ChaosEngine:
             injector_log=injector.log,
             obs_snapshot=deployment.obs.snapshot(deterministic_only=True),
         )
-
-    # ------------------------------------------------------------------
-    # Fault application
-    # ------------------------------------------------------------------
-    def _apply(
-        self,
-        action: FaultAction,
-        index: int,
-        deployment: SpireDeployment,
-        injector: FailureInjector,
-        chasers: List[LeaderChaser],
-        view_recovery: Optional[ViewRecoveryMonitor] = None,
-    ) -> None:
-        stream = f"chaos/{action.kind}/{index}"
-        kind = action.kind
-        # Deterministic per (seed, schedule): emitted at sim time 0 with
-        # content drawn only from the schedule, so it is fingerprint-safe.
-        deployment.obs.event(
-            COMP_CHAOS, EV_FAULT_SCHEDULED,
-            index=index, fault=kind, targets=",".join(action.targets),
-            start_ms=action.start_ms, duration_ms=action.duration_ms,
-        )
-        if kind == "crash":
-            for target in action.targets:
-                injector.crash_window(target, action.start_ms, action.duration_ms)
-        elif kind == "partition":
-            # Site-access outage: each partitioned replica loses the link
-            # to its overlay daemon (in an overlay deployment that *is*
-            # the partition surface — replicas have no direct links).
-            for target in action.targets:
-                for daemon in deployment.dos_peers_of(target):
-                    injector.partition_window(
-                        [target], [daemon], action.start_ms, action.duration_ms,
-                    )
-        elif kind == "dos":
-            for target in action.targets:
-                injector.dos_node(
-                    DosAttack(
-                        target=target,
-                        start_ms=action.start_ms,
-                        duration_ms=action.duration_ms,
-                        extra_delay_ms=action.param("extra_delay_ms", 300.0),
-                        extra_loss=action.param("extra_loss", 0.2),
-                    ),
-                    peers=deployment.dos_peers_of(target),
-                )
-        elif kind == "leader_dos":
-            chaser = LeaderChaser(
-                deployment.simulator,
-                deployment.network,
-                leader_fn=deployment.current_leader,
-                peers_fn=deployment.dos_peers_of,
-                extra_delay_ms=action.param("extra_delay_ms", 300.0),
-                extra_loss=action.param("extra_loss", 0.2),
-                retarget_interval_ms=action.param("retarget_interval_ms", 1000.0),
-            )
-            chasers.append(chaser)
-            deployment.simulator.schedule_at(action.start_ms, chaser.start)
-            deployment.simulator.schedule_at(action.end_ms, chaser.stop)
-        elif kind == "drop":
-            injector.drop_messages(
-                action.targets, action.start_ms, action.duration_ms,
-                probability=action.param("probability", 0.3),
-                rng_name=stream,
-            )
-        elif kind == "duplicate":
-            injector.duplicate_messages(
-                action.targets, action.start_ms, action.duration_ms,
-                probability=action.param("probability", 0.3),
-                rng_name=stream,
-            )
-        elif kind == "reorder":
-            injector.reorder_window(
-                action.targets, action.start_ms, action.duration_ms,
-                window_ms=action.param("window_ms", 20.0),
-                probability=action.param("probability", 1.0),
-                rng_name=stream,
-            )
-        elif kind == "delay_spike":
-            injector.delay_spike(
-                action.targets, action.start_ms, action.duration_ms,
-                extra_ms=action.param("extra_ms", 100.0),
-                jitter_ms=action.param("jitter_ms", 0.0),
-                probability=action.param("probability", 1.0),
-                rng_name=stream,
-            )
-        elif kind == "corrupt":
-            injector.corrupt_payload(
-                action.targets, action.start_ms, action.duration_ms,
-                probability=action.param("probability", 0.2),
-                rng_name=stream,
-            )
-        elif kind == "slow_node":
-            for target in action.targets:
-                injector.slow_node(
-                    target, action.start_ms, action.duration_ms,
-                    extra_delay_ms=action.param("extra_delay_ms", 50.0),
-                )
-        elif kind == "asym_link":
-            source = action.targets[0]
-            for daemon in deployment.dos_peers_of(source):
-                injector.asym_link_window(
-                    source, daemon, action.start_ms, action.duration_ms,
-                    extra_delay_ms=action.param("extra_delay_ms", 100.0),
-                    extra_loss=action.param("extra_loss", 0.0),
-                )
-        elif kind == "jitter_storm":
-            injector.jitter_storm(
-                action.targets, action.start_ms, action.duration_ms,
-                max_extra_ms=action.param("max_extra_ms", 30.0),
-                probability=action.param("probability", 0.5),
-                rng_name=stream,
-            )
-        elif kind == "link_kill":
-            site_a, site_b = action.targets
-            injector.block_link_window(
-                SpinesDaemon.daemon_name(site_a),
-                SpinesDaemon.daemon_name(site_b),
-                action.start_ms, action.duration_ms,
-            )
-        elif kind == "link_degrade":
-            site_a, site_b = action.targets
-            injector.dos_link_window(
-                SpinesDaemon.daemon_name(site_a),
-                SpinesDaemon.daemon_name(site_b),
-                action.start_ms, action.duration_ms,
-                extra_delay_ms=action.param("extra_delay_ms", 200.0),
-                extra_loss=action.param("extra_loss", 0.1),
-            )
-        elif kind == "daemon_kill":
-            for site in action.targets:
-                injector.crash_window(
-                    SpinesDaemon.daemon_name(site),
-                    action.start_ms, action.duration_ms,
-                )
-        elif kind == "leader_kill":
-            def resolve_leader() -> str:
-                target = deployment.current_leader()
-                if view_recovery is not None:
-                    view_recovery.note_fault(target, deployment.current_view())
-                return target
-
-            injector.crash_resolved_window(
-                resolve_leader, action.start_ms, action.duration_ms,
-                label="LEADER-KILL",
-            )
-        elif kind == "leader_partition":
-            def resolve_groups() -> Tuple[List[str], List[str]]:
-                target = deployment.current_leader()
-                if view_recovery is not None:
-                    view_recovery.note_fault(target, deployment.current_view())
-                # In an overlay deployment the access link to the local
-                # daemon IS the leader's connectivity surface.
-                return [target], list(deployment.dos_peers_of(target))
-
-            injector.partition_resolved_window(
-                resolve_groups, action.start_ms, action.duration_ms,
-                label="LEADER-PARTITION",
-            )
 
     # ------------------------------------------------------------------
     # Bounded-delay quiet windows

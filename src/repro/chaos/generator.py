@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from .faults import DEFAULT_PROFILE_KINDS, FAULTS
 from .schedule import FaultAction, FaultSchedule
 
 __all__ = ["ChaosProfile", "generate_schedule"]
@@ -43,37 +44,22 @@ class ChaosProfile:
     max_partition_minority: int = 1
     min_fault_ms: float = 300.0
     max_fault_ms: float = 2500.0
-    #: kinds to draw from; weights skew toward the message-level faults
-    #: that exercise the widest protocol surface
-    kinds: Tuple[str, ...] = (
-        "crash", "crash",
-        "partition",
-        "dos", "leader_dos",
-        "drop", "drop",
-        "duplicate",
-        "reorder",
-        "delay_spike",
-        "corrupt",
-        "slow_node",
-        "asym_link",
-        "jitter_storm",
-    )
+    #: kinds to draw from, repeated by weight
+    kinds: Tuple[str, ...] = DEFAULT_PROFILE_KINDS
 
 
-def _window(rng: random.Random, profile: ChaosProfile) -> Tuple[float, float]:
-    start = rng.uniform(profile.window_start_ms, profile.window_end_ms)
-    duration = rng.uniform(profile.min_fault_ms, profile.max_fault_ms)
-    return round(start, 3), round(duration, 3)
+@dataclass
+class DrawContext:
+    """What a fault-table row may consult while it draws one action."""
 
-
-def _crash_fits(
-    start: float, duration: float,
-    existing: List[Tuple[float, float]], limit: int,
-) -> bool:
-    overlapping = sum(
-        1 for s, d in existing if start < s + d and s < start + duration
-    )
-    return overlapping < limit
+    profile: ChaosProfile
+    replicas: List[str]
+    #: replicas + endpoints: whom a message-level fault may name
+    scopes: List[str]
+    overlay_links: List[Tuple[str, str]]
+    overlay_sites: List[str]
+    #: (start, duration) of every crash drawn so far, for the crash budget
+    crash_windows: List[Tuple[float, float]] = field(default_factory=list)
 
 
 def generate_schedule(
@@ -88,151 +74,23 @@ def generate_schedule(
 
     ``replicas`` are crashable consensus participants; ``endpoints``
     (proxies, HMIs) additionally scope message-level faults. To draw the
-    overlay fault kinds (``link_kill``/``link_degrade``/``daemon_kill``),
-    include them in ``profile.kinds`` and pass the overlay's link pairs
-    and interior site names — both expressed as *site* names, which the
-    engine maps to daemon processes. The result is a deterministic
-    function of the arguments.
+    overlay fault kinds, include them in ``profile.kinds`` and pass the
+    overlay's link pairs and interior site names — both expressed as
+    *site* names, which the fault table maps to daemon processes. How
+    each kind picks its targets and params is its row's business
+    (:mod:`repro.chaos.faults`). The result is a deterministic function
+    of the arguments.
     """
     profile = profile or ChaosProfile()
     rng = random.Random(f"{seed}/chaos-schedule")
-    replicas = list(replicas)
-    message_scopes = replicas + list(endpoints)
-    count = rng.randint(profile.min_actions, profile.max_actions)
-    crash_windows: List[Tuple[float, float]] = []
+    ctx = DrawContext(
+        profile, list(replicas), list(replicas) + list(endpoints),
+        list(overlay_links), list(overlay_sites),
+    )
     actions: List[FaultAction] = []
-
-    for _ in range(count):
+    for _ in range(rng.randint(profile.min_actions, profile.max_actions)):
         kind = rng.choice(profile.kinds)
-        start, duration = _window(rng, profile)
-        if kind == "crash":
-            if not _crash_fits(start, duration, crash_windows,
-                               profile.max_concurrent_crashes):
-                continue  # keep the crash budget; draw fewer actions instead
-            crash_windows.append((start, duration))
-            actions.append(FaultAction(
-                "crash", start, duration, targets=(rng.choice(replicas),),
-            ))
-        elif kind == "partition":
-            minority_size = rng.randint(1, max(1, profile.max_partition_minority))
-            minority = tuple(sorted(rng.sample(replicas, minority_size)))
-            actions.append(FaultAction("partition", start, duration,
-                                       targets=minority))
-        elif kind == "dos":
-            actions.append(FaultAction(
-                "dos", start, duration, targets=(rng.choice(replicas),),
-                params=(
-                    ("extra_delay_ms", round(rng.uniform(100.0, 400.0), 1)),
-                    ("extra_loss", round(rng.uniform(0.1, 0.4), 3)),
-                ),
-            ))
-        elif kind == "leader_dos":
-            actions.append(FaultAction(
-                "leader_dos", start, duration,
-                params=(
-                    ("extra_delay_ms", round(rng.uniform(150.0, 400.0), 1)),
-                    ("extra_loss", round(rng.uniform(0.1, 0.3), 3)),
-                    ("retarget_interval_ms", round(rng.uniform(500.0, 2000.0), 1)),
-                ),
-            ))
-        elif kind in ("drop", "duplicate", "corrupt"):
-            scope = tuple(sorted(rng.sample(
-                message_scopes, rng.randint(1, min(3, len(message_scopes)))
-            )))
-            probability = {
-                "drop": rng.uniform(0.05, 0.4),
-                "duplicate": rng.uniform(0.1, 0.5),
-                "corrupt": rng.uniform(0.05, 0.3),
-            }[kind]
-            actions.append(FaultAction(
-                kind, start, duration, targets=scope,
-                params=(("probability", round(probability, 3)),),
-            ))
-        elif kind == "reorder":
-            scope = tuple(sorted(rng.sample(
-                message_scopes, rng.randint(1, min(3, len(message_scopes)))
-            )))
-            actions.append(FaultAction(
-                "reorder", start, duration, targets=scope,
-                params=(
-                    ("window_ms", round(rng.uniform(5.0, 40.0), 1)),
-                    ("probability", round(rng.uniform(0.3, 1.0), 3)),
-                ),
-            ))
-        elif kind == "delay_spike":
-            scope = tuple(sorted(rng.sample(
-                message_scopes, rng.randint(1, min(3, len(message_scopes)))
-            )))
-            actions.append(FaultAction(
-                "delay_spike", start, duration, targets=scope,
-                params=(
-                    ("extra_ms", round(rng.uniform(20.0, 200.0), 1)),
-                    ("jitter_ms", round(rng.uniform(0.0, 50.0), 1)),
-                    ("probability", round(rng.uniform(0.2, 1.0), 3)),
-                ),
-            ))
-        elif kind == "slow_node":
-            actions.append(FaultAction(
-                "slow_node", start, duration, targets=(rng.choice(replicas),),
-                params=(("extra_delay_ms", round(rng.uniform(20.0, 120.0), 1)),),
-            ))
-        elif kind == "asym_link":
-            src, dst = rng.sample(replicas, 2)
-            actions.append(FaultAction(
-                "asym_link", start, duration, targets=(src, dst),
-                params=(
-                    ("extra_delay_ms", round(rng.uniform(50.0, 250.0), 1)),
-                    ("extra_loss", round(rng.uniform(0.0, 0.2), 3)),
-                ),
-            ))
-        elif kind == "link_kill":
-            if not overlay_links:
-                continue
-            a, b = rng.choice(list(overlay_links))
-            actions.append(FaultAction("link_kill", start, duration,
-                                       targets=(a, b)))
-        elif kind == "link_degrade":
-            if not overlay_links:
-                continue
-            a, b = rng.choice(list(overlay_links))
-            actions.append(FaultAction(
-                "link_degrade", start, duration, targets=(a, b),
-                params=(
-                    ("extra_delay_ms", round(rng.uniform(50.0, 300.0), 1)),
-                    ("extra_loss", round(rng.uniform(0.0, 0.3), 3)),
-                ),
-            ))
-        elif kind == "daemon_kill":
-            if not overlay_sites:
-                continue
-            actions.append(FaultAction(
-                "daemon_kill", start, duration,
-                targets=(rng.choice(list(overlay_sites)),),
-            ))
-        elif kind in ("leader_kill", "leader_partition"):
-            # Targets stay empty: the engine resolves the current leader
-            # when the fault fires. Windows are stretched past the TAT
-            # suspicion + view-change horizon so every draw actually
-            # forces a view change rather than a blip the old leader
-            # survives. Kills count against the crash budget — a leader
-            # kill is a crash, whoever it lands on.
-            duration = round(rng.uniform(1200.0, profile.max_fault_ms + 1200.0), 3)
-            if kind == "leader_kill":
-                if not _crash_fits(start, duration, crash_windows,
-                                   profile.max_concurrent_crashes):
-                    continue
-                crash_windows.append((start, duration))
-            actions.append(FaultAction(kind, start, duration))
-        elif kind == "jitter_storm":
-            scope = tuple(sorted(rng.sample(
-                message_scopes, rng.randint(1, min(4, len(message_scopes)))
-            )))
-            actions.append(FaultAction(
-                "jitter_storm", start, duration, targets=scope,
-                params=(
-                    ("max_extra_ms", round(rng.uniform(10.0, 60.0), 1)),
-                    ("probability", round(rng.uniform(0.2, 0.8), 3)),
-                ),
-            ))
-
+        drawn = FAULTS[kind].draw(rng, ctx)
+        if drawn is not None:
+            actions.append(FaultAction(kind, *drawn))
     return FaultSchedule(tuple(actions))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..crypto import FastCrypto
@@ -30,15 +30,13 @@ from ..obs import EV_PBFT_NEW_VIEW, Observability
 from ..pbft import PbftConfig, PbftNode
 from ..prime import LoggingApp, sign_client_update
 from ..simnet import FailureInjector, LinkSpec, Network, Simulator
-from .engine import HOST_STAT_KEYS
+from .engine import ChaosResult
+from .faults import FAULTS, LEADER_FAULT_KINDS, LEADER_PROFILE_KINDS, ChaosSystem
 from .generator import ChaosProfile, generate_schedule
 from .monitors import SafetyMonitor, ViewRecoveryMonitor, Violation
 from .schedule import FaultSchedule
 
-__all__ = ["PbftChaosOptions", "PbftChaosResult", "run_pbft_chaos"]
-
-#: the fault kinds this harness draws (and knows how to apply)
-PBFT_LEADER_KINDS = ("leader_kill", "leader_kill", "leader_partition")
+__all__ = ["PbftChaosOptions", "run_pbft_chaos"]
 
 
 @dataclass(frozen=True)
@@ -77,32 +75,6 @@ class PbftChaosOptions:
         )
 
 
-@dataclass
-class PbftChaosResult:
-    """Outcome of one PBFT chaos run."""
-
-    options: PbftChaosOptions
-    schedule: FaultSchedule
-    violations: List[Violation]
-    stats: Dict[str, Any]
-    injector_log: List[str] = field(default_factory=list)
-    fingerprint: str = ""
-    obs_snapshot: Optional[Dict[str, Any]] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def deterministic_stats(self) -> Dict[str, Any]:
-        """Stats with host-dependent wall-clock values stripped."""
-        return {
-            key: value
-            for key, value in self.stats.items()
-            if key not in HOST_STAT_KEYS
-        }
-
-
 def _majority_view(nodes: List[PbftNode]) -> int:
     views = [node.view for node in nodes if node.is_up]
     return max(set(views), key=views.count) if views else 0
@@ -111,8 +83,14 @@ def _majority_view(nodes: List[PbftNode]) -> int:
 def run_pbft_chaos(
     options: Optional[PbftChaosOptions] = None,
     schedule: Optional[FaultSchedule] = None,
-) -> PbftChaosResult:
+) -> ChaosResult:
     opts = options or PbftChaosOptions()
+    for action in schedule or ():
+        if action.kind not in LEADER_FAULT_KINDS:
+            raise ValueError(
+                f"the PBFT harness judges leader faults only "
+                f"({sorted(LEADER_FAULT_KINDS)}), not {action.kind!r}"
+            )
     wall_start = time.perf_counter()
     simulator = Simulator(seed=opts.seed)
     network = Network(simulator, LinkSpec(latency_ms=0.3, jitter_ms=0.1))
@@ -163,34 +141,24 @@ def run_pbft_chaos(
             min_actions=opts.min_actions,
             max_actions=opts.max_actions,
             max_concurrent_crashes=max(1, opts.f),
-            kinds=PBFT_LEADER_KINDS,
+            kinds=LEADER_PROFILE_KINDS,
         )
         schedule = generate_schedule(opts.seed, names, profile=profile)
 
+    def current_leader() -> str:
+        return config.leader_of_view(_majority_view(nodes))
+
+    # flat cluster: a replica's connectivity surface is every other replica
+    system = ChaosSystem(
+        current_leader, lambda: _majority_view(nodes),
+        lambda name: [peer for peer in names if peer != name],
+        view_recovery.note_fault,
+    )
     injector = FailureInjector(simulator, network)
-    for action in schedule:
-        if action.kind == "leader_kill":
-            def resolve_leader() -> str:
-                target = config.leader_of_view(_majority_view(nodes))
-                view_recovery.note_fault(target, _majority_view(nodes))
-                return target
-
-            injector.crash_resolved_window(
-                resolve_leader, action.start_ms, action.duration_ms,
-                label="LEADER-KILL",
-            )
-        elif action.kind == "leader_partition":
-            def resolve_groups() -> Tuple[List[str], List[str]]:
-                target = config.leader_of_view(_majority_view(nodes))
-                view_recovery.note_fault(target, _majority_view(nodes))
-                return [target], [name for name in names if name != target]
-
-            injector.partition_resolved_window(
-                resolve_groups, action.start_ms, action.duration_ms,
-                label="LEADER-PARTITION",
-            )
-        else:  # pragma: no cover - the harness only draws leader kinds
-            raise ValueError(f"unsupported fault kind {action.kind!r}")
+    for index, action in enumerate(schedule):
+        FAULTS[action.kind].apply(
+            action, system, injector, f"chaos/{action.kind}/{index}",
+        )
 
     # --- traffic source ----------------------------------------------
     state = {"seq": 0, "submitted": 0}
@@ -255,27 +223,17 @@ def run_pbft_chaos(
         "fault_kinds": sorted({action.kind for action in schedule}),
     }
     stats["wall_runtime_s"] = round(time.perf_counter() - wall_start, 4)
-    deterministic = {
-        key: value for key, value in stats.items() if key not in HOST_STAT_KEYS
-    }
-    fingerprint = digest(
-        "pbft-chaos:"
-        + json.dumps(
-            {
-                "options": opts.to_dict(),
-                "schedule": schedule.to_list(),
-                "violations": [v.to_dict() for v in violations],
-                "stats": deterministic,
-            },
-            sort_keys=True,
-        ),
-    )
-    return PbftChaosResult(
+    result = ChaosResult(
         options=opts,
         schedule=schedule,
         violations=violations,
+        fingerprint="",
         stats=stats,
         injector_log=injector.log,
-        fingerprint=fingerprint,
         obs_snapshot=obs.snapshot(deterministic_only=True),
     )
+    # the fingerprint covers the result's whole deterministic image
+    image = result.to_dict()
+    del image["fingerprint"]
+    result.fingerprint = digest("pbft-chaos:" + json.dumps(image, sort_keys=True))
+    return result

@@ -15,50 +15,23 @@ for run fingerprints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["FaultAction", "FaultSchedule", "FAULT_KINDS"]
+from .faults import FAULTS
 
-#: The fault taxonomy (see DESIGN.md): process faults, network partitions,
-#: targeted DoS, message-level faults, and gray failures.
-FAULT_KINDS = (
-    "crash",          # crash a replica for a window, then recover it
-    "partition",      # cut a minority group off from the rest
-    "dos",            # degrade all access links of a fixed target
-    "leader_dos",     # adaptive DoS that chases the current Prime leader
-    "drop",           # drop matching messages with a probability
-    "duplicate",      # deliver delayed second copies
-    "reorder",        # buffer + shuffle matching messages per window
-    "delay_spike",    # add a latency spike to matching messages
-    "corrupt",        # mangle matching payloads in flight
-    "slow_node",      # asymmetric slowdown of one node's outbound links
-    "asym_link",      # one-directional link degradation
-    "jitter_storm",   # random per-message extra delay (timer desync)
-    # Overlay faults (targets are SITE names, not process names — the
-    # engine maps them to spines daemon processes):
-    "link_kill",      # sever one overlay link for a window
-    "link_degrade",   # add delay/loss to one overlay link for a window
-    "daemon_kill",    # crash one interior spines daemon for a window
-    # Leader-targeted faults (targets are EMPTY at schedule time — the
-    # engine resolves the *current* leader when the fault fires, so a
-    # schedule replayed against a different protocol or seed still hits
-    # whoever holds the leader role at that instant):
-    "leader_kill",       # crash the current leader for a window
-    "leader_partition",  # isolate the current leader from all peers
-)
-
-
-def _freeze(value: Any) -> Any:
-    """Normalize JSON-decoded values back into hashable schedule data."""
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    return value
+__all__ = ["FaultAction", "FaultSchedule"]
 
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One scheduled fault: what, when, against whom, and how hard."""
+    """One scheduled fault: what, when, against whom, and how hard.
+
+    Construction is the boundary scenario files cross: the kind's row of
+    the fault table (:mod:`repro.chaos.faults`) checks the target count,
+    the param names and every param value, so a bad file fails here with a
+    ``ValueError`` naming the kind and the field, not inside a run.
+    """
 
     kind: str
     start_ms: float
@@ -67,15 +40,14 @@ class FaultAction:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in FAULTS:
             raise ValueError(f"unknown fault kind: {self.kind}")
         if self.duration_ms < 0 or self.start_ms < 0:
             raise ValueError("fault windows cannot be negative")
+        params = self.params.items() if isinstance(self.params, Mapping) else self.params
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(
-            self, "params",
-            tuple(sorted((str(k), _freeze(v)) for k, v in tuple(self.params))),
-        )
+        object.__setattr__(self, "params", tuple(sorted((str(k), v) for k, v in params)))
+        FAULTS[self.kind].check(self.targets, self.params)
 
     @property
     def end_ms(self) -> float:
@@ -103,10 +75,7 @@ class FaultAction:
             start_ms=float(data["start_ms"]),
             duration_ms=float(data["duration_ms"]),
             targets=tuple(data.get("targets", ())),
-            params=tuple(
-                (key, _freeze(value))
-                for key, value in dict(data.get("params", {})).items()
-            ),
+            params=data.get("params", {}),
         )
 
 

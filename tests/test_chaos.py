@@ -36,9 +36,9 @@ from repro.simnet import LinkSpec, Network, Process, Simulator
 # ----------------------------------------------------------------------
 
 def test_fault_action_normalizes_params():
-    action = FaultAction("drop", 10.0, 5.0, targets=["b", "a"],
-                         params=[("probability", 0.5), ("extra", 1)])
-    assert action.params == (("extra", 1), ("probability", 0.5))
+    action = FaultAction("delay_spike", 10.0, 5.0, targets=["b", "a"],
+                         params=[("probability", 0.5), ("extra_ms", 1)])
+    assert action.params == (("extra_ms", 1), ("probability", 0.5))
     assert action.param("probability") == 0.5
     assert action.param("missing", 42) == 42
     assert action.end_ms == 15.0
