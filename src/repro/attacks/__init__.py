@@ -10,7 +10,7 @@ from .byzantine import (
     make_suspect_spammer,
 )
 from .campaign import CampaignResult, SpireCampaign, TraditionalCampaign
-from .dos import LeaderChaser, dos_window
+from .dos import LeaderChaser
 from .overlay_attacks import (
     FloodingAttacker,
     RouteFlapAttacker,
@@ -30,7 +30,6 @@ __all__ = [
     "SpireCampaign",
     "TraditionalCampaign",
     "LeaderChaser",
-    "dos_window",
     "FloodingAttacker",
     "RouteFlapAttacker",
     "compromise_daemon_delay",

@@ -53,9 +53,6 @@ class CampaignResult:
             return 0.0
         return min(load for _, load in self.served_load) / total_mw
 
-    def final_compromised(self) -> int:
-        return self.compromised[-1][1] if self.compromised else 0
-
 
 class TraditionalCampaign:
     """Compromise the single master; operate the grid maliciously."""

@@ -11,30 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..simnet import DosAttack, FailureInjector, Network, Simulator
+from ..simnet import Network, Simulator
 
-__all__ = ["dos_window", "LeaderChaser"]
-
-
-def dos_window(
-    injector: FailureInjector,
-    target: str,
-    start_ms: float,
-    duration_ms: float,
-    extra_delay_ms: float = 300.0,
-    extra_loss: float = 0.1,
-    peers: Optional[List[str]] = None,
-) -> DosAttack:
-    """Schedule a fixed-target DoS window; returns its description."""
-    attack = DosAttack(
-        target=target,
-        start_ms=start_ms,
-        duration_ms=duration_ms,
-        extra_delay_ms=extra_delay_ms,
-        extra_loss=extra_loss,
-    )
-    injector.dos_node(attack, peers=peers)
-    return attack
+__all__ = ["LeaderChaser"]
 
 
 class LeaderChaser:

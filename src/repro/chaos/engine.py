@@ -44,7 +44,7 @@ from .monitors import (
     ViewRecoveryMonitor,
     Violation,
 )
-from .schedule import FaultAction, FaultSchedule
+from .schedule import FaultSchedule
 
 __all__ = ["ChaosOptions", "ChaosResult", "ChaosEngine"]
 

@@ -517,10 +517,6 @@ class ViewRecoveryMonitor(_BaseMonitor):
         """Record one leader-affecting fault at the instant it fires."""
         self._faults.append((self.simulator.now, target, baseline_view))
 
-    @property
-    def faults_noted(self) -> List[Tuple[float, str, int]]:
-        return list(self._faults)
-
     def evaluate(
         self,
         adoptions: Sequence[Tuple[float, str, int]],

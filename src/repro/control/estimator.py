@@ -75,6 +75,3 @@ class HealthEstimator:
         """A rejuvenation completed: the replica is clean by construction."""
         if name in self.scores:
             self.scores[name] = 0.0
-
-    def max_score(self) -> float:
-        return max(self.scores.values(), default=0.0)

@@ -67,7 +67,6 @@ from .instruments import (
     IntervalCounter,
     LatencyStats,
     LatencyTracker,
-    MergedImage,
     MetricRegistry,
     merge_instrument_images,
     merge_metric_snapshots,
@@ -90,7 +89,6 @@ __all__ = [
     "LatencyStats",
     "LatencyTracker",
     "IntervalCounter",
-    "MergedImage",
     "merge_instrument_images",
     "merge_metric_snapshots",
     "merge_obs_snapshots",

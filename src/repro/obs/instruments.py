@@ -30,7 +30,6 @@ __all__ = [
     "Histogram",
     "LatencyTracker",
     "IntervalCounter",
-    "MergedImage",
     "MetricRegistry",
     "merge_instrument_images",
     "merge_metric_snapshots",
@@ -403,31 +402,6 @@ def merge_metric_snapshots(
     return dict(sorted(merged.items()))
 
 
-class MergedImage(_Instrument):
-    """An instrument holding a merged snapshot image from foreign
-    registries — the receiving end of cross-process aggregation for
-    families whose live state (samples) did not travel with the image."""
-
-    kind = "merged"
-
-    def __init__(
-        self, name: str, image: Optional[Dict[str, Any]] = None,
-        deterministic: bool = True,
-    ) -> None:
-        super().__init__(name, deterministic)
-        self.image: Optional[Dict[str, Any]] = (
-            dict(image) if image is not None else None
-        )
-        self.sources = 1 if image is not None else 0
-
-    def merge(self, image: Dict[str, Any]) -> None:
-        self.image = merge_instrument_images(self.image, image)
-        self.sources += 1
-
-    def snapshot(self) -> Dict[str, Any]:
-        return dict(self.image or {})
-
-
 class MetricRegistry:
     """Central, name-keyed store of every instrument of one system.
 
@@ -486,36 +460,6 @@ class MetricRegistry:
             self._instruments[instrument.name] = instrument
             return instrument
         return existing
-
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a foreign registry's ``snapshot()`` image into this one.
-
-        Counters (integer images) accumulate into live :class:`Counter`
-        instruments; gauge images merge watermark-aware into live
-        :class:`Gauge` instruments; every other family lands in a
-        :class:`MergedImage` (their sample state did not travel with the
-        image, so the merged summary is the honest representation). This
-        is the aggregation primitive the parallel campaign runner uses to
-        combine per-worker observability.
-        """
-        for name in sorted(snapshot):
-            image = snapshot[name]
-            if image is None:
-                continue
-            if isinstance(image, (int, float)) and not isinstance(image, bool):
-                self.counter(name).inc(image)
-            elif isinstance(image, dict) and set(image) == {
-                "value", "min", "max"
-            }:
-                gauge = self.gauge(name)
-                gauge.set(image["min"])
-                gauge.set(image["max"])
-                gauge.set(image["value"])
-            else:
-                merged = self._get_or_create(
-                    name, lambda: MergedImage(name), MergedImage
-                )
-                merged.merge(image)
 
     def names(self) -> List[str]:
         return sorted(self._instruments)

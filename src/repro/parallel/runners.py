@@ -8,14 +8,11 @@ path resolved in the worker (spawned children inherit ``sys.path``, so
 paths registered by the parent — e.g. pytest's rootdir inserts — resolve
 there too).
 
-A runner callable takes ``(options, schedule)`` and may return:
-
-* a result object exposing ``ok`` / ``violations`` / ``fingerprint`` /
-  ``stats`` (optionally ``deterministic_stats`` / ``obs_snapshot``) —
-  the two chaos result types already match this shape, or
-* a plain dict, which is stored verbatim as the result ``payload`` with
-  ``ok``/``fingerprint``/``stats``/``violations``/``obs_snapshot`` keys
-  lifted out when present.
+A runner callable takes ``(options, schedule)`` and returns either a
+:class:`~repro.chaos.ChaosResult` (what both chaos harnesses return) or a
+plain dict, which is stored verbatim as the result ``payload`` with
+``ok``/``fingerprint``/``stats``/``violations``/``obs_snapshot`` keys
+lifted out when present.
 """
 
 from __future__ import annotations
@@ -93,16 +90,11 @@ def normalize_outcome(
         return ok, list(violations), fingerprint, dict(stats), obs_snapshot, \
             payload or None
 
-    violations = [
-        violation.to_dict() if hasattr(violation, "to_dict") else violation
-        for violation in getattr(outcome, "violations", [])
-    ]
-    stats = dict(getattr(outcome, "stats", {}) or {})
     return (
-        bool(getattr(outcome, "ok", True)),
-        violations,
-        str(getattr(outcome, "fingerprint", "") or ""),
-        stats,
-        getattr(outcome, "obs_snapshot", None),
+        outcome.ok,
+        [violation.to_dict() for violation in outcome.violations],
+        outcome.fingerprint,
+        dict(outcome.stats),
+        outcome.obs_snapshot,
         None,
     )

@@ -7,7 +7,7 @@ client-update helpers, and all wire messages (transports live in
 :mod:`repro.replication`).
 """
 
-from .app import KeyValueApp, LoggingApp, NullApp, ReplicatedApplication
+from .app import KeyValueApp, LoggingApp, ReplicatedApplication
 from .checkpoint import CheckpointManager
 from .config import PrimeConfig, lan_prime_config, wan_prime_config
 from .messages import (
@@ -41,7 +41,6 @@ from .viewchange import ViewChangeManager
 __all__ = [
     "KeyValueApp",
     "LoggingApp",
-    "NullApp",
     "ReplicatedApplication",
     "CheckpointManager",
     "PrimeConfig",

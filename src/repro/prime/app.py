@@ -12,7 +12,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..crypto.encoding import digest
 from .messages import ClientUpdate
 
-__all__ = ["ReplicatedApplication", "NullApp", "KeyValueApp", "LoggingApp"]
+__all__ = ["ReplicatedApplication", "KeyValueApp", "LoggingApp"]
 
 
 class ReplicatedApplication:
@@ -33,23 +33,6 @@ class ReplicatedApplication:
     def state_digest(self) -> str:
         """Digest of current state (used in checkpoints)."""
         return digest(self.snapshot())
-
-
-class NullApp(ReplicatedApplication):
-    """Discards updates; tracks only how many were executed."""
-
-    def __init__(self) -> None:
-        self.executed = 0
-
-    def execute(self, update: ClientUpdate, order_index: int) -> Any:
-        self.executed += 1
-        return None
-
-    def snapshot(self) -> Any:
-        return self.executed
-
-    def restore(self, snapshot: Any) -> None:
-        self.executed = int(snapshot)
 
 
 class KeyValueApp(ReplicatedApplication):

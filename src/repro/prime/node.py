@@ -370,9 +370,6 @@ class PrimeNode(Process):
     def _state_retry_tick(self) -> None:
         self.recovery.state_retry_tick()
 
-    def _initiate_view_change(self, new_view: int) -> None:
-        self.leadership.initiate_view_change(new_view)
-
     def _view_change_timeout(self, expected_view: int) -> None:
         self.leadership.view_change_timeout(expected_view)
 

@@ -151,9 +151,6 @@ class Network:
             return self._procs_by_id[eid]
         return None
 
-    def has_process(self, name: str) -> bool:
-        return name in self._processes
-
     @property
     def process_names(self) -> Iterable[str]:
         return self._processes.keys()
@@ -177,9 +174,6 @@ class Network:
             state = self._link(dst, src)
             state.spec = spec.copy()
             state.refresh()
-
-    def link_spec(self, src: str, dst: str) -> LinkSpec:
-        return self._link(src, dst).spec
 
     # ------------------------------------------------------------------
     # Failure / attack hooks

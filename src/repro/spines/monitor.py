@@ -159,9 +159,6 @@ class LinkMonitor:
         """This side's view of the link to ``neighbor``."""
         return self._alive.get(neighbor, True)
 
-    def observed_latency(self, neighbor: str) -> Optional[float]:
-        return self._ewma.get(neighbor)
-
     # ------------------------------------------------------------------
     # Hello send / receive
     # ------------------------------------------------------------------
@@ -285,10 +282,6 @@ class OverlayControlPlane:
 
     def degraded_links(self) -> Dict[Tuple[str, str], float]:
         return dict(self._degraded)
-
-    def is_suppressed(self, a: str, b: str) -> bool:
-        key = self._key(a, b)
-        return self._suppressed_until.get(key, 0.0) > self.simulator.now
 
     # ------------------------------------------------------------------
     # Reports from link monitors
