@@ -9,9 +9,10 @@ final replica state. Two runs of the same ``(seed, schedule)`` produce
 byte-identical fingerprints; that property is what makes dumped scenarios
 replayable and shrinkable.
 
-Each fault action draws from its own named RNG stream
-(``chaos/<kind>/<index>``), so removing one action during shrinking never
-perturbs the randomness of the others.
+What each fault kind does lives in the fault table
+(:mod:`repro.chaos.faults`); each action draws from its own named RNG
+stream (``chaos/<kind>/<index>``), so removing one action during shrinking
+never perturbs the randomness of the others.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..obs import (
     EV_REJUVENATE_START,
 )
 from ..simnet import FailureInjector
-from .faults import FAULTS, LEADER_PROFILE_KINDS, OVERLAY_FAULT_KINDS, ChaosSystem
+from .faults import LEADER_PROFILE_KINDS, OVERLAY_FAULT_KINDS, ChaosSystem, inject
 from .generator import ChaosProfile, generate_schedule
 from .monitors import (
     BoundedDelayMonitor,
@@ -264,13 +265,6 @@ class ChaosEngine:
             monitor.bind_obs(deployment.obs)
 
         # --- fault schedule -------------------------------------------
-        # Each action opens its kind's windows (one row of the fault table)
-        # and draws from its own RNG stream.
-        injector = FailureInjector(deployment.simulator, deployment.network)
-        system = ChaosSystem(
-            deployment.current_leader, deployment.current_view,
-            deployment.dos_peers_of, view_recovery.note_fault,
-        )
         for index, action in enumerate(schedule):
             # Deterministic per (seed, schedule): emitted at sim time 0 with
             # content drawn only from the schedule, so it is fingerprint-safe.
@@ -279,9 +273,11 @@ class ChaosEngine:
                 index=index, fault=action.kind, targets=",".join(action.targets),
                 start_ms=action.start_ms, duration_ms=action.duration_ms,
             )
-            FAULTS[action.kind].apply(
-                action, system, injector, f"chaos/{action.kind}/{index}",
-            )
+        injector = FailureInjector(deployment.simulator, deployment.network)
+        inject(schedule, ChaosSystem(
+            deployment.current_leader, deployment.current_view,
+            deployment.dos_peers_of, view_recovery.note_fault,
+        ), injector)
 
         # --- run ------------------------------------------------------
         deployment.start()

@@ -27,6 +27,7 @@ from ..spines import SpinesDaemon
 __all__ = [
     "FAULTS", "FAULT_KINDS", "OVERLAY_FAULT_KINDS", "LEADER_FAULT_KINDS",
     "DEFAULT_PROFILE_KINDS", "LEADER_PROFILE_KINDS", "FaultKind", "Param", "ChaosSystem",
+    "inject",
 ]
 
 Targets = Tuple[str, ...]
@@ -243,8 +244,8 @@ class FaultKind:
 
     def apply(self, action: Any, system: ChaosSystem, injector: FailureInjector,
               stream: str) -> None:
-        """Schedule ``action`` (a ``FaultAction`` of this kind) on ``injector``;
-        its random decisions come from the RNG stream named ``stream``."""
+        """Open the windows of ``action`` (a ``FaultAction`` of this kind) on
+        ``injector``; its random decisions come from the stream ``stream``."""
         values = {p.name: action.param(p.name, p.default) for p in self.params}
         when = (action.start_ms, action.duration_ms)
         self.open(injector, system, action.targets[:self.targets_used], when, values, stream)
@@ -340,6 +341,13 @@ FAULTS: Dict[str, FaultKind] = {row.name: row for row in (
     FaultKind("leader_partition", "isolate the current leader from all peers",
               _NONE, _no_target, _leader_partition, leader=True, stretch_ms=1200.0),
 )}
+
+def inject(schedule: Iterable[Any], system: ChaosSystem, injector: FailureInjector) -> None:
+    """Apply a whole schedule. Each action draws from its own RNG stream, so
+    removing one during shrinking never perturbs the randomness of the rest."""
+    for index, action in enumerate(schedule):
+        FAULTS[action.kind].apply(action, system, injector, f"chaos/{action.kind}/{index}")
+
 
 FAULT_KINDS: Tuple[str, ...] = tuple(FAULTS)
 OVERLAY_FAULT_KINDS = frozenset(name for name, row in FAULTS.items() if row.overlay)

@@ -31,7 +31,7 @@ from ..pbft import PbftConfig, PbftNode
 from ..prime import LoggingApp, sign_client_update
 from ..simnet import FailureInjector, LinkSpec, Network, Simulator
 from .engine import ChaosResult
-from .faults import FAULTS, LEADER_FAULT_KINDS, LEADER_PROFILE_KINDS, ChaosSystem
+from .faults import LEADER_FAULT_KINDS, LEADER_PROFILE_KINDS, ChaosSystem, inject
 from .generator import ChaosProfile, generate_schedule
 from .monitors import SafetyMonitor, ViewRecoveryMonitor, Violation
 from .schedule import FaultSchedule
@@ -67,13 +67,6 @@ class PbftChaosOptions:
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "PbftChaosOptions":
-        known = {f.name for f in dataclasses.fields(PbftChaosOptions)}
-        return PbftChaosOptions(
-            **{k: v for k, v in data.items() if k in known}
-        )
-
 
 def _majority_view(nodes: List[PbftNode]) -> int:
     views = [node.view for node in nodes if node.is_up]
@@ -85,12 +78,9 @@ def run_pbft_chaos(
     schedule: Optional[FaultSchedule] = None,
 ) -> ChaosResult:
     opts = options or PbftChaosOptions()
-    for action in schedule or ():
-        if action.kind not in LEADER_FAULT_KINDS:
-            raise ValueError(
-                f"the PBFT harness judges leader faults only "
-                f"({sorted(LEADER_FAULT_KINDS)}), not {action.kind!r}"
-            )
+    stray = sorted({a.kind for a in schedule or () if a.kind not in LEADER_FAULT_KINDS})
+    if stray:
+        raise ValueError(f"the PBFT harness runs leader faults only, not {stray}")
     wall_start = time.perf_counter()
     simulator = Simulator(seed=opts.seed)
     network = Network(simulator, LinkSpec(latency_ms=0.3, jitter_ms=0.1))
@@ -145,20 +135,14 @@ def run_pbft_chaos(
         )
         schedule = generate_schedule(opts.seed, names, profile=profile)
 
-    def current_leader() -> str:
-        return config.leader_of_view(_majority_view(nodes))
-
     # flat cluster: a replica's connectivity surface is every other replica
-    system = ChaosSystem(
-        current_leader, lambda: _majority_view(nodes),
-        lambda name: [peer for peer in names if peer != name],
-        view_recovery.note_fault,
-    )
     injector = FailureInjector(simulator, network)
-    for index, action in enumerate(schedule):
-        FAULTS[action.kind].apply(
-            action, system, injector, f"chaos/{action.kind}/{index}",
-        )
+    inject(schedule, ChaosSystem(
+        current_leader=lambda: config.leader_of_view(_majority_view(nodes)),
+        current_view=lambda: _majority_view(nodes),
+        access_peers=lambda name: [peer for peer in names if peer != name],
+        note_leader_fault=view_recovery.note_fault,
+    ), injector)
 
     # --- traffic source ----------------------------------------------
     state = {"seq": 0, "submitted": 0}

@@ -97,10 +97,6 @@ class FaultSchedule:
     def __iter__(self):
         return iter(self.actions)
 
-    @property
-    def end_ms(self) -> float:
-        return max((action.end_ms for action in self.actions), default=0.0)
-
     def subset(self, indices: Iterable[int]) -> "FaultSchedule":
         """Schedule containing only the actions at ``indices`` (shrinking)."""
         keep = set(indices)

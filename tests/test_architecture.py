@@ -119,3 +119,74 @@ def test_scada_sits_below_core():
     # the field layer hands back (binding, measurements, breakers) and
     # knows nothing of StatusReading, proxies or replicas
     assert _layers_imported_by(_imports(), "scada") <= {"simnet"}
+
+
+def _string_constants(tree):
+    """Every string literal of a module except docstrings."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) \
+                    and isinstance(body[0].value, ast.Constant):
+                docstrings.add(id(body[0].value))
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    ]
+
+
+def test_a_fault_kind_is_named_only_in_the_fault_table():
+    # repro.chaos.faults holds one row per kind; a module that compares a
+    # ``kind`` to a kind's name, spells a kind as a constant, or picks a
+    # FailureInjector window per kind has regrown a ladder beside it.
+    from repro.chaos.faults import FAULT_KINDS
+    from repro.simnet import FailureInjector
+
+    kinds = set(FAULT_KINDS)
+    chaos = SRC / "repro" / "chaos"
+    table = chaos / "faults.py"
+    windows = {
+        name for name, member in vars(FailureInjector).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert {"window", "crash_window", "reorder_window", "dos_node"} <= windows
+
+    def names_a_kind(node):
+        elements = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(
+            isinstance(e, ast.Constant) and e.value in kinds for e in elements
+        )
+
+    def is_kind(node):
+        return (isinstance(node, ast.Name) and node.id == "kind") or \
+            (isinstance(node, ast.Attribute) and node.attr == "kind")
+
+    for path in (SRC / "repro").rglob("*.py"):
+        if path == table:
+            continue
+        tree = ast.parse(path.read_text())
+        if chaos in path.parents:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    assert not (any(map(is_kind, operands))
+                                and any(map(names_a_kind, operands))), \
+                        (path, node.lineno)
+        if path.name in ("engine.py", "generator.py", "pbft.py") \
+                and path.parent == chaos:
+            spelled = {c.value for c in _string_constants(tree)} & kinds
+            assert not spelled, (path, spelled)
+            called = {
+                node.func.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+            } & windows
+            assert not called, (path, called)
+    # and the three public constants are views of the table, not literals
+    import repro.chaos as chaos_pkg
+    from repro.chaos import faults
+    assert chaos_pkg.FAULT_KINDS is faults.FAULT_KINDS == tuple(faults.FAULTS)
+    assert chaos_pkg.OVERLAY_FAULT_KINDS is faults.OVERLAY_FAULT_KINDS
+    assert chaos_pkg.LEADER_FAULT_KINDS is faults.LEADER_FAULT_KINDS
