@@ -7,6 +7,14 @@ violations. Every run is a pure function of ``(seed, schedule)``; failing
 runs dump JSON scenario files that replay byte-for-byte and shrink to
 minimal reproducers.
 
+One row per fault kind: what a kind is — its targets, its params with
+their one default and generator range, how it is aimed and which
+``FailureInjector`` window it opens — is declared once, in
+:mod:`repro.chaos.faults`; ``FAULT_KINDS``, schedule generation,
+``FaultAction`` validation and both harnesses (``ChaosEngine`` for Prime
+in a Spire deployment, ``run_pbft_chaos`` for the PBFT baseline) are
+derived from that table.
+
 Quickstart::
 
     from repro.chaos import ChaosEngine, ChaosOptions

@@ -342,6 +342,7 @@ FAULTS: Dict[str, FaultKind] = {row.name: row for row in (
               _NONE, _no_target, _leader_partition, leader=True, stretch_ms=1200.0),
 )}
 
+
 def inject(schedule: Iterable[Any], system: ChaosSystem, injector: FailureInjector) -> None:
     """Apply a whole schedule. Each action draws from its own RNG stream, so
     removing one during shrinking never perturbs the randomness of the rest."""
