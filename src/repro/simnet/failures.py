@@ -94,12 +94,12 @@ class FailureInjector:
 
         def start() -> None:
             opened.append(apply())
-            self._note(f"{label} {verbs[0]} {opened[0][0]}".lstrip())
+            self._note(" ".join(filter(None, (label, verbs[0], opened[0][0]))))
 
         def stop() -> None:
             subject, undo = opened.pop()
             undo()
-            self._note(f"{label} {verbs[1]} {subject}".lstrip())
+            self._note(" ".join(filter(None, (label, verbs[1], subject))))
 
         self.simulator.schedule_at(start_ms, start)
         self.simulator.schedule_at(start_ms + duration_ms, stop)
@@ -348,7 +348,7 @@ class FailureInjector:
         rng = self.simulator.rng(rng_name)
         buffer: List[tuple] = []
 
-        def hold(rng: Any, *message: Any) -> None:
+        def hold(_rng: Any, *message: Any) -> None:
             buffer.append(message)
 
         def flush() -> None:

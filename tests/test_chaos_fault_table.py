@@ -10,23 +10,41 @@ Two golden records taken before the fault kinds moved into one table
   the per-kind *defaults* are what runs, driven through ``ChaosEngine`` —
   any change to a default, to which primitive a kind maps to, or to the
   order events are scheduled in moves the fingerprint.
+
+Then the table's own contract, one parametrised case per row (it draws an
+action it accepts, the action survives JSON, its window opens, bites and
+closes behind itself), and the boundary scenario files cross: one rejected
+scenario per validation rule, and the ``reorder`` window of zero length
+that used to hang the harness.
 """
 
 import hashlib
 import json
 import os
+import random
+import re
+import signal
+from contextlib import contextmanager
 
 import pytest
 
+import repro.chaos.pbft as pbft_harness
 from repro.chaos import (
     FAULT_KINDS,
+    SCENARIO_FORMAT,
     ChaosEngine,
     ChaosOptions,
     ChaosProfile,
     FaultAction,
     FaultSchedule,
+    PbftChaosOptions,
     generate_schedule,
+    replay_scenario,
+    run_pbft_chaos,
 )
+from repro.chaos.faults import FAULTS, LEADER_FAULT_KINDS, ChaosSystem
+from repro.chaos.generator import DrawContext
+from repro.simnet import FailureInjector, LinkSpec, Network, Process, Simulator
 
 DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 
@@ -179,15 +197,6 @@ def test_all_kinds_run_fingerprint_unchanged():
 # ----------------------------------------------------------------------
 # The table's contract, row by row
 # ----------------------------------------------------------------------
-
-import random
-import re
-
-import repro.chaos.pbft as pbft_harness
-from repro.chaos import PbftChaosOptions, run_pbft_chaos
-from repro.chaos.faults import FAULTS, LEADER_FAULT_KINDS, ChaosSystem
-from repro.chaos.generator import DrawContext
-from repro.simnet import FailureInjector, LinkSpec, Network, Process, Simulator
 
 SITE_OF = {
     "replica:0": "cc1", "replica:1": "cc1", "replica:2": "cc2",
@@ -352,12 +361,6 @@ def test_pbft_harness_runs_both_leader_kinds_from_the_table():
 # ----------------------------------------------------------------------
 # The scenario-file boundary
 # ----------------------------------------------------------------------
-
-import signal
-from contextlib import contextmanager
-
-from repro.chaos import SCENARIO_FORMAT, replay_scenario
-
 
 @contextmanager
 def wall_clock_guard(seconds: float):
