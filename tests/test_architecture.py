@@ -190,3 +190,89 @@ def test_a_fault_kind_is_named_only_in_the_fault_table():
     assert chaos_pkg.FAULT_KINDS is faults.FAULT_KINDS == tuple(faults.FAULTS)
     assert chaos_pkg.OVERLAY_FAULT_KINDS is faults.OVERLAY_FAULT_KINDS
     assert chaos_pkg.LEADER_FAULT_KINDS is faults.LEADER_FAULT_KINDS
+
+
+#: option name -> why it may stay settable although no caller sets it
+UNSET_OPTION_ALLOWLIST = {
+    "PbftChaosOptions.request_interval_ms": "hashed into PINNED_PBFT_LEADER",
+    "PbftChaosOptions.view_recovery_bound_ms": "hashed into PINNED_PBFT_LEADER",
+}
+
+
+def _settable_defaults(cls):
+    """Constructor-settable names of ``cls`` that carry a default."""
+    import dataclasses
+    import inspect
+
+    if dataclasses.is_dataclass(cls):
+        return [
+            f.name for f in dataclasses.fields(cls)
+            if f.init and (f.default is not dataclasses.MISSING
+                           or f.default_factory is not dataclasses.MISSING)
+        ]
+    return [
+        p.name for p in inspect.signature(cls.__init__).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    ]
+
+
+def _names_set_by_callers(option_classes):
+    """Every name some caller sets by keyword — call keywords (which covers
+    ``dataclasses.replace`` and ``dict(name=...)``) and string keys of dict
+    literals — outside the option classes' own bodies. ``name=x.name`` is a
+    pass-through of a value chosen elsewhere, not a caller varying it."""
+    repo = SRC.parent
+    names = set()
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name in option_classes:
+            return
+        if isinstance(node, ast.Call):
+            names.update(
+                k.arg for k in node.keywords
+                if k.arg and not (isinstance(k.value, ast.Attribute)
+                                  and k.value.attr == k.arg)
+            )
+        elif isinstance(node, ast.Dict):
+            names.update(
+                k.value for k in node.keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for root in (SRC / "repro", repo / "benchmarks", repo / "examples", repo / "tests"):
+        for path in sorted(root.rglob("*.py")):
+            visit(ast.parse(path.read_text()))
+    return names
+
+
+def test_every_option_is_set_by_some_caller():
+    # A knob exists only where a caller varies it: a defaulted option that
+    # no module but its own ever sets has one exercised value and belongs
+    # on its class as a constant (ROADMAP item 2(a''')).
+    from repro.chaos import ChaosOptions, ChaosProfile
+    from repro.chaos.pbft import PbftChaosOptions
+    from repro.control import ControlOptions
+    from repro.core import BatchingOptions, SpireOptions
+    from repro.fleet.spec import FleetSpec, PollClass, RegionSpec, TrafficSpec
+    from repro.pbft.node import PbftConfig
+    from repro.prime.config import PrimeConfig
+    from repro.spines.monitor import LinkMonitorConfig
+
+    classes = (SpireOptions, ChaosOptions, ChaosProfile, PbftChaosOptions,
+               PrimeConfig, PbftConfig, ControlOptions, BatchingOptions,
+               LinkMonitorConfig, FleetSpec, PollClass, RegionSpec, TrafficSpec)
+    set_somewhere = _names_set_by_callers({cls.__name__ for cls in classes})
+    total = 0
+    unset = []
+    for cls in classes:
+        for name in _settable_defaults(cls):
+            total += 1
+            qualified = f"{cls.__name__}.{name}"
+            if name not in set_somewhere \
+                    and qualified not in UNSET_OPTION_ALLOWLIST:
+                unset.append(qualified)
+    print(f"settable option-class names with a default: {total}")
+    assert not unset, f"{len(unset)} options no caller sets: {unset}"
+    assert len(UNSET_OPTION_ALLOWLIST) <= 2
