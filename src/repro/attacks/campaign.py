@@ -57,17 +57,18 @@ class CampaignResult:
 class TraditionalCampaign:
     """Compromise the single master; operate the grid maliciously."""
 
+    #: served-load / compromised-count sampling period of the result curves
+    sample_interval_ms = 1000.0
+
     def __init__(
         self,
         deployment: TraditionalDeployment,
         breach_time_ms: float = 5000.0,
         sabotage_interval_ms: float = 1000.0,
-        sample_interval_ms: float = 1000.0,
     ) -> None:
         self.deployment = deployment
         self.breach_time_ms = breach_time_ms
         self.sabotage_interval_ms = sabotage_interval_ms
-        self.sample_interval_ms = sample_interval_ms
         self.result = CampaignResult()
         self._breakers: List[Tuple[str, str]] = [
             (substation, breaker_id)
@@ -112,20 +113,22 @@ class TraditionalCampaign:
 class SpireCampaign:
     """Work through Spire's replicas under diversity + proactive recovery."""
 
+    #: same sampling period as :class:`TraditionalCampaign`, so the two
+    #: result curves line up point for point
+    sample_interval_ms = TraditionalCampaign.sample_interval_ms
+
     def __init__(
         self,
         deployment: SpireDeployment,
         first_attempt_ms: float = 5000.0,
         dwell_ms: float = 20_000.0,
         attempt_interval_ms: float = 10_000.0,
-        sample_interval_ms: float = 1000.0,
         behavior: str = "corrupt-and-forge",
     ) -> None:
         self.deployment = deployment
         self.first_attempt_ms = first_attempt_ms
         self.dwell_ms = dwell_ms
         self.attempt_interval_ms = attempt_interval_ms
-        self.sample_interval_ms = sample_interval_ms
         self.behavior = behavior
         self.result = CampaignResult()
         self.compromised: Dict[str, List[Callable[[], None]]] = {}

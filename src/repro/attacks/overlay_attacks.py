@@ -9,7 +9,6 @@ fairness experiment.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Callable, Optional
 
@@ -105,9 +104,7 @@ class RouteFlapAttacker:
     """A compromised daemon that attacks the *control plane* by lying in
     its hellos: alternately suppressing them (so its neighbours declare
     the links dead) and resuming them (so the links come back), forcing
-    the overlay to recompute routes on every toggle. With
-    ``lie_latency_ms`` set, resumed hellos also carry back-dated
-    ``sent_at`` timestamps, forging inflated latency observations.
+    the overlay to recompute routes on every toggle.
 
     The control plane's flap damping is the defence: after ``max_flaps``
     transitions inside the flap window the abused links are suppressed
@@ -120,7 +117,6 @@ class RouteFlapAttacker:
         self,
         daemon: SpinesDaemon,
         period_ms: float = 400.0,
-        lie_latency_ms: float = 0.0,
     ) -> None:
         if daemon.monitor is None:
             raise ValueError(
@@ -129,7 +125,6 @@ class RouteFlapAttacker:
             )
         self.daemon = daemon
         self.period_ms = period_ms
-        self.lie_latency_ms = lie_latency_ms
         self.flips = 0
         self._suppressing = False
         self._stop: Optional[Callable[[], None]] = None
@@ -151,12 +146,5 @@ class RouteFlapAttacker:
         self._suppressing = not self._suppressing
         if self._suppressing:
             self.daemon.monitor.set_hello_mutator(lambda neighbor, hello: None)
-        elif self.lie_latency_ms > 0:
-            lie = self.lie_latency_ms
-            self.daemon.monitor.set_hello_mutator(
-                lambda neighbor, hello: dataclasses.replace(
-                    hello, sent_at=hello.sent_at - lie
-                )
-            )
         else:
             self.daemon.monitor.set_hello_mutator(None)

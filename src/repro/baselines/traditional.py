@@ -87,6 +87,11 @@ class _Endpoint(Process):
 class TraditionalMaster(_Endpoint):
     """Single (or hot-standby) SCADA master."""
 
+    #: primary -> standby heartbeat period
+    heartbeat_interval_ms = 500.0
+    #: heartbeat silence after which the standby promotes itself
+    failover_timeout_ms = 2000.0
+
     def __init__(
         self,
         name: str,
@@ -96,16 +101,12 @@ class TraditionalMaster(_Endpoint):
         proxies: List[str],
         is_primary: bool = True,
         peer_master: Optional[str] = None,
-        heartbeat_interval_ms: float = 500.0,
-        failover_timeout_ms: float = 2000.0,
     ) -> None:
         super().__init__(name, simulator, network)
         self.token = token
         self.proxies = list(proxies)
         self.is_primary = is_primary
         self.peer_master = peer_master
-        self.heartbeat_interval_ms = heartbeat_interval_ms
-        self.failover_timeout_ms = failover_timeout_ms
         self.latest_status: Dict[str, TStatus] = {}
         self.commands_issued = 0
         self.compromised = False
@@ -204,13 +205,15 @@ class TraditionalProxy(_Endpoint):
 class TraditionalDeployment:
     """A complete traditional-SCADA system over the same grid model."""
 
+    #: one-way latency of the control-center <-> field-site WAN link
+    wan_latency_ms = 8.0
+
     def __init__(
         self,
         num_substations: int = 5,
         seed: int = 1,
         poll_interval_ms: float = 100.0,
         with_backup: bool = True,
-        wan_latency_ms: float = 8.0,
     ) -> None:
         self.simulator = Simulator(seed=seed)
         self.network = Network(self.simulator, LinkSpec(latency_ms=0.2, jitter_ms=0.05))
@@ -240,7 +243,7 @@ class TraditionalDeployment:
         # WAN link between control center (masters) and the field site
         for master in master_names:
             self.network.set_link(
-                master, self.proxy.name, LinkSpec(latency_ms=wan_latency_ms, jitter_ms=0.5)
+                master, self.proxy.name, LinkSpec(latency_ms=self.wan_latency_ms, jitter_ms=0.5)
             )
 
     def start(self) -> None:

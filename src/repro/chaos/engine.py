@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..control import ControlOptions
 from ..core.deployment import SpireDeployment, SpireOptions
@@ -70,13 +70,8 @@ class ChaosOptions:
     overlay_mode: str = "shortest"
     #: enable the Spines self-healing control plane for this run
     self_healing: bool = False
-    #: overload-protection knobs passed through to the overlay daemons
+    #: per-source forward queue bound passed through to the overlay daemons
     overlay_queue_limit: int = 0
-    overlay_rate_limit_per_ms: float = 0.0
-    #: with self-healing on, each overlay fault must see a verified
-    #: delivery within this bound of its start (detection + reroute +
-    #: protocol settling); checked by :class:`RerouteBoundMonitor`
-    reroute_bound_ms: float = 1500.0
     prime_preset: str = "wan"
     #: (period_ms, duration_ms); None disables proactive recovery
     proactive_recovery: Optional[Tuple[float, float]] = (4000.0, 500.0)
@@ -87,22 +82,28 @@ class ChaosOptions:
     #: ``feedback_control=True`` uses :class:`~repro.control.ControlOptions`
     #: defaults
     control_overrides: Optional[Dict[str, Any]] = None
-    #: bounded-delay watchdog: max gap between verified deliveries in a
-    #: quiet interval (generous: covers resubmit backoff + one view change)
-    max_delivery_gap_ms: float = 2000.0
-    #: how long after a fault window ends before the system must be
-    #: re-bounded (budget: one view-change timeout plus settling)
-    quiet_grace_ms: float = 2500.0
-    #: every leader-affecting fault must see a quorum adopt a higher view
-    #: *and* a verified delivery within this bound of the fault firing
-    #: (TAT suspicion + view-change round + settling); checked by
-    #: :class:`ViewRecoveryMonitor`
-    view_recovery_bound_ms: float = 3000.0
     #: draw ``leader_kill``/``leader_partition`` faults into generated
     #: schedules (default-off: existing seeds keep their schedules)
     leader_faults: bool = False
     min_actions: int = 3
     max_actions: int = 8
+
+    # --- monitor bounds: properties of the claim checked, not of a run ---
+    #: with self-healing on, each overlay fault must see a verified
+    #: delivery within this bound of its start (detection + reroute +
+    #: protocol settling); checked by :class:`RerouteBoundMonitor`
+    reroute_bound_ms: ClassVar[float] = 1500.0
+    #: bounded-delay watchdog: max gap between verified deliveries in a
+    #: quiet interval (generous: covers resubmit backoff + one view change)
+    max_delivery_gap_ms: ClassVar[float] = 2000.0
+    #: how long after a fault window ends before the system must be
+    #: re-bounded (budget: one view-change timeout plus settling)
+    quiet_grace_ms: ClassVar[float] = 2500.0
+    #: every leader-affecting fault must see a quorum adopt a higher view
+    #: *and* a verified delivery within this bound of the fault firing
+    #: (TAT suspicion + view-change round + settling); checked by
+    #: :class:`ViewRecoveryMonitor`
+    view_recovery_bound_ms: ClassVar[float] = 3000.0
 
     @property
     def total_ms(self) -> float:
@@ -198,7 +199,6 @@ class ChaosEngine:
             overlay_mode=opts.overlay_mode,
             overlay_self_healing=opts.self_healing,
             overlay_queue_limit=opts.overlay_queue_limit,
-            overlay_rate_limit_per_ms=opts.overlay_rate_limit_per_ms,
             prime_preset=opts.prime_preset,
             seed=opts.seed,
             proactive_recovery=opts.proactive_recovery,

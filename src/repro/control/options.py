@@ -1,17 +1,18 @@
 """Knobs of the adaptive intrusion-tolerance control loop.
 
-One frozen :class:`ControlOptions` fully parameterizes the feedback
-strategy: how often it senses, how evidence moves the per-replica
-suspicion score, the hysteresis band that turns scores into decisions,
-the cooldowns that stop it thrashing, and the quiet-fallback cadence.
-Attach it to a deployment via ``SpireOptions(control=ControlOptions())``.
+One frozen :class:`ControlOptions` holds what an experiment varies about
+the feedback strategy: how often it senses, how fast evidence moves the
+per-replica suspicion score, the hysteresis band that turns scores into
+decisions, the per-replica cooldown and the lag that counts as a signal.
+The controller's calibration — evidence weights, decay, decision gap,
+grace window, quiet-fallback clock — is constant on the class. Attach it to a deployment via ``SpireOptions(control=ControlOptions())``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, ClassVar, Dict
 
 __all__ = ["ControlOptions"]
 
@@ -20,18 +21,16 @@ __all__ = ["ControlOptions"]
 class ControlOptions:
     """Configuration of the feedback recovery controller.
 
-    The defaults are tuned for the repo's WAN chaos scenarios (Prime WAN
-    timeouts, 100–500 ms poll/resubmit cadence): suspicion saturates
-    within a few sense intervals of sustained evidence and decays to
-    baseline within a handful of seconds of quiet.
+    Defaults and constants are tuned for the repo's WAN chaos scenarios
+    (Prime WAN timeouts, 100–500 ms poll/resubmit cadence): suspicion
+    saturates within a few sense intervals of sustained evidence and
+    decays to baseline within a handful of seconds of quiet.
     """
 
     #: controller evaluation period (also the signal-polling period)
     sense_interval_ms: float = 250.0
     #: how strongly one unit of fresh evidence moves a score toward 1.0
     ewma_alpha: float = 0.35
-    #: suspicion half-life while a replica is quiet (exponential decay)
-    decay_half_life_ms: float = 4000.0
     #: score above this ⇒ the replica is a rejuvenation candidate
     trigger_threshold: float = 0.55
     #: hysteresis: after firing, a replica re-arms only once its score
@@ -39,40 +38,41 @@ class ControlOptions:
     clear_threshold: float = 0.25
     #: per-replica minimum spacing between targeted rejuvenations
     cooldown_ms: float = 6000.0
+    #: sequence-number lag behind the fleet maximum that counts as a
+    #: missed-heartbeat signal
+    lag_threshold_seqs: int = 25
+
+    # --- constants: no experiment varies these -------------------------
+    #: suspicion half-life while a replica is quiet (exponential decay)
+    decay_half_life_ms: ClassVar[float] = 4000.0
     #: global minimum spacing between controller-initiated recoveries
     #: (keeps a burst of suspicion from serializing the whole fleet
     #: through recovery back to back)
-    decision_gap_ms: float = 1500.0
+    decision_gap_ms: ClassVar[float] = 1500.0
     #: with every score at baseline for this long, the controller falls
     #: back to the periodic rotation (never leaves replicas unrejuvenated
-    #: forever just because the system looks healthy)
-    fallback_after_ms: float = 10_000.0
-    #: rotation period used while in fallback; ``None`` inherits the
-    #: deployment's ``proactive_recovery`` period
-    fallback_period_ms: Optional[float] = None
+    #: forever just because the system looks healthy); the rotation runs
+    #: at the deployment's ``proactive_recovery`` period
+    fallback_after_ms: ClassVar[float] = 10_000.0
     #: scores below this count as baseline for the fallback clock
-    baseline_threshold: float = 0.05
+    baseline_threshold: ClassVar[float] = 0.05
     #: after a rejuvenation completes, evidence against that replica is
     #: discounted for this long — Suspect votes from the view change our
     #: own leader-rejuvenation provoked keep arriving after the window
     #: closes, and must not re-suspect the fresh image
-    post_recovery_grace_ms: float = 1500.0
-
-    # --- evidence weights (units of evidence per signal occurrence) ----
+    post_recovery_grace_ms: ClassVar[float] = 1500.0
+    # evidence weights (units of evidence per signal occurrence)
     #: a peer's Suspect vote naming the replica as a slow/faulty leader
-    weight_suspect: float = 0.8
+    weight_suspect: ClassVar[float] = 0.8
     #: the replica is observed down outside a rejuvenation window
-    weight_crash: float = 1.0
+    weight_crash: ClassVar[float] = 1.0
     #: execution lag beyond ``lag_threshold_seqs`` behind the fleet max
-    weight_lag: float = 0.5
+    weight_lag: ClassVar[float] = 0.5
     #: overlay link trouble (down/degraded/partition) at the replica's site
-    weight_overlay: float = 0.3
+    weight_overlay: ClassVar[float] = 0.3
     #: a chaos invariant monitor flagged a violation (system-wide alarm,
     #: spread across all live replicas)
-    weight_violation: float = 0.4
-    #: sequence-number lag behind the fleet maximum that counts as a
-    #: missed-heartbeat signal
-    lag_threshold_seqs: int = 25
+    weight_violation: ClassVar[float] = 0.4
 
     def validate(self) -> "ControlOptions":
         """Reject inconsistent knobs with actionable errors; chains."""
@@ -84,10 +84,6 @@ class ControlOptions:
             raise ValueError(
                 f"ewma_alpha must be in (0, 1] (got {self.ewma_alpha})"
             )
-        if self.decay_half_life_ms <= 0:
-            raise ValueError(
-                f"decay_half_life_ms must be positive (got {self.decay_half_life_ms})"
-            )
         if not 0.0 < self.trigger_threshold <= 1.0:
             raise ValueError(
                 f"trigger_threshold must be in (0, 1] (got {self.trigger_threshold})"
@@ -98,34 +94,8 @@ class ControlOptions:
                 f"trigger_threshold ({self.trigger_threshold}): the gap is "
                 f"the hysteresis band"
             )
-        if self.cooldown_ms < 0 or self.decision_gap_ms < 0:
-            raise ValueError(
-                "cooldown_ms and decision_gap_ms must be >= 0 "
-                f"(got {self.cooldown_ms}, {self.decision_gap_ms})"
-            )
-        if self.post_recovery_grace_ms < 0:
-            raise ValueError(
-                f"post_recovery_grace_ms must be >= 0 "
-                f"(got {self.post_recovery_grace_ms})"
-            )
-        if self.fallback_after_ms <= 0:
-            raise ValueError(
-                f"fallback_after_ms must be positive (got {self.fallback_after_ms})"
-            )
-        if self.fallback_period_ms is not None and self.fallback_period_ms <= 0:
-            raise ValueError(
-                f"fallback_period_ms must be positive or None "
-                f"(got {self.fallback_period_ms})"
-            )
-        if not 0.0 <= self.baseline_threshold < self.trigger_threshold:
-            raise ValueError(
-                f"baseline_threshold ({self.baseline_threshold}) must sit "
-                f"below trigger_threshold ({self.trigger_threshold})"
-            )
-        for name in ("weight_suspect", "weight_crash", "weight_lag",
-                     "weight_overlay", "weight_violation"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.cooldown_ms < 0:
+            raise ValueError(f"cooldown_ms must be >= 0 (got {self.cooldown_ms})")
         if self.lag_threshold_seqs < 1:
             raise ValueError(
                 f"lag_threshold_seqs must be >= 1 (got {self.lag_threshold_seqs})"

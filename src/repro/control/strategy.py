@@ -64,10 +64,7 @@ class FeedbackStrategy(RecoveryStrategy):
         self.control = (control or ControlOptions()).validate()
         #: fallback rotation period (the schedule the controller degrades
         #: to when signals are quiet or unavailable)
-        self.period_ms = (
-            self.control.fallback_period_ms
-            if self.control.fallback_period_ms is not None else period_ms
-        )
+        self.period_ms = period_ms
         #: ``None`` when observability is disabled: the loop then runs as
         #: a pure periodic rotation on the sense timer
         self.hub = hub

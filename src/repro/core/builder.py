@@ -212,14 +212,14 @@ class DeploymentWiring:
         """Availability accounting: every verified status delivery at
         HMI 0 ticks the delivery series."""
         d = self.deployment
-        if d.hmis:
-            original = d.hmis[0]._on_delivery_share
+        hmi = d.hmis[0]
+        original = hmi._on_delivery_share
 
-            def counted(share, _original=original):
-                before = d.hmis[0].collector.verified
-                _original(share)
-                released = d.hmis[0].collector.verified - before
-                if released:
-                    d.delivery_series.record(d.simulator.now, released)
+        def counted(share):
+            before = hmi.collector.verified
+            original(share)
+            released = hmi.collector.verified - before
+            if released:
+                d.delivery_series.record(d.simulator.now, released)
 
-            d.hmis[0]._on_delivery_share = counted
+        hmi._on_delivery_share = counted

@@ -54,7 +54,6 @@ class SubmissionManager:
         recorder: Optional[LatencyTracker] = None,
         resubmit_timeout_ms: float = 500.0,
         start_index: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
         if not replicas:
@@ -69,7 +68,7 @@ class SubmissionManager:
         # Resubmits back off exponentially instead of firing at a fixed
         # period: a client facing a long outage probes with bounded load
         # rather than hammering every resubmit_timeout.
-        self.retry_policy = retry_policy or RetryPolicy(
+        self.retry_policy = RetryPolicy(
             base_ms=resubmit_timeout_ms,
             factor=1.5,
             max_ms=resubmit_timeout_ms * 6,
@@ -163,7 +162,6 @@ class SpireClient(Process):
         stack: Optional[OverlayStack] = None,
         recorder: Optional[LatencyTracker] = None,
         resubmit_timeout_ms: float = 500.0,
-        threshold_group: str = THRESHOLD_GROUP,
         obs=None,
         start_index: int = 0,
     ) -> None:
@@ -171,7 +169,7 @@ class SpireClient(Process):
         self.crypto = crypto
         self.stack = stack
         self.obs = obs if obs is not None else NULL_OBS
-        self.collector = DeliveryCollector(crypto, threshold_group)
+        self.collector = DeliveryCollector(crypto, THRESHOLD_GROUP)
         self.submissions = SubmissionManager(
             client_name=name,
             crypto=crypto,

@@ -39,15 +39,17 @@ __all__ = ["DeliveryCollector"]
 class DeliveryCollector:
     """Collects shares and yields verified, deduplicated records."""
 
+    #: released-record keys remembered for dedup before the oldest half
+    #: is forgotten
+    max_pending = 10_000
+
     def __init__(
         self,
         crypto: CryptoProvider,
         group: str,
-        max_pending: int = 10_000,
     ) -> None:
         self.crypto = crypto
         self.group = group
-        self.max_pending = max_pending
         #: record/batch key -> content variant -> sender -> incoming share
         self._tracker = ThresholdShareTracker()
         self._done: Set[Tuple] = set()

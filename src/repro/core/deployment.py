@@ -7,7 +7,7 @@ This is the reproduction of the paper's deployed architecture:
   :class:`~repro.core.config.ResilienceConfig`-style placement;
 * a power grid with one RTU per substation, fronted by an RTU proxy at the
   field site;
-* one or more HMIs at the primary control center;
+* one HMI at the primary control center;
 * threshold-signature keys dealt to the replicas;
 * optional proactive recovery (with diversity re-randomization).
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
 
 from ..crypto.provider import CryptoProvider, FastCrypto, RealCrypto, TimedCrypto
 from ..obs import (
@@ -71,7 +71,6 @@ class SpireOptions:
     #: site name -> replica count; None = the paper's 2+2+1+1 over 4 sites
     placement: Optional[Dict[str, int]] = None
     num_substations: int = 5
-    num_hmis: int = 1
     poll_interval_ms: float = 100.0
     resubmit_timeout_ms: float = 500.0
     overlay_mode: str = "flooding"           # or "shortest" / "disjoint"
@@ -80,8 +79,6 @@ class SpireOptions:
     overlay_self_healing: bool = False
     #: per-source forward queue bound on each daemon (0 = unbounded)
     overlay_queue_limit: int = 0
-    #: per-source token-bucket rate on each daemon (0 = unlimited)
-    overlay_rate_limit_per_ms: float = 0.0
     prime_preset: str = "wan"                # or "lan"
     crypto_kind: str = "fast"                # or "real"
     seed: int = 1
@@ -108,6 +105,10 @@ class SpireOptions:
     #: recorder and its event log stays empty. Use for maximum-speed sweeps
     #: where nothing inspects events or metrics afterwards.
     observability: bool = True
+
+    #: one HMI at the primary control center: every figure, bench and
+    #: monitor reads ``deployment.hmis[0]``
+    num_hmis: ClassVar[int] = 1
 
     @classmethod
     def wan(cls, **overrides) -> "SpireOptions":
@@ -160,8 +161,6 @@ class SpireOptions:
             raise ValueError(
                 f"num_substations must be >= 1 (got {self.num_substations})"
             )
-        if self.num_hmis < 0:
-            raise ValueError(f"num_hmis must be >= 0 (got {self.num_hmis})")
         if self.poll_interval_ms <= 0 or self.resubmit_timeout_ms <= 0:
             raise ValueError(
                 "poll_interval_ms and resubmit_timeout_ms must be positive "
@@ -176,11 +175,6 @@ class SpireOptions:
             raise ValueError(
                 f"overlay_queue_limit must be >= 0 "
                 f"(got {self.overlay_queue_limit})"
-            )
-        if self.overlay_rate_limit_per_ms < 0:
-            raise ValueError(
-                f"overlay_rate_limit_per_ms must be >= 0 "
-                f"(got {self.overlay_rate_limit_per_ms})"
             )
         if self.prime_preset not in ("wan", "lan"):
             raise ValueError(
@@ -267,7 +261,6 @@ class SpireDeployment:
             crypto=self.crypto,
             self_healing=opts.overlay_self_healing,
             max_queue_per_source=opts.overlay_queue_limit,
-            source_rate_per_ms=opts.overlay_rate_limit_per_ms,
             obs=self.obs,
         )
         self.diversity = DiversityManager(seed=opts.seed)

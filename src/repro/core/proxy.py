@@ -34,7 +34,6 @@ class RtuProxy(SpireClient):
         replicas: List[str],
         devices: List[DeviceBinding],
         poll_interval_ms: float = 100.0,
-        device_timeout_ms: float = 50.0,
         **kwargs,
     ) -> None:
         super().__init__(
@@ -42,9 +41,7 @@ class RtuProxy(SpireClient):
             start_index=sum(name.encode()), **kwargs,
         )
         self.poll_interval_ms = poll_interval_ms
-        self.poller = ModbusPoller(
-            self, self._submit_reading, devices, device_timeout_ms
-        )
+        self.poller = ModbusPoller(self, self._submit_reading, devices)
         self.readings_submitted = 0
 
     @property

@@ -49,6 +49,9 @@ def _no_proxy(substation: str) -> None:
 class SpireReplica(PrimeNode):
     """One SCADA-master replica."""
 
+    #: the one threshold group every master replica holds a share of
+    threshold_group = THRESHOLD_GROUP
+
     def __init__(
         self,
         name: str,
@@ -58,14 +61,12 @@ class SpireReplica(PrimeNode):
         crypto: CryptoProvider,
         app: Optional[ReplicatedApplication] = None,
         transport: Optional[Transport] = None,
-        threshold_group: str = THRESHOLD_GROUP,
         obs=None,
     ) -> None:
         super().__init__(
             name, simulator, network, config,
             crypto, app or ScadaMasterApp(), transport=transport, obs=obs,
         )
-        self.threshold_group = threshold_group
         self._deliveries_counter = (
             self.obs.counter("replica.deliveries_sent") if self.obs.enabled else None
         )

@@ -122,7 +122,7 @@ def wire_fleet(deployment, wiring: DeploymentWiring) -> None:
     d = deployment
     wiring.wire(region_resolver(d.fleet_topology))
     spec = d.options.fleet
-    if spec.traffic is not None and d.hmis:
+    if spec.traffic is not None:
         d.traffic_driver = FleetTrafficDriver(
             d.simulator, d.hmis, d.fleet_topology, spec.traffic,
             seed=d.options.seed,

@@ -94,6 +94,13 @@ PBFT_AGREEMENT = AgreementSpec(
 class PbftConfig:
     """Static configuration for one PBFT group."""
 
+    #: how often the request timeout is evaluated
+    check_interval_ms = 100.0
+    #: head-of-line retransmission / fetch period
+    retrans_interval_ms = 50.0
+    #: how often a non-leader re-forwards pending client updates
+    forward_interval_ms = 200.0
+
     def __init__(
         self,
         replicas: Tuple[str, ...],
@@ -101,9 +108,6 @@ class PbftConfig:
         batch_interval_ms: float = 5.0,
         batch_max_updates: int = 64,
         request_timeout_ms: float = 2000.0,
-        check_interval_ms: float = 100.0,
-        retrans_interval_ms: float = 50.0,
-        forward_interval_ms: float = 200.0,
         checkpoint_interval: int = 16,
     ) -> None:
         if len(replicas) < 3 * num_faults + 1:
@@ -113,9 +117,6 @@ class PbftConfig:
         self.batch_interval_ms = batch_interval_ms
         self.batch_max_updates = batch_max_updates
         self.request_timeout_ms = request_timeout_ms
-        self.check_interval_ms = check_interval_ms
-        self.retrans_interval_ms = retrans_interval_ms
-        self.forward_interval_ms = forward_interval_ms
         #: checkpoint every this many executed slots (0 disables)
         self.checkpoint_interval = checkpoint_interval
 

@@ -14,7 +14,7 @@ deployment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+from typing import ClassVar, Tuple
 
 __all__ = ["PrimeConfig", "lan_prime_config", "wan_prime_config"]
 
@@ -31,10 +31,8 @@ class PrimeConfig:
     batch_interval_ms: float = 2.0        # client updates -> PO-Request batching
     summary_interval_ms: float = 10.0     # PO-summary broadcast period
     pre_prepare_interval_ms: float = 20.0 # leader proposal period
-    ping_interval_ms: float = 200.0       # RTT measurement period
     tat_check_interval_ms: float = 25.0   # suspect-leader evaluation period
     recon_interval_ms: float = 40.0       # reconciliation/retransmission period
-    view_change_timeout_ms: float = 800.0 # expect NewView within this after VC
     # --- suspect-leader parameters --------------------------------------
     tat_latency_factor: float = 3.0       # K_lat: multiplier on achievable TAT
     tat_slack_ms: float = 15.0            # additive slack against jitter
@@ -42,9 +40,13 @@ class PrimeConfig:
     rtt_ewma_alpha: float = 0.2           # smoothing for RTT estimates
     # --- batching / flow control ----------------------------------------
     batch_max_updates: int = 64           # max client updates per PO-Request
-    recon_window: int = 32                # max updates resent per peer per round
     # --- checkpointing ---------------------------------------------------
     checkpoint_interval_seqs: int = 50    # global seqs between checkpoints
+
+    # --- constants: equal in both presets, varied by no experiment -------
+    ping_interval_ms: ClassVar[float] = 200.0        # RTT measurement period
+    view_change_timeout_ms: ClassVar[float] = 800.0  # expect NewView within this after VC
+    recon_window: ClassVar[int] = 32       # max updates resent per peer per round
 
     def __post_init__(self) -> None:
         needed = 3 * self.num_faults + 2 * self.num_recovering + 1

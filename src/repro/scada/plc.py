@@ -57,6 +57,9 @@ def undervoltage_rule(threshold_kv: float = 120.0) -> ProtectionRule:
 class PlcDevice(RtuDevice):
     """An RTU that additionally runs a protection scan cycle."""
 
+    #: protection scan period; a rule's ``pickup_scans`` counts these
+    scan_interval_ms = 100.0
+
     def __init__(
         self,
         name: str,
@@ -66,11 +69,9 @@ class PlcDevice(RtuDevice):
         substation: str,
         unit_id: int,
         rules: Optional[List[ProtectionRule]] = None,
-        scan_interval_ms: float = 100.0,
     ) -> None:
         super().__init__(name, simulator, network, grid, substation, unit_id)
         self.rules = rules if rules is not None else [undervoltage_rule()]
-        self.scan_interval_ms = scan_interval_ms
         self.scans = 0
         self.trips = 0
         self._pickup: Dict[str, int] = {}

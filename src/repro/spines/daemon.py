@@ -60,6 +60,9 @@ BehaviorHook = Callable[[OverlayData, Callable[[], None]], None]
 class SpinesDaemon(Process):
     """One overlay daemon at a site."""
 
+    #: flooded-copy dedup memory: the ``(origin, seq)`` keys kept, FIFO
+    dedup_window = 50_000
+
     def __init__(
         self,
         site_name: str,
@@ -67,10 +70,8 @@ class SpinesDaemon(Process):
         network: Network,
         routing: RoutingStrategy,
         crypto: CryptoProvider,
-        link_auth: bool = True,
         fairness: bool = True,
         forward_capacity_per_ms: float = 0.0,
-        dedup_window: int = 50_000,
         max_queue_per_source: int = 0,
         source_rate_per_ms: float = 0.0,
         source_burst: float = 32.0,
@@ -96,10 +97,8 @@ class SpinesDaemon(Process):
                 self._drop_counters[f"dropped_{reason}"] = self.obs.counter(
                     f"spines.dropped_{reason}"
                 )
-        self.link_auth = link_auth
         self.fairness = fairness
         self.forward_capacity_per_ms = forward_capacity_per_ms
-        self.dedup_window = dedup_window
         self.max_queue_per_source = max_queue_per_source
         self.source_rate_per_ms = source_rate_per_ms
         self.source_burst = source_burst
@@ -180,7 +179,7 @@ class SpinesDaemon(Process):
         if self.neighbors.get(sender_site) != src:
             self._count_drop("dropped_auth")
             return
-        if self.link_auth and not self.crypto.check_mac(
+        if not self.crypto.check_mac(
             src, self.name, message.data, message.mac
         ):
             self._count_drop("dropped_auth")
@@ -198,7 +197,7 @@ class SpinesDaemon(Process):
         if self.neighbors.get(sender) != src:
             self._count_drop("dropped_auth")
             return
-        if self.link_auth and not self.crypto.check_mac(
+        if not self.crypto.check_mac(
             src, self.name, (hello.sender, hello.seq, hello.sent_at), hello.mac
         ):
             self._count_drop("dropped_auth")
@@ -340,7 +339,7 @@ class SpinesDaemon(Process):
 
     def _forward_now(self, neighbor_site: str, data: OverlayData) -> None:
         dst = self.neighbors[neighbor_site]
-        mac = self.crypto.mac(self.name, dst, data) if self.link_auth else b""
+        mac = self.crypto.mac(self.name, dst, data)
         self.stats["forwarded"] += 1
         sent_at = self.simulator.now if self._hop_latency is not None else 0.0
         self.send(dst, OverlayForward(data, self.site_name, mac, sent_at),

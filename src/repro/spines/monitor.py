@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from ..obs import (
     COMP_OVERLAY,
@@ -70,11 +70,6 @@ class LinkMonitorConfig:
     miss_threshold: int = 3
     #: smoothing factor of the one-way latency EWMA
     ewma_alpha: float = 0.3
-    #: EWMA > advertised × this ⇒ the link is reported degraded
-    degraded_factor: float = 3.0
-    #: EWMA ≤ advertised × this ⇒ a degraded link is reported recovered
-    #: (hysteresis, so jitter at the threshold does not thrash routes)
-    recovered_factor: float = 1.5
     #: coalescing delay between a link report and the route rebuild
     #: (models link-state-update propagation across the overlay)
     reroute_delay_ms: float = 50.0
@@ -83,8 +78,15 @@ class LinkMonitorConfig:
     max_flaps: int = 4
     flap_window_ms: float = 5000.0
     suppress_ms: float = 5000.0
+
+    # --- constants: the degradation band and the probe's wire size -----
+    #: EWMA > advertised × this ⇒ the link is reported degraded
+    degraded_factor: ClassVar[float] = 3.0
+    #: EWMA ≤ advertised × this ⇒ a degraded link is reported recovered
+    #: (hysteresis, so jitter at the threshold does not thrash routes)
+    recovered_factor: ClassVar[float] = 1.5
     #: wire size of one hello probe
-    hello_size_bytes: int = 64
+    hello_size_bytes: ClassVar[int] = 64
 
     @property
     def dead_after_ms(self) -> float:
@@ -174,11 +176,10 @@ class LinkMonitor:
                     continue
                 hello = mutated
             dst = daemon.neighbors[neighbor]
-            if daemon.link_auth:
-                mac = daemon.crypto.mac(
-                    daemon.name, dst, (hello.sender, hello.seq, hello.sent_at)
-                )
-                hello = dataclasses.replace(hello, mac=mac)
+            mac = daemon.crypto.mac(
+                daemon.name, dst, (hello.sender, hello.seq, hello.sent_at)
+            )
+            hello = dataclasses.replace(hello, mac=mac)
             self.hellos_sent += 1
             daemon.send(dst, hello, size_bytes=self.config.hello_size_bytes)
 

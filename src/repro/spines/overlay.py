@@ -97,6 +97,10 @@ class OverlayStack:
 class SpinesOverlay:
     """All daemons of one overlay network plus endpoint attachment state."""
 
+    #: one-way latency of the access link between an endpoint and its
+    #: site's daemon (same machine room)
+    last_mile_latency_ms = 0.1
+
     def __init__(
         self,
         simulator: Simulator,
@@ -104,10 +108,8 @@ class SpinesOverlay:
         topology: OverlayTopology,
         mode: str = "flooding",
         crypto: Optional[CryptoProvider] = None,
-        link_auth: bool = True,
         fairness: bool = True,
         forward_capacity_per_ms: float = 0.0,
-        last_mile_latency_ms: float = 0.1,
         self_healing: bool = False,
         monitor_config: Optional[LinkMonitorConfig] = None,
         max_queue_per_source: int = 0,
@@ -120,7 +122,6 @@ class SpinesOverlay:
         self.topology = topology
         self.mode = mode
         self.crypto = crypto or FastCrypto()
-        self.last_mile_latency_ms = last_mile_latency_ms
         self.obs = obs if obs is not None else NULL_OBS
         self.routing = make_routing(mode, topology)
         self.monitor_config = monitor_config or LinkMonitorConfig()
@@ -129,7 +130,7 @@ class SpinesOverlay:
         for site in topology.sites:
             self.daemons[site.name] = SpinesDaemon(
                 site.name, simulator, network, self.routing, self.crypto,
-                link_auth=link_auth, fairness=fairness,
+                fairness=fairness,
                 forward_capacity_per_ms=forward_capacity_per_ms,
                 max_queue_per_source=max_queue_per_source,
                 source_rate_per_ms=source_rate_per_ms,
