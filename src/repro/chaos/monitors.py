@@ -98,7 +98,7 @@ class _BaseMonitor:
 
     def bind_obs(self, obs) -> None:
         """Mirror violation counts into a metric registry."""
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs.enabled:
             self._obs_violations = obs.counter(f"chaos.violations.{self.name}")
 
     def violations(self) -> List[Violation]:

@@ -46,7 +46,7 @@ class ScadaMasterApp(ReplicatedApplication):
 
     def bind_obs(self, obs) -> None:
         """Mirror apply counters into an ``repro.obs`` recorder."""
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs.enabled:
             self._obs_status = obs.counter("master.status_applied")
             self._obs_commands = obs.counter("master.commands_applied")
             self._obs_stale = obs.counter("master.stale_dropped")

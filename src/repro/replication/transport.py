@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
+from ..obs import NULL_OBS
 from ..simnet import Process
 from ..spines.overlay import OverlayStack
 
@@ -52,7 +53,8 @@ class _SendCounters:
     _sent_bytes = None
 
     def _bind_obs(self, obs, prefix: str) -> None:
-        if obs is not None and getattr(obs, "enabled", False):
+        obs = obs if obs is not None else NULL_OBS
+        if obs.enabled:
             self._sent = obs.counter(f"{prefix}.sent")
             self._sent_bytes = obs.counter(f"{prefix}.sent_bytes")
 

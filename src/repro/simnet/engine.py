@@ -256,7 +256,7 @@ class Simulator:
         deployment (or test) passes the recorder in. Counters are
         pre-resolved here so :meth:`step` never does a registry lookup.
         """
-        if obs is None or not getattr(obs, "enabled", False):
+        if not obs.enabled:
             self._obs = None
             self._obs_events = None
             self._obs_scheduled = None

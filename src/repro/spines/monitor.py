@@ -401,7 +401,7 @@ class OverlayControlPlane:
                 EV_OVERLAY_PARTITION, components=observed.component_count()
             )
         self.partitioned = partitioned
-        if getattr(self.obs, "enabled", False):
+        if self.obs.enabled:
             self.obs.gauge("overlay.links_down").set(float(len(self._down)))
             self.obs.counter("overlay.reroutes").inc()
 
