@@ -32,9 +32,9 @@ class LeaderChaser:
         network: Network,
         leader_fn: Callable[[], str],
         peers_fn: Callable[[str], List[str]],
-        extra_delay_ms: float = 300.0,
-        extra_loss: float = 0.1,
-        retarget_interval_ms: float = 2000.0,
+        extra_delay_ms: float,
+        extra_loss: float,
+        retarget_interval_ms: float,
     ) -> None:
         self.simulator = simulator
         self.network = network

@@ -106,6 +106,7 @@ def test_leader_chaser_retargets(deployment):
         leader_fn=deployment.current_leader,
         peers_fn=deployment.dos_peers_of,
         extra_delay_ms=250.0,
+        extra_loss=0.1,
         retarget_interval_ms=1500.0,
     )
     chaser.start()
