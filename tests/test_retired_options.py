@@ -1,0 +1,153 @@
+"""The options no caller ever set are constants of the class that owns them.
+
+Each retired name (i) still reads through its owner at the one value every
+run used, (ii) is gone from ``__init__`` / ``to_dict()``, and (iii) does
+not stop a scenario file dumped while it was still a field from loading
+and replaying.
+"""
+
+import inspect
+import json
+
+import pytest
+
+from repro.attacks import RouteFlapAttacker, SpireCampaign, TraditionalCampaign
+from repro.baselines import TraditionalDeployment
+from repro.baselines.traditional import TraditionalMaster
+from repro.chaos import (
+    ChaosEngine,
+    ChaosOptions,
+    load_scenario,
+    replay_scenario,
+    scenario_dict,
+)
+from repro.control import ControlOptions
+from repro.core import BatchingOptions, SpireOptions
+from repro.core.client import SpireClient, SubmissionManager
+from repro.core.collector import DeliveryCollector
+from repro.core.proxy import RtuProxy
+from repro.core.replica import THRESHOLD_GROUP, SpireReplica
+from repro.pbft.node import PbftConfig
+from repro.prime.config import PrimeConfig
+from repro.scada.plc import PlcDevice
+from repro.spines.daemon import SpinesDaemon
+from repro.spines.monitor import LinkMonitorConfig
+from repro.spines.overlay import SpinesOverlay
+
+NAMES = tuple(f"r{i}" for i in range(6))
+
+#: owner -> (retired name, the value every run used) pairs; ``...`` marks a
+#: name that left with the branch only its other values reached. Pairs, not
+#: keywords or dict keys: the architecture guard counts those as a caller
+#: setting the option, and this table must not keep a re-grown knob alive.
+RETIRED = {
+    ControlOptions: (
+        ("decay_half_life_ms", 4000.0), ("decision_gap_ms", 1500.0),
+        ("fallback_after_ms", 10_000.0), ("baseline_threshold", 0.05),
+        ("post_recovery_grace_ms", 1500.0), ("weight_suspect", 0.8),
+        ("weight_crash", 1.0), ("weight_lag", 0.5), ("weight_overlay", 0.3),
+        ("weight_violation", 0.4), ("fallback_period_ms", ...),
+    ),
+    ChaosOptions: (
+        ("reroute_bound_ms", 1500.0), ("max_delivery_gap_ms", 2000.0),
+        ("quiet_grace_ms", 2500.0), ("view_recovery_bound_ms", 3000.0),
+        ("overlay_rate_limit_per_ms", ...),
+    ),
+    SpireOptions: (("num_hmis", 1), ("overlay_rate_limit_per_ms", ...)),
+    PrimeConfig: (
+        ("ping_interval_ms", 200.0), ("view_change_timeout_ms", 800.0),
+        ("recon_window", 32),
+    ),
+    PbftConfig: (
+        ("check_interval_ms", 100.0), ("retrans_interval_ms", 50.0),
+        ("forward_interval_ms", 200.0),
+    ),
+    LinkMonitorConfig: (
+        ("degraded_factor", 3.0), ("recovered_factor", 1.5),
+        ("hello_size_bytes", 64),
+    ),
+    SpinesOverlay: (("last_mile_latency_ms", 0.1), ("link_auth", ...)),
+    SpinesDaemon: (("dedup_window", 50_000), ("link_auth", ...)),
+    TraditionalMaster: (
+        ("heartbeat_interval_ms", 500.0), ("failover_timeout_ms", 2000.0),
+    ),
+    TraditionalDeployment: (("wan_latency_ms", 8.0),),
+    TraditionalCampaign: (("sample_interval_ms", 1000.0),),
+    SpireCampaign: (("sample_interval_ms", 1000.0),),
+    RouteFlapAttacker: (("lie_latency_ms", ...),),
+    PlcDevice: (("scan_interval_ms", 100.0),),
+    RtuProxy: (("device_timeout_ms", ...),),
+    SubmissionManager: (("retry_policy", ...),),
+    SpireClient: (("threshold_group", ...),),
+    SpireReplica: (("threshold_group", THRESHOLD_GROUP),),
+    DeliveryCollector: (("max_pending", 10_000),),
+}
+
+#: a dataclass owner is read through an instance built from these
+INSTANCE_ARGS = {PrimeConfig: (NAMES,), PbftConfig: (NAMES,)}
+
+
+def test_the_retired_names_are_the_43_the_sweep_found():
+    assert sum(len(names) for names in RETIRED.values()) == 43
+
+
+@pytest.mark.parametrize("owner", RETIRED, ids=lambda cls: cls.__name__)
+def test_a_retired_name_is_no_longer_settable(owner):
+    parameters = inspect.signature(owner.__init__).parameters
+    required = [
+        "x" for p in list(parameters.values())[1:]
+        if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+    ]
+    for name, _ in RETIRED[owner]:
+        assert name not in parameters, name
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            owner(*required, **{name: 1})
+
+
+@pytest.mark.parametrize("owner", RETIRED, ids=lambda cls: cls.__name__)
+def test_a_constant_reads_through_its_owner_at_the_value_every_run_used(owner):
+    holder = owner
+    if hasattr(owner, "__dataclass_fields__") or owner in INSTANCE_ARGS:
+        holder = owner(*INSTANCE_ARGS.get(owner, ()))
+    for name, value in RETIRED[owner]:
+        if value is ...:
+            assert not hasattr(holder, name), name
+        else:
+            assert getattr(holder, name) == value, name
+
+
+def test_component_constants_read_through_live_instances():
+    deployment = TraditionalDeployment(num_substations=2, seed=1)
+    assert deployment.wan_latency_ms == 8.0
+    assert deployment.primary.heartbeat_interval_ms == 500.0
+    assert deployment.backup.failover_timeout_ms == 2000.0
+    assert "wan_latency_ms" not in vars(deployment)
+    assert "failover_timeout_ms" not in vars(deployment.backup)
+
+
+def test_option_dicts_round_trip_without_the_retired_keys():
+    chaos = ChaosOptions(seed=9, self_healing=True, leader_faults=True)
+    control = ControlOptions(trigger_threshold=0.6, cooldown_ms=3000.0)
+    batching = BatchingOptions(max_batch_size=16, max_batch_delay_ms=4.0)
+    for options in (chaos, control, batching):
+        image = options.to_dict()
+        assert type(options).from_dict(image) == options
+        assert not set(image) & {name for name, _ in RETIRED.get(type(options), ())}
+    assert len(chaos.to_dict()) == 19
+    assert len(control.to_dict()) == 6
+    assert len(batching.to_dict()) == 2
+
+
+def test_a_scenario_dumped_before_the_fields_retired_still_replays(tmp_path):
+    # built here, not committed: fingerprints depend on the hash seed
+    result = ChaosEngine(ChaosOptions(seed=3)).run()
+    image = scenario_dict(result)
+    for name, value in RETIRED[ChaosOptions]:
+        image["options"][name] = 0.0 if value is ... else value
+    assert len(image["options"]) == 24
+    path = tmp_path / "parent_era.json"
+    path.write_text(json.dumps(image, indent=2, sort_keys=True))
+    loaded = load_scenario(path)
+    assert loaded["options"]["quiet_grace_ms"] == 2500.0
+    assert ChaosOptions.from_dict(loaded["options"]) == result.options
+    assert replay_scenario(path).fingerprint == result.fingerprint
