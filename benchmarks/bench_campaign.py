@@ -40,6 +40,8 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from common import load_bench, store_bench_section  # noqa: E402
+
 from repro.chaos import ChaosOptions  # noqa: E402
 from repro.parallel import canonical_hash_seed, run_campaign, seed_tasks  # noqa: E402
 
@@ -152,26 +154,8 @@ def write_report(section: dict, path: str = REPORT_PATH, emit=print) -> None:
 # ----------------------------------------------------------------------
 # Baseline record / CI gate
 # ----------------------------------------------------------------------
-def _load(path: str) -> dict:
-    if os.path.exists(path):
-        with open(path) as handle:
-            return json.load(handle)
-    return {}
-
-
-def record(section: dict, path: str, emit=print) -> None:
-    data = _load(path)
-    data["campaign"] = section
-    data.setdefault("meta", {})["python"] = platform.python_version()
-    data["meta"]["machine"] = platform.machine()
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    emit(f"recorded campaign baseline -> {path}")
-
-
 def check(section: dict, path: str, tolerance: float, emit=print) -> bool:
-    baseline = _load(path).get("campaign")
+    baseline = load_bench(path).get("campaign")
     if baseline is None:
         emit(f"ERROR: no committed campaign baseline in {path}")
         return False
@@ -248,7 +232,8 @@ def main(argv=None) -> int:
             json.dump(section, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.record:
-        record(section, args.json, emit=emit)
+        store_bench_section(args.json, "campaign", section)
+        emit(f"recorded campaign baseline -> {args.json}")
         write_report(section, emit=emit)
     if args.check:
         if not check(section, args.json, args.tolerance, emit=emit):

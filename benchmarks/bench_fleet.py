@@ -34,7 +34,6 @@ import argparse
 import gc
 import json
 import os
-import platform
 import subprocess
 import sys
 from time import perf_counter
@@ -44,6 +43,8 @@ _ROOT = os.path.dirname(_HERE)
 for _path in (os.path.join(_ROOT, "src"), os.path.join(_HERE, "perf")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
+
+from common import load_bench, store_bench_section  # noqa: E402
 
 from repro.analysis import current_peak_rss  # noqa: E402
 from repro.core import BatchingOptions, SpireDeployment, SpireOptions  # noqa: E402
@@ -246,28 +247,16 @@ def write_scenario_report(emit=print) -> None:
 # ----------------------------------------------------------------------
 # Baseline record / CI gate
 # ----------------------------------------------------------------------
-def _load(path: str) -> dict:
-    if os.path.exists(path):
-        with open(path) as handle:
-            return json.load(handle)
-    return {}
-
-
 def record(sweep: dict, smoke: dict, fig9: dict | None,
            calib: float, path: str, emit=print) -> None:
-    data = _load(path)
-    section = data.setdefault("fleet", {})
+    section = load_bench(path).get("fleet", {})
     section["sweep"] = sweep
     section["smoke_baseline"] = smoke
     section["seed_event_throughput"] = calib
     section["smoke_rss_ceiling_bytes"] = SMOKE_RSS_CEILING_BYTES
     if fig9 is not None:
         section["fig9"] = fig9
-    data.setdefault("meta", {})["python"] = platform.python_version()
-    data["meta"]["machine"] = platform.machine()
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    store_bench_section(path, "fleet", section)
     emit(f"recorded fleet baseline -> {path}")
 
 
@@ -278,7 +267,7 @@ def readings_per_wall_s(row: dict) -> float:
 
 def check(smoke: dict, calib: float, path: str, tolerance: float,
           emit=print) -> bool:
-    data = _load(path)
+    data = load_bench(path)
     baseline = data.get("fleet", {}).get("smoke_baseline")
     base_calib = data.get("fleet", {}).get("seed_event_throughput")
     ceiling = data.get("fleet", {}).get(

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 from time import perf_counter
 
@@ -39,6 +38,8 @@ _ROOT = os.path.dirname(_HERE)
 for _path in (os.path.join(_ROOT, "src"),):
     if _path not in sys.path:
         sys.path.insert(0, _path)
+
+from common import load_bench, store_bench_section  # noqa: E402
 
 from repro.chaos import (  # noqa: E402
     ChaosEngine,
@@ -142,24 +143,9 @@ def write_report(section: dict, emit) -> None:
     emit(f"report -> {REPORT_PATH}")
 
 
-def record(section: dict, path: str, emit) -> None:
-    data = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            data = json.load(handle)
-    data["viewchange"] = section
-    data.setdefault("meta", {})["python"] = platform.python_version()
-    data["meta"]["machine"] = platform.machine()
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    emit(f"recorded viewchange baseline -> {path}")
-
-
 def matches_committed(section: dict, path: str, emit) -> bool:
     """Compare this run's summaries with the committed baseline."""
-    with open(path) as handle:
-        committed = json.load(handle).get("viewchange", {})
+    committed = load_bench(path).get("viewchange", {})
     same = True
     for protocol in ("prime", "pbft"):
         if section[protocol] != committed.get(protocol):
@@ -210,7 +196,8 @@ def main(argv=None) -> int:
             handle.write("\n")
         emit(f"raw results -> {args.out}")
     if args.record:
-        record(section, args.json, emit)
+        store_bench_section(args.json, "viewchange", section)
+        emit(f"recorded viewchange baseline -> {args.json}")
 
     failures = prime_failures + pbft_failures
     if failures:

@@ -10,7 +10,9 @@ benchmark writes its table both to the real stdout (so it appears in
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 import sys
 from typing import Callable, List, Sequence
 
@@ -28,6 +30,27 @@ def reporter(name: str) -> Callable[[str], None]:
         print(line, file=handle, flush=True)
 
     return emit
+
+
+def load_bench(path: str) -> dict:
+    """The committed baseline file (``BENCH_core.json``), or ``{}``."""
+    if os.path.exists(path):
+        with open(path) as handle:
+            return json.load(handle)
+    return {}
+
+
+def store_bench_section(path: str, name: str, section: dict) -> None:
+    """Replace one top-level section of the baseline file, stamp the
+    recording interpreter into ``meta`` and leave every other section as
+    it was."""
+    data = load_bench(path)
+    data[name] = section
+    data.setdefault("meta", {})["python"] = platform.python_version()
+    data["meta"]["machine"] = platform.machine()
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def once(benchmark, fn):

@@ -33,17 +33,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 from dataclasses import dataclass
 from time import perf_counter
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(os.path.dirname(_HERE))
-for path in (os.path.join(_ROOT, "src"), _HERE):
+for path in (os.path.join(_ROOT, "src"), _HERE, os.path.dirname(_HERE)):
     if path not in sys.path:
         sys.path.insert(0, path)
 
+from common import load_bench, store_bench_section  # noqa: E402
 from seed_impl import SeedFastCrypto, SeedSimulator, seed_digest  # noqa: E402
 
 from repro.analysis import print_hotspots  # noqa: E402
@@ -319,19 +319,9 @@ def measure(smoke: bool, emit=print) -> dict:
     return results
 
 
-def _load(path: str) -> dict:
-    if os.path.exists(path):
-        with open(path) as handle:
-            return json.load(handle)
-    return {}
-
-
 def record(results: dict, phase: str, smoke: bool, path: str, emit=print) -> None:
-    data = _load(path)
-    data.setdefault("meta", {})["python"] = platform.python_version()
-    data["meta"]["machine"] = platform.machine()
     mode = "smoke" if smoke else "full"
-    section = data.setdefault(mode, {})
+    section = load_bench(path).get(mode, {})
     section[phase] = results
     before, after = section.get("before"), section.get("after")
     if before and after:
@@ -345,9 +335,7 @@ def record(results: dict, phase: str, smoke: bool, path: str, emit=print) -> Non
             ),
         }
         emit(f"  speedup ({mode})        : {section['speedup']}")
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    store_bench_section(path, mode, section)
     emit(f"recorded {mode}/{phase} -> {path}")
 
 
@@ -360,9 +348,8 @@ def check(results: dict, smoke: bool, path: str, tolerance: float, emit=print) -
     normalization, event throughput may not drop, nor fig3 wall time
     rise, by more than ``tolerance``.
     """
-    data = _load(path)
     mode = "smoke" if smoke else "full"
-    baseline = data.get(mode, {}).get("after")
+    baseline = load_bench(path).get(mode, {}).get("after")
     if baseline is None:
         emit(f"ERROR: no committed {mode}/after baseline in {path}")
         return False
