@@ -5,7 +5,8 @@ the feedback strategy: how often it senses, how fast evidence moves the
 per-replica suspicion score, the hysteresis band that turns scores into
 decisions, the per-replica cooldown and the lag that counts as a signal.
 The controller's calibration — evidence weights, decay, decision gap,
-grace window, quiet-fallback clock — is constant on the class. Attach it to a deployment via ``SpireOptions(control=ControlOptions())``.
+grace window, quiet-fallback clock — is constant on the class. Attach
+it to a deployment via ``SpireOptions(control=ControlOptions())``.
 """
 
 from __future__ import annotations

@@ -7,10 +7,20 @@ going through the shared runtime.
 """
 
 import ast
+import dataclasses
+import inspect
 import pathlib
 
 import repro.pbft.node
 import repro.prime.node
+from repro.chaos import ChaosOptions, ChaosProfile
+from repro.chaos.pbft import PbftChaosOptions
+from repro.control import ControlOptions
+from repro.core import BatchingOptions, SpireOptions
+from repro.fleet.spec import FleetSpec, PollClass, RegionSpec, TrafficSpec
+from repro.pbft.node import PbftConfig
+from repro.prime.config import PrimeConfig
+from repro.spines.monitor import LinkMonitorConfig
 
 SRC = pathlib.Path(repro.prime.node.__file__).resolve().parents[2]
 
@@ -201,9 +211,6 @@ UNSET_OPTION_ALLOWLIST = {
 
 def _settable_defaults(cls):
     """Constructor-settable names of ``cls`` that carry a default."""
-    import dataclasses
-    import inspect
-
     if dataclasses.is_dataclass(cls):
         return [
             f.name for f in dataclasses.fields(cls)
@@ -249,17 +256,8 @@ def _names_set_by_callers(option_classes):
 
 def test_every_option_is_set_by_some_caller():
     # A knob exists only where a caller varies it: a defaulted option that
-    # no module but its own ever sets has one exercised value and belongs
-    # on its class as a constant (ROADMAP item 2(a''')).
-    from repro.chaos import ChaosOptions, ChaosProfile
-    from repro.chaos.pbft import PbftChaosOptions
-    from repro.control import ControlOptions
-    from repro.core import BatchingOptions, SpireOptions
-    from repro.fleet.spec import FleetSpec, PollClass, RegionSpec, TrafficSpec
-    from repro.pbft.node import PbftConfig
-    from repro.prime.config import PrimeConfig
-    from repro.spines.monitor import LinkMonitorConfig
-
+    # nothing outside its own class ever sets has one exercised value and
+    # belongs on the class as a constant (ROADMAP item 2(a''')).
     classes = (SpireOptions, ChaosOptions, ChaosProfile, PbftChaosOptions,
                PrimeConfig, PbftConfig, ControlOptions, BatchingOptions,
                LinkMonitorConfig, FleetSpec, PollClass, RegionSpec, TrafficSpec)
