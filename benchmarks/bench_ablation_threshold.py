@@ -3,11 +3,13 @@ the proxy (a design choice DESIGN.md calls out).
 
 Spire threshold-signs ordered updates so endpoints verify one compact
 signature. The alternative is shipping f+1 individual replica signatures
-with every delivery. The bench compares the verification work and wire
-bytes per delivered update, plus end-to-end behaviour with real RSA
-threshold crypto (correctness of the full path, not just the fast model).
+with every delivery. The bench compares the wire bytes and the proof an
+endpoint must retain per delivered update, on real RSA threshold crypto
+(correctness of the full path, not just the fast model). The CPU cost of
+each scheme is host time: printed, never written to the table.
 """
 
+import sys
 import time
 
 from repro.analysis import print_table
@@ -84,14 +86,17 @@ def test_ablation_threshold_vs_individual(benchmark):
          "deliveries, f=1")
     print_table(
         "threshold signatures vs individual signatures",
-        ["scheme", "cpu ms/delivery", "wire bytes", "bytes retained",
-         "verified"],
-        rows,
+        ["scheme", "wire bytes", "bytes retained", "verified"],
+        [[scheme, *counts] for scheme, _cpu_ms, *counts in rows],
         out=emit,
     )
-    emit("trade-off reproduced: threshold combining costs more CPU at the "
-         "endpoint, but what is retained/forwarded (e.g. to auditors or "
-         "downstream devices) is a single constant-size signature "
-         "independent of f — the property Spire buys for its field devices.")
+    emit("property reproduced: both schemes put f+1 signature-sized "
+         "messages on the wire, but what the endpoint retains/forwards "
+         "(e.g. to auditors or downstream devices) is a single "
+         "constant-size signature independent of f — the property Spire "
+         "buys for its field devices.")
+    for scheme, cpu_ms, *_ in rows:
+        print(f"(host time, not recorded) {scheme}: {cpu_ms:.2f} cpu "
+              "ms/delivery", file=sys.__stdout__, flush=True)
     assert threshold_result[3] == individual_result[3] == DELIVERIES
     assert threshold_result[2] < individual_result[2]  # constant-size proof

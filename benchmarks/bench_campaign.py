@@ -46,7 +46,6 @@ from repro.chaos import ChaosOptions  # noqa: E402
 from repro.parallel import canonical_hash_seed, run_campaign, seed_tasks  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_core.json")
-REPORT_PATH = os.path.join(_HERE, "results", "campaign_scaling.txt")
 
 #: compact scenario shape for the smoke matrix (matches the tier-1 suites)
 SMOKE_SHAPE = dict(warmup_ms=500.0, chaos_ms=1000.0, settle_ms=500.0)
@@ -121,36 +120,6 @@ def run_matrix(smoke: bool, worker_counts, emit=print) -> dict:
     }
 
 
-def write_report(section: dict, path: str = REPORT_PATH, emit=print) -> None:
-    lines = [
-        "Campaign runner scaling (benchmarks/bench_campaign.py)",
-        f"({section['scenarios']} chaos scenarios [{section['mode']} shape], "
-        f"{section['cpus']} cpu(s), python {section['python']}, "
-        f"workers pinned to PYTHONHASHSEED={section['hash_seed']})",
-        "",
-        f"{'workers':>8} {'wall s':>8} {'scen/s':>8} {'speedup':>8} "
-        f"{'p50 ms':>8} {'p99 ms':>8}",
-    ]
-    for workers, row in section["workers"].items():
-        pct = row["per_scenario_wall_ms"]
-        lines.append(
-            f"{workers:>8} {row['wall_s']:>8.1f} "
-            f"{row['scenarios_per_sec']:>8.2f} {row['speedup']:>8.2f} "
-            f"{pct['p50']:>8.0f} {pct['p99']:>8.0f}"
-        )
-    lines += [
-        "",
-        "Every row executed the identical task list; the merged report",
-        f"fingerprint ({section['fingerprint'][:16]}…) matched at every",
-        "worker count, so the speedup column is the only thing that moves.",
-        "",
-    ]
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines))
-    emit(f"report -> {path}")
-
-
 # ----------------------------------------------------------------------
 # Baseline record / CI gate
 # ----------------------------------------------------------------------
@@ -211,7 +180,7 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="the 200-scenario sweep at workers 1/2/4/8")
     parser.add_argument("--record", action="store_true",
-                        help="write the baseline + committed report")
+                        help="write the baseline")
     parser.add_argument("--check", action="store_true",
                         help="gate against the committed baseline")
     parser.add_argument("--tolerance", type=float, default=0.25)
@@ -234,7 +203,6 @@ def main(argv=None) -> int:
     if args.record:
         store_bench_section(args.json, "campaign", section)
         emit(f"recorded campaign baseline -> {args.json}")
-        write_report(section, emit=emit)
     if args.check:
         if not check(section, args.json, args.tolerance, emit=emit):
             return 1

@@ -46,10 +46,8 @@ FAMILIES = ("leader_kill", "slow_node", "dos", "quiet")
 
 #: (seed, fault_ms) pairs — staggered so the periodic rotation is caught
 #: at different phases; the full run extends past one complete rotation
-FULL_CASES = [(7, 4_500.0), (11, 10_500.0), (13, 16_500.0)]
-FULL_RUN_MS = 32_000.0
-SMOKE_CASES = [(7, 4_500.0)]
-SMOKE_RUN_MS = 18_000.0
+CASES = [(7, 4_500.0), (11, 10_500.0), (13, 16_500.0)]
+RUN_MS = 32_000.0
 
 
 def _inject(family, deployment, injector, fault_ms, record):
@@ -176,10 +174,7 @@ def _fmt_ms(value):
     return f"{value / 1000.0:.2f}" if value is not None else "-"
 
 
-def test_feedback_control(benchmark, request):
-    smoke = request.config.getoption("--smoke")
-    cases = SMOKE_CASES if smoke else FULL_CASES
-    run_ms = SMOKE_RUN_MS if smoke else FULL_RUN_MS
+def test_feedback_control(benchmark):
     emit = reporter("feedback_control")
 
     def scenario():
@@ -188,7 +183,7 @@ def test_feedback_control(benchmark, request):
         tasks = []
         for family in FAMILIES:
             for strategy in ("periodic", "feedback"):
-                for seed, fault_ms in cases:
+                for seed, fault_ms in CASES:
                     tasks.append(CampaignTask(
                         task_id=f"fc/{family}/{strategy}/seed-{seed}",
                         runner="bench_feedback_control:run_cell",
@@ -197,11 +192,11 @@ def test_feedback_control(benchmark, request):
                             "strategy": strategy,
                             "seed": seed,
                             "fault_ms": fault_ms,
-                            "run_ms": run_ms,
+                            "run_ms": RUN_MS,
                             "write_report": (
                                 (family, strategy)
                                 == ("leader_kill", "feedback")
-                                and seed == cases[0][0]
+                                and seed == CASES[0][0]
                             ),
                         },
                     ))
@@ -231,7 +226,7 @@ def test_feedback_control(benchmark, request):
     rows, report_paths = once(benchmark, scenario)
 
     emit(f"FC: one fault per run at staggered onsets, "
-         f"{len(cases)} seed(s) per cell, run {run_ms / 1000:.0f} s, "
+         f"{len(CASES)} seed(s) per cell, run {RUN_MS / 1000:.0f} s, "
          f"rotation period {PERIOD_MS / 1000:.0f} s "
          f"(full rotation {6 * PERIOD_MS / 1000:.0f} s)")
     table = []

@@ -12,8 +12,6 @@ shortest-path routing against the self-healing overlay under the same
 link kills: the static tables lose the rest of the stream, while the
 link monitors detect the dead links and reroute within the configured
 detection + reroute bound.
-
-Pass ``--smoke`` to run a shortened stream (CI-sized).
 """
 
 from repro.analysis import print_table
@@ -25,7 +23,6 @@ from repro.spines import OverlayStack, SpinesOverlay, continental_topology
 from common import once, reporter
 
 MESSAGES = 400
-SMOKE_MESSAGES = 120
 INTERVAL_MS = 20.0
 
 
@@ -43,7 +40,7 @@ class Receiver(Process):
             self.arrivals[seq] = self.simulator.now
 
 
-def run_mode(mode, attack, self_healing=False, messages=MESSAGES):
+def run_mode(mode, attack, self_healing=False):
     simulator = Simulator(seed=61)
     network = Network(simulator, LinkSpec(latency_ms=0.1))
     topology = continental_topology()
@@ -53,7 +50,7 @@ def run_mode(mode, attack, self_healing=False, messages=MESSAGES):
     receiver = Receiver("ep:receiver", simulator, network)
     stack = overlay.attach(sender, "nyc")
     overlay.attach(receiver, "lax")
-    kill_at = messages * INTERVAL_MS / 2.0  # strike mid-stream
+    kill_at = MESSAGES * INTERVAL_MS / 2.0  # strike mid-stream
     if attack == "links":
         # cut the first two segments of the actual latency-shortest path
         import networkx as nx
@@ -80,7 +77,7 @@ def run_mode(mode, attack, self_healing=False, messages=MESSAGES):
                    size_bytes=256)
 
     stop = simulator.call_every(INTERVAL_MS, send_one, rng_name="probe")
-    simulator.run_until(messages * INTERVAL_MS + 500.0)
+    simulator.run_until(MESSAGES * INTERVAL_MS + 500.0)
     stop.stop()
     simulator.run_for(1_000.0)
     sent = seq_counter["value"]
@@ -98,26 +95,20 @@ def run_mode(mode, attack, self_healing=False, messages=MESSAGES):
     return sent, delivered, mean, worst, restore, overlay
 
 
-def test_fig8_spines_resilience(benchmark, request):
+def test_fig8_spines_resilience(benchmark):
     emit = reporter("fig8_spines_resilience")
-    messages = (
-        SMOKE_MESSAGES if request.config.getoption("--smoke") else MESSAGES
-    )
 
     def scenario():
         rows = []
         for attack in ("none", "links", "daemon"):
             for mode in ("shortest", "flooding"):
-                sent, delivered, mean, worst, _, _ = run_mode(
-                    mode, attack, messages=messages
-                )
+                sent, delivered, mean, worst, _, _ = run_mode(mode, attack)
                 rows.append([attack, mode, sent, delivered,
                              f"{delivered / sent:.1%}", mean, worst])
         heal_rows = {}
         for self_healing in (False, True):
             sent, delivered, mean, worst, restore, overlay = run_mode(
                 "shortest", "links", self_healing=self_healing,
-                messages=messages,
             )
             heal_rows[self_healing] = [
                 "self-healing" if self_healing else "static",
@@ -164,7 +155,7 @@ def test_fig8_spines_resilience(benchmark, request):
     _, sent_h, delivered_h, _, restore, bound = heal_rows[True]
     assert delivered_s / sent_s < 0.8
     assert delivered_h / sent_h >= 1.0 - (bound + 200.0) / (
-        messages * INTERVAL_MS
+        MESSAGES * INTERVAL_MS
     )
     # first post-kill delivery: detection bound + one send interval + WAN path
     assert restore <= bound + INTERVAL_MS + 150.0

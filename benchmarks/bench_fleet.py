@@ -16,9 +16,10 @@ baseline. The throughput floor is ordered readings per wall-second
 (``readings_submitted / run_wall_s``) — the work done, not the events it
 took: a change that orders the same readings with fewer simulator events
 lowers events/wall-s while the run gets faster. The floor is
-host-calibrated by re-running the frozen seed-implementation engine
-workload (same discipline as ``perf_core.py``), while the memory ceiling
-is a hard byte limit — RSS does not scale with host speed.
+host-calibrated by ``common.host_anchor`` (the frozen seed-implementation
+engine, as in ``perf_core.py``), while the memory ceiling is a hard byte
+limit — RSS does not scale with host speed. Every row must also be
+``conserved``.
 
 Usage::
 
@@ -40,19 +41,21 @@ from time import perf_counter
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(_HERE)
-for _path in (os.path.join(_ROOT, "src"), os.path.join(_HERE, "perf")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
+if os.path.join(_ROOT, "src") not in sys.path:
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
 
-from common import load_bench, store_bench_section  # noqa: E402
+from common import (  # noqa: E402
+    host_anchor,
+    host_scale,
+    load_bench,
+    store_bench_section,
+)
 
 from repro.analysis import current_peak_rss  # noqa: E402
 from repro.core import BatchingOptions, SpireDeployment, SpireOptions  # noqa: E402
 from repro.fleet import FleetSpec  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_core.json")
-REPORT_PATH = os.path.join(_HERE, "results", "fleet_sweep.txt")
-SCENARIO_BASE = os.path.join(_HERE, "results", "fleet_1k_scenario_report")
 
 #: (device_count, simulated ms) sweep points — windows shrink as counts
 #: grow so the committed sweep stays a few minutes of wall clock
@@ -63,21 +66,18 @@ SMOKE_DEVICES, SMOKE_SIM_MS = 1000, 1500.0
 SMOKE_RSS_CEILING_BYTES = 512 * 1024 * 1024
 FIG9_DEVICES, FIG9_SIM_MS = 10000, 500.0
 SEED = 7
-#: calibration workload size for the frozen seed-impl engine (host scale)
-CALIB_EVENTS = 80_000
 
 
-def fleet_options(devices: int, f: int = 1, k: int = 1,
-                  observability: bool = False) -> SpireOptions:
+def fleet_options(devices: int, f: int = 1, k: int = 1) -> SpireOptions:
     """The benchmark configuration: WAN preset, delivery batching on
-    (the realistic fleet posture after PR 7), observability off for the
-    measured runs so the numbers are the system's, not the telemetry's."""
+    (the realistic fleet posture after PR 7), observability off so the
+    numbers are the system's, not the telemetry's."""
     return SpireOptions.wan(
         seed=SEED,
         f=f,
         k=k,
         fleet=FleetSpec.sized(devices),
-        observability=observability,
+        observability=False,
         batching=BatchingOptions(max_batch_size=64, max_batch_delay_ms=20.0),
         # flooding puts every datagram on every overlay link (~12 forwards
         # on this topology where a route takes 1-2), and at n=31 there are
@@ -93,6 +93,15 @@ def run_one(devices: int, sim_ms: float, f: int = 1, k: int = 1) -> dict:
     deployment = SpireDeployment(fleet_options(devices, f=f, k=k))
     deployment.start()
     build_s = perf_counter() - build_started
+    collector = deployment.hmis[0].collector
+    add_batch, distinct = collector.add_batch, set()
+
+    def counting_add_batch(share):
+        released = add_batch(share)
+        distinct.update(record.key() for record, _ in released)
+        return released
+
+    collector.add_batch = counting_add_batch
     run_started = perf_counter()
     deployment.run_for(sim_ms)
     run_s = perf_counter() - run_started
@@ -100,9 +109,6 @@ def run_one(devices: int, sim_ms: float, f: int = 1, k: int = 1) -> dict:
     commands = sum(p.commands_executed for p in deployment.region_proxies)
     materialized = sum(
         shard.materialized for shard in deployment.fleet_topology.regions
-    )
-    verified = (
-        deployment.hmis[0].status_updates_seen if deployment.hmis else 0
     )
     gc.collect()
     events = deployment.simulator.events_processed
@@ -117,7 +123,9 @@ def run_one(devices: int, sim_ms: float, f: int = 1, k: int = 1) -> dict:
         "events_per_wall_s": round(events / run_s, 1),
         "readings_submitted": readings,
         "updates_per_sim_s": round(readings / (sim_ms / 1000.0), 1),
-        "hmi_verified_updates": verified,
+        "hmi_verified_updates": deployment.hmis[0].status_updates_seen,
+        "hmi_released_records": collector.verified,
+        "hmi_distinct_records": len(distinct),
         "commands_executed": commands,
         "devices_materialized": materialized,
         "peak_rss_bytes": current_peak_rss(),
@@ -148,17 +156,8 @@ def run_isolated(devices: int, sim_ms: float, f: int = 1, k: int = 1,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def calibrate_host() -> float:
-    """Events/sec of the frozen seed-impl engine on this host — the
-    same normalization anchor ``perf_core.py`` uses, so committed floors
-    transfer across machines."""
-    from perf_core import bench_event_throughput
-
-    return round(bench_event_throughput(CALIB_EVENTS, "seed", repeats=2), 1)
-
-
 # ----------------------------------------------------------------------
-# Sweep + report
+# Sweep
 # ----------------------------------------------------------------------
 def run_sweep(emit=print) -> dict:
     rows = {}
@@ -173,82 +172,32 @@ def run_sweep(emit=print) -> dict:
     return rows
 
 
-def write_report(sweep: dict, fig9: dict | None, path: str = REPORT_PATH,
-                 emit=print) -> None:
-    lines = [
-        "Fleet-scale saturation sweep (benchmarks/bench_fleet.py)",
-        f"(hierarchical generator, WAN preset, delivery batching B=64, "
-        f"seed={SEED}, PYTHONHASHSEED=0; each point in a fresh process)",
-        "",
-        f"{'devices':>8} {'regions':>8} {'upd/sim-s':>10} {'ev/wall-s':>10} "
-        f"{'wall s':>7} {'peak MiB':>9} {'objects':>10} {'materialized':>13}",
-    ]
-    for devices, _ in SWEEP:
-        row = sweep.get(str(devices))
-        if row is None:
-            continue
-        lines.append(
-            f"{row['devices']:>8} {row['regions']:>8} "
-            f"{row['updates_per_sim_s']:>10,.0f} "
-            f"{row['events_per_wall_s']:>10,.0f} "
-            f"{row['run_wall_s']:>7.1f} "
-            f"{row['peak_rss_bytes'] / 2**20:>9.1f} "
-            f"{row['live_objects']:>10,} "
-            f"{row['devices_materialized']:>13}"
-        )
-    lines += [
-        "",
-        "updates/sim-s is the sustained rate of threshold-signed status",
-        "readings through the full ordered pipeline (poll -> submit ->",
-        "Prime ordering -> batched threshold signature -> HMI verify).",
-        "The curve saturates as the ordering layer, not the field layer,",
-        "becomes the bottleneck; memory stays region-sharded and lazy",
-        "(devices materialize on first poll: see the materialized column).",
-    ]
-    if fig9 is not None:
-        lines += [
-            "",
-            f"fig9-style scale-out: n={fig9['replicas']} replicas, "
-            f"{fig9['devices']} devices, {fig9['sim_ms']:g} sim-ms -> "
-            f"{fig9['readings_submitted']} readings ordered, "
-            f"peak {fig9['peak_rss_bytes'] / 2**20:.1f} MiB.",
-        ]
-    lines.append("")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines))
-    emit(f"report -> {path}")
-
-
-def write_scenario_report(emit=print) -> None:
-    """A full observability scenario report for the smoke-sized point
-    (run inline: this one is about the report fields, not the numbers)."""
-    deployment = SpireDeployment(
-        fleet_options(SMOKE_DEVICES, observability=True)
-    )
-    deployment.start()
-    deployment.run_for(SMOKE_SIM_MS)
-    from repro.analysis import ScenarioReport
-
-    report = ScenarioReport.from_deployment(
-        deployment,
-        title=f"fleet {SMOKE_DEVICES} devices",
-        extra={
-            "regions": len(deployment.region_proxies),
-            "readings_submitted": sum(
-                p.readings_submitted for p in deployment.region_proxies
-            ),
-        },
-    )
-    json_path, txt_path = report.write(SCENARIO_BASE)
-    emit(f"scenario report -> {json_path}, {txt_path}")
-
-
 # ----------------------------------------------------------------------
 # Baseline record / CI gate
 # ----------------------------------------------------------------------
+def conserved(label: str, row: dict, emit=print) -> bool:
+    """Host-independent facts of a row: the HMI verifies no more readings
+    than the proxies submitted, and releases each record exactly once."""
+    ok = True
+    if row["hmi_verified_updates"] > row["readings_submitted"]:
+        emit(f"  FAIL: {label}: HMI verified {row['hmi_verified_updates']} "
+             f"status updates, proxies submitted only "
+             f"{row['readings_submitted']}")
+        ok = False
+    if row["hmi_released_records"] != row["hmi_distinct_records"]:
+        emit(f"  FAIL: {label}: HMI released {row['hmi_released_records']} "
+             f"records but only {row['hmi_distinct_records']} distinct keys")
+        ok = False
+    return ok
+
+
 def record(sweep: dict, smoke: dict, fig9: dict | None,
-           calib: float, path: str, emit=print) -> None:
+           calib: float, path: str, emit=print) -> bool:
+    rows = {**sweep, "smoke": smoke, "fig9": fig9}
+    verdicts = [conserved(k, row, emit) for k, row in rows.items() if row]
+    if not all(verdicts):  # every broken row was reported first
+        emit(f"fleet baseline NOT recorded: {path} unchanged")
+        return False
     section = load_bench(path).get("fleet", {})
     section["sweep"] = sweep
     section["smoke_baseline"] = smoke
@@ -258,6 +207,7 @@ def record(sweep: dict, smoke: dict, fig9: dict | None,
         section["fig9"] = fig9
     store_bench_section(path, "fleet", section)
     emit(f"recorded fleet baseline -> {path}")
+    return True
 
 
 def readings_per_wall_s(row: dict) -> float:
@@ -267,20 +217,15 @@ def readings_per_wall_s(row: dict) -> float:
 
 def check(smoke: dict, calib: float, path: str, tolerance: float,
           emit=print) -> bool:
-    data = load_bench(path)
-    baseline = data.get("fleet", {}).get("smoke_baseline")
-    base_calib = data.get("fleet", {}).get("seed_event_throughput")
-    ceiling = data.get("fleet", {}).get(
-        "smoke_rss_ceiling_bytes", SMOKE_RSS_CEILING_BYTES
-    )
+    fleet = load_bench(path).get("fleet", {})
+    baseline = fleet.get("smoke_baseline")
+    base_calib = fleet.get("seed_event_throughput")
+    ceiling = fleet.get("smoke_rss_ceiling_bytes", SMOKE_RSS_CEILING_BYTES)
     if baseline is None or not base_calib:
         emit(f"ERROR: no committed fleet smoke baseline in {path}")
         return False
-    ok = True
-    host_scale = calib / base_calib
-    emit(f"  host speed vs baseline host: ×{host_scale:.3f} "
-         f"(seed-impl calibration)")
-    expected = readings_per_wall_s(baseline) * host_scale
+    ok = conserved("smoke", smoke, emit)
+    expected = readings_per_wall_s(baseline) * host_scale(base_calib, calib, emit)
     floor = expected * (1.0 - tolerance)
     measured = readings_per_wall_s(smoke)
     emit(f"  ordered readings: {measured:,.0f}/wall-s vs normalized "
@@ -321,7 +266,7 @@ def main(argv=None) -> int:
     parser.add_argument("--fig9", action="store_true",
                         help="also run the n=31-replica, 10k-device point")
     parser.add_argument("--record", action="store_true",
-                        help="write baseline + committed reports")
+                        help="write the baseline")
     parser.add_argument("--check", action="store_true",
                         help="gate against the committed baseline")
     parser.add_argument("--tolerance", type=float, default=0.35)
@@ -336,18 +281,15 @@ def main(argv=None) -> int:
 
     emit = print
     results: dict = {}
-    calib = calibrate_host()
+    calib = host_anchor()
     emit(f"bench_fleet: host calibration {calib:,.0f} seed events/s")
 
-    if args.smoke:
-        smoke = run_isolated(SMOKE_DEVICES, SMOKE_SIM_MS, emit=emit)
-        results["smoke"] = smoke
-        emit(f"  1k smoke: {smoke['updates_per_sim_s']:,.0f} updates/sim-s, "
-             f"{smoke['events_per_wall_s']:,.0f} events/wall-s, "
-             f"peak {smoke['peak_rss_bytes'] / 2**20:.1f} MiB")
-    else:
+    if args.record or not args.smoke:
         results["sweep"] = run_sweep(emit=emit)
-        results["smoke"] = run_isolated(SMOKE_DEVICES, SMOKE_SIM_MS, emit=emit)
+    smoke = results["smoke"] = run_isolated(SMOKE_DEVICES, SMOKE_SIM_MS, emit=emit)
+    emit(f"  1k smoke: {smoke['updates_per_sim_s']:,.0f} updates/sim-s, "
+         f"{smoke['events_per_wall_s']:,.0f} events/wall-s, "
+         f"peak {smoke['peak_rss_bytes'] / 2**20:.1f} MiB")
 
     fig9 = None
     if args.fig9:
@@ -361,17 +303,12 @@ def main(argv=None) -> int:
         with open(args.out, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.record:
-        if "sweep" not in results:
-            results["sweep"] = run_sweep(emit=emit)
-        record(results["sweep"], results["smoke"], fig9, calib,
-               args.json, emit=emit)
-        write_report(results["sweep"], fig9, emit=emit)
-        write_scenario_report(emit=emit)
-    if args.check:
-        if not check(results["smoke"], calib, args.json, args.tolerance,
-                     emit=emit):
-            return 1
+    if args.record and not record(results["sweep"], smoke, fig9, calib,
+                                  args.json, emit=emit):
+        return 1
+    if args.check and not check(smoke, calib, args.json, args.tolerance,
+                                emit=emit):
+        return 1
     return 0
 
 

@@ -51,7 +51,6 @@ from repro.chaos import (  # noqa: E402
 )
 
 DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_core.json")
-REPORT_PATH = os.path.join(_HERE, "results", "viewchange.txt")
 
 #: Prime scenario shape (compact deployment, same as the tier-1 smoke)
 PRIME_SHAPE = dict(
@@ -114,35 +113,6 @@ def run_pbft(seeds: int, emit) -> tuple[dict, list]:
     return summarize(samples), failures
 
 
-def write_report(section: dict, emit) -> None:
-    lines = [
-        "View-change recovery latency (benchmarks/bench_viewchange.py)",
-        "(kill -> quorum new-view adoption, ViewRecoveryMonitor timeline;",
-        " one pinned leader_kill per seeded run, PYTHONHASHSEED=0)",
-        "",
-        f"{'protocol':>9} {'samples':>8} {'p50 ms':>9} {'p99 ms':>9} "
-        f"{'max ms':>9} {'mean ms':>9}",
-    ]
-    for protocol in ("prime", "pbft"):
-        row = section[protocol]
-        lines.append(
-            f"{protocol:>9} {row['samples']:>8} {row['p50_ms']:>9.1f} "
-            f"{row['p99_ms']:>9.1f} {row['max_ms']:>9.1f} "
-            f"{row['mean_ms']:>9.1f}"
-        )
-    lines += [
-        "",
-        "Prime pays TAT suspicion + suspect amplification + one view-change",
-        "round inside the full deployment; the PBFT baseline pays its",
-        "request timeout + one view-change round on the flat cluster.",
-        "",
-    ]
-    os.makedirs(os.path.dirname(REPORT_PATH), exist_ok=True)
-    with open(REPORT_PATH, "w") as handle:
-        handle.write("\n".join(lines))
-    emit(f"report -> {REPORT_PATH}")
-
-
 def matches_committed(section: dict, path: str, emit) -> bool:
     """Compare this run's summaries with the committed baseline."""
     committed = load_bench(path).get("viewchange", {})
@@ -185,7 +155,6 @@ def main(argv=None) -> int:
         "pbft": pbft,
         "wall_s": round(wall, 1),
     }
-    write_report(section, emit)
     emit(f"prime p50/p99: {prime['p50_ms']}/{prime['p99_ms']} ms   "
          f"pbft p50/p99: {pbft['p50_ms']}/{pbft['p99_ms']} ms   "
          f"({wall:.0f}s wall)")

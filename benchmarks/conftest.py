@@ -12,10 +12,11 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(__file__))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [_HERE, os.path.join(os.path.dirname(_HERE), "src")]
 
 _SESSION_START = time.time()
-_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+_RESULTS_DIR = os.path.join(_HERE, "results")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -44,10 +45,6 @@ def pytest_addoption(parser):
     parser.addoption(
         "--chaos", action="store_true", default=False,
         help="run the long opt-in chaos sweep benchmarks",
-    )
-    parser.addoption(
-        "--smoke", action="store_true", default=False,
-        help="run shortened (CI-sized) benchmark workloads",
     )
 
 

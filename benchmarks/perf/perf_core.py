@@ -16,15 +16,15 @@ targets:
 
 The first two are also run against ``seed_impl`` — a frozen copy of the
 pre-overhaul code — because raw numbers do not transfer across machines
-but the live/seed *ratio* on one host does. The CI regression gate
-(``--check``) uses that ratio to normalize the committed baseline to the
-current host before applying its tolerance.
+but the live/seed *ratio* on one host does: ``vs_seed`` is the speedup
+any checkout can reproduce. The CI regression gate (``--check``) uses the
+seed engine's rate to normalize the committed baseline to the current
+host before applying its tolerance.
 
 Usage::
 
     python benchmarks/perf/perf_core.py                  # run + print
-    python benchmarks/perf/perf_core.py --record before  # write baseline
-    python benchmarks/perf/perf_core.py --record after   # write + speedups
+    python benchmarks/perf/perf_core.py --record         # write baseline
     python benchmarks/perf/perf_core.py --smoke --check  # CI gate vs BENCH_core.json
 """
 
@@ -43,8 +43,14 @@ for path in (os.path.join(_ROOT, "src"), _HERE, os.path.dirname(_HERE)):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from common import load_bench, store_bench_section  # noqa: E402
-from seed_impl import SeedFastCrypto, SeedSimulator, seed_digest  # noqa: E402
+from common import (  # noqa: E402
+    bench_event_throughput,
+    host_anchor,
+    host_scale,
+    load_bench,
+    store_bench_section,
+)
+from seed_impl import SeedFastCrypto, seed_digest  # noqa: E402
 
 from repro.analysis import print_hotspots  # noqa: E402
 from repro.core import SpireDeployment, SpireOptions  # noqa: E402
@@ -56,11 +62,9 @@ from repro.core.update import (  # noqa: E402
 from repro.crypto import FastCrypto, RealCrypto  # noqa: E402
 from repro.crypto.encoding import digest  # noqa: E402
 from repro.prime.messages import ClientUpdate  # noqa: E402
-from repro.simnet import Simulator  # noqa: E402
 from repro.spines import lan_topology  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_core.json")
-SWEEP_OUTPUT = os.path.join(_ROOT, "benchmarks", "results", "ordered_delivery_sweep.txt")
 
 #: workload sizes: (event-throughput events, crypto messages, fig3 run ms,
 #: ordered-delivery updates)
@@ -74,53 +78,6 @@ BATCH_SIZES = (1, 4, 16, 64)
 #: single samples on a shared host routinely swing ±20%
 FULL_REPEATS = 3
 SMOKE_REPEATS = 2
-
-
-def _noop() -> None:
-    pass
-
-
-# ----------------------------------------------------------------------
-# Event throughput
-# ----------------------------------------------------------------------
-def _throughput_workload(sim) -> None:
-    """Identical workload for the live and seed engines.
-
-    Mirrors what a deployment does to the queue: a band of periodic
-    timers (replica/hello/RTU cadences), a steady stream of one-shot
-    timers of which half get cancelled (retransmission timers that the
-    ack beats), and a deep backlog of far-future events so every push
-    performs realistic heap comparisons.
-    """
-    for i in range(24):
-        sim.call_every(0.5 + 0.25 * (i % 8), _noop, rng_name=f"perf/p{i}")
-    for i in range(2_000):
-        sim.schedule(1e6 + i, _noop)
-    live = []
-
-    def churn() -> None:
-        if len(live) >= 40:
-            for timer in live[::2]:
-                timer.cancel()
-            del live[:]
-        live.append(sim.schedule(15.0, _noop))
-        live.append(sim.schedule(25.0, _noop))
-
-    sim.call_every(1.0, churn, rng_name="perf/churn")
-
-
-def bench_event_throughput(events: int, engine: str = "live", repeats: int = 1) -> float:
-    """Events/sec executing ``events`` events of the churn workload
-    (best of ``repeats`` fresh simulators)."""
-    best = 0.0
-    for _ in range(repeats):
-        sim = Simulator(seed=1234) if engine == "live" else SeedSimulator(seed=1234)
-        _throughput_workload(sim)
-        started = perf_counter()
-        sim.run(max_events=events)
-        elapsed = perf_counter() - started
-        best = max(best, events / elapsed)
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +247,7 @@ def measure(smoke: bool, emit=print) -> dict:
         bench_event_throughput(events, "live", repeats), 1
     )
     emit(f"  event throughput (live) : {results['event_throughput']:>12,.0f} events/s")
-    results["seed_event_throughput"] = round(
-        bench_event_throughput(events, "seed", repeats), 1
-    )
+    results["seed_event_throughput"] = host_anchor(events, repeats)
     emit(f"  event throughput (seed) : {results['seed_event_throughput']:>12,.0f} events/s")
     results["crypto_ops"] = round(bench_crypto_ops(messages, "live", repeats), 1)
     emit(f"  crypto ops (live)       : {results['crypto_ops']:>12,.0f} ops/s")
@@ -319,26 +274,6 @@ def measure(smoke: bool, emit=print) -> dict:
     return results
 
 
-def record(results: dict, phase: str, smoke: bool, path: str, emit=print) -> None:
-    mode = "smoke" if smoke else "full"
-    section = load_bench(path).get(mode, {})
-    section[phase] = results
-    before, after = section.get("before"), section.get("after")
-    if before and after:
-        section["speedup"] = {
-            "event_throughput": round(
-                after["event_throughput"] / before["event_throughput"], 3
-            ),
-            "crypto_ops": round(after["crypto_ops"] / before["crypto_ops"], 3),
-            "fig3_lan_wall": round(
-                before["fig3_lan"]["wall_s"] / after["fig3_lan"]["wall_s"], 3
-            ),
-        }
-        emit(f"  speedup ({mode})        : {section['speedup']}")
-    store_bench_section(path, mode, section)
-    emit(f"recorded {mode}/{phase} -> {path}")
-
-
 def check(results: dict, smoke: bool, path: str, tolerance: float, emit=print) -> bool:
     """Regression gate: compare against the committed baseline.
 
@@ -349,21 +284,24 @@ def check(results: dict, smoke: bool, path: str, tolerance: float, emit=print) -
     rise, by more than ``tolerance``.
     """
     mode = "smoke" if smoke else "full"
-    baseline = load_bench(path).get(mode, {}).get("after")
-    if baseline is None:
-        emit(f"ERROR: no committed {mode}/after baseline in {path}")
+    baseline = load_bench(path).get(mode, {})
+    if "seed_event_throughput" not in baseline:
+        # absent, or still nested under a phase key such as ``after``
+        emit(f"ERROR: no committed {mode} baseline in {path}: "
+             f"write one with --record")
         return False
-    host_scale = results["seed_event_throughput"] / baseline["seed_event_throughput"]
-    emit(f"  host speed vs baseline host: ×{host_scale:.3f} (seed-impl calibration)")
+    scale = host_scale(
+        baseline["seed_event_throughput"], results["seed_event_throughput"], emit
+    )
     ok = True
-    expected_events = baseline["event_throughput"] * host_scale
+    expected_events = baseline["event_throughput"] * scale
     floor = expected_events * (1.0 - tolerance)
     emit(f"  event throughput: {results['event_throughput']:,.0f} vs "
          f"normalized baseline {expected_events:,.0f} (floor {floor:,.0f})")
     if results["event_throughput"] < floor:
         emit("  FAIL: event throughput regressed beyond tolerance")
         ok = False
-    expected_wall = baseline["fig3_lan"]["wall_s"] / host_scale
+    expected_wall = baseline["fig3_lan"]["wall_s"] / scale
     ceiling = expected_wall * (1.0 + tolerance)
     emit(f"  fig3-LAN wall: {results['fig3_lan']['wall_s']:.2f}s vs "
          f"normalized baseline {expected_wall:.2f}s (ceiling {ceiling:.2f}s)")
@@ -377,7 +315,7 @@ def check(results: dict, smoke: bool, path: str, tolerance: float, emit=print) -
         # numerator and denominator), so it gates unscaled; the batched
         # absolute throughput gates against the host-normalized baseline.
         batch = str(base_ordered["saturation_batch"])
-        expected_rate = base_ordered["updates_per_sec"][batch] * host_scale
+        expected_rate = base_ordered["updates_per_sec"][batch] * scale
         rate_floor = expected_rate * (1.0 - tolerance)
         got_rate = ordered["updates_per_sec"].get(batch, 0.0)
         emit(f"  ordered delivery (B={batch}): {got_rate:,.0f} updates/s vs "
@@ -396,43 +334,12 @@ def check(results: dict, smoke: bool, path: str, tolerance: float, emit=print) -
     return ok
 
 
-def write_sweep(results: dict, smoke: bool, path: str = SWEEP_OUTPUT, emit=print) -> None:
-    """Record the batch-size sweep as a committed results artifact."""
-    ordered = results.get("ordered_delivery")
-    if ordered is None:
-        return
-    mode = "smoke" if smoke else "full"
-    lines = [
-        "Ordered-delivery throughput vs delivery batch size",
-        f"(benchmarks/perf/perf_core.py --{'smoke ' if smoke else ''}mode="
-        f"{mode}; RealCrypto, 6 replicas, threshold f+1=2, "
-        f"{ordered['updates']} updates)",
-        "",
-        f"{'batch':>6}  {'updates/sec':>12}  {'vs B=1':>8}",
-    ]
-    baseline = ordered["updates_per_sec"][str(BATCH_SIZES[0])]
-    for size in BATCH_SIZES:
-        rate = ordered["updates_per_sec"][str(size)]
-        lines.append(f"{size:>6}  {rate:>12,.0f}  {rate / baseline:>7.2f}x")
-    lines += [
-        "",
-        f"saturation at B={ordered['saturation_batch']}: "
-        f"x{ordered['speedup_at_saturation']} ordered-updates/sec over the "
-        f"unbatched baseline (one threshold signature per batch + per-update "
-        f"Merkle proofs).",
-        "",
-    ]
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines))
-    emit(f"sweep -> {path}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized workloads (~10s total)")
-    parser.add_argument("--record", choices=("before", "after"),
-                        help="write results into the JSON under this phase")
+    parser.add_argument("--record", action="store_true",
+                        help="write results into the JSON as the baseline")
     parser.add_argument("--check", action="store_true",
                         help="compare against the committed baseline; "
                              "exit 1 on regression beyond --tolerance")
@@ -443,24 +350,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out",
                         help="also write this run's raw measurements to PATH "
                              "(CI artifact; the committed baseline is untouched)")
-    parser.add_argument("--sweep-out",
-                        help="write the ordered-delivery batch-size sweep to "
-                             "PATH (with --record it also lands in "
-                             "benchmarks/results/)")
     args = parser.parse_args(argv)
 
+    mode = "smoke" if args.smoke else "full"
     results = measure(smoke=args.smoke)
     if args.out:
         with open(args.out, "w") as handle:
-            json.dump({"smoke" if args.smoke else "full": results},
-                      handle, indent=2, sort_keys=True)
+            json.dump({mode: results}, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.sweep_out:
-        write_sweep(results, args.smoke, path=args.sweep_out)
     if args.record:
-        record(results, args.record, args.smoke, args.json)
-        if not args.smoke:
-            write_sweep(results, args.smoke)
+        store_bench_section(args.json, mode, results)
+        print(f"recorded {mode} -> {args.json}")
     if args.check:
         if not check(results, args.smoke, args.json, args.tolerance):
             return 1

@@ -25,7 +25,7 @@ replica's alternate-root shares can fake reaching the threshold.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto.encoding import digest
 from ..crypto.merkle import verify_merkle_proof
@@ -39,7 +39,7 @@ __all__ = ["DeliveryCollector"]
 class DeliveryCollector:
     """Collects shares and yields verified, deduplicated records."""
 
-    #: released-record keys remembered for dedup before the oldest half
+    #: released-record keys remembered for dedup; past this the oldest
     #: is forgotten
     max_pending = 10_000
 
@@ -52,7 +52,8 @@ class DeliveryCollector:
         self.group = group
         #: record/batch key -> content variant -> sender -> incoming share
         self._tracker = ThresholdShareTracker()
-        self._done: Set[Tuple] = set()
+        #: released record keys, oldest first
+        self._done: Dict[Tuple, None] = {}
         #: batch key -> (batch record, combined signature), for entries
         #: that arrive after the batch signature was first combined
         self._batch_signatures: "OrderedDict[Tuple, Tuple]" = OrderedDict()
@@ -153,12 +154,12 @@ class DeliveryCollector:
         return signature
 
     def _mark_done(self, key: Tuple) -> None:
-        self._done.add(key)
-        if len(self._done) > self.max_pending:
-            # bounded memory: forget oldest half (keys are unordered; this
-            # only affects very-long-lived endpoints re-seeing old records)
-            for old in list(self._done)[: self.max_pending // 2]:
-                self._done.discard(old)
+        done = self._done
+        done[key] = None
+        if len(done) > self.max_pending:
+            # FIFO eviction: plain dicts iterate in insertion order, so
+            # the first key is the oldest release
+            del done[next(iter(done))]
 
     @property
     def pending_records(self) -> int:

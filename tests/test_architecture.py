@@ -10,6 +10,9 @@ import ast
 import dataclasses
 import inspect
 import pathlib
+import subprocess
+
+import pytest
 
 import repro.pbft.node
 import repro.prime.node
@@ -274,3 +277,32 @@ def test_every_option_is_set_by_some_caller():
     print(f"settable option-class names with a default: {total}")
     assert not unset, f"{len(unset)} options no caller sets: {unset}"
     assert len(UNSET_OPTION_ALLOWLIST) <= 2
+
+
+def test_every_committed_table_has_one_reporter():
+    # A simulated number has one home, ``benchmarks/results/<name>.txt``,
+    # and one command that regenerates it: the bench holding the single
+    # ``reporter("<name>")`` call. Host-timed output (``*_report.*``,
+    # sweeps of wall time) is never tracked there.
+    repo = SRC.parent
+    listing = subprocess.run(
+        ["git", "ls-files", "benchmarks/results"],
+        cwd=repo, capture_output=True, text=True,
+    )
+    if listing.returncode != 0 or not listing.stdout:
+        pytest.skip("not a git checkout")
+    written = [
+        node.args[0].value
+        for path in sorted((repo / "benchmarks").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "reporter"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    ]
+    for tracked in listing.stdout.split():
+        path = pathlib.PurePosixPath(tracked)
+        assert path.suffix == ".txt", f"{tracked}: only tables are tracked"
+        assert written.count(path.stem) == 1, (
+            f"{tracked} is written by {written.count(path.stem)} "
+            f"reporter() calls, expected exactly one"
+        )

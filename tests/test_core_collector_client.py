@@ -107,6 +107,22 @@ def test_forged_record_variant_cannot_combine(crypto):
     assert released == honest
 
 
+def test_dedup_table_forgets_oldest_first_and_stays_bounded(crypto):
+    """A straggler share for a recently released record releases nothing:
+    the bounded dedup table evicts its oldest keys, never recent ones
+    (a region proxy would otherwise operate the breaker twice)."""
+    collector = DeliveryCollector(crypto, "g")
+    collector.max_pending = 64
+    records = [record(seq) for seq in range(1, 201)]
+    for rec in records:
+        collector.add_batch(share_for(crypto, rec, 1))
+        assert len(collector.add_batch(share_for(crypto, rec, 2))) == 1
+        assert len(collector._done) <= 64
+    for rec in records[-64:]:
+        assert collector.add_batch(share_for(crypto, rec, 3)) == []
+    assert collector.verified == 200
+
+
 # ----------------------------------------------------------------------
 # SubmissionManager
 # ----------------------------------------------------------------------
