@@ -105,14 +105,15 @@ class DeliveryCollector:
                 return []
             signature = signed[1]
             # release every entry seen so far for this batch, from any
-            # sender whose share we tracked (proofs pin them to the root)
+            # sender whose share we tracked (proofs pin them to the root;
+            # an index that is no int sorts first and fails its proof)
             candidates = sorted(
                 (
                     entry
                     for tracked in self._tracker.shares(key, batch)
                     for entry in tracked.entries
                 ),
-                key=lambda entry: entry.index,
+                key=lambda entry: entry.index if isinstance(entry.index, int) else -1,
             )
             self._tracker.drop(key)
             self._batch_signatures[key] = (batch, signature)

@@ -80,9 +80,11 @@ class SpireReplica(PrimeNode):
         #: attack hook: transform our threshold share before sending
         #: (models a compromised replica emitting garbage shares)
         self.share_corruptor = None
-        #: bounded cache of recent shares, to re-answer client retries of
-        #: updates that already executed (their first delivery may be lost)
-        self._recent_shares: "OrderedDict[tuple, Any]" = OrderedDict()
+        #: bounded cache of what a recent share is built from — ``(batch
+        #: record, threshold share, the client's entry)`` — to re-answer
+        #: client retries of updates that already executed (their first
+        #: delivery may be lost); few are ever asked for
+        self._recent_shares: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._recent_share_cap = 5000
         self.batches_sent = 0
         # one threshold share per executed pre-order request, covering
@@ -111,7 +113,12 @@ class SpireReplica(PrimeNode):
                 key = (update.client, update.client_seq)
                 cached = self._recent_shares.get(key)
                 if cached is not None:
-                    self.transport.send(update.client, cached, size_bytes=350)
+                    batch, share, entry = cached
+                    self.transport.send(
+                        update.client,
+                        BatchDeliveryShare(self.name, batch, share, (entry,)),
+                        size_bytes=350,
+                    )
             return
         # already unwrapped above — hand the inner payload straight to the
         # runtime instead of re-unwrapping via super().on_message
@@ -146,7 +153,7 @@ class SpireReplica(PrimeNode):
             # retry cache: re-answer a client resubmission with just its
             # own slice of the batch
             self._recent_shares[(update.client, update.client_seq)] = (
-                BatchDeliveryShare(self.name, batch, share, (entries[i],))
+                batch, share, entries[i],
             )
         while len(self._recent_shares) > self._recent_share_cap:
             self._recent_shares.popitem(last=False)

@@ -7,9 +7,15 @@ messages are built from: ints, floats, strings, bytes, bools, None,
 tuples/lists, dicts (sorted by key), frozensets (sorted), and dataclasses
 (encoded as ``(class name, field dict)``).
 
-The encoding is injective on the supported domain, which is what
-unforgeability arguments need: two distinct messages never encode to the
-same bytes.
+An *envelope* — a dataclass that only wraps and addresses another
+message — names its child fields in ``encoded_by_digest``; such a field
+is encoded as the child's 32-byte SHA-256 digest under a tag of its
+own, so an envelope costs its own fields however large the child is.
+
+The encoding is injective on the supported domain (for a field encoded
+by digest: by the collision resistance the Merkle batch record already
+rests on), which is what unforgeability arguments need: two distinct
+messages never encode to the same bytes.
 
 :func:`encode_cached`, :func:`digest_bytes` and :func:`digest` keep what
 they derive on the message object itself (see ``_ENTRY``), so it lives
@@ -22,11 +28,12 @@ from __future__ import annotations
 import dataclasses
 import struct
 from hashlib import sha256 as _sha256
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 __all__ = [
     "encode",
     "encode_cached",
+    "derived",
     "digest",
     "digest_bytes",
     "EncodingError",
@@ -37,7 +44,10 @@ class EncodingError(TypeError):
 
 
 _PACK_D = struct.Struct(">d").pack
-_PACK_STR_HEAD = struct.Struct(">cI").pack
+#: ``tag || 4-byte length``, the head of an int, str or bytes value
+_PACK_HEAD = struct.Struct(">cI").pack
+#: tag of a field encoded by digest; always followed by exactly 32 bytes
+_DIGEST_TAG = b"H"
 
 #: exact-type -> encoder function; the per-value isinstance ladder the
 #: encoder used to walk was the single hottest code path under profile.
@@ -56,7 +66,8 @@ def _enc_bool(value: Any, out: bytearray) -> None:
 
 def _enc_int(value: Any, out: bytearray) -> None:
     data = str(value).encode()
-    out += b"i" + len(data).to_bytes(4, "big") + data
+    out += _PACK_HEAD(b"i", len(data))
+    out += data
 
 
 def _enc_float(value: Any, out: bytearray) -> None:
@@ -65,16 +76,17 @@ def _enc_float(value: Any, out: bytearray) -> None:
 
 def _enc_str(value: Any, out: bytearray) -> None:
     data = value.encode()
-    out += _PACK_STR_HEAD(b"s", len(data))
+    out += _PACK_HEAD(b"s", len(data))
     out += data
 
 
 def _enc_bytes(value: Any, out: bytearray) -> None:
-    out += b"b" + len(value).to_bytes(4, "big") + value
+    out += _PACK_HEAD(b"b", len(value))
+    out += value
 
 
 def _enc_seq(value: Any, out: bytearray) -> None:
-    out += b"l" + len(value).to_bytes(4, "big")
+    out += _PACK_HEAD(b"l", len(value))
     dispatch = _DISPATCH
     for item in value:
         enc = dispatch.get(item.__class__)
@@ -122,46 +134,69 @@ _DISPATCH.update(
 )
 
 
+#: body of a generated encoder for one field held in ``item``: ``str``
+#: and ``int`` — most fields of most messages — are written in place
+#: behind an exact-class test, anything else goes through ``_DISPATCH``
+_FIELD_SOURCE = """\
+    kind = item.__class__
+    if kind is str:
+        data = item.encode()
+        out += _PACK_HEAD(b"s", len(data))
+        out += data
+    elif kind is int:
+        data = str(item).encode()
+        out += _PACK_HEAD(b"i", len(data))
+        out += data
+    else:
+        (_DISPATCH.get(kind) or _resolve_encoder(item))(item, out)
+"""
+
+
 def _compile_dataclass_encoder(cls: type) -> Any:
-    """Build an encoder closure for one dataclass.
+    """Generate the encoder of one dataclass as straight-line source.
 
     The class header and the encoded field *names* are constants per
-    class, so they are rendered to bytes once here; per instance only the
-    field values are walked. The byte layout is identical to encoding
-    ``(class name, field dict)`` value by value.
+    class, so they are rendered into the source as bytes literals; per
+    instance only the field values are walked, one unrolled block per
+    field. The byte layout is identical to encoding ``(class name, field
+    dict)`` value by value, except for the fields the class names in
+    ``encoded_by_digest``, which are written as ``_DIGEST_TAG`` plus the
+    child's digest. The source is compiled under this file's name, so a
+    profile charges the generated code to this module.
     """
     name = cls.__name__.encode()
-    field_names = tuple(f.name for f in dataclasses.fields(cls))
-    header = bytearray()
-    header += b"D" + len(name).to_bytes(2, "big") + name
-    header += len(field_names).to_bytes(4, "big")
-    header = bytes(header)
-    fields = []
-    for field_name in field_names:
-        prefix = bytearray()
-        _enc_str(field_name, prefix)
-        fields.append((bytes(prefix), field_name))
-    fields = tuple(fields)
-
-    def enc(value: Any, out: bytearray) -> None:
+    field_names = [f.name for f in dataclasses.fields(cls)]
+    by_digest = getattr(cls, "encoded_by_digest", ())
+    # what has been rendered but not yet emitted: the header, then each
+    # field's name, joined into one literal per ``out +=``
+    literal = bytearray(b"D" + len(name).to_bytes(2, "big") + name)
+    literal += len(field_names).to_bytes(4, "big")
+    function_name = f"_enc_{cls.__name__}"
+    lines = [
+        f"def {function_name}(value, out):",
         # a nested dataclass that already carries its encoding (a signed
-        # payload inside its envelope, say) appends those bytes instead
-        # of having its fields walked again
-        entry = getattr(value, _ENTRY, None)
-        if entry is not None:
-            out += entry[0]
-            return
-        out += header
-        dispatch = _DISPATCH
-        for name_bytes, field_name in fields:
-            out += name_bytes
-            item = getattr(value, field_name)
-            item_enc = dispatch.get(item.__class__)
-            if item_enc is None:
-                item_enc = _resolve_encoder(item)
-            item_enc(item, out)
-
-    return enc
+        # summary inside a proposal matrix, say) appends those bytes
+        # instead of having its fields walked again
+        f"    entry = getattr(value, {_ENTRY!r}, None)",
+        "    if entry is not None and entry[0] is not None:",
+        "        out += entry[0]",
+        "        return",
+    ]
+    for field_name in field_names:
+        _enc_str(field_name, literal)
+        if field_name in by_digest:
+            lines.append(f"    out += {bytes(literal + _DIGEST_TAG)!r}")
+            lines.append(f"    out += digest_bytes(value.{field_name})")
+        else:
+            lines.append(f"    out += {bytes(literal)!r}")
+            lines.append(f"    item = value.{field_name}")
+            lines.append(_FIELD_SOURCE)
+        literal.clear()
+    if literal:  # a dataclass without fields is its header
+        lines.append(f"    out += {bytes(literal)!r}")
+    namespace: Dict[str, Any] = {}
+    exec(compile("\n".join(lines), __file__, "exec"), globals(), namespace)
+    return namespace[function_name]
 
 
 def _resolve_encoder(value: Any) -> Any:
@@ -197,50 +232,63 @@ def _resolve_encoder(value: Any) -> Any:
     return enc
 
 
-def _encode_into(value: Any, out: bytearray) -> None:
-    enc = _DISPATCH.get(value.__class__)
-    if enc is None:
-        enc = _resolve_encoder(value)
-    enc(value, out)
-
-
 def encode(value: Any) -> bytes:
     """Return the canonical byte encoding of ``value``."""
     out = bytearray()
-    _encode_into(value, out)
+    (_DISPATCH.get(value.__class__) or _resolve_encoder(value))(value, out)
     return bytes(out)
 
 
 #: the one attribute a message object carries for this module: its entry,
-#: ``[encoding, raw digest | None, hex digest | None, derived tags | None]``
-#: (all but the encoding lazy; the tags belong to ``FastCrypto``). The
-#: entry is the whole authentication state of that object — everything
-#: that signs, MACs or Merkle-hashes it reads the encoding or the digest
-#: from here — and it lives and dies with the object. That is safe because
-#: messages are immutable once built: ``dataclasses.replace`` and every
-#: constructor yield an object without an entry, which is encoded afresh.
+#: ``[encoding, raw digest, hex digest, derived tags, derived value]``,
+#: each ``None`` until first asked for (the tags belong to ``FastCrypto``,
+#: the value to :func:`derived`). The entry is the whole
+#: authentication state of that object — everything that signs, MACs or
+#: Merkle-hashes it reads the encoding or the digest from here — and it
+#: lives and dies with the object. That is safe because messages are
+#: immutable once built: ``dataclasses.replace`` and every constructor
+#: yield an object without an entry, which is encoded afresh.
 _ENTRY = "_enc"
 
 
-def _entry_for(value: Any) -> list:
-    """The entry ``value`` carries, made (and left on it) on first use.
+def _entry_for(value: Any, encoded: bool = True) -> list:
+    """The entry ``value`` carries, made (and left on it) on first use,
+    with its encoding filled in unless ``encoded`` is false.
 
     A value that cannot hold an attribute (tuple, str, bytes, dict) gets
     a fresh entry per call, pinned nowhere.
     """
     entry = getattr(value, _ENTRY, None)
     if entry is None:
-        entry = [encode(value), None, None, None]
+        entry = [None, None, None, None, None]
         try:
             object.__setattr__(value, _ENTRY, entry)
         except AttributeError:
             pass
+    if encoded and entry[0] is None:
+        entry[0] = encode(value)
     return entry
 
 
 def encode_cached(value: Any) -> bytes:
     """Like :func:`encode`, kept on ``value`` after the first call."""
     return _entry_for(value)[0]
+
+
+def derived(value: Any, derive: Callable[[Any], Any]) -> Any:
+    """``derive(value)``, worked out once per message object.
+
+    For what a protocol derives from a message that every holder of the
+    object would otherwise rebuild — the digest replicas vote on, the
+    body a client signed. A class has one such derivation; the result is
+    kept in the entry, so it follows the same rule as the encoding: a
+    copy or a replaced message carries nothing and is derived afresh.
+    """
+    entry = _entry_for(value, encoded=False)
+    kept = entry[4]
+    if kept is None:
+        entry[4] = kept = derive(value)
+    return kept
 
 
 def digest_bytes(value: Any) -> bytes:

@@ -90,12 +90,26 @@ def merkle_tree(leaves: Sequence[str]) -> Tuple[str, List[Tuple[str, ...]]]:
     return levels[-1][0], [_proof_in(levels, i) for i in range(len(leaves))]
 
 
+def _is_digest_text(value: object) -> bool:
+    """Whether the hash helpers accept ``value``: real digests are hex,
+    so anything but a plain ASCII ``str`` is refused without hashing."""
+    return value.__class__ is str and value.isascii()
+
+
 def verify_merkle_proof(
     leaf: str, index: int, count: int, proof: Sequence[str], root: str
 ) -> bool:
     """True iff ``leaf`` sits at ``index`` in the ``count``-leaf tree with
-    ``root``. Rejects out-of-range indices and wrong-shape proofs."""
+    ``root``. Rejects out-of-range indices and wrong-shape proofs, and —
+    ``index`` and ``proof`` arrive in a peer's message — anything
+    ill-typed: it never raises."""
+    if not (isinstance(index, int) and isinstance(count, int)):
+        return False
     if count < 1 or not 0 <= index < count:
+        return False
+    if not isinstance(proof, (tuple, list)):
+        return False
+    if not all(map(_is_digest_text, (leaf, root, *proof))):
         return False
     node = _leaf_hash(leaf)
     position, width = index, count

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..crypto.encoding import digest
+from ..crypto.encoding import derived, digest
 from ..crypto.provider import CryptoProvider, Signature
 from ..replication.messages import (
     Commit,
@@ -221,12 +221,27 @@ def client_update_body(client: str, client_seq: int, payload: Any) -> Tuple:
     return ("client-update", client, client_seq, digest(payload))
 
 
+class _SignedBody(tuple):
+    """A body kept on the update it belongs to. As a tuple subclass it
+    encodes as the tuple it is and can hold an entry of its own, so the
+    one signature and the verifications at every replica share one
+    encoding (and, under ``FastCrypto``, one tag)."""
+
+
+def _derive_body(update: ClientUpdate) -> _SignedBody:
+    return _SignedBody(
+        client_update_body(update.client, update.client_seq, update.payload)
+    )
+
+
 def sign_client_update(
     crypto: CryptoProvider, client: str, client_seq: int, payload: Any
 ) -> ClientUpdate:
     """Create a signed client update (used by proxies/HMIs)."""
-    signature = crypto.sign(client, client_update_body(client, client_seq, payload))
-    return ClientUpdate(client, client_seq, payload, signature)
+    body = _SignedBody(client_update_body(client, client_seq, payload))
+    update = ClientUpdate(client, client_seq, payload, crypto.sign(client, body))
+    derived(update, lambda _: body)  # what was signed is what replicas verify
+    return update
 
 
 def verify_client_update(crypto: CryptoProvider, update: ClientUpdate) -> bool:
@@ -234,8 +249,7 @@ def verify_client_update(crypto: CryptoProvider, update: ClientUpdate) -> bool:
         return False
     if update.signature.signer != update.client:
         return False
-    body = client_update_body(update.client, update.client_seq, update.payload)
-    return crypto.verify(update.signature, body)
+    return crypto.verify(update.signature, derived(update, _derive_body))
 
 
 def verify_client_updates_batch(
@@ -256,9 +270,7 @@ def verify_client_updates_batch(
             continue
         positions.append(i)
         signatures.append(update.signature)
-        bodies.append(
-            client_update_body(update.client, update.client_seq, update.payload)
-        )
+        bodies.append(derived(update, _derive_body))
     if positions:
         for i, ok in zip(positions, crypto.verify_batch(signatures, bodies)):
             verdicts[i] = ok

@@ -15,7 +15,7 @@ wire-compatible with ``repro.prime.messages`` (which re-exports them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, ClassVar, Tuple
 
 from ..crypto.provider import Signature
 
@@ -24,7 +24,13 @@ __all__ = ["SignedMessage", "Prepare", "Commit", "PreparedEntry", "NewView"]
 
 @dataclass(frozen=True)
 class SignedMessage:
-    """Envelope: ``payload`` signed by ``signature.signer``."""
+    """Envelope: ``payload`` signed by ``signature.signer``.
+
+    The signature is over the payload's own encoding; where the envelope
+    itself is encoded — inside a proposal matrix or a certificate, under
+    an overlay datagram — the payload stands as its digest."""
+
+    encoded_by_digest: ClassVar[Tuple[str, ...]] = ("payload",)
 
     payload: Any
     signature: Signature

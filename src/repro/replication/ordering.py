@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
+from ..crypto.encoding import derived
 from .messages import Commit, Prepare, SignedMessage
 from .quorum import assemble_certificate, collect_valid_voters
 
@@ -44,6 +45,12 @@ class AgreementSpec:
         return getattr(view_change, self.floor_field)
 
     def digest_of(self, pre_prepare: Any) -> str:
+        """What votes for ``pre_prepare`` name. Replicas hold one proposal
+        object by reference and ask at every pre-prepare, commit quorum
+        and view-change validation; it is derived once per object."""
+        return derived(pre_prepare, self._derive_digest)
+
+    def _derive_digest(self, pre_prepare: Any) -> str:
         return self.digest(pre_prepare.seq, self.proposal(pre_prepare))
 
 
@@ -205,7 +212,7 @@ class ThreePhaseAgreement:
         if msg.view in slot.pre_prepares:
             return  # first proposal per (view, seq) wins
         slot.pre_prepares[msg.view] = signed
-        proposal_digest = self.spec.digest(msg.seq, proposal)
+        proposal_digest = self.spec.digest_of(msg)
         # The leader's pre-prepare counts as its prepare vote.
         slot.record_prepare(msg.view, proposal_digest, msg.leader, signed)
         self.note_proposal(msg)
@@ -290,7 +297,7 @@ class ThreePhaseAgreement:
         proposal = self.spec.proposal(pp)
         if not self.valid_proposal(proposal):
             return False
-        proposal_digest = self.spec.digest(seq, proposal)
+        proposal_digest = self.spec.digest_of(pp)
         commits = tuple(commits)
         voters = collect_valid_voters(
             commits,

@@ -102,16 +102,25 @@ Message = Union[
 ]
 
 
+def _crc16_table() -> Tuple[int, ...]:
+    """The CRC of each single byte: eight shift-and-xor steps done once."""
+    table = []
+    for crc in range(256):
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xA001 if crc & 1 else crc >> 1
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC16_TABLE = _crc16_table()
+
+
 def crc16(data: bytes) -> int:
-    """Modbus CRC-16 (polynomial 0xA001)."""
+    """Modbus CRC-16 (polynomial 0xA001), one table lookup per byte."""
+    table = _CRC16_TABLE
     crc = 0xFFFF
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0xA001
-            else:
-                crc >>= 1
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc
 
 

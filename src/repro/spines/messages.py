@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, ClassVar, Tuple
 
 __all__ = [
     "OverlayData",
@@ -35,10 +35,14 @@ class OverlayData:
     per-origin sequence number used for flood deduplication. ``dests`` is
     the destination *set*: a unicast names one endpoint, a multicast on a
     flooding overlay names several and is still one datagram — one flood,
-    one link MAC per hop (the MAC covers the whole datagram, ``dests``
-    included), one delivery per named endpoint. Routed overlays
-    (``shortest``/``disjoint``) accept exactly one destination.
+    one link MAC per hop (the MAC covers every header field, ``dests``
+    included, and the digest of ``payload``), one delivery per named
+    endpoint. Routed overlays (``shortest``/``disjoint``) accept exactly
+    one destination, so a broadcast there is one datagram per destination
+    around one payload, each encoded without walking it.
     """
+
+    encoded_by_digest: ClassVar[Tuple[str, ...]] = ("payload",)
 
     origin: str
     dests: Tuple[str, ...]

@@ -189,6 +189,38 @@ def test_tampered_entry_rejected_batchmates_released(updates, victim, survivors)
     assert collector.rejected_entries == 1
 
 
+@pytest.mark.parametrize("malformed", [
+    {"proof": (1,)}, {"proof": (None, b"x")}, {"proof": None}, {"index": "1"},
+    {"index": None},
+])
+def test_malformed_entry_from_a_valid_replica_is_rejected_not_raised(malformed):
+    """A Byzantine replica's share is genuine, its entry is not: the
+    handler rejects that entry and still releases the honest ones."""
+    crypto = FastCrypto(seed="malformed")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    batch, entries = make_batch(crypto)
+    bad = dataclasses.replace(entries[1], **malformed)
+    # alone in its share: nothing is released, nothing raises
+    collector, released = collect(crypto, batch, (bad,))
+    assert released == [] and collector.verified == 0
+    assert collector.rejected_entries == 2  # one per sender that carried it
+    # among honest batch-mates, from the first sender only
+    collector, released = collect(
+        crypto, batch, (entries[0], bad) + entries[2:], entries
+    )
+    assert released == [1, 2, 3, 4]
+    assert collector.rejected_entries == 1
+    # ... and on the late-slice path, against the cached signature
+    collector, released = collect(crypto, batch, entries[:1])
+    late = crypto.threshold_sign_share(GROUP, 3, batch)
+    assert collector.add_batch(BatchDeliveryShare("replica:3", batch, late, (bad,))) == []
+    assert collector.rejected_entries == 1
+    (record, _), = collector.add_batch(
+        BatchDeliveryShare("replica:3", batch, late, entries[1:2])
+    )
+    assert record == entries[1].record
+
+
 def test_late_slice_verifies_against_cached_signature():
     crypto = FastCrypto(seed="late")
     crypto.create_threshold_group(GROUP, 4, 2)
@@ -264,12 +296,12 @@ def batched():
 
 def test_singleton_batches_are_batches_of_one(singletons):
     cached = [
-        share
+        batch
         for replica in singletons.replicas
-        for share in replica._recent_shares.values()
+        for batch, _share, _entry in replica._recent_shares.values()
     ]
     assert cached
-    assert all(share.record.count == 1 for share in cached)
+    assert all(batch.count == 1 for batch in cached)
     hmi = singletons.hmis[0]
     assert sorted(hmi.view) == sorted(singletons.grid.substations)
     assert hmi.collector.rejected_entries == 0
@@ -324,7 +356,10 @@ def test_retry_cache_holds_single_entry_slices(batched):
         for cached in replica._recent_shares.values()
     ]
     assert slices
-    assert all(len(cached.entries) == 1 for cached in slices)
+    # (batch record, threshold share, the one entry a retry is answered with)
+    assert all(
+        len(cached) == 3 and isinstance(cached[2], BatchEntry) for cached in slices
+    )
 
 
 def test_corrupt_share_tolerated_in_batched_mode():

@@ -1,6 +1,8 @@
 """Merkle tree construction and inclusion-proof verification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.update import DeliveryRecord, batch_of_records
 from repro.crypto import (
@@ -182,3 +184,63 @@ def test_proof_index_out_of_range_raises():
         merkle_proof(leaves, 4)
     with pytest.raises(IndexError):
         merkle_proof(leaves, -1)
+
+
+# ----------------------------------------------------------------------
+# Totality: index and proof arrive in a Byzantine replica's message
+# ----------------------------------------------------------------------
+
+_junk = st.one_of(
+    st.none(), st.integers(), st.floats(allow_nan=False), st.binary(max_size=8),
+    st.text(max_size=8), st.tuples(st.integers()), st.booleans(),
+)
+
+
+@pytest.mark.parametrize("proof", [(1,), (None,), (b"x",), ("\ud800",), None, 7, "ab"])
+def test_ill_typed_proof_is_rejected_not_raised(proof):
+    leaves = leaves_of(2)
+    assert not verify_merkle_proof(leaves[0], 0, 2, proof, merkle_root(leaves))
+
+
+@pytest.mark.parametrize("leaf, index, count, root", [
+    (None, 0, 2, "r"), (b"leaf-0", 0, 2, "r"), ("leaf-0", 0, 2, None),
+    ("leaf-0", 0, 2, b"r"), ("leaf-0", "0", 2, "r"), ("leaf-0", None, 2, "r"),
+    ("leaf-0", 0, "2", "r"), ("leaf-0", 0, None, "r"), ("leaf-0", 0.0, 2.0, "r"),
+])
+def test_ill_typed_leaf_index_count_root_are_rejected_not_raised(leaf, index, count, root):
+    proof = merkle_proof(leaves_of(2), 0)
+    assert not verify_merkle_proof(leaf, index, count, proof, root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=9),
+    index=st.one_of(st.integers(min_value=-2, max_value=10), _junk),
+    claimed_count=st.one_of(st.integers(min_value=-1, max_value=12), _junk),
+    proof=st.one_of(
+        _junk,
+        st.lists(st.one_of(_junk, st.sampled_from(leaves_of(9))), max_size=6).map(tuple),
+    ),
+    data=st.data(),
+)
+def test_verification_never_raises_and_accepts_only_the_trees_own_proofs(
+    count, index, claimed_count, proof, data
+):
+    """Over ill-typed, short, long and spliced proofs: a verdict, never
+    an exception; and, at the tree's true count (the signed batch record
+    binds it), True only for the proof the tree itself yields."""
+    leaves = leaves_of(count)
+    root, proofs = merkle_tree(leaves)
+    # half the time start from a genuine proof and cut, pad or splice it
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(min_value=0, max_value=count - 1))
+        genuine = proofs[at]
+        cut = data.draw(st.integers(min_value=0, max_value=len(genuine)))
+        extra = data.draw(st.lists(st.one_of(_junk, st.just(root)), max_size=2))
+        index, claimed_count = at, count
+        proof = genuine[:cut] + tuple(extra)
+    leaf = leaves[index] if isinstance(index, int) and 0 <= index < count else "leaf-0"
+    verdict = verify_merkle_proof(leaf, index, claimed_count, proof, root)
+    assert verdict is True or verdict is False
+    if verdict and claimed_count == count:
+        assert tuple(proof) == proofs[index]  # a bool index is the int it equals

@@ -69,7 +69,7 @@ def test_fast_mac_is_recomputed_not_memoized():
     message = Signature("reading", 7)  # any frozen message: it keeps an entry
     tag = crypto.mac("a", "b", message)
     assert crypto.check_mac("b", "a", message, tag)
-    encoding, raw_digest, _, derived_tags = _entry_for(message)
+    encoding, raw_digest, _, derived_tags, _ = _entry_for(message)
     assert encoding == encode(message) and raw_digest is not None
     assert derived_tags is None  # the receiver recomputed; nothing was kept
 

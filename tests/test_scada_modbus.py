@@ -1,6 +1,8 @@
 """Tests for the Modbus-like framing."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.scada import (
     ExceptionResponse,
@@ -38,6 +40,25 @@ def test_roundtrip(message):
 def test_crc16_known_vector():
     # classic Modbus test vector: 01 03 00 00 00 02 -> CRC C40B
     assert crc16(bytes([0x01, 0x03, 0x00, 0x00, 0x00, 0x02])) == 0x0BC4
+    assert crc16(bytes([0x01, 0x03, 0x00, 0x00, 0x00, 0x0A])) == 0xCDC5
+
+
+def bitwise_crc16(data: bytes) -> int:
+    """The definition ``crc16`` must equal: shift right, xor 0xA001 on carry."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            if crc & 1:
+                crc = (crc >> 1) ^ 0xA001
+            else:
+                crc >>= 1
+    return crc
+
+
+@given(st.binary(max_size=300))
+def test_crc16_equals_the_bitwise_definition(data):
+    assert crc16(data) == bitwise_crc16(data)
 
 
 def test_corrupted_frame_rejected():
