@@ -194,7 +194,6 @@ class SpireCampaign:
                 breakers = sorted(
                     self.deployment.grid.substations[substation].breakers
                 )
-                self.result.unauthorized_operations += 0  # counted at the field
                 return DeliveryRecord(
                     kind="command",
                     client="hmi:0",

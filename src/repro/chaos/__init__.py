@@ -1,19 +1,15 @@
 """``repro.chaos`` — seeded chaos testing with runtime invariant monitors.
 
-The chaos subsystem composes randomized-but-replayable fault schedules on
-top of ``repro.simnet`` and runs them against full Spire deployments while
-invariant monitors watch for safety, gating, quorum and bounded-delay
-violations. Every run is a pure function of ``(seed, schedule)``; failing
-runs dump JSON scenario files that replay byte-for-byte and shrink to
-minimal reproducers.
-
-One row per fault kind: what a kind is — its targets, its params with
-their one default and generator range, how it is aimed and which
-``FailureInjector`` window it opens — is declared once, in
-:mod:`repro.chaos.faults`; ``FAULT_KINDS``, schedule generation,
-``FaultAction`` validation and both harnesses (``ChaosEngine`` for Prime
-in a Spire deployment, ``run_pbft_chaos`` for the PBFT baseline) are
-derived from that table.
+Randomized-but-replayable fault schedules on top of ``repro.simnet``, run
+against a system under chaos while six invariant monitors judge it. One
+runner (:func:`repro.chaos.engine.run_chaos`) serves both systems —
+``ChaosEngine`` builds Prime inside a Spire deployment, ``run_pbft_chaos``
+the flat PBFT baseline — and one table (:mod:`repro.chaos.faults`) holds
+every fault kind: its targets, its params with their one default and
+generator range, how it is aimed and which ``FailureInjector`` window it
+opens. Every run is a pure function of ``(seed, schedule)``; failing runs
+dump JSON scenario files that replay byte-for-byte and shrink to minimal
+reproducers.
 
 Quickstart::
 
@@ -30,7 +26,6 @@ from .monitors import (
     BoundedDelayMonitor,
     ProxyGateMonitor,
     QuorumAvailabilityMonitor,
-    QuorumFloorMonitor,
     RerouteBoundMonitor,
     SafetyMonitor,
     ViewRecoveryMonitor,
@@ -58,7 +53,6 @@ __all__ = [
     "SafetyMonitor",
     "ProxyGateMonitor",
     "QuorumAvailabilityMonitor",
-    "QuorumFloorMonitor",
     "BoundedDelayMonitor",
     "RerouteBoundMonitor",
     "ViewRecoveryMonitor",

@@ -1,23 +1,22 @@
-"""The chaos engine: seeded fault schedules + invariant monitors, one run.
+"""The chaos runner: seeded fault schedules + invariant monitors, one run.
 
-One :class:`ChaosEngine` run is a pure function of ``(options, schedule,
-mutator)``: it builds a full Spire deployment, applies the fault schedule
-against the virtual clock, attaches every invariant monitor, runs, and
-returns a :class:`ChaosResult` carrying the monitor verdicts and a trace
-*fingerprint* — a digest over the structured trace, network counters and
-final replica state. Two runs of the same ``(seed, schedule)`` produce
-byte-identical fingerprints; that property is what makes dumped scenarios
-replayable and shrinkable.
-
-What each fault kind does lives in the fault table
-(:mod:`repro.chaos.faults`); each action draws from its own named RNG
-stream (``chaos/<kind>/<index>``), so removing one action during shrinking
-never perturbs the randomness of the others.
+One chaos run is a pure function of ``(system under chaos, options,
+schedule)``: :func:`run_chaos` attaches the invariant monitors to a
+:class:`~repro.chaos.faults.ChaosSystem`, applies the fault schedule
+against the virtual clock, runs, and returns a :class:`ChaosResult`
+carrying the monitor verdicts and a trace *fingerprint* — a digest over
+the structured trace, network counters and final replica state. Two runs
+of the same ``(seed, schedule)`` produce byte-identical fingerprints; that
+property is what makes dumped scenarios replayable and shrinkable.
+:class:`ChaosEngine` builds the system for Prime inside a full Spire
+deployment, :func:`repro.chaos.pbft.run_pbft_chaos` for the flat PBFT
+baseline cluster; neither does anything else.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
@@ -33,13 +32,18 @@ from ..obs import (
     EV_REJUVENATE_START,
 )
 from ..simnet import FailureInjector
-from .faults import LEADER_PROFILE_KINDS, OVERLAY_FAULT_KINDS, ChaosSystem, inject
+from .faults import (
+    DEFAULT_PROFILE_KINDS,
+    LEADER_PROFILE_KINDS,
+    OVERLAY_FAULT_KINDS,
+    ChaosSystem,
+    inject,
+)
 from .generator import ChaosProfile, generate_schedule
 from .monitors import (
     BoundedDelayMonitor,
     ProxyGateMonitor,
     QuorumAvailabilityMonitor,
-    QuorumFloorMonitor,
     RerouteBoundMonitor,
     SafetyMonitor,
     ViewRecoveryMonitor,
@@ -47,7 +51,7 @@ from .monitors import (
 )
 from .schedule import FaultSchedule
 
-__all__ = ["ChaosOptions", "ChaosResult", "ChaosEngine"]
+__all__ = ["ChaosOptions", "ChaosResult", "ChaosEngine", "run_chaos", "schedule_profile"]
 
 #: deployment mutator applied before monitors attach (test-only hooks that
 #: deliberately weaken a component to prove the monitors catch it)
@@ -75,39 +79,41 @@ class ChaosOptions:
     prime_preset: str = "wan"
     #: (period_ms, duration_ms); None disables proactive recovery
     proactive_recovery: Optional[Tuple[float, float]] = (4000.0, 500.0)
-    #: run proactive recovery under the ``repro.control`` feedback
-    #: controller (default-off: the periodic schedule, bit-identical)
+    #: run proactive recovery under the ``repro.control`` feedback controller
     feedback_control: bool = False
-    #: controller knob overrides, serialized with the scenario; None with
-    #: ``feedback_control=True`` uses :class:`~repro.control.ControlOptions`
-    #: defaults
+    #: controller knob overrides, serialized with the scenario; None runs
+    #: the :class:`~repro.control.ControlOptions` defaults
     control_overrides: Optional[Dict[str, Any]] = None
-    #: draw ``leader_kill``/``leader_partition`` faults into generated
-    #: schedules (default-off: existing seeds keep their schedules)
+    #: draw ``leader_kill``/``leader_partition`` into generated schedules
     leader_faults: bool = False
-    min_actions: int = 3
-    max_actions: int = 8
+
+    #: how many actions a generated schedule holds
+    min_actions: ClassVar[int] = 3
+    max_actions: ClassVar[int] = 8
 
     # --- monitor bounds: properties of the claim checked, not of a run ---
-    #: with self-healing on, each overlay fault must see a verified
-    #: delivery within this bound of its start (detection + reroute +
-    #: protocol settling); checked by :class:`RerouteBoundMonitor`
+    #: :class:`RerouteBoundMonitor`: an overlay fault to the next verified
+    #: delivery (detection + reroute + protocol settling)
     reroute_bound_ms: ClassVar[float] = 1500.0
-    #: bounded-delay watchdog: max gap between verified deliveries in a
-    #: quiet interval (generous: covers resubmit backoff + one view change)
+    #: :class:`BoundedDelayMonitor`: max gap between verified deliveries in
+    #: a quiet interval (covers resubmit backoff + one view change)
     max_delivery_gap_ms: ClassVar[float] = 2000.0
     #: how long after a fault window ends before the system must be
-    #: re-bounded (budget: one view-change timeout plus settling)
+    #: re-bounded (one view-change timeout plus settling)
     quiet_grace_ms: ClassVar[float] = 2500.0
-    #: every leader-affecting fault must see a quorum adopt a higher view
-    #: *and* a verified delivery within this bound of the fault firing
-    #: (TAT suspicion + view-change round + settling); checked by
-    #: :class:`ViewRecoveryMonitor`
+    #: :class:`ViewRecoveryMonitor`: a leader fault firing to a quorum in a
+    #: higher view *and* a verified delivery (TAT suspicion + one
+    #: view-change round + settling)
     view_recovery_bound_ms: ClassVar[float] = 3000.0
 
     @property
     def total_ms(self) -> float:
         return self.warmup_ms + self.chaos_ms + self.settle_ms
+
+    @property
+    def profile_kinds(self) -> Tuple[str, ...]:
+        """The kinds a generated schedule draws from, repeated by weight."""
+        return DEFAULT_PROFILE_KINDS + (LEADER_PROFILE_KINDS if self.leader_faults else ())
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
@@ -125,8 +131,7 @@ class ChaosOptions:
 
 
 #: stat keys that measure the *host* (wall clock), not the simulation —
-#: excluded from deterministic dumps, fingerprints and replay comparison,
-#: mirroring the ``ScenarioReport`` convention from PR 5
+#: excluded from deterministic dumps, fingerprints and replay comparison
 HOST_STAT_KEYS = frozenset({"wall_runtime_s"})
 
 
@@ -141,9 +146,8 @@ class ChaosResult:
     fingerprint: str
     stats: Dict[str, Any]
     injector_log: List[str] = field(default_factory=list)
-    #: deterministic-only ``Observability.snapshot()`` image of the run's
-    #: deployment, carried so campaign aggregation can merge per-scenario
-    #: observability without holding live simulator handles
+    #: deterministic-only ``Observability.snapshot()`` image of the run, so
+    #: campaign aggregation merges it without live simulator handles
     obs_snapshot: Optional[Dict[str, Any]] = None
 
     @property
@@ -153,10 +157,7 @@ class ChaosResult:
     @property
     def deterministic_stats(self) -> Dict[str, Any]:
         """The stats minus host-dependent entries (wall-clock timing)."""
-        return {
-            key: value for key, value in self.stats.items()
-            if key not in HOST_STAT_KEYS
-        }
+        return {k: v for k, v in self.stats.items() if k not in HOST_STAT_KEYS}
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -168,8 +169,157 @@ class ChaosResult:
         }
 
 
+def schedule_profile(options: Any) -> ChaosProfile:
+    """The profile either harness draws its schedule from when given none:
+    faults start inside the chaos window, crashes and partitions are
+    budgeted by ``f``, and the options say which kinds are in play."""
+    return ChaosProfile(
+        window_start_ms=options.warmup_ms,
+        window_end_ms=options.warmup_ms + options.chaos_ms,
+        min_actions=options.min_actions,
+        max_actions=options.max_actions,
+        max_concurrent_crashes=max(1, options.f),
+        max_partition_minority=max(1, options.f),
+        kinds=options.profile_kinds,
+    )
+
+
+def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> ChaosResult:
+    """The one chaos run: attach the monitors, inject ``schedule``, start
+    ``system`` and run it for ``options.total_ms``, judge, fingerprint.
+
+    A monitor is built where the system has what it watches (endpoints: the
+    proxy gate and the bounded-delay watchdog; a recovery strategy: the
+    quorum floor; a self-healing control plane: the reroute bound), and an
+    oracle, a margin or a perturbed simulator attaches here and nowhere
+    else. ``options`` is a ``ChaosOptions`` or a ``PbftChaosOptions``.
+    """
+    simulator, log = system.simulator, system.obs.log
+    safety = SafetyMonitor(simulator)
+    safety.attach(system.replicas)
+    view_recovery = ViewRecoveryMonitor(
+        simulator, bound_ms=options.view_recovery_bound_ms, quorum=system.quorum,
+    )
+    gate = quorum = watchdog = reroute = None
+    if system.endpoints:
+        gate = ProxyGateMonitor(simulator, system.crypto)
+        for endpoint in system.endpoints:
+            gate.attach(endpoint)
+        watchdog = BoundedDelayMonitor(simulator, max_gap_ms=options.max_delivery_gap_ms)
+    if system.recovery is not None:
+        quorum = QuorumAvailabilityMonitor(simulator, system.replicas, f=options.f, k=options.k)
+        quorum.attach(system.recovery)
+    if system.overlay_control is not None:
+        reroute = RerouteBoundMonitor(simulator, bound_ms=options.reroute_bound_ms)
+    monitors = [m for m in (safety, gate, quorum, watchdog, view_recovery, reroute) if m]
+    for monitor in monitors:
+        monitor.bind_obs(system.obs)
+
+    injector = FailureInjector(simulator, system.network)
+    judged = dataclasses.replace(system, note_leader_fault=view_recovery.note_fault)
+    inject(schedule, judged, injector)
+    system.start()
+    wall_start = time.perf_counter()
+    simulator.run_for(options.total_ms)
+    wall_runtime_s = time.perf_counter() - wall_start
+
+    # --- post-run: the timeline monitors read the run's record ---
+    stats = system.stats()
+    stats["executions_checked"] = safety.checked
+    delivery_times = (system.delivery_times or safety.first_execution_times)()
+    if watchdog is not None:
+        watchdog.evaluate(delivery_times, _quiet_intervals(schedule, log, options))
+        stats["deliveries_checked"] = gate.deliveries_checked
+        stats["quiet_checked_ms"] = round(watchdog.quiet_checked_ms, 3)
+    if quorum is not None:
+        stats["min_live_seen"] = quorum.min_live_seen
+        stats["floor_rejuvenations_checked"] = quorum.rejuvenations_checked
+    if reroute is not None:
+        overlay_faults = [a.start_ms for a in schedule if a.kind in OVERLAY_FAULT_KINDS]
+        reroute.evaluate(delivery_times, overlay_faults, options.total_ms)
+        stats["reroute_faults_checked"] = reroute.faults_checked
+    adoptions = [
+        (event.time, event.component, int(event.details.get("view", -1)))
+        for event in log.events(None, system.new_view_event)
+    ]
+    view_recovery.evaluate(adoptions, delivery_times, options.total_ms)
+    stats["view_faults_checked"] = view_recovery.faults_checked
+    stats["view_recovery_latencies_ms"] = [
+        round(latency, 3) for latency in view_recovery.recovery_latencies_ms
+    ]
+    stats["new_view_adoptions"] = len(adoptions)
+    stats["fault_kinds"] = sorted({action.kind for action in schedule})
+    stats["wall_runtime_s"] = round(wall_runtime_s, 4)
+
+    violations = [v for monitor in monitors for v in monitor.violations()]
+    violations.sort(key=lambda v: (v.time_ms, v.monitor, v.kind))
+    return ChaosResult(
+        options=options,
+        schedule=schedule,
+        violations=violations,
+        fingerprint=_fingerprint(system, violations),
+        stats=stats,
+        injector_log=injector.log,
+        obs_snapshot=system.obs.snapshot(deterministic_only=True),
+    )
+
+
+def _quiet_intervals(schedule: FaultSchedule, log: Any, options: Any) -> List[Tuple[float, float]]:
+    """Sub-intervals of the run with no fault active (plus grace).
+
+    Scheduled fault windows *and* proactive-rejuvenation windows (read
+    back from the trace, since deferral shifts them) suppress the
+    watchdog; each suppression extends ``quiet_grace_ms`` past the
+    window end to budget re-stabilization (at most one view change).
+    """
+    grace, total_ms = options.quiet_grace_ms, options.total_ms
+    busy = [(action.start_ms, action.end_ms + grace) for action in schedule]
+    ends = log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_DONE)
+    for event in log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_START):
+        done = min(
+            (e.time for e in ends
+             if e.details.get("replica") == event.details.get("replica")
+             and e.time >= event.time),
+            default=total_ms,
+        )
+        busy.append((event.time, done + grace))
+    busy.sort()
+    quiet: List[Tuple[float, float]] = []
+    cursor = options.warmup_ms  # ignore cold-start before first deliveries
+    for start, end in busy:
+        if start > cursor:
+            quiet.append((cursor, min(start, total_ms)))
+        cursor = max(cursor, end)
+    if cursor < total_ms:
+        quiet.append((cursor, total_ms))
+    return [(s, e) for s, e in quiet if e > s]
+
+
+def _fingerprint(system: ChaosSystem, violations: List[Violation]) -> str:
+    """Digest of the trace, the network counters, the replicas' final
+    state, what each endpoint verified and the violations."""
+    trace_image = tuple(
+        (event.time, event.component, event.kind, tuple(sorted(event.details.items())))
+        for event in system.obs.log
+    )
+    net = system.network.stats
+    state_image = tuple(
+        (replica.name, replica.view, replica.last_executed_seq, replica.executed_counter)
+        for replica in system.replicas
+    )
+    return digest((
+        trace_image,
+        (net.sent, net.delivered, net.dropped_loss, net.dropped_partition,
+         net.dropped_filter, net.dropped_down, net.bytes_sent),
+        state_image,
+        *(endpoint.collector.verified for endpoint in system.endpoints),
+        tuple((v.monitor, v.kind, v.time_ms, v.details) for v in violations),
+    ))
+
+
 class ChaosEngine:
-    """Runs one ``(options, schedule)`` scenario with monitors attached."""
+    """Runs one ``(options, schedule)`` scenario against Prime inside a
+    full Spire deployment."""
 
     def __init__(
         self,
@@ -181,91 +331,28 @@ class ChaosEngine:
         self.schedule = schedule
         self.mutator = mutator
 
-    # ------------------------------------------------------------------
     def run(self) -> ChaosResult:
         opts = self.options
         control: Optional[ControlOptions] = None
         if opts.feedback_control:
-            control = (
-                ControlOptions.from_dict(opts.control_overrides)
-                if opts.control_overrides is not None else ControlOptions()
-            )
+            control = ControlOptions.from_dict(opts.control_overrides or {})
         deployment = SpireDeployment(SpireOptions(
-            f=opts.f,
-            k=opts.k,
-            num_substations=opts.num_substations,
+            seed=opts.seed, f=opts.f, k=opts.k, num_substations=opts.num_substations,
             poll_interval_ms=opts.poll_interval_ms,
             resubmit_timeout_ms=opts.resubmit_timeout_ms,
-            overlay_mode=opts.overlay_mode,
-            overlay_self_healing=opts.self_healing,
-            overlay_queue_limit=opts.overlay_queue_limit,
-            prime_preset=opts.prime_preset,
-            seed=opts.seed,
-            proactive_recovery=opts.proactive_recovery,
-            control=control,
+            overlay_mode=opts.overlay_mode, overlay_self_healing=opts.self_healing,
+            overlay_queue_limit=opts.overlay_queue_limit, prime_preset=opts.prime_preset,
+            proactive_recovery=opts.proactive_recovery, control=control,
         ))
-        replica_names = deployment.replica_names()
-        endpoints = [deployment.proxy.name] + [h.name for h in deployment.hmis]
-
-        schedule = self.schedule
-        if schedule is None:
-            kinds = ChaosProfile().kinds
-            if opts.leader_faults:
-                kinds = kinds + LEADER_PROFILE_KINDS
-            profile = ChaosProfile(
-                window_start_ms=opts.warmup_ms,
-                window_end_ms=opts.warmup_ms + opts.chaos_ms,
-                min_actions=opts.min_actions,
-                max_actions=opts.max_actions,
-                max_concurrent_crashes=max(1, opts.f),
-                max_partition_minority=max(1, opts.f),
-                kinds=kinds,
+        proxy, hmi = deployment.proxy, deployment.hmis[0]
+        if self.schedule is None:
+            self.schedule = generate_schedule(
+                opts.seed, deployment.replica_names(),
+                endpoints=[proxy.name, hmi.name], profile=schedule_profile(opts),
             )
-            schedule = generate_schedule(
-                opts.seed, replica_names, endpoints=endpoints, profile=profile,
-            )
-            self.schedule = schedule
-
         if self.mutator is not None:
             self.mutator(deployment)
-
-        # --- monitors -------------------------------------------------
-        safety = SafetyMonitor(deployment.simulator)
-        safety.attach(deployment.replicas)
-        gate = ProxyGateMonitor(deployment.simulator, deployment.crypto)
-        gate.attach(deployment.proxy)
-        for hmi in deployment.hmis:
-            gate.attach(hmi)
-        quorum = QuorumAvailabilityMonitor(
-            deployment.simulator, deployment.replicas,
-            min_live=deployment.prime_config.quorum,
-        )
-        quorum.attach(deployment.recovery_scheduler)
-        floor = QuorumFloorMonitor(
-            deployment.simulator, deployment.replicas, f=opts.f, k=opts.k,
-        )
-        floor.attach(deployment.recovery_scheduler)
-        watchdog = BoundedDelayMonitor(
-            deployment.simulator, max_gap_ms=opts.max_delivery_gap_ms,
-        )
-        reroute: Optional[RerouteBoundMonitor] = None
-        if opts.self_healing:
-            reroute = RerouteBoundMonitor(
-                deployment.simulator, bound_ms=opts.reroute_bound_ms,
-            )
-        view_recovery = ViewRecoveryMonitor(
-            deployment.simulator,
-            bound_ms=opts.view_recovery_bound_ms,
-            quorum=deployment.prime_config.quorum,
-        )
-        monitors = [safety, gate, quorum, floor, watchdog, view_recovery]
-        if reroute is not None:
-            monitors.append(reroute)
-        for monitor in monitors:
-            monitor.bind_obs(deployment.obs)
-
-        # --- fault schedule -------------------------------------------
-        for index, action in enumerate(schedule):
+        for index, action in enumerate(self.schedule):
             # Deterministic per (seed, schedule): emitted at sim time 0 with
             # content drawn only from the schedule, so it is fingerprint-safe.
             deployment.obs.event(
@@ -273,155 +360,42 @@ class ChaosEngine:
                 index=index, fault=action.kind, targets=",".join(action.targets),
                 start_ms=action.start_ms, duration_ms=action.duration_ms,
             )
-        injector = FailureInjector(deployment.simulator, deployment.network)
-        inject(schedule, ChaosSystem(
-            deployment.current_leader, deployment.current_view,
-            deployment.dos_peers_of, view_recovery.note_fault,
-        ), injector)
+        net, log = deployment.network.stats, deployment.obs.log
+        recovery = deployment.recovery_scheduler
+        control_plane = deployment.overlay.control_plane
 
-        # --- run ------------------------------------------------------
-        deployment.start()
-        deployment.run_for(opts.total_ms)
+        def stats() -> Dict[str, Any]:
+            counted = {
+                "events_processed": deployment.simulator.events_processed,
+                "messages_sent": net.sent,
+                "messages_delivered": net.delivered,
+                "dropped_loss": net.dropped_loss,
+                "dropped_filter": net.dropped_filter,
+                "replica_views": [r.view for r in deployment.replicas],
+                "last_executed": [r.last_executed_seq for r in deployment.replicas],
+                "hmi_verified": hmi.collector.verified,
+                "proxy_verified": proxy.collector.verified,
+                "deferred_rejuvenations": recovery.deferred_rounds if recovery else 0,
+                "trace_events": log.count(),
+                "trace_dropped": log.dropped,
+            }
+            if control_plane is not None:
+                counted["overlay_reroutes"] = control_plane.reroutes
+            return counted
 
-        # --- post-run checks ------------------------------------------
-        delivery_times = [at for at, _ in deployment.status_recorder.samples]
-        watchdog.evaluate(
-            delivery_times,
-            self._quiet_intervals(schedule, deployment),
-        )
-        if reroute is not None:
-            reroute.evaluate(
-                delivery_times,
-                [action.start_ms for action in schedule
-                 if action.kind in OVERLAY_FAULT_KINDS],
-                opts.total_ms,
-            )
-        adoptions = [
-            (event.time, event.component, int(event.details.get("view", -1)))
-            for event in deployment.obs.log.events(None, EV_NEW_VIEW)
-        ]
-        view_recovery.evaluate(adoptions, delivery_times, opts.total_ms)
-
-        violations: List[Violation] = []
-        for monitor in monitors:
-            violations.extend(monitor.violations())
-        violations.sort(key=lambda v: (v.time_ms, v.monitor, v.kind))
-
-        stats = self._stats(deployment, safety, gate, quorum, watchdog)
-        stats["wall_runtime_s"] = round(deployment.wall_runtime_s, 4)
-        stats["fault_kinds"] = sorted({action.kind for action in schedule})
-        stats["floor_rejuvenations_checked"] = floor.rejuvenations_checked
-        stats["view_faults_checked"] = view_recovery.faults_checked
-        stats["view_recovery_latencies_ms"] = [
-            round(latency, 3) for latency in view_recovery.recovery_latencies_ms
-        ]
-        if reroute is not None:
-            stats["reroute_faults_checked"] = reroute.faults_checked
-            if deployment.overlay.control_plane is not None:
-                stats["overlay_reroutes"] = (
-                    deployment.overlay.control_plane.reroutes
-                )
-        fingerprint = self._fingerprint(deployment, violations)
-        return ChaosResult(
-            options=opts,
-            schedule=schedule,
-            violations=violations,
-            fingerprint=fingerprint,
+        return run_chaos(ChaosSystem(
+            simulator=deployment.simulator, network=deployment.network,
+            obs=deployment.obs, replicas=deployment.replicas,
+            quorum=deployment.prime_config.quorum,
+            new_view_event=EV_NEW_VIEW,
+            start=deployment.start,
             stats=stats,
-            injector_log=injector.log,
-            obs_snapshot=deployment.obs.snapshot(deterministic_only=True),
-        )
-
-    # ------------------------------------------------------------------
-    # Bounded-delay quiet windows
-    # ------------------------------------------------------------------
-    def _quiet_intervals(
-        self, schedule: FaultSchedule, deployment: SpireDeployment,
-    ) -> List[Tuple[float, float]]:
-        """Sub-intervals of the run with no fault active (plus grace).
-
-        Scheduled fault windows *and* proactive-rejuvenation windows (read
-        back from the trace, since deferral shifts them) suppress the
-        watchdog; each suppression extends ``quiet_grace_ms`` past the
-        window end to budget re-stabilization (at most one view change).
-        """
-        opts = self.options
-        busy: List[Tuple[float, float]] = [
-            (action.start_ms, action.end_ms + opts.quiet_grace_ms)
-            for action in schedule
-        ]
-        log = deployment.obs.log
-        starts = log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_START)
-        ends = log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_DONE)
-        for event in starts:
-            done = min(
-                (e.time for e in ends
-                 if e.details.get("replica") == event.details.get("replica")
-                 and e.time >= event.time),
-                default=opts.total_ms,
-            )
-            busy.append((event.time, done + opts.quiet_grace_ms))
-        busy.sort()
-        quiet: List[Tuple[float, float]] = []
-        cursor = opts.warmup_ms  # ignore cold-start before first deliveries
-        for start, end in busy:
-            if start > cursor:
-                quiet.append((cursor, min(start, opts.total_ms)))
-            cursor = max(cursor, end)
-        if cursor < opts.total_ms:
-            quiet.append((cursor, opts.total_ms))
-        return [(s, e) for s, e in quiet if e > s]
-
-    # ------------------------------------------------------------------
-    # Result assembly
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stats(deployment, safety, gate, quorum, watchdog) -> Dict[str, Any]:
-        net = deployment.network.stats
-        return {
-            "events_processed": deployment.simulator.events_processed,
-            "messages_sent": net.sent,
-            "messages_delivered": net.delivered,
-            "dropped_loss": net.dropped_loss,
-            "dropped_filter": net.dropped_filter,
-            "replica_views": [r.view for r in deployment.replicas],
-            "last_executed": [r.last_executed_seq for r in deployment.replicas],
-            "hmi_verified": deployment.hmis[0].collector.verified,
-            "proxy_verified": deployment.proxy.collector.verified,
-            "executions_checked": safety.checked,
-            "deliveries_checked": gate.deliveries_checked,
-            "min_live_seen": quorum.min_live_seen,
-            "deferred_rejuvenations": (
-                deployment.recovery_scheduler.deferred_rounds
-                if deployment.recovery_scheduler is not None else 0
-            ),
-            "quiet_checked_ms": round(watchdog.quiet_checked_ms, 3),
-            "trace_events": deployment.obs.log.count(),
-            "trace_dropped": deployment.obs.log.dropped,
-        }
-
-    @staticmethod
-    def _fingerprint(deployment, violations: List[Violation]) -> str:
-        trace_image = tuple(
-            (event.time, event.component, event.kind,
-             tuple(sorted(event.details.items())))
-            for event in deployment.obs.log
-        )
-        net = deployment.network.stats
-        state_image = tuple(
-            (replica.name, replica.view, replica.last_executed_seq,
-             replica.executed_counter)
-            for replica in deployment.replicas
-        )
-        violation_image = tuple(
-            (v.monitor, v.kind, v.time_ms, v.details) for v in violations
-        )
-        return digest((
-            trace_image,
-            (net.sent, net.delivered, net.dropped_loss, net.dropped_partition,
-             net.dropped_filter, net.dropped_down, net.bytes_sent),
-            state_image,
-            deployment.hmis[0].collector.verified,
-            deployment.proxy.collector.verified,
-            violation_image,
-        ))
+            current_leader=deployment.current_leader, current_view=deployment.current_view,
+            access_peers=deployment.dos_peers_of,
+            # in the order the fingerprint has always read them
+            endpoints=(hmi, proxy),
+            crypto=deployment.crypto,
+            delivery_times=lambda: [at for at, _ in deployment.status_recorder.samples],
+            recovery=recovery,
+            overlay_control=control_plane,
+        ), opts, self.schedule)

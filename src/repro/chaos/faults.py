@@ -73,16 +73,38 @@ class Param(NamedTuple):
 
 @dataclass(frozen=True)
 class ChaosSystem:
-    """What a fault needs to know about the system it is injected into."""
+    """The system under chaos: what a fault needs to know about it, and what
+    the one runner (:func:`repro.chaos.engine.run_chaos`) starts and judges.
+    The flat cluster leaves the endpoint, recovery and overlay fields empty."""
 
+    simulator: Any
+    network: Any
+    obs: Any
+    replicas: Sequence[Any]
+    #: the ordering quorum a view must be adopted by
+    quorum: int
+    #: the event kind a replica logs when it adopts a view
+    new_view_event: str
+    #: start every component; the runner calls it once the faults are in
+    start: Callable[[], None]
+    #: what the system counts about itself, read after the run
+    stats: Callable[[], Dict[str, Any]]
     current_leader: Callable[[], str]
     current_view: Callable[[], int]
-    #: the neighbours whose links to a process are its connectivity surface
-    #: (its site daemon in an overlay deployment, every other replica on a
-    #: flat cluster)
+    #: whose links to a process are its connectivity surface (its site daemon
+    #: in an overlay deployment, every other replica on a flat cluster)
     access_peers: Callable[[str], Sequence[str]]
-    #: ``ViewRecoveryMonitor.note_fault``
-    note_leader_fault: Callable[[str, int], None]
+    #: ``ViewRecoveryMonitor.note_fault``, plugged in by the runner
+    note_leader_fault: Callable[[str, int], None] = lambda target, view: None
+    #: gate-watched endpoints, and the provider their shares verify under
+    endpoints: Sequence[Any] = ()
+    crypto: Any = None
+    #: when an endpoint verified a delivery; a system without endpoints
+    #: has delivered an update once a first replica executes it
+    delivery_times: Optional[Callable[[], Sequence[float]]] = None
+    #: the proactive-recovery strategy and the self-healing control plane
+    recovery: Optional[Any] = None
+    overlay_control: Optional[Any] = None
 
     def strike_leader(self) -> str:
         """Resolve the leader *now* — at fire time — and have the hit judged."""

@@ -7,33 +7,15 @@ they wrap component hook points but never alter message flow, timing, or
 randomness, so an instrumented run produces the identical trace to an
 uninstrumented one.
 
-Monitored invariants:
-
-* **Safety** — no two replicas execute different updates at the same
-  global order index.
-* **Proxy gate** — an endpoint acts on a delivery only once it holds a
-  combined threshold signature that independently re-verifies, and never
-  acts on the same record twice; a proxy writes to field devices only for
-  gate-verified commands.
-* **Quorum availability** — proactive rejuvenation never takes a replica
-  down when that would leave fewer than ``2f+k+1`` live replicas.
-* **Bounded delay** — outside fault windows (plus a grace period for
-  re-stabilization, budgeted at one view change), verified deliveries keep
-  arriving with bounded gaps.
-* **Reroute bound** — with the self-healing overlay enabled, every
-  overlay fault (link kill/degrade, daemon kill) is routed around fast
-  enough that a verified delivery lands within the configured
-  detection + reroute budget of the fault start.
-* **View recovery** — after every leader-affecting fault (leader kill /
-  leader partition), a quorum of replicas adopts a strictly higher view
-  and ordering resumes (a verified delivery lands) within the configured
-  ``view_recovery_bound_ms`` budget.
+One class per invariant — safety, the proxy gate, quorum availability,
+bounded delay, the reroute bound and view recovery — each stating what it
+checks. A violation is built, and counted, in ``_BaseMonitor._flag`` only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.encoding import digest
 from ..crypto.merkle import verify_merkle_proof
@@ -46,7 +28,6 @@ __all__ = [
     "SafetyMonitor",
     "ProxyGateMonitor",
     "QuorumAvailabilityMonitor",
-    "QuorumFloorMonitor",
     "BoundedDelayMonitor",
     "RerouteBoundMonitor",
     "ViewRecoveryMonitor",
@@ -87,10 +68,10 @@ class Violation:
 class _BaseMonitor:
     name = "monitor"
 
-    #: optional ``repro.obs`` counter mirroring the violation count.
-    #: Monitors never emit trace *events* — the trace feeds the chaos
+    #: optional ``repro.obs`` recorder the violation count is mirrored
+    #: into. Monitors never emit trace *events* — the trace feeds the chaos
     #: fingerprint and must stay identical with monitors detached.
-    _obs_violations = None
+    _obs = None
 
     def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
@@ -99,16 +80,18 @@ class _BaseMonitor:
     def bind_obs(self, obs) -> None:
         """Mirror violation counts into a metric registry."""
         if obs.enabled:
-            self._obs_violations = obs.counter(f"chaos.violations.{self.name}")
+            self._obs = obs
 
     def violations(self) -> List[Violation]:
         return list(self._violations)
 
-    def _flag(self, kind: str, **details: Any) -> None:
-        if self._obs_violations is not None:
-            self._obs_violations.inc()
+    def _flag(self, kind: str, at: Optional[float] = None, **details: Any) -> None:
+        """The one place a violation is built and counted; ``at`` dates a
+        violation found post-run in a timeline."""
+        if self._obs is not None:
+            self._obs.counter(f"chaos.violations.{self.name}").inc()
         self._violations.append(Violation(
-            self.name, kind, self.simulator.now,
+            self.name, kind, self.simulator.now if at is None else at,
             tuple(sorted((str(k), v) for k, v in details.items())),
         ))
 
@@ -116,14 +99,16 @@ class _BaseMonitor:
 class SafetyMonitor(_BaseMonitor):
     """Agreement and exactly-once over the global execution order.
 
-    Hooks every replica's execution listener and cross-checks the identity
-    digest of the update executed at each order index (agreement), and
-    that no update identity is ever assigned two *different* order
-    indices (exactly-once: a view change re-proposing an in-flight batch
-    must not order its updates a second time; replaying the same slot
-    after a crash recovery is fine). ``exclude`` names replicas under
-    Byzantine control in the scenario (their divergence is expected, the
-    invariant covers correct replicas only).
+    Hooks every replica's execution listener and checks that one update
+    identity executes at each order index (agreement), that no identity
+    is assigned two *different* indices (``duplicate-execution``: a view
+    change re-proposing an in-flight batch must not order it again), and
+    that no replica applies an update twice to the state it holds
+    (``double-execution``). What a replica applied is forgotten when the
+    replica itself restores its application state: a rejuvenated replica
+    replaying from a checkpoint is fine; one with stable storage never
+    restores, so never may. ``exclude`` names replicas under Byzantine
+    control (the invariant covers correct replicas only).
     """
 
     name = "safety"
@@ -133,18 +118,30 @@ class SafetyMonitor(_BaseMonitor):
         self.exclude = frozenset(exclude)
         #: order index -> (identity digest, first replica that reported it)
         self._executed: Dict[int, Tuple[str, str]] = {}
-        #: identity digest -> first order index it was executed at
-        self._index_of: Dict[str, int] = {}
+        #: identity digest -> (order index, time) of its first execution
+        self._first: Dict[str, Tuple[int, float]] = {}
         self._dup_flagged: set = set()
         self.checked = 0
 
+    def first_execution_times(self) -> List[float]:
+        """When each update was first executed anywhere, ascending."""
+        return sorted(at for _, at in self._first.values())
+
     def attach(self, replicas: Sequence[Any]) -> None:
         for replica in replicas:
-            if replica.name in self.exclude:
-                continue
-            replica.execution_listeners.append(self._listener_for(replica.name))
+            if replica.name not in self.exclude:
+                self._watch(replica, replica.name)
 
-    def _listener_for(self, replica_name: str):
+    def _watch(self, replica: Any, replica_name: str) -> None:
+        #: update key -> order index, of what this replica has applied to
+        #: the application state it now holds
+        applied: Dict[Tuple[str, int], int] = {}
+        restore = replica.app.restore
+
+        def restoring(snapshot: Any) -> None:
+            applied.clear()
+            restore(snapshot)
+
         def on_execute(update: ClientUpdate, order_index: int, result: Any) -> None:
             identity = digest(
                 (update.client, update.client_seq, digest(update.payload))
@@ -155,28 +152,32 @@ class SafetyMonitor(_BaseMonitor):
                 self._executed[order_index] = (identity, replica_name)
             elif first[0] != identity:
                 self._flag(
-                    "divergent-execution",
-                    order_index=order_index,
-                    first_replica=first[1],
-                    second_replica=replica_name,
-                    client=update.client,
-                    client_seq=update.client_seq,
+                    "divergent-execution", order_index=order_index,
+                    first_replica=first[1], second_replica=replica_name,
+                    client=update.client, client_seq=update.client_seq,
                 )
-            seen_at = self._index_of.get(identity)
-            if seen_at is None:
-                self._index_of[identity] = order_index
-            elif seen_at != order_index and \
+            seen = self._first.get(identity)
+            if seen is None:
+                self._first[identity] = (order_index, self.simulator.now)
+            elif seen[0] != order_index and \
                     (identity, order_index) not in self._dup_flagged:
                 self._dup_flagged.add((identity, order_index))
                 self._flag(
-                    "duplicate-execution",
-                    first_index=seen_at,
-                    second_index=order_index,
-                    replica=replica_name,
-                    client=update.client,
-                    client_seq=update.client_seq,
+                    "duplicate-execution", replica=replica_name,
+                    first_index=seen[0], second_index=order_index,
+                    client=update.client, client_seq=update.client_seq,
                 )
-        return on_execute
+            key = (update.client, update.client_seq)
+            if key in applied:
+                self._flag(
+                    "double-execution", replica=replica_name,
+                    first_index=applied[key], second_index=order_index,
+                    client=update.client, client_seq=update.client_seq,
+                )
+            applied[key] = order_index
+
+        replica.app.restore = restoring
+        replica.execution_listeners.append(on_execute)
 
 
 class ProxyGateMonitor(_BaseMonitor):
@@ -196,14 +197,11 @@ class ProxyGateMonitor(_BaseMonitor):
     def __init__(self, simulator: Simulator, crypto: CryptoProvider) -> None:
         super().__init__(simulator)
         self.crypto = crypto
-        self._acted: Dict[str, set] = {}
-        self._verified_commands: Dict[str, set] = {}
         self.deliveries_checked = 0
-        self.commands_checked = 0
 
     def attach(self, endpoint: Process) -> None:
-        acted = self._acted.setdefault(endpoint.name, set())
-        verified_cmds = self._verified_commands.setdefault(endpoint.name, set())
+        acted: set = set()          # record keys this endpoint acted on
+        verified_cmds: set = set()  # digests of its gate-verified commands
         collector = endpoint.collector
         original_add_batch = collector.add_batch
         #: batch key -> record key -> proof-carrying entries offered for a
@@ -223,10 +221,8 @@ class ProxyGateMonitor(_BaseMonitor):
                 key = record.key()
                 if key in acted:
                     self._flag(
-                        "duplicate-delivery",
-                        endpoint=endpoint.name,
-                        client=record.client,
-                        client_seq=record.client_seq,
+                        "duplicate-delivery", endpoint=endpoint.name,
+                        client=record.client, client_seq=record.client_seq,
                     )
                     continue
                 acted.add(key)
@@ -243,10 +239,8 @@ class ProxyGateMonitor(_BaseMonitor):
                     )
                 ):
                     self._flag(
-                        "unverified-delivery",
-                        endpoint=endpoint.name,
-                        client=record.client,
-                        client_seq=record.client_seq,
+                        "unverified-delivery", endpoint=endpoint.name,
+                        client=record.client, client_seq=record.client_seq,
                     )
                 if record.kind == "command":
                     verified_cmds.add(digest(record.payload))
@@ -259,13 +253,10 @@ class ProxyGateMonitor(_BaseMonitor):
         execute = getattr(endpoint, "_execute_command", None)
         if execute is not None:
             def checked_execute(command):
-                self.commands_checked += 1
                 if digest(command) not in verified_cmds:
                     self._flag(
-                        "ungated-field-command",
-                        endpoint=endpoint.name,
-                        substation=command.substation,
-                        breaker=command.breaker_id,
+                        "ungated-field-command", endpoint=endpoint.name,
+                        substation=command.substation, breaker=command.breaker_id,
                     )
                 execute(command)
 
@@ -273,50 +264,52 @@ class ProxyGateMonitor(_BaseMonitor):
 
 
 class QuorumAvailabilityMonitor(_BaseMonitor):
-    """Rejuvenation must degrade gracefully, never below ``min_live``.
+    """No recovery *strategy* ever rejuvenates below the ``2f+k+1`` floor.
 
     Tracks the exact live-replica count by wrapping crash/recover, and
-    wraps the recovery scheduler's begin hook: starting a rejuvenation
-    that would leave ``live - 1 < min_live`` replicas is a violation (the
-    scheduler is expected to defer instead).
+    wraps the begin hook of whatever
+    :class:`~repro.core.recovery.RecoveryStrategy` the system runs.
+    Starting a rejuvenation with ``live - 1 < 2f+k+1`` is a violation (the
+    strategy must defer instead); the floor is computed here from ``f``
+    and ``k``, so a misconfigured ``min_live`` is caught, not trusted.
     """
 
     name = "quorum-availability"
 
     def __init__(
-        self,
-        simulator: Simulator,
-        replicas: Sequence[Process],
-        min_live: int,
+        self, simulator: Simulator, replicas: Sequence[Process], f: int, k: int,
     ) -> None:
         super().__init__(simulator)
         self.replicas = list(replicas)
-        self.min_live = min_live
+        #: the ordering quorum — the paper's hard availability floor
+        self.floor = 2 * f + k + 1
         self.min_live_seen = len(self.replicas)
         #: (time_ms, live_count) step timeline, for reports
         self.timeline: List[Tuple[float, int]] = []
+        self.rejuvenations_checked = 0
 
     @property
     def live_count(self) -> int:
         return sum(1 for replica in self.replicas if replica.is_up)
 
-    def attach(self, scheduler: Optional[Any] = None) -> None:
+    def attach(self, strategy: Optional[Any] = None) -> None:
         for replica in self.replicas:
             self._wrap_liveness(replica)
-        if scheduler is not None:
-            begin = scheduler._begin
+        if strategy is None:
+            return
+        begin = strategy._begin
 
-            def guarded_begin(replica):
-                if self.live_count - 1 < self.min_live:
-                    self._flag(
-                        "rejuvenation-below-quorum",
-                        replica=replica.name,
-                        live=self.live_count,
-                        min_live=self.min_live,
-                    )
-                begin(replica)
+        def checked_begin(replica):
+            self.rejuvenations_checked += 1
+            if self.live_count - 1 < self.floor:
+                self._flag(
+                    "rejuvenation-below-quorum", replica=replica.name,
+                    live=self.live_count, floor=self.floor,
+                    strategy=type(strategy).__name__,
+                )
+            begin(replica)
 
-            scheduler._begin = guarded_begin
+        strategy._begin = checked_begin
 
     def _wrap_liveness(self, replica: Process) -> None:
         crash, recover = replica.crash, replica.recover
@@ -336,57 +329,6 @@ class QuorumAvailabilityMonitor(_BaseMonitor):
         live = self.live_count
         self.min_live_seen = min(self.min_live_seen, live)
         self.timeline.append((self.simulator.now, live))
-
-
-class QuorumFloorMonitor(_BaseMonitor):
-    """No recovery *strategy* ever rejuvenates below the ``2f+k+1`` floor.
-
-    Strategy-agnostic sibling of :class:`QuorumAvailabilityMonitor`: the
-    floor is computed independently from the resilience parameters (so a
-    misconfigured ``min_live`` is caught, not trusted), and the hook wraps
-    whatever :class:`~repro.core.recovery.RecoveryStrategy` the deployment
-    runs — periodic rotation or the ``repro.control`` feedback controller.
-    Every strategy-initiated rejuvenation start is checked: beginning one
-    with ``live - 1 < 2f+k+1`` is a violation (the strategy must defer).
-    """
-
-    name = "quorum-floor"
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        replicas: Sequence[Process],
-        f: int,
-        k: int,
-    ) -> None:
-        super().__init__(simulator)
-        self.replicas = list(replicas)
-        #: the ordering quorum — the paper's hard availability floor
-        self.floor = 2 * f + k + 1
-        self.rejuvenations_checked = 0
-
-    @property
-    def live_count(self) -> int:
-        return sum(1 for replica in self.replicas if replica.is_up)
-
-    def attach(self, strategy: Optional[Any]) -> None:
-        if strategy is None:
-            return
-        begin = strategy._begin
-
-        def floor_checked_begin(replica):
-            self.rejuvenations_checked += 1
-            if self.live_count - 1 < self.floor:
-                self._flag(
-                    "recovery-below-floor",
-                    replica=replica.name,
-                    live=self.live_count,
-                    floor=self.floor,
-                    strategy=type(strategy).__name__,
-                )
-            begin(replica)
-
-        strategy._begin = floor_checked_begin
 
 
 class BoundedDelayMonitor(_BaseMonitor):
@@ -409,9 +351,7 @@ class BoundedDelayMonitor(_BaseMonitor):
         self.quiet_checked_ms = 0.0
 
     def evaluate(
-        self,
-        delivery_times: Sequence[float],
-        quiet_intervals: Sequence[Tuple[float, float]],
+        self, delivery_times: Sequence[float], quiet_intervals: Sequence[Tuple[float, float]],
     ) -> None:
         """Post-run check of the delivery timeline against quiet windows."""
         times = sorted(delivery_times)
@@ -423,17 +363,11 @@ class BoundedDelayMonitor(_BaseMonitor):
             previous = start
             for point in inside + [end]:
                 if point - previous > self.max_gap_ms:
-                    if self._obs_violations is not None:
-                        self._obs_violations.inc()
-                    self._violations.append(Violation(
-                        self.name, "delivery-stall", previous,
-                        (
-                            ("gap_ms", round(point - previous, 3)),
-                            ("max_gap_ms", self.max_gap_ms),
-                            ("quiet_start_ms", round(start, 3)),
-                            ("quiet_end_ms", round(end, 3)),
-                        ),
-                    ))
+                    self._flag(
+                        "delivery-stall", at=previous,
+                        gap_ms=round(point - previous, 3), max_gap_ms=self.max_gap_ms,
+                        quiet_start_ms=round(start, 3), quiet_end_ms=round(end, 3),
+                    )
                     break  # one violation per quiet window is enough signal
                 previous = point
 
@@ -457,10 +391,7 @@ class RerouteBoundMonitor(_BaseMonitor):
         self.faults_checked = 0
 
     def evaluate(
-        self,
-        delivery_times: Sequence[float],
-        fault_starts: Sequence[float],
-        total_ms: float,
+        self, delivery_times: Sequence[float], fault_starts: Sequence[float], total_ms: float,
     ) -> None:
         """Check each overlay fault start against the delivery timeline."""
         times = sorted(delivery_times)
@@ -470,15 +401,10 @@ class RerouteBoundMonitor(_BaseMonitor):
             self.faults_checked += 1
             recovered = any(start <= t <= start + self.bound_ms for t in times)
             if not recovered:
-                if self._obs_violations is not None:
-                    self._obs_violations.inc()
-                self._violations.append(Violation(
-                    self.name, "reroute-stall", start,
-                    (
-                        ("bound_ms", self.bound_ms),
-                        ("fault_start_ms", round(start, 3)),
-                    ),
-                ))
+                self._flag(
+                    "reroute-stall", at=start,
+                    bound_ms=self.bound_ms, fault_start_ms=round(start, 3),
+                )
 
 
 class ViewRecoveryMonitor(_BaseMonitor):
@@ -523,12 +449,8 @@ class ViewRecoveryMonitor(_BaseMonitor):
         delivery_times: Sequence[float],
         total_ms: float,
     ) -> None:
-        """Judge each noted fault against the adoption/delivery timelines.
-
-        ``adoptions`` is the new-view event timeline as ``(time_ms,
-        replica, adopted_view)`` tuples; ``delivery_times`` is the verified
-        delivery timeline.
-        """
+        """Judge each noted fault against the new-view timeline (``(time_ms,
+        replica, adopted_view)`` tuples) and the verified-delivery timeline."""
         times = sorted(delivery_times)
         for start, target, baseline in self._faults:
             deadline = start + self.bound_ms
@@ -543,30 +465,18 @@ class ViewRecoveryMonitor(_BaseMonitor):
                 if replica not in earliest or when < earliest[replica]:
                     earliest[replica] = when
             if len(earliest) < self.quorum:
-                self._violations.append(Violation(
-                    self.name, "no-quorum-adoption", start,
-                    (
-                        ("adopted", len(earliest)),
-                        ("baseline_view", baseline),
-                        ("bound_ms", self.bound_ms),
-                        ("quorum", self.quorum),
-                        ("target", target),
-                    ),
-                ))
-                if self._obs_violations is not None:
-                    self._obs_violations.inc()
+                self._flag(
+                    "no-quorum-adoption", at=start,
+                    adopted=len(earliest), baseline_view=baseline,
+                    bound_ms=self.bound_ms, quorum=self.quorum, target=target,
+                )
                 continue
             quorum_at = sorted(earliest.values())[self.quorum - 1]
             self.recovery_latencies_ms.append(quorum_at - start)
             resumed = any(quorum_at <= t <= deadline for t in times)
             if not resumed:
-                self._violations.append(Violation(
-                    self.name, "ordering-stalled", start,
-                    (
-                        ("bound_ms", self.bound_ms),
-                        ("quorum_adopted_at_ms", round(quorum_at, 3)),
-                        ("target", target),
-                    ),
-                ))
-                if self._obs_violations is not None:
-                    self._obs_violations.inc()
+                self._flag(
+                    "ordering-stalled", at=start,
+                    bound_ms=self.bound_ms,
+                    quorum_adopted_at_ms=round(quorum_at, 3), target=target,
+                )

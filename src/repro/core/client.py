@@ -215,6 +215,9 @@ class SpireClient(Process):
             self._on_delivery_share(payload)
 
     def _on_delivery_share(self, share: BatchDeliveryShare) -> None:
+        share = self.collector.admit(share)
+        if share is None:
+            return
         for record, _signature in self.collector.add_batch(share):
             self._on_verified_record(record)
 

@@ -24,14 +24,15 @@ replica's alternate-root shares can fake reaching the threshold.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.encoding import digest
 from ..crypto.merkle import verify_merkle_proof
-from ..crypto.provider import CryptoProvider, ThresholdSignature
+from ..crypto.provider import CryptoProvider, ThresholdShare, ThresholdSignature
 from ..replication import ThresholdShareTracker
-from .update import BatchDeliveryRecord, BatchDeliveryShare, DeliveryRecord
+from .update import BatchDeliveryRecord, BatchDeliveryShare, BatchEntry, DeliveryRecord
 
 __all__ = ["DeliveryCollector"]
 
@@ -61,6 +62,35 @@ class DeliveryCollector:
         self.verified = 0
         self.rejected_shares = 0
         self.rejected_entries = 0
+
+    def admit(self, share: BatchDeliveryShare) -> Optional[BatchDeliveryShare]:
+        """The shape check at an endpoint's ingress, before the gate (or a
+        monitor wrapped around it) reads a field: a Byzantine replica with a
+        valid key may put any object anywhere. Returns ``share`` without the
+        entries that are no entries (``rejected_entries``), or None when the
+        share itself is malformed (``rejected_shares``); proofs and indices
+        are left for :func:`verify_merkle_proof` to reject."""
+        batch, signed, entries = share.record, share.share, share.entries
+        if not (
+            type(batch) is BatchDeliveryRecord and type(signed) is ThresholdShare
+            and type(entries) is tuple and type(share.sender) is str
+            and type(signed.index) is int and type(batch.origin) is str
+            and type(batch.po_seq) is int and type(batch.merkle_root) is str
+            and type(batch.count) is int and type(batch.first_order_index) is int
+        ):
+            self.rejected_shares += 1
+            return None
+        bad = []
+        for position, entry in enumerate(entries):
+            record = entry.record if type(entry) is BatchEntry else None
+            if not (type(record) is DeliveryRecord and type(record.kind) is str
+                    and type(record.client) is str and type(record.client_seq) is int):
+                bad.append(position)
+        if not bad:
+            return share
+        self.rejected_entries += len(bad)
+        kept = tuple(e for position, e in enumerate(entries) if position not in bad)
+        return dataclasses.replace(share, entries=kept)
 
     def add(
         self, share: BatchDeliveryShare

@@ -22,9 +22,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Set
 
-from ..crypto.provider import CryptoProvider
+from ..crypto.provider import CryptoProvider, Signature
 from ..prime.app import ReplicatedApplication
 from ..prime.config import PrimeConfig
+from ..prime.messages import ClientUpdate
 from ..prime.node import PrimeNode
 from ..replication import Transport
 from ..simnet import Network, Simulator
@@ -105,11 +106,17 @@ class SpireReplica(PrimeNode):
         unwrapped = self.transport.unwrap(payload)
         inner = unwrapped[1] if unwrapped is not None else payload
         if isinstance(inner, UpdateSubmission):
-            accepted = self.submit(inner.update)
+            update = inner.update
+            # a compromised client may submit anything: only a well-typed
+            # update reaches signature verification and the dedup tables
+            if type(update) is not ClientUpdate or type(update.client) is not str \
+                    or type(update.client_seq) is not int \
+                    or type(update.signature) not in (Signature, type(None)):
+                return
+            accepted = self.submit(update)
             if not accepted:
                 # A retry of an already-executed update: re-send our share
                 # so a client whose first delivery was lost can still act.
-                update = inner.update
                 key = (update.client, update.client_seq)
                 cached = self._recent_shares.get(key)
                 if cached is not None:

@@ -260,6 +260,11 @@ class PbftNode(Process):
     def is_leader(self) -> bool:
         return self.config.leader_of_view(self.view) == self.name
 
+    @property
+    def last_executed_seq(self) -> int:
+        """The execution frontier, under the name chaos and control read."""
+        return self.last_executed
+
     def sign_message(self, payload: Any) -> SignedMessage:
         return self.runtime.sign(payload)
 

@@ -6,13 +6,18 @@ import dataclasses
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.chaos import ProxyGateMonitor
 from repro.core import (
     BatchDeliveryShare,
     BatchingOptions,
     DeliveryCollector,
+    HmiClient,
     SpireDeployment,
     SpireOptions,
+    UpdateSubmission,
     batch_record_for,
 )
 from repro.core.builder import TopologyBuilder
@@ -24,6 +29,7 @@ from repro.prime.messages import (
     verify_client_updates_batch,
 )
 from repro.prime.ordering import slot_digest
+from repro.simnet import LinkSpec, Network, Simulator
 from repro.spines import wide_area_topology
 
 
@@ -189,9 +195,58 @@ def test_tampered_entry_rejected_batchmates_released(updates, victim, survivors)
     assert collector.rejected_entries == 1
 
 
+class Endpoint:
+    """An HMI on a bare network with the chaos proxy-gate monitor wrapped
+    around its collector: everything a Byzantine replica's share meets on
+    its way in, driven through ``on_message``."""
+
+    def __init__(self, crypto):
+        simulator = Simulator(seed=1)
+        network = Network(simulator, LinkSpec(latency_ms=1.0))
+        self.crypto = crypto
+        self.hmi = HmiClient("hmi:0", simulator, network, crypto, ["replica:1"])
+        self.hmi.collector = self.collector = DeliveryCollector(crypto, GROUP)
+        self.released = []
+        self.hmi._on_verified_record = self.released.append
+        self.gate = ProxyGateMonitor(simulator, crypto)
+        self.gate.attach(self.hmi)
+
+    def receive(self, index, batch, entries, fields=()):
+        """One share of replica ``index`` over ``batch``; returns what it
+        released. ``fields`` overwrite the share's own fields."""
+        before = len(self.released)
+        share = self.crypto.threshold_sign_share(GROUP, index, batch)
+        share = BatchDeliveryShare(f"replica:{index}", batch, share, entries)
+        self.hmi.on_message(share.sender, dataclasses.replace(share, **dict(fields)))
+        assert not self.gate.violations()
+        return [record.order_index for record in self.released[before:]]
+
+
+def collect_at_endpoint(crypto, batch, entries, second_entries=None):
+    """:func:`collect`, through an endpoint's message handler."""
+    endpoint = Endpoint(crypto)
+    released = endpoint.receive(1, batch, entries)
+    released += endpoint.receive(2, batch, second_entries or entries)
+    return endpoint, released
+
+
+def corrupted(entry, malformed):
+    if "entry" in malformed:
+        return malformed["entry"]
+    if "record_fields" in malformed:
+        record = dataclasses.replace(entry.record, **malformed["record_fields"])
+        return dataclasses.replace(entry, record=record)
+    return dataclasses.replace(entry, **malformed)
+
+
 @pytest.mark.parametrize("malformed", [
     {"proof": (1,)}, {"proof": (None, b"x")}, {"proof": None}, {"index": "1"},
     {"index": None},
+    # ill-shaped where the collector (and the gate monitor around it) reads
+    # a field: these raised AttributeError / TypeError before the ingress check
+    {"entry": None}, {"entry": 7}, {"record": None}, {"record": "x"},
+    {"record_fields": {"client": ["client:1"]}}, {"record_fields": {"kind": None}},
+    {"record_fields": {"client_seq": "2"}},
 ])
 def test_malformed_entry_from_a_valid_replica_is_rejected_not_raised(malformed):
     """A Byzantine replica's share is genuine, its entry is not: the
@@ -199,26 +254,132 @@ def test_malformed_entry_from_a_valid_replica_is_rejected_not_raised(malformed):
     crypto = FastCrypto(seed="malformed")
     crypto.create_threshold_group(GROUP, 4, 2)
     batch, entries = make_batch(crypto)
-    bad = dataclasses.replace(entries[1], **malformed)
+    bad = corrupted(entries[1], malformed)
     # alone in its share: nothing is released, nothing raises
-    collector, released = collect(crypto, batch, (bad,))
-    assert released == [] and collector.verified == 0
-    assert collector.rejected_entries == 2  # one per sender that carried it
+    endpoint, released = collect_at_endpoint(crypto, batch, (bad,))
+    assert released == [] and endpoint.collector.verified == 0
+    assert endpoint.collector.rejected_entries == 2  # one per sender that carried it
     # among honest batch-mates, from the first sender only
-    collector, released = collect(
+    endpoint, released = collect_at_endpoint(
         crypto, batch, (entries[0], bad) + entries[2:], entries
     )
     assert released == [1, 2, 3, 4]
-    assert collector.rejected_entries == 1
+    assert endpoint.collector.rejected_entries == 1
     # ... and on the late-slice path, against the cached signature
-    collector, released = collect(crypto, batch, entries[:1])
-    late = crypto.threshold_sign_share(GROUP, 3, batch)
-    assert collector.add_batch(BatchDeliveryShare("replica:3", batch, late, (bad,))) == []
-    assert collector.rejected_entries == 1
-    (record, _), = collector.add_batch(
-        BatchDeliveryShare("replica:3", batch, late, entries[1:2])
-    )
-    assert record == entries[1].record
+    endpoint, released = collect_at_endpoint(crypto, batch, entries[:1])
+    assert endpoint.receive(3, batch, (bad,)) == []
+    assert endpoint.collector.rejected_entries == 1
+    assert endpoint.receive(3, batch, entries[1:2]) == [entries[1].record.order_index]
+    assert endpoint.collector.rejected_shares == 0
+
+
+@pytest.mark.parametrize("fields", [
+    {"record": None}, {"record": "x"}, {"entries": None}, {"entries": 7},
+    {"entries": [None]}, {"sender": ["replica:1"]}, {"share": None},
+])
+def test_malformed_share_from_a_valid_replica_is_rejected_not_raised(fields):
+    """The share itself is ill-shaped: it is counted and dropped whole, and
+    the batch still releases from the honest replicas' shares."""
+    crypto = FastCrypto(seed="malformed-share")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    batch, entries = make_batch(crypto)
+    endpoint = Endpoint(crypto)
+    assert endpoint.receive(1, batch, entries, fields) == []
+    assert endpoint.collector.rejected_shares == 1
+    assert endpoint.collector.pending_records == 0  # nothing of it was tracked
+    assert endpoint.receive(2, batch, entries) == []
+    assert endpoint.receive(3, batch, entries) == [1, 2, 3, 4]
+    assert endpoint.collector.rejected_shares == 1
+    assert endpoint.collector.rejected_entries == 0
+
+
+def quiet_replica():
+    """A replica of a built, never started deployment: its handler runs,
+    nothing else does."""
+    deployment = SpireDeployment(SpireOptions(seed=1, overlay_mode="shortest"))
+    return deployment, deployment.replicas[0]
+
+
+@pytest.mark.parametrize("update", [
+    None, "x", 7, ("client:a", 1, "payload"),
+    ClientUpdate(["hmi:0"], 1, "payload"), ClientUpdate("hmi:0", "1", "payload"),
+    ClientUpdate("hmi:0", 1, "payload", signature="forged"),
+])
+def test_malformed_submission_from_a_client_is_dropped_not_raised(update):
+    """A compromised client's submission is no ClientUpdate (it raised
+    AttributeError inside the replica): dropped before ``submit``."""
+    deployment, replica = quiet_replica()
+    replica.submit = pytest.fail  # never reached
+    sent = deployment.network.stats.sent
+    replica.on_message("hmi:0", UpdateSubmission(update))
+    assert not replica._pending_updates
+    assert deployment.network.stats.sent == sent
+
+
+#: what a field of either ingress message may hold instead of its type
+ill_typed = st.one_of(
+    st.none(), st.integers(-3, 3), st.text(max_size=3), st.floats(allow_nan=False),
+    st.lists(st.integers(0, 2), max_size=2), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+    st.tuples(st.integers(0, 2)),
+)
+SHARE_FIELDS = ("sender", "record", "share", "entries")
+ENTRY_FIELDS = ("index", "record", "proof")
+RECORD_FIELDS = ("kind", "client", "client_seq", "order_index", "payload")
+BATCH_FIELDS = ("origin", "po_seq", "merkle_root", "count", "first_order_index")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layer=st.sampled_from(("share", "batch", "signature", "entry", "record")),
+    data=st.data(),
+)
+def test_an_ill_typed_delivery_share_never_raises_or_releases_its_own(layer, data):
+    """One field of a genuine share, its batch record, its threshold share,
+    an entry or an entry's record holds an ill-typed value: the endpoint's
+    handler never raises, releases nothing but the genuine records, and
+    the honest senders' shares still release every one of them once."""
+    crypto = FastCrypto(seed="ill-typed")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    batch, entries = make_batch(crypto)
+    endpoint = Endpoint(crypto)
+    value = data.draw(ill_typed)
+    fields = {}
+    if layer == "share":
+        fields[data.draw(st.sampled_from(SHARE_FIELDS))] = value
+    elif layer == "batch":
+        name = data.draw(st.sampled_from(BATCH_FIELDS))
+        fields["record"] = dataclasses.replace(batch, **{name: value})
+    elif layer == "signature":
+        genuine = crypto.threshold_sign_share(GROUP, 1, batch)
+        name = data.draw(st.sampled_from(("group", "index", "value")))
+        fields["share"] = dataclasses.replace(genuine, **{name: value})
+    elif layer == "entry":
+        name = data.draw(st.sampled_from(ENTRY_FIELDS))
+        fields["entries"] = (dataclasses.replace(entries[1], **{name: value}),)
+    else:
+        name = data.draw(st.sampled_from(RECORD_FIELDS))
+        record = dataclasses.replace(entries[1].record, **{name: value})
+        fields["entries"] = (dataclasses.replace(entries[1], record=record),)
+    assert endpoint.receive(1, batch, entries, fields) == []
+    released = endpoint.receive(2, batch, ())  # the threshold, if share 1 counted
+    released += endpoint.receive(3, batch, entries)
+    assert sorted(released) == [1, 2, 3, 4]
+    assert all(record in [entry.record for entry in entries] for record in endpoint.released)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(("update", "client", "client_seq", "signature")), value=ill_typed)
+def test_an_ill_typed_submission_never_raises_or_submits(field, value):
+    deployment, replica = QUIET
+    genuine = sign_client_update(deployment.crypto, "hmi:0", 1, ("op", 1))
+    update = value if field == "update" else dataclasses.replace(genuine, **{field: value})
+    if update == genuine:
+        return  # drew the field's own value
+    replica.on_message("hmi:0", UpdateSubmission(update))
+    assert not replica._pending_updates
+
+
+QUIET = quiet_replica()
 
 
 def test_late_slice_verifies_against_cached_signature():

@@ -42,6 +42,7 @@ from repro.chaos import (
     replay_scenario,
     run_pbft_chaos,
 )
+from repro.chaos.engine import schedule_profile
 from repro.chaos.faults import FAULTS, LEADER_FAULT_KINDS, ChaosSystem
 from repro.chaos.generator import DrawContext
 from repro.simnet import FailureInjector, LinkSpec, Network, Process, Simulator
@@ -55,7 +56,6 @@ OVERLAY_LINKS = [
     ("cc2", "dc1"), ("cc2", "dc2"), ("dc1", "dc2"),
 ]
 OVERLAY_SITES = ["cc1", "cc2", "dc1", "dc2"]
-LEADER_WEIGHTS = ("leader_kill", "leader_kill", "leader_partition")
 
 
 def _draw(profile_name: str, seed: int) -> FaultSchedule:
@@ -72,23 +72,15 @@ def _draw(profile_name: str, seed: int) -> FaultSchedule:
             overlay_links=OVERLAY_LINKS, overlay_sites=OVERLAY_SITES,
         )
     if profile_name == "pbft_leader":
-        # the profile ``run_pbft_chaos`` builds from ``PbftChaosOptions()``
-        profile = ChaosProfile(
-            window_start_ms=1000.0, window_end_ms=6000.0,
-            min_actions=1, max_actions=3, max_concurrent_crashes=1,
-            kinds=LEADER_WEIGHTS,
+        # what ``run_pbft_chaos`` draws from for ``PbftChaosOptions()``
+        return generate_schedule(
+            seed, REPLICAS, profile=schedule_profile(PbftChaosOptions()),
         )
-        return generate_schedule(seed, REPLICAS, profile=profile)
-    # the profile ``ChaosEngine.run`` builds for ``leader_faults=True``
-    # at the smoke shape of tests/test_chaos_leader.py
-    profile = ChaosProfile(
-        window_start_ms=800.0, window_end_ms=3800.0,
-        min_actions=3, max_actions=8,
-        max_concurrent_crashes=1, max_partition_minority=1,
-        kinds=ChaosProfile().kinds + LEADER_WEIGHTS,
-    )
+    # what ``ChaosEngine.run`` draws from for ``leader_faults=True`` at the
+    # smoke shape of tests/test_chaos_leader.py
+    smoke = ChaosOptions(warmup_ms=800.0, chaos_ms=3000.0, leader_faults=True)
     return generate_schedule(
-        seed, REPLICAS, endpoints=ENDPOINTS, profile=profile,
+        seed, REPLICAS, endpoints=ENDPOINTS, profile=schedule_profile(smoke),
     )
 
 
@@ -220,6 +212,9 @@ class MiniDeployment:
         self.injector = FailureInjector(self.simulator, self.network)
         self.struck = []
         self.system = ChaosSystem(
+            # a fault row reads only the four fields after these
+            simulator=self.simulator, network=self.network, obs=None,
+            replicas=(), quorum=0, new_view_event="", start=None, stats=None,
             current_leader=lambda: "replica:0",
             current_view=lambda: 7,
             access_peers=lambda name: [f"spines:{SITE_OF[name]}"],

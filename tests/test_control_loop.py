@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.chaos import ChaosEngine, ChaosOptions, QuorumFloorMonitor
+from repro.chaos import ChaosEngine, ChaosOptions, QuorumAvailabilityMonitor
 from repro.control import (
     ControlOptions,
     ControlPolicy,
@@ -294,27 +294,9 @@ def test_feedback_defers_at_quorum_floor():
 
 
 # ----------------------------------------------------------------------
-# QuorumFloorMonitor
+# QuorumAvailabilityMonitor (that it flags an unguarded strategy is the
+# quorum-availability row of test_chaos_violation_kinds.py)
 # ----------------------------------------------------------------------
-
-def test_quorum_floor_monitor_flags_floor_break():
-    sim, net, replicas = _fleet(n=6)
-    # f=1, k=1 -> floor 4; with two already down, any rejuvenation of a
-    # third drops live to 3 — an unguarded strategy must be flagged
-    replicas[0].crash()
-    replicas[1].crash()
-    strategy = PeriodicStrategy(
-        sim, replicas, period_ms=100.0, recovery_duration_ms=10.0,
-        min_live=None,  # guard off: the monitor must catch it
-    )
-    monitor = QuorumFloorMonitor(sim, replicas, f=1, k=1)
-    monitor.attach(strategy)
-    strategy.start()
-    sim.run_for(150)
-    violations = monitor.violations()
-    assert violations and violations[0].kind == "recovery-below-floor"
-    assert monitor.rejuvenations_checked >= 1
-
 
 def test_quorum_floor_monitor_quiet_when_guard_active():
     sim, net, replicas = _fleet(n=6)
@@ -324,7 +306,7 @@ def test_quorum_floor_monitor_quiet_when_guard_active():
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0,
         min_live=4,  # the deferral guard respects the floor
     )
-    monitor = QuorumFloorMonitor(sim, replicas, f=1, k=1)
+    monitor = QuorumAvailabilityMonitor(sim, replicas, f=1, k=1)
     monitor.attach(strategy)
     strategy.start()
     sim.run_for(550)
