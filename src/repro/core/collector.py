@@ -28,7 +28,7 @@ import dataclasses
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..crypto.encoding import digest
+from ..crypto.encoding import EncodingError, digest
 from ..crypto.merkle import verify_merkle_proof
 from ..crypto.provider import CryptoProvider, ThresholdShare, ThresholdSignature
 from ..replication import ThresholdShareTracker
@@ -154,8 +154,12 @@ class DeliveryCollector:
             record_key = entry.record.key()
             if record_key in self._done:
                 continue
+            try:
+                leaf = digest(entry.record)
+            except EncodingError:
+                leaf = None  # no encoder accepts its payload: no leaf, no proof
             if not verify_merkle_proof(
-                digest(entry.record),
+                leaf,
                 entry.index,
                 batch.count,
                 entry.proof,

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Set
 from ..crypto.provider import CryptoProvider, Signature
 from ..prime.app import ReplicatedApplication
 from ..prime.config import PrimeConfig
-from ..prime.messages import ClientUpdate
+from ..prime.messages import ClientUpdate, PoRequest
 from ..prime.node import PrimeNode
 from ..replication import Transport
 from ..simnet import Network, Simulator
@@ -34,7 +34,7 @@ from .update import (
     BatchDeliveryShare,
     BreakerCommand,
     UpdateSubmission,
-    batch_record_for,
+    batch_of_request,
 )
 
 __all__ = ["SpireReplica", "THRESHOLD_GROUP"]
@@ -134,11 +134,11 @@ class SpireReplica(PrimeNode):
     # ------------------------------------------------------------------
     # Outgoing deliveries
     # ------------------------------------------------------------------
-    def _deliver_batch(self, origin: str, po_seq: int, executed: List) -> None:
+    def _deliver_batch(self, request: PoRequest, executed: List) -> None:
         """Deliver one executed pre-order batch: a single threshold share
         over the batch's Merkle root, with each target receiving only the
         proof-carrying entries it subscribes to."""
-        batch, entries = batch_record_for(origin, po_seq, executed)
+        batch, entries = batch_of_request(request, executed)
         share = self.crypto.threshold_sign_share(
             self.threshold_group, self.share_index, batch
         )

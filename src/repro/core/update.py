@@ -19,12 +19,12 @@ Data flow (paper architecture):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Optional, Sequence, Tuple
 
-from ..crypto.encoding import digest
+from ..crypto.encoding import derived, digest
 from ..crypto.merkle import merkle_tree
 from ..crypto.provider import ThresholdShare, ThresholdSignature
-from ..prime.messages import ClientUpdate
+from ..prime.messages import ClientUpdate, PoRequest
 
 __all__ = [
     "StatusReading",
@@ -36,6 +36,7 @@ __all__ = [
     "UpdateSubmission",
     "record_for",
     "batch_record_for",
+    "batch_of_request",
     "batch_of_records",
 ]
 
@@ -112,7 +113,11 @@ class BatchDeliveryRecord:
 @dataclass(frozen=True)
 class BatchEntry:
     """One update of a batch: its record plus the Merkle inclusion proof
-    tying the record to the batch's signed root."""
+    tying the record to the batch's signed root. An entry is walked by
+    the first share that encodes it and carries those bytes from then
+    on: every later share of any replica to any target appends them."""
+
+    keeps_nested_encoding: ClassVar[bool] = True
 
     index: int                        # leaf position in the batch
     record: DeliveryRecord
@@ -161,6 +166,27 @@ def batch_record_for(
     return batch_of_records(
         origin, po_seq, [record_for(update, idx) for update, idx, _ in executed]
     )
+
+
+def batch_of_request(
+    request: PoRequest, executed: Any
+) -> Tuple[BatchDeliveryRecord, Tuple[BatchEntry, ...]]:
+    """:func:`batch_record_for` of one executed pre-order request, built
+    by the first replica that executes it and kept on the request object
+    every replica holds. It is a function of agreed facts only, so a
+    later replica reuses it when — and only when — it executed the same
+    update objects at the same order indices; any other sequence builds
+    a batch of its own, which nobody else sees."""
+    sequence, batch = derived(request, lambda request: (
+        [(update, index) for update, index, _ in executed],
+        batch_record_for(request.origin, request.po_seq, executed),
+    ))
+    if len(sequence) == len(executed) and all(
+        kept[0] is mine[0] and kept[1] == mine[1]
+        for kept, mine in zip(sequence, executed)
+    ):
+        return batch
+    return batch_record_for(request.origin, request.po_seq, executed)
 
 
 def batch_of_records(

@@ -11,6 +11,8 @@ An *envelope* — a dataclass that only wraps and addresses another
 message — names its child fields in ``encoded_by_digest``; such a field
 is encoded as the child's 32-byte SHA-256 digest under a tag of its
 own, so an envelope costs its own fields however large the child is.
+A class many envelopes carry sets ``keeps_nested_encoding``: the first
+walk of an instance leaves its bytes on it, later ones append them.
 
 The encoding is injective on the supported domain (for a field encoded
 by digest: by the collision resistance the Merkle batch record already
@@ -182,6 +184,11 @@ def _compile_dataclass_encoder(cls: type) -> Any:
         "        out += entry[0]",
         "        return",
     ]
+    # a class many envelopes carry (``keeps_nested_encoding``) is walked
+    # by the first of them and keeps that byte range for the others
+    keeps = getattr(cls, "keeps_nested_encoding", False)
+    if keeps:
+        lines.append("    start = len(out)")
     for field_name in field_names:
         _enc_str(field_name, literal)
         if field_name in by_digest:
@@ -194,6 +201,8 @@ def _compile_dataclass_encoder(cls: type) -> Any:
         literal.clear()
     if literal:  # a dataclass without fields is its header
         lines.append(f"    out += {bytes(literal)!r}")
+    if keeps:
+        lines.append("    _entry_for(value, False)[0] = bytes(out[start:])")
     namespace: Dict[str, Any] = {}
     exec(compile("\n".join(lines), __file__, "exec"), globals(), namespace)
     return namespace[function_name]

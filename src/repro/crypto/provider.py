@@ -48,7 +48,7 @@ from time import perf_counter as _perf_counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .encoding import _entry_for, digest_bytes, encode_cached
+from .encoding import _ENTRY, _entry_for, digest_bytes, encode_cached
 from .rsa import RsaKeyPair, generate_keypair
 from .threshold import (
     PartialSignature,
@@ -285,7 +285,13 @@ class FastCrypto(CryptoProvider):
         return tag == signature.value
 
     def mac(self, src: str, dst: str, message: Any) -> bytes:
-        return _sha256(self._link_keys[src, dst] + digest_bytes(message)).digest()
+        # a flooded datagram carries its digest from the first hop on;
+        # the tag is still one fresh hash per call
+        entry = getattr(message, _ENTRY, None)
+        raw = entry[1] if entry is not None else None
+        if raw is None:
+            raw = digest_bytes(message)
+        return _sha256(self._link_keys[src, dst] + raw).digest()
 
     def check_mac(self, src: str, dst: str, message: Any, tag: bytes) -> bool:
         return hmac_module.compare_digest(self.mac(src, dst, message), tag)

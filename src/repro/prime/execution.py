@@ -105,7 +105,7 @@ class ExecutionCutoff:
                 ]
                 if executed:
                     for listener in batch_listeners:
-                        listener(origin, po_seq, executed)
+                        listener(request, executed)
                 state.executed_upto = po_seq
         return True
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..crypto.encoding import derived, digest
+from ..crypto.encoding import EncodingError, derived, digest
 from ..crypto.provider import CryptoProvider, Signature
 from ..replication.messages import (
     Commit,
@@ -249,7 +249,11 @@ def verify_client_update(crypto: CryptoProvider, update: ClientUpdate) -> bool:
         return False
     if update.signature.signer != update.client:
         return False
-    return crypto.verify(update.signature, derived(update, _derive_body))
+    try:
+        body = derived(update, _derive_body)
+    except EncodingError:  # a payload no encoder accepts was never signed
+        return False
+    return crypto.verify(update.signature, body)
 
 
 def verify_client_updates_batch(
@@ -268,9 +272,12 @@ def verify_client_updates_batch(
     for i, update in enumerate(updates):
         if update.signature is None or update.signature.signer != update.client:
             continue
+        try:
+            bodies.append(derived(update, _derive_body))
+        except EncodingError:
+            continue
         positions.append(i)
         signatures.append(update.signature)
-        bodies.append(derived(update, _derive_body))
     if positions:
         for i, ok in zip(positions, crypto.verify_batch(signatures, bodies)):
             verdicts[i] = ok

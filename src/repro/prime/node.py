@@ -151,11 +151,11 @@ class PrimeNode(Process):
         self._recoveries = 0
         self.execution_listeners: List[Callable[[ClientUpdate, int, Any], None]] = []
         # Batch listeners receive the executed updates of one certified
-        # PoRequest at once: (origin, po_seq, [(update, order_index,
-        # result), ...]) — the delivery surface. The per-update
+        # PoRequest at once: (request, [(update, order_index, result),
+        # ...]) — the delivery surface. The per-update
         # execution_listeners fire for each of them first (monitors).
         self.batch_execution_listeners: List[
-            Callable[[str, int, List[Tuple[ClientUpdate, int, Any]]], None]
+            Callable[[PoRequest, List[Tuple[ClientUpdate, int, Any]]], None]
         ] = []
         self._init_protocol_state()
         self._started = False

@@ -108,17 +108,22 @@ class Network:
     def __init__(self, simulator: Simulator, default_link: Optional[LinkSpec] = None) -> None:
         self.simulator = simulator
         self.default_link = default_link or LinkSpec()
-        #: symbol table interning endpoint names to dense integer ids;
-        #: all hot per-message structures below are keyed by these ids
+        #: symbol table interning endpoint names to dense integer ids,
+        #: which key the link table (``send`` reads neither, see ``_hops``)
         self.endpoints = EndpointTable()
         # registration-ordered name view (failure injectors sample from
         # it, so iteration order is part of the determinism contract)
         self._processes: Dict[str, "Process"] = {}
         # dense id -> process (None for interned-but-unregistered names)
         self._procs_by_id: list[Optional["Process"]] = []
-        # src id -> dst id -> state: integer keys, no per-message string
-        # hashing and no (src, dst) tuple allocation
+        # src id -> dst id -> state
         self._links: Dict[int, Dict[int, _LinkState]] = {}
+        # src name -> dst name -> (link state, destination process): what
+        # send() needs per message, resolved on first use. Nothing ever
+        # invalidates a hop — link states are mutated in place and
+        # processes never deregister — and a miss is not kept, so a
+        # destination registered after a dropped send is found.
+        self._hops: Dict[str, Dict[str, Tuple[_LinkState, "Process"]]] = {}
         self._partitions: list[Tuple[frozenset, frozenset]] = []
         self._filters: list[MessageFilter] = []
         self.stats = NetworkStats()
@@ -155,15 +160,13 @@ class Network:
     def process_names(self) -> Iterable[str]:
         return self._processes.keys()
 
-    def _link_ids(self, src_id: int, dst_id: int) -> _LinkState:
-        by_src = self._links.setdefault(src_id, {})
+    def _link(self, src: str, dst: str) -> _LinkState:
+        by_src = self._links.setdefault(self.endpoints.intern(src), {})
+        dst_id = self.endpoints.intern(dst)
         state = by_src.get(dst_id)
         if state is None:
             state = by_src[dst_id] = _LinkState(self.default_link.copy())
         return state
-
-    def _link(self, src: str, dst: str) -> _LinkState:
-        return self._link_ids(self.endpoints.intern(src), self.endpoints.intern(dst))
 
     def set_link(self, src: str, dst: str, spec: LinkSpec, symmetric: bool = True) -> None:
         """Set the static link spec between two processes."""
@@ -259,16 +262,15 @@ class Network:
         stats = self.stats
         stats.sent += 1
         stats.bytes_sent += size_bytes
-        endpoints = self.endpoints
-        dst_id = endpoints.get(dst)
-        process = (
-            self._procs_by_id[dst_id]
-            if dst_id is not None and dst_id < len(self._procs_by_id)
-            else None
-        )
-        if process is None:
-            stats.dropped_down += 1
-            return False
+        try:
+            link, process = self._hops[src][dst]
+        except KeyError:
+            process = self._processes.get(dst)
+            if process is None:
+                stats.dropped_down += 1
+                return False
+            link = self._link(src, dst)
+            self._hops.setdefault(src, {})[dst] = (link, process)
         if self._partitions and self._partitioned(src, dst):
             stats.dropped_partition += 1
             return False
@@ -278,11 +280,6 @@ class Network:
                 if payload is None:
                     stats.dropped_filter += 1
                     return False
-        src_id = endpoints.intern(src)
-        by_src = self._links.get(src_id)
-        link = by_src.get(dst_id) if by_src is not None else None
-        if link is None:
-            link = self._link_ids(src_id, dst_id)
         if link.fast:
             # clean link: fixed delay, no loss/jitter/bandwidth draws
             self.simulator.post(link.base_delay_ms, self._deliver, src, process, payload)

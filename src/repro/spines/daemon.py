@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Set, Tuple
 
+from ..crypto.encoding import EncodingError, digest_bytes
 from ..crypto.provider import CryptoProvider
 from ..obs import NULL_OBS, Observability
 from ..simnet import Network, Process, Simulator
@@ -152,10 +153,11 @@ class SpinesDaemon(Process):
     # Receive paths
     # ------------------------------------------------------------------
     def on_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, OverlayIngress):
-            self._on_ingress(src, payload.data)
-        elif isinstance(payload, OverlayForward):
+        # the exact class first: nine in ten of a daemon's messages are forwards
+        if payload.__class__ is OverlayForward or isinstance(payload, OverlayForward):
             self._on_forward(src, payload)
+        elif isinstance(payload, OverlayIngress):
+            self._on_ingress(src, payload.data)
         elif isinstance(payload, OverlayHello):
             self._on_hello(src, payload)
 
@@ -179,9 +181,13 @@ class SpinesDaemon(Process):
         if self.neighbors.get(sender_site) != src:
             self._count_drop("dropped_auth")
             return
-        if not self.crypto.check_mac(
-            src, self.name, message.data, message.mac
-        ):
+        try:
+            authentic = self.crypto.check_mac(
+                src, self.name, message.data, message.mac
+            )
+        except EncodingError:  # a datagram without a digest has no MAC
+            authentic = False
+        if not authentic:
             self._count_drop("dropped_auth")
             return
         if self._hop_latency is not None and message.sent_at:
@@ -236,36 +242,41 @@ class SpinesDaemon(Process):
             self._route_default(data, arrived_from)
 
     def _route_default(self, data: OverlayData, arrived_from: Optional[str]) -> None:
+        # forward while at least one destination has a known home; a
+        # routed datagram has one destination and heads for its site (and
+        # stops there), a flooded one goes out on every link whichever
+        # site that is; an isolated daemon has nobody to forward to
+        targets: Any = ()
+        for dest in data.dests if self.neighbors else ():
+            dest_site = self.endpoint_home.get(dest)
+            if dest_site is not None:
+                if dest_site != self.site_name or not self._shortest:
+                    targets = self.routing.forward_targets(
+                        self.site_name, dest_site, arrived_from
+                    )
+                break
+        if targets and arrived_from is None:
+            # the first need of an ingress datagram's digest (a forwarded
+            # one had its MAC checked): no encoder, no hop and no delivery
+            try:
+                digest_bytes(data)
+            except EncodingError:
+                self._count_drop("dropped_auth")
+                return
         # deliver to every endpoint that is attached here *and* named
         attached = self.attached
         for dest in data.dests:
             if dest in attached:
                 self._deliver_local(dest, data)
-        if not self.neighbors:
-            # isolated (single-site) daemon: routing can only ever return
-            # an empty target set, so skip the strategy call per message
+        if not targets:
             return
-        # forward while at least one destination has a known home; a
-        # routed datagram has one destination and heads for its site, a
-        # flooded one goes out on every link whichever site that is
-        endpoint_home = self.endpoint_home
-        for dest in data.dests:
-            dest_site = endpoint_home.get(dest)
-            if dest_site is not None:
-                break
-        else:
-            return
-        if dest_site == self.site_name and self._shortest:
-            return  # delivered locally; nothing to forward
-        targets = self.routing.forward_targets(
-            self.site_name, dest_site, arrived_from
-        )
         # one token per datagram, however many endpoints it names
-        if targets and not self._admit(data):
+        if not self._admit(data):
             self._count_drop("dropped_ratelimit")
             return
+        forward = self._enqueue_forward if self.forward_capacity_per_ms > 0 else self._forward_now
         for neighbor in targets:
-            self._enqueue_forward(neighbor, data)
+            forward(neighbor, data)
 
     def _deliver_local(self, dest: str, data: OverlayData) -> None:
         self.stats["delivered"] += 1
@@ -296,9 +307,6 @@ class SpinesDaemon(Process):
         return True
 
     def _enqueue_forward(self, neighbor_site: str, data: OverlayData) -> None:
-        if self.forward_capacity_per_ms <= 0:
-            self._forward_now(neighbor_site, data)
-            return
         source = data.origin if self.fairness else "__fifo__"
         queue = self._queues.setdefault(source, deque())
         if self.max_queue_per_source > 0 and len(queue) >= self.max_queue_per_source:

@@ -3,6 +3,9 @@ singleton batches, end-to-end convergence, and the collector's handling
 of corrupt shares and tampered entries."""
 
 import dataclasses
+import gc
+import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -21,16 +24,20 @@ from repro.core import (
     batch_record_for,
 )
 from repro.core.builder import TopologyBuilder
-from repro.core.update import BatchEntry
-from repro.crypto import FastCrypto, digest
+from repro.core import update as update_module
+from repro.core.update import BatchEntry, DeliveryRecord, batch_of_request
+from repro.crypto import FastCrypto, Signature, digest, encode, encoding
 from repro.prime.messages import (
     ClientUpdate,
+    PoRequest,
     sign_client_update,
+    verify_client_update,
     verify_client_updates_batch,
 )
 from repro.prime.ordering import slot_digest
 from repro.simnet import LinkSpec, Network, Simulator
-from repro.spines import wide_area_topology
+from repro.spines import lan_topology, wide_area_topology
+from repro.spines.messages import OverlayData, OverlayForward
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +386,111 @@ def test_an_ill_typed_submission_never_raises_or_submits(field, value):
     assert not replica._pending_updates
 
 
+# --- a payload no encoder accepts, from a validly attached endpoint ------
+
+#: what ``encode`` raises ``EncodingError`` on, bare or hidden in a tuple
+_unencodable_leaf = st.sampled_from([{1, 2, 3}, object(), 1j, lambda: None])
+unencodable = st.one_of(
+    _unencodable_leaf, _unencodable_leaf.map(lambda leaf: ("reading", (1, leaf))),
+)
+
+
+def forged_submission(client, payload):
+    return UpdateSubmission(ClientUpdate(client, 999, payload, Signature(client, "00")))
+
+
+def overlay_counts(deployment):
+    stats = deployment.overlay.total_stats()
+    return {name: stats[name] for name in ("forwarded", "delivered", "dropped_auth")}
+
+
+def assert_dropped_at_the_ingress_daemon(deployment, payload):
+    """``payload`` submitted through the proxy's own overlay stack: its
+    home daemon drops the datagram where it first needs its digest."""
+    proxy, before = deployment.proxy, overlay_counts(deployment)
+    proxy.stack.send(deployment.replicas[-1].name, forged_submission(proxy.name, payload))
+    deployment.simulator.run_for(40.0)
+    after = overlay_counts(deployment)
+    assert after == {**before, "dropped_auth": before["dropped_auth"] + 1}
+    assert not any(replica._pending_updates for replica in deployment.replicas)
+
+
+@pytest.mark.parametrize("preset", [SpireOptions.lan, SpireOptions.wan])
+def test_an_unencodable_datagram_is_dropped_by_its_home_daemon_not_raised(preset):
+    """It raised ``EncodingError`` out of ``_forward_now`` → ``crypto.mac``
+    and ended the run."""
+    deployment = SpireDeployment(preset(seed=1))
+    assert_dropped_at_the_ingress_daemon(deployment, {1, 2, 3})
+    # ... and from a Byzantine neighbour daemon: no digest, so no MAC to pass
+    ours, theirs = [deployment.overlay.daemons[site] for site in list(deployment.overlay.daemons)[:2]]
+    if theirs.site_name not in ours.neighbors:
+        ours.add_neighbor(theirs.site_name)
+    data = OverlayData("proxy:field", (deployment.replicas[0].name,), 7, {1, 2, 3})
+    before = overlay_counts(deployment)
+    ours.on_message(theirs.name, OverlayForward(data, theirs.site_name, b"m" * 32))
+    assert overlay_counts(deployment) == {**before, "dropped_auth": before["dropped_auth"] + 1}
+
+
+def test_an_unencodable_update_is_rejected_by_the_replica_not_raised():
+    """On a single-daemon topology nothing digests the datagram on its
+    way: it raised in ``PreOrderStage.submit`` → ``verify_client_update``."""
+    deployment = SpireDeployment(SpireOptions.lan(seed=1), topology=lan_topology(1))
+    proxy = deployment.proxy
+    proxy.stack.send(deployment.replicas[0].name, forged_submission(proxy.name, {1, 2, 3}))
+    deployment.simulator.run_for(40.0)
+    assert overlay_counts(deployment) == {"forwarded": 0, "delivered": 1, "dropped_auth": 0}
+    assert not any(replica._pending_updates for replica in deployment.replicas)
+    crypto = deployment.crypto
+    good = sign_client_update(crypto, "client:a", 1, ("op", 1))
+    bad = ClientUpdate("client:b", 1, {1, 2, 3}, Signature("client:b", "00"))
+    assert not verify_client_update(crypto, bad)
+    assert verify_client_updates_batch(crypto, (good, bad, good)) == (True, False, True)
+
+
+def test_an_unencodable_record_is_rejected_by_the_collector_not_raised():
+    """It raised in ``DeliveryCollector.add_batch`` → ``digest``."""
+    crypto = FastCrypto(seed="unencodable")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    batch, entries = make_batch(crypto)
+    record = dataclasses.replace(entries[1].record, payload={1, 2, 3})
+    bad = dataclasses.replace(entries[1], record=record)
+    endpoint, released = collect_at_endpoint(
+        crypto, batch, (entries[0], bad) + entries[2:], entries
+    )
+    assert released == [1, 2, 3, 4]
+    assert endpoint.collector.rejected_entries == 1
+    # ... and on the late-slice path, against the cached signature
+    endpoint, released = collect_at_endpoint(crypto, batch, entries[:1])
+    assert endpoint.receive(3, batch, (bad,)) == []
+    assert endpoint.collector.rejected_entries == 1
+    assert endpoint.receive(3, batch, entries[1:2]) == [entries[1].record.order_index]
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=unencodable, site=st.sampled_from(("daemon", "replica", "collector")))
+def test_an_unencodable_payload_never_raises_or_gets_anywhere(payload, site):
+    """At each of the three places that first need its digest: never
+    raises, nothing of the message is forwarded, ordered or released."""
+    if site == "daemon":
+        assert_dropped_at_the_ingress_daemon(QUIET_WAN, payload)
+    elif site == "replica":
+        _, replica = QUIET
+        replica.on_message("hmi:0", forged_submission("hmi:0", payload))
+        assert not replica._pending_updates
+        assert replica.submit(forged_submission("hmi:0", payload).update) is False
+    else:
+        crypto = FastCrypto(seed="unencodable")
+        crypto.create_threshold_group(GROUP, 4, 2)
+        batch, entries = make_batch(crypto)
+        record = dataclasses.replace(entries[2].record, payload=payload)
+        bad = dataclasses.replace(entries[2], record=record)
+        endpoint, released = collect_at_endpoint(crypto, batch, (bad,), entries)
+        assert released == [1, 2, 3, 4] and record not in endpoint.released
+        assert endpoint.collector.rejected_entries == 1
+
+
 QUIET = quiet_replica()
+QUIET_WAN = SpireDeployment(SpireOptions.wan(seed=1))
 
 
 def test_late_slice_verifies_against_cached_signature():
@@ -536,3 +647,196 @@ def test_corrupt_share_tolerated_in_batched_mode():
     # robust combining routes around the corrupted replica's shares
     assert sorted(hmi.view) == sorted(deployment.grid.substations)
     assert hmi.collector.verified > 0
+
+
+# ----------------------------------------------------------------------
+# One batch per pre-order request, one walk per entry
+# ----------------------------------------------------------------------
+
+
+def from_scratch(entry):
+    """``entry`` rebuilt field by field: nothing kept comes along (a
+    ``copy.deepcopy`` would carry the kept bytes with the instance)."""
+    rebuilt = BatchEntry(entry.index, dataclasses.replace(entry.record), tuple(entry.proof))
+    assert rebuilt == entry and getattr(rebuilt, encoding._ENTRY, None) is None
+    return rebuilt
+
+
+def request_and_executed(updates=4, first_index=1):
+    request = PoRequest("origin#0", 1, tuple(
+        ClientUpdate(f"client:{i}", i + 1, ("reading", i)) for i in range(updates)
+    ))
+    executed = [
+        (update, first_index + i, None) for i, update in enumerate(request.updates)
+    ]
+    return request, executed
+
+
+def test_a_deployment_builds_one_tree_per_request_and_walks_each_entry_once(monkeypatch):
+    encode(make_batch(None)[1][0])  # the generated encoders exist
+    trees, walked = [], Counter()
+    real_tree = update_module.merkle_tree
+    monkeypatch.setattr(
+        update_module, "merkle_tree",
+        lambda leaves: trees.append(len(leaves)) or real_tree(leaves),
+    )
+    real_walk = encoding._DISPATCH[DeliveryRecord]
+
+    def counting_walk(record, out):
+        walked[record.key()] += 1
+        real_walk(record, out)
+
+    monkeypatch.setitem(encoding._DISPATCH, DeliveryRecord, counting_walk)
+    deployment = run_deployment()
+    sent = [
+        (batch, entry)
+        for replica in deployment.replicas
+        for batch, _share, entry in replica._recent_shares.values()
+    ]
+    batches = {batch.key(): batch for batch, _ in sent}
+    # six replicas executed every request; one of them built its batch
+    assert len(trees) == len(batches) > 10
+    assert sum(trees) == sum(batch.count for batch in batches.values())
+    assert sum(r.batches_sent for r in deployment.replicas) == 6 * len(trees)
+    # ... and hold that one batch and its entries by reference
+    assert len({id(batch) for batch, _ in sent}) == len(batches)
+    assert len({id(entry) for _, entry in sent}) == sum(trees)
+    # a record is encoded for its leaf digest and walked inside its entry
+    # by the first share that is MACed: once each, for 6 x targets shares
+    assert set(walked.values()) == {2} and len(walked) == sum(trees)
+    assert all(encoding.encode_cached(entry) == encode(from_scratch(entry)) for _, entry in sent)
+
+
+def test_another_executed_sequence_gets_a_batch_of_its_own():
+    request, executed = request_and_executed()
+    kept = batch_of_request(request, executed)
+    assert kept == batch_record_for("origin#0", 1, executed)
+    same = batch_of_request(request, list(executed))
+    assert same[0] is kept[0] and same[1] is kept[1]
+    others = {
+        "a different executed subset": executed[:2] + executed[3:],
+        "shifted order indices": [(u, index + 10, r) for u, index, r in executed],
+        "equal updates, other objects": [
+            (dataclasses.replace(u), index, r) for u, index, r in executed
+        ],
+        "a prefix": executed[:3],
+    }
+    for case, sequence in others.items():
+        batch, entries = batch_of_request(request, sequence)
+        assert (batch, entries) == batch_record_for("origin#0", 1, sequence), case
+        assert batch is not kept[0] and all(
+            mine is not theirs for mine in entries for theirs in kept[1]
+        ), case
+        if "equal" not in case:
+            assert batch.merkle_root != kept[0].merkle_root, case
+        # nobody else sees it, and the first replica's batch is untouched
+        again = batch_of_request(request, executed)
+        assert again[0] is kept[0] and again[1] is kept[1], case
+    assert kept == batch_record_for("origin#0", 1, executed)
+
+
+def test_the_kept_batch_dies_with_its_request():
+    request, executed = request_and_executed()
+    batch, entries = batch_of_request(request, executed)
+    refs = [weakref.ref(batch), weakref.ref(entries[0]), weakref.ref(request)]
+    del request, executed, batch, entries
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def shared_batch_with_kept_bytes(crypto):
+    """A shared batch every entry of which has been walked by a share."""
+    request, executed = request_and_executed()
+    batch, entries = batch_of_request(request, executed)
+    encode(BatchDeliveryShare(
+        "replica:2", batch, crypto.threshold_sign_share(GROUP, 2, batch), entries
+    ))
+    assert all(getattr(entry, encoding._ENTRY)[0] for entry in entries)
+    return batch, entries
+
+
+def test_a_replaced_entry_or_record_keeps_nothing_and_encodes_afresh():
+    crypto = FastCrypto(seed="replaced")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    _, entries = shared_batch_with_kept_bytes(crypto)
+    victim = entries[1]
+    forged_record = dataclasses.replace(victim.record, order_index=999)
+    for forged in (
+        dataclasses.replace(victim, record=forged_record),
+        dataclasses.replace(victim, proof=victim.proof[::-1]),
+        dataclasses.replace(victim, index=0),
+    ):
+        assert getattr(forged, encoding._ENTRY, None) is None
+        assert encode(forged) == encode(from_scratch(forged)) != encode(victim)
+    assert getattr(forged_record, encoding._ENTRY, None) is None
+    assert digest(forged_record) != digest(victim.record)
+    same = dataclasses.replace(victim)
+    assert getattr(same, encoding._ENTRY, None) is None and encode(same) == encode(victim)
+
+
+@pytest.mark.parametrize("selection", [
+    slice(None), slice(0, 1), slice(1, 3), slice(3, None), slice(0, 0),
+])
+def test_a_share_with_kept_entry_bytes_encodes_as_one_built_from_scratch(selection):
+    crypto = FastCrypto(seed="bytes")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    batch, entries = shared_batch_with_kept_bytes(crypto)
+    for index in (1, 2, 3):
+        share = BatchDeliveryShare(
+            f"replica:{index}", batch,
+            crypto.threshold_sign_share(GROUP, index, batch), entries[selection],
+        )
+        scratch = BatchDeliveryShare(
+            share.sender, dataclasses.replace(batch), dataclasses.replace(share.share),
+            tuple(from_scratch(entry) for entry in share.entries),
+        )
+        assert encode(share) == encode(scratch)
+        assert digest(share) == digest(scratch)
+
+
+def test_forgeries_beside_the_shared_batch_are_rejected_entry_by_entry():
+    """A Byzantine replica holds the honest shared batch and sends a
+    forged record and a forged proof beside it, under its valid share."""
+    crypto = FastCrypto(seed="beside")
+    crypto.create_threshold_group(GROUP, 4, 2)
+    batch, entries = shared_batch_with_kept_bytes(crypto)
+    forged_record = dataclasses.replace(
+        entries[1], record=dataclasses.replace(entries[1].record, payload=("reading", 666))
+    )
+    forged_proof = dataclasses.replace(entries[2], proof=entries[1].proof)
+    byzantine = (entries[0], forged_record, forged_proof, entries[3])
+    endpoint, released = collect_at_endpoint(crypto, batch, byzantine, entries)
+    assert released == [1, 2, 3, 4]
+    assert endpoint.collector.rejected_entries == 2
+    assert forged_record.record not in endpoint.released
+    # ... and against the cached signature
+    endpoint, released = collect_at_endpoint(crypto, batch, entries[:1])
+    assert endpoint.receive(3, batch, byzantine) == [4]
+    assert endpoint.collector.rejected_entries == 2
+    assert endpoint.receive(4, batch, entries) == [2, 3]
+
+
+def test_a_forging_replica_is_rejected_at_proxy_and_hmi_in_a_run():
+    deployment = SpireDeployment(SpireOptions(**BASE))
+    byzantine = deployment.replicas[0]
+    honest_send = byzantine.transport.send
+
+    def forging_send(target, payload, **kwargs):
+        if isinstance(payload, BatchDeliveryShare):
+            first = payload.entries[0]
+            forged = dataclasses.replace(
+                first, record=dataclasses.replace(first.record, order_index=10**6)
+            )
+            payload = dataclasses.replace(payload, entries=(forged,) + payload.entries[1:])
+        return honest_send(target, payload, **kwargs)
+
+    byzantine.transport.send = forging_send
+    deployment.start()
+    deployment.run_for(RUN_MS)
+    honest = run_deployment()
+    for endpoint, reference in (
+        (deployment.hmis[0], honest.hmis[0]), (deployment.proxy, honest.proxy),
+    ):
+        assert endpoint.collector.rejected_entries > 0
+        assert endpoint.collector.verified == reference.collector.verified > 0
+    assert sorted(deployment.hmis[0].view) == sorted(deployment.grid.substations)

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SpireDeployment, SpireOptions
-from repro.crypto import EncodingError, FastCrypto, Signature, digest, encode
+from repro.core.update import BatchDeliveryRecord, BatchDeliveryShare, BatchEntry, DeliveryRecord
+from repro.crypto import EncodingError, FastCrypto, Signature, ThresholdShare, digest, encode
 from repro.crypto import encoding, merkle, provider
 from repro.crypto.encoding import digest_bytes, encode_cached
 from repro.prime.messages import (
@@ -177,6 +178,19 @@ def _update_with_its_body():
     return update
 
 
+def _entry_walked_inside_a_share():
+    """A BatchEntry that kept its bytes when a share carrying it was encoded."""
+    record = DeliveryRecord("status", "c", 1, 4, Point(7, 8))
+    entry = BatchEntry(0, record, ("ab" * 32,))
+    share = BatchDeliveryShare(
+        "r1", BatchDeliveryRecord("r1#0", 1, "cd" * 32, 1, 4), ThresholdShare("g", 1, "v"), (entry,)
+    )
+    assert getattr(entry, encoding._ENTRY, None) is None
+    encoded = encode(share)
+    assert getattr(entry, encoding._ENTRY)[0] in encoded
+    return entry
+
+
 def _kept(message):
     """What ``derived`` keeps on ``message``; None when nothing is."""
     return encoding.derived(message, lambda _: None)
@@ -184,6 +198,7 @@ def _kept(message):
 
 MESSAGES = [
     _signed_message, _overlay_datagram, _proposal_with_its_digest, _update_with_its_body,
+    _entry_walked_inside_a_share,
 ]
 
 
@@ -204,6 +219,8 @@ def test_authenticated_message_dies_with_its_last_reference(build):
     (_overlay_datagram, {"dests": ("b", "mallory")}),
     (_proposal_with_its_digest, {"matrix": (_summary(1), _summary(9))}),
     (_update_with_its_body, {"payload": Point(9, 9)}),
+    (_entry_walked_inside_a_share, {"proof": ("ef" * 32,)}),
+    (_entry_walked_inside_a_share, {"record": DeliveryRecord("status", "c", 1, 5, Point(7, 8))}),
 ])
 def test_replaced_message_is_encoded_afresh(build, change):
     """The tamper path of ``FailureInjector.corrupt_payload`` and
@@ -224,6 +241,37 @@ def test_replaced_message_is_encoded_afresh(build, change):
     assert same == victim and encode_cached(same) == encode_cached(victim)
     assert crypto.verify(signature, same) and crypto.check_mac("a", "b", same, tag)
     assert _kept(same) is None
+
+
+@dataclass(frozen=True)
+class Carried:
+    """Opts in to what ``BatchEntry`` does: many envelopes carry one."""
+
+    keeps_nested_encoding = True
+
+    index: int
+    point: Point
+
+
+def test_a_class_that_keeps_its_nested_encoding_is_walked_once(monkeypatch):
+    encode(Point(0, 0))
+    walks = []
+    real_walk = encoding._DISPATCH[Point]
+    monkeypatch.setitem(
+        encoding._DISPATCH, Point, lambda value, out: walks.append(value) or real_walk(value, out)
+    )
+    carried = [Carried(i, Point(i, i)) for i in range(3)]
+    for selection in (carried, carried[1:], carried[:1], carried[::-1]):
+        from_scratch = encode(
+            ("envelope", [Carried(c.index, Point(c.index, c.index)) for c in selection])
+        )
+        del walks[:]
+        assert encode(("envelope", selection)) == from_scratch
+        assert len(walks) == (3 if selection is carried else 0)
+    for one in carried:
+        copied = dataclasses.replace(one)
+        assert getattr(copied, encoding._ENTRY, None) is None
+        assert encode(copied) == encode_cached(one)
 
 
 def test_copy_of_an_update_verifies_on_a_body_derived_afresh():

@@ -1,6 +1,11 @@
 """Unit tests for the network model."""
 
+import dataclasses
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.simnet import LinkSpec, Network, Process, Simulator
 
@@ -222,3 +227,176 @@ def test_stats_counters(net):
     assert network.stats.sent == 1
     assert network.stats.delivered == 1
     assert network.stats.bytes_sent == 256
+
+
+# ----------------------------------------------------------------------
+# The hop table behaves like a fresh lookup on every send
+# ----------------------------------------------------------------------
+
+
+class LookupEverySend(Network):
+    """The reference: destination and link resolved by name on every send
+    and every delay worked out from the link's fields, nothing kept from
+    one send to the next (what ``Network.send`` did before it kept hops,
+    without the clean-link shortcut)."""
+
+    def send(self, src, dst, payload, size_bytes=256):
+        stats = self.stats
+        stats.sent += 1
+        stats.bytes_sent += size_bytes
+        process = self._processes.get(dst)
+        if process is None:
+            stats.dropped_down += 1
+            return False
+        if self._partitioned(src, dst):
+            stats.dropped_partition += 1
+            return False
+        for fn in self._filters:
+            payload = fn(src, dst, payload)
+            if payload is None:
+                stats.dropped_filter += 1
+                return False
+        link = self._link(src, dst)
+        if link.blocked:
+            stats.dropped_partition += 1
+            return False
+        loss = min(1.0, link.spec.loss + link.extra_loss)
+        if loss > 0.0 and self._rng.random() < loss:
+            stats.dropped_loss += 1
+            return False
+        delay = link.spec.latency_ms + link.extra_delay_ms
+        if link.spec.jitter_ms > 0.0:
+            delay += self._rng.random() * link.spec.jitter_ms
+        if link.spec.bandwidth_mbps > 0.0:
+            serialize_ms = (size_bytes * 8) / (link.spec.bandwidth_mbps * 1000.0)
+            start = max(self.simulator.now, link.queue_free_at)
+            link.queue_free_at = start + serialize_ms
+            delay += (start - self.simulator.now) + serialize_ms
+        self.simulator.post(delay, self._deliver, src, process, payload)
+        return True
+
+
+NAMES = ("a", "b", "c", "d", "e")
+names = st.sampled_from(NAMES)
+specs = st.builds(
+    LinkSpec,
+    latency_ms=st.sampled_from([0.5, 2.0, 7.0]),
+    jitter_ms=st.sampled_from([0.0, 0.0, 1.5]),
+    loss=st.sampled_from([0.0, 0.0, 0.4, 1.0]),
+    bandwidth_mbps=st.sampled_from([0.0, 0.0, 0.05]),
+)
+
+
+class Side:
+    """One network under test with its own simulator and delivery log."""
+
+    def __init__(self, network_class):
+        self.simulator = Simulator(seed=11)
+        self.network = network_class(self.simulator, LinkSpec(latency_ms=1.0))
+        self.log = []
+        self.undo = []
+
+    def register(self, name):
+        side = self
+
+        class Logged(Process):
+            def on_message(self, src, payload):
+                side.log.append((self.simulator.now, self.name, src, payload))
+
+        return Logged(name, self.simulator, self.network)
+
+
+class HopTableMachine(RuleBasedStateMachine):
+    """Drives ``Network`` and the reference through the same calls."""
+
+    @initialize()
+    def build(self):
+        self.sides = [Side(Network), Side(LookupEverySend)]
+        self.sent = 0
+        for name in NAMES[:2]:
+            self.both(lambda side: side.register(name))
+
+    def both(self, call):
+        ours, reference = (call(side) for side in self.sides)
+        return ours, reference
+
+    def install(self, hook):
+        """``hook(network)`` returns its undo; kept for :meth:`undo_one`."""
+        self.both(lambda side: side.undo.append(hook(side.network)))
+
+    @rule(src=names, dst=names, size=st.sampled_from([64, 256, 4000]))
+    def send(self, src, dst, size):
+        self.sent += 1
+        ours, reference = self.both(
+            lambda side: side.network.send(src, dst, ("msg", self.sent), size)
+        )
+        assert ours == reference
+
+    @rule(name=names)
+    def register(self, name):
+        # also after a send to that name was dropped: a miss is not kept
+        if name not in self.sides[0].network.process_names:
+            self.both(lambda side: side.register(name))
+
+    @rule(src=names, dst=names, spec=specs, symmetric=st.booleans())
+    def set_link(self, src, dst, spec, symmetric):
+        self.both(lambda side: side.network.set_link(src, dst, spec, symmetric))
+
+    @rule(src=names, dst=names, delay=st.sampled_from([0.0, 3.0]),
+          loss=st.sampled_from([0.0, 0.5]), symmetric=st.booleans())
+    def degrade_link(self, src, dst, delay, loss, symmetric):
+        self.install(lambda network: network.degrade_link(src, dst, delay, loss, symmetric))
+
+    @rule(src=names, dst=names, symmetric=st.booleans())
+    def block_link(self, src, dst, symmetric):
+        self.install(lambda network: network.block_link(src, dst, symmetric))
+
+    @rule(group=st.sets(names, min_size=1, max_size=2), other=st.sets(names, min_size=1, max_size=2))
+    def partition(self, group, other):
+        self.install(lambda network: network.partition(group, other))
+
+    @rule(victim=names, rewrite=st.booleans())
+    def add_filter(self, victim, rewrite):
+        def filter_fn(src, dst, payload):
+            if dst != victim:
+                return payload
+            return ("rewritten", payload) if rewrite else None
+
+        self.install(lambda network: network.add_filter(filter_fn))
+
+    @rule(which=st.integers(0, 50))
+    def undo_one(self, which):
+        """Restore, unblock, heal or remove one installed hook."""
+        if self.sides[0].undo:
+            self.both(lambda side: side.undo.pop(which % len(side.undo))())
+
+    @rule(name=names, up=st.booleans())
+    def crash_or_recover(self, name, up):
+        def flip(side):
+            process = side.network._processes.get(name)
+            if process is not None:
+                process.recover() if up else process.crash()
+
+        self.both(flip)
+
+    @rule(ms=st.sampled_from([0.3, 2.0, 25.0]))
+    def advance(self, ms):
+        self.both(lambda side: side.simulator.run_for(ms))
+
+    @invariant()
+    def both_networks_agree(self):
+        ours, reference = self.sides
+        assert dataclasses.asdict(ours.network.stats) == dataclasses.asdict(reference.network.stats)
+        assert ours.log == reference.log  # delivery order and times
+        assert ours.simulator.rng("network").getstate() == \
+            reference.simulator.rng("network").getstate()  # equal draws
+
+    def teardown(self):
+        self.both(lambda side: side.simulator.run_for(500.0))
+        self.both_networks_agree()
+
+
+HopTableMachine.TestCase.settings = settings(
+    max_examples=80, stateful_step_count=40, deadline=None
+)
+test_hop_table_behaves_like_a_fresh_lookup = HopTableMachine.TestCase
