@@ -38,6 +38,13 @@ Batch verification
 (:func:`repro.prime.messages.verify_client_updates` verifies a pre-order
 request's client updates with it). It is a loop over :meth:`verify`;
 :class:`TimedCrypto` counts it as one call plus an ``.items`` counter.
+
+Ill-typed input
+---------------
+``verify`` answers ``False``, and never raises, for a signature that is
+not a :class:`Signature`, a signer that is not a ``str`` and a message
+no encoder accepts: a Byzantine peer picks all three. The test is by
+class identity, before any key is looked up or derived.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from time import perf_counter as _perf_counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .encoding import _ENTRY, _entry_for, digest_bytes, encode_cached
+from .encoding import _ENTRY, EncodingError, _entry_for, digest_bytes, encode_cached
 from .rsa import RsaKeyPair, generate_keypair
 from .threshold import (
     PartialSignature,
@@ -179,10 +186,17 @@ class RealCrypto(CryptoProvider):
         return Signature(signer, self._keypair(signer).sign(encode_cached(message)))
 
     def verify(self, signature: Signature, message: Any) -> bool:
-        key = self._keypair(signature.signer).public
-        if not isinstance(signature.value, int):
+        if (
+            signature.__class__ is not Signature
+            or signature.signer.__class__ is not str
+            or not isinstance(signature.value, int)
+        ):
             return False
-        return key.verify(encode_cached(message), signature.value)
+        try:
+            data = encode_cached(message)
+        except EncodingError:
+            return False
+        return self._keypair(signature.signer).public.verify(data, signature.value)
 
     def mac(self, src: str, dst: str, message: Any) -> bytes:
         return hmac_module.digest(
@@ -281,8 +295,13 @@ class FastCrypto(CryptoProvider):
         return Signature(signer, self._derive(_entry_for(message), "sig", signer))
 
     def verify(self, signature: Signature, message: Any) -> bool:
-        tag = self._derive(_entry_for(message), "sig", signature.signer)
-        return tag == signature.value
+        if signature.__class__ is not Signature or signature.signer.__class__ is not str:
+            return False
+        try:
+            entry = _entry_for(message)
+        except EncodingError:
+            return False
+        return self._derive(entry, "sig", signature.signer) == signature.value
 
     def mac(self, src: str, dst: str, message: Any) -> bytes:
         # a flooded datagram carries its digest from the first hop on;

@@ -4,16 +4,20 @@ The real Spire uses OpenSSL RSA for replica and client signatures. This is
 a from-scratch implementation sufficient for the reproduction: determinstic
 Miller-Rabin prime generation from a seeded RNG (so key material is
 reproducible per run), full-domain-hash style signing over SHA-256, and
-verification. Key sizes default to 512 bits — small by production
-standards but this code models protocol behaviour, not cryptographic
-strength margins.
+verification. As in OpenSSL, the private-key operation is done by the
+Chinese Remainder Theorem (RFC 8017 §5.1.2): two half-size exponents
+modulo ``p`` and ``q``, equal to ``fdh^d mod n`` for every residue. Shoup
+shares (:mod:`repro.crypto.threshold`) are not: a share holder has no
+factorisation, so a share is one full-size exponent modulo ``n``. Key
+sizes default to 512 bits — small by production standards but this code
+models protocol behaviour, not cryptographic strength margins.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["RsaKeyPair", "RsaPublicKey", "generate_keypair", "is_probable_prime", "generate_prime"]
 
@@ -70,21 +74,35 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaKeyPair:
-    """RSA key pair; ``d`` is the private exponent."""
+    """RSA key pair; ``d`` is the private exponent. The CRT exponents
+    ``dp``, ``dq``, the coefficient ``q_inv`` (RFC 8017 §3.2) and the
+    public key are derived from it once, when the pair is built."""
 
     n: int
     e: int
     d: int
     p: int
     q: int
+    dp: int = field(init=False, repr=False)
+    dq: int = field(init=False, repr=False)
+    q_inv: int = field(init=False, repr=False)
+    public: RsaPublicKey = field(init=False, repr=False)
 
-    @property
-    def public(self) -> RsaPublicKey:
-        return RsaPublicKey(self.n, self.e)
+    def __post_init__(self) -> None:
+        p, q, d = self.p, self.q, self.d
+        object.__setattr__(self, "dp", d % (p - 1))
+        object.__setattr__(self, "dq", d % (q - 1))
+        object.__setattr__(self, "q_inv", pow(q, -1, p))
+        object.__setattr__(self, "public", RsaPublicKey(self.n, self.e))
 
     def sign(self, data: bytes) -> int:
-        """Produce a full-domain-hash signature over ``data``."""
-        return pow(_fdh(data, self.n), self.d, self.n)
+        """Produce a full-domain-hash signature over ``data``: ``fdh^d mod
+        n`` by two half-size exponents and Garner's recombination."""
+        m = _fdh(data, self.n)
+        p, q = self.p, self.q
+        s1 = pow(m, self.dp, p)
+        s2 = pow(m, self.dq, q)
+        return s2 + q * (self.q_inv * (s1 - s2) % p)
 
 
 def _fdh(data: bytes, n: int) -> int:
