@@ -11,8 +11,7 @@ targets:
   message object) over ``repro.crypto.FastCrypto``;
 * **fig3-LAN end-to-end** — the LAN leg of the fig3 benchmark (6 replicas,
   5 RTUs @ 10 Hz, flooding overlay), reported as wall seconds and
-  simulator events/sec, followed by the run's ``repro.obs`` wall-clock
-  hot-spot table.
+  simulator events/sec.
 
 The first two are also run against ``seed_impl`` — a frozen copy of the
 pre-overhaul code — because raw numbers do not transfer across machines
@@ -52,7 +51,6 @@ from common import (  # noqa: E402
 )
 from seed_impl import SeedFastCrypto, seed_digest  # noqa: E402
 
-from repro.analysis import print_hotspots  # noqa: E402
 from repro.core import SpireDeployment, SpireOptions  # noqa: E402
 from repro.core.collector import DeliveryCollector  # noqa: E402
 from repro.core.update import (  # noqa: E402
@@ -126,14 +124,12 @@ def bench_crypto_ops(messages: int, provider_kind: str = "live", repeats: int = 
 # ----------------------------------------------------------------------
 # fig3-LAN end to end
 # ----------------------------------------------------------------------
-def bench_fig3_lan(run_ms: float, hotspots_out=None, repeats: int = 1) -> dict:
+def bench_fig3_lan(run_ms: float, repeats: int = 1) -> dict:
     """Build + run the fig3 LAN leg; wall seconds and events/sec.
 
     The deployment (identical every pass — same seed, same virtual
-    trace) is run ``repeats`` times and the fastest pass is reported;
-    the hot-spot table comes from that pass."""
+    trace) is run ``repeats`` times and the fastest pass is reported."""
     best = None
-    best_obs = None
     for _ in range(repeats):
         started = perf_counter()
         options = SpireOptions.lan(
@@ -157,9 +153,6 @@ def bench_fig3_lan(run_ms: float, hotspots_out=None, repeats: int = 1) -> dict:
         }
         if best is None or result["wall_s"] < best["wall_s"]:
             best = result
-            best_obs = deployment.obs
-    if hotspots_out is not None:
-        print_hotspots(best_obs, out=hotspots_out)
     return best
 
 
@@ -253,7 +246,7 @@ def measure(smoke: bool, emit=print) -> dict:
     emit(f"  crypto ops (live)       : {results['crypto_ops']:>12,.0f} ops/s")
     results["seed_crypto_ops"] = round(bench_crypto_ops(messages, "seed", repeats), 1)
     emit(f"  crypto ops (seed)       : {results['seed_crypto_ops']:>12,.0f} ops/s")
-    results["fig3_lan"] = bench_fig3_lan(run_ms, hotspots_out=emit, repeats=repeats)
+    results["fig3_lan"] = bench_fig3_lan(run_ms, repeats=repeats)
     emit(f"  fig3-LAN e2e            : {results['fig3_lan']['wall_s']:.2f} s wall "
          f"({results['fig3_lan']['events_per_sec']:,.0f} sim events/s)")
     results["ordered_delivery"] = bench_ordered_delivery(ordered, repeats=repeats)

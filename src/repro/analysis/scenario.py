@@ -140,7 +140,7 @@ class ScenarioReport:
                 data["peak_rss_bytes"] = self.peak_rss_bytes
             if self.device_count is not None:
                 data["device_count"] = self.device_count
-        data.update(self.obs.snapshot(deterministic_only))
+        data.update(self.obs.snapshot())
         if self.extra:
             data["extra"] = self.extra
         return data
@@ -199,23 +199,16 @@ class ScenarioReport:
             )
 
         histograms = self._by_kind("histogram")
-        deterministic_hists = [h for h in histograms if h.deterministic]
-        wall_hists = [h for h in histograms if not h.deterministic]
-        for label, group in (
-            ("histograms (sim)", deterministic_hists),
-            ("histograms (wall-clock)", wall_hists),
-        ):
-            if group:
-                print_table(
-                    label,
-                    ["name", "n", "mean", "p99", "max"],
-                    [
-                        [h.name, h.count, h.mean,
-                         h.stats().p99, h.stats().maximum]
-                        for h in group
-                    ],
-                    out=out,
-                )
+        if histograms:
+            print_table(
+                "histograms",
+                ["name", "n", "mean", "p99", "max"],
+                [
+                    [h.name, h.count, h.mean, h.stats().p99, h.stats().maximum]
+                    for h in histograms
+                ],
+                out=out,
+            )
 
         intervals = self._by_kind("intervals")
         if intervals:

@@ -260,7 +260,7 @@ def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> Cha
         fingerprint=_fingerprint(system, violations),
         stats=stats,
         injector_log=injector.log,
-        obs_snapshot=system.obs.snapshot(deterministic_only=True),
+        obs_snapshot=system.obs.snapshot(),
     )
 
 

@@ -18,7 +18,7 @@ layer, so construction is split in two:
     (:func:`repro.fleet.deploy.build_fleet_field`).
 
 Construction order is part of the contract: heap sequence numbers and
-endpoint interning break ties, so RTUs → proxy → overlay attach → device
+process registration order break ties, so RTUs → proxy → overlay attach → device
 links stays in that order (pinned chaos/fig3/fig6 fingerprints enforce it).
 """
 

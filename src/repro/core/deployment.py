@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
 
-from ..crypto.provider import CryptoProvider, FastCrypto, RealCrypto, TimedCrypto
+from ..crypto.provider import CountingCrypto, CryptoProvider, FastCrypto, RealCrypto
 from ..obs import (
     NULL_OBS,
     IntervalCounter,
@@ -249,9 +249,9 @@ class SpireDeployment:
             else FastCrypto(seed=f"spire/{opts.seed}")
         )
         if opts.observability:
-            # Profile every crypto op; the inner provider (and therefore
+            # Count every crypto op; the inner provider (and therefore
             # every signature/MAC byte) is unchanged.
-            self.crypto = TimedCrypto(self.crypto, self.obs)
+            self.crypto = CountingCrypto(self.crypto, self.obs)
         self.topology = topology or wide_area_topology()
         self.overlay = SpinesOverlay(
             self.simulator,

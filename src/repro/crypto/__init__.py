@@ -9,13 +9,13 @@ protocol code consumes.
 from .encoding import EncodingError, digest, encode
 from .merkle import merkle_proof, merkle_root, merkle_tree, verify_merkle_proof
 from .provider import (
+    CountingCrypto,
     CryptoProvider,
     FastCrypto,
     RealCrypto,
     Signature,
     ThresholdShare,
     ThresholdSignature,
-    TimedCrypto,
 )
 from .rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 from .threshold import (
@@ -34,13 +34,13 @@ __all__ = [
     "merkle_proof",
     "merkle_tree",
     "verify_merkle_proof",
+    "CountingCrypto",
     "CryptoProvider",
     "FastCrypto",
     "RealCrypto",
     "Signature",
     "ThresholdShare",
     "ThresholdSignature",
-    "TimedCrypto",
     "RsaKeyPair",
     "RsaPublicKey",
     "generate_keypair",

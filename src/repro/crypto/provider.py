@@ -37,7 +37,7 @@ Batch verification
 ``verify_batch`` checks a sequence of signatures against their messages
 (:func:`repro.prime.messages.verify_client_updates` verifies a pre-order
 request's client updates with it). It is a loop over :meth:`verify`;
-:class:`TimedCrypto` counts it as one call plus an ``.items`` counter.
+:class:`CountingCrypto` counts it as one call plus an ``.items`` counter.
 
 Ill-typed input
 ---------------
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import hmac as hmac_module
 from hashlib import sha256 as _sha256
-from time import perf_counter as _perf_counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,7 +68,7 @@ __all__ = [
     "CryptoProvider",
     "RealCrypto",
     "FastCrypto",
-    "TimedCrypto",
+    "CountingCrypto",
     "Signature",
     "ThresholdShare",
     "ThresholdSignature",
@@ -356,127 +355,93 @@ class FastCrypto(CryptoProvider):
         return signature.value == self._derive(_entry_for(message), "tsig", signature.group)
 
 
-class TimedCrypto(CryptoProvider):
-    """Delegating wrapper that profiles every crypto operation.
+class CountingCrypto(CryptoProvider):
+    """Delegating wrapper that counts crypto operations.
 
-    Wraps any :class:`CryptoProvider` and records per-operation wall-clock
-    timing histograms (``crypto.<op>.wall_ms``, non-deterministic) plus
-    call counters (``crypto.<op>.calls``, deterministic) into a
-    ``repro.obs`` recorder. ``mac`` / ``check_mac`` are counted only: one
-    link MAC is a 64-byte hash, cheaper than the clock reads and the
-    histogram sample that would time it. The underlying provider is
-    untouched, so signatures/MACs are bit-identical with or without the
-    wrapper; if the recorder is disabled the wrapper simply is not
-    installed (deployments construct it only when observability is on).
+    Wraps any :class:`CryptoProvider` and counts each call (all but the
+    ``threshold_parameters`` lookup) into
+    ``crypto.<op>.calls`` of a ``repro.obs`` recorder, plus
+    ``crypto.verify_batch.items`` for the messages of each batch. A
+    counter is created on its op's first call, so a snapshot names only
+    the ops a run used. The underlying provider is untouched, so
+    signatures/MACs are bit-identical with or without the wrapper;
+    deployments install it only when observability is on.
     """
 
     def __init__(self, inner: CryptoProvider, obs) -> None:
         self.inner = inner
         self._obs = obs
-        self._instruments: Dict[str, Tuple[Any, Any]] = {}
-        # per-op instruments for the four per-message ops, attached
-        # lazily on first call (instruments must not exist before the op
-        # is first used) and inlined into each method to avoid the _timed
-        # frame and varargs packing per call
-        self._sign_pair: Optional[Tuple[Any, Any]] = None
-        self._verify_pair: Optional[Tuple[Any, Any]] = None
+        self._incs: Dict[str, Any] = {}
+        # the four per-message ops keep their counter's ``inc`` in a slot
+        # of their own, so a call pays one attribute read, not a lookup
+        self._sign_inc: Any = None
+        self._verify_inc: Any = None
         self._mac_inc: Any = None
         self._check_mac_inc: Any = None
 
-    def _pair(self, op: str) -> Tuple[Any, Any]:
-        pair = self._instruments.get(op)
-        if pair is None:
-            pair = (
-                self._obs.counter(f"crypto.{op}.calls").inc,
-                self._obs.histogram(f"crypto.{op}.wall_ms", deterministic=False).observe,
-            )
-            self._instruments[op] = pair
-        return pair
-
-    def _timed(self, op: str, fn, *args):
-        inc, observe = self._pair(op)
-        inc()
-        started = _perf_counter()
-        result = fn(*args)
-        observe((_perf_counter() - started) * 1000.0)
-        return result
+    def _inc(self, op: str):
+        inc = self._incs.get(op)
+        if inc is None:
+            inc = self._incs[op] = self._obs.counter(f"crypto.{op}.calls").inc
+        return inc
 
     # -- individual signatures -----------------------------------------
     def sign(self, signer: str, message: Any) -> Signature:
-        pair = self._sign_pair
-        if pair is None:
-            pair = self._sign_pair = self._pair("sign")
-        inc, observe = pair
+        inc = self._sign_inc
+        if inc is None:
+            inc = self._sign_inc = self._inc("sign")
         inc()
-        started = _perf_counter()
-        result = self.inner.sign(signer, message)
-        observe((_perf_counter() - started) * 1000.0)
-        return result
+        return self.inner.sign(signer, message)
 
     def verify(self, signature: Signature, message: Any) -> bool:
-        pair = self._verify_pair
-        if pair is None:
-            pair = self._verify_pair = self._pair("verify")
-        inc, observe = pair
+        inc = self._verify_inc
+        if inc is None:
+            inc = self._verify_inc = self._inc("verify")
         inc()
-        started = _perf_counter()
-        result = self.inner.verify(signature, message)
-        observe((_perf_counter() - started) * 1000.0)
-        return result
+        return self.inner.verify(signature, message)
 
-    # -- link MACs (counted, not timed) ---------------------------------
+    # -- link MACs -------------------------------------------------------
     def mac(self, src: str, dst: str, message: Any) -> bytes:
         inc = self._mac_inc
         if inc is None:
-            inc = self._mac_inc = self._obs.counter("crypto.mac.calls").inc
+            inc = self._mac_inc = self._inc("mac")
         inc()
         return self.inner.mac(src, dst, message)
 
     def check_mac(self, src: str, dst: str, message: Any, tag: bytes) -> bool:
         inc = self._check_mac_inc
         if inc is None:
-            inc = self._check_mac_inc = self._obs.counter("crypto.check_mac.calls").inc
+            inc = self._check_mac_inc = self._inc("check_mac")
         inc()
         return self.inner.check_mac(src, dst, message, tag)
 
     # -- threshold signatures ------------------------------------------
     def create_threshold_group(self, group: str, players: int, threshold: int) -> None:
-        return self._timed(
-            "create_threshold_group",
-            self.inner.create_threshold_group, group, players, threshold,
-        )
+        self._inc("create_threshold_group")()
+        self.inner.create_threshold_group(group, players, threshold)
 
     def threshold_parameters(self, group: str) -> Tuple[int, int]:
         return self.inner.threshold_parameters(group)
 
     def threshold_sign_share(self, group: str, index: int, message: Any) -> ThresholdShare:
-        return self._timed(
-            "threshold_sign_share",
-            self.inner.threshold_sign_share, group, index, message,
-        )
+        self._inc("threshold_sign_share")()
+        return self.inner.threshold_sign_share(group, index, message)
 
     def threshold_combine(
         self, group: str, message: Any, shares: Iterable[ThresholdShare]
     ) -> Optional[ThresholdSignature]:
-        return self._timed(
-            "threshold_combine", self.inner.threshold_combine, group, message, shares
-        )
+        self._inc("threshold_combine")()
+        return self.inner.threshold_combine(group, message, shares)
 
     def threshold_verify(self, signature: ThresholdSignature, message: Any) -> bool:
-        return self._timed(
-            "threshold_verify", self.inner.threshold_verify, signature, message
-        )
+        self._inc("threshold_verify")()
+        return self.inner.threshold_verify(signature, message)
 
     def verify_batch(
         self, signatures: Sequence[Signature], messages: Sequence[Any]
     ) -> List[bool]:
         # one *call* per batch plus an ``.items`` counter, so the ledger
-        # shows both the amortization factor and the per-item volume;
-        # timing covers the whole batch
-        inc, observe = self._pair("verify_batch")
-        inc()
+        # shows both the amortization factor and the per-item volume
+        self._inc("verify_batch")()
         self._obs.counter("crypto.verify_batch.items").inc(len(messages))
-        started = _perf_counter()
-        result = self.inner.verify_batch(signatures, messages)
-        observe((_perf_counter() - started) * 1000.0)
-        return result
+        return self.inner.verify_batch(signatures, messages)

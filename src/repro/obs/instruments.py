@@ -11,10 +11,10 @@ Four instrument families cover everything the evaluation measures:
 
 Instruments live in a :class:`MetricRegistry`; ``registry.snapshot()``
 returns a JSON-serializable, deterministically ordered image of every
-instrument. Instruments that record *wall-clock* time (handler timing,
-crypto profiling) are created with ``deterministic=False`` and excluded
-from deterministic snapshots, so two runs of the same seed always produce
-identical deterministic snapshots regardless of host speed.
+instrument. Every instrument holds simulated time or a count, never host
+time, so two runs of the same seed produce identical snapshots whatever
+the host's speed; host time is measured from outside the run, by the
+``benchmarks/e2e`` ledger.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ class _Instrument:
 
     kind = "instrument"
 
-    def __init__(self, name: str, deterministic: bool = True) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.deterministic = deterministic
 
     def snapshot(self) -> Any:
         raise NotImplementedError
@@ -112,8 +111,8 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, deterministic: bool = True) -> None:
-        super().__init__(name, deterministic)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -128,8 +127,8 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str, deterministic: bool = True) -> None:
-        super().__init__(name, deterministic)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self.value: float = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
@@ -158,10 +157,8 @@ class Histogram(_Instrument):
 
     kind = "histogram"
 
-    def __init__(
-        self, name: str, deterministic: bool = True, max_samples: int = 200_000
-    ) -> None:
-        super().__init__(name, deterministic)
+    def __init__(self, name: str, max_samples: int = 200_000) -> None:
+        super().__init__(name)
         self.max_samples = max_samples
         self.samples: List[float] = []
         self.count = 0
@@ -201,8 +198,8 @@ class LatencyTracker(_Instrument):
 
     kind = "latency"
 
-    def __init__(self, name: str = "latency", deterministic: bool = True) -> None:
-        super().__init__(name, deterministic)
+    def __init__(self, name: str = "latency") -> None:
+        super().__init__(name)
         self._submitted: Dict[Tuple, float] = {}
         #: (ack_time, latency) pairs in acknowledgement order
         self.samples: List[Tuple[float, float]] = []
@@ -283,11 +280,8 @@ class IntervalCounter(_Instrument):
 
     kind = "intervals"
 
-    def __init__(
-        self, interval_ms: float, name: str = "intervals",
-        deterministic: bool = True,
-    ) -> None:
-        super().__init__(name, deterministic)
+    def __init__(self, interval_ms: float, name: str = "intervals") -> None:
+        super().__init__(name)
         self.interval_ms = interval_ms
         self._counts: Dict[int, int] = {}
 
@@ -425,32 +419,23 @@ class MetricRegistry:
             )
         return instrument
 
-    def counter(self, name: str, deterministic: bool = True) -> Counter:
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, lambda: Counter(name), Counter)
+
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, lambda: Gauge(name), Gauge)
+
+    def histogram(self, name: str, max_samples: int = 200_000) -> Histogram:
         return self._get_or_create(
-            name, lambda: Counter(name, deterministic), Counter
+            name, lambda: Histogram(name, max_samples), Histogram
         )
 
-    def gauge(self, name: str, deterministic: bool = True) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, deterministic), Gauge)
+    def latency(self, name: str) -> LatencyTracker:
+        return self._get_or_create(name, lambda: LatencyTracker(name), LatencyTracker)
 
-    def histogram(
-        self, name: str, deterministic: bool = True, max_samples: int = 200_000
-    ) -> Histogram:
+    def intervals(self, name: str, interval_ms: float = 1000.0) -> IntervalCounter:
         return self._get_or_create(
-            name, lambda: Histogram(name, deterministic, max_samples), Histogram
-        )
-
-    def latency(self, name: str, deterministic: bool = True) -> LatencyTracker:
-        return self._get_or_create(
-            name, lambda: LatencyTracker(name, deterministic), LatencyTracker
-        )
-
-    def intervals(
-        self, name: str, interval_ms: float = 1000.0, deterministic: bool = True
-    ) -> IntervalCounter:
-        return self._get_or_create(
-            name, lambda: IntervalCounter(interval_ms, name, deterministic),
-            IntervalCounter,
+            name, lambda: IntervalCounter(interval_ms, name), IntervalCounter
         )
 
     def register(self, instrument: _Instrument) -> _Instrument:
@@ -467,14 +452,9 @@ class MetricRegistry:
     def get(self, name: str) -> Optional[_Instrument]:
         return self._instruments.get(name)
 
-    def snapshot(self, deterministic_only: bool = False) -> Dict[str, Any]:
-        """JSON-serializable image of every instrument, sorted by name.
-
-        ``deterministic_only`` excludes wall-clock instruments so the
-        result is byte-identical across runs of the same seed.
-        """
+    def snapshot(self) -> Dict[str, Any]:
+        """JSON-serializable image of every instrument, sorted by name."""
         return {
             name: instrument.snapshot()
             for name, instrument in sorted(self._instruments.items())
-            if instrument.deterministic or not deterministic_only
         }

@@ -9,7 +9,7 @@ object components can share:
 Components never construct their own; they accept an ``obs`` parameter
 and fall back to :data:`NULL_OBS`, a shared :class:`NullObservability`
 whose instruments swallow every call. Hot paths additionally guard
-optional work (wall-clock reads) behind ``obs.enabled`` so disabled runs
+optional work (per-kind counters) behind ``obs.enabled`` so disabled runs
 pay only an attribute test.
 """
 
@@ -97,34 +97,30 @@ class Observability:
         self.log = log if log is not None else EventLog(self.now_fn, max_events)
 
     # -- instruments (get-or-create, delegated to the registry) --------
-    def counter(self, name: str, deterministic: bool = True) -> Counter:
-        return self.registry.counter(name, deterministic)
+    def counter(self, name: str) -> Counter:
+        return self.registry.counter(name)
 
-    def gauge(self, name: str, deterministic: bool = True) -> Gauge:
-        return self.registry.gauge(name, deterministic)
+    def gauge(self, name: str) -> Gauge:
+        return self.registry.gauge(name)
 
-    def histogram(
-        self, name: str, deterministic: bool = True, max_samples: int = 200_000
-    ) -> Histogram:
-        return self.registry.histogram(name, deterministic, max_samples)
+    def histogram(self, name: str, max_samples: int = 200_000) -> Histogram:
+        return self.registry.histogram(name, max_samples)
 
-    def latency(self, name: str, deterministic: bool = True) -> LatencyTracker:
-        return self.registry.latency(name, deterministic)
+    def latency(self, name: str) -> LatencyTracker:
+        return self.registry.latency(name)
 
-    def intervals(
-        self, name: str, interval_ms: float = 1000.0, deterministic: bool = True
-    ) -> IntervalCounter:
-        return self.registry.intervals(name, interval_ms, deterministic)
+    def intervals(self, name: str, interval_ms: float = 1000.0) -> IntervalCounter:
+        return self.registry.intervals(name, interval_ms)
 
     # -- events --------------------------------------------------------
     def event(self, component: str, kind: str, **details: Any) -> None:
         self.log.event(component, kind, **details)
 
     # -- snapshots -----------------------------------------------------
-    def snapshot(self, deterministic_only: bool = False) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable image of metrics plus event-log summary."""
         return {
-            "metrics": self.registry.snapshot(deterministic_only),
+            "metrics": self.registry.snapshot(),
             "events": {
                 "recorded": len(self.log),
                 "dropped": self.log.dropped,
@@ -140,7 +136,6 @@ class _NullInstrument:
 
     __slots__ = ()
     name = "null"
-    deterministic = True
 
     def snapshot(self) -> Any:
         return None
@@ -239,23 +234,19 @@ class _NullRegistry:
 
     __slots__ = ()
 
-    def counter(self, name: str, deterministic: bool = True) -> _NullCounter:
+    def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
 
-    def gauge(self, name: str, deterministic: bool = True) -> _NullGauge:
+    def gauge(self, name: str) -> _NullGauge:
         return _NULL_GAUGE
 
-    def histogram(
-        self, name: str, deterministic: bool = True, max_samples: int = 200_000
-    ) -> _NullHistogram:
+    def histogram(self, name: str, max_samples: int = 200_000) -> _NullHistogram:
         return _NULL_HISTOGRAM
 
-    def latency(self, name: str, deterministic: bool = True) -> _NullLatency:
+    def latency(self, name: str) -> _NullLatency:
         return _NULL_LATENCY
 
-    def intervals(
-        self, name: str, interval_ms: float = 1000.0, deterministic: bool = True
-    ) -> _NullIntervals:
+    def intervals(self, name: str, interval_ms: float = 1000.0) -> _NullIntervals:
         return _NULL_INTERVALS
 
     def register(self, instrument):
@@ -267,7 +258,7 @@ class _NullRegistry:
     def get(self, name: str) -> None:
         return None
 
-    def snapshot(self, deterministic_only: bool = False) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         return {}
 
 
@@ -277,7 +268,7 @@ class NullObservability(Observability):
     A single shared instance (:data:`NULL_OBS`) serves every
     un-observed component; nothing is allocated per call, so the hot
     path cost of instrumentation collapses to an ``obs.enabled`` test
-    (or a no-op method call where timing isn't involved).
+    or a no-op method call.
     """
 
     enabled = False
@@ -290,7 +281,7 @@ class NullObservability(Observability):
     def event(self, component: str, kind: str, **details: Any) -> None:
         pass
 
-    def snapshot(self, deterministic_only: bool = False) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         return {"metrics": {}, "events": {"recorded": 0, "dropped": 0, "kinds": {}}}
 
 

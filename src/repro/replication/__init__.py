@@ -16,7 +16,7 @@ PBFT baseline) are built on, layered bottom-up:
   vote and change views with (:class:`Prepare`, :class:`Commit`,
   :class:`PreparedEntry`, :class:`NewView`);
 * :mod:`~repro.replication.dispatch` — typed handler registration with
-  sender authentication and per-kind receive counters/timing;
+  sender authentication and per-kind receive counters;
 * :mod:`~repro.replication.runtime` — :class:`ReplicationRuntime`:
   sign/verify, membership fan-out, loopback rules, per-kind send
   counters;

@@ -1,13 +1,12 @@
-"""Message dispatch: handler registration plus per-kind observability.
+"""Message dispatch: handler registration plus a per-kind message count.
 
 Replaces the hand-rolled ``if/elif`` (or per-call dict) dispatch that each
 protocol node used to carry. A node registers one handler per payload
 type; :meth:`Dispatcher.dispatch` authenticates the claimed sender,
-routes, and — when observability is enabled — counts the message and
-times the handler under ``{prefix}.msgs.{Kind}`` /
-``{prefix}.handler.{Kind}.wall_ms``. Instruments are resolved lazily and
-cached per kind, so the registry is consulted once per message *type*,
-not once per message.
+routes, and — when observability is enabled — counts the message under
+``{prefix}.msgs.{Kind}``. The counter is resolved lazily and cached per
+kind, so the registry is consulted once per message *type*, not once per
+message.
 
 The sender check runs *before* the handler: a message whose claimed
 sender field does not match the envelope signer (or names a non-member)
@@ -17,7 +16,6 @@ can only lie in their own messages" rule enforced in one place.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Callable, Dict, Optional
 
 from ..obs import NULL_OBS, Observability
@@ -59,10 +57,10 @@ class Dispatcher:
         self._prefix = metric_prefix
         self._handlers: Dict[type, Handler] = {}
         self._sender_checks: Dict[type, SenderCheck] = {}
-        # per-kind (check, handler, counter.inc, histogram.observe) route
-        # entries, resolved lazily (once per kind) so the dispatch hot
-        # path does a single dict lookup per message; invalidated by
-        # register() when a handler is rebound
+        # per-kind (check, handler, counter.inc) route entries, resolved
+        # lazily (once per kind) so the dispatch hot path does a single
+        # dict lookup per message; invalidated by register() when a
+        # handler is rebound
         self._route: Dict[type, Any] = {}
 
     def register(
@@ -82,7 +80,7 @@ class Dispatcher:
 
     def _dispatch_slow(self, signed: SignedMessage, payload: Any) -> None:
         """First message of a kind: authenticate, route, then cache the
-        route entry. Instruments are created only once a message of the
+        route entry. The counter is created only once a message of the
         kind actually reaches its handler, matching the lazy behaviour
         the per-message lookups had."""
         kind = payload.__class__
@@ -92,19 +90,12 @@ class Dispatcher:
         handler = self._handlers.get(kind)
         if handler is None:
             return
-        if not self.obs.enabled:
-            self._route[kind] = (check, handler, None, None)
-            handler(signed, payload)
-            return
-        counter = self.obs.counter(f"{self._prefix}.msgs.{kind.__name__}")
-        timing = self.obs.histogram(
-            f"{self._prefix}.handler.{kind.__name__}.wall_ms", deterministic=False
-        )
-        self._route[kind] = (check, handler, counter.inc, timing.observe)
-        counter.inc()
-        started = perf_counter()
+        inc = None
+        if self.obs.enabled:
+            inc = self.obs.counter(f"{self._prefix}.msgs.{kind.__name__}").inc
+            inc()
+        self._route[kind] = (check, handler, inc)
         handler(signed, payload)
-        timing.observe((perf_counter() - started) * 1000.0)
 
     def dispatch(self, signed: SignedMessage) -> None:
         """Authenticate, route and account one verified envelope."""
@@ -113,13 +104,9 @@ class Dispatcher:
         if entry is None:
             self._dispatch_slow(signed, payload)
             return
-        check, handler, inc, observe = entry
+        check, handler, inc = entry
         if check is not None and not check(payload, signed.signature.signer):
             return
-        if inc is None:
-            handler(signed, payload)
-            return
-        inc()
-        started = perf_counter()
+        if inc is not None:
+            inc()
         handler(signed, payload)
-        observe((perf_counter() - started) * 1000.0)

@@ -10,12 +10,10 @@ scripting (:class:`FailureInjector`). Structured event logging lives in
 
 from .engine import PeriodicTimer, SimulationError, Simulator, Timer
 from .failures import CorruptedPayload, DosAttack, FailureInjector
-from .interning import EndpointTable
 from .network import LinkSpec, Network, NetworkStats
 from .node import Process
 
 __all__ = [
-    "EndpointTable",
     "PeriodicTimer",
     "SimulationError",
     "Simulator",

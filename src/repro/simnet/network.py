@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple, TYPE_CHECKING
 
 from .engine import Simulator
-from .interning import EndpointTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .node import Process
@@ -108,16 +107,12 @@ class Network:
     def __init__(self, simulator: Simulator, default_link: Optional[LinkSpec] = None) -> None:
         self.simulator = simulator
         self.default_link = default_link or LinkSpec()
-        #: symbol table interning endpoint names to dense integer ids,
-        #: which key the link table (``send`` reads neither, see ``_hops``)
-        self.endpoints = EndpointTable()
         # registration-ordered name view (failure injectors sample from
         # it, so iteration order is part of the determinism contract)
         self._processes: Dict[str, "Process"] = {}
-        # dense id -> process (None for interned-but-unregistered names)
-        self._procs_by_id: list[Optional["Process"]] = []
-        # src id -> dst id -> state
-        self._links: Dict[int, Dict[int, _LinkState]] = {}
+        # src name -> dst name -> state; a link may be described before
+        # either end is registered
+        self._links: Dict[str, Dict[str, _LinkState]] = {}
         # src name -> dst name -> (link state, destination process): what
         # send() needs per message, resolved on first use. Nothing ever
         # invalidates a hop — link states are mutated in place and
@@ -135,37 +130,24 @@ class Network:
     # ------------------------------------------------------------------
     # Registration and topology
     # ------------------------------------------------------------------
-    def register(self, process: "Process") -> int:
-        """Register a process; returns its interned endpoint id."""
+    def register(self, process: "Process") -> None:
+        """Register a process under its name."""
         if process.name in self._processes:
             raise ValueError(f"duplicate process name: {process.name}")
-        eid = self.endpoints.intern(process.name)
-        while len(self._procs_by_id) <= eid:
-            self._procs_by_id.append(None)
-        self._procs_by_id[eid] = process
         self._processes[process.name] = process
-        return eid
 
     def process(self, name: str) -> "Process":
         return self._processes[name]
-
-    def process_by_id(self, eid: int) -> Optional["Process"]:
-        """The registered process for an endpoint id (None if the name
-        was interned but never registered)."""
-        if 0 <= eid < len(self._procs_by_id):
-            return self._procs_by_id[eid]
-        return None
 
     @property
     def process_names(self) -> Iterable[str]:
         return self._processes.keys()
 
     def _link(self, src: str, dst: str) -> _LinkState:
-        by_src = self._links.setdefault(self.endpoints.intern(src), {})
-        dst_id = self.endpoints.intern(dst)
-        state = by_src.get(dst_id)
+        by_src = self._links.setdefault(src, {})
+        state = by_src.get(dst)
         if state is None:
-            state = by_src[dst_id] = _LinkState(self.default_link.copy())
+            state = by_src[dst] = _LinkState(self.default_link.copy())
         return state
 
     def set_link(self, src: str, dst: str, spec: LinkSpec, symmetric: bool = True) -> None:
@@ -316,8 +298,7 @@ class Network:
     def _deliver_named(self, src: str, dst: str, payload: Any) -> None:
         """Name-resolving delivery used by :meth:`inject` only: the
         destination may not be registered when the injection is scheduled,
-        so resolution is deferred to delivery time (the pre-interning
-        behavior)."""
+        so resolution is deferred to delivery time."""
         process = self._processes.get(dst)
         if process is None:
             self.stats.dropped_down += 1

@@ -32,10 +32,7 @@ class Process:
         self.network = network
         self.is_up = True
         self._incarnation = 0
-        #: dense integer identity interned by the network's symbol table
-        #: (see :mod:`repro.simnet.interning`); names stay the public
-        #: addressing API, ids key the hot per-message structures
-        self.endpoint_id = network.register(self)
+        network.register(self)
 
     # ------------------------------------------------------------------
     # Messaging

@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import inspect
 import pathlib
+import re
 import subprocess
 
 import pytest
@@ -348,3 +349,82 @@ def test_every_committed_table_has_one_reporter():
             f"{tracked} is written by {written.count(path.stem)} "
             f"reporter() calls, expected exactly one"
         )
+
+
+#: the host clocks of :mod:`time`
+_HOST_CLOCKS = frozenset({"perf_counter", "monotonic", "process_time", "time"})
+
+
+def _host_clock_reads(tree):
+    """The innermost enclosing scope of every reference to a host clock:
+    ``time.<clock>`` and any name a ``from time import`` binds to one."""
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "time"
+        for alias in node.names if alias.name in _HOST_CLOCKS
+    }
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr in _HOST_CLOCKS
+                and isinstance(node.value, ast.Name) and node.value.id == "time") \
+                or (isinstance(node, ast.Name) and node.id in bound):
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_host_time_is_read_only_beside_a_run():
+    # Instruments hold simulated time and counts; host time is measured
+    # from outside, by the benchmarks/e2e ledger. Inside the program it
+    # is read only where a run reports its own wall time next to its
+    # results: a deployment's run_for, the chaos runner and the
+    # campaign runner.
+    allowed = {("core/deployment.py", "SpireDeployment.run_for"),
+               ("chaos/engine.py", "run_chaos")}
+    reads = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC / "repro").as_posix()
+        if relative == "parallel/runner.py":
+            continue
+        reads.update((relative, scope) for scope in _host_clock_reads(ast.parse(path.read_text())))
+    assert reads <= allowed, sorted(reads - allowed)
+    assert reads == allowed, "a sanctioned clock read moved; update this guard"
+
+
+#: names of deleted twins and of code that had no reader; none may return
+_REMOVED = re.compile(
+    r"delivery_batching|digest_version|strict_view_adoption|vc_retransmit_ms"
+    r"|view_change_hardening|resolve_obs|for_trace|combine_robust\(|class DeliveryShare"
+    r"|def _deliver_executed|mac_batch|bisect_mismatches|class PbftPrepare|class PbftCommit"
+    r"|class PbftPrepared|class PbftNewView|class OrderingSlot|def _validate_prepared"
+    r"|IdentityMemo|_ENCODE_MEMO|encode_cache_stats|_PollState|proxy_of_substation"
+    r"|def register_proxy\b|def _proxy_for|driver_mode|class SpanRecorder|wall_now_fn"
+    r"|def sign_batch|def threshold_sign_share_batch|def _filter_window|def crash_at\b"
+    r"|def recover_at\b|def dos_window|def merge_snapshot|class MergedImage"
+    r"|wall_ms|print_hotspots|wall_clock_hotspots|EndpointTable|process_by_id"
+    r"|class TimedCrypto"
+)
+
+
+def test_removed_twins_stay_removed():
+    # A deleted name that reappears anywhere under src/ has regrown a
+    # twin; identity-keyed memos (``id(``) stay out of crypto, the
+    # ``trace=`` knob stays out of the package, and so does the
+    # prime.transport shim.
+    crypto = SRC / "repro" / "crypto"
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        for line_no, line in enumerate(text.splitlines(), 1):
+            found = _REMOVED.search(line)
+            assert found is None, f"{path}:{line_no}: {found.group(0)}"
+            if crypto in path.parents:
+                assert re.search(r"\bid\(", line) is None, f"{path}:{line_no}"
+            assert "trace=" not in line, f"{path}:{line_no}"
+    assert not (SRC / "repro" / "prime" / "transport.py").exists()

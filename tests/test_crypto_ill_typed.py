@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from repro.core import SpireDeployment, SpireOptions
 from repro.crypto import (
+    CountingCrypto,
     FastCrypto,
     RealCrypto,
     Signature,
     ThresholdShare,
     ThresholdSignature,
-    TimedCrypto,
 )
 from repro.obs import Observability
 from repro.pbft import PbftConfig, PbftNode
@@ -32,16 +32,17 @@ from repro.spines import SpinesOverlay
 from repro.spines.topology import lan_topology
 
 
-def _timed(inner):
-    return TimedCrypto(inner, Observability(now_fn=lambda: 0.0))
+def _counting(inner):
+    return CountingCrypto(inner, Observability(now_fn=lambda: 0.0))
 
 
 PROVIDERS = {
     "fast": FastCrypto(seed="ill-typed"),
     "real": RealCrypto(seed="ill-typed", bits=256),
 }
-PROVIDERS["timed-fast"] = _timed(PROVIDERS["fast"])
-PROVIDERS["timed-real"] = _timed(PROVIDERS["real"])
+# the wrapper a deployment with observability on signs through
+PROVIDERS["timed-fast"] = _counting(PROVIDERS["fast"])
+PROVIDERS["timed-real"] = _counting(PROVIDERS["real"])
 
 
 def _tables(crypto):
@@ -157,7 +158,7 @@ def test_pbft_run_survives_a_forged_envelope(kind, crypto_kind):
         FastCrypto(seed="pbft/1") if crypto_kind == "fast"
         else RealCrypto(seed="pbft/1", bits=256)
     )
-    crypto = _timed(inner)
+    crypto = _counting(inner)
     overlay = SpinesOverlay(simulator, network, lan_topology(1), mode="shortest", crypto=crypto)
     names = tuple(f"replica:{i}" for i in range(4))
     config = PbftConfig(names, num_faults=1)

@@ -1,87 +1,13 @@
-"""Tests for endpoint interning (repro.simnet.interning).
+"""Tests for name-keyed process registration and delivery in the network.
 
-The network's per-message hot path now keys link state and delivery on
-dense integer endpoint ids instead of name strings.  These tests pin the
-three properties the refactor must keep: the symbol table round-trips
-names and ids exactly, ids stay dense and collision-free at fleet scale
-(10k endpoints), and a full small-n deployment produces a bit-identical
-trace image to the pre-interning implementation (pinned digests).
+The network keys its processes, link state and delivery on endpoint
+names; there is no separate integer id layer.  These tests pin that a
+process registers under its name, in registration order, and that a send
+is delivered (or dropped) by name alone.
 """
 
-import os
+from repro.simnet import LinkSpec, Network, Process, Simulator
 
-import pytest
-
-from repro.core import SpireDeployment, SpireOptions
-from repro.crypto.encoding import digest
-from repro.simnet import (
-    EndpointTable,
-    LinkSpec,
-    Network,
-    Process,
-    Simulator,
-)
-
-DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
-
-
-# ----------------------------------------------------------------------
-# EndpointTable
-# ----------------------------------------------------------------------
-
-def test_intern_allocates_dense_ids_in_first_sight_order():
-    table = EndpointTable()
-    assert table.intern("c") == 0
-    assert table.intern("a") == 1
-    assert table.intern("b") == 2
-    # re-interning returns the existing id, never a new one
-    assert table.intern("a") == 1
-    assert len(table) == 3
-
-
-def test_round_trip_name_to_id_and_back():
-    table = EndpointTable()
-    names = [f"proc:{i}" for i in range(50)]
-    ids = [table.intern(name) for name in names]
-    assert [table.name_of(eid) for eid in ids] == names
-    assert [table.id_of(name) for name in names] == ids
-    assert list(table.names()) == names
-
-
-def test_get_returns_none_for_unknown_without_interning():
-    table = EndpointTable()
-    assert table.get("ghost") is None
-    assert "ghost" not in table
-    assert len(table) == 0
-    table.intern("real")
-    assert table.get("real") == 0
-    assert "real" in table
-
-
-def test_id_of_raises_for_unknown():
-    table = EndpointTable()
-    with pytest.raises(KeyError):
-        table.id_of("missing")
-    with pytest.raises(IndexError):
-        table.name_of(0)
-
-
-def test_collision_free_at_fleet_scale():
-    """10k endpoints: ids stay dense, unique, and stable."""
-    table = EndpointTable()
-    names = [f"region{i % 40}/rtu:s{i}" for i in range(10_000)]
-    ids = [table.intern(name) for name in names]
-    assert ids == list(range(10_000))
-    assert len(set(ids)) == 10_000
-    # every name still resolves to its original id after full load
-    for offset in (0, 1, 4_999, 9_999):
-        assert table.id_of(names[offset]) == offset
-        assert table.name_of(offset) == names[offset]
-
-
-# ----------------------------------------------------------------------
-# Network integration
-# ----------------------------------------------------------------------
 
 def _make_net():
     simulator = Simulator(seed=5)
@@ -93,13 +19,13 @@ def test_network_registers_processes_into_symbol_table():
     simulator, network = _make_net()
     a = Process("a", simulator, network)
     b = Process("b", simulator, network)
-    assert a.endpoint_id == 0
-    assert b.endpoint_id == 1
-    assert network.endpoints.id_of("a") == 0
-    assert network.process_by_id(1) is b
+    z = Process("0", simulator, network)  # sorts first, registers last
+    assert network.process("a") is a
+    assert network.process("b") is b
+    assert network.process("0") is z
     # registration-ordered name iteration is part of the determinism
     # contract (failure injection samples from it)
-    assert list(network.process_names) == ["a", "b"]
+    assert list(network.process_names) == ["a", "b", "0"]
 
 
 def test_send_delivers_through_interned_path():
@@ -124,46 +50,3 @@ def test_send_to_unknown_destination_is_dropped():
     assert a.send("ghost", "x") is False
     simulator.run_until(10.0)
     assert network.stats.dropped_down == 1
-
-
-# ----------------------------------------------------------------------
-# Pinned small-n trace image
-# ----------------------------------------------------------------------
-
-def _trace_fingerprint(options, run_ms):
-    deployment = SpireDeployment(options)
-    deployment.start()
-    deployment.simulator.run_until(run_ms)
-    image = tuple(
-        (e.time, e.component, e.kind, tuple(sorted(e.details.items())))
-        for e in deployment.obs.log.events()
-    )
-    return digest((image, deployment.simulator.events_processed))
-
-
-#: digests at PYTHONHASHSEED=0 (pinned in PR 12; the flooding ``wan7``
-#: re-pinned in PR 15, see CHANGES.md) — the interned hot path must keep
-#: every delivery bit-identical
-PINNED_TRACES = {
-    "wan7": (
-        dict(seed=7, num_substations=3),
-        6000.0,
-        "7a85576d6b15a936c9883815d714c9114954bf78ca048fa9fadf08063318bbf4",
-    ),
-    "lan21": (
-        dict(seed=21, num_substations=2, poll_interval_ms=200.0),
-        4000.0,
-        "4a8c610501f5f0c1cf20468b995ea5a9b9805f5e1d3b415bd5fc4116fa4b06f2",
-    ),
-}
-
-
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING,
-    reason="pinned digests need PYTHONHASHSEED=0",
-)
-@pytest.mark.parametrize("case", sorted(PINNED_TRACES))
-def test_trace_image_pinned_across_interning(case):
-    overrides, run_ms, expected = PINNED_TRACES[case]
-    preset = SpireOptions.wan if case.startswith("wan") else SpireOptions.lan
-    assert _trace_fingerprint(preset(**overrides), run_ms) == expected
