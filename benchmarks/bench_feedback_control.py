@@ -25,7 +25,6 @@ different phases of its rotation rather than one lucky/unlucky slot.
 """
 
 from repro.analysis import print_table
-from repro.control import ControlOptions
 from repro.core import SpireDeployment, SpireOptions
 from repro.obs import (
     COMP_RECOVERY_CONTROLLER,
@@ -77,14 +76,13 @@ def _inject(family, deployment, injector, fault_ms, record):
 
 
 def _run_one(family, strategy, seed, fault_ms, run_ms):
-    control = ControlOptions() if strategy == "feedback" else None
     deployment = SpireDeployment(SpireOptions(
         num_substations=2,
         poll_interval_ms=250.0,
         seed=seed,
         f=1, k=1,
         proactive_recovery=(PERIOD_MS, DURATION_MS),
-        control=control,
+        feedback_control=strategy == "feedback",
     ))
     record = {}
     if family != "quiet":

@@ -18,7 +18,12 @@ from repro.analysis import print_table
 from repro.attacks import compromise_daemon_drop_all
 from repro.crypto import FastCrypto
 from repro.simnet import LinkSpec, Network, Process, Simulator
-from repro.spines import OverlayStack, SpinesOverlay, continental_topology
+from repro.spines import (
+    LinkMonitorConfig,
+    OverlayStack,
+    SpinesOverlay,
+    continental_topology,
+)
 
 from common import once, reporter
 
@@ -113,7 +118,7 @@ def test_fig8_spines_resilience(benchmark):
             heal_rows[self_healing] = [
                 "self-healing" if self_healing else "static",
                 sent, delivered, f"{delivered / sent:.1%}",
-                restore, overlay.monitor_config.detection_bound_ms,
+                restore, LinkMonitorConfig.detection_bound_ms,
             ]
         return rows, heal_rows
 

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
-from ..control import ControlOptions
 from ..core.deployment import SpireDeployment, SpireOptions
 from ..crypto.encoding import digest
 from ..obs import (
@@ -74,16 +73,11 @@ class ChaosOptions:
     overlay_mode: str = "shortest"
     #: enable the Spines self-healing control plane for this run
     self_healing: bool = False
-    #: per-source forward queue bound passed through to the overlay daemons
-    overlay_queue_limit: int = 0
     prime_preset: str = "wan"
     #: (period_ms, duration_ms); None disables proactive recovery
     proactive_recovery: Optional[Tuple[float, float]] = (4000.0, 500.0)
     #: run proactive recovery under the ``repro.control`` feedback controller
     feedback_control: bool = False
-    #: controller knob overrides, serialized with the scenario; None runs
-    #: the :class:`~repro.control.ControlOptions` defaults
-    control_overrides: Optional[Dict[str, Any]] = None
     #: draw ``leader_kill``/``leader_partition`` into generated schedules
     leader_faults: bool = False
 
@@ -333,16 +327,13 @@ class ChaosEngine:
 
     def run(self) -> ChaosResult:
         opts = self.options
-        control: Optional[ControlOptions] = None
-        if opts.feedback_control:
-            control = ControlOptions.from_dict(opts.control_overrides or {})
         deployment = SpireDeployment(SpireOptions(
             seed=opts.seed, f=opts.f, k=opts.k, num_substations=opts.num_substations,
             poll_interval_ms=opts.poll_interval_ms,
             resubmit_timeout_ms=opts.resubmit_timeout_ms,
             overlay_mode=opts.overlay_mode, overlay_self_healing=opts.self_healing,
-            overlay_queue_limit=opts.overlay_queue_limit, prime_preset=opts.prime_preset,
-            proactive_recovery=opts.proactive_recovery, control=control,
+            prime_preset=opts.prime_preset, proactive_recovery=opts.proactive_recovery,
+            feedback_control=opts.feedback_control,
         ))
         proxy, hmi = deployment.proxy, deployment.hmis[0]
         if self.schedule is None:

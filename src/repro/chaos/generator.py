@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from .faults import DEFAULT_PROFILE_KINDS, FAULTS
 from .schedule import FaultAction, FaultSchedule
@@ -42,10 +42,12 @@ class ChaosProfile:
     max_concurrent_crashes: int = 1
     #: bound on partition minority size (set to f)
     max_partition_minority: int = 1
-    min_fault_ms: float = 300.0
-    max_fault_ms: float = 2500.0
     #: kinds to draw from, repeated by weight
     kinds: Tuple[str, ...] = DEFAULT_PROFILE_KINDS
+
+    #: bounds of a drawn fault's duration (no experiment varies them)
+    min_fault_ms: ClassVar[float] = 300.0
+    max_fault_ms: ClassVar[float] = 2500.0
 
 
 @dataclass

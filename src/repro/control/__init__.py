@@ -22,8 +22,8 @@ small, separately-testable pieces:
 hard ``2f+k+1`` live-quorum floor — and degrades to the periodic
 rotation when signals are quiet or observability is off. Enable it with
 ``SpireOptions(proactive_recovery=(period, duration),
-control=ControlOptions())``; the default remains the bit-identical
-periodic schedule.
+feedback_control=True)``; the default remains the bit-identical
+periodic schedule. :class:`ControlOptions` holds the loop's constants.
 """
 
 from .estimator import HealthEstimator

@@ -27,17 +27,14 @@ __all__ = ["HealthEstimator"]
 class HealthEstimator:
     """EWMA suspicion scores driven by weighted signal batches."""
 
-    def __init__(
-        self, replica_names: Sequence[str], options: ControlOptions
-    ) -> None:
-        self.options = options
+    def __init__(self, replica_names: Sequence[str]) -> None:
         self.scores: Dict[str, float] = {name: 0.0 for name in replica_names}
 
     # ------------------------------------------------------------------
     def observe(self, batch: SignalBatch, dt_ms: float) -> None:
         """Advance one sense interval: decay, then absorb the batch."""
         self._decay(dt_ms)
-        opts = self.options
+        opts = ControlOptions
         for name, votes in batch.suspect_votes.items():
             self._bump(name, opts.weight_suspect * votes)
         for name in batch.crashed:
@@ -56,7 +53,7 @@ class HealthEstimator:
                 self._bump(name, spread)
 
     def _decay(self, dt_ms: float) -> None:
-        factor = 0.5 ** (dt_ms / self.options.decay_half_life_ms)
+        factor = 0.5 ** (dt_ms / ControlOptions.decay_half_life_ms)
         for name, score in self.scores.items():
             self.scores[name] = score * factor
 
@@ -64,7 +61,7 @@ class HealthEstimator:
         score = self.scores.get(name)
         if score is None:
             return  # evidence about a non-replica (stale site mapping)
-        score += self.options.ewma_alpha * units * (1.0 - score)
+        score += ControlOptions.ewma_alpha * units * (1.0 - score)
         self.scores[name] = min(1.0, score)
 
     # ------------------------------------------------------------------

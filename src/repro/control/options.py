@@ -1,49 +1,46 @@
-"""Knobs of the adaptive intrusion-tolerance control loop.
+"""Calibration of the adaptive intrusion-tolerance control loop.
 
-One frozen :class:`ControlOptions` holds what an experiment varies about
-the feedback strategy: how often it senses, how fast evidence moves the
-per-replica suspicion score, the hysteresis band that turns scores into
-decisions, the per-replica cooldown and the lag that counts as a signal.
-The controller's calibration — evidence weights, decay, decision gap,
-grace window, quiet-fallback clock — is constant on the class. Attach
-it to a deployment via ``SpireOptions(control=ControlOptions())``.
+:class:`ControlOptions` holds the feedback strategy's constants: how often
+it senses, how fast evidence moves the per-replica suspicion score, the
+hysteresis band that turns scores into decisions, the per-replica
+cooldown, the lag that counts as a signal, the evidence weights, decay,
+decision gap, grace window and quiet-fallback clock. No experiment varies
+them, so none is an option; a deployment switches the controller on with
+``SpireOptions(feedback_control=True)``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict
+from typing import ClassVar
 
 __all__ = ["ControlOptions"]
 
 
 @dataclass(frozen=True)
 class ControlOptions:
-    """Configuration of the feedback recovery controller.
+    """Calibration of the feedback recovery controller.
 
-    Defaults and constants are tuned for the repo's WAN chaos scenarios
-    (Prime WAN timeouts, 100–500 ms poll/resubmit cadence): suspicion
-    saturates within a few sense intervals of sustained evidence and
-    decays to baseline within a handful of seconds of quiet.
+    Tuned for the repo's WAN chaos scenarios (Prime WAN timeouts,
+    100–500 ms poll/resubmit cadence): suspicion saturates within a few
+    sense intervals of sustained evidence and decays to baseline within a
+    handful of seconds of quiet.
     """
 
     #: controller evaluation period (also the signal-polling period)
-    sense_interval_ms: float = 250.0
+    sense_interval_ms: ClassVar[float] = 250.0
     #: how strongly one unit of fresh evidence moves a score toward 1.0
-    ewma_alpha: float = 0.35
+    ewma_alpha: ClassVar[float] = 0.35
     #: score above this ⇒ the replica is a rejuvenation candidate
-    trigger_threshold: float = 0.55
+    trigger_threshold: ClassVar[float] = 0.55
     #: hysteresis: after firing, a replica re-arms only once its score
     #: falls back below this (and its cooldown has elapsed)
-    clear_threshold: float = 0.25
+    clear_threshold: ClassVar[float] = 0.25
     #: per-replica minimum spacing between targeted rejuvenations
-    cooldown_ms: float = 6000.0
+    cooldown_ms: ClassVar[float] = 6000.0
     #: sequence-number lag behind the fleet maximum that counts as a
     #: missed-heartbeat signal
-    lag_threshold_seqs: int = 25
-
-    # --- constants: no experiment varies these -------------------------
+    lag_threshold_seqs: ClassVar[int] = 25
     #: suspicion half-life while a replica is quiet (exponential decay)
     decay_half_life_ms: ClassVar[float] = 4000.0
     #: global minimum spacing between controller-initiated recoveries
@@ -74,42 +71,3 @@ class ControlOptions:
     #: a chaos invariant monitor flagged a violation (system-wide alarm,
     #: spread across all live replicas)
     weight_violation: ClassVar[float] = 0.4
-
-    def validate(self) -> "ControlOptions":
-        """Reject inconsistent knobs with actionable errors; chains."""
-        if self.sense_interval_ms <= 0:
-            raise ValueError(
-                f"sense_interval_ms must be positive (got {self.sense_interval_ms})"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1] (got {self.ewma_alpha})"
-            )
-        if not 0.0 < self.trigger_threshold <= 1.0:
-            raise ValueError(
-                f"trigger_threshold must be in (0, 1] (got {self.trigger_threshold})"
-            )
-        if not 0.0 <= self.clear_threshold < self.trigger_threshold:
-            raise ValueError(
-                f"clear_threshold ({self.clear_threshold}) must be below "
-                f"trigger_threshold ({self.trigger_threshold}): the gap is "
-                f"the hysteresis band"
-            )
-        if self.cooldown_ms < 0:
-            raise ValueError(f"cooldown_ms must be >= 0 (got {self.cooldown_ms})")
-        if self.lag_threshold_seqs < 1:
-            raise ValueError(
-                f"lag_threshold_seqs must be >= 1 (got {self.lag_threshold_seqs})"
-            )
-        return self
-
-    # --- (de)serialization for chaos scenario files -------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "ControlOptions":
-        names = {f.name for f in dataclasses.fields(ControlOptions)}
-        return ControlOptions(
-            **{key: value for key, value in data.items() if key in names}
-        )

@@ -34,10 +34,7 @@ __all__ = ["ControlPolicy"]
 class ControlPolicy:
     """Hysteresis + cooldown state machine over suspicion scores."""
 
-    def __init__(
-        self, replica_names: Sequence[str], options: ControlOptions
-    ) -> None:
-        self.options = options
+    def __init__(self, replica_names: Sequence[str]) -> None:
         self._armed: Dict[str, bool] = {name: True for name in replica_names}
         self._fired_at: Dict[str, float] = {}
         self._last_decision_at: Optional[float] = None
@@ -74,7 +71,7 @@ class ControlPolicy:
         :meth:`note_fired` (a floor-deferred pick stays armed and is
         retried next tick).
         """
-        opts = self.options
+        opts = ControlOptions
         if any(score > opts.baseline_threshold for score in scores.values()):
             self._last_activity_at = now
 
@@ -120,4 +117,4 @@ class ControlPolicy:
     # ------------------------------------------------------------------
     def in_fallback(self, now: float) -> bool:
         """True once the quiet period warrants the periodic fallback."""
-        return self.quiet_for(now) >= self.options.fallback_after_ms
+        return self.quiet_for(now) >= ControlOptions.fallback_after_ms

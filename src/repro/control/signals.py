@@ -30,6 +30,7 @@ from ..obs import (
     EV_SUSPECT,
     EventLog,
 )
+from .options import ControlOptions
 
 __all__ = ["SignalBatch", "SignalHub"]
 
@@ -48,7 +49,7 @@ class SignalBatch:
     #: replicas observed down outside a rejuvenation window
     crashed: Tuple[str, ...] = ()
     #: replica -> execution-sequence lag behind the fleet maximum
-    #: (only entries at or beyond the configured threshold)
+    #: (only entries at or beyond ``ControlOptions.lag_threshold_seqs``)
     lagging: Dict[str, int] = field(default_factory=dict)
     #: replica -> fresh overlay trouble events touching its site
     overlay: Dict[str, int] = field(default_factory=dict)
@@ -72,14 +73,12 @@ class SignalHub:
         replica_sites: Dict[str, str],
         leader_of_view: Callable[[int], str],
         registry: Any = None,
-        lag_threshold_seqs: int = 25,
     ) -> None:
         self.log = log
         self.replicas = list(replicas)
         self.replica_sites = dict(replica_sites)
         self.leader_of_view = leader_of_view
         self.registry = registry
-        self.lag_threshold_seqs = lag_threshold_seqs
         #: replicas placed at each overlay site (for link-event mapping)
         self._site_replicas: Dict[str, List[str]] = {}
         for name, site in self.replica_sites.items():
@@ -150,7 +149,7 @@ class SignalHub:
                 crashed.append(name)
                 continue
             lag = max_seq - getattr(replica, "last_executed_seq", 0)
-            if lag >= self.lag_threshold_seqs:
+            if lag >= ControlOptions.lag_threshold_seqs:
                 batch.lagging[name] = lag
         batch.crashed = tuple(crashed)
 

@@ -49,7 +49,6 @@ class FeedbackStrategy(RecoveryStrategy):
         replicas: List[Process],
         period_ms: float,
         recovery_duration_ms: float,
-        control: Optional[ControlOptions] = None,
         hub: Optional[SignalHub] = None,
         max_concurrent: int = 1,
         on_rejuvenate: Optional[Callable[[Process], None]] = None,
@@ -61,7 +60,6 @@ class FeedbackStrategy(RecoveryStrategy):
             max_concurrent=max_concurrent, on_rejuvenate=on_rejuvenate,
             min_live=min_live, obs=obs,
         )
-        self.control = (control or ControlOptions()).validate()
         #: fallback rotation period (the schedule the controller degrades
         #: to when signals are quiet or unavailable)
         self.period_ms = period_ms
@@ -69,8 +67,8 @@ class FeedbackStrategy(RecoveryStrategy):
         #: a pure periodic rotation on the sense timer
         self.hub = hub
         names = [replica.name for replica in self.replicas]
-        self.estimator = HealthEstimator(names, self.control)
-        self.policy = ControlPolicy(names, self.control)
+        self.estimator = HealthEstimator(names)
+        self.policy = ControlPolicy(names)
         self._by_name = {replica.name: replica for replica in self.replicas}
         self._next_index = 0
         self._last_rotation_at = 0.0
@@ -86,7 +84,7 @@ class FeedbackStrategy(RecoveryStrategy):
         """Arm the sense timer (stopping any previous one first)."""
         self.stop()
         self._stop = self.simulator.call_every(
-            self.control.sense_interval_ms,
+            ControlOptions.sense_interval_ms,
             self._tick,
             first_delay=first_delay_ms,
             rng_name="recovery-controller",
@@ -99,7 +97,7 @@ class FeedbackStrategy(RecoveryStrategy):
         now = self.simulator.now
         if self.hub is not None:
             batch = self.hub.poll(self._shielded(now))
-            self.estimator.observe(batch, self.control.sense_interval_ms)
+            self.estimator.observe(batch, ControlOptions.sense_interval_ms)
             self._publish_scores()
             pick = self.policy.decide(now, self.estimator.scores, self._eligible)
             if pick is not None:
@@ -124,7 +122,7 @@ class FeedbackStrategy(RecoveryStrategy):
     def _shielded(self, now: float) -> set:
         """Replicas whose evidence is discounted right now: mid-recovery,
         plus those inside the post-recovery grace window."""
-        grace = self.control.post_recovery_grace_ms
+        grace = ControlOptions.post_recovery_grace_ms
         return self._recovering | {
             name for name, at in self._finished_at.items()
             if now - at <= grace

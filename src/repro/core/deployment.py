@@ -45,8 +45,7 @@ from .master import ScadaMasterApp
 from .proxy import RtuProxy
 from .recovery import ProactiveRecoveryScheduler, RecoveryStrategy
 
-if TYPE_CHECKING:  # lazy imports: both packages import this module
-    from ..control import ControlOptions
+if TYPE_CHECKING:  # lazy import: the fleet package imports this module
     from ..fleet.spec import FleetSpec
 
 __all__ = ["SpireOptions", "SpireDeployment"]
@@ -77,18 +76,16 @@ class SpireOptions:
     #: enable the Spines self-healing control plane (hello-based link
     #: monitoring + adaptive rerouting); off preserves static routing
     overlay_self_healing: bool = False
-    #: per-source forward queue bound on each daemon (0 = unbounded)
-    overlay_queue_limit: int = 0
     prime_preset: str = "wan"                # or "lan"
     crypto_kind: str = "fast"                # or "real"
     seed: int = 1
     #: (period_ms, duration_ms) to enable proactive recovery
     proactive_recovery: Optional[Tuple[float, float]] = None
-    #: adaptive recovery: a :class:`~repro.control.ControlOptions` switches
-    #: proactive recovery from the fixed periodic rotation to the
-    #: feedback controller (``repro.control``); None (the default) keeps
-    #: the bit-identical periodic schedule
-    control: Optional[ControlOptions] = None
+    #: adaptive recovery: True switches proactive recovery from the fixed
+    #: periodic rotation to the feedback controller (``repro.control``,
+    #: calibrated by :class:`~repro.control.ControlOptions`); False (the
+    #: default) keeps the bit-identical periodic schedule
+    feedback_control: bool = False
     #: delivery batch sizing
     #: (:class:`~repro.core.batching.BatchingOptions`); None (the default)
     #: keeps the Prime preset's batch size and flush interval
@@ -171,11 +168,6 @@ class SpireOptions:
                 f"overlay_mode must be 'flooding', 'shortest' or 'disjoint' "
                 f"(got {self.overlay_mode!r})"
             )
-        if self.overlay_queue_limit < 0:
-            raise ValueError(
-                f"overlay_queue_limit must be >= 0 "
-                f"(got {self.overlay_queue_limit})"
-            )
         if self.prime_preset not in ("wan", "lan"):
             raise ValueError(
                 f"prime_preset must be 'wan' or 'lan' (got {self.prime_preset!r})"
@@ -202,15 +194,13 @@ class SpireOptions:
                     f"shorter than the period ({period_ms}ms), or replicas "
                     f"re-crash before finishing recovery"
                 )
-        if self.control is not None:
-            if self.proactive_recovery is None:
-                raise ValueError(
-                    "control (the feedback recovery controller) requires "
-                    "proactive_recovery=(period_ms, duration_ms): the "
-                    "controller needs the recovery duration and a fallback "
-                    "period"
-                )
-            self.control.validate()
+        if self.feedback_control and self.proactive_recovery is None:
+            raise ValueError(
+                "feedback_control (the feedback recovery controller) "
+                "requires proactive_recovery=(period_ms, duration_ms): the "
+                "controller needs the recovery duration and a fallback "
+                "period"
+            )
         if self.batching is not None:
             self.batching.validate()
         if self.fleet is not None:
@@ -260,7 +250,6 @@ class SpireDeployment:
             mode=opts.overlay_mode,
             crypto=self.crypto,
             self_healing=opts.overlay_self_healing,
-            max_queue_per_source=opts.overlay_queue_limit,
             obs=self.obs,
         )
         self.diversity = DiversityManager(seed=opts.seed)
@@ -308,7 +297,7 @@ class SpireDeployment:
                 on_rejuvenate=lambda r: self.diversity.rejuvenate(r.name),
                 min_live=self.prime_config.quorum,
             )
-            if opts.control is not None:
+            if opts.feedback_control:
                 from ..control import FeedbackStrategy, SignalHub
 
                 # the controller senses through obs; with observability
@@ -322,13 +311,11 @@ class SpireDeployment:
                         self.replica_sites,
                         self.prime_config.leader_of_view,
                         registry=self.obs.registry,
-                        lag_threshold_seqs=opts.control.lag_threshold_seqs,
                     )
                 self.recovery_scheduler = FeedbackStrategy(
                     self.simulator,
                     list(self.replicas),
                     period_ms=period_ms,
-                    control=opts.control,
                     hub=hub,
                     **common,
                 )

@@ -44,7 +44,11 @@ Ill-typed input
 ``verify`` answers ``False``, and never raises, for a signature that is
 not a :class:`Signature`, a signer that is not a ``str`` and a message
 no encoder accepts: a Byzantine peer picks all three. The test is by
-class identity, before any key is looked up or derived.
+class identity, before any key is looked up or derived. ``verify`` looks
+keys up and never creates them: a signer that never signed through the
+provider has no signature to check, so the answer is ``False`` and the
+per-principal tables (``RealCrypto._keys``, ``FastCrypto._secrets``) do
+not grow with the names a peer makes up.
 """
 
 from __future__ import annotations
@@ -191,11 +195,14 @@ class RealCrypto(CryptoProvider):
             or not isinstance(signature.value, int)
         ):
             return False
+        keypair = self._keys.get(signature.signer)
+        if keypair is None:
+            return False  # never signed here: no signature of it exists
         try:
             data = encode_cached(message)
         except EncodingError:
             return False
-        return self._keypair(signature.signer).public.verify(data, signature.value)
+        return keypair.public.verify(data, signature.value)
 
     def mac(self, src: str, dst: str, message: Any) -> bytes:
         return hmac_module.digest(
@@ -291,10 +298,18 @@ class FastCrypto(CryptoProvider):
         return tag
 
     def sign(self, signer: str, message: Any) -> Signature:
+        if ("sig", signer) not in self._secrets:
+            # a same-seed provider may have left the tag on the message;
+            # the signer still becomes one that ``verify`` knows
+            self._secret("sig", signer)
         return Signature(signer, self._derive(_entry_for(message), "sig", signer))
 
     def verify(self, signature: Signature, message: Any) -> bool:
-        if signature.__class__ is not Signature or signature.signer.__class__ is not str:
+        if (
+            signature.__class__ is not Signature
+            or signature.signer.__class__ is not str
+            or ("sig", signature.signer) not in self._secrets
+        ):
             return False
         try:
             entry = _entry_for(message)

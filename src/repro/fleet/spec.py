@@ -12,7 +12,7 @@ any simulator state exists (wired into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 __all__ = ["PollClass", "RegionSpec", "TrafficSpec", "FleetSpec",
            "DEFAULT_POLL_CLASSES"]
@@ -64,13 +64,15 @@ class FleetSpec:
 
     total_devices: int
     regions: Tuple[RegionSpec, ...]
-    poll_classes: Tuple[PollClass, ...] = DEFAULT_POLL_CLASSES
-    #: fraction of devices that are PLCs (protection-capable RTUs)
-    plc_fraction: float = 0.2
-    #: the region poll driver's tick; every class interval must be a
-    #: positive integer multiple of it
-    base_tick_ms: float = 100.0
     traffic: Optional[TrafficSpec] = TrafficSpec()
+
+    # --- constants: no experiment varies these -------------------------
+    poll_classes: ClassVar[Tuple[PollClass, ...]] = DEFAULT_POLL_CLASSES
+    #: fraction of devices that are PLCs (protection-capable RTUs)
+    plc_fraction: ClassVar[float] = 0.2
+    #: the region poll driver's tick; every class interval is a positive
+    #: integer multiple of it (``RegionShard`` checks)
+    base_tick_ms: ClassVar[float] = 100.0
 
     @classmethod
     def sized(cls, total_devices: int, num_regions: Optional[int] = None,
@@ -135,30 +137,6 @@ class FleetSpec:
                 f"fix the region counts or use FleetSpec.sized() to split "
                 f"evenly"
             )
-        if not 0.0 <= self.plc_fraction <= 1.0:
-            raise ValueError(
-                f"plc_fraction must be in [0, 1] (got {self.plc_fraction})"
-            )
-        if not self.poll_classes:
-            raise ValueError("a fleet needs at least one poll class")
-        if self.base_tick_ms <= 0:
-            raise ValueError(
-                f"base_tick_ms must be positive (got {self.base_tick_ms})"
-            )
-        for poll_class in self.poll_classes:
-            if poll_class.weight <= 0:
-                raise ValueError(
-                    f"poll class {poll_class.name!r} needs a positive "
-                    f"weight (got {poll_class.weight})"
-                )
-            ratio = poll_class.interval_ms / self.base_tick_ms
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ValueError(
-                    f"poll class {poll_class.name!r} interval "
-                    f"{poll_class.interval_ms}ms is not a positive integer "
-                    f"multiple of base_tick_ms={self.base_tick_ms}ms; the "
-                    f"region driver can only fire on base ticks"
-                )
         if self.traffic is not None:
             if self.traffic.process not in ("poisson", "periodic"):
                 raise ValueError(

@@ -37,7 +37,6 @@ class PrimeConfig:
     tat_latency_factor: float = 3.0       # K_lat: multiplier on achievable TAT
     tat_slack_ms: float = 15.0            # additive slack against jitter
     tat_floor_ms: float = 40.0            # never suspect below this TAT
-    rtt_ewma_alpha: float = 0.2           # smoothing for RTT estimates
     # --- batching / flow control ----------------------------------------
     batch_max_updates: int = 64           # max client updates per PO-Request
     # --- checkpointing ---------------------------------------------------
@@ -47,6 +46,7 @@ class PrimeConfig:
     ping_interval_ms: ClassVar[float] = 200.0        # RTT measurement period
     view_change_timeout_ms: ClassVar[float] = 800.0  # expect NewView within this after VC
     recon_window: ClassVar[int] = 32       # max updates resent per peer per round
+    rtt_ewma_alpha: ClassVar[float] = 0.2  # smoothing for RTT estimates
 
     def __post_init__(self) -> None:
         needed = 3 * self.num_faults + 2 * self.num_recovering + 1

@@ -62,24 +62,23 @@ HelloMutator = Callable[[str, OverlayHello], Optional[OverlayHello]]
 
 @dataclass(frozen=True)
 class LinkMonitorConfig:
-    """Timing/thresholds of the hello protocol and the reroute loop."""
+    """Timing/thresholds of the hello protocol and the reroute loop: all
+    constants, since no experiment varies them."""
 
     #: hello send period per link (also the dead-link check period)
-    hello_interval_ms: float = 100.0
+    hello_interval_ms: ClassVar[float] = 100.0
     #: consecutive missed hellos before a link is declared dead
-    miss_threshold: int = 3
+    miss_threshold: ClassVar[int] = 3
     #: smoothing factor of the one-way latency EWMA
-    ewma_alpha: float = 0.3
+    ewma_alpha: ClassVar[float] = 0.3
     #: coalescing delay between a link report and the route rebuild
     #: (models link-state-update propagation across the overlay)
-    reroute_delay_ms: float = 50.0
+    reroute_delay_ms: ClassVar[float] = 50.0
     #: flap damping: this many down-transitions within ``flap_window_ms``
     #: suppresses the link for ``suppress_ms`` (hold-down)
-    max_flaps: int = 4
-    flap_window_ms: float = 5000.0
-    suppress_ms: float = 5000.0
-
-    # --- constants: the degradation band and the probe's wire size -----
+    max_flaps: ClassVar[int] = 4
+    flap_window_ms: ClassVar[float] = 5000.0
+    suppress_ms: ClassVar[float] = 5000.0
     #: EWMA > advertised × this ⇒ the link is reported degraded
     degraded_factor: ClassVar[float] = 3.0
     #: EWMA ≤ advertised × this ⇒ a degraded link is reported recovered
@@ -88,20 +87,15 @@ class LinkMonitorConfig:
     #: wire size of one hello probe
     hello_size_bytes: ClassVar[int] = 64
 
-    @property
-    def dead_after_ms(self) -> float:
-        """Silence duration after which a link is considered dead."""
-        return self.hello_interval_ms * self.miss_threshold
-
-    @property
-    def detection_bound_ms(self) -> float:
-        """Worst-case failure-to-reroute time: a hello sent just before
-        the failure keeps the link alive for ``dead_after_ms``, the
-        periodic check adds up to one interval of phase lag, and the
-        rebuild is coalesced for ``reroute_delay_ms``."""
-        return (
-            self.dead_after_ms + self.hello_interval_ms + self.reroute_delay_ms
-        )
+    #: silence duration after which a link is considered dead
+    dead_after_ms: ClassVar[float] = hello_interval_ms * miss_threshold
+    #: worst-case failure-to-reroute time: a hello sent just before the
+    #: failure keeps the link alive for ``dead_after_ms``, the periodic
+    #: check adds up to one interval of phase lag, and the rebuild is
+    #: coalesced for ``reroute_delay_ms``
+    detection_bound_ms: ClassVar[float] = (
+        dead_after_ms + hello_interval_ms + reroute_delay_ms
+    )
 
 
 class LinkMonitor:
@@ -114,15 +108,9 @@ class LinkMonitor:
     its hellos resume).
     """
 
-    def __init__(
-        self,
-        daemon: "SpinesDaemon",
-        control: OverlayControlPlane,
-        config: Optional[LinkMonitorConfig] = None,
-    ) -> None:
+    def __init__(self, daemon: "SpinesDaemon", control: OverlayControlPlane) -> None:
         self.daemon = daemon
         self.control = control
-        self.config = config or control.config
         self._seq = 0
         self._last_seen: Dict[str, float] = {}
         self._ewma: Dict[str, float] = {}
@@ -148,9 +136,10 @@ class LinkMonitor:
             self._alive[neighbor] = True
             self._degraded[neighbor] = False
             self._ewma.pop(neighbor, None)
+        interval = LinkMonitorConfig.hello_interval_ms
         self._timers = [
-            self.daemon.every(self.config.hello_interval_ms, self._send_hellos),
-            self.daemon.every(self.config.hello_interval_ms, self._check_links),
+            self.daemon.every(interval, self._send_hellos),
+            self.daemon.every(interval, self._check_links),
         ]
 
     def set_hello_mutator(self, mutator: Optional[HelloMutator]) -> None:
@@ -181,12 +170,12 @@ class LinkMonitor:
             )
             hello = dataclasses.replace(hello, mac=mac)
             self.hellos_sent += 1
-            daemon.send(dst, hello, size_bytes=self.config.hello_size_bytes)
+            daemon.send(dst, hello, size_bytes=LinkMonitorConfig.hello_size_bytes)
 
     def on_hello(self, sender: str, hello: OverlayHello) -> None:
         """Authenticated hello from a neighbour (the daemon verified the
         MAC and neighbour-ship before delegating here)."""
-        config = self.config
+        config = LinkMonitorConfig
         now = self.daemon.simulator.now
         self.hellos_received += 1
         self._last_seen[sender] = now
@@ -223,7 +212,7 @@ class LinkMonitor:
     # ------------------------------------------------------------------
     def _check_links(self) -> None:
         now = self.daemon.simulator.now
-        dead_after = self.config.dead_after_ms
+        dead_after = LinkMonitorConfig.dead_after_ms
         for neighbor in sorted(self.daemon.neighbors):
             if not self._alive.get(neighbor, True):
                 continue
@@ -250,13 +239,11 @@ class OverlayControlPlane:
         simulator: Simulator,
         topology: OverlayTopology,
         routing: RoutingStrategy,
-        config: Optional[LinkMonitorConfig] = None,
         obs=None,
     ) -> None:
         self.simulator = simulator
         self.advertised = topology
         self.routing = routing
-        self.config = config or LinkMonitorConfig()
         self.obs = obs if obs is not None else NULL_OBS
         #: site -> that daemon's LinkMonitor (filled by SpinesOverlay)
         self.monitors: Dict[str, LinkMonitor] = {}
@@ -336,20 +323,21 @@ class OverlayControlPlane:
         now = self.simulator.now
         times = self._flap_times.setdefault(key, [])
         times.append(now)
-        cutoff = now - self.config.flap_window_ms
+        config = LinkMonitorConfig
+        cutoff = now - config.flap_window_ms
         while times and times[0] < cutoff:
             times.pop(0)
-        if len(times) < self.config.max_flaps:
+        if len(times) < config.max_flaps:
             return
-        self._suppressed_until[key] = now + self.config.suppress_ms
+        self._suppressed_until[key] = now + config.suppress_ms
         self._event(
             EV_OVERLAY_LINK_SUPPRESSED,
             link=f"{key[0]}<->{key[1]}",
             flaps=len(times),
-            until_ms=round(now + self.config.suppress_ms, 3),
+            until_ms=round(now + config.suppress_ms, 3),
         )
         self.simulator.schedule(
-            self.config.suppress_ms, lambda: self._suppression_expired(key)
+            config.suppress_ms, lambda: self._suppression_expired(key)
         )
 
     def _suppression_expired(self, key: Tuple[str, str]) -> None:
@@ -377,7 +365,7 @@ class OverlayControlPlane:
         if self._rebuild_pending:
             return
         self._rebuild_pending = True
-        self.simulator.schedule(self.config.reroute_delay_ms, self._rebuild)
+        self.simulator.schedule(LinkMonitorConfig.reroute_delay_ms, self._rebuild)
 
     def _rebuild(self) -> None:
         self._rebuild_pending = False

@@ -24,7 +24,7 @@ from ..obs import NULL_OBS, Observability
 from ..simnet import LinkSpec, Network, Process, Simulator
 from .daemon import SpinesDaemon
 from .messages import OverlayData, OverlayDeliver, OverlayIngress
-from .monitor import LinkMonitor, LinkMonitorConfig, OverlayControlPlane
+from .monitor import LinkMonitor, OverlayControlPlane
 from .routing import make_routing
 from .topology import OverlayTopology
 
@@ -111,7 +111,6 @@ class SpinesOverlay:
         fairness: bool = True,
         forward_capacity_per_ms: float = 0.0,
         self_healing: bool = False,
-        monitor_config: Optional[LinkMonitorConfig] = None,
         max_queue_per_source: int = 0,
         source_rate_per_ms: float = 0.0,
         source_burst: float = 32.0,
@@ -124,7 +123,6 @@ class SpinesOverlay:
         self.crypto = crypto or FastCrypto()
         self.obs = obs if obs is not None else NULL_OBS
         self.routing = make_routing(mode, topology)
-        self.monitor_config = monitor_config or LinkMonitorConfig()
         self.daemons: Dict[str, SpinesDaemon] = {}
         self._endpoint_home: Dict[str, str] = {}
         for site in topology.sites:
@@ -157,14 +155,11 @@ class SpinesOverlay:
         self.control_plane: Optional[OverlayControlPlane] = None
         if self_healing:
             self.control_plane = OverlayControlPlane(
-                simulator, topology, self.routing,
-                config=self.monitor_config, obs=self.obs,
+                simulator, topology, self.routing, obs=self.obs,
             )
             for site_name in sorted(self.daemons):
                 daemon = self.daemons[site_name]
-                monitor = LinkMonitor(
-                    daemon, self.control_plane, self.monitor_config
-                )
+                monitor = LinkMonitor(daemon, self.control_plane)
                 daemon.monitor = monitor
                 self.control_plane.monitors[site_name] = monitor
                 monitor.start()

@@ -272,16 +272,25 @@ def _settable_defaults(cls):
     ]
 
 
-def _names_set_by_callers(option_classes):
-    """Every name some caller sets by keyword — call keywords (which covers
-    ``dataclasses.replace`` and ``dict(name=...)``) and string keys of dict
-    literals — outside the option classes' own bodies. ``name=x.name`` is a
-    pass-through of a value chosen elsewhere, not a caller varying it."""
-    repo = SRC.parent
+def _init_order(cls):
+    """The names ``cls(...)`` binds positional arguments to, in order."""
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+    return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def _names_set_under(roots, option_classes):
+    """Every name the code under ``roots`` sets: call keywords (which
+    covers ``dataclasses.replace`` and ``dict(name=...)``), string keys of
+    dict literals, and the fields an option class's positional arguments
+    bind to. Option classes' own bodies are skipped, and ``name=x.name``
+    is a pass-through of a value chosen elsewhere, not a caller varying
+    it."""
+    order = {cls.__name__: _init_order(cls) for cls in option_classes}
     names = set()
 
     def visit(node):
-        if isinstance(node, ast.ClassDef) and node.name in option_classes:
+        if isinstance(node, ast.ClassDef) and node.name in order:
             return
         if isinstance(node, ast.Call):
             names.update(
@@ -289,6 +298,11 @@ def _names_set_by_callers(option_classes):
                 if k.arg and not (isinstance(k.value, ast.Attribute)
                                   and k.value.attr == k.arg)
             )
+            owner = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for name, arg in zip(order.get(owner, ()), node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                names.add(name)
         elif isinstance(node, ast.Dict):
             names.update(
                 k.value for k in node.keys
@@ -297,29 +311,57 @@ def _names_set_by_callers(option_classes):
         for child in ast.iter_child_nodes(node):
             visit(child)
 
-    for root in (SRC / "repro", repo / "benchmarks", repo / "examples", repo / "tests"):
+    for root in roots:
         for path in sorted(root.rglob("*.py")):
             visit(ast.parse(path.read_text()))
     return names
 
 
+#: option names only tests set, each with the reason a test cannot do
+#: without it; everything else a test wants to vary is a class constant
+KEPT_FOR_TESTS = {
+    "SpireOptions.checkpoint_interval_seqs":
+        "tests shorten a deployment's run to a stable checkpoint",
+    "PrimeConfig.checkpoint_interval_seqs":
+        "tests shorten a bare Prime cluster's run to a stable checkpoint",
+    "PbftConfig.checkpoint_interval":
+        "tests shorten a PBFT cluster's run to a stable checkpoint",
+    "PrimeConfig.tat_slack_ms":
+        "the computed suspect-leader delay bound makes it an experiment variable",
+    "ChaosProfile.min_actions":
+        "schedule_profile passes 3 through for Prime and 1 for the PBFT baseline",
+    "ChaosProfile.max_actions":
+        "schedule_profile passes 8 through for Prime and 3 for the PBFT baseline",
+}
+
+
 def test_every_option_is_set_by_some_caller():
-    # A knob exists only where a caller varies it: a defaulted option that
-    # nothing outside its own class ever sets has one exercised value and
-    # belongs on the class as a constant (ROADMAP item 2(a''')).
+    # A knob exists only where a caller varies it. The callers are the
+    # program, its benchmarks and its examples: a defaulted option only
+    # tests set has one exercised value and belongs on its class as a
+    # constant, unless KEPT_FOR_TESTS says why a test needs it.
     classes = (SpireOptions, ChaosOptions, ChaosProfile, PbftChaosOptions,
                PrimeConfig, PbftConfig, ControlOptions, BatchingOptions,
                LinkMonitorConfig, FleetSpec, PollClass, RegionSpec, TrafficSpec)
-    set_somewhere = _names_set_by_callers({cls.__name__ for cls in classes})
+    repo = SRC.parent
+    set_by_program = _names_set_under(
+        (SRC / "repro", repo / "benchmarks", repo / "examples"), classes)
+    set_by_tests = _names_set_under((repo / "tests",), classes)
     total = 0
-    unset = []
+    test_only = {}
     for cls in classes:
         for name in _settable_defaults(cls):
             total += 1
-            if name not in set_somewhere:
-                unset.append(f"{cls.__name__}.{name}")
+            if name not in set_by_program:
+                test_only[f"{cls.__name__}.{name}"] = name in set_by_tests
     print(f"settable option-class names with a default: {total}")
-    assert not unset, f"{len(unset)} options no caller sets: {unset}"
+    # a position sets a field too: the e2e fleet workload's TrafficSpec
+    assert "rate_per_s" in set_by_program
+    unset = sorted(set(test_only) - set(KEPT_FOR_TESTS))
+    assert not unset, f"{len(unset)} options only tests set, or none: {unset}"
+    stale = sorted(name for name in KEPT_FOR_TESTS if not test_only.get(name))
+    assert not stale, f"KEPT_FOR_TESTS names a caller or no test sets: {stale}"
+    assert total <= 65
 
 
 def test_every_committed_table_has_one_reporter():
@@ -409,7 +451,7 @@ _REMOVED = re.compile(
     r"|def sign_batch|def threshold_sign_share_batch|def _filter_window|def crash_at\b"
     r"|def recover_at\b|def dos_window|def merge_snapshot|class MergedImage"
     r"|wall_ms|print_hotspots|wall_clock_hotspots|EndpointTable|process_by_id"
-    r"|class TimedCrypto"
+    r"|class TimedCrypto|overlay_queue_limit|control_overrides|monitor_config"
 )
 
 

@@ -90,14 +90,13 @@ def test_generate_schedule_is_deterministic():
 
 def test_generate_schedule_respects_profile_bounds():
     profile = ChaosProfile(window_start_ms=1000.0, window_end_ms=4000.0,
-                           min_fault_ms=100.0, max_fault_ms=800.0,
                            max_concurrent_crashes=1, max_partition_minority=1)
     for seed in range(30):
         schedule = generate_schedule(seed, REPLICAS, profile=profile)
         crash_windows = []
         for action in schedule:
             assert 1000.0 <= action.start_ms <= 4000.0
-            assert 100.0 <= action.duration_ms <= 800.0
+            assert profile.min_fault_ms <= action.duration_ms <= profile.max_fault_ms
             if action.kind == "crash":
                 crash_windows.append((action.start_ms, action.end_ms))
             if action.kind == "partition":

@@ -158,7 +158,6 @@ ALL_KINDS_OPTIONS = ChaosOptions(
     poll_interval_ms=250.0,
     proactive_recovery=(5000.0, 400.0),
     self_healing=True,
-    overlay_queue_limit=64,
 )
 
 #: (fingerprint, events processed) at PYTHONHASHSEED=0
@@ -241,8 +240,7 @@ class MiniDeployment:
 def draw_action(kind: str, seed: int = 5) -> FaultAction:
     replicas = [name for name in SITE_OF if name.startswith("replica:")]
     ctx = DrawContext(
-        ChaosProfile(window_start_ms=100.0, window_end_ms=200.0,
-                     min_fault_ms=50.0, max_fault_ms=80.0),
+        ChaosProfile(window_start_ms=100.0, window_end_ms=200.0),
         replicas, list(SITE_OF), MINI_LINKS, MINI_SITES,
     )
     drawn = FAULTS[kind].draw(random.Random(seed), ctx)

@@ -136,7 +136,6 @@ def _overlay_options(seed=13):
         poll_interval_ms=250.0,
         proactive_recovery=(5000.0, 400.0),
         self_healing=True,
-        overlay_queue_limit=64,
     )
 
 

@@ -34,27 +34,8 @@ from repro.simnet import FailureInjector, LinkSpec, Network, Process, Simulator
 
 DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 
-OPTS = ControlOptions()
-
-
-# ----------------------------------------------------------------------
-# ControlOptions
-# ----------------------------------------------------------------------
-
-def test_options_validate_rejects_bad_knobs():
-    with pytest.raises(ValueError, match="sense_interval_ms"):
-        ControlOptions(sense_interval_ms=0.0).validate()
-    with pytest.raises(ValueError, match="hysteresis"):
-        ControlOptions(trigger_threshold=0.3, clear_threshold=0.4).validate()
-    with pytest.raises(ValueError, match="ewma_alpha"):
-        ControlOptions(ewma_alpha=1.5).validate()
-    with pytest.raises(ValueError, match="lag_threshold_seqs"):
-        ControlOptions(lag_threshold_seqs=0).validate()
-
-
-def test_options_dict_roundtrip():
-    opts = ControlOptions(trigger_threshold=0.7, cooldown_ms=9000.0)
-    assert ControlOptions.from_dict(opts.to_dict()) == opts
+#: the controller's calibration: constants, read through the class
+OPTS = ControlOptions
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +43,7 @@ def test_options_dict_roundtrip():
 # ----------------------------------------------------------------------
 
 def test_estimator_bump_saturates_at_one():
-    estimator = HealthEstimator(["r0"], OPTS)
+    estimator = HealthEstimator(["r0"])
     for _ in range(50):
         estimator.observe(SignalBatch(crashed=("r0",)), dt_ms=0.0)
     assert estimator.suspicion("r0") <= 1.0
@@ -70,14 +51,14 @@ def test_estimator_bump_saturates_at_one():
 
 
 def test_estimator_decays_with_half_life():
-    estimator = HealthEstimator(["r0"], OPTS)
+    estimator = HealthEstimator(["r0"])
     estimator.scores["r0"] = 0.8
     estimator.observe(SignalBatch(), dt_ms=OPTS.decay_half_life_ms)
     assert estimator.suspicion("r0") == pytest.approx(0.4)
 
 
 def test_estimator_reset_and_unknown_names():
-    estimator = HealthEstimator(["r0"], OPTS)
+    estimator = HealthEstimator(["r0"])
     estimator.observe(
         SignalBatch(suspect_votes={"r0": 2, "ghost": 5}), dt_ms=250.0
     )
@@ -88,7 +69,7 @@ def test_estimator_reset_and_unknown_names():
 
 
 def test_estimator_violations_spread_across_fleet():
-    estimator = HealthEstimator(["r0", "r1"], OPTS)
+    estimator = HealthEstimator(["r0", "r1"])
     estimator.observe(SignalBatch(violations=2), dt_ms=250.0)
     assert estimator.suspicion("r0") == estimator.suspicion("r1") > 0.0
 
@@ -102,7 +83,7 @@ def _always(_name):
 
 
 def test_policy_fires_above_trigger_and_cools_down():
-    policy = ControlPolicy(["r0", "r1"], OPTS)
+    policy = ControlPolicy(["r0", "r1"])
     scores = {"r0": 0.9, "r1": 0.0}
     pick = policy.decide(1000.0, scores, _always)
     assert pick == "r0"
@@ -113,7 +94,7 @@ def test_policy_fires_above_trigger_and_cools_down():
 
 
 def test_policy_rearms_after_clear_and_cooldown():
-    policy = ControlPolicy(["r0"], OPTS)
+    policy = ControlPolicy(["r0"])
     policy.note_fired("r0", 0.0)
     after = OPTS.cooldown_ms + 1.0
     # hovering inside the hysteresis band: stays un-armed
@@ -129,7 +110,7 @@ def test_policy_rearms_on_persistent_suspicion_after_cooldown():
     # a replica whose score sits above the trigger after its cooldown has
     # fresh evidence (the estimator was reset at rejuvenation-done), so
     # it must be treatable again — not locked out by the clear threshold
-    policy = ControlPolicy(["r0"], OPTS)
+    policy = ControlPolicy(["r0"])
     policy.note_fired("r0", 0.0)
     scores = {"r0": 0.95}
     assert policy.decide(OPTS.cooldown_ms / 2, scores, _always) is None
@@ -140,7 +121,7 @@ def test_policy_rearms_on_persistent_suspicion_after_cooldown():
 
 
 def test_policy_decision_gap_spaces_picks():
-    policy = ControlPolicy(["r0", "r1"], OPTS)
+    policy = ControlPolicy(["r0", "r1"])
     scores = {"r0": 0.9, "r1": 0.8}
     assert policy.decide(1000.0, scores, _always) == "r0"
     policy.note_fired("r0", 1000.0)
@@ -151,18 +132,18 @@ def test_policy_decision_gap_spaces_picks():
 
 
 def test_policy_skips_ineligible_candidates():
-    policy = ControlPolicy(["r0", "r1"], OPTS)
+    policy = ControlPolicy(["r0", "r1"])
     scores = {"r0": 0.9, "r1": 0.7}
     assert policy.decide(0.0, scores, lambda n: n != "r0") == "r1"
 
 
 def test_policy_deterministic_tie_break():
-    policy = ControlPolicy(["r1", "r0"], OPTS)
+    policy = ControlPolicy(["r1", "r0"])
     assert policy.decide(0.0, {"r0": 0.8, "r1": 0.8}, _always) == "r0"
 
 
 def test_policy_fallback_clock():
-    policy = ControlPolicy(["r0"], OPTS)
+    policy = ControlPolicy(["r0"])
     assert policy.in_fallback(OPTS.fallback_after_ms + 1.0)
     # activity above baseline resets the clock
     policy.decide(5000.0, {"r0": OPTS.baseline_threshold + 0.01}, _always)
@@ -256,10 +237,10 @@ def test_feedback_without_hub_rotates_periodically():
     sim, net, replicas = _fleet()
     strategy = FeedbackStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0,
-        control=ControlOptions(sense_interval_ms=100.0),
     )
     strategy.start()
-    sim.run_for(650)
+    # one rotation per sense tick: the period is shorter than a tick
+    sim.run_for(6.5 * OPTS.sense_interval_ms)
     assert strategy.hub is None
     assert strategy.fallback_rotations == 6
     assert strategy.recoveries_completed == 6
@@ -270,11 +251,10 @@ def test_feedback_start_twice_does_not_leak_timer():
     sim, net, replicas = _fleet()
     strategy = FeedbackStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0,
-        control=ControlOptions(sense_interval_ms=100.0),
     )
     strategy.start()
     strategy.start()
-    sim.run_for(650)
+    sim.run_for(6.5 * OPTS.sense_interval_ms)
     assert strategy.recoveries_started == 6
 
 
@@ -325,7 +305,7 @@ def _feedback_deployment(seed=7, **overrides):
         seed=seed,
         f=1, k=1,
         proactive_recovery=(4000.0, 500.0),
-        control=ControlOptions(),
+        feedback_control=True,
         **overrides,
     ))
 
@@ -342,7 +322,7 @@ def test_controller_targets_crashed_replica():
     )
     assert decisions, "controller never acted on the crash"
     assert decisions[0].details["replica"] == target
-    assert decisions[0].details["score"] >= ControlOptions().trigger_threshold
+    assert decisions[0].details["score"] >= OPTS.trigger_threshold
     # suspicion gauges landed in the registry for the report
     snapshot = deployment.obs.registry.snapshot()
     assert snapshot[f"control.suspicion.{target}"]["max"] > 0.5
@@ -392,7 +372,7 @@ def test_quiet_system_reverts_to_periodic_cadence():
 def test_control_requires_proactive_recovery():
     with pytest.raises(ValueError, match="proactive_recovery"):
         SpireOptions(
-            proactive_recovery=None, control=ControlOptions()
+            proactive_recovery=None, feedback_control=True
         ).validate()
 
 
@@ -414,14 +394,9 @@ def test_recovery_gauges_land_in_registry():
 # ----------------------------------------------------------------------
 
 def test_chaos_options_feedback_roundtrip():
-    opts = ChaosOptions(
-        feedback_control=True,
-        control_overrides=ControlOptions(cooldown_ms=8000.0).to_dict(),
-    )
+    opts = ChaosOptions(feedback_control=True)
     restored = ChaosOptions.from_dict(opts.to_dict())
-    assert restored.feedback_control
-    assert ControlOptions.from_dict(restored.control_overrides).cooldown_ms \
-        == 8000.0
+    assert restored == opts and restored.feedback_control
 
 
 def test_chaos_run_with_feedback_control():

@@ -73,7 +73,7 @@ def test_timed_crypto_counts_batches_and_items():
 
 def test_timed_crypto_batch_results_match_inner():
     inner = FastCrypto(seed="timed-eq")
-    counting = CountingCrypto(FastCrypto(seed="timed-eq"), Observability())
+    counting = CountingCrypto(inner, Observability())
     signatures = _signed(inner)
     signatures[3] = Signature("alice", inner.sign("mallory", MESSAGES[3]).value)
     assert counting.verify_batch(signatures, MESSAGES) == \

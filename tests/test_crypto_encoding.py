@@ -171,9 +171,14 @@ def _proposal_with_its_digest():
     return proposal
 
 
+#: the provider client updates here are signed through; a provider
+#: verifies only signers that signed through it
+UPDATE_CRYPTO = FastCrypto(seed="lifetime")
+
+
 def _update_with_its_body():
     """A ClientUpdate on which the signed body is kept."""
-    update = sign_client_update(FastCrypto(seed="lifetime"), "c", 3, Point(5, 6))
+    update = sign_client_update(UPDATE_CRYPTO, "c", 3, Point(5, 6))
     assert _kept(update) == client_update_body("c", 3, Point(5, 6))
     return update
 
@@ -275,7 +280,7 @@ def test_a_class_that_keeps_its_nested_encoding_is_walked_once(monkeypatch):
 
 
 def test_copy_of_an_update_verifies_on_a_body_derived_afresh():
-    crypto = FastCrypto(seed="lifetime")
+    crypto = UPDATE_CRYPTO
     update = _update_with_its_body()
     for copied in (dataclasses.replace(update), copy.copy(update)):
         assert verify_client_update(crypto, copied)

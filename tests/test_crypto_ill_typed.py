@@ -93,6 +93,26 @@ def test_unencodable_message_is_rejected(name, message, signer):
     assert _tables(crypto) == before
 
 
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+@settings(max_examples=60, deadline=None)
+@given(
+    signer=st.text(max_size=8).map("made-up:".__add__),
+    value=st.one_of(st.integers(min_value=0), st.text(max_size=64)),
+    message=st.one_of(
+        st.text(max_size=8),
+        st.builds(Ping, st.just("replica:0"), st.integers(), st.just(0.0)),
+    ),
+)
+def test_a_made_up_signer_is_rejected_and_not_remembered(name, signer, value, message):
+    # well typed throughout, but nobody ever signed as ``signer`` here:
+    # verify looks its key up, finds none and adds none
+    crypto = PROVIDERS[name]
+    before = _tables(crypto)
+    assert crypto.verify(Signature(signer, value), message) is False
+    assert crypto.verify_batch([Signature(signer, value)], [message]) == [False]
+    assert _tables(crypto) == before
+
+
 # --- end to end: one forged envelope on a one-daemon LAN ---------------
 
 def _bad_envelopes(crypto, sender):
@@ -104,6 +124,10 @@ def _bad_envelopes(crypto, sender):
         "none-signer": SignedMessage(ping, Signature(None, "x")),
         "bytes-signer": SignedMessage(ping, Signature(b"r1", "x")),
         "not-a-signature": SignedMessage(ping, "not-a-signature"),
+        # well typed: the sender's genuine value under a name nobody signs as
+        "made-up-signer": SignedMessage(
+            ping, Signature(f"{sender}/made-up", crypto.sign(sender, ping).value)
+        ),
         # a genuine signature over the same ping, with a set as its nonce
         "unencodable": SignedMessage(Ping(sender, {1, 2}, 0.0), crypto.sign(sender, ping)),
     }

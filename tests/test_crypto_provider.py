@@ -164,3 +164,15 @@ def test_providers_deterministic_per_seed():
     c = FastCrypto(seed="t").sign("x", "m")
     assert a == b
     assert a != c
+
+
+def test_a_provider_verifies_what_it_signed_after_a_same_seed_twin():
+    # verify knows only signers that signed through its provider; a
+    # same-seed twin's tag already riding on the message must not hide one
+    from repro.prime.messages import Ping
+
+    message = Ping("replica:0", 1, 0.0)
+    first, twin = FastCrypto(seed="s"), FastCrypto(seed="s")
+    first.sign("replica:0", message)
+    assert twin.verify(twin.sign("replica:0", message), message)
+    assert not twin.verify(Signature("replica:1", "x"), message)

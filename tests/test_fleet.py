@@ -18,7 +18,6 @@ from repro.fleet import (
     FleetSpec,
     FleetTrafficDriver,
     OperatorTrafficModel,
-    PollClass,
     RegionSpec,
     TrafficSpec,
     generate_fleet,
@@ -74,17 +73,6 @@ def test_validate_rejects_oversized_region():
         spec.validate()
 
 
-def test_validate_rejects_unaligned_poll_class():
-    spec = FleetSpec(
-        total_devices=4,
-        regions=(RegionSpec("r", 4),),
-        poll_classes=(PollClass("odd", 150.0, 1.0),),
-        base_tick_ms=100.0,
-    )
-    with pytest.raises(ValueError, match="multiple of base_tick_ms"):
-        spec.validate()
-
-
 def test_validate_rejects_duplicate_and_slashed_region_names():
     with pytest.raises(ValueError, match="duplicate region names"):
         FleetSpec(
@@ -131,14 +119,18 @@ def test_manifest_digest_is_stable_across_processes():
 
 
 def test_generator_respects_spec_shape():
-    spec = FleetSpec.sized(100, num_regions=4, plc_fraction=1.0)
+    spec = FleetSpec.sized(100, num_regions=4)
     topology = generate_fleet(spec, seed=5)
     assert topology.device_count == 100
     assert [shard.device_count for shard in topology.regions] == [25] * 4
+    kinds = [slot.kind for shard in topology.regions for slot in shard.slots]
+    # about ``plc_fraction`` of the devices are PLCs, the rest RTUs
+    assert set(kinds) == {"plc", "rtu"}
+    assert abs(kinds.count("plc") / 100 - FleetSpec.plc_fraction) < 0.1
     assert all(
-        slot.kind == "plc"
+        shard.poll_intervals_ms == tuple(pc.interval_ms for pc in FleetSpec.poll_classes)
+        and shard.base_tick_ms == FleetSpec.base_tick_ms
         for shard in topology.regions
-        for slot in shard.slots
     )
     # substation names are globally unique and region-prefixed
     names = [
@@ -275,20 +267,31 @@ def test_fleet_deployment_orders_readings_end_to_end():
 
 
 def test_fleet_deployment_materializes_lazily():
-    # one poll class at 1000 ms, run for less than one interval: nothing
-    # should materialize, yet the deployment builds and starts fine
+    # a device materializes at its first poll: before the first base tick
+    # none has, after one tick only the fastest class, and after the
+    # slowest class's interval all of them
     spec = FleetSpec(
         total_devices=24,
         regions=(RegionSpec("east", 12), RegionSpec("west", 12)),
-        poll_classes=(PollClass("slow", 1000.0, 1.0),),
         traffic=None,
     )
     deployment = SpireDeployment(_small_fleet_options(fleet=spec))
+    regions = deployment.fleet_topology.regions
+
+    def materialized():
+        return sum(shard.materialized for shard in regions)
+
+    fastest = sum(
+        1 for shard in regions for slot in shard.slots
+        if shard.class_periods[slot.poll_class] == 1
+    )
     deployment.start()
-    deployment.run_for(500.0)
-    assert sum(s.materialized for s in deployment.fleet_topology.regions) == 0
-    deployment.run_for(1500.0)
-    assert sum(s.materialized for s in deployment.fleet_topology.regions) == 24
+    deployment.run_for(FleetSpec.base_tick_ms / 2)
+    assert materialized() == 0
+    deployment.run_for(FleetSpec.base_tick_ms)
+    assert materialized() == fastest < 24
+    deployment.run_for(max(pc.interval_ms for pc in FleetSpec.poll_classes))
+    assert materialized() == 24
 
 
 def test_fleet_run_is_deterministic():

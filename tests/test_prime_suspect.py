@@ -43,10 +43,11 @@ def test_floor_applies_for_tiny_rtts():
 
 
 def test_rtt_ewma_smooths():
-    mon = monitor(rtt_ewma_alpha=0.5)
+    mon = monitor()
+    alpha = PrimeConfig.rtt_ewma_alpha
     mon.record_rtt("r1", 10.0)
     mon.record_rtt("r1", 20.0)
-    assert mon.rtt["r1"] == pytest.approx(15.0)
+    assert mon.rtt["r1"] == pytest.approx(10.0 + alpha * 10.0)
 
 
 def test_quantile_ignores_slow_outliers():

@@ -1,4 +1,5 @@
-"""The options no caller ever set are constants of the class that owns them.
+"""The options no caller ever set, and those only tests set, are constants
+of the class that owns them (or gone, with the branch only they reached).
 
 Each retired name (i) still reads through its owner at the one value every
 run used, (ii) is gone from ``__init__`` / ``to_dict()``, and (iii) does
@@ -6,6 +7,7 @@ not stop a scenario file dumped while it was still a field from loading
 and replaying.
 """
 
+import dataclasses
 import inspect
 import json
 
@@ -17,6 +19,7 @@ from repro.baselines.traditional import TraditionalMaster
 from repro.chaos import (
     ChaosEngine,
     ChaosOptions,
+    ChaosProfile,
     PbftChaosOptions,
     load_scenario,
     replay_scenario,
@@ -28,6 +31,7 @@ from repro.core.client import SpireClient, SubmissionManager
 from repro.core.collector import DeliveryCollector
 from repro.core.proxy import RtuProxy
 from repro.core.replica import THRESHOLD_GROUP, SpireReplica
+from repro.fleet import DEFAULT_POLL_CLASSES, FleetSpec, RegionSpec
 from repro.pbft.node import PbftConfig
 from repro.prime.config import PrimeConfig
 from repro.scada.plc import PlcDevice
@@ -93,19 +97,44 @@ RETIRED_LATER = {
         ("checkpoint_interval", 16), ("min_actions", 1), ("max_actions", 3),
     ),
 }
-OWNERS = list(RETIRED) + [owner for owner in RETIRED_LATER if owner not in RETIRED]
+#: PR 27: what only tests set, which no experiment varies
+RETIRED_TEST_ONLY = {
+    SpireOptions: (("overlay_queue_limit", ...),),
+    ChaosOptions: (("overlay_queue_limit", ...), ("control_overrides", ...)),
+    ControlOptions: (
+        ("sense_interval_ms", 250.0), ("ewma_alpha", 0.35),
+        ("trigger_threshold", 0.55), ("clear_threshold", 0.25),
+        ("cooldown_ms", 6000.0), ("lag_threshold_seqs", 25),
+    ),
+    LinkMonitorConfig: (
+        ("hello_interval_ms", 100.0), ("miss_threshold", 3), ("ewma_alpha", 0.3),
+        ("reroute_delay_ms", 50.0), ("max_flaps", 4), ("flap_window_ms", 5000.0),
+        ("suppress_ms", 5000.0),
+    ),
+    PrimeConfig: (("rtt_ewma_alpha", 0.2),),
+    ChaosProfile: (("min_fault_ms", 300.0), ("max_fault_ms", 2500.0)),
+    FleetSpec: (
+        ("poll_classes", DEFAULT_POLL_CLASSES), ("plc_fraction", 0.2),
+        ("base_tick_ms", 100.0),
+    ),
+}
+TABLES = (RETIRED, RETIRED_LATER, RETIRED_TEST_ONLY)
+OWNERS = list(dict.fromkeys(owner for table in TABLES for owner in table))
 
 #: a dataclass owner is read through an instance built from these
-INSTANCE_ARGS = {PrimeConfig: (NAMES,), PbftConfig: (NAMES,)}
+INSTANCE_ARGS = {
+    PrimeConfig: (NAMES,), PbftConfig: (NAMES,), FleetSpec: (4, (RegionSpec("r", 4),)),
+}
 
 
 def retired(owner):
-    return RETIRED.get(owner, ()) + RETIRED_LATER.get(owner, ())
+    return sum((table.get(owner, ()) for table in TABLES), ())
 
 
 def test_the_retired_names_are_the_43_the_sweep_found():
     assert sum(len(names) for names in RETIRED.values()) == 43
     assert sum(len(names) for names in RETIRED_LATER.values()) == 10
+    assert sum(len(names) for names in RETIRED_TEST_ONLY.values()) == 22
 
 
 @pytest.mark.parametrize("owner", OWNERS, ids=lambda cls: cls.__name__)
@@ -144,16 +173,18 @@ def test_component_constants_read_through_live_instances():
 
 def test_option_dicts_round_trip_without_the_retired_keys():
     chaos = ChaosOptions(seed=9, self_healing=True, leader_faults=True)
-    control = ControlOptions(trigger_threshold=0.6, cooldown_ms=3000.0)
     batching = BatchingOptions(max_batch_size=16, max_batch_delay_ms=4.0)
-    for options in (chaos, control, batching):
+    for options in (chaos, batching):
         image = options.to_dict()
         assert type(options).from_dict(image) == options
         assert not set(image) & {name for name, _ in retired(type(options))}
-    assert len(chaos.to_dict()) == 17
+    assert len(chaos.to_dict()) == 15
     assert sorted(PbftChaosOptions().to_dict()) == ["chaos_ms", "seed", "settle_ms", "warmup_ms"]
-    assert len(control.to_dict()) == 6
     assert len(batching.to_dict()) == 2
+    # nothing of the controller is left to serialize: a deployment asks
+    # for it with ``feedback_control=True``
+    assert dataclasses.fields(ControlOptions) == ()
+    assert not hasattr(ControlOptions, "to_dict")
 
 
 def test_a_scenario_dumped_before_the_fields_retired_still_replays(tmp_path):
@@ -162,6 +193,9 @@ def test_a_scenario_dumped_before_the_fields_retired_still_replays(tmp_path):
     image = scenario_dict(result)
     for name, value in retired(ChaosOptions):
         image["options"][name] = 0.0 if value is ... else value
+    # what the last two fields of a test-only knob looked like in a dump
+    image["options"]["overlay_queue_limit"] = 64
+    image["options"]["control_overrides"] = {"cooldown_ms": 8000.0}
     assert len(image["options"]) == 24
     path = tmp_path / "parent_era.json"
     path.write_text(json.dumps(image, indent=2, sort_keys=True))

@@ -40,21 +40,21 @@ class Endpoint(Process):
             self.received.append((self.simulator.now, *unwrapped))
 
 
-def build(mode="shortest", config=None, seed=11, **kwargs):
+def build(mode="shortest", seed=11, **kwargs):
     sim = Simulator(seed=seed)
     net = Network(sim, LinkSpec(latency_ms=0.1))
     obs = Observability(now_fn=lambda: sim.now)
     overlay = SpinesOverlay(
         sim, net, wide_area_topology(), mode=mode, crypto=FastCrypto(),
-        self_healing=True, monitor_config=config, obs=obs, **kwargs
+        self_healing=True, obs=obs, **kwargs
     )
     return sim, net, overlay, obs
 
 
 def test_detection_bound_math():
-    config = LinkMonitorConfig(
-        hello_interval_ms=100.0, miss_threshold=3, reroute_delay_ms=50.0
-    )
+    config = LinkMonitorConfig
+    assert (config.hello_interval_ms, config.miss_threshold, config.reroute_delay_ms) \
+        == (100.0, 3, 50.0)
     assert config.dead_after_ms == 300.0
     assert config.detection_bound_ms == 450.0
 
@@ -62,7 +62,7 @@ def test_detection_bound_math():
 def test_dead_link_detected_within_bound():
     sim, net, overlay, obs = build()
     net.block_link("spines:cc1", "spines:dc2")
-    bound = overlay.monitor_config.detection_bound_ms
+    bound = LinkMonitorConfig.detection_bound_ms
     sim.run_for(bound + 50.0)
     assert ("cc1", "dc2") in overlay.control_plane.links_down()
     downs = obs.log.events(COMP_OVERLAY, EV_OVERLAY_LINK_DOWN)
@@ -88,7 +88,7 @@ def test_degraded_link_detected_and_recovers_with_hysteresis():
     sim.run_for(1500.0)
     degraded = overlay.control_plane.degraded_links()
     assert ("cc1", "cc2") in degraded
-    assert degraded[("cc1", "cc2")] > 4.0 * overlay.monitor_config.degraded_factor
+    assert degraded[("cc1", "cc2")] > 4.0 * LinkMonitorConfig.degraded_factor
     events = obs.log.events(COMP_OVERLAY, EV_OVERLAY_LINK_DEGRADED)
     assert events and "cc1<->cc2" in events[0].details["link"]
     # observed topology carries the measured latency, not the advertised one
@@ -110,12 +110,9 @@ def test_partition_detected_when_site_cut_off():
 
 
 def test_flap_damping_suppresses_flapping_link():
-    config = LinkMonitorConfig(
-        hello_interval_ms=50.0, miss_threshold=2,
-        max_flaps=3, flap_window_ms=10_000.0, suppress_ms=2_000.0,
-    )
-    sim, net, overlay, obs = build(config=config)
-    attacker = RouteFlapAttacker(overlay.daemon("dc1"), period_ms=300.0)
+    sim, net, overlay, obs = build()
+    # silences of one period outlast the dead-link threshold
+    attacker = RouteFlapAttacker(overlay.daemon("dc1"))
     attacker.start()
     sim.run_for(6000.0)
     suppressed = obs.log.events(COMP_OVERLAY, EV_OVERLAY_LINK_SUPPRESSED)
@@ -123,7 +120,7 @@ def test_flap_damping_suppresses_flapping_link():
     # while suppressed, up-reports are held down, so route churn is bounded
     assert overlay.control_plane.reroutes < 40
     attacker.stop()
-    sim.run_for(config.suppress_ms + 2000.0)
+    sim.run_for(LinkMonitorConfig.suppress_ms + 2000.0)
     # after the attacker stops and suppression expires, links recover
     assert overlay.control_plane.links_down() == set()
 

@@ -58,7 +58,7 @@ def test_selfhealing_shortest_reroutes_around_dead_link():
         sim, net, overlay, (a, sa), (b, sb) = build("shortest", self_healing)
         hop = first_hop(overlay)
         net.block_link("spines:field", f"spines:{hop}")
-        bound = overlay.monitor_config.detection_bound_ms
+        bound = LinkMonitorConfig.detection_bound_ms
         sim.run_for(bound + 100.0)  # let detection + reroute complete
         sa.send("ep:b", "after-cut")
         sim.run_for(500.0)
@@ -84,7 +84,7 @@ def test_delivery_resumes_within_detection_bound(mode):
     sim.schedule(kill_at, lambda: net.block_link(
         "spines:field", f"spines:{hop}"
     ))
-    bound = overlay.monitor_config.detection_bound_ms
+    bound = LinkMonitorConfig.detection_bound_ms
     sim.run_until(kill_at + bound + 500.0)
     arrivals = [at for at, _, _ in b.received]
     resumed = [at for at in arrivals if at >= kill_at]
@@ -100,7 +100,7 @@ def test_interior_daemon_kill_rerouted(mode):
     once the control plane reroutes around it."""
     sim, net, overlay, (a, sa), (b, sb) = build(mode, self_healing=True)
     overlay.daemon("cc1").crash()
-    bound = overlay.monitor_config.detection_bound_ms
+    bound = LinkMonitorConfig.detection_bound_ms
     sim.run_for(bound + 100.0)
     sa.send("ep:b", "x")
     sim.run_for(500.0)
@@ -142,12 +142,11 @@ def test_static_daemon_recover_rejoins_forwarding(mode):
 def test_selfhealing_daemon_recover_links_come_back(mode):
     """With self-healing, a crashed daemon's links go down; on recovery
     its restarted monitor re-announces them and they come back up."""
-    config = LinkMonitorConfig(hello_interval_ms=50.0, miss_threshold=2)
     sim = Simulator(seed=11)
     net = Network(sim, LinkSpec(latency_ms=0.1))
     overlay = SpinesOverlay(
         sim, net, wide_area_topology(), mode=mode, crypto=FastCrypto(),
-        self_healing=True, monitor_config=config,
+        self_healing=True,
     )
     a = Endpoint("ep:a", sim, net)
     b = Endpoint("ep:b", sim, net)
@@ -155,7 +154,7 @@ def test_selfhealing_daemon_recover_links_come_back(mode):
     overlay.attach(b, "dc2")
     daemon = overlay.daemon("cc1")
     daemon.crash()
-    sim.run_for(config.detection_bound_ms + 200.0)
+    sim.run_for(LinkMonitorConfig.detection_bound_ms + 200.0)
     assert overlay.control_plane.links_down()  # cc1 links detected dead
     daemon.recover()
     sim.run_for(1000.0)
