@@ -5,12 +5,15 @@ scripted intrusion campaign run against (a) a traditional single-master
 SCADA system with hot standby, and (b) Spire with diversity and proactive
 recovery. The paper reports the traditional configurations were
 compromised (attacker operated the process), while Spire withstood the
-full exercise with service intact.
+full exercise with service intact. Both runs are also judged by the output
+oracle (``repro.chaos.Oracle``): the field may see only breaker commands an
+ordered log justifies, and the traditional system has no ordered log.
 """
 
 from repro.analysis import print_table
 from repro.attacks import SpireCampaign, TraditionalCampaign
 from repro.baselines import TraditionalDeployment
+from repro.chaos import Oracle
 from repro.core import SpireDeployment, SpireOptions
 
 from common import once, reporter
@@ -23,6 +26,8 @@ def run_both():
     campaign_t = TraditionalCampaign(
         traditional, breach_time_ms=8_000.0, sabotage_interval_ms=400.0,
     )
+    oracle_t = Oracle(lambda: traditional.simulator.now)
+    oracle_t.watch_field(traditional.proxy.poller)
     traditional.start()
     campaign_t.start()
     traditional.run_for(RUN_MS)
@@ -35,15 +40,19 @@ def run_both():
         spire, first_attempt_ms=8_000.0, dwell_ms=5_000.0,
         attempt_interval_ms=5_000.0,
     )
+    oracle_s = Oracle(lambda: spire.simulator.now)
+    oracle_s.watch(spire.replicas, [*spire.hmis, spire.proxy])
     spire.start()
     campaign_s.start()
     spire.run_for(RUN_MS)
-    return (traditional, campaign_t), (spire, campaign_s)
+    oracle_s.check_states(spire.replicas)
+    return (traditional, campaign_t, oracle_t), (spire, campaign_s, oracle_s)
 
 
 def test_table7_red_team(benchmark):
     emit = reporter("table7_red_team")
-    (traditional, campaign_t), (spire, campaign_s) = once(benchmark, run_both)
+    (traditional, campaign_t, oracle_t), (spire, campaign_s, oracle_s) = \
+        once(benchmark, run_both)
     total_t = traditional.grid.total_load_mw()
     total_s = spire.grid.total_load_mw()
     spire_stats = spire.status_recorder.stats()
@@ -86,3 +95,29 @@ def test_table7_red_team(benchmark):
     assert campaign_s.result.min_served_fraction(total_s) > 0.95
     assert spire.grid.served_load_mw() == spire.grid.total_load_mw()
     assert spire_stats.count > 500
+    # the oracle's verdicts: with no operator traffic, every breaker write
+    # that reached the traditional proxy is unjustified, one per sabotage
+    # that got there
+    unjustified = [kind for kind, _, _ in oracle_t.findings]
+    assert set(unjustified) == {"ungated-field-command"}
+    assert len(unjustified) == traditional.proxy.poller.writes_confirmed
+    assert 0 < len(unjustified) <= campaign_t.result.unauthorized_operations <= 80
+    # Spire's replicas agree, and its field saw no write nobody ordered
+    # while the campaign held at most f replicas. From the instant it holds
+    # f+1 (two colluding forgers reach the f+1 share threshold) one does
+    # land; the table's Spire column does not count it.
+    beyond_f = held_beyond_f(spire)
+    assert [(kind, at >= beyond_f) for kind, at, _ in oracle_s.findings] == [
+        ("ungated-field-command", True),
+    ]
+    assert oracle_s.executions_checked > 0
+
+
+def held_beyond_f(spire) -> float:
+    """When the campaign first held more than ``f`` replicas at once."""
+    held = 0
+    for event in spire.obs.log.events("campaign", None):
+        held += {"compromised": 1, "evicted": -1}.get(event.kind, 0)
+        if held > spire.options.f:
+            return event.time
+    return float("inf")

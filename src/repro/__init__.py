@@ -13,7 +13,7 @@ Subpackages
 ``repro.core``       Spire itself: replicas, proxies, HMIs, deployments
 ``repro.attacks``    Byzantine / DoS / overlay attacks, red-team campaign
 ``repro.baselines``  traditional SCADA comparison system
-``repro.chaos``      seeded chaos schedules + runtime invariant monitors
+``repro.chaos``      seeded chaos schedules, judged by an output oracle + monitors
 ``repro.analysis``   table/figure rendering + scenario reports
 
 Quickstart: see ``examples/quickstart.py`` or

@@ -1,7 +1,7 @@
-"""``repro.chaos`` — seeded chaos testing with runtime invariant monitors.
+"""``repro.chaos`` — seeded chaos testing, judged by an output oracle and monitors.
 
 Randomized-but-replayable fault schedules on top of ``repro.simnet``, run
-against a system under chaos while six invariant monitors judge it. One
+against a system under chaos while an output oracle and five monitors judge it. One
 runner (:func:`repro.chaos.engine.run_chaos`) serves both systems —
 ``ChaosEngine`` builds Prime inside a Spire deployment, ``run_pbft_chaos``
 the flat PBFT baseline — and one table (:mod:`repro.chaos.faults`) holds
@@ -27,10 +27,10 @@ from .monitors import (
     ProxyGateMonitor,
     QuorumAvailabilityMonitor,
     RerouteBoundMonitor,
-    SafetyMonitor,
     ViewRecoveryMonitor,
     Violation,
 )
+from .oracle import Oracle
 from .pbft import PbftChaosOptions, run_pbft_chaos
 from .scenario import (
     SCENARIO_FORMAT,
@@ -50,7 +50,7 @@ __all__ = [
     "HOST_STAT_KEYS",
     "ChaosProfile",
     "generate_schedule",
-    "SafetyMonitor",
+    "Oracle",
     "ProxyGateMonitor",
     "QuorumAvailabilityMonitor",
     "BoundedDelayMonitor",

@@ -1,8 +1,8 @@
-"""The chaos runner: seeded fault schedules + invariant monitors, one run.
+"""The chaos runner: seeded fault schedules, the oracle and the monitors, one run.
 
 One chaos run is a pure function of ``(system under chaos, options,
-schedule)``: :func:`run_chaos` attaches the invariant monitors to a
-:class:`~repro.chaos.faults.ChaosSystem`, applies the fault schedule
+schedule)``: :func:`run_chaos` attaches the output oracle and the monitors
+to a :class:`~repro.chaos.faults.ChaosSystem`, applies the fault schedule
 against the virtual clock, runs, and returns a :class:`ChaosResult`
 carrying the monitor verdicts and a trace *fingerprint* — a digest over
 the structured trace, network counters and final replica state. Two runs
@@ -41,13 +41,14 @@ from .faults import (
 from .generator import ChaosProfile, generate_schedule
 from .monitors import (
     BoundedDelayMonitor,
+    OracleVerdict,
     ProxyGateMonitor,
     QuorumAvailabilityMonitor,
     RerouteBoundMonitor,
-    SafetyMonitor,
     ViewRecoveryMonitor,
     Violation,
 )
+from .oracle import Oracle
 from .schedule import FaultSchedule
 
 __all__ = ["ChaosOptions", "ChaosResult", "ChaosEngine", "run_chaos", "schedule_profile"]
@@ -179,18 +180,19 @@ def schedule_profile(options: Any) -> ChaosProfile:
 
 
 def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> ChaosResult:
-    """The one chaos run: attach the monitors, inject ``schedule``, start
-    ``system`` and run it for ``options.total_ms``, judge, fingerprint.
+    """The one chaos run: attach the oracle and the monitors, inject
+    ``schedule``, run ``system`` for ``options.total_ms``, judge, fingerprint.
 
     A monitor is built where the system has what it watches (endpoints: the
     proxy gate and the bounded-delay watchdog; a recovery strategy: the
-    quorum floor; a self-healing control plane: the reroute bound), and an
-    oracle, a margin or a perturbed simulator attaches here and nowhere
-    else. ``options`` is a ``ChaosOptions`` or a ``PbftChaosOptions``.
+    quorum floor; a self-healing control plane: the reroute bound); the
+    oracle judges every run. A margin or a perturbed simulator attaches here
+    and nowhere else. ``options`` is a ``ChaosOptions`` or a ``PbftChaosOptions``.
     """
     simulator, log = system.simulator, system.obs.log
-    safety = SafetyMonitor(simulator)
-    safety.attach(system.replicas)
+    oracle = Oracle(lambda: simulator.now)
+    oracle.watch(system.replicas, system.endpoints)
+    verdict = OracleVerdict(simulator)
     view_recovery = ViewRecoveryMonitor(
         simulator, bound_ms=options.view_recovery_bound_ms, quorum=system.quorum,
     )
@@ -205,7 +207,7 @@ def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> Cha
         quorum.attach(system.recovery)
     if system.overlay_control is not None:
         reroute = RerouteBoundMonitor(simulator, bound_ms=options.reroute_bound_ms)
-    monitors = [m for m in (safety, gate, quorum, watchdog, view_recovery, reroute) if m]
+    monitors = [m for m in (verdict, gate, quorum, watchdog, view_recovery, reroute) if m]
     for monitor in monitors:
         monitor.bind_obs(system.obs)
 
@@ -217,10 +219,12 @@ def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> Cha
     simulator.run_for(options.total_ms)
     wall_runtime_s = time.perf_counter() - wall_start
 
-    # --- post-run: the timeline monitors read the run's record ---
+    # --- post-run: the oracle replays, the timeline monitors read the record ---
+    oracle.check_states(system.replicas)
+    verdict.judge(oracle.findings)
     stats = system.stats()
-    stats["executions_checked"] = safety.checked
-    delivery_times = (system.delivery_times or safety.first_execution_times)()
+    stats["executions_checked"] = oracle.executions_checked
+    delivery_times = system.delivery_times() if system.delivery_times else oracle.ordered_at
     if watchdog is not None:
         watchdog.evaluate(delivery_times, _quiet_intervals(schedule, log, options))
         stats["deliveries_checked"] = gate.deliveries_checked

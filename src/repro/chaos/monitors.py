@@ -1,15 +1,13 @@
-"""Runtime invariant monitors.
+"""Runtime monitors: what the output oracle (:mod:`repro.chaos.oracle`) cannot see.
 
-Each monitor watches one of the correctness properties from DESIGN.md §5
-*while a simulation runs* (or, for the bounded-delay watchdog, evaluates
-the run's delivery record afterwards). Monitors are strictly observers:
-they wrap component hook points but never alter message flow, timing, or
-randomness, so an instrumented run produces the identical trace to an
-uninstrumented one.
-
-One class per invariant — safety, the proxy gate, quorum availability,
-bounded delay, the reroute bound and view recovery — each stating what it
-checks. A violation is built, and counted, in ``_BaseMonitor._flag`` only.
+Each monitor watches one property from DESIGN.md §5 *while a simulation
+runs* (or evaluates the run's delivery record afterwards). Monitors are
+strictly observers: they wrap component hook points but never alter
+message flow, timing, or randomness, so an instrumented run produces the
+identical trace to an uninstrumented one. One class per invariant — the
+proxy gate's signatures, quorum availability, bounded delay, the reroute
+bound and view recovery. A violation is built, and counted, in
+``_BaseMonitor._flag`` only, the oracle's too (:class:`OracleVerdict`).
 """
 
 from __future__ import annotations
@@ -20,12 +18,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..crypto.encoding import digest
 from ..crypto.merkle import verify_merkle_proof
 from ..crypto.provider import CryptoProvider
-from ..prime.messages import ClientUpdate
 from ..simnet import Process, Simulator
+from .oracle import Oracle
 
 __all__ = [
     "Violation",
-    "SafetyMonitor",
+    "OracleVerdict",
     "ProxyGateMonitor",
     "QuorumAvailabilityMonitor",
     "BoundedDelayMonitor",
@@ -96,88 +94,14 @@ class _BaseMonitor:
         ))
 
 
-class SafetyMonitor(_BaseMonitor):
-    """Agreement and exactly-once over the global execution order.
+class OracleVerdict(_BaseMonitor):
+    """The :class:`~repro.chaos.oracle.Oracle`'s findings, flagged under its name."""
 
-    Hooks every replica's execution listener and checks that one update
-    identity executes at each order index (agreement), that no identity
-    is assigned two *different* indices (``duplicate-execution``: a view
-    change re-proposing an in-flight batch must not order it again), and
-    that no replica applies an update twice to the state it holds
-    (``double-execution``). What a replica applied is forgotten when the
-    replica itself restores its application state: a rejuvenated replica
-    replaying from a checkpoint is fine; one with stable storage never
-    restores, so never may. ``exclude`` names replicas under Byzantine
-    control (the invariant covers correct replicas only).
-    """
+    name = Oracle.name
 
-    name = "safety"
-
-    def __init__(self, simulator: Simulator, exclude: Sequence[str] = ()) -> None:
-        super().__init__(simulator)
-        self.exclude = frozenset(exclude)
-        #: order index -> (identity digest, first replica that reported it)
-        self._executed: Dict[int, Tuple[str, str]] = {}
-        #: identity digest -> (order index, time) of its first execution
-        self._first: Dict[str, Tuple[int, float]] = {}
-        self._dup_flagged: set = set()
-        self.checked = 0
-
-    def first_execution_times(self) -> List[float]:
-        """When each update was first executed anywhere, ascending."""
-        return sorted(at for _, at in self._first.values())
-
-    def attach(self, replicas: Sequence[Any]) -> None:
-        for replica in replicas:
-            if replica.name not in self.exclude:
-                self._watch(replica, replica.name)
-
-    def _watch(self, replica: Any, replica_name: str) -> None:
-        #: update key -> order index, of what this replica has applied to
-        #: the application state it now holds
-        applied: Dict[Tuple[str, int], int] = {}
-        restore = replica.app.restore
-
-        def restoring(snapshot: Any) -> None:
-            applied.clear()
-            restore(snapshot)
-
-        def on_execute(update: ClientUpdate, order_index: int, result: Any) -> None:
-            identity = digest(
-                (update.client, update.client_seq, digest(update.payload))
-            )
-            self.checked += 1
-            first = self._executed.get(order_index)
-            if first is None:
-                self._executed[order_index] = (identity, replica_name)
-            elif first[0] != identity:
-                self._flag(
-                    "divergent-execution", order_index=order_index,
-                    first_replica=first[1], second_replica=replica_name,
-                    client=update.client, client_seq=update.client_seq,
-                )
-            seen = self._first.get(identity)
-            if seen is None:
-                self._first[identity] = (order_index, self.simulator.now)
-            elif seen[0] != order_index and \
-                    (identity, order_index) not in self._dup_flagged:
-                self._dup_flagged.add((identity, order_index))
-                self._flag(
-                    "duplicate-execution", replica=replica_name,
-                    first_index=seen[0], second_index=order_index,
-                    client=update.client, client_seq=update.client_seq,
-                )
-            key = (update.client, update.client_seq)
-            if key in applied:
-                self._flag(
-                    "double-execution", replica=replica_name,
-                    first_index=applied[key], second_index=order_index,
-                    client=update.client, client_seq=update.client_seq,
-                )
-            applied[key] = order_index
-
-        replica.app.restore = restoring
-        replica.execution_listeners.append(on_execute)
+    def judge(self, findings: Sequence[Tuple[str, float, Dict[str, Any]]]) -> None:
+        for kind, at, details in findings:
+            self._flag(kind, at, **details)
 
 
 class ProxyGateMonitor(_BaseMonitor):
@@ -185,14 +109,15 @@ class ProxyGateMonitor(_BaseMonitor):
 
     Wraps each endpoint's share collector: whenever the collector releases
     a record, the monitor *independently* re-verifies the batch signature
-    and the record's Merkle inclusion under the signed root (so a weakened
-    or bypassed gate is caught, not trusted) and checks the record was not
-    already acted on. On proxies it additionally wraps the command
-    execution path: every field write must correspond to a previously
-    gate-verified breaker command.
+    and the record's Merkle inclusion under the signed root, so a weakened
+    or bypassed gate is caught, not trusted. The oracle cannot see this:
+    a weakened gate that released a correct record puts out nothing wrong.
     """
 
     name = "proxy-gate"
+
+    #: batches remembered, as many as the collector caches signatures of
+    kept_batches = 2000
 
     def __init__(self, simulator: Simulator, crypto: CryptoProvider) -> None:
         super().__init__(simulator)
@@ -200,74 +125,44 @@ class ProxyGateMonitor(_BaseMonitor):
         self.deliveries_checked = 0
 
     def attach(self, endpoint: Process) -> None:
-        acted: set = set()          # record keys this endpoint acted on
-        verified_cmds: set = set()  # digests of its gate-verified commands
         collector = endpoint.collector
         original_add_batch = collector.add_batch
-        #: batch key -> record key -> proof-carrying entries offered for a
-        #: record not acted on yet (the collector may release a record an
-        #: earlier share carried); a record's entries go once it is released
-        offered: Dict[Tuple, Dict[Tuple, List[Any]]] = {}
+        #: per batch: the entries offered until the collector first releases
+        #: from it (it may release any of them), then None (it releases from
+        #: the share at hand)
+        offered: Dict[Tuple, Optional[tuple]] = {}
 
         def checked_add_batch(share):
             released = original_add_batch(share)
             batch = share.record
-            entries = offered.setdefault(batch.key(), {})
-            for entry in share.entries:
-                if entry.record.key() not in acted:
-                    entries.setdefault(entry.record.key(), []).append(entry)
+            key = (batch.key(), batch.merkle_root)
+            if key not in offered:
+                offered[key] = ()
+                if len(offered) > self.kept_batches:
+                    del offered[next(iter(offered))]
+            carried = share.entries
+            if offered[key] is not None:
+                carried = offered[key] + carried
+                offered[key] = None if released else carried
             for record, signature in released:
                 self.deliveries_checked += 1
-                key = record.key()
-                if key in acted:
-                    self._flag(
-                        "duplicate-delivery", endpoint=endpoint.name,
-                        client=record.client, client_seq=record.client_seq,
-                    )
-                    continue
-                acted.add(key)
                 leaf = digest(record)
-                carried = entries.pop(key, ())
-                if not (
-                    self.crypto.threshold_verify(signature, batch)
-                    and any(
-                        verify_merkle_proof(
-                            leaf, entry.index, batch.count,
-                            entry.proof, batch.merkle_root,
-                        )
-                        for entry in carried
-                    )
-                ):
-                    self._flag(
-                        "unverified-delivery", endpoint=endpoint.name,
-                        client=record.client, client_seq=record.client_seq,
-                    )
-                if record.kind == "command":
-                    verified_cmds.add(digest(record.payload))
-            if not entries:
-                del offered[batch.key()]
+                if not (self.crypto.threshold_verify(signature, batch) and any(
+                        verify_merkle_proof(leaf, entry.index, batch.count, entry.proof,
+                                            batch.merkle_root)
+                        for entry in carried if entry.record is record)):
+                    self._flag("unverified-delivery", endpoint=endpoint.name,
+                               client=record.client, client_seq=record.client_seq)
             return released
 
         collector.add_batch = checked_add_batch
-
-        execute = getattr(endpoint, "_execute_command", None)
-        if execute is not None:
-            def checked_execute(command):
-                if digest(command) not in verified_cmds:
-                    self._flag(
-                        "ungated-field-command", endpoint=endpoint.name,
-                        substation=command.substation, breaker=command.breaker_id,
-                    )
-                execute(command)
-
-            endpoint._execute_command = checked_execute
 
 
 class QuorumAvailabilityMonitor(_BaseMonitor):
     """No recovery *strategy* ever rejuvenates below the ``2f+k+1`` floor.
 
-    Tracks the exact live-replica count by wrapping crash/recover, and
-    wraps the begin hook of whatever
+    Tracks the lowest live-replica count by wrapping crash, and wraps the
+    begin hook of whatever
     :class:`~repro.core.recovery.RecoveryStrategy` the system runs.
     Starting a rejuvenation with ``live - 1 < 2f+k+1`` is a violation (the
     strategy must defer instead); the floor is computed here from ``f``
@@ -284,8 +179,6 @@ class QuorumAvailabilityMonitor(_BaseMonitor):
         #: the ordering quorum — the paper's hard availability floor
         self.floor = 2 * f + k + 1
         self.min_live_seen = len(self.replicas)
-        #: (time_ms, live_count) step timeline, for reports
-        self.timeline: List[Tuple[float, int]] = []
         self.rejuvenations_checked = 0
 
     @property
@@ -312,23 +205,13 @@ class QuorumAvailabilityMonitor(_BaseMonitor):
         strategy._begin = checked_begin
 
     def _wrap_liveness(self, replica: Process) -> None:
-        crash, recover = replica.crash, replica.recover
+        crash = replica.crash
 
         def crash_wrapped():
             crash()
-            self._record()
-
-        def recover_wrapped():
-            recover()
-            self._record()
+            self.min_live_seen = min(self.min_live_seen, self.live_count)
 
         replica.crash = crash_wrapped
-        replica.recover = recover_wrapped
-
-    def _record(self) -> None:
-        live = self.live_count
-        self.min_live_seen = min(self.min_live_seen, live)
-        self.timeline.append((self.simulator.now, live))
 
 
 class BoundedDelayMonitor(_BaseMonitor):

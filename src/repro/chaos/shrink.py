@@ -3,19 +3,19 @@
 A generated schedule that triggers an invariant violation usually contains
 mostly-irrelevant faults. The shrinker runs ddmin (Zeller's delta
 debugging) over the schedule's actions: repeatedly re-run the scenario
-with subsets of the actions removed, keep any subset that still violates,
-and stop at a 1-minimal schedule — removing any single remaining action
-makes the violation disappear. Because every fault action draws from its
-own named RNG stream, removing one action does not perturb the others'
-randomness, which is what makes the reduction monotone enough for ddmin
-to work well in practice.
+with subsets of the actions removed, keep any subset that still flags
+every ``(monitor, kind)`` the full schedule flagged (never another
+failure), and stop at a 1-minimal schedule. Because every fault action
+draws from its own named RNG stream, removing one action does not
+perturb the others' randomness, which is what makes the reduction
+monotone enough for ddmin to work well in practice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Set, Tuple
 
 from .engine import ChaosEngine, ChaosOptions, Mutator
 from .schedule import FaultSchedule
@@ -40,7 +40,7 @@ def shrink_schedule(
     mutator: Optional[Mutator] = None,
     max_runs: int = 64,
 ) -> ShrinkResult:
-    """Reduce ``schedule`` to a smaller one still violating an invariant.
+    """Reduce ``schedule`` to a smaller one still failing the same way.
 
     Returns the smallest reproducing schedule found within ``max_runs``
     engine re-runs. ``reproduced`` is False when even the full schedule no
@@ -49,18 +49,20 @@ def shrink_schedule(
     """
     state = {"runs": 0}
 
-    def violates(candidate: FaultSchedule) -> bool:
+    def flagged(candidate: FaultSchedule) -> Set[Tuple[str, str]]:
         state["runs"] += 1
-        return bool(ChaosEngine(options, candidate, mutator).run().violations)
+        result = ChaosEngine(options, candidate, mutator).run()
+        return {(v.monitor, v.kind) for v in result.violations}
 
-    if not violates(schedule):
+    failure = flagged(schedule)
+    if not failure:
         return ShrinkResult(schedule, state["runs"], reproduced=False)
 
     history: List[int] = [len(schedule)]
 
     # A violation independent of every fault (e.g. a code mutant caught in
     # a calm run) shrinks straight to the empty schedule.
-    if len(schedule) and violates(schedule.subset(())):
+    if len(schedule) and failure <= flagged(schedule.subset(())):
         return ShrinkResult(
             schedule.subset(()), state["runs"], reproduced=True, history=[0],
         )
@@ -74,7 +76,7 @@ def shrink_schedule(
             candidate = current[:offset] + current[offset + chunk:]
             if not candidate or state["runs"] >= max_runs:
                 continue
-            if violates(schedule.subset(candidate)):
+            if failure <= flagged(schedule.subset(candidate)):
                 current = candidate
                 granularity = max(2, granularity - 1)
                 history.append(len(current))

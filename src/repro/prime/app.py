@@ -61,8 +61,8 @@ class KeyValueApp(ReplicatedApplication):
 
 
 class LoggingApp(ReplicatedApplication):
-    """Records the exact execution order — used to assert safety
-    (identical sequences across correct replicas) in tests."""
+    """Records the exact execution order; the log is the whole state, so
+    the chaos oracle compares it with its replay of the total order."""
 
     def __init__(self) -> None:
         self.log: List[Tuple[int, str, int, Any]] = []

@@ -227,14 +227,16 @@ def _calls_by_scope(tree):
 
 def test_a_chaos_run_is_built_and_judged_in_one_place():
     # One runner over a ChaosSystem: a second function that injects a
-    # schedule, constructs a monitor or builds a ChaosResult is a second
-    # harness; a Violation built outside ``_flag`` bypasses the counter; a
-    # second ``*fingerprint*`` function is a second formula. This states
-    # structurally what a grep for the removed names could only list.
+    # schedule, constructs a monitor or the oracle or builds a ChaosResult
+    # is a second harness; a Violation built outside ``_flag`` bypasses the
+    # counter; a second ``*fingerprint*`` function is a second formula.
+    # This states structurally what a grep for the removed names could
+    # only list. Safety has one judge, the oracle; five monitors remain.
     import repro.chaos.monitors as monitors
 
     monitor_classes = {name for name in monitors.__all__ if name.endswith("Monitor")}
-    assert len(monitor_classes) == 6, sorted(monitor_classes)
+    assert len(monitor_classes) == 5, sorted(monitor_classes)
+    monitor_classes |= {"Oracle", "OracleVerdict"}
     scopes = {"inject": set(), "monitor": set(), "ChaosResult": set(), "Violation": set()}
     fingerprints = []
     for path in sorted((SRC / "repro" / "chaos").glob("*.py")):
@@ -452,6 +454,7 @@ _REMOVED = re.compile(
     r"|def recover_at\b|def dos_window|def merge_snapshot|class MergedImage"
     r"|wall_ms|print_hotspots|wall_clock_hotspots|EndpointTable|process_by_id"
     r"|class TimedCrypto|overlay_queue_limit|control_overrides|monitor_config"
+    r"|class SafetyMonitor|first_execution_times"
 )
 
 
@@ -459,8 +462,9 @@ def test_removed_twins_stay_removed():
     # A deleted name that reappears anywhere under src/ has regrown a
     # twin; identity-keyed memos (``id(``) stay out of crypto, the
     # ``trace=`` knob stays out of the package, and so does the
-    # prime.transport shim.
-    crypto = SRC / "repro" / "crypto"
+    # prime.transport shim. The chaos judges read outputs: none of them
+    # replaces a component's ``restore`` or ``_execute_command``.
+    crypto, chaos = SRC / "repro" / "crypto", SRC / "repro" / "chaos"
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         for line_no, line in enumerate(text.splitlines(), 1):
@@ -469,4 +473,32 @@ def test_removed_twins_stay_removed():
             if crypto in path.parents:
                 assert re.search(r"\bid\(", line) is None, f"{path}:{line_no}"
             assert "trace=" not in line, f"{path}:{line_no}"
+        if chaos in path.parents:
+            for node in ast.walk(ast.parse(text)):
+                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                assert not any(
+                    isinstance(target, ast.Attribute)
+                    and target.attr in ("restore", "_execute_command")
+                    for target in targets
+                ), f"{path}:{node.lineno}"
     assert not (SRC / "repro" / "prime" / "transport.py").exists()
+
+
+def test_the_oracle_shares_no_code_with_the_system():
+    # The output oracle judges the system, so it must not run the system's
+    # code: the standard library and the grid model's types only.
+    import sys
+
+    tree = ast.parse((SRC / "repro" / "chaos" / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "a relative import reaches into repro"
+            imported.add(node.module)
+    outside = {
+        name for name in imported
+        if name.split(".")[0] not in sys.stdlib_module_names and name != "repro.scada.grid"
+    }
+    assert imported and not outside, sorted(outside)

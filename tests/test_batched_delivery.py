@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import ProxyGateMonitor
+from repro.chaos import Oracle, ProxyGateMonitor
 from repro.core import (
     BatchDeliveryShare,
     BatchingOptions,
@@ -204,8 +204,9 @@ def test_tampered_entry_rejected_batchmates_released(updates, victim, survivors)
 
 class Endpoint:
     """An HMI on a bare network with the chaos proxy-gate monitor wrapped
-    around its collector: everything a Byzantine replica's share meets on
-    its way in, driven through ``on_message``."""
+    around its collector and the output oracle reading what it acts on:
+    everything a Byzantine replica's share meets on its way in, driven
+    through ``on_message``."""
 
     def __init__(self, crypto):
         simulator = Simulator(seed=1)
@@ -217,6 +218,8 @@ class Endpoint:
         self.hmi._on_verified_record = self.released.append
         self.gate = ProxyGateMonitor(simulator, crypto)
         self.gate.attach(self.hmi)
+        self.oracle = Oracle(lambda: simulator.now)
+        self.oracle.watch((), [self.hmi])
 
     def receive(self, index, batch, entries, fields=()):
         """One share of replica ``index`` over ``batch``; returns what it
@@ -225,7 +228,7 @@ class Endpoint:
         share = self.crypto.threshold_sign_share(GROUP, index, batch)
         share = BatchDeliveryShare(f"replica:{index}", batch, share, entries)
         self.hmi.on_message(share.sender, dataclasses.replace(share, **dict(fields)))
-        assert not self.gate.violations()
+        assert not self.gate.violations() and not self.oracle.findings
         return [record.order_index for record in self.released[before:]]
 
 

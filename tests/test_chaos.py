@@ -1,7 +1,8 @@
 """Unit tests for the chaos subsystem's building blocks.
 
 Covers the schedule data model, the seeded generator's invariants, the
-monitors' fine print on bare fixtures, the ddmin shrinker's reduction
+oracle's and the monitors' fine print on bare fixtures, the ddmin
+shrinker's reduction
 logic, and the scenario file format. That every violation kind fires
 through the one runner is ``test_chaos_violation_kinds.py``; end-to-end
 chaos runs live in ``test_chaos_smoke.py``.
@@ -18,8 +19,8 @@ from repro.chaos import (
     ChaosProfile,
     FaultAction,
     FaultSchedule,
+    Oracle,
     ProxyGateMonitor,
-    SafetyMonitor,
     Violation,
     generate_schedule,
     load_scenario,
@@ -114,20 +115,23 @@ def test_generated_schedule_roundtrips_through_json():
 
 
 # ----------------------------------------------------------------------
-# Monitors
+# The oracle and the monitors
 # ----------------------------------------------------------------------
 
 class _Replica(Process):
-    """Minimal stand-in exposing the replica surface monitors use."""
+    """Minimal stand-in exposing the replica outputs the oracle reads."""
 
     def __init__(self, name, simulator, network):
         super().__init__(name, simulator, network)
         self.execution_listeners = []
         self.app = LoggingApp()
+        self.executed_counter = 0
 
     def execute(self, update, order_index):
+        self.executed_counter = order_index
+        result = self.app.execute(update, order_index)
         for listener in self.execution_listeners:
-            listener(update, order_index, None)
+            listener(update, order_index, result)
 
 
 def _sim_net():
@@ -135,40 +139,63 @@ def _sim_net():
     return sim, Network(sim, LinkSpec(latency_ms=1.0))
 
 
+def _kinds(oracle):
+    return [kind for kind, _, _ in oracle.findings]
+
+
 def test_safety_monitor_accepts_agreement_flags_divergence():
     sim, net = _sim_net()
     replicas = [_Replica(f"r{i}", sim, net) for i in range(3)]
-    monitor = SafetyMonitor(sim)
-    monitor.attach(replicas)
+    oracle = Oracle(lambda: sim.now)
+    oracle.watch(replicas)
 
     same = ClientUpdate("proxy", 1, "reading-1")
     for replica in replicas:
         replica.execute(same, 1)
-    assert monitor.violations() == []
+    oracle.check_states(replicas)
+    assert oracle.findings == []
 
     replicas[0].execute(ClientUpdate("proxy", 2, "reading-2"), 2)
     replicas[1].execute(ClientUpdate("proxy", 3, "OTHER"), 2)
-    [violation] = monitor.violations()
-    assert violation.kind == "divergent-execution"
-    assert dict(violation.details)["order_index"] == 2
+    [(kind, _, details)] = oracle.findings
+    assert kind == "divergent-execution"
+    assert details["order_index"] == 2 and details["replica"] == "r1"
+    # the diverged replica is not judged by a replay of an order it left;
+    # the one that fell behind is, against the prefix it executed
+    oracle.check_states(replicas)
+    assert _kinds(oracle) == ["divergent-execution"]
+    replicas[2].app.execute(same, 1)  # applied to its state, never reported
+    oracle.check_states(replicas)
+    assert _kinds(oracle) == ["divergent-execution", "double-execution"]
 
 
 def test_safety_monitor_excludes_byzantine_replicas():
+    """The oracle judges the replicas it is handed and no other."""
     sim, net = _sim_net()
     replicas = [_Replica(f"r{i}", sim, net) for i in range(2)]
-    monitor = SafetyMonitor(sim, exclude=["r1"])
-    monitor.attach(replicas)
+    oracle = Oracle(lambda: sim.now)
+    oracle.watch(replicas[:1])
     replicas[0].execute(ClientUpdate("proxy", 1, "honest"), 1)
     replicas[1].execute(ClientUpdate("proxy", 9, "equivocation"), 1)
-    assert monitor.violations() == []
+    oracle.check_states(replicas[:1])
+    assert oracle.findings == [] and oracle.executions_checked == 1
 
 
 class _Endpoint:
-    """Bare endpoint: a named owner of a DeliveryCollector."""
+    """Bare endpoint: a named owner of a DeliveryCollector that acts on
+    what the collector releases."""
 
     def __init__(self, name, collector):
         self.name = name
         self.collector = collector
+        self.acted_on = []
+
+    def _on_verified_record(self, record):
+        self.acted_on.append(record)
+
+    def receive(self, share):
+        for record, _ in self.collector.add_batch(share):
+            self._on_verified_record(record)
 
 
 def _delivery_fixture():
@@ -221,6 +248,8 @@ def test_proxy_gate_monitor_catches_record_outside_the_signed_root():
 
 
 def test_proxy_gate_monitor_catches_duplicate_delivery():
+    """The gate re-verifies a replayed record and finds it genuine; the
+    oracle, reading what the endpoint acts on, finds it acted on twice."""
     sim, crypto, collector, shares = _delivery_fixture()
     real_add_batch = collector.add_batch
     state = {"first": []}
@@ -232,13 +261,17 @@ def test_proxy_gate_monitor_catches_duplicate_delivery():
         return released or state["first"]
 
     collector.add_batch = replaying_add_batch
+    endpoint = _Endpoint("proxy", collector)
     monitor = ProxyGateMonitor(sim, crypto)
-    monitor.attach(_Endpoint("proxy", collector))
-    collector.add_batch(shares[0])
-    collector.add_batch(shares[1])   # combines: first legitimate delivery
-    collector.add_batch(shares[0])   # replays the same record again
-    kinds = [v.kind for v in monitor.violations()]
-    assert kinds == ["duplicate-delivery"]
+    monitor.attach(endpoint)
+    oracle = Oracle(lambda: sim.now)
+    oracle.watch((), [endpoint])
+    endpoint.receive(shares[0])
+    endpoint.receive(shares[1])   # combines: first legitimate delivery
+    endpoint.receive(shares[0])   # replays the same record again
+    assert monitor.violations() == [] and monitor.deliveries_checked == 2
+    assert _kinds(oracle) == ["duplicate-delivery"]
+    assert len(endpoint.acted_on) == 2  # an observer: the replay still went through
 
 
 def test_bounded_delay_monitor_flags_stall_in_quiet_window():
@@ -287,7 +320,7 @@ def _fake_engine(required_kinds):
             failed = required_kinds <= kinds
 
             class R:
-                violations = ["boom"] if failed else []
+                violations = [Violation("fake", "boom", 0.0)] if failed else []
 
             return R()
 

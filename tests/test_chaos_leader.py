@@ -9,8 +9,8 @@ the *current* leader at fire time — through both protocols:
 
 Every run is gated on the :class:`ViewRecoveryMonitor` (a quorum must
 adopt a strictly higher view and ordering must resume within the bound),
-and the :class:`SafetyMonitor` (agreement, and exactly-once both over
-the global order and per replica).
+and the output :class:`~repro.chaos.Oracle` (agreement, and exactly-once
+both over the global order and per replica).
 """
 
 import os

@@ -109,7 +109,7 @@ def weaken_proxy_gate(deployment):
     """Test-only mutant (the one ``benchmarks/e2e/mutants.py`` applies): the
     proxy's collector passes its f+1 gate after a single share and vouches
     with a forged combined signature — the bug class the proxy-gate monitor
-    exists to catch."""
+    exists to catch (the records are genuine, so the oracle cannot)."""
     collector = deployment.proxy.collector
     accepted = set()
 

@@ -7,13 +7,14 @@ the PBFT leader-fault pins — runs again under a dozen simulators that
 order same-instant events by a seeded draw instead
 (``campaign_runners.tie_shuffled``). Fingerprints move and are not
 compared; the verdict — ``ok`` and the set of ``(monitor, kind)`` pairs
-the monitors flagged — must not. The whole matrix is one ``repro.parallel``
+the output oracle and the monitors flagged — must not, and the oracle must
+have judged executions in every run. The whole matrix is one ``repro.parallel``
 campaign, fanned out by ``CHAOS_WORKERS`` like the chaos smoke sweeps.
 The PBFT harness jitters every link and timer, so it has no same-instant
 events to reorder: its runs pin that instead.
 """
 
-from repro.chaos import ChaosOptions, PbftChaosOptions
+from repro.chaos import ChaosOptions, Oracle, PbftChaosOptions
 from repro.parallel import CampaignTask, resolve_workers, run_campaign
 
 from test_chaos_leader import PINNED_PBFT_LEADER, PINNED_PRIME_LEADER, leader_options
@@ -33,6 +34,10 @@ def _verdict(record):
     return record.ok, {(v["monitor"], v["kind"]) for v in record.violations}
 
 
+def _oracle_verdict(record):
+    return {v["kind"] for v in record.violations if v["monitor"] == Oracle.name}
+
+
 def test_no_verdict_hangs_on_the_order_of_same_instant_events():
     tasks = [
         CampaignTask(
@@ -46,11 +51,14 @@ def test_no_verdict_hangs_on_the_order_of_same_instant_events():
     report = run_campaign(tasks, workers=resolve_workers(default=1))
     assert not report.failures, [f.error for f in report.failures]
     records = {record.task_id: record for record in report.records}
+    assert len(records) == len(CASES) * (1 + len(PERMUTATIONS)) == 78
+    assert all(record.stats["executions_checked"] > 0 for record in records.values())
     for family, seed, _ in CASES:
         engine_order = records[f"{family}/seed-{seed}/order-None"]
         fingerprints = set()
         for permutation in PERMUTATIONS:
             shuffled = records[f"{family}/seed-{seed}/order-{permutation}"]
+            assert _oracle_verdict(shuffled) == _oracle_verdict(engine_order), shuffled.task_id
             assert _verdict(shuffled) == _verdict(engine_order), shuffled.task_id
             fingerprints.add(shuffled.fingerprint)
         if family == "pbft-leader":

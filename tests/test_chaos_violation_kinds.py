@@ -1,13 +1,16 @@
 """Every violation kind fires through the one runner, on both systems.
 
-One row per ``(system, monitor, kind)`` the monitors can emit: a named
-mutant weakens one thing (the ``benchmarks/e2e/mutants.py`` pattern) and
-the run — ``ChaosEngine`` for Prime in a Spire deployment, ``run_pbft_chaos``
-for the flat PBFT cluster, both :func:`repro.chaos.engine.run_chaos`
-underneath — must report exactly that kind (plus, where the weakening
-cannot help causing them, the kinds the row lists under ``also``). The
-unmutated runs are the smoke sweeps of ``test_chaos_smoke.py`` and
-``test_chaos_leader.py``: zero violations.
+One row per ``(system, family, kind)`` the oracle and the monitors can
+emit: a named mutant weakens one thing (the ``benchmarks/e2e/mutants.py``
+pattern) and the run — ``ChaosEngine`` for Prime in a Spire deployment,
+``run_pbft_chaos`` for the flat PBFT cluster, both
+:func:`repro.chaos.engine.run_chaos` underneath — must report exactly that
+kind (plus, where the weakening cannot help causing them, the kinds the row
+lists under ``also``). A row's id names the invariant family; the safety
+kinds and the proxy gate's duplicate and ungated kinds are flagged by the
+output oracle, the rest by the family's monitor. The unmutated runs are the
+smoke sweeps of ``test_chaos_smoke.py`` and ``test_chaos_leader.py``: zero
+violations.
 
 Rows that replaced a fixture-level test name it:
 
@@ -32,8 +35,10 @@ from repro.chaos import (
     ChaosOptions,
     FaultAction,
     FaultSchedule,
+    Oracle,
     PbftChaosOptions,
     run_pbft_chaos,
+    shrink_schedule,
 )
 from repro.core import BreakerCommand
 from repro.pbft import PbftNode
@@ -214,15 +219,26 @@ class ExecutesNothingAfterTheFault(PbftNode):
 # The table
 # ----------------------------------------------------------------------
 
+EXECUTION_KINDS = ("divergent-execution", "duplicate-execution", "double-execution")
+#: what the output oracle flags; every other kind is its family's monitor's
+ORACLE_KINDS = EXECUTION_KINDS + ("duplicate-delivery", "ungated-field-command")
+
+
 class Row(NamedTuple):
     system: str
-    monitor: str
+    #: the invariant family the test id names
+    family: str
     kind: str
     mutant: Any
     schedule: FaultSchedule = NO_FAULTS
     options: Dict[str, Any] = {}
     #: kinds the weakening cannot help causing besides the expected one
     also: Tuple[str, ...] = ()
+
+    @property
+    def monitor(self) -> str:
+        """Who flags the row's kind."""
+        return Oracle.name if self.kind in ORACLE_KINDS else self.family
 
 
 SHIFTED = ("double-execution", "divergent-execution")
@@ -269,12 +285,12 @@ def run(row: Row, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "row", ROWS, ids=lambda row: f"{row.system}-{row.monitor}/{row.kind}")
+    "row", ROWS, ids=lambda row: f"{row.system}-{row.family}/{row.kind}")
 def test_the_mutant_is_flagged_with_exactly_its_kind(row, monkeypatch):
     result = run(row, monkeypatch)
     flagged = {(v.monitor, v.kind) for v in result.violations}
     assert (row.monitor, row.kind) in flagged, sorted(flagged)
-    assert flagged - {("safety", kind) for kind in row.also} == {(row.monitor, row.kind)}
+    assert flagged - {(Oracle.name, kind) for kind in row.also} == {(row.monitor, row.kind)}
     # ``_flag`` counted each of them
     counters = result.obs_snapshot["metrics"]
     for monitor in {v.monitor for v in result.violations}:
@@ -283,24 +299,25 @@ def test_the_mutant_is_flagged_with_exactly_its_kind(row, monkeypatch):
 
 
 def test_the_table_covers_every_kind_the_monitors_can_emit():
-    # every literal kind handed to ``_flag`` in repro.chaos.monitors, by the
-    # monitor class that hands it
+    # every literal kind handed to ``_flag`` in repro.chaos.monitors and by
+    # the oracle, by the class that hands it
     import ast
     import inspect
 
+    judges = [Oracle] + [
+        getattr(monitors, name) for name in monitors.__all__ if name.endswith("Monitor")
+    ]
     emitted = set()
-    for name in monitors.__all__:
-        cls = getattr(monitors, name)
-        if not name.endswith("Monitor"):
-            continue
+    for cls in judges:
         for node in ast.walk(ast.parse(inspect.getsource(cls))):
             if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "_flag":
                 emitted.add((cls.name, node.args[0].value))
     assert len(emitted) == 11
     assert {(row.monitor, row.kind) for row in ROWS if row.system == "spire"} == emitted
+    assert {kind for judge, kind in emitted if judge == Oracle.name} == set(ORACLE_KINDS)
     # the flat cluster has no endpoints, recovery strategy or overlay
     assert {(row.monitor, row.kind) for row in ROWS if row.system == "pbft"} == {
-        pair for pair in emitted if pair[0] in ("safety", "view-recovery")
+        pair for pair in emitted if pair[0] == "view-recovery" or pair[1] in EXECUTION_KINDS
     }
 
 
@@ -321,7 +338,8 @@ def test_the_quorum_row_also_keeps_the_live_timeline():
 def test_a_rejuvenated_prime_replica_replaying_is_not_a_double_execution():
     """The other half of exactly-once: a killed leader comes back, restores
     its state and executes again what it had executed before the crash.
-    The replica reported the restore, so the monitor does not flag it."""
+    Its final state equals the oracle's replay up to its executed count,
+    so nothing is flagged, and nothing had to wrap ``restore``."""
     executed = {}
 
     def count(deployment) -> None:
@@ -340,3 +358,22 @@ def test_a_rejuvenated_prime_replica_replaying_is_not_a_double_execution():
         name for name, seen in executed.items() if max(seen.values()) > 1
     }
     assert replayed == {"replica:0"}  # the leader of view 0, and only it
+
+
+def test_the_shrinker_keeps_the_failure_it_was_given():
+    """Two mutants at once: the unordered breaker write needs no fault, the
+    floor break needs both crashes. The empty schedule still fails, but on
+    the write alone, so the shrinker must not stop there: a candidate counts
+    only if it flags every ``(monitor, kind)`` of the full schedule's run."""
+    def both(deployment) -> None:
+        proxy_operates_a_breaker_nobody_ordered(deployment)
+        recovery_ignores_the_floor(deployment)
+
+    options = ChaosOptions(**{**SPIRE, "proactive_recovery": (1000.0, 300.0)})
+    failure = {(v.monitor, v.kind) for v in ChaosEngine(options, TWO_DOWN, both).run().violations}
+    assert {kind for _, kind in failure} == {"ungated-field-command", "rejuvenation-below-quorum"}
+    shrunk = shrink_schedule(options, TWO_DOWN, mutator=both)
+    assert shrunk.reproduced
+    again = ChaosEngine(options, shrunk.schedule, both).run()
+    assert failure <= {(v.monitor, v.kind) for v in again.violations}
+    assert shrunk.schedule == TWO_DOWN  # neither crash alone breaks the floor
