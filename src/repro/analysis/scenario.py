@@ -2,7 +2,7 @@
 
 :class:`ScenarioReport` aggregates everything a run's
 :class:`~repro.obs.Observability` handle collected — latency trackers
-(with CDF marks matching the paper's figures), counters, gauges,
+(with CDF marks matching the paper's figures), counters and readings,
 histograms, interval series, and the structured event log (including its
 ``dropped`` counter, so a clipped trace is never mistaken for a quiet
 one) — and renders it as JSON (for archival/diffing) or aligned text
@@ -106,11 +106,11 @@ class ScenarioReport:
         instrument = self.obs.registry.get(name)
         return instrument if isinstance(instrument, LatencyTracker) else None
 
-    def _by_kind(self, kind: str) -> List[Any]:
+    def _by_kind(self, *kinds: str) -> List[Any]:
         return [
             self.obs.registry.get(name)
             for name in self.obs.registry.names()
-            if getattr(self.obs.registry.get(name), "kind", None) == kind
+            if getattr(self.obs.registry.get(name), "kind", None) in kinds
         ]
 
     # ------------------------------------------------------------------
@@ -189,7 +189,7 @@ class ScenarioReport:
                     out=out,
                 )
 
-        counters = [c for c in self._by_kind("counter")]
+        counters = self._by_kind("counter", "reading")
         if counters:
             print_table(
                 "counters",

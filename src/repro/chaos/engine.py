@@ -208,8 +208,11 @@ def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> Cha
     if system.overlay_control is not None:
         reroute = RerouteBoundMonitor(simulator, bound_ms=options.reroute_bound_ms)
     monitors = [m for m in (verdict, gate, quorum, watchdog, view_recovery, reroute) if m]
+    # obs reads each count; monitors emit no trace *events*, since the trace
+    # feeds the fingerprint and must not change with monitors attached
     for monitor in monitors:
-        monitor.bind_obs(system.obs)
+        system.obs.read(f"chaos.violations.{monitor.name}",
+                        lambda monitor=monitor: len(monitor._violations))
 
     injector = FailureInjector(simulator, system.network)
     judged = dataclasses.replace(system, note_leader_fault=view_recovery.note_fault)

@@ -66,19 +66,9 @@ class Violation:
 class _BaseMonitor:
     name = "monitor"
 
-    #: optional ``repro.obs`` recorder the violation count is mirrored
-    #: into. Monitors never emit trace *events* — the trace feeds the chaos
-    #: fingerprint and must stay identical with monitors detached.
-    _obs = None
-
     def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
         self._violations: List[Violation] = []
-
-    def bind_obs(self, obs) -> None:
-        """Mirror violation counts into a metric registry."""
-        if obs.enabled:
-            self._obs = obs
 
     def violations(self) -> List[Violation]:
         return list(self._violations)
@@ -86,8 +76,6 @@ class _BaseMonitor:
     def _flag(self, kind: str, at: Optional[float] = None, **details: Any) -> None:
         """The one place a violation is built and counted; ``at`` dates a
         violation found post-run in a timeline."""
-        if self._obs is not None:
-            self._obs.counter(f"chaos.violations.{self.name}").inc()
         self._violations.append(Violation(
             self.name, kind, self.simulator.now if at is None else at,
             tuple(sorted((str(k), v) for k, v in details.items())),

@@ -11,7 +11,7 @@ Each sense tick it produces one :class:`SignalBatch` from two sources:
 * **direct state probes** — replicas observed down outside a
   rejuvenation window (missed-heartbeat analog), execution-sequence lag
   behind the fleet maximum, and the chaos invariant monitors' violation
-  counters mirrored into the metric registry.
+  counts, which the metric registry reads off the monitors.
 
 Everything read is a deterministic function of the simulation, so the
 controller's input stream — and therefore every decision — replays

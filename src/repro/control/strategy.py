@@ -11,11 +11,11 @@ Dataflow per sense tick (every ``sense_interval_ms``)::
                       RecoveryStrategy._try_rejuvenate()
                       (hard 2f+k+1 floor: defer, never break quorum)
 
-Decisions are emitted as ``control-decision`` obs events and per-replica
-suspicion lands in ``control.suspicion.<replica>`` gauges, so scenario
-reports show *why* the controller acted. When every score sits at
-baseline for ``fallback_after_ms`` — or when the deployment runs with
-observability disabled and there are no signals at all — the strategy
+Decisions are emitted as ``control-decision`` obs events carrying the
+picked replica's suspicion score, so scenario reports show *why* the
+controller acted. When every score sits at baseline for
+``fallback_after_ms`` — or when the deployment runs with observability
+disabled and there are no signals at all — the strategy
 degrades to the fixed periodic rotation (``control-fallback`` events),
 so rejuvenation coverage never lapses.
 """
@@ -78,6 +78,8 @@ class FeedbackStrategy(RecoveryStrategy):
         self.decisions = 0
         #: quiet-fallback rotations performed
         self.fallback_rotations = 0
+        self.obs.read("control.decisions", lambda: self.decisions)
+        self.obs.read("control.fallback_rotations", lambda: self.fallback_rotations)
 
     # ------------------------------------------------------------------
     def start(self, first_delay_ms: Optional[float] = None) -> None:
@@ -98,7 +100,6 @@ class FeedbackStrategy(RecoveryStrategy):
         if self.hub is not None:
             batch = self.hub.poll(self._shielded(now))
             self.estimator.observe(batch, ControlOptions.sense_interval_ms)
-            self._publish_scores()
             pick = self.policy.decide(now, self.estimator.scores, self._eligible)
             if pick is not None:
                 started = self._try_rejuvenate(self._by_name[pick])
@@ -112,8 +113,6 @@ class FeedbackStrategy(RecoveryStrategy):
                     self.policy.note_fired(pick, now)
                     self.decisions += 1
                     self._last_rotation_at = now
-                    if self.obs.enabled:
-                        self.obs.counter("control.decisions").inc()
                 # a floor-deferred pick stays armed: retried next tick
                 return
         if self.hub is None or self.policy.in_fallback(now):
@@ -161,8 +160,6 @@ class FeedbackStrategy(RecoveryStrategy):
                     COMP_RECOVERY_CONTROLLER, EV_CONTROL_FALLBACK,
                     replica=replica.name,
                 )
-                if self.obs.enabled:
-                    self.obs.counter("control.fallback_rotations").inc()
                 return
         self.skipped += 1
 
@@ -173,9 +170,3 @@ class FeedbackStrategy(RecoveryStrategy):
         # piece of prior evidence about it is stale by construction
         self.estimator.reset(replica.name)
         self._finished_at[replica.name] = self.simulator.now
-
-    def _publish_scores(self) -> None:
-        if not self.obs.enabled:
-            return
-        for name, score in self.estimator.scores.items():
-            self.obs.gauge(f"control.suspicion.{name}").set(round(score, 4))

@@ -25,11 +25,7 @@ from .hmi import HmiClient
 from ..obs import LatencyStats
 from .master import Alarm, ScadaMasterApp
 from .proxy import RtuProxy
-from .recovery import (
-    PeriodicStrategy,
-    ProactiveRecoveryScheduler,
-    RecoveryStrategy,
-)
+from .recovery import PeriodicStrategy, RecoveryStrategy
 from .replica import THRESHOLD_GROUP, SpireReplica
 from .update import (
     BatchDeliveryRecord,
@@ -64,7 +60,6 @@ __all__ = [
     "LatencyStats",
     "RtuProxy",
     "PeriodicStrategy",
-    "ProactiveRecoveryScheduler",
     "RecoveryStrategy",
     "THRESHOLD_GROUP",
     "SpireReplica",

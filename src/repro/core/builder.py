@@ -146,7 +146,9 @@ class DeploymentWiring:
         d.replica_sites = {}
         for name, site_name in zip(names, sites):
             app = ScadaMasterApp()
-            app.bind_obs(d.obs)
+            d.obs.read("master.status_applied", lambda app=app: app.status_updates_applied)
+            d.obs.read("master.commands_applied", lambda app=app: app.commands_applied)
+            d.obs.read("master.stale_dropped", lambda app=app: app.stale_updates_dropped)
             replica = SpireReplica(
                 name, d.simulator, d.network, config, d.crypto,
                 app=app, obs=d.obs,

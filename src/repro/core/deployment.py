@@ -43,7 +43,7 @@ from .builder import DeploymentWiring, TopologyBuilder
 from .diversity import DiversityManager
 from .master import ScadaMasterApp
 from .proxy import RtuProxy
-from .recovery import ProactiveRecoveryScheduler, RecoveryStrategy
+from .recovery import PeriodicStrategy, RecoveryStrategy
 
 if TYPE_CHECKING:  # lazy import: the fleet package imports this module
     from ..fleet.spec import FleetSpec
@@ -230,7 +230,7 @@ class SpireDeployment:
         self.network = Network(self.simulator, LinkSpec(latency_ms=0.2, jitter_ms=0.05))
         if opts.observability:
             self.obs = Observability(now_fn=lambda: self.simulator.now)
-            self.simulator.bind_obs(self.obs)
+            self.obs.read("sim.events_processed", lambda: self.simulator.events_processed)
         else:
             self.obs = NULL_OBS
         self.crypto: CryptoProvider = (
@@ -320,7 +320,7 @@ class SpireDeployment:
                     **common,
                 )
             else:
-                self.recovery_scheduler = ProactiveRecoveryScheduler(
+                self.recovery_scheduler = PeriodicStrategy(
                     self.simulator,
                     list(self.replicas),
                     period_ms=period_ms,

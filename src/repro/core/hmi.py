@@ -22,14 +22,12 @@ class HmiClient(SpireClient):
 
     def __init__(self, name, simulator, network, crypto, replicas, **kwargs) -> None:
         super().__init__(name, simulator, network, crypto, replicas, **kwargs)
-        self._status_counter = (
-            self.obs.counter("hmi.status_updates") if self.obs.enabled else None
-        )
         #: substation -> (order_index, StatusReading)
         self.view: Dict[str, Tuple[int, StatusReading]] = {}
         #: confirmed command log: (order_index, BreakerCommand)
         self.confirmed_commands: List[Tuple[int, BreakerCommand]] = []
         self.status_updates_seen = 0
+        self.obs.read("hmi.status_updates", lambda: self.status_updates_seen)
 
     # ------------------------------------------------------------------
     # Operator actions
@@ -54,8 +52,6 @@ class HmiClient(SpireClient):
         self.submissions.acknowledged(record.client, record.client_seq)
         if record.kind == "status" and isinstance(record.payload, StatusReading):
             self.status_updates_seen += 1
-            if self._status_counter is not None:
-                self._status_counter.inc()
             current = self.view.get(record.payload.substation)
             if current is None or current[0] < record.order_index:
                 self.view[record.payload.substation] = (

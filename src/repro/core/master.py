@@ -36,21 +36,6 @@ class Alarm:
 class ScadaMasterApp(ReplicatedApplication):
     """Deterministic SCADA master state."""
 
-    # Observability counters aggregated across all replicas' apps. Class
-    # defaults (not set in __init__) so a ``restore`` that re-inits the
-    # state machine cannot unbind them; they count *apply operations*, not
-    # restorable state, so they are never part of snapshots.
-    _obs_status = None
-    _obs_commands = None
-    _obs_stale = None
-
-    def bind_obs(self, obs) -> None:
-        """Mirror apply counters into an ``repro.obs`` recorder."""
-        if obs.enabled:
-            self._obs_status = obs.counter("master.status_applied")
-            self._obs_commands = obs.counter("master.commands_applied")
-            self._obs_stale = obs.counter("master.stale_dropped")
-
     def __init__(self, max_command_log: int = 1000) -> None:
         self.max_command_log = max_command_log
         #: substation -> latest accepted StatusReading (as payload object)
@@ -79,13 +64,9 @@ class ScadaMasterApp(ReplicatedApplication):
         current = self.latest_status.get(reading.substation)
         if current is not None and current.poll_seq >= reading.poll_seq:
             self.stale_updates_dropped += 1
-            if self._obs_stale is not None:
-                self._obs_stale.inc()
             return ("stale", reading.substation)
         self.latest_status[reading.substation] = reading
         self.status_updates_applied += 1
-        if self._obs_status is not None:
-            self._obs_status.inc()
         self._update_alarms(reading, order_index)
         return ("status-accepted", reading.substation)
 
@@ -119,8 +100,6 @@ class ScadaMasterApp(ReplicatedApplication):
     def _apply_command(self, command: BreakerCommand, order_index: int) -> Any:
         self.breaker_intent[(command.substation, command.breaker_id)] = command.close
         self.commands_applied += 1
-        if self._obs_commands is not None:
-            self._obs_commands.inc()
         self.command_log.append(
             (order_index, command.issued_by, command.substation,
              command.breaker_id, command.close)

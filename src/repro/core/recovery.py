@@ -7,13 +7,12 @@ time. The machinery shared by every strategy lives in
 cap (the ``2k`` term in ``3f + 2k + 1`` budgets for ``k`` simultaneous
 recoveries), the hard ``2f+k+1`` live-quorum floor (rejuvenations that
 would break the ordering quorum are *deferred*, never started), and the
-obs events/gauges every strategy reports through.
+obs events and readings every strategy reports through.
 
 Two strategies implement *when* to rejuvenate *which* replica:
 
-* :class:`PeriodicStrategy` (alias :class:`ProactiveRecoveryScheduler`,
-  the historical name) — the paper's fixed schedule: round-robin through
-  the replica set every ``period_ms``.
+* :class:`PeriodicStrategy` — the paper's fixed schedule: round-robin
+  through the replica set every ``period_ms``.
 * :class:`~repro.control.FeedbackStrategy` — the adaptive controller in
   ``repro.control``: watches ``repro.obs`` health signals and targets the
   most-suspect replica, falling back to the periodic rotation when the
@@ -37,7 +36,6 @@ from ..simnet import Process, Simulator
 __all__ = [
     "RecoveryStrategy",
     "PeriodicStrategy",
-    "ProactiveRecoveryScheduler",
 ]
 
 
@@ -47,7 +45,7 @@ class RecoveryStrategy:
     A strategy owns the crash→recover lifecycle of each rejuvenation and
     the safety bookkeeping around it; subclasses implement :meth:`start`
     (arming their timers) and call :meth:`_try_rejuvenate` /
-    :meth:`_begin` to act. All counters double as ``repro.obs`` gauges
+    :meth:`_begin` to act. ``repro.obs`` reads the three counters
     (``recovery.recoveries_started`` / ``recovery.recoveries_completed`` /
     ``recovery.deferred_rounds``) so they land in scenario reports.
     """
@@ -86,12 +84,9 @@ class RecoveryStrategy:
         #: rounds deferred because rejuvenating would have dropped the live
         #: replica count below ``min_live`` (graceful degradation metric)
         self.deferred_rounds = 0
-        if self.obs.enabled:
-            self._g_started = self.obs.gauge("recovery.recoveries_started")
-            self._g_completed = self.obs.gauge("recovery.recoveries_completed")
-            self._g_deferred = self.obs.gauge("recovery.deferred_rounds")
-        else:
-            self._g_started = self._g_completed = self._g_deferred = None
+        self.obs.read("recovery.recoveries_started", lambda: self.recoveries_started)
+        self.obs.read("recovery.recoveries_completed", lambda: self.recoveries_completed)
+        self.obs.read("recovery.deferred_rounds", lambda: self.deferred_rounds)
 
     # ------------------------------------------------------------------
     def start(self, first_delay_ms: Optional[float] = None) -> None:
@@ -121,8 +116,6 @@ class RecoveryStrategy:
         if self.min_live is None or self.live_count - 1 >= self.min_live:
             return False
         self.deferred_rounds += 1
-        if self._g_deferred is not None:
-            self._g_deferred.set(self.deferred_rounds)
         self.obs.event(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_DEFERRED,
                        live=self.live_count, min_live=self.min_live)
         return True
@@ -139,8 +132,6 @@ class RecoveryStrategy:
         self._in_recovery += 1
         self._recovering.add(replica.name)
         self.recoveries_started += 1
-        if self._g_started is not None:
-            self._g_started.set(self.recoveries_started)
         self.obs.event(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_START,
                        replica=replica.name)
         replica.crash()
@@ -150,8 +141,6 @@ class RecoveryStrategy:
         self._in_recovery -= 1
         self._recovering.discard(replica.name)
         self.recoveries_completed += 1
-        if self._g_completed is not None:
-            self._g_completed.set(self.recoveries_completed)
         if self.on_rejuvenate is not None:
             self.on_rejuvenate(replica)
         replica.recover()
@@ -208,8 +197,3 @@ class PeriodicStrategy(RecoveryStrategy):
                 self._begin(replica)
                 return
         self.skipped += 1
-
-
-#: Historical name for the fixed-schedule strategy; kept as the public
-#: API (tests, examples and the campaign layer construct it directly).
-ProactiveRecoveryScheduler = PeriodicStrategy

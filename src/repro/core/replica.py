@@ -68,9 +68,6 @@ class SpireReplica(PrimeNode):
             name, simulator, network, config,
             crypto, app or ScadaMasterApp(), transport=transport, obs=obs,
         )
-        self._deliveries_counter = (
-            self.obs.counter("replica.deliveries_sent") if self.obs.enabled else None
-        )
         self.share_index = config.index_of(name) + 1
         #: endpoints that receive every delivery (HMIs, historians)
         self.subscribers: List[str] = []
@@ -78,6 +75,7 @@ class SpireReplica(PrimeNode):
         #: the deployment wiring sets it, breaker commands are routed by it
         self.proxy_resolver = _no_proxy
         self.deliveries_sent = 0
+        self.obs.read("replica.deliveries_sent", lambda: self.deliveries_sent)
         #: attack hook: transform our threshold share before sending
         #: (models a compromised replica emitting garbage shares)
         self.share_corruptor = None
@@ -171,8 +169,6 @@ class SpireReplica(PrimeNode):
             selected = tuple(entries[i] for i in sorted(indices))
             delivery = BatchDeliveryShare(self.name, batch, share, selected)
             self.deliveries_sent += 1
-            if self._deliveries_counter is not None:
-                self._deliveries_counter.inc()
             # one share + root regardless of batch size, plus the proofs:
             # ~200 B fixed + ~150 B per entry (record + log-size proof)
             self.transport.send(

@@ -1,9 +1,10 @@
 """``repro.obs`` — the unified observability layer.
 
 Every measurement in the reproduction flows through this package: typed
-**counters/gauges/histograms** in a central :class:`MetricRegistry`, a
-bounded structured **event log** (:class:`EventLog`), and keyed **latency
-trackers** / **interval counters**.
+**counters/histograms** in a central :class:`MetricRegistry`, a bounded
+structured **event log** (:class:`EventLog`), keyed **latency trackers** /
+**interval counters**, and **readings** of counts components keep
+themselves, called at snapshot time.
 
 The entry point is :class:`Observability` — one instance per deployment
 (``deployment.obs``) owns the registry and the event log.
@@ -62,12 +63,12 @@ from .events import (
 )
 from .instruments import (
     Counter,
-    Gauge,
     Histogram,
     IntervalCounter,
     LatencyStats,
     LatencyTracker,
     MetricRegistry,
+    Reading,
     merge_instrument_images,
     merge_metric_snapshots,
 )
@@ -84,11 +85,11 @@ __all__ = [
     "NULL_OBS",
     "MetricRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "LatencyStats",
     "LatencyTracker",
     "IntervalCounter",
+    "Reading",
     "merge_instrument_images",
     "merge_metric_snapshots",
     "merge_obs_snapshots",

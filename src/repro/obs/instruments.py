@@ -1,13 +1,15 @@
 """Typed metric instruments and the central registry.
 
-Four instrument families cover everything the evaluation measures:
+Four push families and one read cover everything the evaluation measures:
 
 * :class:`Counter` — monotonically increasing event counts;
-* :class:`Gauge` — last-written values with min/max watermarks;
 * :class:`Histogram` — value distributions with full percentile stats;
 * :class:`LatencyTracker` / :class:`IntervalCounter` — the keyed
   submit→ack latency and per-interval availability primitives the paper's
-  figures are built from (formerly ``repro.core.metrics``).
+  figures are built from;
+* :class:`Reading` — a count a component already keeps, read (and summed
+  over every registrant) when the registry snapshots. A count lives on its
+  component and obs reads it; a level lives in the event log.
 
 Instruments live in a :class:`MetricRegistry`; ``registry.snapshot()``
 returns a JSON-serializable, deterministically ordered image of every
@@ -21,15 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "LatencyStats",
     "Counter",
-    "Gauge",
     "Histogram",
     "LatencyTracker",
     "IntervalCounter",
+    "Reading",
     "MetricRegistry",
     "merge_instrument_images",
     "merge_metric_snapshots",
@@ -122,28 +124,21 @@ class Counter(_Instrument):
         return self.value
 
 
-class Gauge(_Instrument):
-    """A last-written value with min/max watermarks."""
+class Reading(_Instrument):
+    """The sum of zero-argument functions, called whenever it is read."""
 
-    kind = "gauge"
+    kind = "reading"
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.value: float = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
+        self.fns: List[Callable[[], int]] = []
 
-    def set(self, value: float) -> None:
-        self.value = value
-        self.minimum = value if self.minimum is None else min(self.minimum, value)
-        self.maximum = value if self.maximum is None else max(self.maximum, value)
+    @property
+    def value(self) -> int:
+        return sum(fn() for fn in self.fns)
 
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "value": self.value,
-            "min": 0.0 if self.minimum is None else self.minimum,
-            "max": 0.0 if self.maximum is None else self.maximum,
-        }
+    def snapshot(self) -> int:
+        return self.value
 
 
 class Histogram(_Instrument):
@@ -315,7 +310,7 @@ class IntervalCounter(_Instrument):
 # Snapshot merging (parallel campaign aggregation)
 # ----------------------------------------------------------------------
 # Snapshot images are plain JSON data, so cross-process aggregation works
-# on the images themselves: counters add, watermarks take min/max, and
+# on the images themselves: counts add, watermarks take min/max, and
 # sample-derived statistics that cannot be combined from two summaries
 # (percentiles) are dropped rather than silently mis-merged. The rules
 # are keyed by field name, which is uniform across instrument families.
@@ -333,9 +328,9 @@ _MERGE_DERIVED_KEYS = frozenset({"mean", "median", "p90", "p99", "p999"})
 def merge_instrument_images(base: Any, other: Any) -> Any:
     """Merge two instrument snapshot images of the same instrument.
 
-    Integers (counters) add. Dict images merge field-wise: additive keys
-    sum, ``min``/``max`` take the watermark union, ``value`` is
-    last-writer-wins (merge in task order for determinism), and
+    Integers (counters and readings) add. Dict images merge field-wise:
+    additive keys sum, ``min``/``max`` take the watermark union, any other
+    key is last-writer-wins (merge in task order for determinism), and
     percentile keys are dropped (``mean`` is recomputed from ``sum`` and
     ``count`` when both survive). ``base`` may be ``None`` to seed the
     fold.
@@ -364,10 +359,8 @@ def merge_instrument_images(base: Any, other: Any) -> Any:
             merged[key] = min(a, b)
         elif key == "max":
             merged[key] = max(a, b)
-        elif key == "value" or a != b:
-            merged[key] = b
         else:
-            merged[key] = a
+            merged[key] = b
     if merged.get("count") and "sum" in merged:
         merged["mean"] = merged["sum"] / merged["count"]
     return merged
@@ -422,9 +415,6 @@ class MetricRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, lambda: Counter(name), Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name), Gauge)
-
     def histogram(self, name: str, max_samples: int = 200_000) -> Histogram:
         return self._get_or_create(
             name, lambda: Histogram(name, max_samples), Histogram
@@ -438,13 +428,11 @@ class MetricRegistry:
             name, lambda: IntervalCounter(interval_ms, name), IntervalCounter
         )
 
-    def register(self, instrument: _Instrument) -> _Instrument:
-        """Adopt an externally created instrument under its own name."""
-        existing = self._instruments.get(instrument.name)
-        if existing is None:
-            self._instruments[instrument.name] = instrument
-            return instrument
-        return existing
+    def read(self, name: str, fn: Callable[[], int]) -> Reading:
+        """Add ``fn`` to the reading ``name``; it is called at read time."""
+        reading = self._get_or_create(name, lambda: Reading(name), Reading)
+        reading.fns.append(fn)
+        return reading
 
     def names(self) -> List[str]:
         return sorted(self._instruments)

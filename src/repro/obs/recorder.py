@@ -8,9 +8,10 @@ object components can share:
 
 Components never construct their own; they accept an ``obs`` parameter
 and fall back to :data:`NULL_OBS`, a shared :class:`NullObservability`
-whose instruments swallow every call. Hot paths additionally guard
-optional work (per-kind counters) behind ``obs.enabled`` so disabled runs
-pay only an attribute test.
+whose instruments swallow every call and whose ``read`` stores nothing.
+Five hot paths additionally guard optional work (per-kind counters, the
+hop stamp) behind ``obs.enabled`` so disabled runs pay only an attribute
+test.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .events import EventLog, NullEventLog
 from .instruments import (
     Counter,
-    Gauge,
     Histogram,
     IntervalCounter,
     LatencyStats,
     LatencyTracker,
     MetricRegistry,
+    Reading,
     merge_metric_snapshots,
 )
 
@@ -100,9 +101,6 @@ class Observability:
     def counter(self, name: str) -> Counter:
         return self.registry.counter(name)
 
-    def gauge(self, name: str) -> Gauge:
-        return self.registry.gauge(name)
-
     def histogram(self, name: str, max_samples: int = 200_000) -> Histogram:
         return self.registry.histogram(name, max_samples)
 
@@ -111,6 +109,9 @@ class Observability:
 
     def intervals(self, name: str, interval_ms: float = 1000.0) -> IntervalCounter:
         return self.registry.intervals(name, interval_ms)
+
+    def read(self, name: str, fn: Callable[[], int]) -> Reading:
+        return self.registry.read(name, fn)
 
     # -- events --------------------------------------------------------
     def event(self, component: str, kind: str, **details: Any) -> None:
@@ -150,16 +151,6 @@ class _NullCounter(_NullInstrument):
 
     def snapshot(self) -> int:
         return 0
-
-
-class _NullGauge(_NullInstrument):
-    kind = "gauge"
-    value = 0.0
-    minimum = None
-    maximum = None
-
-    def set(self, value: float) -> None:
-        pass
 
 
 class _NullHistogram(_NullInstrument):
@@ -222,8 +213,13 @@ class _NullIntervals(_NullInstrument):
         return 0.0
 
 
+class _NullReading(_NullInstrument):
+    kind = "reading"
+    value = 0
+
+
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
+_NULL_READING = _NullReading()
 _NULL_HISTOGRAM = _NullHistogram()
 _NULL_LATENCY = _NullLatency()
 _NULL_INTERVALS = _NullIntervals()
@@ -237,9 +233,6 @@ class _NullRegistry:
     def counter(self, name: str) -> _NullCounter:
         return _NULL_COUNTER
 
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
     def histogram(self, name: str, max_samples: int = 200_000) -> _NullHistogram:
         return _NULL_HISTOGRAM
 
@@ -249,8 +242,8 @@ class _NullRegistry:
     def intervals(self, name: str, interval_ms: float = 1000.0) -> _NullIntervals:
         return _NULL_INTERVALS
 
-    def register(self, instrument):
-        return instrument
+    def read(self, name: str, fn) -> _NullReading:
+        return _NULL_READING
 
     def names(self) -> List[str]:
         return []

@@ -406,8 +406,6 @@ class PbftNode(Process):
         for old in [s for s in self.slots if s <= bound]:
             del self.slots[old]
         self.obs.event(self.name, EV_PBFT_CHECKPOINT, seq=seq)
-        if self.obs.enabled:
-            self.obs.gauge(f"pbft.stable_seq.{self.name}").set(float(seq))
 
     # ------------------------------------------------------------------
     # Laggard catch-up: fetch commit-certified slots from peers
@@ -497,10 +495,6 @@ class PbftNode(Process):
         self._leader_buffer.clear()
         self._leader_inflight.clear()
         self.obs.event(self.name, EV_PBFT_VIEW_CHANGE, view=new_view)
-        if self.obs.enabled:
-            self.obs.counter(
-                f"replication.view_changes_total.{self.name}").inc()
-            self.obs.gauge(f"replication.view.{self.name}").set(float(new_view))
         vc = PbftViewChange(
             self.name, new_view, self.last_executed,
             prepared_entries(self.slots, above=self.last_executed),
@@ -575,8 +569,6 @@ class PbftNode(Process):
             key: (update, now) for key, (update, _) in self._pending.items()
         }
         self.obs.event(self.name, EV_PBFT_NEW_VIEW, view=msg.view)
-        if self.obs.enabled:
-            self.obs.gauge(f"replication.view.{self.name}").set(float(msg.view))
         for pp_signed in pre_prepares:
             self.ordering.on_pre_prepare(
                 pp_signed, pp_signed.payload, from_new_view=True

@@ -112,10 +112,6 @@ class LeadershipStage:
         )
         node._last_vc_sent = vc
         node._broadcast(vc)
-        if node.obs.enabled:
-            node.obs.counter(
-                f"replication.view_changes_total.{node.name}").inc()
-            node.obs.gauge(f"replication.view.{node.name}").set(float(new_view))
         if node._vc_timer is not None:
             node._vc_timer.cancel()
         node._vc_timer = node.set_timer(
@@ -221,8 +217,6 @@ class LeadershipStage:
         node._last_vc_sent = None
         node._last_nv_sent = None
         node._higher_view_seen.clear()
-        if node.obs.enabled:
-            node.obs.gauge(f"replication.view.{node.name}").set(float(view))
         node.obs.event(node.name, EV_NEW_VIEW, view=view, max_seq=max_seq)
         for pp_signed in pre_prepares:
             node.ordering.on_pre_prepare(pp_signed, pp_signed.payload, from_new_view=True)

@@ -45,7 +45,7 @@ from .app import ReplicatedApplication
 from .checkpoint import CheckpointManager
 from .config import PrimeConfig
 from .dedup import ClientDedup
-from .execution import ExecutionCutoff, coverage_cutoffs
+from .execution import ExecutionCutoff
 from .leadership import LeadershipStage
 from .messages import (
     CheckpointMsg,
@@ -328,9 +328,6 @@ class PrimeNode(Process):
     @property
     def is_leader(self) -> bool:
         return self.config.leader_of_view(self.view) == self.name
-
-    # Stable public/compat surface kept from the monolithic node.
-    coverage_cutoffs = staticmethod(coverage_cutoffs)
 
     # ------------------------------------------------------------------
     # Stage entry points

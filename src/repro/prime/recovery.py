@@ -354,8 +354,6 @@ class RecoveryStage:
         node.view_manager.highest_vc_started = max(
             node.view_manager.highest_vc_started, candidate
         )
-        if node.obs.enabled:
-            node.obs.gauge(f"replication.view.{node.name}").set(float(candidate))
         node.obs.event(
             node.name, EV_NEW_VIEW, view=candidate, max_seq=node.last_executed_seq,
             via="state-transfer",

@@ -243,27 +243,6 @@ class Simulator:
         self._events_processed = 0
         self._cancelled_in_heap = 0
         self._stopped = False
-        # Observability: bound lazily so un-observed simulations pay only
-        # a None test per event in the hot loop.
-        self._obs = None
-        self._obs_events = None
-        self._obs_scheduled = None
-
-    def bind_obs(self, obs) -> None:
-        """Mirror engine counters into an ``repro.obs`` recorder.
-
-        The engine itself stays import-independent of ``repro.obs``; the
-        deployment (or test) passes the recorder in. Counters are
-        pre-resolved here so :meth:`step` never does a registry lookup.
-        """
-        if not obs.enabled:
-            self._obs = None
-            self._obs_events = None
-            self._obs_scheduled = None
-            return
-        self._obs = obs
-        self._obs_events = obs.counter("sim.events_processed")
-        self._obs_scheduled = obs.counter("sim.events_scheduled")
 
     # ------------------------------------------------------------------
     # Randomness
@@ -287,8 +266,6 @@ class Simulator:
         heapq.heappush(
             self._queue, (event.time, event.priority, event.seq, event)
         )
-        if self._obs_scheduled is not None:
-            self._obs_scheduled.value += 1
 
     def _note_cancelled(self) -> None:
         """Account an in-heap cancellation; compact when tombstones pile up."""
@@ -348,8 +325,6 @@ class Simulator:
         heapq.heappush(
             self._queue, (self.now + delay, 0, next(self._seq), None, action, args)
         )
-        if self._obs_scheduled is not None:
-            self._obs_scheduled.value += 1
 
     def schedule_at(
         self,
@@ -433,8 +408,6 @@ class Simulator:
                 self.now = event.time
                 event.action(*event.args)
             self._events_processed += 1
-            if self._obs_events is not None:
-                self._obs_events.value += 1
             return True
         return False
 
@@ -482,8 +455,6 @@ class Simulator:
                 self.now = event.time
                 event.action(*event.args)
             self._events_processed += 1
-            if self._obs_events is not None:
-                self._obs_events.value += 1
         if not self._stopped:
             self.now = when
 

@@ -86,18 +86,13 @@ class SpinesDaemon(Process):
         self._shortest = routing.name == "shortest"
         self.crypto = crypto
         self.obs = obs if obs is not None else NULL_OBS
-        # Instruments shared by all daemons of a deployment (same names →
+        # Histograms shared by all daemons of a deployment (same names →
         # same registry entries); resolved once so hops pay a None test.
         self._hop_latency = None
         self._e2e_latency = None
-        self._drop_counters: Dict[str, Any] = {}
         if self.obs.enabled:
             self._hop_latency = self.obs.histogram("spines.hop_latency_ms")
             self._e2e_latency = self.obs.histogram("spines.transit_latency_ms")
-            for reason in ("auth", "dup", "behavior", "overflow", "ratelimit"):
-                self._drop_counters[f"dropped_{reason}"] = self.obs.counter(
-                    f"spines.dropped_{reason}"
-                )
         self.fairness = fairness
         self.forward_capacity_per_ms = forward_capacity_per_ms
         self.max_queue_per_source = max_queue_per_source
@@ -125,6 +120,9 @@ class SpinesDaemon(Process):
             "dropped_auth": 0, "dropped_dup": 0, "dropped_behavior": 0,
             "dropped_overflow": 0, "dropped_ratelimit": 0,
         }
+        for key in self.stats:
+            if key.startswith("dropped_"):
+                self.obs.read(f"spines.{key}", lambda key=key: self.stats[key])
 
     # ------------------------------------------------------------------
     # Wiring
@@ -142,12 +140,6 @@ class SpinesDaemon(Process):
     @staticmethod
     def daemon_name(site_name: str) -> str:
         return f"spines:{site_name}"
-
-    def _count_drop(self, stat: str) -> None:
-        self.stats[stat] += 1
-        counter = self._drop_counters.get(stat)
-        if counter is not None:
-            counter.inc()
 
     # ------------------------------------------------------------------
     # Receive paths
@@ -170,7 +162,7 @@ class SpinesDaemon(Process):
             or data.origin != src
             or not (self._floods or len(data.dests) == 1)
         ):
-            self._count_drop("dropped_auth")
+            self.stats["dropped_auth"] += 1
             return
         self.stats["ingress"] += 1
         if self._record_seen(data):
@@ -179,7 +171,7 @@ class SpinesDaemon(Process):
     def _on_forward(self, src: str, message: OverlayForward) -> None:
         sender_site = message.sender
         if self.neighbors.get(sender_site) != src:
-            self._count_drop("dropped_auth")
+            self.stats["dropped_auth"] += 1
             return
         try:
             authentic = self.crypto.check_mac(
@@ -188,12 +180,12 @@ class SpinesDaemon(Process):
         except EncodingError:  # a datagram without a digest has no MAC
             authentic = False
         if not authentic:
-            self._count_drop("dropped_auth")
+            self.stats["dropped_auth"] += 1
             return
         if self._hop_latency is not None and message.sent_at:
             self._hop_latency.observe(self.simulator.now - message.sent_at)
         if not self._record_seen(message.data):
-            self._count_drop("dropped_dup")
+            self.stats["dropped_dup"] += 1
             return
         self._route(message.data, arrived_from=sender_site)
 
@@ -201,12 +193,12 @@ class SpinesDaemon(Process):
         """Link-monitor keepalive: authenticate, then hand to the monitor."""
         sender = hello.sender
         if self.neighbors.get(sender) != src:
-            self._count_drop("dropped_auth")
+            self.stats["dropped_auth"] += 1
             return
         if not self.crypto.check_mac(
             src, self.name, (hello.sender, hello.seq, hello.sent_at), hello.mac
         ):
-            self._count_drop("dropped_auth")
+            self.stats["dropped_auth"] += 1
             return
         if self.monitor is not None:
             self.monitor.on_hello(sender, hello)
@@ -229,13 +221,15 @@ class SpinesDaemon(Process):
     # ------------------------------------------------------------------
     def _route(self, data: OverlayData, arrived_from: Optional[str]) -> None:
         if self._behavior is not None:
+            # a datagram the hook holds counts as dropped until released
+            stats = self.stats
+            stats["dropped_behavior"] += 1
+
             def default_action() -> None:
+                stats["dropped_behavior"] -= 1
                 self._route_default(data, arrived_from)
 
-            before = self.stats["forwarded"] + self.stats["delivered"]
             self._behavior(data, default_action)
-            if self.stats["forwarded"] + self.stats["delivered"] == before:
-                self._count_drop("dropped_behavior")
         else:
             # no byzantine behavior installed (the common case): route
             # directly, skipping the per-message closure allocation
@@ -261,7 +255,7 @@ class SpinesDaemon(Process):
             try:
                 digest_bytes(data)
             except EncodingError:
-                self._count_drop("dropped_auth")
+                self.stats["dropped_auth"] += 1
                 return
         # deliver to every endpoint that is attached here *and* named
         attached = self.attached
@@ -272,7 +266,7 @@ class SpinesDaemon(Process):
             return
         # one token per datagram, however many endpoints it names
         if not self._admit(data):
-            self._count_drop("dropped_ratelimit")
+            self.stats["dropped_ratelimit"] += 1
             return
         forward = self._enqueue_forward if self.forward_capacity_per_ms > 0 else self._forward_now
         for neighbor in targets:
@@ -310,7 +304,7 @@ class SpinesDaemon(Process):
         source = data.origin if self.fairness else "__fifo__"
         queue = self._queues.setdefault(source, deque())
         if self.max_queue_per_source > 0 and len(queue) >= self.max_queue_per_source:
-            self._count_drop("dropped_overflow")
+            self.stats["dropped_overflow"] += 1
             return
         if source not in self._queued_sources:
             self._queued_sources.add(source)

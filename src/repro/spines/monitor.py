@@ -254,6 +254,7 @@ class OverlayControlPlane:
         self._rebuild_pending = False
         self.observed = topology.copy()
         self.reroutes = 0
+        self.obs.read("overlay.reroutes", lambda: self.reroutes)
         self.partitioned = False
         self.partitions_seen = 0
 
@@ -389,9 +390,6 @@ class OverlayControlPlane:
                 EV_OVERLAY_PARTITION, components=observed.component_count()
             )
         self.partitioned = partitioned
-        if self.obs.enabled:
-            self.obs.gauge("overlay.links_down").set(float(len(self._down)))
-            self.obs.counter("overlay.reroutes").inc()
 
     # ------------------------------------------------------------------
     def _event(self, kind: str, **details) -> None:

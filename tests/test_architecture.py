@@ -455,6 +455,10 @@ _REMOVED = re.compile(
     r"|wall_ms|print_hotspots|wall_clock_hotspots|EndpointTable|process_by_id"
     r"|class TimedCrypto|overlay_queue_limit|control_overrides|monitor_config"
     r"|class SafetyMonitor|first_execution_times"
+    r"|class Gauge|class _NullGauge|def gauge\b|\.gauge\(|def bind_obs\b|_obs_events"
+    r"|_obs_scheduled|_drop_counters|_status_counter|_deliveries_counter|_g_started"
+    r"|ProactiveRecoveryScheduler|staticmethod\(coverage_cutoffs\)"
+    r"|def register\(self, instrument"
 )
 
 

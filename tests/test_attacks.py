@@ -142,11 +142,16 @@ def test_compromised_daemon_drop_fraction(deployment):
 
 
 def test_compromised_daemon_delay(deployment):
-    stop = compromise_daemon_delay(deployment.overlay.daemon("cc2"), delay_ms=50.0)
+    daemon = deployment.overlay.daemon("cc2")
+    stop = compromise_daemon_delay(daemon, delay_ms=50.0)
     before = deployment.proxy.submissions.acked_total
     deployment.run_for(2000)
     assert deployment.proxy.submissions.acked_total > before
+    assert daemon.stats["dropped_behavior"] > 0  # held, not yet released
     stop()
+    # the hook releases every datagram it delayed: none was dropped
+    deployment.run_for(100)
+    assert daemon.stats["dropped_behavior"] == 0
 
 
 def test_flooding_attacker_counts():

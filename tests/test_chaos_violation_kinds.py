@@ -291,11 +291,16 @@ def test_the_mutant_is_flagged_with_exactly_its_kind(row, monkeypatch):
     flagged = {(v.monitor, v.kind) for v in result.violations}
     assert (row.monitor, row.kind) in flagged, sorted(flagged)
     assert flagged - {(Oracle.name, kind) for kind in row.also} == {(row.monitor, row.kind)}
-    # ``_flag`` counted each of them
-    counters = result.obs_snapshot["metrics"]
-    for monitor in {v.monitor for v in result.violations}:
-        counted = counters[f"chaos.violations.{monitor}"]
-        assert counted == sum(v.monitor == monitor for v in result.violations)
+    # obs reads every attached monitor's count, zero included
+    prefix = "chaos.violations."
+    counted = {
+        name[len(prefix):]: value
+        for name, value in result.obs_snapshot["metrics"].items()
+        if name.startswith(prefix)
+    }
+    assert {v.monitor for v in result.violations} <= set(counted)
+    for monitor, count in counted.items():
+        assert count == sum(v.monitor == monitor for v in result.violations)
 
 
 def test_the_table_covers_every_kind_the_monitors_can_emit():

@@ -323,9 +323,8 @@ def test_controller_targets_crashed_replica():
     assert decisions, "controller never acted on the crash"
     assert decisions[0].details["replica"] == target
     assert decisions[0].details["score"] >= OPTS.trigger_threshold
-    # suspicion gauges landed in the registry for the report
-    snapshot = deployment.obs.registry.snapshot()
-    assert snapshot[f"control.suspicion.{target}"]["max"] > 0.5
+    # the decision count is read into the registry for the report
+    assert deployment.obs.registry.snapshot()["control.decisions"] >= 1
 
 
 def test_controller_decisions_deterministic_at_fixed_seed():
@@ -384,9 +383,10 @@ def test_recovery_gauges_land_in_registry():
     deployment.start()
     deployment.run_for(8000.0)
     snapshot = deployment.obs.registry.snapshot()
-    assert snapshot["recovery.recoveries_started"]["value"] >= 1
-    assert snapshot["recovery.recoveries_completed"]["value"] >= 1
-    assert "recovery.deferred_rounds" in snapshot
+    strategy = deployment.recovery_scheduler
+    assert snapshot["recovery.recoveries_started"] == strategy.recoveries_started >= 1
+    assert snapshot["recovery.recoveries_completed"] == strategy.recoveries_completed >= 1
+    assert snapshot["recovery.deferred_rounds"] == strategy.deferred_rounds
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DiversityManager, Exploit, ProactiveRecoveryScheduler
+from repro.core import DiversityManager, Exploit, PeriodicStrategy
 from repro.simnet import LinkSpec, Network, Process, Simulator
 
 
@@ -19,7 +19,7 @@ def build(n=6):
 
 def test_round_robin_rotation():
     sim, net, replicas = build()
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0
     )
     scheduler.start()
@@ -32,7 +32,7 @@ def test_round_robin_rotation():
 def test_at_most_k_concurrent():
     sim, net, replicas = build()
     # duration longer than the period: without the cap two would overlap
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=50.0, recovery_duration_ms=120.0,
         max_concurrent=1,
     )
@@ -47,7 +47,7 @@ def test_at_most_k_concurrent():
 
 def test_max_concurrent_two():
     sim, net, replicas = build()
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=50.0, recovery_duration_ms=120.0,
         max_concurrent=2,
     )
@@ -62,7 +62,7 @@ def test_max_concurrent_two():
 def test_skips_already_down_replicas():
     sim, net, replicas = build()
     replicas[0].crash()
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0
     )
     scheduler.start()
@@ -75,7 +75,7 @@ def test_skips_already_down_replicas():
 def test_on_rejuvenate_hook_called():
     sim, net, replicas = build()
     rejuvenated = []
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0,
         on_rejuvenate=lambda replica: rejuvenated.append(replica.name),
     )
@@ -86,7 +86,7 @@ def test_on_rejuvenate_hook_called():
 
 def test_stop_halts_rotation():
     sim, net, replicas = build()
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0
     )
     scheduler.start()
@@ -98,7 +98,7 @@ def test_stop_halts_rotation():
 
 def test_start_twice_does_not_leak_previous_timer():
     sim, net, replicas = build()
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0
     )
     scheduler.start()
@@ -115,7 +115,7 @@ def test_start_twice_does_not_leak_previous_timer():
 def test_invalid_max_concurrent():
     sim, net, replicas = build()
     with pytest.raises(ValueError):
-        ProactiveRecoveryScheduler(sim, replicas, 100.0, 10.0, max_concurrent=0)
+        PeriodicStrategy(sim, replicas, 100.0, 10.0, max_concurrent=0)
 
 
 # ----------------------------------------------------------------------

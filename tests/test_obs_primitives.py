@@ -5,6 +5,8 @@ structured event log, the no-op recorder, and snapshot determinism across
 runs of the same seed.
 """
 
+import weakref
+
 import pytest
 
 from repro.obs import (
@@ -13,6 +15,7 @@ from repro.obs import (
     MetricRegistry,
     NullObservability,
     Observability,
+    merge_metric_snapshots,
 )
 from repro.simnet import LinkSpec, Network, Simulator
 from repro.spines import SpinesOverlay, lan_topology
@@ -27,14 +30,6 @@ def test_counter_gauge_histogram_basics():
     counter.inc()
     counter.inc(4)
     assert counter.value == 5
-
-    gauge = registry.gauge("g")
-    gauge.set(3.0)
-    gauge.set(-1.0)
-    gauge.set(2.0)
-    assert gauge.value == 2.0
-    assert gauge.minimum == -1.0
-    assert gauge.maximum == 3.0
 
     histogram = registry.histogram("h")
     for value in (1.0, 2.0, 3.0, 4.0):
@@ -51,6 +46,65 @@ def test_registry_get_or_create_and_family_mismatch():
     with pytest.raises(TypeError):
         registry.histogram("x")
     assert registry.names() == ["x"]
+
+
+class _Component:
+    """Keeps its own count and lets obs read it, as components do."""
+
+    def __init__(self, obs, count=0):
+        self.count = count
+        obs.read("component.count", lambda: self.count)
+
+
+def test_readings_under_one_name_sum():
+    registry = MetricRegistry()
+    first, second = _Component(registry, 2), _Component(registry, 5)
+    assert registry.get("component.count").value == 7
+    assert registry.snapshot() == {"component.count": 7}
+    assert first.count + second.count == 7
+
+
+def test_reading_is_evaluated_at_snapshot_time():
+    registry = MetricRegistry()
+    component = _Component(registry)
+    reading = registry.get("component.count")
+    assert registry.snapshot()["component.count"] == 0
+    component.count += 3
+    assert reading.value == 3
+    assert registry.snapshot()["component.count"] == 3
+
+
+def test_reading_and_counter_under_one_name_raise():
+    registry = MetricRegistry()
+    registry.counter("x")
+    with pytest.raises(TypeError):
+        registry.read("x", lambda: 0)
+    registry.read("y", lambda: 0)
+    with pytest.raises(TypeError):
+        registry.counter("y")
+
+
+def test_null_obs_read_keeps_no_reference():
+    # a real recorder holds the component alive through its reading ...
+    obs = Observability()
+    component = _Component(obs)
+    kept = weakref.ref(component)
+    del component
+    assert kept() is not None
+    # ... the null recorder stores nothing
+    component = _Component(NULL_OBS)
+    ref = weakref.ref(component)
+    del component
+    assert ref() is None
+    assert NULL_OBS.snapshot()["metrics"] == {}
+
+
+def test_merge_adds_two_readings():
+    first, second = MetricRegistry(), MetricRegistry()
+    _Component(first, 4)
+    _Component(second, 6)
+    merged = merge_metric_snapshots([first.snapshot(), second.snapshot()])
+    assert merged == {"component.count": 10}
 
 
 def test_histogram_overflow_is_flagged_not_silent():
@@ -108,7 +162,7 @@ def test_null_obs_swallows_everything():
     obs = NULL_OBS
     assert obs.enabled is False
     obs.counter("c").inc()
-    obs.gauge("g").set(1.0)
+    obs.read("r", lambda: 1)
     obs.histogram("h").observe(1.0)
     obs.event("comp", "kind", a=1)
     assert obs.counter("c").value == 0

@@ -6,9 +6,9 @@ from repro.crypto import FastCrypto
 from repro.prime import (
     ClientUpdate,
     KeyValueApp,
-    PrimeNode,
     sign_client_update,
 )
+from repro.prime.execution import coverage_cutoffs
 from repro.prime.node import verify_client_update
 
 
@@ -136,7 +136,7 @@ def test_coverage_cutoffs_quorum_th_largest():
         return SignedMessage(summary, Signature(sender, "x"))
 
     matrix = tuple(row(f"r{i}", upto) for i, upto in enumerate([9, 7, 5, 3, 1, 0]))
-    cutoffs = PrimeNode.coverage_cutoffs(matrix, n=6, quorum=4)
+    cutoffs = coverage_cutoffs(matrix, n=6, quorum=4)
     assert cutoffs["origin:a#0"] == 3  # 4th largest of [9,7,5,3,1,0]
 
 
@@ -149,7 +149,7 @@ def test_coverage_cutoffs_missing_rows_count_as_zero():
         return SignedMessage(summary, Signature(sender, "x"))
 
     matrix = tuple(row(f"r{i}", 10) for i in range(3))  # only 3 of 6 rows
-    cutoffs = PrimeNode.coverage_cutoffs(matrix, n=6, quorum=4)
+    cutoffs = coverage_cutoffs(matrix, n=6, quorum=4)
     assert cutoffs["o#0"] == 0
 
 

@@ -99,23 +99,6 @@ def test_no_amplify_after_own_suspect(setup):
     assert amplify is False
 
 
-def test_validate_view_change_accepts_valid(setup):
-    config, crypto, manager, signed, verify = setup
-    entry = make_prepared_entry(config, signed)
-    vc = ViewChange("r2", 1, 0, (), (entry,))
-    assert manager.validate_view_change(
-        signed("r2", vc), vc, verify, lambda seq, proof: True
-    )
-
-
-def test_validate_rejects_sender_mismatch(setup):
-    config, crypto, manager, signed, verify = setup
-    vc = ViewChange("r2", 1, 0, (), ())
-    assert not manager.validate_view_change(
-        signed("r3", vc), vc, verify, lambda s, p: True
-    )
-
-
 def test_validate_rejects_entry_without_quorum_proof(setup):
     config, crypto, manager, signed, verify = setup
     entry = make_prepared_entry(config, signed)
@@ -136,15 +119,6 @@ def test_validate_rejects_wrong_leader_pre_prepare(setup):
         entry.seq, 0, entry.digest, signed("r3", bogus_pp), entry.proof
     )
     vc = ViewChange("r2", 1, 0, (), (forged,))
-    assert not manager.validate_view_change(
-        signed("r2", vc), vc, verify, lambda s, p: True
-    )
-
-
-def test_validate_rejects_duplicate_seqs(setup):
-    config, crypto, manager, signed, verify = setup
-    entry = make_prepared_entry(config, signed)
-    vc = ViewChange("r2", 1, 0, (), (entry, entry))
     assert not manager.validate_view_change(
         signed("r2", vc), vc, verify, lambda s, p: True
     )

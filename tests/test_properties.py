@@ -9,7 +9,7 @@ from repro.core import LatencyStats
 from repro.core.config import base_requirement, minimal_replicas, quorum
 from repro.crypto import FastCrypto, encode
 from repro.prime.dedup import ClientDedup
-from repro.prime.node import PrimeNode
+from repro.prime.execution import coverage_cutoffs
 from repro.scada.modbus import crc16, scale_measurement, unscale_measurement
 
 # ----------------------------------------------------------------------
@@ -189,7 +189,7 @@ def test_coverage_cutoff_is_quorum_th_largest(reported):
                       Signature(f"r{i}", "x"))
         for i, upto in enumerate(reported)
     )
-    cutoffs = PrimeNode.coverage_cutoffs(matrix, n=6, quorum=4)
+    cutoffs = coverage_cutoffs(matrix, n=6, quorum=4)
     padded = sorted(reported + [0] * (6 - len(reported)), reverse=True)
     expected = padded[3] if reported else None
     if reported:

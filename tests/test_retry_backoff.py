@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.core.client import SubmissionManager
-from repro.core.recovery import ProactiveRecoveryScheduler
+from repro.core.recovery import PeriodicStrategy
 from repro.crypto import FastCrypto
 from repro.replication import RetryPolicy
 from repro.obs import Observability
@@ -162,7 +162,7 @@ def test_scheduler_defers_rejuvenation_below_min_live():
     net = Network(sim, LinkSpec(latency_ms=1.0))
     obs = Observability(now_fn=lambda: sim.now)
     replicas = [Process(f"r{i}", sim, net) for i in range(6)]
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=30.0,
         obs=obs, min_live=4,
     )
@@ -189,7 +189,7 @@ def test_scheduler_unguarded_when_min_live_is_none():
     replicas = [Process(f"r{i}", sim, net) for i in range(4)]
     for replica in replicas[:3]:
         replica.crash()
-    scheduler = ProactiveRecoveryScheduler(
+    scheduler = PeriodicStrategy(
         sim, replicas, period_ms=100.0, recovery_duration_ms=10.0,
     )
     scheduler.start()
