@@ -59,8 +59,8 @@ def main() -> None:
           f"{deployment.simulator.events_processed} events. Done.")
 
     # the same numbers (and everything else the run measured: per-layer
-    # counters, Spines transit latencies, crypto and per-message-kind
-    # call counts, structured events) in one aggregated report
+    # counts, Spines transit latencies, per-message-kind counts,
+    # structured events) in one aggregated report
     ScenarioReport.from_deployment(deployment, title="quickstart").render(print)
 
 

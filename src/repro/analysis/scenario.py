@@ -2,7 +2,7 @@
 
 :class:`ScenarioReport` aggregates everything a run's
 :class:`~repro.obs.Observability` handle collected — latency trackers
-(with CDF marks matching the paper's figures), counters and readings,
+(with CDF marks matching the paper's figures), readings,
 histograms, interval series, and the structured event log (including its
 ``dropped`` counter, so a clipped trace is never mistaken for a quiet
 one) — and renders it as JSON (for archival/diffing) or aligned text
@@ -189,12 +189,12 @@ class ScenarioReport:
                     out=out,
                 )
 
-        counters = self._by_kind("counter", "reading")
-        if counters:
+        readings = self._by_kind("reading")
+        if readings:
             print_table(
                 "counters",
                 ["name", "value"],
-                [[c.name, c.value] for c in counters],
+                [[r.name, r.value] for r in readings],
                 out=out,
             )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
 
-from ..crypto.provider import CountingCrypto, CryptoProvider, FastCrypto, RealCrypto
+from ..crypto.provider import CryptoProvider, FastCrypto, RealCrypto
 from ..obs import (
     NULL_OBS,
     IntervalCounter,
@@ -238,10 +238,6 @@ class SpireDeployment:
             if opts.crypto_kind == "real"
             else FastCrypto(seed=f"spire/{opts.seed}")
         )
-        if opts.observability:
-            # Count every crypto op; the inner provider (and therefore
-            # every signature/MAC byte) is unchanged.
-            self.crypto = CountingCrypto(self.crypto, self.obs)
         self.topology = topology or wide_area_topology()
         self.overlay = SpinesOverlay(
             self.simulator,

@@ -9,7 +9,6 @@ protocol code consumes.
 from .encoding import EncodingError, digest, encode
 from .merkle import merkle_proof, merkle_root, merkle_tree, verify_merkle_proof
 from .provider import (
-    CountingCrypto,
     CryptoProvider,
     FastCrypto,
     RealCrypto,
@@ -34,7 +33,6 @@ __all__ = [
     "merkle_proof",
     "merkle_tree",
     "verify_merkle_proof",
-    "CountingCrypto",
     "CryptoProvider",
     "FastCrypto",
     "RealCrypto",

@@ -36,8 +36,7 @@ Batch verification
 ------------------
 ``verify_batch`` checks a sequence of signatures against their messages
 (:func:`repro.prime.messages.verify_client_updates` verifies a pre-order
-request's client updates with it). It is a loop over :meth:`verify`;
-:class:`CountingCrypto` counts it as one call plus an ``.items`` counter.
+request's client updates with it). It is a loop over :meth:`verify`.
 
 Ill-typed input
 ---------------
@@ -72,7 +71,6 @@ __all__ = [
     "CryptoProvider",
     "RealCrypto",
     "FastCrypto",
-    "CountingCrypto",
     "Signature",
     "ThresholdShare",
     "ThresholdSignature",
@@ -368,95 +366,3 @@ class FastCrypto(CryptoProvider):
         if signature.group not in self._groups:
             return False
         return signature.value == self._derive(_entry_for(message), "tsig", signature.group)
-
-
-class CountingCrypto(CryptoProvider):
-    """Delegating wrapper that counts crypto operations.
-
-    Wraps any :class:`CryptoProvider` and counts each call (all but the
-    ``threshold_parameters`` lookup) into
-    ``crypto.<op>.calls`` of a ``repro.obs`` recorder, plus
-    ``crypto.verify_batch.items`` for the messages of each batch. A
-    counter is created on its op's first call, so a snapshot names only
-    the ops a run used. The underlying provider is untouched, so
-    signatures/MACs are bit-identical with or without the wrapper;
-    deployments install it only when observability is on.
-    """
-
-    def __init__(self, inner: CryptoProvider, obs) -> None:
-        self.inner = inner
-        self._obs = obs
-        self._incs: Dict[str, Any] = {}
-        # the four per-message ops keep their counter's ``inc`` in a slot
-        # of their own, so a call pays one attribute read, not a lookup
-        self._sign_inc: Any = None
-        self._verify_inc: Any = None
-        self._mac_inc: Any = None
-        self._check_mac_inc: Any = None
-
-    def _inc(self, op: str):
-        inc = self._incs.get(op)
-        if inc is None:
-            inc = self._incs[op] = self._obs.counter(f"crypto.{op}.calls").inc
-        return inc
-
-    # -- individual signatures -----------------------------------------
-    def sign(self, signer: str, message: Any) -> Signature:
-        inc = self._sign_inc
-        if inc is None:
-            inc = self._sign_inc = self._inc("sign")
-        inc()
-        return self.inner.sign(signer, message)
-
-    def verify(self, signature: Signature, message: Any) -> bool:
-        inc = self._verify_inc
-        if inc is None:
-            inc = self._verify_inc = self._inc("verify")
-        inc()
-        return self.inner.verify(signature, message)
-
-    # -- link MACs -------------------------------------------------------
-    def mac(self, src: str, dst: str, message: Any) -> bytes:
-        inc = self._mac_inc
-        if inc is None:
-            inc = self._mac_inc = self._inc("mac")
-        inc()
-        return self.inner.mac(src, dst, message)
-
-    def check_mac(self, src: str, dst: str, message: Any, tag: bytes) -> bool:
-        inc = self._check_mac_inc
-        if inc is None:
-            inc = self._check_mac_inc = self._inc("check_mac")
-        inc()
-        return self.inner.check_mac(src, dst, message, tag)
-
-    # -- threshold signatures ------------------------------------------
-    def create_threshold_group(self, group: str, players: int, threshold: int) -> None:
-        self._inc("create_threshold_group")()
-        self.inner.create_threshold_group(group, players, threshold)
-
-    def threshold_parameters(self, group: str) -> Tuple[int, int]:
-        return self.inner.threshold_parameters(group)
-
-    def threshold_sign_share(self, group: str, index: int, message: Any) -> ThresholdShare:
-        self._inc("threshold_sign_share")()
-        return self.inner.threshold_sign_share(group, index, message)
-
-    def threshold_combine(
-        self, group: str, message: Any, shares: Iterable[ThresholdShare]
-    ) -> Optional[ThresholdSignature]:
-        self._inc("threshold_combine")()
-        return self.inner.threshold_combine(group, message, shares)
-
-    def threshold_verify(self, signature: ThresholdSignature, message: Any) -> bool:
-        self._inc("threshold_verify")()
-        return self.inner.threshold_verify(signature, message)
-
-    def verify_batch(
-        self, signatures: Sequence[Signature], messages: Sequence[Any]
-    ) -> List[bool]:
-        # one *call* per batch plus an ``.items`` counter, so the ledger
-        # shows both the amortization factor and the per-item volume
-        self._inc("verify_batch")()
-        self._obs.counter("crypto.verify_batch.items").inc(len(messages))
-        return self.inner.verify_batch(signatures, messages)

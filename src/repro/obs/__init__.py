@@ -1,7 +1,7 @@
 """``repro.obs`` — the unified observability layer.
 
 Every measurement in the reproduction flows through this package: typed
-**counters/histograms** in a central :class:`MetricRegistry`, a bounded
+**histograms** in a central :class:`MetricRegistry`, a bounded
 structured **event log** (:class:`EventLog`), keyed **latency trackers** /
 **interval counters**, and **readings** of counts components keep
 themselves, called at snapshot time.
@@ -10,15 +10,14 @@ The entry point is :class:`Observability` — one instance per deployment
 (``deployment.obs``) owns the registry and the event log.
 Components accept an ``obs`` handle; when none is given they fall back to
 :data:`NULL_OBS`, a no-op recorder whose instruments swallow every call,
-so instrumentation has zero cost in un-observed runs.
+so an un-observed run keeps no metric.
 
 Quickstart::
 
     from repro.obs import Observability
 
     obs = Observability(now_fn=lambda: simulator.now)
-    requests = obs.counter("server.requests")
-    requests.inc()
+    obs.read("server.requests", lambda: server.requests)
     obs.event("server", "request-done", status=200)
     print(obs.snapshot())
 """
@@ -62,7 +61,6 @@ from .events import (
     EV_VIEW_CHANGE_START,
 )
 from .instruments import (
-    Counter,
     Histogram,
     IntervalCounter,
     LatencyStats,
@@ -84,7 +82,6 @@ __all__ = [
     "NullObservability",
     "NULL_OBS",
     "MetricRegistry",
-    "Counter",
     "Histogram",
     "LatencyStats",
     "LatencyTracker",

@@ -1,8 +1,7 @@
 """Typed metric instruments and the central registry.
 
-Four push families and one read cover everything the evaluation measures:
+Three push families and one read cover everything the evaluation measures:
 
-* :class:`Counter` — monotonically increasing event counts;
 * :class:`Histogram` — value distributions with full percentile stats;
 * :class:`LatencyTracker` / :class:`IntervalCounter` — the keyed
   submit→ack latency and per-interval availability primitives the paper's
@@ -27,7 +26,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "LatencyStats",
-    "Counter",
     "Histogram",
     "LatencyTracker",
     "IntervalCounter",
@@ -106,22 +104,6 @@ class _Instrument:
 
     def snapshot(self) -> Any:
         raise NotImplementedError
-
-
-class Counter(_Instrument):
-    """A monotonically increasing count."""
-
-    kind = "counter"
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def snapshot(self) -> int:
-        return self.value
 
 
 class Reading(_Instrument):
@@ -328,7 +310,7 @@ _MERGE_DERIVED_KEYS = frozenset({"mean", "median", "p90", "p99", "p999"})
 def merge_instrument_images(base: Any, other: Any) -> Any:
     """Merge two instrument snapshot images of the same instrument.
 
-    Integers (counters and readings) add. Dict images merge field-wise:
+    Integers (readings) add. Dict images merge field-wise:
     additive keys sum, ``min``/``max`` take the watermark union, any other
     key is last-writer-wins (merge in task order for determinism), and
     percentile keys are dropped (``mean`` is recomputed from ``sum`` and
@@ -411,9 +393,6 @@ class MetricRegistry:
                 f"not {expected.kind}"
             )
         return instrument
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name), Counter)
 
     def histogram(self, name: str, max_samples: int = 200_000) -> Histogram:
         return self._get_or_create(

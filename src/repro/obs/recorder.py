@@ -9,9 +9,10 @@ object components can share:
 Components never construct their own; they accept an ``obs`` parameter
 and fall back to :data:`NULL_OBS`, a shared :class:`NullObservability`
 whose instruments swallow every call and whose ``read`` stores nothing.
-Five hot paths additionally guard optional work (per-kind counters, the
-hop stamp) behind ``obs.enabled`` so disabled runs pay only an attribute
-test.
+Observability decides what is read, never which code runs: a count is
+kept by its component whether ``obs`` is on or off. Two sample paths (the
+daemons' hop and transit histograms, the overlay's ``sent_at`` stamp)
+test ``obs.enabled`` once at construction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .events import EventLog, NullEventLog
 from .instruments import (
-    Counter,
     Histogram,
     IntervalCounter,
     LatencyStats,
@@ -98,9 +98,6 @@ class Observability:
         self.log = log if log is not None else EventLog(self.now_fn, max_events)
 
     # -- instruments (get-or-create, delegated to the registry) --------
-    def counter(self, name: str) -> Counter:
-        return self.registry.counter(name)
-
     def histogram(self, name: str, max_samples: int = 200_000) -> Histogram:
         return self.registry.histogram(name, max_samples)
 
@@ -140,17 +137,6 @@ class _NullInstrument:
 
     def snapshot(self) -> Any:
         return None
-
-
-class _NullCounter(_NullInstrument):
-    kind = "counter"
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def snapshot(self) -> int:
-        return 0
 
 
 class _NullHistogram(_NullInstrument):
@@ -218,7 +204,6 @@ class _NullReading(_NullInstrument):
     value = 0
 
 
-_NULL_COUNTER = _NullCounter()
 _NULL_READING = _NullReading()
 _NULL_HISTOGRAM = _NullHistogram()
 _NULL_LATENCY = _NullLatency()
@@ -229,9 +214,6 @@ class _NullRegistry:
     """Registry facade returning the shared null instruments."""
 
     __slots__ = ()
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
 
     def histogram(self, name: str, max_samples: int = 200_000) -> _NullHistogram:
         return _NULL_HISTOGRAM
@@ -260,8 +242,7 @@ class NullObservability(Observability):
 
     A single shared instance (:data:`NULL_OBS`) serves every
     un-observed component; nothing is allocated per call, so the hot
-    path cost of instrumentation collapses to an ``obs.enabled`` test
-    or a no-op method call.
+    path cost of instrumentation collapses to a no-op method call.
     """
 
     enabled = False

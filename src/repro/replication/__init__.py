@@ -5,8 +5,7 @@ PBFT baseline) are built on, layered bottom-up:
 
 * :mod:`~repro.replication.transport` — how replicas reach each other:
   the two-method :class:`Transport` interface with direct-network and
-  Spines-overlay implementations, send accounting wired into
-  :mod:`repro.obs`;
+  Spines-overlay implementations, each keeping its send count;
 * :mod:`~repro.replication.retry` — bounded-backoff retransmission
   (:class:`RetryPolicy` / :class:`RetrySchedule`) shared by every resend
   path: Prime state transfer, PBFT head-slot retransmission,
@@ -16,10 +15,10 @@ PBFT baseline) are built on, layered bottom-up:
   vote and change views with (:class:`Prepare`, :class:`Commit`,
   :class:`PreparedEntry`, :class:`NewView`);
 * :mod:`~repro.replication.dispatch` — typed handler registration with
-  sender authentication and per-kind receive counters;
+  sender authentication and a per-kind receive count;
 * :mod:`~repro.replication.runtime` — :class:`ReplicationRuntime`:
-  sign/verify, membership fan-out, loopback rules, per-kind send
-  counters;
+  sign/verify, membership fan-out, loopback rules, a per-kind send
+  count;
 * :mod:`~repro.replication.quorum` — vote collection
   (:class:`QuorumTracker`), threshold-share tracking toward combined
   signatures (:class:`ThresholdShareTracker`), and signed-certificate

@@ -3,10 +3,9 @@
 Replaces the hand-rolled ``if/elif`` (or per-call dict) dispatch that each
 protocol node used to carry. A node registers one handler per payload
 type; :meth:`Dispatcher.dispatch` authenticates the claimed sender,
-routes, and — when observability is enabled — counts the message under
-``{prefix}.msgs.{Kind}``. The counter is resolved lazily and cached per
-kind, so the registry is consulted once per message *type*, not once per
-message.
+routes, and counts the message in :attr:`Dispatcher.counts`, whether or
+not observability is on. ``obs`` reads each kind's count as
+``{prefix}.msgs.{Kind}`` from its first routed message on.
 
 The sender check runs *before* the handler: a message whose claimed
 sender field does not match the envelope signer (or names a non-member)
@@ -21,13 +20,29 @@ from typing import Any, Callable, Dict, Optional
 from ..obs import NULL_OBS, Observability
 from .messages import SignedMessage
 
-__all__ = ["Dispatcher", "sender_field_check"]
+__all__ = ["Dispatcher", "KindCounts", "sender_field_check"]
 
 #: Validates a payload's claimed sender against the envelope signer.
 SenderCheck = Callable[[Any, str], bool]
 
 #: A registered handler: ``handler(signed, payload)``.
 Handler = Callable[[SignedMessage, Any], None]
+
+
+class KindCounts(dict):
+    """Payload class -> count. ``counts[kind] += n`` is the whole
+    hot-path cost; the first count of a kind lets ``obs`` read it as
+    ``{prefix}.{Kind}`` (so look a count up with ``.get``: indexing a
+    kind never counted registers it)."""
+
+    def __init__(self, obs: Optional[Observability], prefix: str) -> None:
+        super().__init__()
+        self._obs = obs if obs is not None else NULL_OBS
+        self._prefix = prefix
+
+    def __missing__(self, kind: type) -> int:
+        self._obs.read(f"{self._prefix}.{kind.__name__}", lambda: self.get(kind, 0))
+        return 0
 
 
 def sender_field_check(field: str, membership_fn: Callable[[], Any]) -> SenderCheck:
@@ -45,7 +60,7 @@ def sender_field_check(field: str, membership_fn: Callable[[], Any]) -> SenderCh
 class Dispatcher:
     """Typed message router for one replica.
 
-    ``metric_prefix`` namespaces the per-kind instruments (``prime``,
+    ``metric_prefix`` namespaces the per-kind readings (``prime``,
     ``pbft``, ...); keep it stable — the names appear in scenario
     reports.
     """
@@ -53,14 +68,13 @@ class Dispatcher:
     def __init__(
         self, obs: Optional[Observability] = None, metric_prefix: str = "replication"
     ) -> None:
-        self.obs = obs if obs is not None else NULL_OBS
-        self._prefix = metric_prefix
+        #: routed messages per payload class
+        self.counts = KindCounts(obs, f"{metric_prefix}.msgs")
         self._handlers: Dict[type, Handler] = {}
         self._sender_checks: Dict[type, SenderCheck] = {}
-        # per-kind (check, handler, counter.inc) route entries, resolved
-        # lazily (once per kind) so the dispatch hot path does a single
-        # dict lookup per message; invalidated by register() when a
-        # handler is rebound
+        # per-kind (check, handler) route entries, resolved lazily (once
+        # per kind) so the dispatch hot path does a single dict lookup per
+        # message; invalidated by register() when a handler is rebound
         self._route: Dict[type, Any] = {}
 
     def register(
@@ -80,9 +94,8 @@ class Dispatcher:
 
     def _dispatch_slow(self, signed: SignedMessage, payload: Any) -> None:
         """First message of a kind: authenticate, route, then cache the
-        route entry. The counter is created only once a message of the
-        kind actually reaches its handler, matching the lazy behaviour
-        the per-message lookups had."""
+        route entry. A kind is counted once a message of it actually
+        reaches its handler."""
         kind = payload.__class__
         check = self._sender_checks.get(kind)
         if check is not None and not check(payload, signed.signature.signer):
@@ -90,23 +103,20 @@ class Dispatcher:
         handler = self._handlers.get(kind)
         if handler is None:
             return
-        inc = None
-        if self.obs.enabled:
-            inc = self.obs.counter(f"{self._prefix}.msgs.{kind.__name__}").inc
-            inc()
-        self._route[kind] = (check, handler, inc)
+        self._route[kind] = (check, handler)
+        self.counts[kind] += 1
         handler(signed, payload)
 
     def dispatch(self, signed: SignedMessage) -> None:
-        """Authenticate, route and account one verified envelope."""
+        """Authenticate, route and count one verified envelope."""
         payload = signed.payload
-        entry = self._route.get(payload.__class__)
+        kind = payload.__class__
+        entry = self._route.get(kind)
         if entry is None:
             self._dispatch_slow(signed, payload)
             return
-        check, handler, inc = entry
+        check, handler = entry
         if check is not None and not check(payload, signed.signature.signer):
             return
-        if inc is not None:
-            inc()
+        self.counts[kind] += 1
         handler(signed, payload)

@@ -4,7 +4,7 @@
 stages on. It owns the envelope discipline (sign on the way out, verify
 on the way in), the fan-out over the replica membership, the loopback
 rule (does a self-addressed message dispatch locally or get dropped?),
-and per-kind send accounting — everything that used to be copy-pasted
+and the per-kind send count — everything that used to be copy-pasted
 between ``PrimeNode`` and ``PbftNode``.
 
 The transport is read through the owning process on every send
@@ -16,11 +16,11 @@ construction, and attack installers wrap ``node.transport.send`` /
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from ..crypto.provider import CryptoProvider
-from ..obs import NULL_OBS, Observability
-from .dispatch import Dispatcher
+from ..obs import Observability
+from .dispatch import Dispatcher, KindCounts
 from .messages import SignedMessage
 from .transport import Transport
 
@@ -54,10 +54,9 @@ class ReplicationRuntime:
         self.replicas_fn = replicas_fn
         self.dispatcher = dispatcher
         self.size_of = size_of
-        self.obs = obs if obs is not None else NULL_OBS
-        self._prefix = metric_prefix
         self.loopback_dispatch = loopback_dispatch
-        self._send_counts: Dict[type, Any] = {}
+        #: sends per payload class, one per destination
+        self.sent = KindCounts(obs, f"{metric_prefix}.send")
 
     # ------------------------------------------------------------------
     @property
@@ -80,15 +79,6 @@ class ReplicationRuntime:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def _count_send(self, kind: type, sends: int) -> None:
-        if not self.obs.enabled or sends <= 0:
-            return
-        counter = self._send_counts.get(kind)
-        if counter is None:
-            counter = self.obs.counter(f"{self._prefix}.send.{kind.__name__}")
-            self._send_counts[kind] = counter
-        counter.inc(sends)
-
     def broadcast(self, payload: Any, include_self: bool = True) -> SignedMessage:
         """Sign once, multicast to every peer, optionally dispatch locally.
 
@@ -109,7 +99,7 @@ class ReplicationRuntime:
                 self._process._dispatch(self.sign(payload))
             return
         self.transport.send(peer, self.sign(payload), size_bytes=self.size_of(payload))
-        self._count_send(type(payload), 1)
+        self.sent[payload.__class__] += 1
 
     def resend(
         self,
@@ -130,7 +120,7 @@ class ReplicationRuntime:
         dsts = [peer for peer in peers if peer != name]
         if dsts:
             self.transport.multicast(dsts, signed, size_bytes=size)
-            self._count_send(type(signed.payload), len(dsts))
+            self.sent[signed.payload.__class__] += len(dsts)
 
     # ------------------------------------------------------------------
     # Receiving

@@ -42,69 +42,50 @@ class Transport:
         raise NotImplementedError
 
 
-class _SendCounters:
-    """Shared observability wiring for transports.
-
-    Counters are resolved once at construction; when observability is
-    disabled (or no ``obs`` is given) sends pay only a None test.
-    """
-
-    _sent = None
-    _sent_bytes = None
-
-    def _bind_obs(self, obs, prefix: str) -> None:
-        obs = obs if obs is not None else NULL_OBS
-        if obs.enabled:
-            self._sent = obs.counter(f"{prefix}.sent")
-            self._sent_bytes = obs.counter(f"{prefix}.sent_bytes")
-
-    def _count_send(self, size_bytes: int) -> None:
-        sent = self._sent
-        if sent is not None:
-            sent.value += 1
-            self._sent_bytes.value += size_bytes
+def _read_sends(transport: Transport, obs, prefix: str) -> None:
+    """Let ``obs`` read the send counts ``transport`` keeps."""
+    obs = obs if obs is not None else NULL_OBS
+    obs.read(f"{prefix}.sent", lambda: transport.sent)
+    obs.read(f"{prefix}.sent_bytes", lambda: transport.sent_bytes)
 
 
-class DirectTransport(_SendCounters, Transport):
+class DirectTransport(Transport):
     """Point-to-point delivery over the raw simulated network."""
 
     def __init__(self, process: Process, obs=None) -> None:
         self._process = process
-        self._bind_obs(obs, "prime.transport.direct")
+        self.sent = self.sent_bytes = 0
+        _read_sends(self, obs, "prime.transport.direct")
 
     def send(self, dst: str, payload: Any, size_bytes: int = 256) -> bool:
-        sent = self._sent
-        if sent is not None:
-            sent.value += 1
-            self._sent_bytes.value += size_bytes
+        self.sent += 1
+        self.sent_bytes += size_bytes
         return self._process.send(dst, payload, size_bytes)
 
     def unwrap(self, message: Any) -> Optional[Tuple[str, Any]]:
         return None  # raw network messages arrive with src already split out
 
 
-class OverlayTransport(_SendCounters, Transport):
+class OverlayTransport(Transport):
     """Delivery via a Spines overlay stack."""
 
     def __init__(self, stack: OverlayStack, obs=None) -> None:
         self._stack = stack
-        self._bind_obs(obs, "prime.transport.overlay")
+        self.sent = self.sent_bytes = 0
+        _read_sends(self, obs, "prime.transport.overlay")
 
     def send(self, dst: str, payload: Any, size_bytes: int = 256) -> bool:
-        sent = self._sent
-        if sent is not None:
-            sent.value += 1
-            self._sent_bytes.value += size_bytes
+        self.sent += 1
+        self.sent_bytes += size_bytes
         return self._stack.send(dst, payload, size_bytes=size_bytes)
 
     def multicast(self, dsts: Sequence[str], payload: Any,
                   size_bytes: int = 256) -> None:
         # counted per destination, like the sends this replaces, so the
-        # counters compare across overlay modes
-        sent = self._sent
-        if sent is not None:
-            sent.value += len(dsts)
-            self._sent_bytes.value += size_bytes * len(dsts)
+        # counts compare across overlay modes
+        sends = len(dsts)
+        self.sent += sends
+        self.sent_bytes += size_bytes * sends
         self._stack.multicast(dsts, payload, size_bytes=size_bytes)
 
     def unwrap(self, message: Any) -> Optional[Tuple[str, Any]]:

@@ -11,6 +11,11 @@ Defences modelled from the paper:
   keyed on the link; datagrams arriving from non-neighbours or failing the
   MAC are dropped. This stops an external network attacker from injecting
   or replaying traffic *inside* the overlay.
+* **Malformed input** — an attached endpoint and a neighbour daemon (which
+  holds its link keys) are outside senders: a message from either whose
+  fields are not of the classes an honest daemon builds counts one
+  ``dropped_auth`` and goes no further. The tests are class identities,
+  so a hop pays no call for them.
 * **Per-source fairness** — outgoing forwarding capacity is scheduled
   round-robin across origin endpoints, so a compromised client (or daemon)
   flooding the overlay cannot starve other sources. Disable it
@@ -153,13 +158,15 @@ class SpinesDaemon(Process):
         elif isinstance(payload, OverlayHello):
             self._on_hello(src, payload)
 
-    def _on_ingress(self, src: str, data: OverlayData) -> None:
+    def _on_ingress(self, src: str, data: Any) -> None:
         # next-hop tables route towards exactly one destination
-        # (``OverlayStack.multicast`` builds nothing else for them); any
-        # other count is malformed outside input: dropped, not raised
+        # (``OverlayStack.multicast`` builds nothing else for them)
         if (
             src not in self.attached
+            or data.__class__ is not OverlayData
             or data.origin != src
+            or data.seq.__class__ is not int
+            or data.dests.__class__ is not tuple
             or not (self._floods or len(data.dests) == 1)
         ):
             self.stats["dropped_auth"] += 1
@@ -170,34 +177,44 @@ class SpinesDaemon(Process):
 
     def _on_forward(self, src: str, message: OverlayForward) -> None:
         sender_site = message.sender
-        if self.neighbors.get(sender_site) != src:
+        if sender_site.__class__ is not str or self.neighbors.get(sender_site) != src:
             self.stats["dropped_auth"] += 1
             return
+        data = message.data
         try:
-            authentic = self.crypto.check_mac(
-                src, self.name, message.data, message.mac
-            )
-        except EncodingError:  # a datagram without a digest has no MAC
+            authentic = self.crypto.check_mac(src, self.name, data, message.mac)
+        except (EncodingError, TypeError):  # no digest, or a tag that is not bytes
             authentic = False
-        if not authentic:
+        if (
+            not authentic
+            # a neighbour holds the link key: what it MACs may still be malformed
+            or data.__class__ is not OverlayData
+            or data.origin.__class__ is not str
+            or data.seq.__class__ is not int
+            or data.dests.__class__ is not tuple
+        ):
             self.stats["dropped_auth"] += 1
             return
         if self._hop_latency is not None and message.sent_at:
             self._hop_latency.observe(self.simulator.now - message.sent_at)
-        if not self._record_seen(message.data):
+        if not self._record_seen(data):
             self.stats["dropped_dup"] += 1
             return
-        self._route(message.data, arrived_from=sender_site)
+        self._route(data, arrived_from=sender_site)
 
     def _on_hello(self, src: str, hello: OverlayHello) -> None:
         """Link-monitor keepalive: authenticate, then hand to the monitor."""
         sender = hello.sender
-        if self.neighbors.get(sender) != src:
+        if sender.__class__ is not str or self.neighbors.get(sender) != src:
             self.stats["dropped_auth"] += 1
             return
-        if not self.crypto.check_mac(
-            src, self.name, (hello.sender, hello.seq, hello.sent_at), hello.mac
-        ):
+        try:
+            authentic = self.crypto.check_mac(
+                src, self.name, (sender, hello.seq, hello.sent_at), hello.mac
+            )
+        except (EncodingError, TypeError):
+            authentic = False
+        if not authentic or hello.sent_at.__class__ is not float:
             self.stats["dropped_auth"] += 1
             return
         if self.monitor is not None:

@@ -459,6 +459,7 @@ _REMOVED = re.compile(
     r"|_obs_scheduled|_drop_counters|_status_counter|_deliveries_counter|_g_started"
     r"|ProactiveRecoveryScheduler|staticmethod\(coverage_cutoffs\)"
     r"|def register\(self, instrument"
+    r"|class CountingCrypto|class Counter\b|def counter\b|\.counter\(|_SendCounters"
 )
 
 
@@ -486,6 +487,25 @@ def test_removed_twins_stay_removed():
                     for target in targets
                 ), f"{path}:{node.lineno}"
     assert not (SRC / "repro" / "prime" / "transport.py").exists()
+
+
+def test_obs_decides_what_is_read_not_which_code_runs():
+    # A count is kept whether obs is on or off; ``obs.enabled`` is read
+    # outside repro.obs only where a sample would cost work with nobody
+    # to read it: the daemons' hop and transit histograms and the
+    # overlay's ``sent_at`` stamp.
+    def names_obs(node):
+        return getattr(node, "attr", getattr(node, "id", None)) == "obs"
+
+    reads = sorted(
+        path.relative_to(SRC / "repro").as_posix()
+        for path in (SRC / "repro").rglob("*.py")
+        if path.relative_to(SRC / "repro").parts[0] != "obs"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "enabled"
+        and names_obs(node.value)
+    )
+    assert reads == ["spines/daemon.py", "spines/overlay.py"], reads
 
 
 def test_the_oracle_shares_no_code_with_the_system():

@@ -1,10 +1,8 @@
-"""Batch signature verification: equivalence with per-message verify,
-and CountingCrypto accounting."""
+"""Batch signature verification: equivalence with per-message verify."""
 
 import pytest
 
-from repro.crypto import CountingCrypto, FastCrypto, RealCrypto, Signature
-from repro.obs import Observability
+from repro.crypto import FastCrypto, RealCrypto, Signature
 
 
 MESSAGES = [("reading", i, float(i)) for i in range(9)]
@@ -43,38 +41,3 @@ def test_verify_batch_length_mismatch_raises(provider):
     signatures = _signed(provider)
     with pytest.raises(ValueError):
         provider.verify_batch(signatures[:-1], MESSAGES)
-
-
-# ----------------------------------------------------------------------
-# CountingCrypto accounting
-# ----------------------------------------------------------------------
-
-
-def test_timed_crypto_counts_link_macs_without_timing_them():
-    obs = Observability()
-    counting = CountingCrypto(FastCrypto(seed="timed"), obs)
-    tag = counting.mac("a", "b", MESSAGES[0])
-    assert counting.check_mac("a", "b", MESSAGES[0], tag)
-    assert not counting.check_mac("a", "b", MESSAGES[1], tag)
-    # a counter exists once its op has been called, and only then
-    assert obs.registry.names() == ["crypto.check_mac.calls", "crypto.mac.calls"]
-    assert obs.counter("crypto.mac.calls").value == 1
-    assert obs.counter("crypto.check_mac.calls").value == 2
-
-
-def test_timed_crypto_counts_batches_and_items():
-    obs = Observability()
-    counting = CountingCrypto(FastCrypto(seed="timed"), obs)
-    counting.verify_batch(_signed(counting), MESSAGES)
-    metrics = obs.snapshot()["metrics"]
-    assert metrics["crypto.verify_batch.calls"] == 1
-    assert metrics["crypto.verify_batch.items"] == len(MESSAGES)
-
-
-def test_timed_crypto_batch_results_match_inner():
-    inner = FastCrypto(seed="timed-eq")
-    counting = CountingCrypto(inner, Observability())
-    signatures = _signed(inner)
-    signatures[3] = Signature("alice", inner.sign("mallory", MESSAGES[3]).value)
-    assert counting.verify_batch(signatures, MESSAGES) == \
-        inner.verify_batch(signatures, MESSAGES)

@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 
 from repro.core import SpireDeployment, SpireOptions
 from repro.crypto import (
-    CountingCrypto,
     FastCrypto,
     RealCrypto,
     Signature,
     ThresholdShare,
     ThresholdSignature,
 )
-from repro.obs import Observability
 from repro.pbft import PbftConfig, PbftNode
 from repro.prime import LoggingApp, sign_client_update
 from repro.prime.messages import Ping
@@ -32,23 +30,15 @@ from repro.spines import SpinesOverlay
 from repro.spines.topology import lan_topology
 
 
-def _counting(inner):
-    return CountingCrypto(inner, Observability(now_fn=lambda: 0.0))
-
-
 PROVIDERS = {
     "fast": FastCrypto(seed="ill-typed"),
     "real": RealCrypto(seed="ill-typed", bits=256),
 }
-# the wrapper a deployment with observability on signs through
-PROVIDERS["timed-fast"] = _counting(PROVIDERS["fast"])
-PROVIDERS["timed-real"] = _counting(PROVIDERS["real"])
 
 
 def _tables(crypto):
     """What a provider keeps per principal."""
-    inner = getattr(crypto, "inner", crypto)
-    return len(getattr(inner, "_keys", ())), len(getattr(inner, "_secrets", ()))
+    return len(getattr(crypto, "_keys", ())), len(getattr(crypto, "_secrets", ()))
 
 
 _not_str = st.one_of(
@@ -178,11 +168,10 @@ def test_prime_run_survives_a_forged_envelope(kind, crypto_kind):
 def test_pbft_run_survives_a_forged_envelope(kind, crypto_kind):
     simulator = Simulator(seed=1)
     network = Network(simulator, LinkSpec(latency_ms=0.2, jitter_ms=0.05))
-    inner = (
+    crypto = (
         FastCrypto(seed="pbft/1") if crypto_kind == "fast"
         else RealCrypto(seed="pbft/1", bits=256)
     )
-    crypto = _counting(inner)
     overlay = SpinesOverlay(simulator, network, lan_topology(1), mode="shortest", crypto=crypto)
     names = tuple(f"replica:{i}" for i in range(4))
     config = PbftConfig(names, num_faults=1)

@@ -7,6 +7,9 @@ import pytest
 
 from repro.analysis import ScenarioReport
 from repro.core import SpireDeployment, SpireOptions
+from repro.crypto import FastCrypto, RealCrypto
+from repro.obs import Observability
+from repro.replication.transport import DirectTransport
 
 #: event budget of the guard configuration with nothing instrumented —
 #: the disabled-observability run must stay within 5% of it
@@ -52,7 +55,63 @@ def test_observability_never_perturbs_the_simulation():
     assert metrics["sim.events_processed"] > 0
     assert any(name.startswith("prime.msgs.") for name in metrics)
     assert any(name.startswith("spines.") for name in metrics)
-    assert any(name.startswith("crypto.") for name in enabled.obs.registry.names())
+
+
+@pytest.mark.parametrize("crypto_kind, provider", [("fast", FastCrypto), ("real", RealCrypto)])
+@pytest.mark.parametrize("observability", [False, True])
+def test_a_deployment_signs_through_the_bare_provider(observability, crypto_kind, provider):
+    deployment = SpireDeployment(SpireOptions(
+        observability=observability, crypto_kind=crypto_kind, **GUARD_OPTIONS,
+    ))
+    assert type(deployment.crypto) is provider
+    assert all(replica.crypto is deployment.crypto for replica in deployment.replicas)
+
+
+def _kept_counts(deployment):
+    """Every per-kind and transport count the replicas keep, by metric name."""
+    counts = {}
+
+    def add(name, value):
+        counts[name] = counts.get(name, 0) + value
+
+    for replica in deployment.replicas:
+        for kind, value in replica.dispatcher.counts.items():
+            add(f"prime.msgs.{kind.__name__}", value)
+        for kind, value in replica.runtime.sent.items():
+            add(f"prime.send.{kind.__name__}", value)
+        add("prime.transport.overlay.sent", replica.transport.sent)
+        add("prime.transport.overlay.sent_bytes", replica.transport.sent_bytes)
+    return counts
+
+
+def test_components_count_whether_or_not_obs_reads_them():
+    disabled, enabled = _run(observability=False), _run(observability=True)
+    counts = _kept_counts(disabled)
+    assert counts["prime.msgs.Commit"] > 0 and counts["prime.send.Commit"] > 0
+    assert counts["prime.transport.overlay.sent"] > 0
+    assert _kept_counts(enabled) == counts
+    # obs reads exactly what the components keep, and nothing when off
+    metrics = enabled.obs.registry.snapshot()
+    prefixes = ("prime.msgs.", "prime.send.", "prime.transport.overlay.")
+    assert {n: v for n, v in metrics.items() if n.startswith(prefixes)} == counts
+    assert disabled.obs.registry.snapshot() == {}
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_direct_transport_counts_its_sends(observed):
+    class Process:
+        def send(self, dst, payload, size_bytes):
+            return True
+
+    obs = Observability() if observed else None
+    transport = DirectTransport(Process(), obs=obs)
+    transport.send("a", "x", size_bytes=10)
+    transport.multicast(["b", "c"], "y", size_bytes=5)
+    assert (transport.sent, transport.sent_bytes) == (3, 20)
+    if observed:
+        metrics = obs.registry.snapshot()
+        assert metrics["prime.transport.direct.sent"] == 3
+        assert metrics["prime.transport.direct.sent_bytes"] == 20
 
 
 def test_legacy_recorders_are_registry_views():

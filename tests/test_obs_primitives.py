@@ -26,10 +26,10 @@ from repro.spines import SpinesOverlay, lan_topology
 # ----------------------------------------------------------------------
 def test_counter_gauge_histogram_basics():
     registry = MetricRegistry()
-    counter = registry.counter("c")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
+    counts = {"c": 1}
+    reading = registry.read("c", lambda: counts["c"])
+    counts["c"] += 4
+    assert reading.value == 5
 
     histogram = registry.histogram("h")
     for value in (1.0, 2.0, 3.0, 4.0):
@@ -42,9 +42,9 @@ def test_counter_gauge_histogram_basics():
 
 def test_registry_get_or_create_and_family_mismatch():
     registry = MetricRegistry()
-    assert registry.counter("x") is registry.counter("x")
+    assert registry.histogram("x") is registry.histogram("x")
     with pytest.raises(TypeError):
-        registry.histogram("x")
+        registry.latency("x")
     assert registry.names() == ["x"]
 
 
@@ -76,12 +76,12 @@ def test_reading_is_evaluated_at_snapshot_time():
 
 def test_reading_and_counter_under_one_name_raise():
     registry = MetricRegistry()
-    registry.counter("x")
+    registry.histogram("x")
     with pytest.raises(TypeError):
         registry.read("x", lambda: 0)
     registry.read("y", lambda: 0)
     with pytest.raises(TypeError):
-        registry.counter("y")
+        registry.histogram("y")
 
 
 def test_null_obs_read_keeps_no_reference():
@@ -161,11 +161,10 @@ def test_event_log_bounded_with_dropped_counter():
 def test_null_obs_swallows_everything():
     obs = NULL_OBS
     assert obs.enabled is False
-    obs.counter("c").inc()
     obs.read("r", lambda: 1)
     obs.histogram("h").observe(1.0)
     obs.event("comp", "kind", a=1)
-    assert obs.counter("c").value == 0
+    assert obs.histogram("h").count == 0
     assert obs.registry.snapshot() == {}
     assert len(obs.log) == 0
     assert obs.snapshot()["metrics"] == {}
@@ -192,8 +191,8 @@ def test_obs_adopts_an_existing_event_log():
     log = EventLog(now_fn=lambda: simulator.now)
     obs = Observability(log=log)
     assert obs.enabled and obs.log is log
-    obs.counter("shared").inc()
-    assert obs.counter("shared").value == 1
+    obs.read("shared", lambda: 1)
+    assert obs.registry.get("shared").value == 1
     # events through obs land in the adopted log
     obs.event("comp", "kind")
     assert log.count() == 1
@@ -215,20 +214,20 @@ def _small_run(seed):
 
 def test_deterministic_snapshot_identical_across_same_seed_runs():
     # every instrument holds simulated time or a count, so the whole,
-    # unfiltered snapshot of one seed repeats exactly, crypto and
-    # dispatch counters included
+    # unfiltered snapshot of one seed repeats exactly, transport and
+    # dispatch counts included
     first = _small_run(seed=11)
     second = _small_run(seed=11)
     assert first == second
-    assert "crypto.sign.calls" in first["metrics"]
+    assert first["metrics"]["prime.transport.overlay.sent"] > 0
     assert any(".msgs." in name for name in first["metrics"])
 
 
 def test_deterministic_snapshot_excludes_wall_clock_instruments():
     # no instrument records host time any more: the plain snapshot has no
-    # wall-clock profile, while the deterministic dispatch and crypto
-    # counters are still in it
+    # wall-clock profile, while the deterministic dispatch and transport
+    # counts are still in it
     snapshot = _small_run(seed=11)
     assert not any(name.endswith(".wall_ms") for name in snapshot["metrics"])
-    assert "crypto.sign.calls" in snapshot["metrics"]
+    assert snapshot["metrics"]["prime.transport.overlay.sent"] > 0
     assert any(".msgs." in name for name in snapshot["metrics"])

@@ -1,5 +1,7 @@
 """Tests for overlay routing, delivery, authentication, and resilience."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.spines import (
     make_routing,
     wide_area_topology,
 )
-from repro.spines.messages import OverlayData, OverlayForward, OverlayIngress
+from repro.spines.messages import OverlayData, OverlayForward, OverlayHello, OverlayIngress
 
 
 class Endpoint(Process):
@@ -455,6 +457,82 @@ def test_routed_overlay_drops_a_destination_set_at_ingress(mode, dests):
     assert totals["dropped_auth"] == 1
     assert totals["ingress"] == totals["forwarded"] == totals["delivered"] == 0
     assert all(endpoint.received == [] for endpoint in endpoints.values())
+
+
+def _datagram(**fields):
+    """``ep:cc1``'s honest datagram to ``ep:cc2``, with ``fields`` replaced."""
+    honest = dict(origin="ep:cc1", dests=("ep:cc2",), seq=1, payload="x")
+    return OverlayData(**{**honest, **fields})
+
+
+def _forward(overlay, data, sender="cc1", mac=None):
+    """The compromised ``spines:cc1`` holds its link keys: it forwards
+    ``data`` to ``spines:cc2`` under a genuine MAC unless given one."""
+    if mac is None:
+        mac = overlay.crypto.mac("spines:cc1", "spines:cc2", data)
+    overlay.network.inject("spines:cc1", "spines:cc2", OverlayForward(data, sender, mac))
+
+
+def _hello(overlay, *fields):
+    overlay.network.inject("spines:cc1", "spines:cc2", OverlayHello(*fields))
+
+
+def _mutate_one_hello(overlay, **fields):
+    """``spines:cc1`` MACs one hello to ``cc2`` with ``fields`` replaced,
+    then behaves."""
+    spent = []
+
+    def mutator(neighbor, hello):
+        if neighbor != "cc2" or spent:
+            return hello
+        spent.append(hello)
+        return dataclasses.replace(hello, **fields)
+
+    overlay.daemon("cc1").monitor.set_hello_mutator(mutator)
+
+
+#: what an attached endpoint (``ep:cc1``) hands its daemon, or the
+#: compromised daemon ``spines:cc1`` its neighbour ``spines:cc2``
+HOSTILE_INPUTS = {
+    "ingress-not-a-datagram": lambda overlay, ep: ep.send("spines:cc1", OverlayIngress(5)),
+    "ingress-int-dests": lambda overlay, ep: ep.send(
+        "spines:cc1", OverlayIngress(_datagram(dests=5))
+    ),
+    "ingress-list-seq": lambda overlay, ep: ep.send(
+        "spines:cc1", OverlayIngress(_datagram(seq=[1]))
+    ),
+    "forward-list-sender": lambda overlay, ep: _forward(
+        overlay, _datagram(), sender=["cc1"], mac=b""
+    ),
+    "forward-int-mac": lambda overlay, ep: _forward(overlay, _datagram(), mac=5),
+    "forward-maced-not-a-datagram": lambda overlay, ep: _forward(overlay, ("ep:cc1", 1)),
+    "forward-maced-list-origin": lambda overlay, ep: _forward(
+        overlay, _datagram(origin=["ep:cc1"])
+    ),
+    "forward-maced-list-seq": lambda overlay, ep: _forward(overlay, _datagram(seq=[1])),
+    "forward-maced-int-dests": lambda overlay, ep: _forward(overlay, _datagram(dests=5)),
+    "hello-list-sender": lambda overlay, ep: _hello(overlay, ["cc1"], 1, 0.0, b""),
+    "hello-set-seq": lambda overlay, ep: _hello(overlay, "cc1", {1}, 0.0, b""),
+    "hello-int-mac": lambda overlay, ep: _hello(overlay, "cc1", 1, 0.0, 5),
+    "hello-str-sent-at": lambda overlay, ep: _mutate_one_hello(overlay, sent_at="late"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_hostile_input_is_dropped_not_raised(case):
+    """An attached endpoint and a neighbour daemon are outside senders:
+    a malformed message from either counts one ``dropped_auth`` and ends
+    there, and the overlay keeps carrying honest traffic."""
+    sim, _, overlay, endpoints, stacks = build_everywhere(self_healing=True)
+    HOSTILE_INPUTS[case](overlay, endpoints["cc1"])
+    sim.run_for(250)
+    totals = overlay.total_stats()
+    assert totals["dropped_auth"] == 1
+    assert totals["ingress"] == totals["delivered"] == 0
+    stacks["cc1"].multicast([f"ep:{site}" for site in WAN_SITES if site != "cc1"], "after")
+    sim.run_for(200)
+    for site in WAN_SITES[1:]:
+        assert [p for _, _, p in endpoints[site].received] == ["after"], site
 
 
 def test_broadcasts_reach_the_overlay_as_one_datagram_each():
