@@ -1,13 +1,17 @@
-"""Chaos sweep — randomized fault schedules vs. the invariant monitors.
+"""Chaos sweep — randomized fault schedules vs. the judges and the monitors.
 
 Runs a large matrix of seeded chaos scenarios (default 200) against the
 paper's baseline configuration — f=1, k=1, 6 replicas across the 4-site
-wide-area topology — with every runtime invariant monitor armed: safety
-(no divergent execution), proxy gate (no unverified delivery), quorum
-availability (no rejuvenation below 2f+k+1) and the bounded-delay
-watchdog. The expected result is **zero violations across the whole
-sweep**; any violation is dumped as a replayable scenario file under
-``benchmarks/results/`` and shrunk to a minimal reproducer.
+wide-area topology — judged by the output oracle (no divergent or
+duplicate execution), the liveness judge (progress owed by the schedule
+arrives within B, computed from Prime's timers) and the runtime monitors
+(proxy gate: no unverified delivery; quorum availability: no rejuvenation
+below 2f+k+1). Every violation is dumped as a replayable scenario file
+under ``benchmarks/results/`` and shrunk to a minimal reproducer. The
+sweep does not pass today: over seeds 0–59 the liveness judge flags
+``delivery-stall`` on seeds 9, 34, 38, 39 and 50, each a Prime stall after
+the faults clear that turnaround-time suspicion never ends (pinned on a
+smaller shape by ``tests/test_chaos_smoke.py``).
 
 The sweep executes through the shared :mod:`repro.parallel` campaign
 runner: serial by default, fanned across cores with ``CHAOS_WORKERS=n``
@@ -25,7 +29,13 @@ from collections import Counter
 
 import pytest
 
-from repro.chaos import ChaosEngine, ChaosOptions, dump_scenario, shrink_schedule
+from repro.chaos import (
+    LEADER_FAULT_KINDS,
+    ChaosEngine,
+    ChaosOptions,
+    dump_scenario,
+    shrink_schedule,
+)
 from repro.parallel import resolve_workers, run_campaign, seed_tasks
 
 from common import RESULTS_DIR, reporter
@@ -47,6 +57,13 @@ def test_chaos_sweep():
     kind_coverage = Counter()
     totals = Counter()
     failures = []
+    margins = []
+    for result in report.results:
+        stats = result.stats
+        totals["quiet_checked_ms"] += stats["quiet_checked_ms"]
+        totals["leader_faults_judged"] += stats["view_faults_checked"]
+        if stats["liveness_margin_ms"] is not None:
+            margins.append(stats["liveness_margin_ms"])
     for record in report.records:
         if not record.ok:
             failures.append(record)
@@ -58,7 +75,6 @@ def test_chaos_sweep():
             stats["hmi_verified"] + stats["proxy_verified"]
         )
         totals["deferred_rejuvenations"] += stats["deferred_rejuvenations"]
-        totals["quiet_checked_ms"] += stats["quiet_checked_ms"]
 
     # Violating seeds get a replayable dump + minimal reproducer. The
     # campaign record carries violations but not the live result, so the
@@ -91,8 +107,14 @@ def test_chaos_sweep():
          f"{dict(sorted(kind_coverage.items()))}")
     emit(f"executions cross-checked: {totals['executions_checked']}  "
          f"threshold-verified deliveries: {totals['deliveries_verified']}")
-    emit(f"rejuvenations deferred for quorum: {totals['deferred_rejuvenations']}  "
-         f"quiet time under delivery watchdog: "
-         f"{totals['quiet_checked_ms'] / 1000.0:.1f}s")
+    leader_faults = sum(
+        action.kind in LEADER_FAULT_KINDS
+        for seed in range(SWEEP_COUNT)
+        for action in ChaosEngine(ChaosOptions(seed=seed)).draw_schedule()
+    )
+    emit(f"rejuvenations deferred for quorum: {totals['deferred_rejuvenations']}")
+    emit(f"liveness judge: {totals['quiet_checked_ms'] / 1000.0:.1f}s of owed time judged, "
+         f"{totals['leader_faults_judged']} of {leader_faults} leader faults judged, "
+         f"smallest margin {min(margins, default=float('nan')):.1f} ms")
     emit(f"invariant violations: {len(failures)} (expected 0)")
     assert not failures, f"violations in seeds {failed_seeds}"

@@ -3,7 +3,7 @@
 Measures how fast leadership recovers from a leader kill: the latency
 from the fault *firing* (against whoever leads at that instant) to a
 **quorum** of replicas adopting a strictly higher view, as judged by the
-:class:`~repro.chaos.monitors.ViewRecoveryMonitor`. Two protocols:
+:class:`~repro.chaos.liveness.Liveness` judge. Two protocols:
 
 * **Prime** inside the full Spire deployment (``ChaosEngine`` with a
   pinned single ``leader_kill`` schedule);
@@ -12,8 +12,9 @@ from the fault *firing* (against whoever leads at that instant) to a
 
 Each seeded run contributes one kill→adoption sample; the p50/p99 over
 the seed sweep is the committed number. The run doubles as a gate: any
-monitor violation (no quorum adoption in bound, ordering stalled,
-safety/exactly-once breach) fails the benchmark, and — simulated
+violation (no quorum adoption within B per view change, ordering stalled,
+where B is computed from the protocol's timers; a safety/exactly-once
+breach) fails the benchmark, and — simulated
 milliseconds being exact at ``PYTHONHASHSEED=0`` — so does a full sweep
 whose summaries differ from the committed ``viewchange`` block.
 

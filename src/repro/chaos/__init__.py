@@ -1,7 +1,9 @@
-"""``repro.chaos`` — seeded chaos testing, judged by an output oracle and monitors.
+"""``repro.chaos`` — seeded chaos testing, judged by two output judges and two monitors.
 
 Randomized-but-replayable fault schedules on top of ``repro.simnet``, run
-against a system under chaos while an output oracle and five monitors judge it. One
+against a system under chaos, judged by an output oracle (safety), a
+liveness judge (progress owed by the schedule arrives within a bound
+computed from the protocol's timers) and two runtime monitors. One
 runner (:func:`repro.chaos.engine.run_chaos`) serves both systems —
 ``ChaosEngine`` builds Prime inside a Spire deployment, ``run_pbft_chaos``
 the flat PBFT baseline — and one table (:mod:`repro.chaos.faults`) holds
@@ -22,14 +24,8 @@ Quickstart::
 from .engine import HOST_STAT_KEYS, ChaosEngine, ChaosOptions, ChaosResult
 from .faults import FAULT_KINDS, LEADER_FAULT_KINDS, OVERLAY_FAULT_KINDS
 from .generator import ChaosProfile, generate_schedule
-from .monitors import (
-    BoundedDelayMonitor,
-    ProxyGateMonitor,
-    QuorumAvailabilityMonitor,
-    RerouteBoundMonitor,
-    ViewRecoveryMonitor,
-    Violation,
-)
+from .liveness import Liveness
+from .monitors import ProxyGateMonitor, QuorumAvailabilityMonitor, Violation
 from .oracle import Oracle
 from .pbft import PbftChaosOptions, run_pbft_chaos
 from .scenario import (
@@ -51,11 +47,9 @@ __all__ = [
     "ChaosProfile",
     "generate_schedule",
     "Oracle",
+    "Liveness",
     "ProxyGateMonitor",
     "QuorumAvailabilityMonitor",
-    "BoundedDelayMonitor",
-    "RerouteBoundMonitor",
-    "ViewRecoveryMonitor",
     "Violation",
     "FaultAction",
     "FaultSchedule",

@@ -1,13 +1,14 @@
-"""The chaos runner: seeded fault schedules, the oracle and the monitors, one run.
+"""The chaos runner: seeded fault schedules, the judges and the monitors, one run.
 
 One chaos run is a pure function of ``(system under chaos, options,
 schedule)``: :func:`run_chaos` attaches the output oracle and the monitors
 to a :class:`~repro.chaos.faults.ChaosSystem`, applies the fault schedule
-against the virtual clock, runs, and returns a :class:`ChaosResult`
-carrying the monitor verdicts and a trace *fingerprint* — a digest over
-the structured trace, network counters and final replica state. Two runs
-of the same ``(seed, schedule)`` produce byte-identical fingerprints; that
-property is what makes dumped scenarios replayable and shrinkable.
+against the virtual clock, runs, has the oracle and the liveness judge
+read the outputs, and returns a :class:`ChaosResult` carrying the verdicts
+and a trace *fingerprint* — a digest over the structured trace, network
+counters and final replica state. Two runs of the same ``(seed, schedule)``
+produce byte-identical fingerprints; that property is what makes dumped
+scenarios replayable and shrinkable.
 :class:`ChaosEngine` builds the system for Prime inside a full Spire
 deployment, :func:`repro.chaos.pbft.run_pbft_chaos` for the flat PBFT
 baseline cluster; neither does anything else.
@@ -20,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
+import networkx as nx
+
 from ..core.deployment import SpireDeployment, SpireOptions
 from ..crypto.encoding import digest
 from ..obs import (
@@ -31,30 +34,24 @@ from ..obs import (
     EV_REJUVENATE_START,
 )
 from ..simnet import FailureInjector
+from ..spines.monitor import LinkMonitorConfig
 from .faults import (
     DEFAULT_PROFILE_KINDS,
+    FAULTS,
     LEADER_PROFILE_KINDS,
-    OVERLAY_FAULT_KINDS,
     ChaosSystem,
     inject,
 )
 from .generator import ChaosProfile, generate_schedule
-from .monitors import (
-    BoundedDelayMonitor,
-    OracleVerdict,
-    ProxyGateMonitor,
-    QuorumAvailabilityMonitor,
-    RerouteBoundMonitor,
-    ViewRecoveryMonitor,
-    Violation,
-)
+from .liveness import Liveness
+from .monitors import ProxyGateMonitor, QuorumAvailabilityMonitor, Verdict, Violation
 from .oracle import Oracle
 from .schedule import FaultSchedule
 
 __all__ = ["ChaosOptions", "ChaosResult", "ChaosEngine", "run_chaos", "schedule_profile"]
 
 #: deployment mutator applied before monitors attach (test-only hooks that
-#: deliberately weaken a component to prove the monitors catch it)
+#: deliberately weaken a component to prove the judges and monitors catch it)
 Mutator = Callable[[SpireDeployment], None]
 
 
@@ -85,21 +82,6 @@ class ChaosOptions:
     #: how many actions a generated schedule holds
     min_actions: ClassVar[int] = 3
     max_actions: ClassVar[int] = 8
-
-    # --- monitor bounds: properties of the claim checked, not of a run ---
-    #: :class:`RerouteBoundMonitor`: an overlay fault to the next verified
-    #: delivery (detection + reroute + protocol settling)
-    reroute_bound_ms: ClassVar[float] = 1500.0
-    #: :class:`BoundedDelayMonitor`: max gap between verified deliveries in
-    #: a quiet interval (covers resubmit backoff + one view change)
-    max_delivery_gap_ms: ClassVar[float] = 2000.0
-    #: how long after a fault window ends before the system must be
-    #: re-bounded (one view-change timeout plus settling)
-    quiet_grace_ms: ClassVar[float] = 2500.0
-    #: :class:`ViewRecoveryMonitor`: a leader fault firing to a quorum in a
-    #: higher view *and* a verified delivery (TAT suspicion + one
-    #: view-change round + settling)
-    view_recovery_bound_ms: ClassVar[float] = 3000.0
 
     @property
     def total_ms(self) -> float:
@@ -184,30 +166,26 @@ def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> Cha
     ``schedule``, run ``system`` for ``options.total_ms``, judge, fingerprint.
 
     A monitor is built where the system has what it watches (endpoints: the
-    proxy gate and the bounded-delay watchdog; a recovery strategy: the
-    quorum floor; a self-healing control plane: the reroute bound); the
-    oracle judges every run. A margin or a perturbed simulator attaches here
-    and nowhere else. ``options`` is a ``ChaosOptions`` or a ``PbftChaosOptions``.
+    proxy gate; a recovery strategy: the quorum floor); the oracle and the
+    liveness judge, against ``system.liveness_bound_ms``, read every run. A
+    perturbed simulator attaches here and nowhere else. ``options`` is a
+    ``ChaosOptions`` or a ``PbftChaosOptions``.
     """
     simulator, log = system.simulator, system.obs.log
     oracle = Oracle(lambda: simulator.now)
     oracle.watch(system.replicas, system.endpoints)
-    verdict = OracleVerdict(simulator)
-    view_recovery = ViewRecoveryMonitor(
-        simulator, bound_ms=options.view_recovery_bound_ms, quorum=system.quorum,
-    )
-    gate = quorum = watchdog = reroute = None
+    liveness = Liveness(system.liveness_bound_ms, system.quorum, system.tolerated,
+                        [replica.name for replica in system.replicas])
+    verdicts = [Verdict(simulator, oracle), Verdict(simulator, liveness)]
+    gate = quorum = None
     if system.endpoints:
         gate = ProxyGateMonitor(simulator, system.crypto)
         for endpoint in system.endpoints:
             gate.attach(endpoint)
-        watchdog = BoundedDelayMonitor(simulator, max_gap_ms=options.max_delivery_gap_ms)
     if system.recovery is not None:
         quorum = QuorumAvailabilityMonitor(simulator, system.replicas, f=options.f, k=options.k)
         quorum.attach(system.recovery)
-    if system.overlay_control is not None:
-        reroute = RerouteBoundMonitor(simulator, bound_ms=options.reroute_bound_ms)
-    monitors = [m for m in (verdict, gate, quorum, watchdog, view_recovery, reroute) if m]
+    monitors = [m for m in (*verdicts, gate, quorum) if m]
     # obs reads each count; monitors emit no trace *events*, since the trace
     # feeds the fingerprint and must not change with monitors attached
     for monitor in monitors:
@@ -215,39 +193,55 @@ def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> Cha
                         lambda monitor=monitor: len(monitor._violations))
 
     injector = FailureInjector(simulator, system.network)
-    judged = dataclasses.replace(system, note_leader_fault=view_recovery.note_fault)
+    leader_faults: List[Tuple[float, str, int]] = []
+    judged = dataclasses.replace(system, note_leader_fault=lambda target, view: (
+        leader_faults.append((simulator.now, target, view))))
     inject(schedule, judged, injector)
     system.start()
     wall_start = time.perf_counter()
     simulator.run_for(options.total_ms)
     wall_runtime_s = time.perf_counter() - wall_start
 
-    # --- post-run: the oracle replays, the timeline monitors read the record ---
+    # --- post-run: the judges read the outputs ---
     oracle.check_states(system.replicas)
-    verdict.judge(oracle.findings)
+    adoptions = [(event.time, event.component, int(event.details.get("view", -1)))
+                 for event in log.events(None, system.new_view_event)]
+    struck = {at: (target,) for at, target, _ in leader_faults}
+    # rejuvenations are read back from the trace, since deferral shifts them
+    ends = log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_DONE)
+    rejuvenations = [(event.details["replica"], event.time, min(
+        (e.time for e in ends if e.details == event.details and e.time >= event.time),
+        default=options.total_ms))
+        for event in log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_START)]
+    liveness.judge(
+        options.warmup_ms, options.total_ms,
+        blocking=[
+            (a.start_ms, a.end_ms, struck.get(a.start_ms, ()) if FAULTS[a.kind].leader
+             else a.targets[:FAULTS[a.kind].targets_used])
+            for a in schedule if FAULTS[a.kind].blocks
+        ],
+        rejuvenations=rejuvenations, adoptions=adoptions, leader_faults=leader_faults,
+        deliveries=system.delivery_times() if system.delivery_times else oracle.ordered_at,
+        overlay_faults=[a.start_ms for a in schedule
+                        if FAULTS[a.kind].overlay and system.overlay_control is not None],
+        detection_ms=LinkMonitorConfig.detection_bound_ms,
+    )
+    for verdict in verdicts:
+        verdict.judge()
     stats = system.stats()
     stats["executions_checked"] = oracle.executions_checked
-    delivery_times = system.delivery_times() if system.delivery_times else oracle.ordered_at
-    if watchdog is not None:
-        watchdog.evaluate(delivery_times, _quiet_intervals(schedule, log, options))
+    if gate is not None:
         stats["deliveries_checked"] = gate.deliveries_checked
-        stats["quiet_checked_ms"] = round(watchdog.quiet_checked_ms, 3)
     if quorum is not None:
         stats["min_live_seen"] = quorum.min_live_seen
         stats["floor_rejuvenations_checked"] = quorum.rejuvenations_checked
-    if reroute is not None:
-        overlay_faults = [a.start_ms for a in schedule if a.kind in OVERLAY_FAULT_KINDS]
-        reroute.evaluate(delivery_times, overlay_faults, options.total_ms)
-        stats["reroute_faults_checked"] = reroute.faults_checked
-    adoptions = [
-        (event.time, event.component, int(event.details.get("view", -1)))
-        for event in log.events(None, system.new_view_event)
-    ]
-    view_recovery.evaluate(adoptions, delivery_times, options.total_ms)
-    stats["view_faults_checked"] = view_recovery.faults_checked
-    stats["view_recovery_latencies_ms"] = [
-        round(latency, 3) for latency in view_recovery.recovery_latencies_ms
-    ]
+    stats["quiet_checked_ms"] = round(liveness.quiet_checked_ms, 3)
+    if system.overlay_control is not None:
+        stats["reroute_faults_checked"] = liveness.reroute_faults_checked
+    stats["view_faults_checked"] = liveness.view_faults_checked
+    stats["view_recovery_latencies_ms"] = [round(t, 3) for t in liveness.recovery_latencies_ms]
+    stats["liveness_margin_ms"] = (
+        None if liveness.margin_ms is None else round(liveness.margin_ms, 3))
     stats["new_view_adoptions"] = len(adoptions)
     stats["fault_kinds"] = sorted({action.kind for action in schedule})
     stats["wall_runtime_s"] = round(wall_runtime_s, 4)
@@ -263,37 +257,6 @@ def run_chaos(system: ChaosSystem, options: Any, schedule: FaultSchedule) -> Cha
         injector_log=injector.log,
         obs_snapshot=system.obs.snapshot(),
     )
-
-
-def _quiet_intervals(schedule: FaultSchedule, log: Any, options: Any) -> List[Tuple[float, float]]:
-    """Sub-intervals of the run with no fault active (plus grace).
-
-    Scheduled fault windows *and* proactive-rejuvenation windows (read
-    back from the trace, since deferral shifts them) suppress the
-    watchdog; each suppression extends ``quiet_grace_ms`` past the
-    window end to budget re-stabilization (at most one view change).
-    """
-    grace, total_ms = options.quiet_grace_ms, options.total_ms
-    busy = [(action.start_ms, action.end_ms + grace) for action in schedule]
-    ends = log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_DONE)
-    for event in log.events(COMP_RECOVERY_SCHEDULER, EV_REJUVENATE_START):
-        done = min(
-            (e.time for e in ends
-             if e.details.get("replica") == event.details.get("replica")
-             and e.time >= event.time),
-            default=total_ms,
-        )
-        busy.append((event.time, done + grace))
-    busy.sort()
-    quiet: List[Tuple[float, float]] = []
-    cursor = options.warmup_ms  # ignore cold-start before first deliveries
-    for start, end in busy:
-        if start > cursor:
-            quiet.append((cursor, min(start, total_ms)))
-        cursor = max(cursor, end)
-    if cursor < total_ms:
-        quiet.append((cursor, total_ms))
-    return [(s, e) for s, e in quiet if e > s]
 
 
 def _fingerprint(system: ChaosSystem, violations: List[Violation]) -> str:
@@ -318,6 +281,24 @@ def _fingerprint(system: ChaosSystem, violations: List[Violation]) -> str:
     ))
 
 
+def _liveness_bound_ms(deployment: SpireDeployment, poll_interval_ms: float) -> float:
+    """B for Prime: the suspect-leader bound over the achievable overlay RTT
+    (the ``f+k+1``-th smallest RTT to the others, of the replica for which
+    it is largest) plus its check period, one view-change timeout and one
+    poll interval, in which the next update is submitted."""
+    config, sites = deployment.prime_config, deployment.replica_sites
+    needed = config.num_faults + config.num_recovering + 1
+    one_way = dict(nx.all_pairs_dijkstra_path_length(deployment.topology.graph,
+                                                     weight="latency_ms"))
+    achievable = max(sorted(
+        2 * (one_way[site][sites[peer]] + 2 * deployment.overlay.last_mile_latency_ms)
+        for peer in sites if peer != name)[needed - 1] for name, site in sites.items())
+    suspect = max(config.tat_floor_ms, config.tat_latency_factor * achievable
+                  + config.pre_prepare_interval_ms + config.tat_slack_ms)
+    return (suspect + config.tat_check_interval_ms + config.view_change_timeout_ms
+            + poll_interval_ms)
+
+
 class ChaosEngine:
     """Runs one ``(options, schedule)`` scenario against Prime inside a
     full Spire deployment."""
@@ -332,9 +313,9 @@ class ChaosEngine:
         self.schedule = schedule
         self.mutator = mutator
 
-    def run(self) -> ChaosResult:
+    def _deployment(self) -> SpireDeployment:
         opts = self.options
-        deployment = SpireDeployment(SpireOptions(
+        return SpireDeployment(SpireOptions(
             seed=opts.seed, f=opts.f, k=opts.k, num_substations=opts.num_substations,
             poll_interval_ms=opts.poll_interval_ms,
             resubmit_timeout_ms=opts.resubmit_timeout_ms,
@@ -342,12 +323,24 @@ class ChaosEngine:
             prime_preset=opts.prime_preset, proactive_recovery=opts.proactive_recovery,
             feedback_control=opts.feedback_control,
         ))
-        proxy, hmi = deployment.proxy, deployment.hmis[0]
+
+    def draw_schedule(self, deployment: Optional[SpireDeployment] = None) -> FaultSchedule:
+        """The schedule the run applies: the one given, or the one drawn from
+        the options against the deployment's replicas and endpoints."""
         if self.schedule is None:
+            deployment = deployment or self._deployment()
             self.schedule = generate_schedule(
-                opts.seed, deployment.replica_names(),
-                endpoints=[proxy.name, hmi.name], profile=schedule_profile(opts),
+                self.options.seed, deployment.replica_names(),
+                endpoints=[deployment.proxy.name, deployment.hmis[0].name],
+                profile=schedule_profile(self.options),
             )
+        return self.schedule
+
+    def run(self) -> ChaosResult:
+        opts = self.options
+        deployment = self._deployment()
+        proxy, hmi = deployment.proxy, deployment.hmis[0]
+        self.draw_schedule(deployment)
         if self.mutator is not None:
             self.mutator(deployment)
         for index, action in enumerate(self.schedule):
@@ -385,11 +378,13 @@ class ChaosEngine:
             simulator=deployment.simulator, network=deployment.network,
             obs=deployment.obs, replicas=deployment.replicas,
             quorum=deployment.prime_config.quorum,
+            tolerated=opts.f + opts.k,
             new_view_event=EV_NEW_VIEW,
             start=deployment.start,
             stats=stats,
             current_leader=deployment.current_leader, current_view=deployment.current_view,
             access_peers=deployment.dos_peers_of,
+            liveness_bound_ms=_liveness_bound_ms(deployment, opts.poll_interval_ms),
             # in the order the fingerprint has always read them
             endpoints=(hmi, proxy),
             crypto=deployment.crypto,

@@ -83,6 +83,10 @@ class ChaosSystem:
     replicas: Sequence[Any]
     #: the ordering quorum a view must be adopted by
     quorum: int
+    #: replicas the fault model lets be down or cut off at once (f + k)
+    tolerated: int
+    #: B of the liveness judge: progress owed from instant t is due by t + B
+    liveness_bound_ms: float
     #: the event kind a replica logs when it adopts a view
     new_view_event: str
     #: start every component; the runner calls it once the faults are in
@@ -94,7 +98,8 @@ class ChaosSystem:
     #: whose links to a process are its connectivity surface (its site daemon
     #: in an overlay deployment, every other replica on a flat cluster)
     access_peers: Callable[[str], Sequence[str]]
-    #: ``ViewRecoveryMonitor.note_fault``, plugged in by the runner
+    #: records a leader fault's fire time, target and view for the liveness
+    #: judge; plugged in by the runner
     note_leader_fault: Callable[[str, int], None] = lambda target, view: None
     #: gate-watched endpoints, and the provider their shares verify under
     endpoints: Sequence[Any] = ()
@@ -233,11 +238,14 @@ class FaultKind:
     weight: int = 1
     #: how many of the named targets the fault acts on (``None``: all)
     targets_used: Optional[int] = None
-    #: targets are overlay *site* names; judged by the reroute monitor
+    #: targets are overlay *site* names; under self-healing the liveness
+    #: judge owes a delivery within the detection bound + B of its start
     overlay: bool = False
-    #: hits whoever leads at fire time; judged by the view-recovery
-    #: monitor, and the only kinds the PBFT harness runs
+    #: hits whoever leads at fire time; the liveness judge owes a view
+    #: change and a delivery, and the only kinds the PBFT harness runs
     leader: bool = False
+    #: can block ordering: no progress is owed inside its window + B
+    blocks: bool = True
     #: counts against ``profile.max_concurrent_crashes``
     crash_budget: bool = False
     #: when set, the duration is drawn from ``[stretch, max_fault_ms + stretch]``
@@ -315,22 +323,22 @@ FAULTS: Dict[str, FaultKind] = {row.name: row for row in (
               (Param("probability", FRACTION, 0.3, 0.05, 0.4, pad=(0, 2)),), weight=2),
     FaultKind("duplicate", "deliver delayed second copies",
               _ANY, _scope(3), _message_fault(FailureInjector.duplicate_messages),
-              (Param("probability", FRACTION, 0.3, 0.1, 0.5, pad=(1, 1)),)),
+              (Param("probability", FRACTION, 0.3, 0.1, 0.5, pad=(1, 1)),), blocks=False),
     FaultKind("reorder", "buffer + shuffle matching messages per window",
               _ANY, _scope(3), _message_fault(FailureInjector.reorder_window),
               (Param("window_ms", PERIOD_MS, 20.0, 5.0, 40.0),
-               Param("probability", FRACTION, 1.0, 0.3, 1.0))),
+               Param("probability", FRACTION, 1.0, 0.3, 1.0)), blocks=False),
     FaultKind("delay_spike", "add a latency spike to matching messages",
               _ANY, _scope(3), _message_fault(FailureInjector.delay_spike),
               (Param("extra_ms", DELAY_MS, 100.0, 20.0, 200.0),
                Param("jitter_ms", DELAY_MS, 0.0, 0.0, 50.0),
-               Param("probability", FRACTION, 1.0, 0.2, 1.0))),
+               Param("probability", FRACTION, 1.0, 0.2, 1.0)), blocks=False),
     FaultKind("corrupt", "mangle matching payloads in flight",
               _ANY, _scope(3), _message_fault(FailureInjector.corrupt_payload),
               (Param("probability", FRACTION, 0.2, 0.05, 0.3, pad=(2, 0)),)),
     FaultKind("slow_node", "asymmetric slowdown of one node's outbound links",
               _ANY, _one_replica, _per_node(FailureInjector.slow_node),
-              (Param("extra_delay_ms", DELAY_MS, 50.0, 20.0, 120.0),)),
+              (Param("extra_delay_ms", DELAY_MS, 50.0, 20.0, 120.0),), blocks=False),
     # The generator names two replicas but only the first one's outbound
     # access link is degraded (a replica has no direct link to the second);
     # the spare target stays because schedules are pinned per seed.
@@ -341,7 +349,7 @@ FAULTS: Dict[str, FaultKind] = {row.name: row for row in (
     FaultKind("jitter_storm", "random per-message extra delay (timer desync)",
               _ANY, _scope(4), _message_fault(FailureInjector.jitter_storm),
               (Param("max_extra_ms", DELAY_MS, 30.0, 10.0, 60.0),
-               Param("probability", FRACTION, 0.5, 0.2, 0.8))),
+               Param("probability", FRACTION, 0.5, 0.2, 0.8)), blocks=False),
     FaultKind("link_kill", "sever one overlay link for a window",
               _PAIR, _overlay_link, _overlay_link_fault(FailureInjector.block_link_window),
               overlay=True),

@@ -5,9 +5,10 @@ harness builds the other :class:`~repro.chaos.faults.ChaosSystem` — the
 PBFT baseline as ``n`` replicas on one switched network, a periodic
 traffic source submitting through whichever replica is up — and hands it
 to the same runner (:func:`~repro.chaos.engine.run_chaos`), so
-leader-failure recovery is judged by the same monitors in *both*
-protocols. The flat cluster has no endpoints, recovery strategy or
-overlay: it runs leader faults only, judged on safety and view recovery.
+leader-failure recovery is judged by the same liveness judge in *both*
+protocols, against a B computed here from the cluster's timers. The flat
+cluster has no endpoints, recovery strategy or overlay: it runs leader
+faults only, judged on safety and liveness.
 The schedule is drawn by the shared generator restricted to the leader
 kinds, each resolving its target (the *current* leader) at fire time.
 """
@@ -23,7 +24,7 @@ from ..obs import EV_PBFT_NEW_VIEW, Observability
 from ..pbft import PbftConfig, PbftNode
 from ..prime import LoggingApp, sign_client_update
 from ..simnet import LinkSpec, Network, Simulator
-from .engine import ChaosOptions, ChaosResult, run_chaos, schedule_profile
+from .engine import ChaosResult, run_chaos, schedule_profile
 from .faults import LEADER_FAULT_KINDS, LEADER_PROFILE_KINDS, ChaosSystem
 from .generator import generate_schedule
 from .schedule import FaultSchedule
@@ -48,9 +49,6 @@ class PbftChaosOptions:
     request_interval_ms: ClassVar[float] = 150.0
     request_timeout_ms: ClassVar[float] = 800.0
     checkpoint_interval: ClassVar[int] = 16
-    #: per leader fault: quorum must adopt a higher view and an update
-    #: must execute within this budget (timeout detection + one VC round)
-    view_recovery_bound_ms: ClassVar[float] = ChaosOptions.view_recovery_bound_ms
     min_actions: ClassVar[int] = 1
     max_actions: ClassVar[int] = 3
     profile_kinds: ClassVar[Tuple[str, ...]] = LEADER_PROFILE_KINDS
@@ -125,6 +123,7 @@ def run_pbft_chaos(
         obs=obs,
         replicas=nodes,
         quorum=config.quorum,
+        tolerated=opts.f,
         new_view_event=EV_PBFT_NEW_VIEW,
         start=start,
         stats=lambda: {
@@ -137,4 +136,8 @@ def run_pbft_chaos(
         current_view=lambda: _majority_view(nodes),
         # flat cluster: a replica's connectivity surface is every other replica
         access_peers=lambda name: [peer for peer in names if peer != name],
+        # a request waits out the timeout, found at the next check, and the
+        # next request arrives within one interval
+        liveness_bound_ms=(
+            opts.request_timeout_ms + PbftConfig.check_interval_ms + opts.request_interval_ms),
     ), opts, schedule)

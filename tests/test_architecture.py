@@ -231,12 +231,13 @@ def test_a_chaos_run_is_built_and_judged_in_one_place():
     # is a second harness; a Violation built outside ``_flag`` bypasses the
     # counter; a second ``*fingerprint*`` function is a second formula.
     # This states structurally what a grep for the removed names could
-    # only list. Safety has one judge, the oracle; five monitors remain.
+    # only list. Safety has one judge, the oracle, and liveness one, the
+    # liveness judge; two monitors remain.
     import repro.chaos.monitors as monitors
 
     monitor_classes = {name for name in monitors.__all__ if name.endswith("Monitor")}
-    assert len(monitor_classes) == 5, sorted(monitor_classes)
-    monitor_classes |= {"Oracle", "OracleVerdict"}
+    assert len(monitor_classes) == 2, sorted(monitor_classes)
+    monitor_classes |= {"Oracle", "Liveness", "Verdict"}
     scopes = {"inject": set(), "monitor": set(), "ChaosResult": set(), "Violation": set()}
     fingerprints = []
     for path in sorted((SRC / "repro" / "chaos").glob("*.py")):
@@ -460,6 +461,7 @@ _REMOVED = re.compile(
     r"|ProactiveRecoveryScheduler|staticmethod\(coverage_cutoffs\)"
     r"|def register\(self, instrument"
     r"|class CountingCrypto|class Counter\b|def counter\b|\.counter\(|_SendCounters"
+    r"|BoundedDelayMonitor|RerouteBoundMonitor|ViewRecoveryMonitor|_quiet_intervals"
 )
 
 
@@ -508,12 +510,13 @@ def test_obs_decides_what_is_read_not_which_code_runs():
     assert reads == ["spines/daemon.py", "spines/overlay.py"], reads
 
 
-def test_the_oracle_shares_no_code_with_the_system():
-    # The output oracle judges the system, so it must not run the system's
+@pytest.mark.parametrize("judge", ["oracle.py", "liveness.py"])
+def test_the_oracle_shares_no_code_with_the_system(judge):
+    # An output judge judges the system, so it must not run the system's
     # code: the standard library and the grid model's types only.
     import sys
 
-    tree = ast.parse((SRC / "repro" / "chaos" / "oracle.py").read_text())
+    tree = ast.parse((SRC / "repro" / "chaos" / judge).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

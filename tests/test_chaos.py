@@ -1,24 +1,25 @@
 """Unit tests for the chaos subsystem's building blocks.
 
 Covers the schedule data model, the seeded generator's invariants, the
-oracle's and the monitors' fine print on bare fixtures, the ddmin
-shrinker's reduction
-logic, and the scenario file format. That every violation kind fires
+oracle's, the liveness judge's and the monitors' fine print on bare
+fixtures, the ddmin shrinker's reduction logic, and the scenario file
+format. That every violation kind fires
 through the one runner is ``test_chaos_violation_kinds.py``; end-to-end
 chaos runs live in ``test_chaos_smoke.py``.
 """
 
 import json
+from typing import NamedTuple
 
 import pytest
 
 import repro.chaos.shrink as shrink_mod
 from repro.chaos import (
-    BoundedDelayMonitor,
     ChaosOptions,
     ChaosProfile,
     FaultAction,
     FaultSchedule,
+    Liveness,
     Oracle,
     ProxyGateMonitor,
     Violation,
@@ -274,27 +275,104 @@ def test_proxy_gate_monitor_catches_duplicate_delivery():
     assert len(endpoint.acted_on) == 2  # an observer: the replay still went through
 
 
-def test_bounded_delay_monitor_flags_stall_in_quiet_window():
-    sim, _ = _sim_net()
-    monitor = BoundedDelayMonitor(sim, max_gap_ms=100.0)
-    monitor.evaluate(
-        delivery_times=[1000.0, 1050.0, 1400.0, 1450.0],
-        quiet_intervals=[(1000.0, 1500.0)],
-    )
-    [violation] = monitor.violations()
-    assert violation.kind == "delivery-stall"
-    assert dict(violation.details)["gap_ms"] == pytest.approx(350.0)
+def _steady(*gaps, until=5000.0):
+    """A delivery every 100 ms from 0 to ``until``, none inside ``gaps``."""
+    return [t * 100.0 for t in range(int(until / 100) + 1)
+            if not any(a <= t * 100.0 < b for a, b in gaps)]
 
 
-def test_bounded_delay_monitor_ignores_short_windows_and_steady_flow():
-    sim, _ = _sim_net()
-    monitor = BoundedDelayMonitor(sim, max_gap_ms=100.0)
-    monitor.evaluate(
-        delivery_times=[t * 50.0 for t in range(100)],
-        quiet_intervals=[(0.0, 90.0), (1000.0, 3000.0)],
+class Case(NamedTuple):
+    """One judgement of the liveness judge, on bare timelines."""
+
+    deliveries: list
+    kinds: tuple = ()
+    #: stats the row pins, read off the judge after it ran
+    stats: dict = {}
+    bound_ms: float = 600.0
+    start_ms: float = 0.0
+    end_ms: float = 5000.0
+    blocking: tuple = ()
+    rejuvenations: tuple = ()
+    adoptions: tuple = ()
+    leader_faults: tuple = ()
+    overlay_faults: tuple = ()
+
+
+LEADERS = tuple(f"r{i}" for i in range(6))
+
+
+def _adopted(view, at, replicas=LEADERS[1:5]):
+    return tuple((at, replica, view) for replica in replicas)
+
+
+LIVENESS_CASES = {
+    # the watchdog's fixtures, now owed time with B as the gap bound
+    "a-stall-in-owed-time": Case(
+        [1000.0, 1050.0, 1400.0, 1450.0], ("delivery-stall",),
+        dict(quiet_checked_ms=500.0), bound_ms=100.0, start_ms=1000.0, end_ms=1500.0),
+    "short-owed-intervals-and-steady-flow": Case(
+        [t * 50.0 for t in range(100)], (), dict(quiet_checked_ms=2090.0),
+        bound_ms=100.0, end_ms=3000.0, blocking=((90.0, 900.0, ()),)),
+    # the reroute monitor's fixtures: detection 400 ms + B within a blocking window
+    "an-overlay-fault-healed-in-time": Case(
+        _steady((2000.0, 2900.0)), (), dict(reroute_faults_checked=1),
+        blocking=((2000.0, 2500.0, ("cc1", "dc2")),), overlay_faults=(2000.0,)),
+    "an-overlay-fault-that-stalls": Case(
+        _steady((2000.0, 3200.0)), ("reroute-stall",), dict(reroute_faults_checked=1),
+        blocking=((2000.0, 2500.0, ("cc1", "dc2")),), overlay_faults=(2000.0,)),
+    "an-overlay-fault-too-close-to-the-end": Case(
+        _steady((4500.0, 5000.1)), (), dict(reroute_faults_checked=0),
+        blocking=((4500.0, 4800.0, ("cc1", "dc2")),), overlay_faults=(4500.0,)),
+    # the next leader, r2, is cut off too: two view changes are budgeted
+    # (Prime leader seed 24 resumes 1,595.5 ms after its third fault)
+    "a-cascade-past-a-held-next-leader": Case(
+        _steady((1000.0, 2210.0)), (),
+        dict(view_faults_checked=1, recovery_latencies_ms=[1200.0]), bound_ms=1000.0,
+        blocking=((1000.0, 3000.0, ("r1",)), (900.0, 3500.0, ("r2",))),
+        adoptions=_adopted(1, 500.0) + _adopted(3, 2200.0),
+        leader_faults=((1000.0, "r1", 1),)),
+    "one-view-change-that-is-too-slow": Case(
+        _steady((1000.0, 2210.0)), ("no-quorum-adoption",), dict(view_faults_checked=1),
+        bound_ms=1000.0, blocking=((1000.0, 3000.0, ("r1",)),),
+        adoptions=_adopted(1, 500.0) + _adopted(2, 2200.0),
+        leader_faults=((1000.0, "r1", 1),)),
+    # r3 and r4 are down as well: more than f + k = 2 held, so the
+    # view change is owed from when r4 is back, at 2000 ms
+    "a-leader-fault-beyond-the-fault-model": Case(
+        _steady((1000.0, 2810.0)), (),
+        dict(view_faults_checked=1, recovery_latencies_ms=[1800.0]), bound_ms=1000.0,
+        blocking=((1000.0, 3000.0, ("r1",)), (800.0, 4000.0, ("r3",)),
+                  (900.0, 2000.0, ("r4",))),
+        adoptions=_adopted(1, 500.0) + _adopted(2, 2800.0),
+        leader_faults=((1000.0, "r1", 1),)),
+    "a-view-change-and-no-delivery": Case(
+        _steady((1000.0, 5000.1)), ("ordering-stalled",), dict(view_faults_checked=1),
+        bound_ms=1000.0, blocking=((1000.0, 3000.0, ("r1",)),),
+        adoptions=_adopted(1, 500.0) + _adopted(2, 1800.0),
+        leader_faults=((1000.0, "r1", 1),)),
+    # rejuvenating a replica that does not lead leaves progress owed ...
+    "a-non-leader-rejuvenating-in-owed-time": Case(
+        _steady((2000.0, 2700.0)), ("delivery-stall",), dict(quiet_checked_ms=5000.0),
+        rejuvenations=(("r3", 2000.0, 2400.0),)),
+    # ... rejuvenating the leader of the view a quorum holds does not
+    "the-leader-rejuvenating": Case(
+        _steady((2000.0, 2700.0)), (), dict(quiet_checked_ms=4000.0),
+        rejuvenations=(("r1", 2000.0, 2400.0),), adoptions=_adopted(1, 500.0)),
+}
+
+
+@pytest.mark.parametrize("case", LIVENESS_CASES.values(), ids=LIVENESS_CASES)
+def test_the_liveness_judge(case):
+    judge = Liveness(case.bound_ms, quorum=4, tolerated=2, leaders=LEADERS)
+    judge.judge(
+        case.start_ms, case.end_ms, case.blocking, case.rejuvenations, case.adoptions,
+        case.leader_faults, case.deliveries, case.overlay_faults, detection_ms=400.0,
     )
-    assert monitor.violations() == []
-    assert monitor.quiet_checked_ms == pytest.approx(2000.0)
+    assert tuple(kind for kind, _, _ in judge.findings) == case.kinds
+    for name, value in case.stats.items():
+        assert getattr(judge, name) == pytest.approx(value), name
+    # a finding is a judgement with negative slack, and only a finding is
+    assert (judge.margin_ms < 0) == bool(case.kinds)
 
 
 def test_violation_serializes():

@@ -213,7 +213,8 @@ class MiniDeployment:
         self.system = ChaosSystem(
             # a fault row reads only the four fields after these
             simulator=self.simulator, network=self.network, obs=None,
-            replicas=(), quorum=0, new_view_event="", start=None, stats=None,
+            replicas=(), quorum=0, tolerated=0, liveness_bound_ms=0.0,
+            new_view_event="", start=None, stats=None,
             current_leader=lambda: "replica:0",
             current_view=lambda: 7,
             access_peers=lambda name: [f"spines:{SITE_OF[name]}"],

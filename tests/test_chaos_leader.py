@@ -7,10 +7,11 @@ the *current* leader at fire time — through both protocols:
   ``leader_faults=True``).
 * **PBFT** on the flat baseline cluster (``run_pbft_chaos``).
 
-Every run is gated on the :class:`ViewRecoveryMonitor` (a quorum must
-adopt a strictly higher view and ordering must resume within the bound),
-and the output :class:`~repro.chaos.Oracle` (agreement, and exactly-once
-both over the global order and per replica).
+Every run is gated on the :class:`~repro.chaos.Liveness` judge (a quorum
+must adopt a strictly higher view and ordering must resume within B per
+view change, B computed from each protocol's timers), and the output
+:class:`~repro.chaos.Oracle` (agreement, and exactly-once both over the
+global order and per replica).
 """
 
 import os

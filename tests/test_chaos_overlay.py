@@ -1,10 +1,11 @@
-"""Chaos coverage for the overlay fault kinds and the reroute monitor.
+"""Chaos coverage for the overlay fault kinds and their reroute judgement.
 
-The three new fault kinds (``link_kill``, ``link_degrade``,
+The three overlay fault kinds (``link_kill``, ``link_degrade``,
 ``daemon_kill``) target overlay *sites*, not process names; the engine
 maps them onto spines daemon processes. With ``self_healing=True`` the
-:class:`RerouteBoundMonitor` asserts a verified delivery lands within
-the configured bound of every overlay fault's start.
+liveness judge owes a verified delivery within the overlay's detection
+bound plus B of every overlay fault's start (its fixtures are rows of
+``test_chaos.py::test_the_liveness_judge``).
 """
 
 import json
@@ -16,10 +17,8 @@ from repro.chaos import (
     ChaosProfile,
     FaultAction,
     FaultSchedule,
-    RerouteBoundMonitor,
     generate_schedule,
 )
-from repro.simnet import Simulator
 
 OVERLAY_LINKS = [
     ("cc1", "cc2"), ("cc1", "dc1"), ("cc1", "dc2"),
@@ -85,43 +84,6 @@ def test_generator_skips_overlay_kinds_without_topology():
     )
     # with no overlay links/sites supplied, only crash survives
     assert all(a.kind == "crash" for a in schedule)
-
-
-# ----------------------------------------------------------------------
-# RerouteBoundMonitor in isolation
-# ----------------------------------------------------------------------
-def test_reroute_monitor_passes_when_delivery_resumes():
-    monitor = RerouteBoundMonitor(Simulator(seed=1), bound_ms=1000.0)
-    monitor.evaluate(
-        delivery_times=[100.0, 2100.0, 2900.0],
-        fault_starts=[2000.0],
-        total_ms=5000.0,
-    )
-    assert monitor.faults_checked == 1
-    assert monitor.violations() == []
-
-
-def test_reroute_monitor_flags_stall():
-    monitor = RerouteBoundMonitor(Simulator(seed=1), bound_ms=1000.0)
-    monitor.evaluate(
-        delivery_times=[100.0, 4000.0],  # gap covers [2000, 3000]
-        fault_starts=[2000.0],
-        total_ms=5000.0,
-    )
-    (violation,) = monitor.violations()
-    assert violation.kind == "reroute-stall"
-    assert dict(violation.details)["fault_start_ms"] == 2000.0
-
-
-def test_reroute_monitor_skips_faults_too_close_to_end():
-    monitor = RerouteBoundMonitor(Simulator(seed=1), bound_ms=1000.0)
-    monitor.evaluate(
-        delivery_times=[100.0],
-        fault_starts=[4500.0],  # bound extends past total_ms: not judged
-        total_ms=5000.0,
-    )
-    assert monitor.faults_checked == 0
-    assert monitor.violations() == []
 
 
 # ----------------------------------------------------------------------

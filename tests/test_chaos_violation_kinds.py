@@ -8,7 +8,8 @@ pattern) and the run — ``ChaosEngine`` for Prime in a Spire deployment,
 kind (plus, where the weakening cannot help causing them, the kinds the row
 lists under ``also``). A row's id names the invariant family; the safety
 kinds and the proxy gate's duplicate and ungated kinds are flagged by the
-output oracle, the rest by the family's monitor. The unmutated runs are the
+output oracle, the bounded-delay, reroute-bound and view-recovery kinds by
+the liveness judge, the rest by the family's monitor. The unmutated runs are the
 smoke sweeps of ``test_chaos_smoke.py`` and ``test_chaos_leader.py``: zero
 violations.
 
@@ -35,6 +36,7 @@ from repro.chaos import (
     ChaosOptions,
     FaultAction,
     FaultSchedule,
+    Liveness,
     Oracle,
     PbftChaosOptions,
     run_pbft_chaos,
@@ -44,7 +46,8 @@ from repro.core import BreakerCommand
 from repro.pbft import PbftNode
 from repro.prime import sign_client_update
 
-#: short shapes: a leader fault at 700 ms can be judged (bound 3,000 ms)
+#: short shapes: a leader fault at 700 ms is judged (B is 1,171.2 ms for
+#: this Prime shape, 1,050 ms for the PBFT cluster)
 SPIRE = dict(seed=3, warmup_ms=600.0, chaos_ms=3000.0, settle_ms=200.0,
              poll_interval_ms=250.0, proactive_recovery=None)
 PBFT = dict(seed=3, warmup_ms=300.0, chaos_ms=3000.0, settle_ms=500.0)
@@ -146,8 +149,9 @@ def replicas_stop_delivering(deployment) -> None:
 
 
 def overlay_fault_blacks_out_delivery(deployment) -> None:
-    """Nothing is delivered for 1.6 s from the overlay fault's start."""
-    _deliveries_stop(deployment, 790.0, 2400.0)
+    """Nothing is delivered for 2.01 s from the overlay fault's start, past
+    the detection bound (450 ms) + B (1,171.2 ms) it owes a delivery by."""
+    _deliveries_stop(deployment, 790.0, 2800.0)
 
 
 def nobody_suspects_the_leader(deployment) -> None:
@@ -220,8 +224,11 @@ class ExecutesNothingAfterTheFault(PbftNode):
 # ----------------------------------------------------------------------
 
 EXECUTION_KINDS = ("divergent-execution", "duplicate-execution", "double-execution")
-#: what the output oracle flags; every other kind is its family's monitor's
+#: what the output oracle flags
 ORACLE_KINDS = EXECUTION_KINDS + ("duplicate-delivery", "ungated-field-command")
+#: what the liveness judge flags; every other kind is its family's monitor's
+LIVENESS_KINDS = ("delivery-stall", "reroute-stall", "no-quorum-adoption", "ordering-stalled")
+LEADER_KINDS = ("no-quorum-adoption", "ordering-stalled")
 
 
 class Row(NamedTuple):
@@ -238,7 +245,9 @@ class Row(NamedTuple):
     @property
     def monitor(self) -> str:
         """Who flags the row's kind."""
-        return Oracle.name if self.kind in ORACLE_KINDS else self.family
+        if self.kind in ORACLE_KINDS:
+            return Oracle.name
+        return Liveness.name if self.kind in LIVENESS_KINDS else self.family
 
 
 SHIFTED = ("double-execution", "divergent-execution")
@@ -305,11 +314,11 @@ def test_the_mutant_is_flagged_with_exactly_its_kind(row, monkeypatch):
 
 def test_the_table_covers_every_kind_the_monitors_can_emit():
     # every literal kind handed to ``_flag`` in repro.chaos.monitors and by
-    # the oracle, by the class that hands it
+    # the two judges, by the class that hands it
     import ast
     import inspect
 
-    judges = [Oracle] + [
+    judges = [Oracle, Liveness] + [
         getattr(monitors, name) for name in monitors.__all__ if name.endswith("Monitor")
     ]
     emitted = set()
@@ -320,9 +329,10 @@ def test_the_table_covers_every_kind_the_monitors_can_emit():
     assert len(emitted) == 11
     assert {(row.monitor, row.kind) for row in ROWS if row.system == "spire"} == emitted
     assert {kind for judge, kind in emitted if judge == Oracle.name} == set(ORACLE_KINDS)
+    assert {kind for judge, kind in emitted if judge == Liveness.name} == set(LIVENESS_KINDS)
     # the flat cluster has no endpoints, recovery strategy or overlay
     assert {(row.monitor, row.kind) for row in ROWS if row.system == "pbft"} == {
-        pair for pair in emitted if pair[0] == "view-recovery" or pair[1] in EXECUTION_KINDS
+        pair for pair in emitted if pair[1] in LEADER_KINDS + EXECUTION_KINDS
     }
 
 
