@@ -18,6 +18,7 @@ from repro.analysis import print_table
 from repro.attacks import compromise_daemon_drop_all
 from repro.crypto import FastCrypto
 from repro.simnet import LinkSpec, Network, Process, Simulator
+from repro.simnet.graph import shortest_path
 from repro.spines import (
     LinkMonitorConfig,
     OverlayStack,
@@ -57,11 +58,9 @@ def run_mode(mode, attack, self_healing=False):
     overlay.attach(receiver, "lax")
     kill_at = MESSAGES * INTERVAL_MS / 2.0  # strike mid-stream
     if attack == "links":
-        # cut the first two segments of the actual latency-shortest path
-        import networkx as nx
-
-        path = nx.shortest_path(topology.graph, "nyc", "lax",
-                                weight="latency_ms")
+        # cut the first two segments of the latency-shortest path, the one
+        # DisjointPathsRouting takes first
+        path = shortest_path(topology.graph, "nyc", "lax", "latency_ms")
         cuts = list(zip(path, path[1:]))[:2]
         for a, b in cuts:
             simulator.schedule_at(

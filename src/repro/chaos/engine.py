@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..core.deployment import SpireDeployment, SpireOptions
 from ..crypto.encoding import digest
 from ..obs import (
@@ -34,6 +32,7 @@ from ..obs import (
     EV_REJUVENATE_START,
 )
 from ..simnet import FailureInjector
+from ..simnet.graph import dijkstra
 from ..spines.monitor import LinkMonitorConfig
 from .faults import (
     DEFAULT_PROFILE_KINDS,
@@ -288,8 +287,8 @@ def _liveness_bound_ms(deployment: SpireDeployment, poll_interval_ms: float) -> 
     poll interval, in which the next update is submitted."""
     config, sites = deployment.prime_config, deployment.replica_sites
     needed = config.num_faults + config.num_recovering + 1
-    one_way = dict(nx.all_pairs_dijkstra_path_length(deployment.topology.graph,
-                                                     weight="latency_ms"))
+    graph = deployment.topology.graph
+    one_way = {site: dijkstra(graph, site, "latency_ms")[0] for site in graph.nodes}
     achievable = max(sorted(
         2 * (one_way[site][sites[peer]] + 2 * deployment.overlay.last_mile_latency_ms)
         for peer in sites if peer != name)[needed - 1] for name, site in sites.items())

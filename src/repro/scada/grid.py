@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
+from ..simnet.graph import Graph, components
 
 __all__ = ["Breaker", "Substation", "PowerGrid", "build_radial_grid"]
 
@@ -53,7 +53,7 @@ class PowerGrid:
     """The grid state plus derived electrical quantities."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.graph = nx.Graph()
+        self.graph = Graph()
         self.substations: Dict[str, Substation] = {}
         self._rng = random.Random(f"grid/{seed}")
         self.time_hours: float = 0.0
@@ -113,14 +113,6 @@ class PowerGrid:
     # ------------------------------------------------------------------
     # Derived state
     # ------------------------------------------------------------------
-    def _energized_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.graph.nodes)
-        for a, b in self.graph.edges:
-            if self.line_energized(a, b):
-                g.add_edge(a, b)
-        return g
-
     def energized_substations(self) -> set:
         """Substations connected to at least one generation source.
 
@@ -130,9 +122,14 @@ class PowerGrid:
         cached = self._energized_cache
         if cached is not None:
             return cached
-        g = self._energized_graph()
+        # closed lines in edge order, which fixes each set's layout (served_load_mw sums over it)
+        closed: Dict[str, List[str]] = {name: [] for name in self.graph.adj}
+        for a, b in self.graph.edges:
+            if self.line_energized(a, b):
+                closed[a].append(b)
+                closed[b].append(a)
         energized = set()
-        for component in nx.connected_components(g):
+        for component in components(closed):
             if any(self.substations[n].is_source for n in component):
                 energized |= component
         self._energized_cache = energized

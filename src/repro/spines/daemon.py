@@ -168,9 +168,16 @@ class SpinesDaemon(Process):
             or data.seq.__class__ is not int
             or data.dests.__class__ is not tuple
             or not (self._floods or len(data.dests) == 1)
+            or data.size_bytes.__class__ is not int
+            # ``simulator.now`` is an int in an event scheduled at an int time
+            or data.sent_at.__class__ not in (float, int)
         ):
             self.stats["dropped_auth"] += 1
             return
+        for dest in data.dests:
+            if dest.__class__ is not str:
+                self.stats["dropped_auth"] += 1
+                return
         self.stats["ingress"] += 1
         if self._record_seen(data):
             self._route(data, arrived_from=None)
@@ -192,9 +199,17 @@ class SpinesDaemon(Process):
             or data.origin.__class__ is not str
             or data.seq.__class__ is not int
             or data.dests.__class__ is not tuple
+            or data.size_bytes.__class__ is not int
+            or data.sent_at.__class__ not in (float, int)
+            # the MAC does not cover the hop's send time
+            or message.sent_at.__class__ not in (float, int)
         ):
             self.stats["dropped_auth"] += 1
             return
+        for dest in data.dests:
+            if dest.__class__ is not str:
+                self.stats["dropped_auth"] += 1
+                return
         if self._hop_latency is not None and message.sent_at:
             self._hop_latency.observe(self.simulator.now - message.sent_at)
         if not self._record_seen(data):

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from ..simnet.graph import dijkstra, shortest_path
 from .topology import OverlayTopology
 
 __all__ = [
@@ -70,14 +69,9 @@ class ShortestPathRouting(RoutingStrategy):
     def _rebuild(self) -> None:
         self._next_hop.clear()
         for source in self.topology.graph.nodes:
-            paths = nx.single_source_dijkstra_path(
-                self.topology.graph, source, weight="latency_ms"
-            )
+            _, paths = dijkstra(self.topology.graph, source, "latency_ms")
             for dest, path in paths.items():
-                if len(path) >= 2:
-                    self._next_hop[(source, dest)] = path[1]
-                else:
-                    self._next_hop[(source, dest)] = None
+                self._next_hop[(source, dest)] = path[1] if len(path) >= 2 else None
 
     def rebuild(self, observed: OverlayTopology) -> None:
         self.topology = observed
@@ -189,9 +183,8 @@ class DisjointPathsRouting(RoutingStrategy):
         graph = self.topology.graph.copy()
         paths: List[List[str]] = []
         for _ in range(self.k):
-            try:
-                path = nx.shortest_path(graph, src, dst, weight="latency_ms")
-            except nx.NetworkXNoPath:
+            path = shortest_path(graph, src, dst, "latency_ms")
+            if path is None:
                 break
             paths.append(path)
             # remove interior nodes to force node-disjointness

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
+from ..simnet.graph import Graph, components, dijkstra
 
 __all__ = ["Site", "OverlayTopology", "lan_topology", "wide_area_topology", "continental_topology"]
 
@@ -44,7 +44,7 @@ class OverlayTopology:
     """Sites plus the daemon-to-daemon link graph (latencies in ms)."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self.graph = Graph()
         self._sites: Dict[str, Site] = {}
 
     # ------------------------------------------------------------------
@@ -86,7 +86,7 @@ class OverlayTopology:
 
     def set_link_latency(self, a: str, b: str, latency_ms: float) -> None:
         """Override a link's latency (observed degradation)."""
-        self.graph.edges[a, b]["latency_ms"] = latency_ms
+        self.graph.adj[a][b]["latency_ms"] = latency_ms
 
     # ------------------------------------------------------------------
     def site(self, name: str) -> Site:
@@ -100,26 +100,26 @@ class OverlayTopology:
         return [s for s in self._sites.values() if s.kind == kind]
 
     def neighbors(self, name: str) -> List[str]:
-        return list(self.graph.neighbors(name))
+        return list(self.graph.adj[name])
 
     def link_attributes(self, a: str, b: str) -> Dict[str, float]:
-        return dict(self.graph.edges[a, b])
+        return dict(self.graph.adj[a][b])
 
     def shortest_paths(self, source: str) -> Dict[str, List[str]]:
         """Latency-weighted shortest paths from ``source`` to every site."""
-        return nx.single_source_dijkstra_path(self.graph, source, weight="latency_ms")
+        return dijkstra(self.graph, source, "latency_ms")[1]
 
     def is_connected_without(self, removed: Iterable[str]) -> bool:
         """Connectivity check after removing sites (for resilience math)."""
         g = self.graph.copy()
         g.remove_nodes_from(list(removed))
-        return g.number_of_nodes() > 0 and nx.is_connected(g)
+        return sum(1 for _ in components(g.adj)) == 1
 
     def is_connected(self) -> bool:
-        return self.graph.number_of_nodes() > 0 and nx.is_connected(self.graph)
+        return self.component_count() == 1
 
     def component_count(self) -> int:
-        return nx.number_connected_components(self.graph)
+        return sum(1 for _ in components(self.graph.adj))
 
 
 def lan_topology(num_sites: int = 1) -> OverlayTopology:

@@ -135,6 +135,48 @@ def test_scada_sits_below_core():
     assert _layers_imported_by(_imports(), "scada") <= {"simnet"}
 
 
+def test_no_module_imports_networkx_or_numpy():
+    # both are test-only references (tests/test_simnet_graph.py,
+    # tests/test_obs_instruments.py); the runtime's graphs are
+    # repro.simnet.graph
+    named = {
+        target.split(".")[0] for targets in _imports().values() for target in targets
+    }
+    assert not named & {"networkx", "numpy"}
+
+
+_STDLIB_ONLY_RUN = """
+import importlib, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import repro
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(module.name)
+from repro.chaos import ChaosEngine, ChaosOptions
+from repro.core import SpireDeployment, SpireOptions
+deployment = SpireDeployment(SpireOptions.lan(seed=1))
+deployment.start()
+deployment.run_for(2000)
+assert deployment.hmis[0].collector.verified > 0
+ChaosEngine(ChaosOptions(seed=101, chaos_ms=2000.0, settle_ms=1000.0)).run()
+# the script itself, and multiprocessing's alias of it
+loaded = {name.split(".")[0] for name in sys.modules} - {"__main__", "__mp_main__"}
+print(*sorted(loaded - set(sys.stdlib_module_names)))
+"""
+
+
+def test_the_runtime_runs_on_the_standard_library_alone():
+    # ``-S`` leaves site-packages off sys.path: every module imports and a
+    # deployment and a chaos run go through with nothing installed
+    import sys
+
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB_ONLY_RUN, str(SRC)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["repro"]
+
+
 def _string_constants(tree):
     """Every string literal of a module except docstrings."""
     docstrings = set()

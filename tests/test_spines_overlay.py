@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import FastCrypto, RealCrypto
+from repro.obs import Observability
 from repro.simnet import LinkSpec, Network, Process, Simulator
 from repro.spines import (
     FloodingRouting,
@@ -465,12 +466,14 @@ def _datagram(**fields):
     return OverlayData(**{**honest, **fields})
 
 
-def _forward(overlay, data, sender="cc1", mac=None):
+def _forward(overlay, data, sender="cc1", mac=None, sent_at=0.0):
     """The compromised ``spines:cc1`` holds its link keys: it forwards
     ``data`` to ``spines:cc2`` under a genuine MAC unless given one."""
     if mac is None:
         mac = overlay.crypto.mac("spines:cc1", "spines:cc2", data)
-    overlay.network.inject("spines:cc1", "spines:cc2", OverlayForward(data, sender, mac))
+    overlay.network.inject(
+        "spines:cc1", "spines:cc2", OverlayForward(data, sender, mac, sent_at)
+    )
 
 
 def _hello(overlay, *fields):
@@ -515,7 +518,27 @@ HOSTILE_INPUTS = {
     "hello-set-seq": lambda overlay, ep: _hello(overlay, "cc1", {1}, 0.0, b""),
     "hello-int-mac": lambda overlay, ep: _hello(overlay, "cc1", 1, 0.0, 5),
     "hello-str-sent-at": lambda overlay, ep: _mutate_one_hello(overlay, sent_at="late"),
+    "ingress-list-in-dests": lambda overlay, ep: ep.send(
+        "spines:cc1", OverlayIngress(_datagram(dests=(["ep:cc2"],)))
+    ),
+    "forward-maced-list-in-dests": lambda overlay, ep: _forward(
+        overlay, _datagram(dests=(["ep:cc2"],))
+    ),
+    "ingress-str-size": lambda overlay, ep: ep.send(
+        "spines:cc1", OverlayIngress(_datagram(size_bytes="256"))
+    ),
+    "forward-maced-str-size": lambda overlay, ep: _forward(
+        overlay, _datagram(size_bytes="256")
+    ),
+    # the two send times are read only to observe latencies, with obs on
+    "ingress-str-sent-at": lambda overlay, ep: ep.send(
+        "spines:cc1", OverlayIngress(_datagram(sent_at="late"))
+    ),
+    "forward-str-hop-sent-at": lambda overlay, ep: _forward(
+        overlay, _datagram(), sent_at="late"
+    ),
 }
+OBSERVED_INPUTS = {"ingress-str-sent-at", "forward-str-hop-sent-at"}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
@@ -523,7 +546,8 @@ def test_hostile_input_is_dropped_not_raised(case):
     """An attached endpoint and a neighbour daemon are outside senders:
     a malformed message from either counts one ``dropped_auth`` and ends
     there, and the overlay keeps carrying honest traffic."""
-    sim, _, overlay, endpoints, stacks = build_everywhere(self_healing=True)
+    obs = Observability() if case in OBSERVED_INPUTS else None
+    sim, _, overlay, endpoints, stacks = build_everywhere(self_healing=True, obs=obs)
     HOSTILE_INPUTS[case](overlay, endpoints["cc1"])
     sim.run_for(250)
     totals = overlay.total_stats()

@@ -75,7 +75,8 @@ def test_lan_topology_full_mesh():
 def test_continental_topology_has_disjoint_paths():
     topo = continental_topology()
     assert len(topo.sites) == 10
-    # at least two disjoint paths between the coasts
+    # at least two disjoint paths between the coasts (networkx as the
+    # reference; the runtime does not depend on it)
     import networkx as nx
 
-    assert nx.node_connectivity(topo.graph, "nyc", "lax") >= 2
+    assert nx.node_connectivity(nx.Graph(topo.graph.edges), "nyc", "lax") >= 2
