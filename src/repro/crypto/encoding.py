@@ -250,8 +250,9 @@ def encode(value: Any) -> bytes:
 
 #: the one attribute a message object carries for this module: its entry,
 #: ``[encoding, raw digest, hex digest, derived tags, derived value]``,
-#: each ``None`` until first asked for (the tags belong to ``FastCrypto``,
-#: the value to :func:`derived`). The entry is the whole
+#: each ``None`` until first asked for (the tags belong to the crypto
+#: provider: ``FastCrypto``'s derived tags, the signature values
+#: ``RealCrypto`` has checked; the value belongs to :func:`derived`). The entry is the whole
 #: authentication state of that object — everything that signs, MACs or
 #: Merkle-hashes it reads the encoding or the digest from here — and it
 #: lives and dies with the object. That is safe because messages are

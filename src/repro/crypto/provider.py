@@ -38,16 +38,27 @@ Batch verification
 (:func:`repro.prime.messages.verify_client_updates` verifies a pre-order
 request's client updates with it). It is a loop over :meth:`verify`.
 
+Checked once per message object
+-------------------------------
+Every receiver is handed the same message object, so a provider keeps
+what it has established in the message's entry (slot 3): ``FastCrypto``
+its derived tags, ``RealCrypto`` each value a real modular exponentiation
+accepted, keyed by that public key's ``(n, e)``, never by a name.
+``RealCrypto`` records a value only once its own check (or
+``threshold_combine``'s) passed it; signing, shares and MACs record
+nothing. A copy carries no entry, so it is checked afresh.
+
 Ill-typed input
 ---------------
-``verify`` answers ``False``, and never raises, for a signature that is
-not a :class:`Signature`, a signer that is not a ``str`` and a message
-no encoder accepts: a Byzantine peer picks all three. The test is by
-class identity, before any key is looked up or derived. ``verify`` looks
-keys up and never creates them: a signer that never signed through the
-provider has no signature to check, so the answer is ``False`` and the
-per-principal tables (``RealCrypto._keys``, ``FastCrypto._secrets``) do
-not grow with the names a peer makes up.
+``verify`` and ``threshold_verify`` answer ``False``, and never raise,
+for a signature of the wrong class, a signer or group that is not a
+``str``, a ``RealCrypto`` value that is not an ``int`` (``bool``
+included) and a message no encoder accepts: a Byzantine peer picks all
+of them. The test is by class identity, before any key is looked up or
+derived. ``verify`` looks keys up and never creates them: a signer that
+never signed through the provider has no signature to check, so the
+answer is ``False`` and the per-principal tables (``RealCrypto._keys``,
+``FastCrypto._secrets``) do not grow with the names a peer makes up.
 """
 
 from __future__ import annotations
@@ -55,10 +66,10 @@ from __future__ import annotations
 import hmac as hmac_module
 from hashlib import sha256 as _sha256
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .encoding import _ENTRY, EncodingError, _entry_for, digest_bytes, encode_cached
-from .rsa import RsaKeyPair, generate_keypair
+from .rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 from .threshold import (
     PartialSignature,
     ThresholdGroup,
@@ -166,6 +177,34 @@ class CryptoProvider:
         ]
 
 
+#: what a value is checked under: a principal's or a threshold group's key
+_PublicKey = Union[RsaPublicKey, ThresholdPublicKey]
+
+
+def _record(entry: list, public: _PublicKey, value: int) -> None:
+    """Note in ``entry`` that ``value`` passed a real check under ``public``."""
+    checked = entry[3]
+    if checked is None:
+        checked = entry[3] = {}
+    checked[public.n, public.e] = value
+
+
+def _checked(public: _PublicKey, message: Any, value: int) -> bool:
+    """``public.verify(encode(message), value)``, answered from the
+    message's entry when this value already passed under this key."""
+    try:
+        entry = _entry_for(message)
+    except EncodingError:
+        return False
+    checked = entry[3]
+    if checked is not None and checked.get((public.n, public.e)) == value:
+        return True
+    if not public.verify(entry[0], value):
+        return False
+    _record(entry, public, value)
+    return True
+
+
 class RealCrypto(CryptoProvider):
     """RSA-backed provider (keys generated lazily and deterministically)."""
 
@@ -190,17 +229,13 @@ class RealCrypto(CryptoProvider):
         if (
             signature.__class__ is not Signature
             or signature.signer.__class__ is not str
-            or not isinstance(signature.value, int)
+            or signature.value.__class__ is not int
         ):
             return False
         keypair = self._keys.get(signature.signer)
         if keypair is None:
             return False  # never signed here: no signature of it exists
-        try:
-            data = encode_cached(message)
-        except EncodingError:
-            return False
-        return keypair.public.verify(data, signature.value)
+        return _checked(keypair.public, message, signature.value)
 
     def mac(self, src: str, dst: str, message: Any) -> bytes:
         return hmac_module.digest(
@@ -237,20 +272,26 @@ class RealCrypto(CryptoProvider):
         partials = [
             PartialSignature(s.index, s.value)
             for s in shares
-            if s.group == group and isinstance(s.value, int)
+            if s.group == group and s.value.__class__ is int
         ]
-        combined = combiner.combine_shares_robust(encode_cached(message), partials)
+        entry = _entry_for(message)
+        combined = combiner.combine_shares_robust(entry[0], partials)
         if combined is None:
             return None
+        _record(entry, public, combined)  # the combiner has just verified it
         return ThresholdSignature(group, combined)
 
     def threshold_verify(self, signature: ThresholdSignature, message: Any) -> bool:
-        if signature.group not in self._groups:
+        if (
+            signature.__class__ is not ThresholdSignature
+            or signature.group.__class__ is not str
+            or signature.value.__class__ is not int
+        ):
             return False
-        public, _ = self._groups[signature.group]
-        if not isinstance(signature.value, int):
+        group = self._groups.get(signature.group)
+        if group is None:
             return False
-        return public.verify(encode_cached(message), signature.value)
+        return _checked(group[0], message, signature.value)
 
 
 class FastCrypto(CryptoProvider):
@@ -363,6 +404,14 @@ class FastCrypto(CryptoProvider):
         return ThresholdSignature(group, self._derive(entry, "tsig", group))
 
     def threshold_verify(self, signature: ThresholdSignature, message: Any) -> bool:
-        if signature.group not in self._groups:
+        if (
+            signature.__class__ is not ThresholdSignature
+            or signature.group.__class__ is not str
+            or signature.group not in self._groups
+        ):
             return False
-        return signature.value == self._derive(_entry_for(message), "tsig", signature.group)
+        try:
+            entry = _entry_for(message)
+        except EncodingError:
+            return False
+        return signature.value == self._derive(entry, "tsig", signature.group)

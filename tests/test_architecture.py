@@ -533,6 +533,33 @@ def test_removed_twins_stay_removed():
     assert not (SRC / "repro" / "prime" / "transport.py").exists()
 
 
+def test_the_message_entry_is_touched_only_by_crypto():
+    # A message's entry holds its encoding, its digest and the signature
+    # values a provider has checked; RealCrypto and FastCrypto accept a
+    # value found there without arithmetic. So only the module that makes
+    # the entry and the one that checks signatures may name it: no
+    # protocol or attack module can plant a value in it.
+    entry_names = {"_ENTRY", "_entry_for", "_enc"}
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+    naming = sorted({
+        path.relative_to(SRC / "repro").as_posix()
+        for path in (SRC / "repro").rglob("*.py")
+        if entry_names.intersection(names(ast.parse(path.read_text())))
+    })
+    assert naming == ["crypto/encoding.py", "crypto/provider.py"], naming
+
+
 def test_obs_decides_what_is_read_not_which_code_runs():
     # A count is kept whether obs is on or off; ``obs.enabled`` is read
     # outside repro.obs only where a sample would cost work with nobody

@@ -5,7 +5,9 @@ Every protocol message of Prime and of the PBFT baseline reaches
 its signer and the signed message are whatever the sender chose. Each
 provider answers ``False`` for a signature that is not a ``Signature``, a
 signer that is not a ``str`` and a message no encoder accepts, before any
-key is looked up or derived.
+key is looked up or derived. ``threshold_verify`` does the same for a
+threshold signature, its group and, in ``RealCrypto``, a value that is not
+an ``int`` (``True`` included).
 """
 
 import pytest
@@ -34,6 +36,8 @@ PROVIDERS = {
     "fast": FastCrypto(seed="ill-typed"),
     "real": RealCrypto(seed="ill-typed", bits=256),
 }
+for _crypto in PROVIDERS.values():
+    _crypto.create_threshold_group("g", 6, 2)
 
 
 def _tables(crypto):
@@ -46,12 +50,22 @@ _not_str = st.one_of(
     st.lists(st.text(max_size=3), max_size=2), st.tuples(st.text(max_size=3)),
     st.sets(st.integers(), max_size=2),
 )
-_any_value = st.one_of(st.none(), st.integers(), st.text(max_size=8), st.lists(st.integers()))
+_any_value = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8), st.lists(st.integers()),
+)
 ill_typed_signatures = st.one_of(
     st.builds(Signature, _not_str, _any_value),
     _any_value,
     st.builds(ThresholdShare, st.text(max_size=3), st.integers(), _any_value),
     st.builds(ThresholdSignature, st.text(max_size=3), _any_value),
+)
+ill_typed_threshold_signatures = st.one_of(
+    st.builds(ThresholdSignature, _not_str, _any_value),
+    # the group exists: only the value is wrong
+    st.builds(ThresholdSignature, st.just("g"), st.one_of(st.booleans(), st.text(max_size=8))),
+    _any_value,
+    st.builds(Signature, st.just("g"), _any_value),
+    st.builds(ThresholdShare, st.just("g"), st.integers(), _any_value),
 )
 unencodable_messages = st.one_of(
     st.builds(Ping, st.just("replica:0"), st.sets(st.integers(), min_size=1), st.floats()),
@@ -70,6 +84,37 @@ def test_ill_typed_signature_is_rejected(name, signature, message):
     assert crypto.verify(signature, message) is False
     assert crypto.verify_batch([signature], [message]) == [False]
     assert _tables(crypto) == before
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+@settings(max_examples=60, deadline=None)
+@given(
+    signature=ill_typed_threshold_signatures,
+    message=st.one_of(st.text(), unencodable_messages),
+)
+def test_ill_typed_threshold_signature_is_rejected(name, signature, message):
+    assert PROVIDERS[name].threshold_verify(signature, message) is False
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+def test_a_genuine_threshold_signature_over_an_unencodable_message_is_rejected(name):
+    crypto = PROVIDERS[name]
+    record = Ping("replica:0", 1, 0.0)
+    shares = [crypto.threshold_sign_share("g", index, record) for index in (1, 2)]
+    combined = crypto.threshold_combine("g", record, shares)
+    assert crypto.threshold_verify(combined, record)
+    assert crypto.threshold_verify(combined, Ping("replica:0", {1}, 0.0)) is False
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+def test_a_bool_value_is_no_int(name):
+    crypto = PROVIDERS[name]
+    message = Ping("replica:0", 1, 0.0)
+    crypto.sign("replica:0", message)
+    assert crypto.verify(Signature("replica:0", True), message) is False
+    assert crypto.threshold_verify(ThresholdSignature("g", True), message) is False
+    shares = [ThresholdShare("g", index, True) for index in (1, 2)]
+    assert crypto.threshold_combine("g", message, shares) is None
 
 
 @pytest.mark.parametrize("name", sorted(PROVIDERS))
