@@ -12,8 +12,9 @@ counted, in ``_BaseMonitor._flag`` only, the judges' too (:class:`Verdict`).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.encoding import digest
 from ..crypto.merkle import verify_merkle_proof
@@ -118,6 +119,7 @@ class ProxyGateMonitor(_BaseMonitor):
         #: from it (it may release any of them), then None (it releases from
         #: the share at hand)
         offered: Dict[Tuple, Optional[tuple]] = {}
+        offered_order: Deque[Tuple] = deque()  # its keys, oldest first
 
         def checked_add_batch(share):
             released = original_add_batch(share)
@@ -125,8 +127,9 @@ class ProxyGateMonitor(_BaseMonitor):
             key = (batch.key(), batch.merkle_root)
             if key not in offered:
                 offered[key] = ()
-                if len(offered) > self.kept_batches:
-                    del offered[next(iter(offered))]
+                offered_order.append(key)
+                if len(offered_order) > self.kept_batches:
+                    del offered[offered_order.popleft()]
             carried = share.entries
             if offered[key] is not None:
                 carried = offered[key] + carried

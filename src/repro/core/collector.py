@@ -25,8 +25,8 @@ replica's alternate-root shares can fake reaching the threshold.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..crypto.encoding import EncodingError, digest
 from ..crypto.merkle import verify_merkle_proof
@@ -53,8 +53,9 @@ class DeliveryCollector:
         self.group = group
         #: record/batch key -> content variant -> sender -> incoming share
         self._tracker = ThresholdShareTracker()
-        #: released record keys, oldest first
+        #: released record keys, and the same keys oldest first
         self._done: Dict[Tuple, None] = {}
+        self._done_order: Deque[Tuple] = deque()
         #: batch key -> (batch record, combined signature), for entries
         #: that arrive after the batch signature was first combined
         self._batch_signatures: "OrderedDict[Tuple, Tuple]" = OrderedDict()
@@ -189,12 +190,11 @@ class DeliveryCollector:
         return signature
 
     def _mark_done(self, key: Tuple) -> None:
-        done = self._done
-        done[key] = None
-        if len(done) > self.max_pending:
-            # FIFO eviction: plain dicts iterate in insertion order, so
-            # the first key is the oldest release
-            del done[next(iter(done))]
+        self._done[key] = None
+        order = self._done_order
+        order.append(key)
+        if len(order) > self.max_pending:
+            del self._done[order.popleft()]  # FIFO: the oldest release
 
     @property
     def pending_records(self) -> int:

@@ -21,6 +21,7 @@ the host's speed; host time is measured from outside the run, by the
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -126,9 +127,10 @@ class Reading(_Instrument):
 class Histogram(_Instrument):
     """A distribution of observed values (full-sample percentiles).
 
-    Samples are retained in full up to ``max_samples``; beyond that the
-    stream keeps counting/summing but stops storing (``overflowed`` flags
-    the truncation so reports never silently present a clipped tail as
+    Samples are retained in full up to ``max_samples``, as C doubles (8
+    bytes each, not a float object per sample); beyond that the stream
+    keeps counting/summing but stops storing (``overflowed`` flags the
+    truncation so reports never silently present a clipped tail as
     complete).
     """
 
@@ -137,7 +139,7 @@ class Histogram(_Instrument):
     def __init__(self, name: str, max_samples: int = 200_000) -> None:
         super().__init__(name)
         self.max_samples = max_samples
-        self.samples: List[float] = []
+        self.samples = array("d")
         self.count = 0
         self.total = 0.0
         self.overflowed = 0

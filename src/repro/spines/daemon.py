@@ -108,7 +108,11 @@ class SpinesDaemon(Process):
         self.neighbors: Dict[str, str] = {}
         self.attached: Set[str] = set()            # endpoint names homed here
         self.endpoint_home: Dict[str, str] = {}    # endpoint -> site (global map)
-        self._seen: Dict[Tuple[str, int], None] = {}
+        #: origin -> seqs kept; ``_seen_origins`` / ``_seen_seqs`` hold the
+        #: same keys oldest first, so eviction deletes exactly the oldest
+        self._seen: Dict[str, Dict[int, None]] = {}
+        self._seen_origins: Deque[str] = deque()
+        self._seen_seqs: Deque[int] = deque()
         self._queues: Dict[str, Deque[Tuple[str, OverlayData]]] = {}
         self._queue_order: Deque[str] = deque()
         self._queued_sources: Set[str] = set()     # mirrors _queue_order
@@ -238,14 +242,25 @@ class SpinesDaemon(Process):
     def _record_seen(self, data: OverlayData) -> bool:
         """Record (origin, seq); returns False if already seen."""
         seen = self._seen
-        key = (data.origin, data.seq)
-        if key in seen:
-            return False
-        seen[key] = None
-        if len(seen) > self.dedup_window:
-            # FIFO eviction: plain dicts iterate in insertion order, so
-            # the first key is the oldest (entries are only ever appended)
-            del seen[next(iter(seen))]
+        origin, seq = data.origin, data.seq
+        if origin in seen:
+            seqs = seen[origin]
+            if seq in seqs:
+                return False
+        else:
+            seqs = seen[origin] = {}
+        seqs[seq] = None
+        origins = self._seen_origins
+        origins.append(origin)
+        self._seen_seqs.append(seq)
+        if len(origins) > self.dedup_window:
+            # FIFO eviction of exactly the oldest key; an origin whose
+            # last key goes loses its table
+            oldest = origins.popleft()
+            oldest_seqs = seen[oldest]
+            del oldest_seqs[self._seen_seqs.popleft()]
+            if not oldest_seqs:
+                del seen[oldest]
         return True
 
     # ------------------------------------------------------------------
@@ -385,6 +400,8 @@ class SpinesDaemon(Process):
         when self-healing is on — restarts its link monitor, whose resumed
         hellos are what re-announce this daemon to its neighbours."""
         self._seen.clear()
+        self._seen_origins.clear()
+        self._seen_seqs.clear()
         self._queues.clear()
         self._queue_order.clear()
         self._queued_sources.clear()

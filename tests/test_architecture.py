@@ -598,3 +598,44 @@ def test_the_oracle_shares_no_code_with_the_system(judge):
         if name.split(".")[0] not in sys.stdlib_module_names and name != "repro.scada.grid"
     }
     assert imported and not outside, sorted(outside)
+
+
+def _first_key_evictions(tree):
+    """Lines that evict a container's first key by iterating to it:
+    ``del X[next(iter(X))]`` or ``X.pop(next(iter(X)))``."""
+
+    def first_key_of(node):
+        # the source of ``X`` when ``node`` is ``next(iter(X))``
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "next" and len(node.args) == 1):
+            inner = node.args[0]
+            if (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+                    and inner.func.id == "iter" and len(inner.args) == 1):
+                return ast.unparse(inner.args[0])
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Delete):
+            for target in node.targets:
+                if (isinstance(target, ast.Subscript)
+                        and first_key_of(target.slice) == ast.unparse(target.value)):
+                    yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pop" and len(node.args) == 1
+                and first_key_of(node.args[0]) == ast.unparse(node.func.value)):
+            yield node.lineno
+
+
+def test_no_table_evicts_by_scanning_to_its_first_key():
+    # A dict keeps deleted slots until it resizes, and iteration walks
+    # them: ``next(iter(d))`` after k FIFO evictions scans k slots, so an
+    # eviction costs O(k) in a full table. A bounded FIFO table keeps its
+    # keys oldest first in a deque (or pops an OrderedDict) instead.
+    found = [
+        f"{path.relative_to(SRC / 'repro').as_posix()}:{line}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for line in _first_key_evictions(ast.parse(path.read_text()))
+    ]
+    assert found == [], found
+    assert list(_first_key_evictions(ast.parse(
+        "del seen[next(iter(seen))]\noffered.pop(next(iter(offered)))"))) == [1, 2]

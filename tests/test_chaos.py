@@ -275,6 +275,34 @@ def test_proxy_gate_monitor_catches_duplicate_delivery():
     assert len(endpoint.acted_on) == 2  # an observer: the replay still went through
 
 
+def test_proxy_gate_monitor_forgets_its_oldest_batches_never_recent_ones():
+    """Up to ``kept_batches`` batches, the gate remembers the entries
+    offered before a release, so a completing share that carries none is
+    still judged on them; past it, the oldest batch is forgotten first."""
+    sim, crypto, collector, _ = _delivery_fixture()
+    monitor = ProxyGateMonitor(sim, crypto)
+    monitor.kept_batches = cap = 4
+    monitor.attach(_Endpoint("proxy", collector))
+
+    def share(seq, index, carried):
+        batch, entries = batch_record_for(
+            "r1#0", seq, [(ClientUpdate("proxy", seq, "reading"), seq, None)]
+        )
+        signed = crypto.threshold_sign_share("g", index, batch)
+        return BatchDeliveryShare(f"r{index}", batch, signed, entries if carried else ())
+
+    batches = range(1, 3 * cap + 1)
+    for seq in batches:
+        assert collector.add_batch(share(seq, 1, carried=True)) == []
+    for seq in batches[-cap:]:
+        assert len(collector.add_batch(share(seq, 2, carried=False))) == 1
+    assert monitor.violations() == [] and monitor.deliveries_checked == cap
+    # the oldest batch's offered entries are gone: its release is judged
+    # on the completing share alone, which carries no proof
+    assert len(collector.add_batch(share(batches[0], 2, carried=False))) == 1
+    assert [v.kind for v in monitor.violations()] == ["unverified-delivery"]
+
+
 def _steady(*gaps, until=5000.0):
     """A delivery every 100 ms from 0 to ``until``, none inside ``gaps``."""
     return [t * 100.0 for t in range(int(until / 100) + 1)

@@ -112,15 +112,16 @@ def test_dedup_table_forgets_oldest_first_and_stays_bounded(crypto):
     the bounded dedup table evicts its oldest keys, never recent ones
     (a region proxy would otherwise operate the breaker twice)."""
     collector = DeliveryCollector(crypto, "g")
-    collector.max_pending = 64
-    records = [record(seq) for seq in range(1, 201)]
-    for rec in records:
+    collector.max_pending = cap = 64
+    records = [record(seq) for seq in range(1, 3 * cap + 1)]
+    for count, rec in enumerate(records, 1):
         collector.add_batch(share_for(crypto, rec, 1))
         assert len(collector.add_batch(share_for(crypto, rec, 2))) == 1
-        assert len(collector._done) <= 64
-    for rec in records[-64:]:
+        recent = [r.key() for r in records[max(0, count - cap):count]]
+        assert list(collector._done) == list(collector._done_order) == recent
+    for rec in records[-cap:]:
         assert collector.add_batch(share_for(crypto, rec, 3)) == []
-    assert collector.verified == 200
+    assert collector.verified == 3 * cap
 
 
 # ----------------------------------------------------------------------

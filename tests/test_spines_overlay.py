@@ -1,6 +1,8 @@
 """Tests for overlay routing, delivery, authentication, and resilience."""
 
 import dataclasses
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.spines import (
     make_routing,
     wide_area_topology,
 )
+from repro.spines.daemon import SpinesDaemon
 from repro.spines.messages import OverlayData, OverlayForward, OverlayHello, OverlayIngress
 
 
@@ -225,6 +228,96 @@ def test_daemon_recover_clears_dedup():
     daemon.crash()
     daemon.recover()
     assert len(daemon._seen) == 0
+
+
+class DictOfTuples:
+    """The dedup table as one dict of ``(origin, seq)`` keys that evicts
+    its first key: the reference the daemon's per-origin tables keep."""
+
+    def __init__(self, window):
+        self.window = window
+        self.seen = {}
+
+    def record(self, origin, seq):
+        if (origin, seq) in self.seen:
+            return False
+        self.seen[origin, seq] = None
+        if len(self.seen) > self.window:
+            del self.seen[next(iter(self.seen))]
+        return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.integers(1, 5),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["ep:a", "ep:b", "ep:c"]), st.integers(0, 7)),
+            st.just("recover"),
+        ),
+        max_size=80,
+    ),
+)
+def test_dedup_window_decides_as_one_dict_of_tuples(window, steps):
+    """Repeats, re-sends after eviction and recoveries: every decision and
+    every kept key (oldest first) equal the reference's; no origin keeps
+    an empty table."""
+    _, _, overlay, _, _ = build("flooding")
+    daemon = overlay.daemon("cc1")
+    daemon.dedup_window = window
+    model = DictOfTuples(window)
+    for step in steps:
+        if step == "recover":
+            daemon.crash()
+            daemon.recover()
+            model = DictOfTuples(window)
+            assert not daemon._seen and not daemon._seen_origins and not daemon._seen_seqs
+            continue
+        origin, seq = step
+        assert daemon._record_seen(_datagram(origin=origin, seq=seq)) == model.record(origin, seq)
+        kept = list(zip(daemon._seen_origins, daemon._seen_seqs))
+        assert kept == list(model.seen) and len(kept) <= window
+        assert all(daemon._seen.values())
+        assert sorted(kept) == sorted(
+            (origin, seq) for origin, seqs in daemon._seen.items() for seq in seqs
+        )
+
+
+def _retained_bytes(fill):
+    """Bytes ``fill()`` leaves allocated while what it returns is alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = fill()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
+def test_dedup_keys_retain_at_most_three_quarters_of_a_dict_of_tuples():
+    """A full window held as per-origin int tables and two deques costs
+    fewer bytes a key than tuples in one dict; both sides are measured
+    here, on the running Python."""
+    keys, origins = SpinesDaemon.dedup_window, [f"ep:{index}" for index in range(5)]
+    _, _, overlay, _, _ = build("flooding")
+    daemon = overlay.daemon("cc1")
+
+    def fill_daemon():
+        for seq in range(keys):
+            daemon._record_seen(_datagram(origin=origins[seq % 5], seq=1_000 + seq))
+        return daemon
+
+    def fill_reference():
+        model = DictOfTuples(SpinesDaemon.dedup_window)
+        for seq in range(keys):
+            model.record(origins[seq % 5], 1_000 + seq)
+        return model
+
+    reference = _retained_bytes(fill_reference)
+    held = _retained_bytes(fill_daemon)
+    assert len(daemon._seen_origins) == keys
+    assert held <= 0.75 * reference, (held / keys, reference / keys)
 
 
 def test_total_stats_aggregates():
