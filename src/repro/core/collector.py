@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..crypto.encoding import EncodingError, digest
 from ..crypto.merkle import verify_merkle_proof
-from ..crypto.provider import CryptoProvider, ThresholdShare, ThresholdSignature
+from ..crypto.provider import CryptoProvider, ThresholdSignature
+from ..crypto.schema import check_for, is_a
 from ..replication import ThresholdShareTracker
 from .update import BatchDeliveryRecord, BatchDeliveryShare, BatchEntry, DeliveryRecord
+
+_SHARE_SHAPE = check_for(BatchDeliveryShare)
 
 __all__ = ["DeliveryCollector"]
 
@@ -66,32 +69,20 @@ class DeliveryCollector:
 
     def admit(self, share: BatchDeliveryShare) -> Optional[BatchDeliveryShare]:
         """The shape check at an endpoint's ingress, before the gate (or a
-        monitor wrapped around it) reads a field: a Byzantine replica with a
-        valid key may put any object anywhere. Returns ``share`` without the
-        entries that are no entries (``rejected_entries``), or None when the
-        share itself is malformed (``rejected_shares``); proofs and indices
-        are left for :func:`verify_merkle_proof` to reject."""
-        batch, signed, entries = share.record, share.share, share.entries
-        if not (
-            type(batch) is BatchDeliveryRecord and type(signed) is ThresholdShare
-            and type(entries) is tuple and type(share.sender) is str
-            and type(signed.index) is int and type(batch.origin) is str
-            and type(batch.po_seq) is int and type(batch.merkle_root) is str
-            and type(batch.count) is int and type(batch.first_order_index) is int
-        ):
-            self.rejected_shares += 1
-            return None
-        bad = []
-        for position, entry in enumerate(entries):
-            record = entry.record if type(entry) is BatchEntry else None
-            if not (type(record) is DeliveryRecord and type(record.kind) is str
-                    and type(record.client) is str and type(record.client_seq) is int):
-                bad.append(position)
-        if not bad:
+        monitor around it) reads a field: a Byzantine replica with a valid key
+        may put any object anywhere. Returns ``share`` without its ill-shaped
+        entries (``rejected_entries``), or None (``rejected_shares``)."""
+        if _SHARE_SHAPE(share):
             return share
-        self.rejected_entries += len(bad)
-        kept = tuple(e for position, e in enumerate(entries) if position not in bad)
-        return dataclasses.replace(share, entries=kept)
+        entries = share.entries
+        if is_a(entries, Tuple[Any, ...]):
+            kept = tuple(entry for entry in entries if is_a(entry, BatchEntry))
+            trimmed = dataclasses.replace(share, entries=kept)
+            if _SHARE_SHAPE(trimmed):
+                self.rejected_entries += len(entries) - len(kept)
+                return trimmed
+        self.rejected_shares += 1
+        return None
 
     def add(
         self, share: BatchDeliveryShare
@@ -136,15 +127,14 @@ class DeliveryCollector:
                 return []
             signature = signed[1]
             # release every entry seen so far for this batch, from any
-            # sender whose share we tracked (proofs pin them to the root;
-            # an index that is no int sorts first and fails its proof)
+            # sender whose share we tracked (proofs pin them to the root)
             candidates = sorted(
                 (
                     entry
                     for tracked in self._tracker.shares(key, batch)
                     for entry in tracked.entries
                 ),
-                key=lambda entry: entry.index if isinstance(entry.index, int) else -1,
+                key=lambda entry: entry.index,
             )
             self._tracker.drop(key)
             self._batch_signatures[key] = (batch, signature)

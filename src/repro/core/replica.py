@@ -22,10 +22,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Set
 
-from ..crypto.provider import CryptoProvider, Signature
+from ..crypto.provider import CryptoProvider
+from ..crypto.schema import check_for
 from ..prime.app import ReplicatedApplication
 from ..prime.config import PrimeConfig
-from ..prime.messages import ClientUpdate, PoRequest
+from ..prime.messages import PoRequest
 from ..prime.node import PrimeNode
 from ..replication import Transport
 from ..simnet import Network, Simulator
@@ -41,6 +42,8 @@ __all__ = ["SpireReplica", "THRESHOLD_GROUP"]
 
 #: name of the threshold-signature group shared by the master replicas
 THRESHOLD_GROUP = "spire-masters"
+
+_SUBMISSION_SHAPE = check_for(UpdateSubmission)
 
 
 def _no_proxy(substation: str) -> None:
@@ -103,14 +106,10 @@ class SpireReplica(PrimeNode):
     def on_message(self, src: str, payload: Any) -> None:
         unwrapped = self.transport.unwrap(payload)
         inner = unwrapped[1] if unwrapped is not None else payload
-        if isinstance(inner, UpdateSubmission):
+        # a compromised client may submit anything: only a well-typed
+        # update reaches signature verification and the dedup tables
+        if _SUBMISSION_SHAPE(inner):
             update = inner.update
-            # a compromised client may submit anything: only a well-typed
-            # update reaches signature verification and the dedup tables
-            if type(update) is not ClientUpdate or type(update.client) is not str \
-                    or type(update.client_seq) is not int \
-                    or type(update.signature) not in (Signature, type(None)):
-                return
             accepted = self.submit(update)
             if not accepted:
                 # A retry of an already-executed update: re-send our share

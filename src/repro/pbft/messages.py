@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..prime.messages import ClientUpdate
-from ..replication.messages import PreparedEntry, SignedMessage
+from ..replication.messages import Commit, PreparedEntry, SignedMessage
 
 __all__ = [
     "PbftPrePrepare",
@@ -71,8 +71,8 @@ class PbftOrderProof:
 
     sender: str
     seq: int
-    pre_prepare: SignedMessage
-    proof: Tuple[SignedMessage, ...]          # SignedMessage[Commit] x quorum
+    pre_prepare: SignedMessage[PbftPrePrepare]
+    proof: Tuple[SignedMessage[Commit], ...]  # x quorum
     #: the server's own execution frontier (last_executed) at serve time;
     #: tells the requester how far the catch-up loop still has to pull
     frontier: int = 0

@@ -134,13 +134,6 @@ class PbftConfig:
         return self.replicas[view % self.n]
 
 
-def _sender_matches_signer(payload: Any, signer: str) -> bool:
-    # The baseline deliberately skips the membership half of the standard
-    # sender check (non-members cannot produce verifying envelopes under
-    # the simulated PKI); Byzantine-proof validation is Prime's job.
-    return payload.sender == signer
-
-
 class PbftNode(Process):
     """One baseline replica."""
 
@@ -161,7 +154,9 @@ class PbftNode(Process):
         self.app = app
         self.obs = obs if obs is not None else NULL_OBS
         self.transport: Transport = transport or DirectTransport(self, obs=self.obs)
-        self.dispatcher = Dispatcher(obs=self.obs, metric_prefix="pbft")
+        self.dispatcher = Dispatcher(
+            lambda: self.config.replicas, obs=self.obs, metric_prefix="pbft"
+        )
         self.runtime = ReplicationRuntime(
             process=self,
             crypto=crypto,
@@ -217,17 +212,16 @@ class PbftNode(Process):
 
     def _register_handlers(self) -> None:
         reg = self.dispatcher.register
-        sender = _sender_matches_signer
         reg(ForwardedUpdate, self._on_forwarded)
         # Pre-prepares and NewViews are authenticated in-handler: NewView
         # replay re-enters on_pre_prepare past the dispatcher.
         reg(PbftPrePrepare, self.ordering.on_pre_prepare)
-        reg(Prepare, self.ordering.on_prepare, sender_check=sender)
-        reg(Commit, self.ordering.on_commit, sender_check=sender)
-        reg(PbftCheckpoint, self._on_checkpoint, sender_check=sender)
-        reg(PbftFetch, self._on_fetch, sender_check=sender)
-        reg(PbftOrderProof, self._on_order_proof, sender_check=sender)
-        reg(PbftViewChange, self._on_view_change, sender_check=sender)
+        reg(Prepare, self.ordering.on_prepare, "sender")
+        reg(Commit, self.ordering.on_commit, "sender")
+        reg(PbftCheckpoint, self._on_checkpoint, "sender")
+        reg(PbftFetch, self._on_fetch, "sender")
+        reg(PbftOrderProof, self._on_order_proof, "sender")
+        reg(PbftViewChange, self._on_view_change, "sender")
         reg(NewView, self._on_new_view)
 
     # ------------------------------------------------------------------

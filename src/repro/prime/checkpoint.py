@@ -124,7 +124,7 @@ class CheckpointManager:
             proof,
             membership=self.config.replicas,
             verify_signed=verify_signed,
-            expected_kind=CheckpointMsg,
+            kinds=(CheckpointMsg,),
             check=lambda p: p.seq == seq and p.state_digest == state_digest,
             strict=True,
         )

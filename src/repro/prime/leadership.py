@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, List, Tuple
 from ..obs import EV_NEW_VIEW, EV_SUSPECT, EV_VIEW_CHANGE_START
 from ..replication.epoch import prepared_entries
 from .messages import (
-    CheckpointMsg,
     NewView,
     Ping,
     Pong,
@@ -154,11 +153,7 @@ class LeadershipStage:
         self, seq: int, proof: Tuple[SignedMessage, ...]
     ) -> bool:
         node = self.node
-        digests = {
-            p.payload.state_digest
-            for p in proof
-            if isinstance(p.payload, CheckpointMsg)
-        }
+        digests = {p.payload.state_digest for p in proof}  # CheckpointMsgs, by annotation
         if len(digests) != 1:
             return False
         return node.checkpoints.verify_proof(

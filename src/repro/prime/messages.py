@@ -132,7 +132,7 @@ class ViewChange:
     new_view: int
     checkpoint_seq: int
     #: q signed CheckpointMsg proving checkpoint_seq is stable (empty for 0)
-    checkpoint_proof: Tuple[SignedMessage, ...]
+    checkpoint_proof: Tuple[SignedMessage[CheckpointMsg], ...]
     prepared: Tuple[PreparedEntry, ...]
 
 
@@ -172,8 +172,8 @@ class ReconReply:
     """Certified pre-order data: the request plus its q acknowledgements."""
 
     sender: str
-    request: SignedMessage                  # SignedMessage[PoRequest]
-    acks: Tuple[SignedMessage, ...]          # SignedMessage[PoAck] x quorum
+    request: SignedMessage[PoRequest]
+    acks: Tuple[SignedMessage[PoAck], ...]   # x quorum
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ class OrderedReply:
 
     sender: str
     seq: int
-    pre_prepare: SignedMessage               # SignedMessage[PrePrepare]
-    commits: Tuple[SignedMessage, ...]       # SignedMessage[Commit] x quorum
+    pre_prepare: SignedMessage[PrePrepare]
+    commits: Tuple[SignedMessage[Commit], ...]  # x quorum
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ class StateReply:
     sender: str
     checkpoint_seq: int
     snapshot: Any
-    proof: Tuple[SignedMessage, ...]         # SignedMessage[CheckpointMsg] x quorum
+    proof: Tuple[SignedMessage[CheckpointMsg], ...]  # x quorum
     view: int
 
 

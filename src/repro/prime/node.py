@@ -38,7 +38,6 @@ from ..replication import (
     RetryPolicy,
     ThreePhaseSlot,
     Transport,
-    sender_field_check,
 )
 from ..simnet import Network, Process, Simulator
 from .app import ReplicatedApplication
@@ -127,7 +126,7 @@ class PrimeNode(Process):
         self.app = app
         self.obs = obs if obs is not None else NULL_OBS
         self.transport: Transport = transport or DirectTransport(self, obs=self.obs)
-        self.dispatcher = Dispatcher(obs=self.obs, metric_prefix="prime")
+        self.dispatcher = Dispatcher(self._replicas, obs=self.obs, metric_prefix="prime")
         self.runtime = ReplicationRuntime(
             process=self,
             crypto=crypto,
@@ -211,36 +210,33 @@ class PrimeNode(Process):
         self._register_handlers()
 
     def _register_handlers(self) -> None:
-        """Bind each wire message to its stage handler, with the sender
-        check the dispatcher enforces before any protocol code runs."""
-        sender = sender_field_check("sender", self._replicas)
-        leader = sender_field_check("leader", self._replicas)
+        """Bind each wire message to its stage handler and the field the
+        dispatcher checks against the envelope signer."""
         register = self.dispatcher.register
-        register(PoRequest, self.preorder.on_po_request, self._po_request_check)
-        register(PoAck, self.preorder.on_po_ack, sender)
-        register(PoSummary, self.preorder.on_po_summary, sender)
-        register(PrePrepare, self.ordering.on_pre_prepare, leader)
-        register(Prepare, self.ordering.on_prepare, sender)
-        register(Commit, self.ordering.on_commit, sender)
-        register(Suspect, self.leadership.on_suspect, sender)
-        register(ViewChange, self.leadership.on_view_change, sender)
-        register(NewView, self.leadership.on_new_view, leader)
-        register(CheckpointMsg, self.recovery.on_checkpoint, sender)
-        register(Ping, self.leadership.on_ping, sender)
-        register(Pong, self.leadership.on_pong, sender)
-        register(ReconRequest, self.recovery.on_recon_request, sender)
-        register(ReconReply, self.recovery.on_recon_reply, sender)
-        register(OrderedRequest, self.recovery.on_ordered_request, sender)
-        register(OrderedReply, self.recovery.on_ordered_reply, sender)
-        register(StateRequest, self.recovery.on_state_request, sender)
-        register(StateReply, self.recovery.on_state_reply, sender)
+        register(PoRequest, self.preorder.on_po_request, rule=self._po_request_check)
+        register(PoAck, self.preorder.on_po_ack, "sender")
+        register(PoSummary, self.preorder.on_po_summary, "sender")
+        register(PrePrepare, self.ordering.on_pre_prepare, "leader")
+        register(Prepare, self.ordering.on_prepare, "sender")
+        register(Commit, self.ordering.on_commit, "sender")
+        register(Suspect, self.leadership.on_suspect, "sender")
+        register(ViewChange, self.leadership.on_view_change, "sender")
+        register(NewView, self.leadership.on_new_view, "leader")
+        register(CheckpointMsg, self.recovery.on_checkpoint, "sender")
+        register(Ping, self.leadership.on_ping, "sender")
+        register(Pong, self.leadership.on_pong, "sender")
+        register(ReconRequest, self.recovery.on_recon_request, "sender")
+        register(ReconReply, self.recovery.on_recon_reply, "sender")
+        register(OrderedRequest, self.recovery.on_ordered_request, "sender")
+        register(OrderedReply, self.recovery.on_ordered_reply, "sender")
+        register(StateRequest, self.recovery.on_state_request, "sender")
+        register(StateReply, self.recovery.on_state_reply, "sender")
 
     def _replicas(self) -> Tuple[str, ...]:
         return self.config.replicas
 
     def _po_request_check(self, payload: PoRequest, signer: str) -> bool:
-        # A PoRequest is signed by the replica owning the origin stream
-        # (``replica#epoch``), not by a ``sender`` field.
+        # signed by the replica owning the origin stream (``replica#epoch``)
         owner = payload.origin.split("#", 1)[0]
         return owner == signer and owner in self.config.replicas
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from ..crypto.encoding import digest
+from ..crypto.schema import is_a
 from ..replication.ordering import AgreementSpec, ThreePhaseAgreement
 from .messages import PoSummary, PrePrepare, SignedMessage, ViewChange
 
@@ -78,7 +79,7 @@ class OrderingStage(ThreePhaseAgreement):
         seen = set()
         for entry in matrix:
             payload = entry.payload
-            if not isinstance(payload, PoSummary):
+            if not is_a(payload, PoSummary):
                 return False
             if payload.sender in seen or payload.sender not in node.config.replicas:
                 return False

@@ -26,7 +26,6 @@ from .messages import (
     OrderedReply,
     OrderedRequest,
     PoAck,
-    PoRequest,
     ReconReply,
     ReconRequest,
     SignedMessage,
@@ -130,10 +129,7 @@ class RecoveryStage:
         node = self.node
         request_signed = msg.request
         request = request_signed.payload
-        if not isinstance(request, PoRequest):
-            return
-        owner = request.origin.split("#", 1)[0]
-        if request_signed.signature.signer != owner or owner not in node.config.replicas:
+        if not node._po_request_check(request, request_signed.signature.signer):
             return
         if not node.verify_signed(request_signed):
             return
@@ -142,7 +138,7 @@ class RecoveryStage:
             msg.acks,
             membership=node.config.replicas,
             verify_signed=node.verify_signed,
-            expected_kind=PoAck,
+            kinds=(PoAck,),
             check=lambda ack: (
                 ack.origin == request.origin
                 and ack.po_seq == request.po_seq

@@ -14,8 +14,8 @@ PBFT baseline) are built on, layered bottom-up:
   envelope (authenticated links) and the four messages both protocols
   vote and change views with (:class:`Prepare`, :class:`Commit`,
   :class:`PreparedEntry`, :class:`NewView`);
-* :mod:`~repro.replication.dispatch` — typed handler registration with
-  sender authentication and a per-kind receive count;
+* :mod:`~repro.replication.dispatch` — handler registration behind
+  generated shape and sender checks, with a per-kind receive count;
 * :mod:`~repro.replication.runtime` — :class:`ReplicationRuntime`:
   sign/verify, membership fan-out, loopback rules, a per-kind send
   count;
@@ -42,7 +42,7 @@ Protocol packages (:mod:`repro.prime`, :mod:`repro.pbft`) mount their
 stage objects on these primitives; see DESIGN.md §8 for the layering.
 """
 
-from .dispatch import Dispatcher, sender_field_check
+from .dispatch import Dispatcher
 from .epoch import (
     EpochVoteTable,
     ViewChangeCore,
@@ -85,5 +85,4 @@ __all__ = [
     "collect_valid_voters",
     "derive_reproposals",
     "prepared_entries",
-    "sender_field_check",
 ]

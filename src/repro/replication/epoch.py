@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..crypto.schema import is_a
 from .messages import Commit, NewView, Prepare, PreparedEntry, SignedMessage
 from .ordering import AgreementSpec, ThreePhaseSlot
 from .quorum import collect_valid_voters
@@ -192,7 +193,7 @@ class ViewChangeCore:
         signature over the proposal whose digest the quorum vouched for."""
         pp_signed = entry.pre_prepare
         pp = pp_signed.payload
-        if not isinstance(pp, self.spec.pre_prepare):
+        if not is_a(pp, self.spec.pre_prepare):
             return False
         if pp.seq != entry.seq or pp.view != entry.view:
             return False
@@ -216,7 +217,7 @@ class ViewChangeCore:
             entry.proof,
             membership=self.config.replicas,
             verify_signed=verify_signed,
-            expected_kind=(Prepare, Commit),
+            kinds=(Prepare, Commit),
             check=lambda p: (
                 p.view == entry.view
                 and p.seq == entry.seq
@@ -273,7 +274,7 @@ class ViewChangeCore:
         payloads = []
         for vc_signed in nv.view_changes:
             vc = vc_signed.payload
-            if not isinstance(vc, self.spec.view_change) or vc.new_view != nv.view:
+            if not is_a(vc, self.spec.view_change) or vc.new_view != nv.view:
                 return None
             if not verify_signed(vc_signed):
                 return None
@@ -290,7 +291,7 @@ class ViewChangeCore:
             return None
         for (seq, proposal), pp_signed in zip(expected, nv.pre_prepares):
             pp = pp_signed.payload
-            if not isinstance(pp, self.spec.pre_prepare):
+            if not is_a(pp, self.spec.pre_prepare):
                 return None
             if pp.leader != nv.leader or pp.view != nv.view or pp.seq != seq:
                 return None

@@ -15,24 +15,27 @@ wire-compatible with ``repro.prime.messages`` (which re-exports them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Tuple
+from typing import ClassVar, Generic, Tuple, TypeVar
 
 from ..crypto.provider import Signature
 
 __all__ = ["SignedMessage", "Prepare", "Commit", "PreparedEntry", "NewView"]
 
+P = TypeVar("P")
+
 
 @dataclass(frozen=True)
-class SignedMessage:
+class SignedMessage(Generic[P]):
     """Envelope: ``payload`` signed by ``signature.signer``.
 
     The signature is over the payload's own encoding; where the envelope
     itself is encoded — inside a proposal matrix or a certificate, under
-    an overlay datagram — the payload stands as its digest."""
+    an overlay datagram — the payload stands as its digest. A field that
+    holds one kind says which: ``SignedMessage[PoAck]``."""
 
     encoded_by_digest: ClassVar[Tuple[str, ...]] = ("payload",)
 
-    payload: Any
+    payload: P
     signature: Signature
 
 

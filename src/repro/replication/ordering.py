@@ -288,7 +288,7 @@ class ThreePhaseAgreement:
         if slot.is_ordered:
             return False
         pp = pp_signed.payload
-        if not isinstance(pp, self.spec.pre_prepare) or pp.seq != seq:
+        if pp.seq != seq:  # a spec.pre_prepare, by its callers' field annotations
             return False
         if pp.leader != node.config.leader_of_view(pp.view):
             return False
@@ -303,7 +303,7 @@ class ThreePhaseAgreement:
             commits,
             membership=node.config.replicas,
             verify_signed=node.verify_signed,
-            expected_kind=Commit,
+            kinds=(Commit,),
             check=lambda commit: (
                 commit.view == pp.view
                 and commit.seq == seq

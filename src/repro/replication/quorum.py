@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..crypto.schema import is_a
 from .messages import SignedMessage
 
 __all__ = [
@@ -209,17 +210,17 @@ def collect_valid_voters(
     *,
     membership: Any,
     verify_signed: Callable[[SignedMessage], bool],
-    expected_kind: Any,
+    kinds: Tuple[type, ...],
     check: Optional[Callable[[Any], bool]] = None,
     strict: bool = True,
     initial: Iterable[str] = (),
 ) -> Optional[Set[str]]:
     """Validate a certificate's votes; returns the distinct valid voters.
 
-    A vote is valid when its payload is an ``expected_kind`` instance,
-    passes the caller's content ``check``, names its signer in its own
-    ``sender`` field, that sender is in ``membership``, and the envelope
-    signature verifies.
+    A vote is valid when its payload is exactly of one of ``kinds`` and
+    well shaped, passes the caller's content ``check``, names its signer
+    in its own ``sender`` field, that sender is in ``membership``, and the
+    envelope signature verifies.
 
     ``strict=True``: one invalid vote rejects the whole set (returns
     None) — the rule for proofs whose sender vouches for every vote.
@@ -232,7 +233,8 @@ def collect_valid_voters(
     for signed in proof:
         payload = signed.payload
         valid = (
-            isinstance(payload, expected_kind)
+            payload.__class__ in kinds
+            and is_a(payload, payload.__class__)
             and (check is None or check(payload))
             and payload.sender == signed.signature.signer
             and payload.sender in membership

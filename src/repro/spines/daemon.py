@@ -11,11 +11,9 @@ Defences modelled from the paper:
   keyed on the link; datagrams arriving from non-neighbours or failing the
   MAC are dropped. This stops an external network attacker from injecting
   or replaying traffic *inside* the overlay.
-* **Malformed input** — an attached endpoint and a neighbour daemon (which
-  holds its link keys) are outside senders: a message from either whose
-  fields are not of the classes an honest daemon builds counts one
-  ``dropped_auth`` and goes no further. The tests are class identities,
-  so a hop pays no call for them.
+* **Malformed input** — a message from an attached endpoint or a
+  neighbour daemon (which holds its link keys) that fails its shape check
+  (:mod:`repro.crypto.schema`) counts one ``dropped_auth``.
 * **Per-source fairness** — outgoing forwarding capacity is scheduled
   round-robin across origin endpoints, so a compromised client (or daemon)
   flooding the overlay cannot starve other sources. Disable it
@@ -42,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Set, Tup
 
 from ..crypto.encoding import EncodingError, digest_bytes
 from ..crypto.provider import CryptoProvider
+from ..crypto.schema import check_for
 from ..obs import NULL_OBS, Observability
 from ..simnet import Network, Process, Simulator
 from .messages import (
@@ -57,6 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .monitor import LinkMonitor
 
 __all__ = ["SpinesDaemon"]
+
+_INGRESS_SHAPE = check_for(OverlayIngress)
+_FORWARD_SHAPE = check_for(OverlayForward)
+_HELLO_SHAPE = check_for(OverlayHello)
 
 #: A behaviour hook: (data, default_action) -> None. The hook decides
 #: whether/when to call default_action; not calling it drops the datagram.
@@ -154,66 +157,46 @@ class SpinesDaemon(Process):
     # Receive paths
     # ------------------------------------------------------------------
     def on_message(self, src: str, payload: Any) -> None:
-        # the exact class first: nine in ten of a daemon's messages are forwards
-        if payload.__class__ is OverlayForward or isinstance(payload, OverlayForward):
+        # nine in ten of a daemon's messages are forwards
+        kind = payload.__class__
+        if kind is OverlayForward:
             self._on_forward(src, payload)
-        elif isinstance(payload, OverlayIngress):
-            self._on_ingress(src, payload.data)
-        elif isinstance(payload, OverlayHello):
+        elif kind is OverlayIngress:
+            self._on_ingress(src, payload)
+        elif kind is OverlayHello:
             self._on_hello(src, payload)
 
-    def _on_ingress(self, src: str, data: Any) -> None:
+    def _on_ingress(self, src: str, message: OverlayIngress) -> None:
+        data = message.data
         # next-hop tables route towards exactly one destination
         # (``OverlayStack.multicast`` builds nothing else for them)
         if (
             src not in self.attached
-            or data.__class__ is not OverlayData
+            or not _INGRESS_SHAPE(message)
             or data.origin != src
-            or data.seq.__class__ is not int
-            or data.dests.__class__ is not tuple
             or not (self._floods or len(data.dests) == 1)
-            or data.size_bytes.__class__ is not int
-            # ``simulator.now`` is an int in an event scheduled at an int time
-            or data.sent_at.__class__ not in (float, int)
         ):
             self.stats["dropped_auth"] += 1
             return
-        for dest in data.dests:
-            if dest.__class__ is not str:
-                self.stats["dropped_auth"] += 1
-                return
         self.stats["ingress"] += 1
         if self._record_seen(data):
             self._route(data, arrived_from=None)
 
     def _on_forward(self, src: str, message: OverlayForward) -> None:
+        # a neighbour holds the link key: what it MACs may still be
+        # malformed, and the MAC does not cover the hop's send time
         sender_site = message.sender
-        if sender_site.__class__ is not str or self.neighbors.get(sender_site) != src:
+        if not _FORWARD_SHAPE(message) or self.neighbors.get(sender_site) != src:
             self.stats["dropped_auth"] += 1
             return
         data = message.data
         try:
             authentic = self.crypto.check_mac(src, self.name, data, message.mac)
-        except (EncodingError, TypeError):  # no digest, or a tag that is not bytes
+        except EncodingError:  # a payload no encoder accepts has no digest
             authentic = False
-        if (
-            not authentic
-            # a neighbour holds the link key: what it MACs may still be malformed
-            or data.__class__ is not OverlayData
-            or data.origin.__class__ is not str
-            or data.seq.__class__ is not int
-            or data.dests.__class__ is not tuple
-            or data.size_bytes.__class__ is not int
-            or data.sent_at.__class__ not in (float, int)
-            # the MAC does not cover the hop's send time
-            or message.sent_at.__class__ not in (float, int)
-        ):
+        if not authentic:
             self.stats["dropped_auth"] += 1
             return
-        for dest in data.dests:
-            if dest.__class__ is not str:
-                self.stats["dropped_auth"] += 1
-                return
         if self._hop_latency is not None and message.sent_at:
             self._hop_latency.observe(self.simulator.now - message.sent_at)
         if not self._record_seen(data):
@@ -224,16 +207,13 @@ class SpinesDaemon(Process):
     def _on_hello(self, src: str, hello: OverlayHello) -> None:
         """Link-monitor keepalive: authenticate, then hand to the monitor."""
         sender = hello.sender
-        if sender.__class__ is not str or self.neighbors.get(sender) != src:
-            self.stats["dropped_auth"] += 1
-            return
-        try:
-            authentic = self.crypto.check_mac(
+        if (
+            not _HELLO_SHAPE(hello)
+            or self.neighbors.get(sender) != src
+            or not self.crypto.check_mac(
                 src, self.name, (sender, hello.seq, hello.sent_at), hello.mac
             )
-        except (EncodingError, TypeError):
-            authentic = False
-        if not authentic or hello.sent_at.__class__ is not float:
+        ):
             self.stats["dropped_auth"] += 1
             return
         if self.monitor is not None:

@@ -504,6 +504,7 @@ _REMOVED = re.compile(
     r"|def register\(self, instrument"
     r"|class CountingCrypto|class Counter\b|def counter\b|\.counter\(|_SendCounters"
     r"|BoundedDelayMonitor|RerouteBoundMonitor|ViewRecoveryMonitor|_quiet_intervals"
+    r"|sender_field_check|_dispatch_slow|_sender_matches_signer"
 )
 
 
@@ -531,6 +532,37 @@ def test_removed_twins_stay_removed():
                     for target in targets
                 ), f"{path}:{node.lineno}"
     assert not (SRC / "repro" / "prime" / "transport.py").exists()
+
+
+def _class_identity_tests(tree):
+    """Lines that test a value's class by identity: ``x.__class__ is X``,
+    ``type(x) is not X`` and the like."""
+
+    def names_a_class(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__class__") or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "type" and len(node.args) == 1
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ) and any(names_a_class(side) for side in [node.left, *node.comparators]):
+            yield node.lineno
+
+
+def test_message_shape_is_decided_only_by_the_generated_checks():
+    # repro.crypto.schema compiles one check per message class from its
+    # annotations; a protocol, overlay or endpoint module that tests a
+    # field's class by hand has regrown a ladder beside it. (The
+    # provider's signature-value checks sit in repro.crypto.)
+    found = [
+        f"{path.relative_to(SRC / 'repro').as_posix()}:{line}"
+        for package in ("spines", "core", "prime", "pbft", "replication")
+        for path in sorted((SRC / "repro" / package).rglob("*.py"))
+        for line in _class_identity_tests(ast.parse(path.read_text()))
+    ]
+    assert found == [], found
 
 
 def test_the_message_entry_is_touched_only_by_crypto():

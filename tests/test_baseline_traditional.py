@@ -4,11 +4,15 @@ import pytest
 
 from repro.baselines import TCommand, TraditionalDeployment
 from repro.baselines.traditional import TOperatorCommand
+from repro.chaos import Oracle
 
 
 @pytest.fixture
 def deployment():
     dep = TraditionalDeployment(num_substations=4, seed=2)
+    # the output oracle reads every breaker write the proxy sends the field
+    dep.oracle = Oracle(lambda: dep.simulator.now)
+    dep.oracle.watch_field(dep.proxy.poller)
     dep.start()
     dep.run_for(2000)
     return dep
@@ -18,6 +22,8 @@ def test_status_reaches_master(deployment):
     assert len(deployment.primary.latest_status) == 4
     status = deployment.primary.latest_status["sub1"]
     assert status.poll_seq > 5
+    # a fault-free run writes nothing to the field that the oracle flags
+    assert deployment.oracle.findings == []
 
 
 def test_backup_also_receives_status(deployment):
@@ -31,6 +37,8 @@ def test_master_command_operates_breaker(deployment):
     deployment.primary.issue_command(substation, breaker_id, close=False)
     deployment.run_for(200)
     assert grid.breaker_closed(substation, breaker_id) is False
+    # the oracle sees the write: nothing orders a baseline command
+    assert [kind for kind, _, _ in deployment.oracle.findings] == ["ungated-field-command"]
 
 
 def test_wrong_token_rejected(deployment):
@@ -63,6 +71,8 @@ def test_backup_promotes_on_primary_crash(deployment):
     deployment.primary.crash()
     deployment.run_for(5000)
     assert deployment.backup.is_primary is True
+    # nor does a failover
+    assert deployment.oracle.findings == []
 
 
 def test_single_compromise_grants_full_control(deployment):
