@@ -4,6 +4,7 @@ the scripted red-team campaign."""
 from .byzantine import (
     make_delivery_forger,
     make_equivocating_leader,
+    make_seq_skipping_leader,
     make_share_corruptor,
     make_silent,
     make_slow_proposer,
@@ -22,6 +23,7 @@ from .overlay_attacks import (
 __all__ = [
     "make_delivery_forger",
     "make_equivocating_leader",
+    "make_seq_skipping_leader",
     "make_share_corruptor",
     "make_silent",
     "make_slow_proposer",

@@ -23,6 +23,7 @@ __all__ = [
     "make_silent",
     "make_slow_proposer",
     "make_equivocating_leader",
+    "make_seq_skipping_leader",
     "make_share_corruptor",
     "make_suspect_spammer",
     "make_delivery_forger",
@@ -153,6 +154,18 @@ def make_equivocating_leader(node: PrimeNode) -> Uninstall:
         node._propose_tick = original_propose
 
     return uninstall
+
+
+def make_seq_skipping_leader(node: PrimeNode, at_ms: float) -> Uninstall:
+    """At ``at_ms``, if leading, skip one sequence number, once. Every
+    later proposal is ordered, but none executes past the hole, and each
+    still includes every summary, so no turnaround-time sample grows."""
+
+    def skip() -> None:
+        if node.is_leader:
+            node._next_seq += 1
+
+    return node.simulator.schedule(at_ms - node.simulator.now, skip).cancel
 
 
 def make_share_corruptor(replica: Any) -> Uninstall:

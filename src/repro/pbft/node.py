@@ -12,10 +12,10 @@ static request timeout. Two consequences the benchmarks demonstrate:
   value before recovery.
 
 Scope: what is the baseline's own lives here — client forwarding to the
-leader, batching, the request timeout and its cascade rules, execution,
-checkpoint-based log truncation, and the fetch/retransmission cursor
-against loss. How a proposal is prepared, committed, carried through a
-view change, re-proposed and handed to a laggard is the shared
+leader, batching, the request timeout and its cascade rules, execution
+and checkpoint-based log truncation. How a proposal is prepared,
+committed, repaired after loss, carried through a view change,
+re-proposed and handed to a laggard is the shared
 :class:`~repro.replication.ordering.ThreePhaseAgreement` and
 :class:`~repro.replication.epoch.ViewChangeCore`, the same code Prime
 runs, configured by :data:`PBFT_AGREEMENT`. There is no state transfer:
@@ -24,9 +24,7 @@ retained commit-certified slots.
 
 Like Prime, the node rides on the shared
 :class:`~repro.replication.runtime.ReplicationRuntime` and
-:class:`~repro.replication.dispatch.Dispatcher`; head-of-line
-retransmission backs off through the shared
-:class:`~repro.replication.retry.RetrySchedule`.
+:class:`~repro.replication.dispatch.Dispatcher`.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from ..prime.dedup import ClientDedup
 from ..prime.messages import ClientUpdate, verify_client_update
 from ..replication import (
     AgreementSpec,
+    CertifiedSlot,
     Commit,
     Dispatcher,
     DirectTransport,
@@ -55,9 +54,8 @@ from ..replication import (
     Prepare,
     QuorumTracker,
     ReplicationRuntime,
-    RetryPolicy,
-    RetrySchedule,
     SignedMessage,
+    SlotFetch,
     ThreePhaseAgreement,
     ThreePhaseSlot,
     Transport,
@@ -68,8 +66,6 @@ from ..simnet import Network, Process, Simulator
 from .messages import (
     ForwardedUpdate,
     PbftCheckpoint,
-    PbftFetch,
-    PbftOrderProof,
     PbftPrePrepare,
     PbftViewChange,
 )
@@ -96,7 +92,7 @@ class PbftConfig:
 
     #: how often the request timeout is evaluated
     check_interval_ms = 100.0
-    #: head-of-line retransmission / fetch period
+    #: head-of-line repair period
     retrans_interval_ms = 50.0
     #: how often a non-leader re-forwards pending client updates
     forward_interval_ms = 200.0
@@ -183,30 +179,16 @@ class PbftNode(Process):
         self._batch_timer_set = False
         self._next_seq = 1
         self._min_fresh_seq = 1
-        self.ordering = ThreePhaseAgreement(self, PBFT_AGREEMENT)
+        self.ordering = ThreePhaseAgreement(
+            self, PBFT_AGREEMENT, config.retrans_interval_ms
+        )
         self.view_manager = ViewChangeCore(PBFT_AGREEMENT, config, name)
         self._sent_vc_for: set = set()
-        #: the signed NewView we last adopted (re-served to laggards)
-        self._last_new_view: Optional[SignedMessage] = None
         #: checkpoint votes: seq -> digest -> sender -> signed vote
         self._checkpoint_votes = QuorumTracker()
         #: highest seq with a quorum-certified checkpoint; slots at or
         #: below it are truncated
         self.stable_seq = 0
-        #: highest peer execution frontier learned from order proofs
-        self._known_frontier = 0
-        #: head-of-line retransmission backoff (shared RetrySchedule)
-        self._retrans_schedule = RetrySchedule(
-            RetryPolicy(
-                base_ms=config.retrans_interval_ms,
-                factor=2.0,
-                max_ms=config.retrans_interval_ms * 16,
-                max_attempts=8,
-            ),
-            rng=simulator.rng(f"pbft-retrans/{name}"),
-        )
-        self._retrans_head: Optional[int] = None
-        self._retrans_due = 0.0
         self._started = False
         self._register_handlers()
 
@@ -219,8 +201,8 @@ class PbftNode(Process):
         reg(Prepare, self.ordering.on_prepare, "sender")
         reg(Commit, self.ordering.on_commit, "sender")
         reg(PbftCheckpoint, self._on_checkpoint, "sender")
-        reg(PbftFetch, self._on_fetch, "sender")
-        reg(PbftOrderProof, self._on_order_proof, "sender")
+        reg(SlotFetch, self.ordering.on_fetch, "sender")
+        reg(CertifiedSlot, self.ordering.on_certified_slot, "sender")
         reg(PbftViewChange, self._on_view_change, "sender")
         reg(NewView, self._on_new_view)
 
@@ -231,23 +213,21 @@ class PbftNode(Process):
 
     def _start_timers(self) -> None:
         self.every(self.config.check_interval_ms, self._timeout_tick, jitter=2.0)
-        self.every(self.config.retrans_interval_ms, self._retrans_tick, jitter=2.0)
+        self.every(self.config.retrans_interval_ms, self.ordering.repair_tick, jitter=2.0)
         self.every(self.config.forward_interval_ms, self._forward_tick, jitter=2.0)
 
     def on_recover(self) -> None:
         """Rejoin after a crash. PBFT assumes stable storage for the
         message log, so the ordering state survives; only the timers (and
-        the in-flight batch/retransmission cursors they drive) are
-        volatile and must be re-armed for the new incarnation."""
+        the in-flight batch they drive) are volatile and must be re-armed
+        for the new incarnation."""
         self._batch_timer_set = False
-        self._retrans_head = None
-        self._retrans_schedule.reset()
         if self._started:
             self._start_timers()
-            # Probe peers for what we missed while down: the order proofs
-            # they answer with carry their execution frontier, which arms
-            # the fetch-based catch-up loop in _retrans_tick.
-            self._broadcast(PbftFetch(self.name, self.last_executed + 1),
+            # Probe peers for what we missed while down: the slots they
+            # serve carry their execution frontier, which keeps the
+            # agreement's repair tick fetching until we reach it.
+            self._broadcast(SlotFetch(self.name, self.last_executed + 1),
                             include_self=False)
 
     @property
@@ -391,7 +371,7 @@ class PbftNode(Process):
         self.stable_seq = seq
         self._checkpoint_votes.drop_upto(seq)
         # Truncate with a retention window (a few checkpoint intervals):
-        # the retained ordered slots are what :class:`PbftOrderProof`
+        # the retained ordered slots are what :class:`CertifiedSlot`
         # responses serve to replicas that fell behind the checkpoint —
         # the baseline's stand-in for full state transfer. Never truncate
         # past our own execution frontier.
@@ -400,63 +380,6 @@ class PbftNode(Process):
         for old in [s for s in self.slots if s <= bound]:
             del self.slots[old]
         self.obs.event(self.name, EV_PBFT_CHECKPOINT, seq=seq)
-
-    # ------------------------------------------------------------------
-    # Laggard catch-up: fetch commit-certified slots from peers
-    # ------------------------------------------------------------------
-    def _on_fetch(self, signed: SignedMessage, msg: PbftFetch) -> None:
-        for seq in range(msg.from_seq, msg.from_seq + 8):
-            slot = self.slots.get(seq)
-            if slot is None or slot.ordered is None:
-                continue
-            _, _, pre_prepare, proof = slot.ordered
-            self._send_to(msg.sender, PbftOrderProof(
-                self.name, seq, pre_prepare, proof, frontier=self.last_executed,
-            ))
-
-    def _on_order_proof(self, signed: SignedMessage, msg: PbftOrderProof) -> None:
-        if msg.seq <= self.last_executed:
-            return
-        if self.ordering.install_certified(
-            msg.seq, msg.pre_prepare, msg.proof, strict=False
-        ):
-            self._known_frontier = max(self._known_frontier, msg.frontier)
-
-    # ------------------------------------------------------------------
-    # Retransmission (bounded backoff over the shared RetrySchedule)
-    # ------------------------------------------------------------------
-    def _retrans_tick(self) -> None:
-        head = self.last_executed + 1
-        slot = self.slots.get(head)
-        # A quorum checkpointed past our head: the live vote traffic for
-        # it is gone, so retransmitting votes cannot unblock us — fetch
-        # commit-certified slots from peers instead. This path must run
-        # even mid-view-change: it is how a crashed-and-recovered (or
-        # view-wedged) replica re-joins execution.
-        behind = max(self.stable_seq, self._known_frontier) >= head
-        if not behind and (slot is None or slot.ordered is not None):
-            if self._retrans_head is not None:
-                self._retrans_head = None
-                self._retrans_schedule.reset()
-            return
-        now = self.simulator.now
-        if head != self._retrans_head:
-            # new head-of-line stall: resend immediately, then back off
-            self._retrans_head = head
-            self._retrans_schedule.reset()
-            self._retrans_due = now
-        if now < self._retrans_due:
-            return
-        self._retrans_due = now + self._retrans_schedule.next_delay_ms()
-        if behind:
-            self._broadcast(PbftFetch(self.name, head), include_self=False)
-            return
-        if self.in_view_change:
-            return
-        pre_prepare = slot.pre_prepares.get(self.view)
-        if pre_prepare is not None:
-            self.runtime.resend(pre_prepare, size_bytes=300)
-        self.ordering.rebroadcast_vote(slot)
 
     # ------------------------------------------------------------------
     # Timeout-based view change (the baseline's only defence)
@@ -515,19 +438,11 @@ class PbftNode(Process):
         self._start_view_change(expected_view + 1)
 
     def _on_view_change(self, signed: SignedMessage, msg: PbftViewChange) -> None:
+        served = self.view_manager.new_view_to_reserve(msg, self.view, self.in_view_change)
+        if served is not None:
+            self.runtime.resend(served, peers=(msg.sender,))
+            return
         if msg.new_view < self.view:
-            # A replica still changing into a view we already passed (a
-            # crashed leader rejoining, a laggard behind a cascade): hand
-            # it the NewView that took us here so it converges instead of
-            # cascading its timeout forever.
-            if (
-                self._last_new_view is not None
-                and self._last_new_view.payload.view == self.view
-                and msg.sender != self.name
-            ):
-                self.runtime.resend(
-                    self._last_new_view, peers=(msg.sender,), size_bytes=600
-                )
             return
         if not self.view_manager.validate_view_change(
             signed, msg, self.verify_signed
@@ -541,17 +456,14 @@ class PbftNode(Process):
             self._broadcast(built[0])
 
     def _on_new_view(self, signed: SignedMessage, msg: NewView) -> None:
-        if msg.view < self.view or (msg.view == self.view and not self.in_view_change):
-            return
-        verified = self.view_manager.verify_new_view(
-            signed, msg, self.verify_signed
+        verified = self.view_manager.accept_new_view(
+            signed, msg, self.view, self.in_view_change, self.verify_signed
         )
         if verified is None:
             return
         pre_prepares, _, max_seq = verified
         self.view = msg.view
         self.in_view_change = False
-        self._last_new_view = signed
         self._min_fresh_seq = max_seq + 1
         self._next_seq = max(self._next_seq, self._min_fresh_seq)
         # Restart the request timers (Castro-Liskov: the timer restarts

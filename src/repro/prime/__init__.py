@@ -15,8 +15,6 @@ from .messages import (
     ClientUpdate,
     Commit,
     NewView,
-    OrderedReply,
-    OrderedRequest,
     Ping,
     PoAck,
     Pong,
@@ -50,8 +48,6 @@ __all__ = [
     "ClientUpdate",
     "Commit",
     "NewView",
-    "OrderedReply",
-    "OrderedRequest",
     "Ping",
     "PoAck",
     "Pong",

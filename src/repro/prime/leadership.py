@@ -162,6 +162,10 @@ class LeadershipStage:
 
     def on_view_change(self, signed: SignedMessage, msg: ViewChange) -> None:
         node = self.node
+        served = node.view_manager.new_view_to_reserve(msg, node.view, node.in_view_change)
+        if served is not None:
+            node.runtime.resend(served, peers=(msg.sender,))
+            return
         if msg.new_view < node.view:
             return
         if not node.view_manager.validate_view_change(
@@ -183,10 +187,9 @@ class LeadershipStage:
 
     def on_new_view(self, signed: SignedMessage, msg: NewView) -> None:
         node = self.node
-        if msg.view < node.view or (msg.view == node.view and not node.in_view_change):
-            return
-        verified = node.view_manager.verify_new_view(
-            signed, msg, node.verify_signed, self.verify_checkpoint_proof
+        verified = node.view_manager.accept_new_view(
+            signed, msg, node.view, node.in_view_change, node.verify_signed,
+            self.verify_checkpoint_proof,
         )
         if verified is None:
             return

@@ -39,8 +39,6 @@ __all__ = [
     "Pong",
     "ReconRequest",
     "ReconReply",
-    "OrderedRequest",
-    "OrderedReply",
     "StateRequest",
     "StateReply",
     "SignedMessage",
@@ -174,24 +172,6 @@ class ReconReply:
     sender: str
     request: SignedMessage[PoRequest]
     acks: Tuple[SignedMessage[PoAck], ...]   # x quorum
-
-
-@dataclass(frozen=True)
-class OrderedRequest:
-    """Ask a peer for the ordered proposal at global ``seq``."""
-
-    sender: str
-    seq: int
-
-
-@dataclass(frozen=True)
-class OrderedReply:
-    """An ordered proposal plus its commit certificate."""
-
-    sender: str
-    seq: int
-    pre_prepare: SignedMessage[PrePrepare]
-    commits: Tuple[SignedMessage[Commit], ...]  # x quorum
 
 
 @dataclass(frozen=True)

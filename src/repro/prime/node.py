@@ -32,10 +32,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..crypto.provider import CryptoProvider
 from ..obs import EV_RECOVERY_START, NULL_OBS, Observability
 from ..replication import (
+    CertifiedSlot,
     DirectTransport,
     Dispatcher,
     ReplicationRuntime,
     RetryPolicy,
+    SlotFetch,
     ThreePhaseSlot,
     Transport,
 )
@@ -51,8 +53,6 @@ from .messages import (
     ClientUpdate,
     Commit,
     NewView,
-    OrderedReply,
-    OrderedRequest,
     Ping,
     PoAck,
     Pong,
@@ -97,8 +97,8 @@ _BASE_SIZES = {
     "Pong": 80,
     "ReconRequest": 100,
     "ReconReply": 700,
-    "OrderedRequest": 100,
-    "OrderedReply": 900,
+    "SlotFetch": 100,
+    "CertifiedSlot": 900,
     "StateRequest": 80,
     "StateReply": 2000,
 }
@@ -227,8 +227,8 @@ class PrimeNode(Process):
         register(Pong, self.leadership.on_pong, "sender")
         register(ReconRequest, self.recovery.on_recon_request, "sender")
         register(ReconReply, self.recovery.on_recon_reply, "sender")
-        register(OrderedRequest, self.recovery.on_ordered_request, "sender")
-        register(OrderedReply, self.recovery.on_ordered_reply, "sender")
+        register(SlotFetch, self.ordering.on_fetch, "sender")
+        register(CertifiedSlot, self.ordering.on_certified_slot, "sender")
         register(StateRequest, self.recovery.on_state_request, "sender")
         register(StateReply, self.recovery.on_state_reply, "sender")
 

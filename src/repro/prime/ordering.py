@@ -48,7 +48,7 @@ class OrderingStage(ThreePhaseAgreement):
     """Global ordering (three-phase agreement) for one replica."""
 
     def __init__(self, node: "PrimeNode") -> None:
-        super().__init__(node, PRIME_AGREEMENT)
+        super().__init__(node, PRIME_AGREEMENT, node.config.recon_interval_ms)
 
     # ------------------------------------------------------------------
     # Leader proposals

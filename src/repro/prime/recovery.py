@@ -6,8 +6,9 @@ proactive recovery — converge back onto the agreed state:
 * *checkpoint glue*: cut a full snapshot every checkpoint interval,
   broadcast its digest, and garbage-collect below stable checkpoints;
 * *reconciliation*: pull certified pre-order data that an ordered slot
-  needs (and push it to peers whose summaries show them behind), plus
-  ordered-certificate catch-up for whole missing slots;
+  needs (and push it to peers whose summaries show them behind), beside
+  the shared agreement's head-of-line repair, which fetches whole
+  missing slots;
 * *state transfer*: request / serve / install stable checkpoints with
   quorum proofs, with bounded-backoff retries under the shared
   :class:`~repro.replication.retry.RetryPolicy`.
@@ -23,8 +24,6 @@ from ..replication.ordering import ThreePhaseSlot
 from ..replication.quorum import collect_valid_voters
 from .messages import (
     CheckpointMsg,
-    OrderedReply,
-    OrderedRequest,
     PoAck,
     ReconReply,
     ReconRequest,
@@ -190,7 +189,7 @@ class RecoveryStage:
             return
         self.retransmit_own_requests()
         self.push_recon()
-        self.ordering_catchup()
+        node.ordering.repair_tick()
 
     def retransmit_own_requests(self) -> None:
         node = self.node
@@ -225,62 +224,6 @@ class RecoveryStage:
                     request = state.requests.get(po_seq)
                     if cert is not None and request is not None:
                         node._send_to(peer, ReconReply(node.name, request, cert[1]))
-
-    def ordering_catchup(self) -> None:
-        node = self.node
-        next_seq = node.last_executed_seq + 1
-        have_later = any(
-            s.seq > next_seq and s.is_ordered for s in node.slots.values()
-        )
-        slot = node.slots.get(next_seq)
-        if slot is not None and slot.is_ordered:
-            node._try_execute()
-            return
-        if have_later:
-            # fetch a whole window of missing slots, spread across peers,
-            # so a replica many slots behind catches up quickly
-            peers = [p for p in node.config.replicas if p != node.name]
-            highest_ordered = max(
-                (s.seq for s in node.slots.values() if s.is_ordered),
-                default=next_seq,
-            )
-            upper = min(next_seq + 16, highest_ordered)
-            for seq in range(next_seq, upper + 1):
-                # NB: rebinds ``slot`` — the vote rebroadcast below then
-                # refers to the tail of the fetch window, not the head.
-                slot = node.slots.get(seq)
-                if slot is not None and slot.is_ordered:
-                    continue
-                peer = peers[node._recon_rotor % len(peers)]
-                node._recon_rotor += 1
-                node._send_to(peer, OrderedRequest(node.name, seq))
-        # re-broadcast our votes for the head slot to overcome loss
-        if slot is not None and not slot.is_ordered:
-            own_pp = slot.pre_prepares.get(node.view)
-            if (
-                own_pp is not None
-                and own_pp.payload.leader == node.name
-            ):
-                node.runtime.resend(
-                    own_pp, size_bytes=node._size_of(own_pp.payload)
-                )
-            node.ordering.rebroadcast_vote(slot)
-
-    def on_ordered_request(self, signed: SignedMessage, msg: OrderedRequest) -> None:
-        node = self.node
-        slot = node.slots.get(msg.seq)
-        if slot is None or not slot.is_ordered:
-            return
-        view, _, pre_prepare, proof = slot.ordered
-        node._send_to(msg.sender, OrderedReply(node.name, msg.seq, pre_prepare, proof))
-
-    def on_ordered_reply(self, signed: SignedMessage, msg: OrderedReply) -> None:
-        node = self.node
-        if msg.seq <= node.checkpoints.stable_seq or msg.seq <= node.last_executed_seq:
-            return
-        node.ordering.install_certified(
-            msg.seq, msg.pre_prepare, msg.commits, strict=True
-        )
 
     # ------------------------------------------------------------------
     # State transfer

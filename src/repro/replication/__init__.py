@@ -8,12 +8,13 @@ PBFT baseline) are built on, layered bottom-up:
   Spines-overlay implementations, each keeping its send count;
 * :mod:`~repro.replication.retry` — bounded-backoff retransmission
   (:class:`RetryPolicy` / :class:`RetrySchedule`) shared by every resend
-  path: Prime state transfer, PBFT head-slot retransmission,
-  client/proxy resubmission;
+  path: Prime state transfer, head-of-line repair, client/proxy
+  resubmission;
 * :mod:`~repro.replication.messages` — the :class:`SignedMessage`
-  envelope (authenticated links) and the four messages both protocols
-  vote and change views with (:class:`Prepare`, :class:`Commit`,
-  :class:`PreparedEntry`, :class:`NewView`);
+  envelope (authenticated links) and the six messages both protocols
+  vote, change views and fetch ordered slots with (:class:`Prepare`,
+  :class:`Commit`, :class:`PreparedEntry`, :class:`NewView`,
+  :class:`SlotFetch`, :class:`CertifiedSlot`);
 * :mod:`~repro.replication.dispatch` — handler registration behind
   generated shape and sender checks, with a per-kind receive count;
 * :mod:`~repro.replication.runtime` — :class:`ReplicationRuntime`:
@@ -25,12 +26,13 @@ PBFT baseline) are built on, layered bottom-up:
   assembly/verification;
 * :mod:`~repro.replication.ordering` — the one three-phase agreement:
   per-slot state (:class:`ThreePhaseSlot`) and the
-  pre-prepare/prepare/commit handlers, quorum transitions, served-slot
-  install and vote re-broadcast over it (:class:`ThreePhaseAgreement`);
+  pre-prepare/prepare/commit handlers, quorum transitions and
+  head-of-line repair over it: relay, re-vote, fetch and served-slot
+  install (:class:`ThreePhaseAgreement`);
 * :mod:`~repro.replication.epoch` — the one view-change core: per-epoch
   vote tables, prepared-entry collection, prepared-certificate and
   ViewChange validation, deterministic re-proposal derivation, NewView
-  build and verify (:class:`ViewChangeCore`).
+  build, verify and re-serve (:class:`ViewChangeCore`).
 
 A protocol enters the last two as data — one frozen
 :class:`AgreementSpec` naming its pre-prepare and view-change classes,
@@ -49,7 +51,15 @@ from .epoch import (
     derive_reproposals,
     prepared_entries,
 )
-from .messages import Commit, NewView, Prepare, PreparedEntry, SignedMessage
+from .messages import (
+    CertifiedSlot,
+    Commit,
+    NewView,
+    Prepare,
+    PreparedEntry,
+    SignedMessage,
+    SlotFetch,
+)
 from .ordering import AgreementSpec, ThreePhaseAgreement, ThreePhaseSlot
 from .quorum import (
     QuorumTracker,
@@ -63,6 +73,7 @@ from .transport import DirectTransport, OverlayTransport, Transport
 
 __all__ = [
     "AgreementSpec",
+    "CertifiedSlot",
     "Commit",
     "Dispatcher",
     "DirectTransport",
@@ -76,6 +87,7 @@ __all__ = [
     "RetryPolicy",
     "RetrySchedule",
     "SignedMessage",
+    "SlotFetch",
     "ThreePhaseAgreement",
     "ThreePhaseSlot",
     "ThresholdShareTracker",

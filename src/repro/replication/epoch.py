@@ -5,8 +5,9 @@ per-epoch votes until thresholds fire, have every replica send a
 ViewChange carrying its prepared certificates, and have the incoming
 leader derive — deterministically, so every replica can re-check it —
 which prepared proposals the new view must re-issue. Vote bookkeeping,
-derivation and the validation of everything a Byzantine peer could forge
-on this path live here; the protocols keep only *when* a leader is
+derivation, the validation of everything a Byzantine peer could forge
+on this path and the re-serving of an adopted NewView to a replica that
+missed it live here; the protocols keep only *when* a leader is
 replaced.
 """
 
@@ -153,6 +154,8 @@ class ViewChangeCore:
         #: new_view -> sender -> signed ViewChange
         self.view_changes = EpochVoteTable()
         self.sent_new_view_for: Set[int] = set()
+        #: the signed NewView this replica last adopted
+        self.last_new_view: Optional[SignedMessage] = None
 
     def floor_ok(self, vc: Any, verify_floor: Any) -> bool:
         """Hook: how the floor ``vc`` claims is vouched for. An unproven
@@ -232,6 +235,19 @@ class ViewChangeCore:
         """Store a validated ViewChange; returns the count for its view."""
         return self.view_changes.record(vc.new_view, vc.sender, signed)
 
+    def new_view_to_reserve(
+        self, vc: Any, view: int, in_view_change: bool
+    ) -> Optional[SignedMessage]:
+        """The NewView that installed ``view``, for the sender of a
+        ViewChange naming that view or an older one: it missed the NewView
+        (a lost message, a crashed leader rejoining, a laggard behind a
+        cascade), and adopting it converges where its timeout would
+        cascade."""
+        nv = self.last_new_view
+        if in_view_change or vc.new_view > view or nv is None or nv.payload.view != view:
+            return None
+        return nv
+
     # -- NewView construction / verification ---------------------------
     def build_new_view(
         self, view: int, sign_pre_prepare: Callable[[Any], SignedMessage]
@@ -256,6 +272,25 @@ class ViewChangeCore:
         max_seq = proposals[-1][0] if proposals else start_seq
         self.sent_new_view_for.add(view)
         return NewView(self.name, view, tuple(chosen), pre_prepares), max_seq
+
+    def accept_new_view(
+        self,
+        signed: SignedMessage,
+        nv: NewView,
+        view: int,
+        in_view_change: bool,
+        verify_signed: VerifySigned,
+        verify_floor: Any = None,
+    ) -> Optional[Tuple[List[SignedMessage], int, int]]:
+        """:meth:`verify_new_view` for a NewView this replica would adopt:
+        one for a higher view, or for the view it is still changing into.
+        An accepted NewView is kept for :meth:`new_view_to_reserve`."""
+        if nv.view < view or (nv.view == view and not in_view_change):
+            return None
+        verified = self.verify_new_view(signed, nv, verify_signed, verify_floor)
+        if verified is not None:
+            self.last_new_view = signed
+        return verified
 
     def verify_new_view(
         self,

@@ -4,10 +4,11 @@
 receivers drop any message whose signature does not verify against the
 claimed sender, confining Byzantine replicas to lying in *their own*
 messages. Both Prime and the PBFT baseline wrap every protocol message in
-it, and both vote, certify and change views with the same four messages
-(:class:`Prepare`, :class:`Commit`, :class:`PreparedEntry`,
-:class:`NewView`); only the pre-prepare and the ViewChange differ per
-protocol. The canonical encoding (:mod:`repro.crypto.encoding`) keys
+it, and both vote, certify, change views and hand ordered slots to a
+replica that missed them with the same six messages (:class:`Prepare`,
+:class:`Commit`, :class:`PreparedEntry`, :class:`NewView`,
+:class:`SlotFetch`, :class:`CertifiedSlot`); only the pre-prepare and the
+ViewChange differ per protocol. The canonical encoding (:mod:`repro.crypto.encoding`) keys
 dataclasses by class *name*, so the classes living here are
 wire-compatible with ``repro.prime.messages`` (which re-exports them).
 """
@@ -19,7 +20,15 @@ from typing import ClassVar, Generic, Tuple, TypeVar
 
 from ..crypto.provider import Signature
 
-__all__ = ["SignedMessage", "Prepare", "Commit", "PreparedEntry", "NewView"]
+__all__ = [
+    "SignedMessage",
+    "Prepare",
+    "Commit",
+    "PreparedEntry",
+    "NewView",
+    "SlotFetch",
+    "CertifiedSlot",
+]
 
 P = TypeVar("P")
 
@@ -81,3 +90,26 @@ class NewView:
     view: int
     view_changes: Tuple[SignedMessage, ...]   # signed ViewChanges for ``view``
     pre_prepares: Tuple[SignedMessage, ...]   # signed pre-prepares in seq order
+
+
+@dataclass(frozen=True)
+class SlotFetch:
+    """A replica whose head slot is stalled asks one peer for the ordered
+    slots from ``from_seq`` on."""
+
+    sender: str
+    from_seq: int
+
+
+@dataclass(frozen=True)
+class CertifiedSlot:
+    """An ordered slot served to a replica that fetched it. The
+    pre-prepare plus a quorum of commits is transferable proof of the
+    decision, so the receiver installs it whatever view it is in."""
+
+    sender: str
+    seq: int
+    pre_prepare: SignedMessage                 # signed pre-prepare, any view
+    commits: Tuple[SignedMessage[Commit], ...]  # x quorum
+    #: the server's execution frontier: how far the fetcher is behind
+    frontier: int

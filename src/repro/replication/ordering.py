@@ -6,8 +6,8 @@ differs is data — which class proposes, which field of it carries the
 proposal (a summary matrix vs. an update batch), how a proposal is
 digested — and enters as one frozen :class:`AgreementSpec` per protocol.
 :class:`ThreePhaseSlot` owns the per-slot state and
-:class:`ThreePhaseAgreement` is the one implementation of the handlers
-and quorum transitions over it.
+:class:`ThreePhaseAgreement` is the one implementation of the handlers,
+the quorum transitions and the head-of-line repair over it.
 """
 
 from __future__ import annotations
@@ -16,10 +16,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..crypto.encoding import derived
-from .messages import Commit, Prepare, SignedMessage
+from ..crypto.schema import is_a
+from .messages import CertifiedSlot, Commit, Prepare, SignedMessage, SlotFetch
 from .quorum import assemble_certificate, collect_valid_voters
+from .retry import RetryPolicy, RetrySchedule
 
 __all__ = ["AgreementSpec", "ThreePhaseAgreement", "ThreePhaseSlot"]
+
+#: ordered slots one :class:`SlotFetch` asks a peer for
+FETCH_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -160,15 +165,33 @@ class ThreePhaseAgreement:
 
     ``node`` is the owning replica: the agreement reads its ``name``,
     ``config``, ``view``, ``in_view_change``, ``stable_seq``,
-    ``_min_fresh_seq`` and ``slots``, sends through ``node._broadcast``
-    (so attack installers that wrap it intercept every vote) and calls
-    ``node._try_execute()`` when a slot becomes ordered. The three hooks
-    are no-ops here.
+    ``last_executed_seq``, ``_min_fresh_seq``, ``slots`` and
+    ``simulator``, sends through ``node._broadcast`` and ``node._send_to``
+    (so attack installers that wrap them intercept every vote), relays
+    through ``node.runtime.resend`` and calls ``node._try_execute()`` when
+    a slot becomes ordered. The three hooks are no-ops here.
+    ``repair_interval_ms`` is the period of the protocol's timer that
+    calls :meth:`repair_tick`.
     """
 
-    def __init__(self, node: Any, spec: AgreementSpec) -> None:
+    def __init__(self, node: Any, spec: AgreementSpec, repair_interval_ms: float) -> None:
         self.node = node
         self.spec = spec
+        #: highest seq known to be ordered, here or (by a served slot) at a peer
+        self.frontier = 0
+        #: the head that was unordered at the last repair tick
+        self._stalled: Optional[int] = None
+        self._due = 0.0
+        self._rotor = 0
+        self._retry = RetrySchedule(
+            RetryPolicy(
+                base_ms=repair_interval_ms,
+                factor=2.0,
+                max_ms=repair_interval_ms * 16,
+                max_attempts=8,
+            ),
+            rng=node.simulator.rng(f"repair/{node.name}"),
+        )
 
     # -- hooks ---------------------------------------------------------
     def valid_proposal(self, proposal: Any) -> bool:
@@ -248,6 +271,10 @@ class ThreePhaseAgreement:
         node = self.node
         if not slot.note_prepared(view, proposal_digest, node.config.quorum):
             return
+        # Vote only in the view we are in: a replica that has left a view
+        # may already have reported this slot unprepared in its ViewChange.
+        if view != node.view or node.in_view_change:
+            return
         if slot.should_vote_commit(view, proposal_digest):
             slot.committed_vote = (view, proposal_digest)
             node._broadcast(Commit(node.name, view, slot.seq, proposal_digest))
@@ -266,29 +293,100 @@ class ThreePhaseAgreement:
             return
         if self.spec.digest_of(pre_prepare.payload) != proposal_digest:
             return
-        slot.mark_ordered(view, proposal_digest, pre_prepare, proof)
-        node._try_execute()
+        self._order(slot, view, proposal_digest, pre_prepare, proof)
 
-    # -- catch-up ------------------------------------------------------
-    def install_certified(
+    def _order(
         self,
-        seq: int,
-        pp_signed: SignedMessage,
-        commits: Iterable[SignedMessage],
-        strict: bool,
+        slot: ThreePhaseSlot,
+        view: int,
+        proposal_digest: str,
+        pre_prepare: SignedMessage,
+        proof: Tuple[SignedMessage, ...],
+    ) -> None:
+        slot.mark_ordered(view, proposal_digest, pre_prepare, proof)
+        self.frontier = max(self.frontier, slot.seq)
+        self.node._try_execute()
+
+    # -- head-of-line repair -------------------------------------------
+    def repair_tick(self) -> None:
+        """Repair lost agreement traffic at the head, the slot at
+        ``last_executed_seq + 1``.
+
+        The head is stalled when it was already the unordered head at the
+        previous tick: its slot holds votes, or a later slot is known to be
+        ordered. A stalled head gets, backing off through one
+        :class:`RetrySchedule`: the current view's pre-prepare relayed by
+        whoever holds it, this replica's Prepare and Commit sent again, and
+        one :class:`SlotFetch` to one peer, chosen by rotor. An ordered
+        head that has not executed waits on the protocol's own data, so
+        execution is retried instead.
+        """
+        node = self.node
+        head = node.last_executed_seq + 1
+        slot = node.slots.get(head)
+        if slot is not None and slot.is_ordered:
+            self._stalled = None
+            node._try_execute()
+            return
+        if slot is None and max(node.stable_seq, self.frontier) < head:
+            self._stalled = None
+            return
+        now = node.simulator.now
+        if head != self._stalled:
+            self._stalled = head
+            self._retry.reset()
+            self._due = now
+            return
+        if now < self._due:
+            return
+        self._due = now + self._retry.next_delay_ms()
+        if slot is not None and not node.in_view_change:
+            pre_prepare = slot.pre_prepares.get(node.view)
+            if pre_prepare is not None:
+                node.runtime.resend(pre_prepare)
+            if slot.prepared_vote is not None:
+                view, vote_digest = slot.prepared_vote
+                node._broadcast(Prepare(node.name, view, head, vote_digest), include_self=False)
+            if slot.committed_vote is not None:
+                view, vote_digest = slot.committed_vote
+                node._broadcast(Commit(node.name, view, head, vote_digest), include_self=False)
+        peers = [peer for peer in node.config.replicas if peer != node.name]
+        node._send_to(peers[self._rotor % len(peers)], SlotFetch(node.name, head))
+        self._rotor += 1
+
+    def on_fetch(self, signed: SignedMessage, msg: SlotFetch) -> None:
+        node = self.node
+        for seq in range(msg.from_seq, msg.from_seq + FETCH_WINDOW):
+            slot = node.slots.get(seq)
+            if slot is not None and slot.is_ordered:
+                _, _, pre_prepare, commits = slot.ordered
+                node._send_to(msg.sender, CertifiedSlot(
+                    node.name, seq, pre_prepare, commits, node.last_executed_seq,
+                ))
+
+    def on_certified_slot(self, signed: SignedMessage, msg: CertifiedSlot) -> None:
+        if msg.seq > self.node.last_executed_seq and self.install_certified(
+            msg.seq, msg.pre_prepare, msg.commits
+        ):
+            self.frontier = max(self.frontier, msg.frontier)
+
+    def install_certified(
+        self, seq: int, pp_signed: SignedMessage, commits: Iterable[SignedMessage]
     ) -> bool:
         """Install a commit-certified slot served by a peer; True when
         the slot became ordered. A quorum of commits is transferable: any
         two quorums intersect in a correct replica, so the decision cannot
         conflict with anything still orderable locally, whatever view we
-        are in. ``strict`` is ``collect_valid_voters``'s.
+        are in. The commits are checked strictly: an honest server sends
+        the quorum it assembled, and the set is kept as this slot's
+        certificate, served on and carried in ViewChanges.
         """
         node = self.node
         slot = self.slot(seq)
         if slot.is_ordered:
             return False
         pp = pp_signed.payload
-        if pp.seq != seq:  # a spec.pre_prepare, by its callers' field annotations
+        if not is_a(pp, self.spec.pre_prepare) or pp.seq != seq:
             return False
         if pp.leader != node.config.leader_of_view(pp.view):
             return False
@@ -309,25 +407,9 @@ class ThreePhaseAgreement:
                 and commit.seq == seq
                 and commit.digest == proposal_digest
             ),
-            strict=strict,
         )
         if voters is None or len(voters) < node.config.quorum:
             return False
         slot.pre_prepares[pp.view] = pp_signed
-        slot.mark_ordered(pp.view, proposal_digest, pp_signed, commits)
-        node._try_execute()
+        self._order(slot, pp.view, proposal_digest, pp_signed, commits)
         return True
-
-    def rebroadcast_vote(self, slot: ThreePhaseSlot) -> None:
-        """Re-send this replica's latest vote for ``slot`` to overcome loss."""
-        node = self.node
-        if slot.committed_vote is not None:
-            view, vote_digest = slot.committed_vote
-            node._broadcast(
-                Commit(node.name, view, slot.seq, vote_digest), include_self=False
-            )
-        elif slot.prepared_vote is not None:
-            view, vote_digest = slot.prepared_vote
-            node._broadcast(
-                Prepare(node.name, view, slot.seq, vote_digest), include_self=False
-            )

@@ -1,9 +1,9 @@
 """Bounded-backoff retry primitives shared by every resend path.
 
-All retransmission in the reproduction — Prime state transfer, PBFT
-head-slot resends, client/proxy/HMI update resubmission — flows through
-one policy type so the backoff guarantees (bounded rate, deterministic
-jitter, never giving up) hold uniformly across protocols.
+All retransmission in the reproduction — Prime state transfer, the
+agreement's head-of-line repair, client/proxy/HMI update resubmission —
+flows through one policy type so the backoff guarantees (bounded rate,
+deterministic jitter, never giving up) hold uniformly across protocols.
 """
 
 from __future__ import annotations

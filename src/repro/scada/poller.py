@@ -8,9 +8,10 @@ keeps only what the architectures differ in: what to do with a finished
 reading, and whose commands to obey.
 
 A poll is two serial transactions per device (holding registers, then
-coils) with at most one in flight: a device that has not answered within
-the timeout is counted and re-polled at the next tick; responses that do
-not match the transaction in flight are ignored.  The poller owns no
+coils) with at most one in flight: a transaction not answered within the
+timeout is counted and sent again at the next tick, so on a field link
+slower than the timeout the late answer still completes it; responses
+that do not match the transaction in flight are ignored.  The poller owns no
 timer — its owner's poll tick (or sharded driver) calls :meth:`poll` /
 :meth:`poll_all`, and its ``on_message`` offers every payload to
 :meth:`on_payload` first.
@@ -101,17 +102,24 @@ class ModbusPoller:
         )
 
     def poll(self, binding: DeviceBinding) -> None:
-        """Start a poll unless one is in flight and not yet timed out."""
+        """Start a poll unless one is in flight and not yet timed out; a
+        timed-out coils read is sent again rather than the whole poll."""
         now = self.owner.simulator.now
         if binding.phase != "idle":
             if now - binding.started_at <= self.timeout_ms:
                 return
             self.polls_timed_out += 1
-        binding.phase = "await_regs"
         binding.started_at = now
+        if binding.phase == "await_coils":
+            self._request_coils(binding)
+            return
+        binding.phase = "await_regs"
         self._request(
             binding, ReadRequest(binding.unit_id, 0, len(MEASUREMENT_ORDER))
         )
+
+    def _request_coils(self, binding: DeviceBinding) -> None:
+        self._request(binding, ReadCoilsRequest(binding.unit_id, 0, len(binding.coil_ids)))
 
     def poll_all(self) -> None:
         for binding in self.devices.values():
@@ -145,10 +153,7 @@ class ModbusPoller:
             binding.registers = message.values
             binding.phase = "await_coils"
             binding.started_at = self.owner.simulator.now
-            self._request(
-                binding,
-                ReadCoilsRequest(binding.unit_id, 0, len(binding.coil_ids)),
-            )
+            self._request_coils(binding)
         elif isinstance(message, ReadCoilsResponse) and binding.phase == "await_coils":
             binding.phase = "idle"
             binding.poll_seq += 1

@@ -505,6 +505,9 @@ _REMOVED = re.compile(
     r"|class CountingCrypto|class Counter\b|def counter\b|\.counter\(|_SendCounters"
     r"|BoundedDelayMonitor|RerouteBoundMonitor|ViewRecoveryMonitor|_quiet_intervals"
     r"|sender_field_check|_dispatch_slow|_sender_matches_signer"
+    r"|PbftFetch|PbftOrderProof|OrderedRequest|OrderedReply|_retrans_tick|_retrans_head"
+    r"|_retrans_due|_retrans_schedule|_known_frontier|\b_on_fetch|_on_order_proof"
+    r"|ordering_catchup|on_ordered_request|on_ordered_reply|rebroadcast_vote|\._last_new_view"
 )
 
 

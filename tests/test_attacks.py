@@ -16,6 +16,7 @@ from repro.attacks import (
 from repro.core import BreakerCommand, DeliveryRecord, SpireDeployment, SpireOptions
 from repro.core.update import BatchDeliveryShare
 from repro.prime.messages import PrePrepare
+from repro.spines import OverlayStack
 
 
 @pytest.fixture
@@ -175,7 +176,9 @@ def test_flooding_attacker_counts():
 def test_slow_proposer_delays_retransmissions_on_a_flooding_overlay():
     """``runtime.resend`` multicasts, and an overlay transport maps a
     multicast straight onto its stack — the installer must sit in that
-    path too, or a retransmitted PrePrepare overtakes the delayed one."""
+    path too, or a retransmitted PrePrepare overtakes the delayed one.
+    The suspect monitors are blinded so the leader stays in office long
+    enough for its delayed slots to stall and be relayed."""
     delay_ms = 120.0
     deployment = SpireDeployment(SpireOptions.wan(seed=5, num_substations=3))
     assert deployment.overlay.mode == "flooding"
@@ -184,6 +187,8 @@ def test_slow_proposer_delays_retransmissions_on_a_flooding_overlay():
     leader = next(r for r in deployment.replicas if r.is_leader)
     simulator = deployment.simulator
     uninstall = make_slow_proposer(leader, delay_ms)
+    for replica in deployment.replicas:
+        replica.monitor.should_suspect = lambda now: None
 
     def leads(payload):
         return isinstance(payload, PrePrepare) and payload.leader == leader.name
@@ -207,13 +212,15 @@ def test_slow_proposer_delays_retransmissions_on_a_flooding_overlay():
         if peer is leader:
             continue
 
-        def spy_dispatch(signed, _dispatch=peer._dispatch,
-                         _seen=arrivals.setdefault(peer.name, [])):
-            if leads(signed.payload):
+        # copies from the leader only: peers relay a stalled slot too
+        def spy_receive(src, message, _receive=peer.on_message,
+                        _seen=arrivals.setdefault(peer.name, [])):
+            origin, signed = OverlayStack.unwrap(message)
+            if origin == leader.name and leads(signed.payload):
                 _seen.append(simulator.now)
-            return _dispatch(signed)
+            return _receive(src, message)
 
-        peer._dispatch = spy_dispatch
+        peer.on_message = spy_receive
     deployment.run_for(3000)
     assert produced["broadcast"] and produced["resend"]
     # the i-th copy a peer sees cannot be earlier than the i-th one made

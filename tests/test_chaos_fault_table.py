@@ -160,10 +160,12 @@ ALL_KINDS_OPTIONS = ChaosOptions(
     self_healing=True,
 )
 
-#: (fingerprint, events processed) at PYTHONHASHSEED=0
+#: (fingerprint, events processed) at PYTHONHASHSEED=0; re-pinned when
+#: both protocols took one head-of-line repair path and the poller re-sent
+#: a timed-out transaction in place (CHANGES.md)
 PINNED_ALL_KINDS = (
-    "6f91502095296b53c8307f098a3f0ab07884ca7374a416c74cc8b64136c06130",
-    69_667,
+    "475f161a0b3a21562e278c0a31e1bfd93e7a786e83964ea955282febb9b85874",
+    67_242,
 )
 
 

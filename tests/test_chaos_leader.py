@@ -43,22 +43,23 @@ WALL_BUDGET_S = 240.0
 
 DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 
-#: the view-change path pinned at PYTHONHASHSEED=0 (recorded at the
-#: parent of PR 16, before the agreement/view-change twins were merged):
-#: seed -> (fingerprint, events processed) of ``leader_options(seed)``
+#: the view-change path pinned at PYTHONHASHSEED=0: seed -> (fingerprint,
+#: events processed) of ``leader_options(seed)``. Recorded at the parent
+#: of PR 16; re-pinned once when both protocols took one head-of-line
+#: repair path (CHANGES.md)
 PINNED_PRIME_LEADER = {
-    2: ("d8d407712a2e10c057a8f1c467da33277f1eed76e1ba83a0f497a9e859f9932d",
-        52_568),
-    7: ("903de077957b869ecbcd318bc8e300a689ded3371332fd38e387db1ebaa195fa",
-        40_465),
+    2: ("28f79c87eabd63a4c86824029d98d385e36a7e8139accd712dcbb57c246c6165",
+        36_857),
+    7: ("6f28328fc1d6eedc9e2b840e2c4e5618a995d52d8522f898b09644f101cefcdf",
+        39_496),
 }
-#: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 goes
-#: seven views deep with three judged leader faults. Re-pinned once, at
-#: PR 23, when the harness took the Spire engine's fingerprint formula
-#: (the run's deterministic image was byte-equal before and after)
+#: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 has
+#: three judged leader faults, and its partitioned view-2 leader cascades
+#: alone past the cluster's view 3. Re-pinned at PR 23 (the harness took
+#: the Spire engine's fingerprint formula) and with the shared repair path
 PINNED_PBFT_LEADER = {
-    1: "817a544ec59eedc52cc282667160caf66049506481331185ad1a6f5a537203d3",
-    5: "b37197e969fc610e180cc693425707a6e80a5b3e75bb0c5527e4002965baff1a",
+    1: "690d9cfe95b9e3d319d293064555ebce09a0ba594bff7e752a354142a6b45e14",
+    5: "bc65e2654e691a53f0f5f5004179089b4f420b892da7415418f0cafc2f9b68ac",
 }
 
 

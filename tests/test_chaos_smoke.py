@@ -74,20 +74,18 @@ def test_chaos_smoke_sweep():
 
 
 def test_the_liveness_judge_flags_the_stall_after_the_faults_clear():
-    """A known Prime defect, pinned: Prime's turnaround-time suspicion never
-    fires on this stall. The last delivery before it is at 2,194 ms; every
-    scheduled fault has ended by 4,965 ms and all six replicas are up from
-    6,000 ms, yet every replica sits at ``last_executed`` 23 in view 1 while
-    the proxy's client retries. Ordering resumes only when the leader,
-    ``replica:1``, is rejuvenated at 10,000 ms. The old watchdog's 2,500 ms
-    grace after each fault hid it in the 2 s settle of ``SMOKE``."""
+    """The judge flags nothing here since Prime repairs its head slot. The
+    stall it flagged before: the last delivery was at 2,194 ms, every
+    scheduled fault had ended by 4,965 ms and all six replicas were up
+    from 6,000 ms, yet every replica sat at ``last_executed`` 23 in view 1
+    until the leader was rejuvenated at 10,000 ms. Slot 24 held 2 of the 4
+    Commits it needed: ``drop`` faults ate the others, and nothing sent a
+    vote again. Each replica now re-sends its Prepare and Commit for a
+    stalled head."""
     result = ChaosEngine(ChaosOptions(seed=9, **{**SMOKE, "settle_ms": 12_000.0})).run()
-    [stall] = result.violations
-    details = dict(stall.details)
-    assert (stall.monitor, stall.kind) == ("liveness", "delivery-stall")
     assert max(action.end_ms for action in result.schedule) < 4_965.0
-    assert 6_000.0 < details["owed_start_ms"] and details["owed_end_ms"] == 10_000.0
-    assert details["gap_ms"] > details["bound_ms"]
+    assert result.violations == []
+    assert result.stats["liveness_margin_ms"] > 0
 
 
 def test_chaos_run_is_deterministic():

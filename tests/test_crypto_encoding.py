@@ -414,6 +414,7 @@ def golden_instances():
     from repro.core import update as core
     from repro.pbft import messages as pbft
     from repro.prime import messages as prime
+    from repro.replication import messages as replication
     from repro.spines import messages as spines
 
     signature = Signature("replica:1", "a1b2")
@@ -450,16 +451,14 @@ def golden_instances():
         prime.Pong("replica:1", 5, 120.25),
         prime.ReconRequest("replica:2", "replica:1#0", 4, 6),
         prime.ReconReply("replica:1", vote, ()),
-        prime.OrderedRequest("replica:2", 17),
-        prime.OrderedReply("replica:1", 17, vote, ()),
         prime.StateRequest("replica:5"),
         prime.StateReply("replica:1", 10, {"order": 41, "clients": (("proxy:sub-1", 9),)}, (), 3),
         pbft.ForwardedUpdate("replica:2", update),
         pbft.PbftPrePrepare("replica:3", 3, 17, (update,)),
         pbft.PbftCheckpoint("replica:2", 10, "b" * 64),
         pbft.PbftViewChange("replica:2", 4, 16, (prepared,)),
-        pbft.PbftFetch("replica:5", 11),
-        pbft.PbftOrderProof("replica:1", 17, vote, (), frontier=20),
+        replication.SlotFetch("replica:5", 11),
+        replication.CertifiedSlot("replica:1", 17, vote, (), 20),
         reading,
         command,
         record,

@@ -24,7 +24,6 @@ from repro.pbft import PbftConfig, PbftNode
 from repro.prime import LoggingApp
 from repro.prime.messages import (
     CheckpointMsg,
-    OrderedReply,
     PoAck,
     Pong,
     PoRequest,
@@ -34,7 +33,7 @@ from repro.prime.messages import (
     StateReply,
     Suspect,
 )
-from repro.replication.messages import SignedMessage
+from repro.replication.messages import CertifiedSlot, SignedMessage
 from repro.simnet import LinkSpec, Network, Simulator
 
 SIGNER = "replica:1"
@@ -61,11 +60,11 @@ ROWS = {
     "recon-reply-int-acks": (
         lambda c, r: ReconReply(SIGNER, _signed(c, PoRequest(f"{SIGNER}#0", 1, ())), 7),
         False),
-    "ordered-reply-int-pre-prepare": (
-        lambda c, r: OrderedReply(SIGNER, r.last_executed_seq + 5, 5, ()), False),
-    "ordered-reply-str-seq": (
-        lambda c, r: OrderedReply(
-            SIGNER, "9", _signed(c, PrePrepare(SIGNER, 0, 9, ())), ()
+    "certified-slot-int-pre-prepare": (
+        lambda c, r: CertifiedSlot(SIGNER, r.last_executed_seq + 5, 5, (), 0), False),
+    "certified-slot-str-seq": (
+        lambda c, r: CertifiedSlot(
+            SIGNER, "9", _signed(c, PrePrepare(SIGNER, 0, 9, ())), (), 0
         ), False),
     "checkpoint-str-seq": (lambda c, r: CheckpointMsg(SIGNER, "9", "d"), False),
     "checkpoint-none-seq": (lambda c, r: CheckpointMsg(SIGNER, None, "d"), False),

@@ -11,9 +11,10 @@ from repro.simnet import LinkSpec, Network, Simulator
 
 
 class PbftCluster:
-    def __init__(self, n=6, f=1, seed=3, timeout_ms=1000.0, **config_kwargs):
+    def __init__(self, n=6, f=1, seed=3, timeout_ms=1000.0, loss=0.0, **config_kwargs):
         self.simulator = Simulator(seed=seed)
-        self.network = Network(self.simulator, LinkSpec(latency_ms=0.3, jitter_ms=0.1))
+        self.network = Network(
+            self.simulator, LinkSpec(latency_ms=0.3, jitter_ms=0.1, loss=loss))
         self.crypto = FastCrypto(seed=f"pbft/{seed}")
         self.obs = Observability(now_fn=lambda: self.simulator.now)
         names = tuple(f"replica:{i}" for i in range(n))
@@ -39,6 +40,12 @@ class PbftCluster:
         if not node.is_up:
             node = next(n for n in self.nodes if n.is_up)
         return node.submit(update)
+
+    def pump(self, count, gap_ms=20.0):
+        """Submit ``count`` updates round-robin, ``gap_ms`` apart."""
+        for i in range(count):
+            self.submit(("op", i), index=i % len(self.nodes))
+            self.simulator.run_for(gap_ms)
 
     def logs(self, only_up=True):
         return [tuple(n.app.log) for n in self.nodes if n.is_up or not only_up]
@@ -170,19 +177,6 @@ def test_progress_requires_quorum():
     assert all(len(node.app.log) == 0 for node in pbft.nodes if node.is_up)
 
 
-def test_loss_tolerated_by_retransmission():
-    pbft = PbftCluster(seed=21)
-    pbft.network.default_link.loss = 0.05
-    pbft.start()
-    for i in range(10):
-        pbft.submit(("op", i))
-        pbft.simulator.run_for(50)
-    pbft.simulator.run_for(5000)
-    logs = pbft.logs()
-    assert all(len(log) == 10 for log in logs)
-    assert len(set(logs)) == 1
-
-
 # ----------------------------------------------------------------------
 # View-change validation (Byzantine-proof), checkpoints, catch-up
 # ----------------------------------------------------------------------
@@ -288,23 +282,6 @@ def test_checkpoint_truncates_log():
         assert min(node.slots) > 4          # old slots truncated
         assert len(node.slots) <= 4 * 4 + 8  # retention window + frontier
     assert pbft.obs.log.count(kind="pbft-checkpoint") >= len(pbft.nodes)
-
-
-def test_recovered_laggard_catches_up_via_order_proofs():
-    """A replica that slept through ordering rejoins by fetching
-    commit-certified slots (order proofs), not by re-running ordering."""
-    pbft = PbftCluster(seed=19, checkpoint_interval=16).start()
-    lagger = pbft.nodes[3]
-    lagger.crash()
-    for i in range(30):
-        pbft.submit(("op", i))
-        pbft.simulator.run_for(20)
-    pbft.simulator.run_for(1000)
-    assert all(len(log) == 30 for log in pbft.logs())   # quorum progressed
-    lagger.recover()
-    pbft.simulator.run_for(4000)
-    assert len(lagger.app.log) == 30
-    assert tuple(lagger.app.log) == tuple(pbft.nodes[1].app.log)
 
 
 def test_vote_table_gc_after_new_view():

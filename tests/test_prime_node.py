@@ -111,22 +111,6 @@ def test_app_state_converges(cluster_factory):
     assert all(state == {"a": 1, "b": 2} for state in states)
 
 
-def test_survives_message_loss(cluster_factory):
-    cluster = cluster_factory(loss=0.05, seed=13).start()
-    cluster.pump(20, gap_ms=30)
-    cluster.run_for(5000)
-    reference = cluster.assert_safety()
-    assert len(reference) == 20
-
-
-def test_survives_heavy_loss(cluster_factory):
-    cluster = cluster_factory(loss=0.2, seed=17).start()
-    cluster.pump(10, gap_ms=50)
-    cluster.run_for(15000)
-    reference = cluster.assert_safety()
-    assert len(reference) == 10
-
-
 def test_coverage_cutoffs_quorum_th_largest():
     from repro.prime.messages import PoSummary, SignedMessage
     from repro.crypto.provider import Signature

@@ -4,11 +4,13 @@ import pytest
 
 from repro.attacks import (
     make_equivocating_leader,
+    make_seq_skipping_leader,
     make_silent,
     make_slow_proposer,
     make_suspect_spammer,
 )
-from repro.obs import EV_NEW_VIEW, EV_VIEW_CHANGE_START
+from repro.obs import EV_NEW_VIEW, EV_RECOVERY_START, EV_VIEW_CHANGE_START
+from repro.prime import NewView
 from repro.simnet import DosAttack, FailureInjector
 
 
@@ -94,6 +96,44 @@ def test_equivocating_leader_cannot_break_safety(cluster):
     cluster.assert_safety(only_up=True)
     healthy_logs = [tuple(n.app.log) for n in cluster.nodes[1:]]
     assert all(len(log) == len(healthy_logs[0]) for log in healthy_logs)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1(c)")
+def test_seq_skipping_leader_replaced(cluster):
+    """Execution waits on the skipped slot forever unless the leader is
+    replaced, and the turnaround-time sample is taken when a proposal
+    arrives, not when its slot joins the executed prefix."""
+    make_seq_skipping_leader(cluster.nodes[0], at_ms=2000.0)
+    cluster.pump(200, gap_ms=20, node_index=2)
+    cluster.run_for(3000)
+    reference = cluster.assert_safety()
+    assert len(reference) == 200
+
+
+def test_replica_that_missed_the_new_view_rejoins(cluster):
+    """A replica whose NewView is lost stays in its view change; the
+    replicas that installed the view answer its ViewChange with their
+    NewView instead of ignoring it."""
+    cluster.run_for(500)
+    laggard = cluster.nodes[4]
+    dispatch, dropped = laggard._dispatch, []
+
+    def drop_first_new_view(signed):
+        if isinstance(signed.payload, NewView) and not dropped:
+            dropped.append(signed)
+            return
+        dispatch(signed)
+
+    laggard._dispatch = drop_first_new_view
+    for node in cluster.nodes:
+        node.leadership.send_suspect("forced")
+    cluster.run_for(2000)
+    assert dropped
+    assert all(node.view == 1 and not node.in_view_change for node in cluster.nodes)
+    assert laggard.obs.log.count(laggard.name, EV_RECOVERY_START) == 0
+    cluster.pump(10, gap_ms=30)
+    cluster.run_for(1000)
+    assert [len(log) for log in cluster.logs()] == [10] * 6
 
 
 def test_view_change_preserves_inflight_updates(cluster):

@@ -5,8 +5,8 @@ implementation in ``repro.replication`` (``ThreePhaseAgreement``,
 ``ViewChangeCore``), reached through a real replica of each protocol so
 the verification helpers are the ones production passes in. A ``Side``
 holds what differs — the ``AgreementSpec``, how a proposal and a
-ViewChange are built, how a floor is vouched for, which message serves a
-certified slot; the cases themselves never ask which protocol they run.
+ViewChange are built, how a floor is vouched for, how a cluster is built;
+the cases themselves never ask which protocol they run.
 
 Forgeries are built so that exactly one check catches them: the votes in
 a forged entry are consistent with what the entry *claims*, so removing
@@ -17,18 +17,21 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.pbft.messages import PbftOrderProof, PbftViewChange
+from repro.chaos import Oracle
+from repro.pbft.messages import PbftViewChange
 from repro.pbft.node import PBFT_AGREEMENT
 from repro.prime import (
     CheckpointMsg,
-    OrderedReply,
     PoSummary,
     ViewChange,
     sign_client_update,
 )
 from repro.prime.ordering import PRIME_AGREEMENT
 from repro.replication import (
+    CertifiedSlot,
     Commit,
     NewView,
     Prepare,
@@ -44,8 +47,9 @@ class Side:
 
     spec = None
 
-    def __init__(self, cluster):
-        self.cluster = cluster
+    def __init__(self, factory):
+        self.factory = factory
+        self.cluster = cluster = factory().start()
         self.config = cluster.config
         self.replicas = cluster.config.replicas
         self.quorum = cluster.config.quorum
@@ -160,13 +164,13 @@ class PrimeSide(Side):
         vc = ViewChange(sender, new_view, 16, proof, ())
         return self.signed(sender, vc), vc
 
-    def served_slot(self, sender, seq, pre_prepare, commits):
-        return OrderedReply(sender, seq, pre_prepare, commits)
-
     def force_view_change(self):
         """Make every replica vote the current leader out."""
         for node in self.cluster.nodes:
             node.leadership.send_suspect("forced")
+
+    def start_view_change(self, node, view):
+        node.leadership.initiate_view_change(view)
 
     def own_sent_views(self, node):
         return node.view_manager.sent_suspect_for
@@ -189,12 +193,12 @@ class PbftSide(Side):
         so it may not also carry an entry at or below it."""
         return self.view_change(sender, new_view, [self.entry(seq=3)], floor=3)
 
-    def served_slot(self, sender, seq, pre_prepare, commits):
-        return PbftOrderProof(sender, seq, pre_prepare, commits, frontier=seq)
-
     def force_view_change(self):
         for node in self.cluster.nodes:
             node._start_view_change(node.view + 1)
+
+    def start_view_change(self, node, view):
+        node._start_view_change(view)
 
     def own_sent_views(self, node):
         return node._sent_vc_for
@@ -203,8 +207,8 @@ class PbftSide(Side):
 @pytest.fixture(params=["prime", "pbft"])
 def side(request, cluster_factory):
     if request.param == "prime":
-        return PrimeSide(cluster_factory().start())
-    return PbftSide(PbftCluster().start())
+        return PrimeSide(cluster_factory)
+    return PbftSide(PbftCluster)
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +409,7 @@ def _serve(side, seq, commit_view=0, commit_digest=None, signer=None, short=0):
         Commit, commit_view, seq, commit_digest or digest,
         side.replicas[: side.quorum - short],
     )
-    reply = side.served_slot("replica:2", seq, pre_prepare, commits)
+    reply = CertifiedSlot("replica:2", seq, pre_prepare, commits, seq)
     side.node._dispatch(side.signed("replica:2", reply))
     return pre_prepare, digest, commits
 
@@ -436,6 +440,109 @@ def test_served_certified_slot_is_installed_with_its_certificate(side):
     # later ViewChange (or a peer's fetch) is served from
     assert slot.pre_prepares[0] is pre_prepare
     assert (slot.prepared_cert, slot.prepared_proof) == ((0, digest), commits)
+
+
+def test_no_commit_in_a_view_the_replica_has_left(side):
+    """A replica that sent its ViewChange may have reported the slot
+    unprepared there; late Prepares of the old view still complete its
+    prepare quorum, but it must not commit in a view it has left."""
+    node, proposal = side.node, side.proposal(SEQ)
+    node._dispatch(side.pre_prepare(0, SEQ, proposal))
+    side.start_view_change(node, 1)
+    sent = []
+    broadcast = node._broadcast
+
+    def spy(payload, include_self=True):
+        sent.append(payload)
+        return broadcast(payload, include_self)
+
+    node._broadcast = spy
+    for vote in side.votes(Prepare, 0, SEQ, side.spec.digest(SEQ, proposal),
+                           side.others(0)[: side.quorum]):
+        node._dispatch(vote)
+    assert node.slots[SEQ].prepared_cert == (0, side.spec.digest(SEQ, proposal))
+    assert not [p for p in sent if isinstance(p, Commit)]
+
+
+# ----------------------------------------------------------------------
+# Head-of-line repair: loss and laggards
+# ----------------------------------------------------------------------
+
+def _executed_everywhere(cluster, count):
+    logs = [tuple(node.app.log) for node in cluster.nodes if node.is_up]
+    assert [len(log) for log in logs] == [count] * len(logs)
+    assert len(set(logs)) == 1
+
+
+def test_survives_message_loss(side):
+    cluster = side.factory(seed=13, loss=0.05).start()
+    cluster.pump(20, gap_ms=30)
+    cluster.simulator.run_for(5000)
+    _executed_everywhere(cluster, 20)
+
+
+def test_survives_heavy_loss(side):
+    cluster = side.factory(seed=17, loss=0.2).start()
+    cluster.pump(10, gap_ms=50)
+    cluster.simulator.run_for(15000)
+    _executed_everywhere(cluster, 10)
+
+
+def test_recovered_laggard_catches_up(side):
+    """A replica that slept through ordering rejoins by fetching
+    commit-certified slots, not by re-running ordering."""
+    cluster = side.factory(seed=19).start()
+    laggard = cluster.nodes[3]
+    laggard.crash()
+    cluster.pump(30, gap_ms=20)
+    cluster.simulator.run_for(1000)
+    _executed_everywhere(cluster, 30)
+    laggard.recover()
+    cluster.simulator.run_for(4000)
+    _executed_everywhere(cluster, 30)
+
+
+#: (which recorded message, which replica, how much later)
+REPLAYS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 5), st.floats(0.0, 1500.0)),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(replays=REPLAYS)
+def test_replayed_and_cross_view_agreement_messages_leave_the_oracle_clean(side, replays):
+    """Any signed pre-prepare, Prepare or Commit a replica has seen in
+    view 0, delivered again to any replica while and after the cluster
+    moves to view 1: the late delivery a slow link or a Byzantine peer
+    replaying its own signatures can produce."""
+    cluster = side.factory(seed=23).start()
+    oracle = Oracle(lambda: cluster.simulator.now)
+    oracle.watch(cluster.nodes)
+    seen = []
+    kinds = (side.spec.pre_prepare, Prepare, Commit)
+    for node in cluster.nodes:
+        def record(signed, _dispatch=node._dispatch):
+            if isinstance(signed.payload, kinds):
+                seen.append(signed)
+            _dispatch(signed)
+
+        node._dispatch = record
+    cluster.pump(10, gap_ms=20)
+    cluster.simulator.run_for(200)
+    for node in cluster.nodes:
+        side.start_view_change(node, 1)
+    pool = list(seen)
+    for pick, target, delay in replays:
+        node = cluster.nodes[target]
+        cluster.simulator.schedule(delay, node._dispatch, pool[pick % len(pool)])
+    cluster.pump(10, gap_ms=20)
+    cluster.simulator.run_for(3000)
+    assert all(node.view == 1 and not node.in_view_change for node in cluster.nodes)
+    oracle.check_states(cluster.nodes)
+    assert oracle.findings == []
+    _executed_everywhere(cluster, 20)
 
 
 # ----------------------------------------------------------------------

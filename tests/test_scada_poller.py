@@ -97,6 +97,21 @@ def test_one_transaction_in_flight_and_timeout_counted_once():
     assert master.readings == [(first, 1, *master.readings[0][2:])]
 
 
+def test_a_field_link_slower_than_the_timeout_still_completes_polls():
+    """Every frame takes 45 ms each way, so no transaction is answered
+    within the 50 ms timeout. The transaction in flight is sent again and
+    its late answer completes it; restarting the whole poll at each tick
+    would throw away every registers answer and finish none."""
+    sim = Simulator(seed=4)
+    net = Network(sim, LinkSpec(latency_ms=45.0))
+    grid, rtus, bindings = build_radial_field(sim, net, 2, seed=4)
+    master = Master(sim, net, bindings)
+    master.every(150.0, master.poller.poll_all)
+    sim.run_for(3000.0)
+    assert master.poller.polls_timed_out > 0
+    assert min(b.poll_seq for b in master.poller.devices.values()) >= 9
+
+
 def test_responses_that_match_no_transaction_are_ignored():
     sim, grid, rtus, master, sent = build()
     binding = master.poller.devices[sorted(rtus)[0]]

@@ -426,18 +426,19 @@ def _trace_fingerprint(options, run_ms):
 
 
 #: digests at PYTHONHASHSEED=0 (the flooding ``wan7`` was re-pinned once,
-#: with its reason in CHANGES.md): the event trace of a full deployment,
-#: in order and at its simulated times
+#: and both when the protocols took one head-of-line repair path; reasons
+#: in CHANGES.md): the event trace of a full deployment, in order and at
+#: its simulated times
 PINNED_TRACES = {
     "wan7": (
         dict(seed=7, num_substations=3),
         6000.0,
-        "7a85576d6b15a936c9883815d714c9114954bf78ca048fa9fadf08063318bbf4",
+        "924ddce89932deea2ba33c9b3cccbf81fee3477268ac9f9088f4c60da67c8d89",
     ),
     "lan21": (
         dict(seed=21, num_substations=2, poll_interval_ms=200.0),
         4000.0,
-        "4a8c610501f5f0c1cf20468b995ea5a9b9805f5e1d3b415bd5fc4116fa4b06f2",
+        "599b17b148a53a946b808d7ea0cc0cc3dbc6a6850e9d6b1d824f09d6b912fc02",
     ),
 }
 

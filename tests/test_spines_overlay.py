@@ -664,7 +664,7 @@ def test_broadcasts_reach_the_overlay_as_one_datagram_each():
     peers = len(deployment.replicas) - 1
     # Prime sends each kind either only point-to-point or only to all peers
     unicast_kinds = {
-        "Pong", "ReconRequest", "ReconReply", "OrderedRequest", "OrderedReply",
+        "Pong", "ReconRequest", "ReconReply", "SlotFetch", "CertifiedSlot",
         "StateReply",
     }
     prefix = "prime.send."
