@@ -90,7 +90,6 @@ class SpinesDaemon(Process):
         self.site_name = site_name
         self.routing = routing
         #: resolved once per daemon, not per datagram
-        self._floods = routing.name == "flooding"
         self._shortest = routing.name == "shortest"
         self.crypto = crypto
         self.obs = obs if obs is not None else NULL_OBS
@@ -111,6 +110,7 @@ class SpinesDaemon(Process):
         self.neighbors: Dict[str, str] = {}
         self.attached: Set[str] = set()            # endpoint names homed here
         self.endpoint_home: Dict[str, str] = {}    # endpoint -> site (global map)
+        self.endpoint_route: Dict[str, Optional[str]] = {}  # endpoint -> route (global)
         #: origin -> seqs kept; ``_seen_origins`` / ``_seen_seqs`` hold the
         #: same keys oldest first, so eviction deletes exactly the oldest
         self._seen: Dict[str, Dict[int, None]] = {}
@@ -168,13 +168,15 @@ class SpinesDaemon(Process):
 
     def _on_ingress(self, src: str, message: OverlayIngress) -> None:
         data = message.data
-        # next-hop tables route towards exactly one destination
-        # (``OverlayStack.multicast`` builds nothing else for them)
+        routes = self.endpoint_route
+        # one datagram serves one route (``OverlayStack.multicast`` builds
+        # nothing else)
         if (
             src not in self.attached
             or not _INGRESS_SHAPE(message)
             or data.origin != src
-            or not (self._floods or len(data.dests) == 1)
+            or len({routes[dest] if dest in routes else None
+                    for dest in data.dests}) != 1
         ):
             self.stats["dropped_auth"] += 1
             return
@@ -264,9 +266,9 @@ class SpinesDaemon(Process):
 
     def _route_default(self, data: OverlayData, arrived_from: Optional[str]) -> None:
         # forward while at least one destination has a known home; a
-        # routed datagram has one destination and heads for its site (and
-        # stops there), a flooded one goes out on every link whichever
-        # site that is; an isolated daemon has nobody to forward to
+        # routed datagram's destinations share one site, which it heads
+        # for (and stops at), a flooded one goes out on every link
+        # whichever site that is; an isolated daemon has nobody to forward to
         targets: Any = ()
         for dest in data.dests if self.neighbors else ():
             dest_site = self.endpoint_home.get(dest)

@@ -46,7 +46,7 @@ class OverlayStack:
         self._endpoint_send = endpoint.send
         self._obs_enabled = overlay.obs.enabled
         self._simulator = overlay.simulator
-        self._floods = overlay.mode == "flooding"
+        self._endpoint_route = overlay._endpoint_route
 
     def send(self, dest_endpoint: str, payload: Any, size_bytes: int = 256,
              priority: int = 0) -> bool:
@@ -55,21 +55,22 @@ class OverlayStack:
 
     def multicast(self, dests: Sequence[str], payload: Any,
                   size_bytes: int = 256, priority: int = 0) -> None:
-        """Send ``payload`` to every endpoint in ``dests``.
-
-        A flooding overlay already carries each datagram to every daemon,
-        so the whole set rides one datagram: one flood instead of
-        ``len(dests)`` identical ones. A routed overlay gets one datagram
-        per destination: next-hop tables point along per-destination
-        paths, so a shared datagram would either be forwarded back towards
-        destinations that are not downstream or need re-addressing (a new
-        datagram, encoding and digest) on every branch.
+        """Send ``payload`` to every endpoint in ``dests``: one datagram
+        per route (:meth:`~repro.spines.routing.RoutingStrategy.route_of`),
+        in the order each route first appears, naming every destination
+        that route serves. A flooding overlay carries the whole set in one
+        datagram (one flood reaches every daemon); a routed one sends one
+        per destination site, whose endpoints share every hop.
         """
-        if not self._floods:
-            for dest in dests:
-                self._submit((dest,), payload, size_bytes, priority)
-        elif dests:
-            self._submit(tuple(dests), payload, size_bytes, priority)
+        served: Dict[Optional[str], Tuple[str, ...]] = {}
+        routes = self._endpoint_route
+        for dest in dests:
+            # an unattached endpoint's route is None; tested, not .get():
+            # no call per destination on the broadcast path
+            route = routes[dest] if dest in routes else None
+            served[route] = served[route] + (dest,) if route in served else (dest,)
+        for route_dests in served.values():
+            self._submit(route_dests, payload, size_bytes, priority)
 
     def _submit(self, dests: Tuple[str, ...], payload: Any, size_bytes: int,
                 priority: int) -> bool:
@@ -125,6 +126,8 @@ class SpinesOverlay:
         self.routing = make_routing(mode, topology)
         self.daemons: Dict[str, SpinesDaemon] = {}
         self._endpoint_home: Dict[str, str] = {}
+        #: endpoint -> ``routing.route_of`` its home, resolved at attach
+        self._endpoint_route: Dict[str, Optional[str]] = {}
         for site in topology.sites:
             self.daemons[site.name] = SpinesDaemon(
                 site.name, simulator, network, self.routing, self.crypto,
@@ -150,6 +153,7 @@ class SpinesOverlay:
         # destination (link-state routing advertises client attachment).
         for daemon in self.daemons.values():
             daemon.endpoint_home = self._endpoint_home
+            daemon.endpoint_route = self._endpoint_route
         # Self-healing control plane: shared across daemons (they share the
         # routing instance too, so one rebuild reroutes the whole overlay).
         self.control_plane: Optional[OverlayControlPlane] = None
@@ -171,6 +175,7 @@ class SpinesOverlay:
         if endpoint.name in self._endpoint_home:
             raise ValueError(f"endpoint {endpoint.name} already attached")
         self._endpoint_home[endpoint.name] = site_name
+        self._endpoint_route[endpoint.name] = self.routing.route_of(site_name)
         daemon = self.daemons[site_name]
         daemon.attach_endpoint(endpoint.name)
         spec = LinkSpec(latency_ms=self.last_mile_latency_ms, jitter_ms=0.02)

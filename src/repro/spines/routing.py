@@ -13,6 +13,12 @@ Two modes, matching the paper's discussion:
   bandwidth; per-source fairness (see :mod:`repro.spines.daemon`) keeps a
   flooding attacker from starving honest sources.
 
+A strategy also decides which destinations one datagram may serve
+(:meth:`RoutingStrategy.route_of`): destinations with one route share a
+datagram. Next-hop and disjoint-path tables route per destination site,
+so the endpoints homed at one site share every hop and one datagram; one
+flood reaches every daemon, so a flooded datagram serves any set.
+
 All strategies additionally support :meth:`RoutingStrategy.rebuild`: the
 self-healing control plane (:mod:`repro.spines.monitor`) hands them an
 *observed* topology view with dead links removed and degraded latencies
@@ -46,6 +52,12 @@ class RoutingStrategy:
     ) -> List[str]:
         """Return neighbour sites the datagram should be forwarded to."""
         raise NotImplementedError
+
+    def route_of(self, site: str) -> Optional[str]:
+        """The route of the endpoints homed at ``site``: one datagram
+        serves the destinations of one route, and an endpoint with no
+        known home has route ``None``. Per-site tables route per site."""
+        return site
 
     def rebuild(self, observed: OverlayTopology) -> None:
         """Recompute forwarding state from an observed topology view."""
@@ -91,6 +103,10 @@ class FloodingRouting(RoutingStrategy):
 
     def __init__(self, topology: OverlayTopology) -> None:
         self.rebuild(topology)
+
+    def route_of(self, site: str) -> Optional[str]:
+        # one flood reaches every daemon, known home or not
+        return None
 
     def rebuild(self, observed: OverlayTopology) -> None:
         # flooding has no tables beyond each site's neighbour tuple;

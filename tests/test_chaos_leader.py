@@ -46,12 +46,13 @@ DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 #: the view-change path pinned at PYTHONHASHSEED=0: seed -> (fingerprint,
 #: events processed) of ``leader_options(seed)``. Recorded at the parent
 #: of PR 16; re-pinned once when both protocols took one head-of-line
-#: repair path (CHANGES.md)
+#: repair path, and again when a routed overlay took one datagram per
+#: destination site (CHANGES.md)
 PINNED_PRIME_LEADER = {
-    2: ("28f79c87eabd63a4c86824029d98d385e36a7e8139accd712dcbb57c246c6165",
-        36_857),
-    7: ("6f28328fc1d6eedc9e2b840e2c4e5618a995d52d8522f898b09644f101cefcdf",
-        39_496),
+    2: ("391b6b4ea85be225c7daa51bd4352a321a4c3b545a37fc2327f28b03baa62078",
+        38_191),
+    7: ("dc93af1241e050532ec74b1baa0e091c1922f6f0c0d909f28d7cc8358887172d",
+        35_535),
 }
 #: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 has
 #: three judged leader faults, and its partitioned view-2 leader cascades

@@ -426,8 +426,9 @@ def _trace_fingerprint(options, run_ms):
 
 
 #: digests at PYTHONHASHSEED=0 (the flooding ``wan7`` was re-pinned once,
-#: and both when the protocols took one head-of-line repair path; reasons
-#: in CHANGES.md): the event trace of a full deployment, in order and at
+#: both when the protocols took one head-of-line repair path, and the
+#: ``shortest`` ``lan21`` when a routed overlay took one datagram per
+#: destination site; reasons in CHANGES.md): the event trace of a full deployment, in order and at
 #: its simulated times
 PINNED_TRACES = {
     "wan7": (
@@ -438,7 +439,7 @@ PINNED_TRACES = {
     "lan21": (
         dict(seed=21, num_substations=2, poll_interval_ms=200.0),
         4000.0,
-        "599b17b148a53a946b808d7ea0cc0cc3dbc6a6850e9d6b1d824f09d6b912fc02",
+        "df7eb6e8270a1f1c0c959fe2da17f8c67e73c99e6c34b8d90dafc1a760070610",
     ),
 }
 

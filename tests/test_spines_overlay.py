@@ -391,24 +391,23 @@ WAN_SITES = ("cc1", "cc2", "dc1", "dc2", "field")
 
 
 def build_everywhere(mode="flooding", **kwargs):
-    """The WAN topology with one endpoint ``ep:<site>`` at every site."""
+    """The WAN topology with one endpoint ``ep:<site>`` at every site and
+    a second one, ``ep:dc2b``, at ``dc2``."""
     sim = Simulator(seed=11)
     net = Network(sim, LinkSpec(latency_ms=0.1))
     overlay = SpinesOverlay(
         sim, net, wide_area_topology(), mode=mode, crypto=FastCrypto(), **kwargs
     )
     endpoints, stacks = {}, {}
-    for site in WAN_SITES:
-        endpoints[site] = Endpoint(f"ep:{site}", sim, net)
-        stacks[site] = overlay.attach(endpoints[site], site)
+    for key, site in [(site, site) for site in WAN_SITES] + [("dc2b", "dc2")]:
+        endpoints[key] = Endpoint(f"ep:{key}", sim, net)
+        stacks[key] = overlay.attach(endpoints[key], site)
     return sim, net, overlay, endpoints, stacks
 
 
-@st.composite
-def flooded_multicasts(draw):
-    """(site count, links, origin endpoint, named endpoints) on a random
-    connected topology of at most 8 sites with two endpoints per site."""
-    count = draw(st.integers(min_value=2, max_value=8))
+def random_topology(draw, max_sites):
+    """(site count, links) of a random connected topology."""
+    count = draw(st.integers(min_value=2, max_value=max_sites))
     # a random spanning tree keeps it connected; extra links add cycles
     links = {
         (draw(st.integers(min_value=0, max_value=i - 1)), i)
@@ -416,16 +415,11 @@ def flooded_multicasts(draw):
     }
     pairs = [(a, b) for b in range(count) for a in range(b)]
     links |= set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
-    endpoints = [(site, slot) for site in range(count) for slot in (0, 1)]
-    origin = draw(st.sampled_from(endpoints))
-    named = draw(st.lists(st.sampled_from(endpoints), unique=True))
-    return count, sorted(links), origin, named
+    return count, sorted(links)
 
 
-@settings(max_examples=60, deadline=None)
-@given(flooded_multicasts())
-def test_flooded_multicast_serves_exactly_the_named_endpoints(case):
-    count, links, origin, named = case
+def build_random(count, links, mode):
+    """An overlay of sites ``s0``… on ``links``, no endpoint attached."""
     sim = Simulator(seed=3)
     net = Network(sim, LinkSpec(latency_ms=0.1))
     topo = OverlayTopology()
@@ -433,7 +427,25 @@ def test_flooded_multicast_serves_exactly_the_named_endpoints(case):
         topo.add_site(Site(f"s{site}"))
     for a, b in links:
         topo.connect(f"s{a}", f"s{b}", latency_ms=1.0 + a + b, jitter_ms=0.3)
-    overlay = SpinesOverlay(sim, net, topo, mode="flooding", crypto=FastCrypto())
+    return sim, net, SpinesOverlay(sim, net, topo, mode=mode, crypto=FastCrypto())
+
+
+@st.composite
+def flooded_multicasts(draw):
+    """(site count, links, origin endpoint, named endpoints) on a random
+    connected topology of at most 8 sites with two endpoints per site."""
+    count, links = random_topology(draw, max_sites=8)
+    endpoints = [(site, slot) for site in range(count) for slot in (0, 1)]
+    origin = draw(st.sampled_from(endpoints))
+    named = draw(st.lists(st.sampled_from(endpoints), unique=True))
+    return count, links, origin, named
+
+
+@settings(max_examples=60, deadline=None)
+@given(flooded_multicasts())
+def test_flooded_multicast_serves_exactly_the_named_endpoints(case):
+    count, links, origin, named = case
+    sim, net, overlay = build_random(count, links, "flooding")
     endpoints, stacks = {}, {}
     for site in range(count):
         for slot in (0, 1):
@@ -480,11 +492,9 @@ def test_flooded_multicast_misses_only_the_crashed_daemons_endpoint():
 
 def test_unnamed_endpoint_at_a_named_site_gets_nothing():
     sim, net, overlay, endpoints, stacks = build_everywhere()
-    bystander = Endpoint("ep:bystander", sim, net)
-    overlay.attach(bystander, "dc2")
     stacks["cc1"].multicast(["ep:dc2", "ep:field"], "x")
     sim.run_for(200)
-    assert bystander.received == []
+    assert endpoints["dc2b"].received == []
     assert len(endpoints["dc2"].received) == 1
 
 
@@ -518,10 +528,7 @@ def test_multicast_costs_one_token_however_many_destinations():
         ["ep:cc1b", "ep:cc2", "ep:dc1", "ep:dc2", "ep:field"], "x"
     )
     sim.run_for(200)
-    assert all(
-        len(endpoint.received) == 1
-        for site, endpoint in endpoints.items() if site != "cc1"
-    )
+    assert all(len(endpoints[site].received) == 1 for site in WAN_SITES[1:])
     assert len(neighbour.received) == 1
     tokens, _ = overlay.daemon("cc1")._buckets["ep:cc1"]
     assert tokens == 3.0
@@ -529,28 +536,95 @@ def test_multicast_costs_one_token_however_many_destinations():
 
 
 @pytest.mark.parametrize("mode", ["shortest", "disjoint"])
-def test_routed_overlay_multicasts_one_datagram_per_destination(mode):
+def test_routed_overlay_multicasts_one_datagram_per_destination_site(mode):
     sim, net, overlay, endpoints, stacks = build_everywhere(mode)
-    stacks["cc1"].multicast(["ep:cc2", "ep:dc1", "ep:dc2", "ep:field"], "x")
+    named = ("cc2", "dc1", "dc2", "dc2b", "field")
+    stacks["cc1"].multicast([f"ep:{key}" for key in named], "x")
     sim.run_for(200)
     assert overlay.total_stats()["ingress"] == 4
-    for site in ("cc2", "dc1", "dc2", "field"):
-        assert [p for _, _, p in endpoints[site].received] == ["x"]
+    for key in named:
+        assert [p for _, _, p in endpoints[key].received] == ["x"], key
+    # the two endpoints at dc2 ride one forward chain: a datagram to both
+    # costs the hops of a datagram to one
+    forwarded = []
+    for dests in (["ep:dc2"], ["ep:dc2", "ep:dc2b"]):
+        sim, net, overlay, endpoints, stacks = build_everywhere(mode)
+        stacks["cc1"].multicast(dests, "x")
+        sim.run_for(200)
+        totals = overlay.total_stats()
+        assert totals["ingress"] == 1 and totals["delivered"] == len(dests)
+        forwarded.append(totals["forwarded"])
+    assert forwarded[0] == forwarded[1] > 0
+
+
+#: destination sets an attached endpoint may hand a routed daemon: one
+#: route (one site, or none known) is carried, anything else is refused
+ONE_ROUTE = {("ep:dc2", "ep:dc2b"), ("ep:nowhere",)}
 
 
 @pytest.mark.parametrize("mode", ["shortest", "disjoint"])
-@pytest.mark.parametrize("dests", [(), ("ep:dc2", "ep:field")])
+@pytest.mark.parametrize("dests", [
+    (), ("ep:dc2", "ep:field"), ("ep:dc2", "ep:dc2b"), ("ep:dc2", "ep:nowhere"),
+    ("ep:nowhere",),
+])
 def test_routed_overlay_drops_a_destination_set_at_ingress(mode, dests):
-    """Next-hop tables route towards one destination; an attached endpoint
-    that hand-builds anything else is refused like any malformed input."""
+    """Next-hop tables route towards one site; an attached endpoint that
+    hand-builds a set spanning more than one route (an endpoint with no
+    known home is a route of its own) is refused like any malformed input.
+    A set of one route is carried, and an unknown endpoint reached by nobody."""
     sim, net, overlay, endpoints, stacks = build_everywhere(mode)
     data = OverlayData(origin="ep:cc1", dests=dests, seq=1, payload="x")
     endpoints["cc1"].send("spines:cc1", OverlayIngress(data))
     sim.run_for(200)
     totals = overlay.total_stats()
-    assert totals["dropped_auth"] == 1
-    assert totals["ingress"] == totals["forwarded"] == totals["delivered"] == 0
-    assert all(endpoint.received == [] for endpoint in endpoints.values())
+    received = {key for key, endpoint in endpoints.items() if endpoint.received}
+    if dests in ONE_ROUTE:
+        assert totals["dropped_auth"] == 0 and totals["ingress"] == 1
+        assert {f"ep:{key}" for key in received} == set(dests) - {"ep:nowhere"}
+        assert totals["delivered"] == len(received)
+    else:
+        assert totals["dropped_auth"] == 1
+        assert totals["ingress"] == totals["forwarded"] == totals["delivered"] == 0
+        assert received == set()
+
+
+@st.composite
+def placed_multicasts(draw):
+    """(site count, links, every endpoint's site, origin, named endpoints):
+    endpoints placed at random on a random connected topology, so a site
+    may hold none, one or several."""
+    count, links = random_topology(draw, max_sites=6)
+    homes = draw(st.lists(
+        st.integers(min_value=0, max_value=count - 1), min_size=1, max_size=10
+    ))
+    origin = draw(st.integers(min_value=0, max_value=len(homes) - 1))
+    named = draw(st.lists(
+        st.integers(min_value=0, max_value=len(homes) - 1), unique=True
+    ))
+    return count, links, homes, origin, named
+
+
+@pytest.mark.parametrize("mode", ["flooding", "shortest", "disjoint"])
+@settings(max_examples=40, deadline=None)
+@given(placed_multicasts())
+def test_multicast_is_one_datagram_per_route(mode, case):
+    """Whatever the placement, every named endpoint receives exactly once,
+    nobody else receives anything, and the overlay takes one ingress
+    datagram per route: one for any flood, one per named site when routed."""
+    count, links, homes, origin, named = case
+    sim, net, overlay = build_random(count, links, mode)
+    endpoints, stacks = [], []
+    for index, site in enumerate(homes):
+        endpoints.append(Endpoint(f"ep:{index}", sim, net))
+        stacks.append(overlay.attach(endpoints[-1], f"s{site}"))
+    stacks[origin].multicast([endpoints[i].name for i in named], "payload")
+    sim.run_for(1000)  # quiescent: the longest path is < 6 hops of < 12 ms
+    for index, endpoint in enumerate(endpoints):
+        expected = [(endpoints[origin].name, "payload")] if index in named else []
+        assert [(o, p) for _, o, p in endpoint.received] == expected
+    sites = {homes[i] for i in named}
+    routes = min(len(sites), 1) if mode == "flooding" else len(sites)
+    assert overlay.total_stats()["ingress"] == routes
 
 
 def _datagram(**fields):
