@@ -13,7 +13,6 @@ from .byzantine import (
 from .campaign import CampaignResult, SpireCampaign, TraditionalCampaign
 from .dos import LeaderChaser
 from .overlay_attacks import (
-    FloodingAttacker,
     RouteFlapAttacker,
     compromise_daemon_delay,
     compromise_daemon_drop_all,
@@ -32,7 +31,6 @@ __all__ = [
     "SpireCampaign",
     "TraditionalCampaign",
     "LeaderChaser",
-    "FloodingAttacker",
     "RouteFlapAttacker",
     "compromise_daemon_delay",
     "compromise_daemon_drop_all",

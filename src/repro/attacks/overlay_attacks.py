@@ -1,10 +1,10 @@
 """Attacks inside the overlay network.
 
 Spines is itself a distributed system; the paper's threat model includes
-compromised overlay daemons (dropping or delaying traffic they route) and
-malicious clients flooding the overlay. These helpers install such
-behaviours on daemons and provide a flooding attacker endpoint for the
-fairness experiment.
+compromised overlay daemons (dropping or delaying traffic they route, or
+lying to the control plane). These helpers install such behaviours on
+daemons. A client flooding the overlay needs no helper: daemons forward
+at no modelled cost, so a flood costs honest traffic nothing.
 """
 
 from __future__ import annotations
@@ -12,15 +12,12 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from ..simnet import Network, Process, Simulator
 from ..spines.daemon import SpinesDaemon
-from ..spines.overlay import OverlayStack, SpinesOverlay
 
 __all__ = [
     "compromise_daemon_drop_all",
     "compromise_daemon_drop_fraction",
     "compromise_daemon_delay",
-    "FloodingAttacker",
     "RouteFlapAttacker",
 ]
 
@@ -59,45 +56,6 @@ def compromise_daemon_delay(
 
     daemon.set_behavior(behavior)
     return lambda: daemon.set_behavior(None)
-
-
-class FloodingAttacker(Process):
-    """A compromised overlay client that floods traffic toward a victim,
-    trying to exhaust daemon forwarding capacity. With per-source fairness
-    enabled its traffic is confined to its own queue; with fairness off it
-    head-of-line-blocks honest sources."""
-
-    def __init__(
-        self,
-        name: str,
-        simulator: Simulator,
-        network: Network,
-        overlay: SpinesOverlay,
-        site: str,
-        victim_endpoint: str,
-        rate_per_ms: float = 2.0,
-    ) -> None:
-        super().__init__(name, simulator, network)
-        self.stack: OverlayStack = overlay.attach(self, site)
-        self.victim_endpoint = victim_endpoint
-        self.rate_per_ms = rate_per_ms
-        self.sent = 0
-        self._stop: Optional[Callable[[], None]] = None
-
-    def start(self) -> None:
-        interval = 1.0 / self.rate_per_ms
-        self._stop = self.every(interval, self._spam).stop
-
-    def stop(self) -> None:
-        if self._stop is not None:
-            self._stop()
-            self._stop = None
-
-    def _spam(self) -> None:
-        self.sent += 1
-        self.stack.send(
-            self.victim_endpoint, ("flood", self.sent), size_bytes=1024
-        )
 
 
 class RouteFlapAttacker:

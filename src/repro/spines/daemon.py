@@ -14,16 +14,10 @@ Defences modelled from the paper:
 * **Malformed input** — a message from an attached endpoint or a
   neighbour daemon (which holds its link keys) that fails its shape check
   (:mod:`repro.crypto.schema`) counts one ``dropped_auth``.
-* **Per-source fairness** — outgoing forwarding capacity is scheduled
-  round-robin across origin endpoints, so a compromised client (or daemon)
-  flooding the overlay cannot starve other sources. Disable it
-  (``fairness=False``) to reproduce the unfair baseline.
-* **Overload protection** — each per-source forward queue is bounded
-  (``max_queue_per_source``; excess counted in ``dropped_overflow``) and a
-  per-source token bucket (``source_rate_per_ms`` tokens/ms, burst
-  ``source_burst``) gates admission to forwarding, so a flooding source
-  degrades its *own* throughput while daemon memory stays bounded. Both
-  default off.
+
+A daemon forwards at no modelled cost: a datagram goes out on its links
+the moment it is routed, so a flooding source queues nothing ahead of
+honest traffic and costs it nothing (DESIGN.md §9).
 
 A compromised daemon is modelled via :meth:`set_behavior`; the attack
 library installs droppers/delayers there. When the self-healing control
@@ -36,7 +30,7 @@ link-authenticated here and then handed to it.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Set
 
 from ..crypto.encoding import EncodingError, digest_bytes
 from ..crypto.provider import CryptoProvider
@@ -79,11 +73,6 @@ class SpinesDaemon(Process):
         network: Network,
         routing: RoutingStrategy,
         crypto: CryptoProvider,
-        fairness: bool = True,
-        forward_capacity_per_ms: float = 0.0,
-        max_queue_per_source: int = 0,
-        source_rate_per_ms: float = 0.0,
-        source_burst: float = 32.0,
         obs: Optional[Observability] = None,
     ) -> None:
         super().__init__(f"spines:{site_name}", simulator, network)
@@ -100,11 +89,6 @@ class SpinesDaemon(Process):
         if self.obs.enabled:
             self._hop_latency = self.obs.histogram("spines.hop_latency_ms")
             self._e2e_latency = self.obs.histogram("spines.transit_latency_ms")
-        self.fairness = fairness
-        self.forward_capacity_per_ms = forward_capacity_per_ms
-        self.max_queue_per_source = max_queue_per_source
-        self.source_rate_per_ms = source_rate_per_ms
-        self.source_burst = source_burst
         #: neighbour site -> its daemon's process name, so no hop has to
         #: format the name again
         self.neighbors: Dict[str, str] = {}
@@ -116,21 +100,12 @@ class SpinesDaemon(Process):
         self._seen: Dict[str, Dict[int, None]] = {}
         self._seen_origins: Deque[str] = deque()
         self._seen_seqs: Deque[int] = deque()
-        self._queues: Dict[str, Deque[Tuple[str, OverlayData]]] = {}
-        self._queue_order: Deque[str] = deque()
-        self._queued_sources: Set[str] = set()     # mirrors _queue_order
-        self._queued_total = 0
-        self.queue_peak = 0
-        #: (tokens, last_refill_ms) per origin — lazy-refilled token bucket
-        self._buckets: Dict[str, Tuple[float, float]] = {}
-        self._draining = False
         self._behavior: Optional[BehaviorHook] = None
         #: set by SpinesOverlay when self-healing is enabled
         self.monitor: Optional["LinkMonitor"] = None
         self.stats = {
             "ingress": 0, "forwarded": 0, "delivered": 0,
             "dropped_auth": 0, "dropped_dup": 0, "dropped_behavior": 0,
-            "dropped_overflow": 0, "dropped_ratelimit": 0,
         }
         for key in self.stats:
             if key.startswith("dropped_"):
@@ -291,15 +266,8 @@ class SpinesDaemon(Process):
         for dest in data.dests:
             if dest in attached:
                 self._deliver_local(dest, data)
-        if not targets:
-            return
-        # one token per datagram, however many endpoints it names
-        if not self._admit(data):
-            self.stats["dropped_ratelimit"] += 1
-            return
-        forward = self._enqueue_forward if self.forward_capacity_per_ms > 0 else self._forward_now
         for neighbor in targets:
-            forward(neighbor, data)
+            self._forward(neighbor, data)
 
     def _deliver_local(self, dest: str, data: OverlayData) -> None:
         self.stats["delivered"] += 1
@@ -307,68 +275,7 @@ class SpinesDaemon(Process):
             self._e2e_latency.observe(self.simulator.now - data.sent_at)
         self.send(dest, OverlayDeliver(data), size_bytes=data.size_bytes)
 
-    # ------------------------------------------------------------------
-    # Forwarding with per-source fairness + overload protection
-    # ------------------------------------------------------------------
-    def _admit(self, data: OverlayData) -> bool:
-        """Per-source token bucket gating admission to forwarding.
-
-        Local delivery is never rate-limited; only the forward fan-out is,
-        so a source exceeding its rate hurts its own long-haul traffic.
-        """
-        if self.source_rate_per_ms <= 0:
-            return True
-        now = self.simulator.now
-        tokens, last = self._buckets.get(data.origin, (self.source_burst, now))
-        tokens = min(
-            self.source_burst, tokens + (now - last) * self.source_rate_per_ms
-        )
-        if tokens < 1.0:
-            self._buckets[data.origin] = (tokens, now)
-            return False
-        self._buckets[data.origin] = (tokens - 1.0, now)
-        return True
-
-    def _enqueue_forward(self, neighbor_site: str, data: OverlayData) -> None:
-        source = data.origin if self.fairness else "__fifo__"
-        queue = self._queues.setdefault(source, deque())
-        if self.max_queue_per_source > 0 and len(queue) >= self.max_queue_per_source:
-            self.stats["dropped_overflow"] += 1
-            return
-        if source not in self._queued_sources:
-            self._queued_sources.add(source)
-            self._queue_order.append(source)
-        queue.append((neighbor_site, data))
-        self._queued_total += 1
-        if self._queued_total > self.queue_peak:
-            self.queue_peak = self._queued_total
-        if not self._draining:
-            self._draining = True
-            self.set_timer(0.0, self._drain)
-
-    def queue_depth(self) -> int:
-        """Total datagrams currently queued for forwarding (all sources)."""
-        return self._queued_total
-
-    def _drain(self) -> None:
-        """Serve one queued forward per 1/capacity ms, round-robin."""
-        while self._queue_order:
-            source = self._queue_order[0]
-            queue = self._queues.get(source)
-            if not queue:
-                self._queue_order.popleft()
-                self._queued_sources.discard(source)
-                self._queues.pop(source, None)
-                continue
-            neighbor_site, data = queue.popleft()
-            self._queued_total -= 1
-            self._queue_order.rotate(-1)
-            self._forward_now(neighbor_site, data)
-            self.set_timer(1.0 / self.forward_capacity_per_ms, self._drain)
-            return
-        self._draining = False
-
-    def _forward_now(self, neighbor_site: str, data: OverlayData) -> None:
+    def _forward(self, neighbor_site: str, data: OverlayData) -> None:
         dst = self.neighbors[neighbor_site]
         mac = self.crypto.mac(self.name, dst, data)
         self.stats["forwarded"] += 1
@@ -378,17 +285,11 @@ class SpinesDaemon(Process):
 
     # ------------------------------------------------------------------
     def on_recover(self) -> None:
-        """A rejoining daemon loses its dedup/queue state (volatile) and —
+        """A rejoining daemon loses its dedup state (volatile) and —
         when self-healing is on — restarts its link monitor, whose resumed
         hellos are what re-announce this daemon to its neighbours."""
         self._seen.clear()
         self._seen_origins.clear()
         self._seen_seqs.clear()
-        self._queues.clear()
-        self._queue_order.clear()
-        self._queued_sources.clear()
-        self._queued_total = 0
-        self._buckets.clear()
-        self._draining = False
         if self.monitor is not None:
             self.monitor.start()

@@ -51,7 +51,6 @@ class OverlayData:
     seq: int
     payload: Any
     size_bytes: int = 256
-    priority: int = 0
     #: virtual send time at the origin endpoint (for end-to-end overlay
     #: latency profiling; 0.0 when the sender is not instrumented)
     sent_at: float = 0.0

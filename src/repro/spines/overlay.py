@@ -48,13 +48,12 @@ class OverlayStack:
         self._simulator = overlay.simulator
         self._endpoint_route = overlay._endpoint_route
 
-    def send(self, dest_endpoint: str, payload: Any, size_bytes: int = 256,
-             priority: int = 0) -> bool:
+    def send(self, dest_endpoint: str, payload: Any, size_bytes: int = 256) -> bool:
         """Send ``payload`` to another overlay endpoint by name."""
-        return self._submit((dest_endpoint,), payload, size_bytes, priority)
+        return self._submit((dest_endpoint,), payload, size_bytes)
 
     def multicast(self, dests: Sequence[str], payload: Any,
-                  size_bytes: int = 256, priority: int = 0) -> None:
+                  size_bytes: int = 256) -> None:
         """Send ``payload`` to every endpoint in ``dests``: one datagram
         per route (:meth:`~repro.spines.routing.RoutingStrategy.route_of`),
         in the order each route first appears, naming every destination
@@ -70,10 +69,9 @@ class OverlayStack:
             route = routes[dest] if dest in routes else None
             served[route] = served[route] + (dest,) if route in served else (dest,)
         for route_dests in served.values():
-            self._submit(route_dests, payload, size_bytes, priority)
+            self._submit(route_dests, payload, size_bytes)
 
-    def _submit(self, dests: Tuple[str, ...], payload: Any, size_bytes: int,
-                priority: int) -> bool:
+    def _submit(self, dests: Tuple[str, ...], payload: Any, size_bytes: int) -> bool:
         self._seq += 1
         data = OverlayData(
             self._origin,
@@ -81,7 +79,6 @@ class OverlayStack:
             self._seq,
             payload,
             size_bytes,
-            priority,
             self._simulator.now if self._obs_enabled else 0.0,
         )
         return self._endpoint_send(self.daemon_name, OverlayIngress(data),
@@ -109,12 +106,7 @@ class SpinesOverlay:
         topology: OverlayTopology,
         mode: str = "flooding",
         crypto: Optional[CryptoProvider] = None,
-        fairness: bool = True,
-        forward_capacity_per_ms: float = 0.0,
         self_healing: bool = False,
-        max_queue_per_source: int = 0,
-        source_rate_per_ms: float = 0.0,
-        source_burst: float = 32.0,
         obs: Optional[Observability] = None,
     ) -> None:
         self.simulator = simulator
@@ -130,13 +122,7 @@ class SpinesOverlay:
         self._endpoint_route: Dict[str, Optional[str]] = {}
         for site in topology.sites:
             self.daemons[site.name] = SpinesDaemon(
-                site.name, simulator, network, self.routing, self.crypto,
-                fairness=fairness,
-                forward_capacity_per_ms=forward_capacity_per_ms,
-                max_queue_per_source=max_queue_per_source,
-                source_rate_per_ms=source_rate_per_ms,
-                source_burst=source_burst,
-                obs=obs,
+                site.name, simulator, network, self.routing, self.crypto, obs=obs,
             )
         for a, b in topology.graph.edges:
             attrs = topology.link_attributes(a, b)

@@ -10,8 +10,8 @@ Two modes, matching the paper's discussion:
 * ``flooding`` — constrained flooding: every daemon forwards each *new*
   authenticated datagram on all links except the one it arrived on.
   Delivery is guaranteed whenever any correct path exists, at the price of
-  bandwidth; per-source fairness (see :mod:`repro.spines.daemon`) keeps a
-  flooding attacker from starving honest sources.
+  bandwidth; daemons forward at no modelled cost (see
+  :mod:`repro.spines.daemon`), so a flooding attacker delays nobody.
 
 A strategy also decides which destinations one datagram may serve
 (:meth:`RoutingStrategy.route_of`): destinations with one route share a

@@ -24,7 +24,9 @@ from repro.core import BatchingOptions, SpireOptions
 from repro.fleet.spec import FleetSpec, PollClass, RegionSpec, TrafficSpec
 from repro.pbft.node import PbftConfig
 from repro.prime.config import PrimeConfig
+from repro.spines.daemon import SpinesDaemon
 from repro.spines.monitor import LinkMonitorConfig
+from repro.spines.overlay import SpinesOverlay
 
 SRC = pathlib.Path(repro.prime.node.__file__).resolve().parents[2]
 
@@ -387,7 +389,8 @@ def test_every_option_is_set_by_some_caller():
     # constant, unless KEPT_FOR_TESTS says why a test needs it.
     classes = (SpireOptions, ChaosOptions, ChaosProfile, PbftChaosOptions,
                PrimeConfig, PbftConfig, ControlOptions, BatchingOptions,
-               LinkMonitorConfig, FleetSpec, PollClass, RegionSpec, TrafficSpec)
+               LinkMonitorConfig, FleetSpec, PollClass, RegionSpec, TrafficSpec,
+               SpinesOverlay, SpinesDaemon)
     repo = SRC.parent
     set_by_program = _names_set_under(
         (SRC / "repro", repo / "benchmarks", repo / "examples"), classes)
@@ -406,7 +409,7 @@ def test_every_option_is_set_by_some_caller():
     assert not unset, f"{len(unset)} options only tests set, or none: {unset}"
     stale = sorted(name for name in KEPT_FOR_TESTS if not test_only.get(name))
     assert not stale, f"KEPT_FOR_TESTS names a caller or no test sets: {stale}"
-    assert total <= 65
+    assert total <= 70
 
 
 def test_every_committed_table_has_one_reporter():
@@ -508,6 +511,9 @@ _REMOVED = re.compile(
     r"|PbftFetch|PbftOrderProof|OrderedRequest|OrderedReply|_retrans_tick|_retrans_head"
     r"|_retrans_due|_retrans_schedule|_known_frontier|\b_on_fetch|_on_order_proof"
     r"|ordering_catchup|on_ordered_request|on_ordered_reply|rebroadcast_vote|\._last_new_view"
+    r"|\bfairness\b|forward_capacity_per_ms|max_queue_per_source|source_rate_per_ms"
+    r"|source_burst|def _admit\b|def _enqueue_forward|def _drain\b|queue_depth|queue_peak"
+    r"|dropped_overflow|dropped_ratelimit|class FloodingAttacker"
 )
 
 

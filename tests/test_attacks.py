@@ -3,7 +3,6 @@
 import pytest
 
 from repro.attacks import (
-    FloodingAttacker,
     LeaderChaser,
     compromise_daemon_delay,
     compromise_daemon_drop_all,
@@ -153,24 +152,6 @@ def test_compromised_daemon_delay(deployment):
     # the hook releases every datagram it delayed: none was dropped
     deployment.run_for(100)
     assert daemon.stats["dropped_behavior"] == 0
-
-
-def test_flooding_attacker_counts():
-    from repro.crypto import FastCrypto
-    from repro.simnet import LinkSpec, Network, Simulator
-    from repro.spines import SpinesOverlay, wide_area_topology
-
-    sim = Simulator(seed=4)
-    net = Network(sim, LinkSpec(latency_ms=0.1))
-    overlay = SpinesOverlay(sim, net, wide_area_topology(), crypto=FastCrypto())
-    attacker = FloodingAttacker(
-        "ep:attacker", sim, net, overlay, "dc1", "ep:victim", rate_per_ms=1.0
-    )
-    attacker.start()
-    sim.run_for(100)
-    attacker.stop()
-    sim.run_for(100)
-    assert 90 <= attacker.sent <= 110
 
 
 def test_slow_proposer_delays_retransmissions_on_a_flooding_overlay():

@@ -429,7 +429,7 @@ def golden_instances():
     entry = core.BatchEntry(1, record, ("f" * 64, "0" * 64))
     share = provider.ThresholdShare("spire-masters", 2, "c3d4")
     prepared = prime.PreparedEntry(17, 3, "d" * 64, vote, (vote,))
-    data = spines.OverlayData("replica:1", ("hmi:0", "proxy:sub-1"), 12, vote, 350, 1, 88.5)
+    data = spines.OverlayData("replica:1", ("hmi:0", "proxy:sub-1"), 12, vote, 350, 88.5)
     instances = [
         signature,
         share,

@@ -120,7 +120,17 @@ RETIRED_TEST_ONLY = {
         ("base_tick_ms", 100.0),
     ),
 }
-TABLES = (RETIRED, RETIRED_LATER, RETIRED_TEST_ONLY)
+#: the Spines overload model, which only tests switched on: a daemon
+#: forwards at no modelled cost, so there is no capacity to share out
+RETIRED_OVERLOAD = {
+    owner: (
+        ("fairness", ...), ("forward_capacity_per_ms", ...),
+        ("max_queue_per_source", ...), ("source_rate_per_ms", ...),
+        ("source_burst", ...),
+    )
+    for owner in (SpinesOverlay, SpinesDaemon)
+}
+TABLES = (RETIRED, RETIRED_LATER, RETIRED_TEST_ONLY, RETIRED_OVERLOAD)
 OWNERS = list(dict.fromkeys(owner for table in TABLES for owner in table))
 
 #: a dataclass owner is read through an instance built from these

@@ -353,16 +353,15 @@ def test_flooding_excludes_arrival_link():
 
 
 def test_fairness_keeps_honest_latency_low_under_flood():
-    """With per-source fairness and limited forward capacity, a flooding
-    source cannot starve an honest one; without fairness it can."""
+    """A co-located source flooding 200 datagrams at once cannot starve
+    an honest one: daemons forward at no modelled cost, so the honest
+    datagram arrives as fast as it does with no flood at all."""
     results = {}
-    for fairness in (True, False):
+    for flood in (True, False):
         sim = Simulator(seed=5)
         net = Network(sim, LinkSpec(latency_ms=0.1))
-        topo = wide_area_topology()
         overlay = SpinesOverlay(
-            sim, net, topo, mode="shortest", crypto=FastCrypto(),
-            fairness=fairness, forward_capacity_per_ms=1.0,
+            sim, net, wide_area_topology(), mode="shortest", crypto=FastCrypto()
         )
         honest = Endpoint("ep:honest", sim, net)
         victim = Endpoint("ep:victim", sim, net)
@@ -370,18 +369,19 @@ def test_fairness_keeps_honest_latency_low_under_flood():
         s_honest = overlay.attach(honest, "cc1")
         overlay.attach(victim, "dc2")
         s_flood = overlay.attach(flooder, "cc1")
-        # the attacker floods 200 messages at t=0 toward the victim
-        for i in range(200):
-            s_flood.send("ep:victim", ("junk", i))
+        if flood:  # the attacker floods 200 messages at t=0 toward the victim
+            for i in range(200):
+                s_flood.send("ep:victim", ("junk", i))
         sim.run_for(1.0)
         s_honest.send("ep:victim", "honest")
         sim.run_for(2000)
         honest_arrivals = [
             at for at, origin, payload in victim.received if payload == "honest"
         ]
-        results[fairness] = honest_arrivals[0] if honest_arrivals else float("inf")
+        results[flood] = honest_arrivals[0] if honest_arrivals else float("inf")
+        assert len(victim.received) == (201 if flood else 1)
     assert results[True] < 40.0
-    assert results[False] > results[True] * 3
+    assert results[True] <= results[False] * 1.2
 
 
 # ----------------------------------------------------------------------
@@ -518,9 +518,9 @@ def test_altered_destination_set_fails_the_link_mac(spoofed_link):
 
 
 def test_multicast_costs_one_token_however_many_destinations():
-    sim, net, overlay, endpoints, stacks = build_everywhere(
-        source_rate_per_ms=0.001, source_burst=4.0
-    )
+    """The entry daemon admits a multicast as one ingress datagram, however
+    many destinations it names, and every one of them gets it once."""
+    sim, net, overlay, endpoints, stacks = build_everywhere()
     # a fifth destination: a second endpoint next to the sender
     neighbour = Endpoint("ep:cc1b", sim, net)
     overlay.attach(neighbour, "cc1")
@@ -530,9 +530,10 @@ def test_multicast_costs_one_token_however_many_destinations():
     sim.run_for(200)
     assert all(len(endpoints[site].received) == 1 for site in WAN_SITES[1:])
     assert len(neighbour.received) == 1
-    tokens, _ = overlay.daemon("cc1")._buckets["ep:cc1"]
-    assert tokens == 3.0
-    assert overlay.total_stats()["dropped_ratelimit"] == 0
+    assert overlay.daemon("cc1").stats["ingress"] == 1
+    totals = overlay.total_stats()
+    assert totals["ingress"] == 1 and totals["delivered"] == 5
+    assert totals["dropped_auth"] == 0 and totals["dropped_behavior"] == 0
 
 
 @pytest.mark.parametrize("mode", ["shortest", "disjoint"])

@@ -127,7 +127,6 @@ def test_static_daemon_recover_rejoins_forwarding(mode):
     daemon.crash()
     sim.run_for(100.0)
     daemon.recover()
-    assert daemon.queue_depth() == 0  # volatile queues cleared
     forwarded_before = daemon.stats["forwarded"]
     sa.send("ep:b", "after")
     sim.run_for(500.0)
