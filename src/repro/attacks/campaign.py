@@ -21,43 +21,50 @@ campaign:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.deployment import SpireDeployment
-from ..core.diversity import Exploit
 from ..core.update import BreakerCommand, DeliveryRecord
 from ..obs import COMP_CAMPAIGN, EV_COMPROMISED, EV_EVICTED
 from ..baselines.traditional import TraditionalDeployment
-from .byzantine import make_delivery_forger, make_share_corruptor, make_silent
+from .byzantine import make_delivery_forger, make_share_corruptor
 
 __all__ = ["CampaignResult", "SpireCampaign", "TraditionalCampaign"]
 
 
 @dataclass
 class CampaignResult:
-    """What the campaign achieved, sampled over time."""
+    """What the campaign did, over time.
+
+    Whether anything it did reached the field is not the campaign's to
+    say: :class:`repro.chaos.Oracle` judges every breaker write. What it
+    held when is in the obs log (``EV_COMPROMISED``/``EV_EVICTED``).
+    """
 
     #: (time_ms, served_load_mw) samples
     served_load: List[Tuple[float, float]] = field(default_factory=list)
-    #: (time_ms, number of currently compromised components)
-    compromised: List[Tuple[float, int]] = field(default_factory=list)
-    #: breaker operations the attacker got executed in the field
-    unauthorized_operations: int = 0
-    exploit_attempts: int = 0
-    exploit_successes: int = 0
+    #: when each exploit attempt was launched
+    attempted: List[float] = field(default_factory=list)
+    #: when each exploit that landed was launched
+    landed: List[float] = field(default_factory=list)
     exploits_invalidated: int = 0
 
-    def min_served_fraction(self, total_mw: float) -> float:
-        if not self.served_load or total_mw <= 0:
+    def min_served_fraction(
+        self, total_mw: float, start: float = 0.0, end: float = math.inf,
+    ) -> float:
+        """The least served load sampled in ``[start, end)``, as a fraction."""
+        loads = [load for at, load in self.served_load if start <= at < end]
+        if not loads or total_mw <= 0:
             return 0.0
-        return min(load for _, load in self.served_load) / total_mw
+        return min(loads) / total_mw
 
 
 class TraditionalCampaign:
     """Compromise the single master; operate the grid maliciously."""
 
-    #: served-load / compromised-count sampling period of the result curves
+    #: served-load sampling period of the result curve
     sample_interval_ms = 1000.0
 
     def __init__(
@@ -86,13 +93,11 @@ class TraditionalCampaign:
         sim = self.deployment.simulator
         grid = self.deployment.grid
         self.result.served_load.append((sim.now, grid.served_load_mw()))
-        self.result.compromised.append(
-            (sim.now, 1 if self.deployment.primary.compromised else 0)
-        )
 
     def _breach(self) -> None:
-        self.result.exploit_attempts += 1
-        self.result.exploit_successes += 1
+        now = self.deployment.simulator.now
+        self.result.attempted.append(now)
+        self.result.landed.append(now)
         self.deployment.primary.compromise()
         self.deployment.simulator.call_every(
             self.sabotage_interval_ms, self._sabotage, rng_name="campaign-sabotage"
@@ -107,14 +112,13 @@ class TraditionalCampaign:
         ]
         self._sabotage_index += 1
         self.deployment.primary.issue_command(substation, breaker_id, close=False)
-        self.result.unauthorized_operations += 1
 
 
 class SpireCampaign:
     """Work through Spire's replicas under diversity + proactive recovery."""
 
     #: same sampling period as :class:`TraditionalCampaign`, so the two
-    #: result curves line up point for point
+    #: served-load curves line up point for point
     sample_interval_ms = TraditionalCampaign.sample_interval_ms
 
     def __init__(
@@ -123,13 +127,11 @@ class SpireCampaign:
         first_attempt_ms: float = 5000.0,
         dwell_ms: float = 20_000.0,
         attempt_interval_ms: float = 10_000.0,
-        behavior: str = "corrupt-and-forge",
     ) -> None:
         self.deployment = deployment
         self.first_attempt_ms = first_attempt_ms
         self.dwell_ms = dwell_ms
         self.attempt_interval_ms = attempt_interval_ms
-        self.behavior = behavior
         self.result = CampaignResult()
         self.compromised: Dict[str, List[Callable[[], None]]] = {}
         self._next_target = 0
@@ -155,7 +157,6 @@ class SpireCampaign:
         sim = self.deployment.simulator
         grid = self.deployment.grid
         self.result.served_load.append((sim.now, grid.served_load_mw()))
-        self.result.compromised.append((sim.now, len(self.compromised)))
 
     # ------------------------------------------------------------------
     def _attempt_next(self) -> None:
@@ -165,53 +166,59 @@ class SpireCampaign:
         self._next_target += 1
         diversity = deployment.diversity
         exploit = diversity.exploit_for(target.name)
-        self.result.exploit_attempts += 1
+        launched = deployment.simulator.now
+        self.result.attempted.append(launched)
 
         def weaponized() -> None:
             # the exploit lands only if the variant did not change during
             # the dwell (i.e. the replica was not proactively recovered)
             if diversity.is_vulnerable(target.name, exploit) and target.is_up:
-                self._compromise(target)
+                self._compromise(target, launched)
             else:
                 self.result.exploits_invalidated += 1
 
         deployment.simulator.schedule(self.dwell_ms, weaponized)
         deployment.simulator.schedule(self.attempt_interval_ms, self._attempt_next)
 
-    def _compromise(self, replica) -> None:
+    def _compromise(self, replica, launched: float) -> None:
         if replica.name in self.compromised:
             return
-        self.result.exploit_successes += 1
-        uninstalls: List[Callable[[], None]] = []
-        if self.behavior == "silent":
-            uninstalls.append(make_silent(replica))
-        else:
-            uninstalls.append(make_share_corruptor(replica))
-            substations = sorted(self.deployment.grid.substations)
-
-            def fake_record() -> DeliveryRecord:
-                substation = substations[0]
-                breakers = sorted(
-                    self.deployment.grid.substations[substation].breakers
-                )
-                return DeliveryRecord(
-                    kind="command",
-                    client="hmi:0",
-                    client_seq=10_000_000 + self.result.exploit_successes,
-                    order_index=10_000_000,
-                    payload=BreakerCommand(
-                        substation=substation,
-                        breaker_id=breakers[0],
-                        close=False,
-                        issued_by="attacker",
-                    ),
-                )
-
-            uninstalls.append(make_delivery_forger(replica, fake_record))
-        self.compromised[replica.name] = uninstalls
+        self.result.landed.append(launched)
+        self.compromised[replica.name] = self.intrude(replica)
         self.deployment.obs.event(
             COMP_CAMPAIGN, EV_COMPROMISED, replica=replica.name
         )
+
+    def intrude(self, replica) -> List[Callable[[], None]]:
+        """Install the attacker on ``replica``; returns what uninstalls it.
+
+        It corrupts the replica's threshold shares and forges a delivery
+        record opening a breaker nobody ordered.
+        """
+        substations = sorted(self.deployment.grid.substations)
+
+        def fake_record() -> DeliveryRecord:
+            substation = substations[0]
+            breakers = sorted(
+                self.deployment.grid.substations[substation].breakers
+            )
+            return DeliveryRecord(
+                kind="command",
+                client="hmi:0",
+                client_seq=10_000_000 + len(self.result.landed),
+                order_index=10_000_000,
+                payload=BreakerCommand(
+                    substation=substation,
+                    breaker_id=breakers[0],
+                    close=False,
+                    issued_by="attacker",
+                ),
+            )
+
+        return [
+            make_share_corruptor(replica),
+            make_delivery_forger(replica, fake_record),
+        ]
 
     def _heal(self, replica_name: str) -> None:
         uninstalls = self.compromised.pop(replica_name, None)

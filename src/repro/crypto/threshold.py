@@ -111,23 +111,6 @@ class ThresholdGroup:
             coefficients[i] = value
         return coefficients
 
-    def combine_shares(self, data: bytes, shares: Iterable[PartialSignature]) -> int:
-        """Combine exactly ``threshold`` shares into a full signature.
-
-        Raises ValueError if too few shares are given or the result does
-        not verify (e.g. because a share was corrupted).
-        """
-        share_map = {s.index: s.value for s in shares}
-        if len(share_map) < self.public.threshold:
-            raise ValueError(
-                f"need {self.public.threshold} shares, got {len(share_map)}"
-            )
-        subset = tuple(sorted(share_map))[: self.public.threshold]
-        signature = self._combine_subset(data, subset, share_map)
-        if signature is None:
-            raise ValueError("combined signature failed to verify")
-        return signature
-
     def combine_shares_robust(
         self, data: bytes, shares: Iterable[PartialSignature]
     ) -> Optional[int]:

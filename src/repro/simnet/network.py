@@ -313,8 +313,6 @@ class Network:
             self.stats.dropped_down += 1
             return
         self.stats.delivered += 1
-        # equivalent to process.deliver(src, payload) — liveness was just
-        # checked, so skip the wrapper and its re-check per message
         process.on_message(src, payload)
 
     def broadcast(self, src: str, dsts: Iterable[str], payload: Any, size_bytes: int = 256) -> int:

@@ -43,14 +43,9 @@ class Process:
             return False
         return self.network.send(self.name, dst, payload, size_bytes)
 
-    def deliver(self, src: str, payload: Any) -> None:
-        """Called by the network; dispatches to :meth:`on_message`."""
-        if not self.is_up:
-            return
-        self.on_message(src, payload)
-
     def on_message(self, src: str, payload: Any) -> None:
-        """Handle an incoming message. Subclasses override."""
+        """Handle an incoming message; the network calls it only while this
+        process is up. Subclasses override."""
 
     # ------------------------------------------------------------------
     # Timers

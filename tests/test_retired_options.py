@@ -130,7 +130,11 @@ RETIRED_OVERLOAD = {
     )
     for owner in (SpinesOverlay, SpinesDaemon)
 }
-TABLES = (RETIRED, RETIRED_LATER, RETIRED_TEST_ONLY, RETIRED_OVERLOAD)
+#: the intruder behaviour only a test chose: a test that wants another
+#: intruder overrides ``SpireCampaign.intrude``
+RETIRED_CAMPAIGN = {SpireCampaign: (("behavior", ...),)}
+TABLES = (RETIRED, RETIRED_LATER, RETIRED_TEST_ONLY, RETIRED_OVERLOAD,
+          RETIRED_CAMPAIGN)
 OWNERS = list(dict.fromkeys(owner for table in TABLES for owner in table))
 
 #: a dataclass owner is read through an instance built from these
