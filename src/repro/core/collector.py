@@ -16,10 +16,13 @@ signed root. A combined batch signature is cached, so entries arriving later
 (e.g. a command-target proxy receiving only its slice) verify against the
 cache without re-combining.
 
-Share bookkeeping rides on the replication runtime's
-:class:`~repro.replication.quorum.ThresholdShareTracker`: one share per
-sender per content variant, so neither duplicates nor a Byzantine
-replica's alternate-root shares can fake reaching the threshold.
+Shares wait in the replication runtime's one vote table,
+:class:`~repro.replication.quorum.QuorumTracker` (batch key -> batch
+record -> sender -> share): one share per sender per content variant, so
+neither duplicates nor a Byzantine replica's alternate-root shares can
+fake reaching the threshold. The table stays bounded: a released batch
+key tracks no further variant, and each sender holds shares for at most
+``max_held_per_sender`` unreleased keys, its oldest forgotten first.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from ..crypto.encoding import EncodingError, digest
 from ..crypto.merkle import verify_merkle_proof
 from ..crypto.provider import CryptoProvider, ThresholdSignature
 from ..crypto.schema import check_for, is_a
-from ..replication import ThresholdShareTracker
+from ..replication import QuorumTracker
 from .update import BatchDeliveryRecord, BatchDeliveryShare, BatchEntry, DeliveryRecord
 
 _SHARE_SHAPE = check_for(BatchDeliveryShare)
@@ -46,6 +49,9 @@ class DeliveryCollector:
     #: released-record keys remembered for dedup; past this the oldest
     #: is forgotten
     max_pending = 10_000
+    #: unreleased batch keys one sender holds shares for; past this its
+    #: oldest is forgotten, so a sender can evict only its own shares
+    max_held_per_sender = 1_000
 
     def __init__(
         self,
@@ -54,8 +60,10 @@ class DeliveryCollector:
     ) -> None:
         self.crypto = crypto
         self.group = group
-        #: record/batch key -> content variant -> sender -> incoming share
-        self._tracker = ThresholdShareTracker()
+        #: batch key -> batch record -> sender -> share, until released
+        self._shares = QuorumTracker()
+        #: sender -> the unreleased batch keys it holds shares for, oldest first
+        self._held: Dict[str, "OrderedDict[Tuple, None]"] = {}
         #: released record keys, and the same keys oldest first
         self._done: Dict[Tuple, None] = {}
         self._done_order: Deque[Tuple] = deque()
@@ -96,11 +104,17 @@ class DeliveryCollector:
         """
         batch = share.record
         key = batch.key()
-        self._tracker.add(key, batch, share.sender, share)
+        voters = self._shares.add(key, batch, share.sender, share)
+        held = self._held.get(share.sender)
+        if held is None:
+            held = self._held[share.sender] = OrderedDict()
+        held[key] = None
+        if len(held) > self.max_held_per_sender:
+            self._shares.discard(held.popitem(last=False)[0], share.sender)
         _, threshold = self.crypto.threshold_parameters(self.group)
-        if not self._tracker.ready(key, batch, threshold):
+        if len(voters) < threshold:
             return None
-        signature = self._combine(batch, self._tracker.shares(key, batch))
+        signature = self._combine(batch, voters.values())
         return None if signature is None else (batch, signature)
 
     def add_batch(
@@ -118,7 +132,9 @@ class DeliveryCollector:
         batch = share.record
         key = batch.key()
         cached = self._batch_signatures.get(key)
-        if cached is not None and cached[0] == batch:
+        if cached is not None:
+            if cached[0] != batch:
+                return []  # a variant of a released key: only a Byzantine one
             signature = cached[1]
             candidates = share.entries
         else:
@@ -128,15 +144,14 @@ class DeliveryCollector:
             signature = signed[1]
             # release every entry seen so far for this batch, from any
             # sender whose share we tracked (proofs pin them to the root)
+            voters = self._shares.voters(key, batch)
             candidates = sorted(
-                (
-                    entry
-                    for tracked in self._tracker.shares(key, batch)
-                    for entry in tracked.entries
-                ),
+                (entry for tracked in voters.values() for entry in tracked.entries),
                 key=lambda entry: entry.index,
             )
-            self._tracker.drop(key)
+            for sender in voters:
+                self._held[sender].pop(key, None)
+            self._shares.drop(key)
             self._batch_signatures[key] = (batch, signature)
             while len(self._batch_signatures) > self._batch_signature_cap:
                 self._batch_signatures.popitem(last=False)
@@ -188,4 +203,4 @@ class DeliveryCollector:
 
     @property
     def pending_records(self) -> int:
-        return len(self._tracker)
+        return len(self._shares)

@@ -360,11 +360,8 @@ class PbftNode(Process):
     def _on_checkpoint(self, signed: SignedMessage, msg: PbftCheckpoint) -> None:
         if msg.seq <= self.stable_seq:
             return
-        self._checkpoint_votes.add(msg.seq, msg.digest, msg.sender, signed)
-        proof = self._checkpoint_votes.certificate(
-            msg.seq, msg.digest, self.config.quorum
-        )
-        if proof is not None:
+        voters = self._checkpoint_votes.add(msg.seq, msg.digest, msg.sender, signed)
+        if len(voters) >= self.config.quorum:
             self._make_stable(msg.seq)
 
     def _make_stable(self, seq: int) -> None:

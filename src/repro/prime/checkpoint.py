@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from ..crypto.encoding import digest
-from ..replication.quorum import QuorumTracker, collect_valid_voters
+from ..replication.quorum import QuorumTracker, assemble_certificate, collect_valid_voters
 from .config import PrimeConfig
 from .messages import CheckpointMsg, SignedMessage
 
@@ -61,12 +61,11 @@ class CheckpointManager:
         """Record a checkpoint vote; returns the seq if it became stable."""
         if msg.seq <= self.stable_seq:
             return None
-        self._votes.add(msg.seq, msg.state_digest, msg.sender, signed)
-        proof = self._votes.certificate(msg.seq, msg.state_digest, self.config.quorum)
-        if proof is not None:
+        voters = self._votes.add(msg.seq, msg.state_digest, msg.sender, signed)
+        if len(voters) >= self.config.quorum:
             self.stable_seq = msg.seq
             self.stable_digest = msg.state_digest
-            self.stable_proof = proof
+            self.stable_proof = assemble_certificate(voters, self.config.quorum)
             self._remember_proven(msg.seq, msg.state_digest, self.stable_proof)
             self._votes.drop_upto(msg.seq)
             return msg.seq
@@ -144,7 +143,7 @@ class CheckpointManager:
 
     def reset(self) -> None:
         """Wipe all volatile checkpoint state (replica recovery)."""
-        self._votes.clear()
+        self._votes = QuorumTracker()
         self._snapshots.clear()
         self._own_digests.clear()
         self._proven.clear()

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Tuple
 
 from ..crypto.encoding import digest
 from ..obs import EV_EQUIVOCATION
-from ..replication.quorum import assemble_certificate
+from ..replication.quorum import vouched
 from .messages import ClientUpdate, PoAck, PoRequest, PoSummary, SignedMessage, verify_client_update
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,9 +98,9 @@ class PreOrderStage:
         state = self.node._origin_state(msg.origin)
         if msg.po_seq <= state.executed_upto or msg.po_seq in state.certs:
             return
-        by_digest = state.acks.setdefault(msg.po_seq, {})
-        by_digest.setdefault(msg.digest, {})[msg.sender] = signed
-        self.check_po_cert(state, msg.po_seq)
+        acks = state.acks.add(msg.po_seq, msg.digest, msg.sender, signed)
+        if len(acks) >= self.node.config.quorum:
+            self.check_po_cert(state, msg.po_seq)
 
     def check_po_cert(self, state, po_seq: int) -> None:
         """Complete a pre-order certificate when quorum acks match our copy."""
@@ -110,9 +110,8 @@ class PreOrderStage:
         our_digest = state.digests.get(po_seq)
         if our_digest is None:
             return
-        senders = state.acks.get(po_seq, {}).get(our_digest, {})
-        if len(senders) >= node.config.quorum:
-            proof = assemble_certificate(senders, node.config.quorum)
+        proof = state.acks.certificate(po_seq, our_digest, node.config.quorum)
+        if proof is not None:
             state.certs[po_seq] = (our_digest, proof)
             if state.advance_certified():
                 node._summary_dirty = True
@@ -161,10 +160,10 @@ class PreOrderStage:
         # Byzantine replica must not be able to stall us in fake recovery).
         if not node.awaiting_state:
             horizon = node.config.checkpoint_interval_seqs + node.last_executed_seq
-            claimants = sum(
-                1 for entry in node._latest_summaries.values()
-                if entry.payload.stable_seq > horizon
+            claimed = vouched(
+                [entry.payload.stable_seq for entry in node._latest_summaries.values()],
+                node.config.num_faults,
             )
-            if claimants >= node.config.num_faults + 1:
+            if claimed is not None and claimed > horizon:
                 node.awaiting_state = True
                 node._request_state()

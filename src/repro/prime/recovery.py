@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 from ..crypto.encoding import digest
 from ..obs import EV_CHECKPOINT_STABLE, EV_NEW_VIEW, EV_RECOVERY_DONE
 from ..replication.ordering import ThreePhaseSlot
-from ..replication.quorum import collect_valid_voters
+from ..replication.quorum import collect_valid_voters, vouched
 from .messages import (
     CheckpointMsg,
     PoAck,
@@ -181,8 +181,8 @@ class RecoveryStage:
         # claimed by f+1 StateReplies) instead of stalling. Applies equally
         # to a replica wedged in_view_change for a view the cluster has
         # already left behind.
-        ahead = sum(1 for v in node._higher_view_seen.values() if v > node.view)
-        if ahead >= node.config.num_faults + 1:
+        ahead = vouched(node._higher_view_seen.values(), node.config.num_faults)
+        if ahead is not None and ahead > node.view:
             node._higher_view_seen.clear()
             node.awaiting_state = True
             self.request_state()
@@ -280,11 +280,8 @@ class RecoveryStage:
         is a view some honest replica truly holds.
         """
         node = self.node
-        claims = sorted(node._state_view_claims.values(), reverse=True)
-        if len(claims) < node.config.num_faults + 1:
-            return
-        candidate = claims[node.config.num_faults]
-        if candidate <= node.view:
+        candidate = vouched(node._state_view_claims.values(), node.config.num_faults)
+        if candidate is None or candidate <= node.view:
             return
         node.view = candidate
         node.in_view_change = False

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from ..replication.quorum import QuorumTracker
 from .messages import SignedMessage
 
 __all__ = ["OriginState"]
@@ -25,7 +26,7 @@ class OriginState:
     #: po_seq -> content digest of the stored request
     digests: Dict[int, str] = field(default_factory=dict)
     #: po_seq -> digest -> sender -> signed PoAck
-    acks: Dict[int, Dict[str, Dict[str, SignedMessage]]] = field(default_factory=dict)
+    acks: QuorumTracker = field(default_factory=QuorumTracker)
     #: certificates: po_seq -> (winning digest, ack tuple) once quorum reached
     certs: Dict[int, Tuple[str, Tuple[SignedMessage, ...]]] = field(default_factory=dict)
     #: highest po_seq such that certs exist for every seq <= it
@@ -46,7 +47,8 @@ class OriginState:
 
     def garbage_collect(self, below: int) -> None:
         """Drop request/ack/cert data at or below ``below`` (checkpointed)."""
-        for table in (self.requests, self.digests, self.acks, self.certs):
+        self.acks.drop_upto(below)
+        for table in (self.requests, self.digests, self.certs):
             for seq in [s for s in table if s <= below]:
                 del table[seq]
 

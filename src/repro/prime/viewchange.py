@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..replication.epoch import EpochVoteTable, ViewChangeCore
+from ..replication.epoch import ViewChangeCore
+from ..replication.quorum import QuorumTracker
 from .config import PrimeConfig
 from .messages import SignedMessage, Suspect, ViewChange
 from .ordering import PRIME_AGREEMENT
@@ -43,8 +44,8 @@ class ViewChangeManager(ViewChangeCore):
 
     def __init__(self, config: PrimeConfig, name: str) -> None:
         super().__init__(PRIME_AGREEMENT, config, name)
-        #: view -> sender -> signed Suspect
-        self.suspects = EpochVoteTable()
+        #: view -> None -> sender -> signed Suspect
+        self.suspects = QuorumTracker()
         self.sent_suspect_for: set = set()
         self.highest_vc_started: int = 0
 
@@ -58,7 +59,7 @@ class ViewChangeManager(ViewChangeCore):
         """
         if msg.view < current_view:
             return (False, False)
-        count = self.suspects.record(msg.view, msg.sender, signed)
+        count = len(self.suspects.add(msg.view, None, msg.sender, signed))
         amplify = (
             msg.view == current_view
             and count >= self.config.num_faults + 1
@@ -79,7 +80,7 @@ class ViewChangeManager(ViewChangeCore):
 
     def garbage_collect(self, below_view: int) -> None:
         super().garbage_collect(below_view)
-        self.suspects.drop_below(below_view)
+        self.suspects.drop_upto(below_view - 1)
         self.sent_suspect_for = {
             v for v in self.sent_suspect_for if v >= below_view
         }

@@ -20,17 +20,17 @@ PBFT baseline) are built on, layered bottom-up:
 * :mod:`~repro.replication.runtime` — :class:`ReplicationRuntime`:
   sign/verify, membership fan-out, loopback rules, a per-kind send
   count;
-* :mod:`~repro.replication.quorum` — vote collection
-  (:class:`QuorumTracker`), threshold-share tracking toward combined
-  signatures (:class:`ThresholdShareTracker`), and signed-certificate
-  assembly/verification;
+* :mod:`~repro.replication.quorum` — the one vote table
+  (:class:`QuorumTracker`) behind every quorum and threshold tally —
+  votes, view changes, suspects, pre-order acks, an endpoint's threshold
+  shares — and signed-certificate assembly/verification;
 * :mod:`~repro.replication.ordering` — the one three-phase agreement:
   per-slot state (:class:`ThreePhaseSlot`) and the
   pre-prepare/prepare/commit handlers, quorum transitions and
   head-of-line repair over it: relay, re-vote, fetch and served-slot
   install (:class:`ThreePhaseAgreement`);
-* :mod:`~repro.replication.epoch` — the one view-change core: per-epoch
-  vote tables, prepared-entry collection, prepared-certificate and
+* :mod:`~repro.replication.epoch` — the one view-change core:
+  ViewChange collection, prepared-entry collection, prepared-certificate and
   ViewChange validation, deterministic re-proposal derivation, NewView
   build, verify and re-serve (:class:`ViewChangeCore`).
 
@@ -46,7 +46,6 @@ stage objects on these primitives; see DESIGN.md §8 for the layering.
 
 from .dispatch import Dispatcher
 from .epoch import (
-    EpochVoteTable,
     ViewChangeCore,
     derive_reproposals,
     prepared_entries,
@@ -63,9 +62,9 @@ from .messages import (
 from .ordering import AgreementSpec, ThreePhaseAgreement, ThreePhaseSlot
 from .quorum import (
     QuorumTracker,
-    ThresholdShareTracker,
     assemble_certificate,
     collect_valid_voters,
+    vouched,
 )
 from .retry import RetryPolicy, RetrySchedule
 from .runtime import ReplicationRuntime
@@ -77,7 +76,6 @@ __all__ = [
     "Commit",
     "Dispatcher",
     "DirectTransport",
-    "EpochVoteTable",
     "NewView",
     "OverlayTransport",
     "Prepare",
@@ -90,11 +88,11 @@ __all__ = [
     "SlotFetch",
     "ThreePhaseAgreement",
     "ThreePhaseSlot",
-    "ThresholdShareTracker",
     "Transport",
     "ViewChangeCore",
     "assemble_certificate",
     "collect_valid_voters",
     "derive_reproposals",
     "prepared_entries",
+    "vouched",
 ]

@@ -18,70 +18,15 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 from ..crypto.schema import is_a
 from .messages import Commit, NewView, Prepare, PreparedEntry, SignedMessage
 from .ordering import AgreementSpec, ThreePhaseSlot
-from .quorum import collect_valid_voters
+from .quorum import QuorumTracker, collect_valid_voters
 
 __all__ = [
-    "EpochVoteTable",
     "ViewChangeCore",
     "derive_reproposals",
     "prepared_entries",
 ]
 
 VerifySigned = Callable[[SignedMessage], bool]
-
-
-class EpochVoteTable:
-    """Vote table ``epoch -> sender -> signed vote``.
-
-    One sender counts once per epoch (re-votes overwrite). Supports
-    mapping-style introspection (``epoch in table``, iteration over
-    epochs) so tests and monitors can inspect it like the plain dicts it
-    replaces.
-    """
-
-    def __init__(self) -> None:
-        self._epochs: Dict[int, Dict[str, SignedMessage]] = {}
-
-    def record(self, epoch: int, sender: str, signed: SignedMessage) -> int:
-        """Record one vote; returns the vote count for ``epoch``."""
-        senders = self._epochs.setdefault(epoch, {})
-        senders[sender] = signed
-        return len(senders)
-
-    def senders(self, epoch: int) -> Dict[str, SignedMessage]:
-        return self._epochs.get(epoch, {})
-
-    def count(self, epoch: int) -> int:
-        return len(self._epochs.get(epoch, ()))
-
-    def chosen(self, epoch: int, quorum: int) -> List[SignedMessage]:
-        """A deterministic quorum-slice of the epoch's votes (sender-name
-        order) — the set a new leader embeds in its NewView."""
-        senders = self.senders(epoch)
-        return [senders[s] for s in sorted(senders)][:quorum]
-
-    def drop_below(self, bound: int) -> None:
-        for epoch in [e for e in self._epochs if e < bound]:
-            del self._epochs[epoch]
-
-    def clear(self) -> None:
-        self._epochs.clear()
-
-    # -- mapping-style introspection -----------------------------------
-    def get(self, epoch: int, default: Any = None) -> Any:
-        return self._epochs.get(epoch, default)
-
-    def __getitem__(self, epoch: int) -> Dict[str, SignedMessage]:
-        return self._epochs[epoch]
-
-    def __contains__(self, epoch: int) -> bool:
-        return epoch in self._epochs
-
-    def __iter__(self):
-        return iter(self._epochs)
-
-    def __len__(self) -> int:
-        return len(self._epochs)
 
 
 def derive_reproposals(
@@ -151,8 +96,8 @@ class ViewChangeCore:
         self.spec = spec
         self.config = config
         self.name = name
-        #: new_view -> sender -> signed ViewChange
-        self.view_changes = EpochVoteTable()
+        #: new_view -> None -> sender -> signed ViewChange
+        self.view_changes = QuorumTracker()
         self.sent_new_view_for: Set[int] = set()
         #: the signed NewView this replica last adopted
         self.last_new_view: Optional[SignedMessage] = None
@@ -233,7 +178,7 @@ class ViewChangeCore:
 
     def add_view_change(self, signed: SignedMessage, vc: Any) -> int:
         """Store a validated ViewChange; returns the count for its view."""
-        return self.view_changes.record(vc.new_view, vc.sender, signed)
+        return len(self.view_changes.add(vc.new_view, None, vc.sender, signed))
 
     def new_view_to_reserve(
         self, vc: Any, view: int, in_view_change: bool
@@ -255,13 +200,11 @@ class ViewChangeCore:
         """``(NewView, max_seq)`` from the stored ViewChanges, or None
         unless this replica leads ``view``, holds a quorum of ViewChanges
         for it and has not built its NewView before."""
-        if (
-            self.config.leader_of_view(view) != self.name
-            or view in self.sent_new_view_for
-            or self.view_changes.count(view) < self.config.quorum
-        ):
+        if self.config.leader_of_view(view) != self.name or view in self.sent_new_view_for:
             return None
-        chosen = self.view_changes.chosen(view, self.config.quorum)
+        chosen = self.view_changes.certificate(view, None, self.config.quorum)
+        if chosen is None:
+            return None
         start_seq, proposals = derive_reproposals(
             self.spec, [signed.payload for signed in chosen]
         )
@@ -271,7 +214,7 @@ class ViewChangeCore:
         )
         max_seq = proposals[-1][0] if proposals else start_seq
         self.sent_new_view_for.add(view)
-        return NewView(self.name, view, tuple(chosen), pre_prepares), max_seq
+        return NewView(self.name, view, chosen, pre_prepares), max_seq
 
     def accept_new_view(
         self,
@@ -344,7 +287,7 @@ class ViewChangeCore:
 
     def garbage_collect(self, below_view: int) -> None:
         """Only the current and higher views are ever consulted again."""
-        self.view_changes.drop_below(below_view)
+        self.view_changes.drop_upto(below_view - 1)
         self.sent_new_view_for = {
             v for v in self.sent_new_view_for if v >= below_view
         }

@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 from ..crypto.encoding import derived
 from ..crypto.schema import is_a
 from .messages import CertifiedSlot, Commit, Prepare, SignedMessage, SlotFetch
-from .quorum import assemble_certificate, collect_valid_voters
+from .quorum import QuorumTracker, assemble_certificate, collect_valid_voters
 from .retry import RetryPolicy, RetrySchedule
 
 __all__ = ["AgreementSpec", "ThreePhaseAgreement", "ThreePhaseSlot"]
@@ -63,22 +63,18 @@ class AgreementSpec:
 class ThreePhaseSlot:
     """Agreement state for one global sequence number.
 
-    Vote keys are ``(view, digest)`` pairs: a view change restarts the
-    vote for the same slot, and votes for different proposal digests must
+    Votes are keyed by view, then digest: a view change restarts the vote
+    for the same slot, and votes for different proposal digests must
     never pool.
     """
 
     seq: int
     #: view -> signed pre-prepare received for this slot in that view
     pre_prepares: Dict[int, SignedMessage] = field(default_factory=dict)
-    #: (view, digest) -> sender -> signed Prepare
-    prepares: Dict[Tuple[int, str], Dict[str, SignedMessage]] = field(
-        default_factory=dict
-    )
-    #: (view, digest) -> sender -> signed Commit
-    commits: Dict[Tuple[int, str], Dict[str, SignedMessage]] = field(
-        default_factory=dict
-    )
+    #: view -> digest -> sender -> signed Prepare
+    prepares: QuorumTracker = field(default_factory=QuorumTracker)
+    #: view -> digest -> sender -> signed Commit
+    commits: QuorumTracker = field(default_factory=QuorumTracker)
     #: set when this replica sent its Prepare: (view, digest)
     prepared_vote: Optional[Tuple[int, str]] = None
     #: set when this replica sent its Commit: (view, digest)
@@ -96,17 +92,6 @@ class ThreePhaseSlot:
     def is_ordered(self) -> bool:
         return self.ordered is not None
 
-    # -- vote recording ------------------------------------------------
-    def record_prepare(
-        self, view: int, digest: str, sender: str, signed: SignedMessage
-    ) -> None:
-        self.prepares.setdefault((view, digest), {})[sender] = signed
-
-    def record_commit(
-        self, view: int, digest: str, sender: str, signed: SignedMessage
-    ) -> None:
-        self.commits.setdefault((view, digest), {})[sender] = signed
-
     # -- own-vote guards -----------------------------------------------
     def should_vote_prepare(self, view: int) -> bool:
         """Vote at most once per view, never regressing to an older one."""
@@ -117,32 +102,6 @@ class ThreePhaseSlot:
         return (
             self.committed_vote is None or self.committed_vote[0] < view
         ) and self.prepared_vote == (view, digest)
-
-    # -- quorum transitions --------------------------------------------
-    def note_prepared(self, view: int, digest: str, quorum: int) -> bool:
-        """Check for a prepare certificate at ``(view, digest)``.
-
-        Returns True once a quorum of prepares exists; as a side effect,
-        (re)establishes :attr:`prepared_cert`/:attr:`prepared_proof` when
-        this view is at least as new as the recorded certificate's.
-        """
-        voters = self.prepares.get((view, digest), {})
-        if len(voters) < quorum:
-            return False
-        if self.prepared_cert is None or self.prepared_cert[0] <= view:
-            self.prepared_cert = (view, digest)
-            self.prepared_proof = assemble_certificate(voters, quorum)
-        return True
-
-    def commit_certificate(
-        self, view: int, digest: str, quorum: int
-    ) -> Optional[Tuple[SignedMessage, ...]]:
-        """The commit certificate for ``(view, digest)``, once a quorum of
-        commits exists; None below quorum."""
-        voters = self.commits.get((view, digest), {})
-        if len(voters) < quorum:
-            return None
-        return assemble_certificate(voters, quorum)
 
     def mark_ordered(
         self,
@@ -237,13 +196,16 @@ class ThreePhaseAgreement:
         slot.pre_prepares[msg.view] = signed
         proposal_digest = self.spec.digest_of(msg)
         # The leader's pre-prepare counts as its prepare vote.
-        slot.record_prepare(msg.view, proposal_digest, msg.leader, signed)
+        prepares = slot.prepares.add(msg.view, proposal_digest, msg.leader, signed)
         self.note_proposal(msg)
         if slot.should_vote_prepare(msg.view):
             slot.prepared_vote = (msg.view, proposal_digest)
             node._broadcast(Prepare(node.name, msg.view, msg.seq, proposal_digest))
-        self.check_prepared(slot, msg.view, proposal_digest)
-        self.check_ordered(slot, msg.view, proposal_digest)
+        self.check_prepared(slot, msg.view, proposal_digest, prepares)
+        self.check_ordered(
+            slot, msg.view, proposal_digest,
+            slot.commits.voters(msg.view, proposal_digest),
+        )
 
     def on_prepare(self, signed: SignedMessage, msg: Prepare) -> None:
         node = self.node
@@ -252,8 +214,10 @@ class ThreePhaseAgreement:
         if msg.seq <= node.stable_seq:
             return
         slot = self.slot(msg.seq)
-        slot.record_prepare(msg.view, msg.digest, msg.sender, signed)
-        self.check_prepared(slot, msg.view, msg.digest)
+        self.check_prepared(
+            slot, msg.view, msg.digest,
+            slot.prepares.add(msg.view, msg.digest, msg.sender, signed),
+        )
 
     def on_commit(self, signed: SignedMessage, msg: Commit) -> None:
         node = self.node
@@ -262,15 +226,25 @@ class ThreePhaseAgreement:
         if msg.seq <= node.stable_seq:
             return
         slot = self.slot(msg.seq)
-        slot.record_commit(msg.view, msg.digest, msg.sender, signed)
-        self.check_ordered(slot, msg.view, msg.digest)
+        self.check_ordered(
+            slot, msg.view, msg.digest,
+            slot.commits.add(msg.view, msg.digest, msg.sender, signed),
+        )
 
     def check_prepared(
-        self, slot: ThreePhaseSlot, view: int, proposal_digest: str
+        self, slot: ThreePhaseSlot, view: int, proposal_digest: str,
+        voters: Dict[str, SignedMessage],
     ) -> None:
+        """``voters``: the Prepares for ``(view, proposal_digest)``. At a
+        quorum the slot holds a prepare certificate, replaced when this
+        view is at least as new as the recorded one's."""
         node = self.node
-        if not slot.note_prepared(view, proposal_digest, node.config.quorum):
+        quorum = node.config.quorum
+        if len(voters) < quorum:
             return
+        if slot.prepared_cert is None or slot.prepared_cert[0] <= view:
+            slot.prepared_cert = (view, proposal_digest)
+            slot.prepared_proof = assemble_certificate(voters, quorum)
         # Vote only in the view we are in: a replica that has left a view
         # may already have reported this slot unprepared in its ViewChange.
         if view != node.view or node.in_view_change:
@@ -280,20 +254,22 @@ class ThreePhaseAgreement:
             node._broadcast(Commit(node.name, view, slot.seq, proposal_digest))
 
     def check_ordered(
-        self, slot: ThreePhaseSlot, view: int, proposal_digest: str
+        self, slot: ThreePhaseSlot, view: int, proposal_digest: str,
+        voters: Dict[str, SignedMessage],
     ) -> None:
-        node = self.node
-        if slot.is_ordered:
-            return
-        proof = slot.commit_certificate(view, proposal_digest, node.config.quorum)
-        if proof is None:
+        """``voters``: the Commits for ``(view, proposal_digest)``."""
+        quorum = self.node.config.quorum
+        if slot.is_ordered or len(voters) < quorum:
             return
         pre_prepare = slot.pre_prepares.get(view)
         if pre_prepare is None:
             return
         if self.spec.digest_of(pre_prepare.payload) != proposal_digest:
             return
-        self._order(slot, view, proposal_digest, pre_prepare, proof)
+        self._order(
+            slot, view, proposal_digest, pre_prepare,
+            assemble_certificate(voters, quorum),
+        )
 
     def _order(
         self,

@@ -1,19 +1,22 @@
-"""Quorum math and signed-certificate collection shared by all protocols.
+"""Quorum math and vote collection shared by all protocols.
 
-Every agreement step in the reproduction — pre-order certificates,
-prepare/commit certificates, stable checkpoints, view-change sets — has
-the same shape: collect signed votes keyed by *what* is being voted on
-(a round key) and *which value* (a digest), declare success at a
-protocol-defined quorum, and keep a deterministic slice of the votes as a
-transferable certificate. This module owns that shape once:
+Every tally in the reproduction — pre-order certificates,
+prepare/commit certificates, stable checkpoints, suspects, view-change
+sets, an endpoint's threshold shares — has the same shape: collect votes
+keyed by *what* is being voted on (a round key) and *which value* (a
+digest, a record), act at a threshold, and keep a deterministic slice of
+the votes as a transferable certificate. This module owns that shape
+once:
 
-* :class:`QuorumTracker` — the two-level vote table
-  ``key -> digest -> sender -> signed vote`` (last write per sender wins,
-  so duplicates never inflate a count, and an equivocating sender can add
-  at most one vote per digest);
+* :class:`QuorumTracker` — the one vote table
+  ``key -> value -> sender -> vote`` (last write per sender wins, so
+  duplicates never inflate a count, and an equivocating sender can add
+  at most one vote per value);
 * :func:`assemble_certificate` — the canonical certificate slice: the
   quorum-first voters in sender-name order, so every correct replica
   assembles the identical certificate from the same vote set;
+* :func:`vouched` — the value ``f + 1`` replicas claim at least, so at
+  least one honest replica does;
 * :func:`collect_valid_voters` — the receive side: re-check a
   certificate built elsewhere, either *strictly* (one
   bad vote poisons the whole certificate — the rule for checkpoint and
@@ -29,22 +32,22 @@ callers pass the quorum in, this module enforces it uniformly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ..crypto.schema import is_a
 from .messages import SignedMessage
 
 __all__ = [
     "QuorumTracker",
-    "ThresholdShareTracker",
     "assemble_certificate",
     "collect_valid_voters",
+    "vouched",
 ]
 
 
 def assemble_certificate(
-    voters: Dict[str, SignedMessage], quorum: int
-) -> Tuple[SignedMessage, ...]:
+    voters: Dict[str, Any], quorum: int
+) -> Tuple[Any, ...]:
     """The canonical certificate from a vote map: quorum-first voters in
     sender-name order. Deterministic in the vote *set*, not the arrival
     order, so replicas that saw votes in different orders still assemble
@@ -52,82 +55,69 @@ def assemble_certificate(
     return tuple(voters[s] for s in sorted(voters))[:quorum]
 
 
-class QuorumTracker:
-    """Vote table ``key -> digest -> sender -> signed vote``.
+def vouched(claims: Iterable[Any], faults: int) -> Optional[Any]:
+    """The ``(faults + 1)``-th largest of one claim per replica, or None
+    with fewer claims: any ``faults + 1`` claimants include an honest
+    replica, so at least one honest replica claims this value or more."""
+    ranked = sorted(claims, reverse=True)
+    return ranked[faults] if len(ranked) > faults else None
 
-    ``key`` identifies the decision round (a sequence number, a
-    ``(view, seq)`` pair — anything hashable); ``digest`` the value voted
-    for. One sender contributes at most one vote per ``(key, digest)``
-    (re-votes overwrite), so duplicate deliveries never reach quorum
-    early, and an equivocating sender splits its weight across digests
-    instead of double-counting any one of them.
+
+class QuorumTracker:
+    """Vote table ``key -> value -> sender -> vote``.
+
+    ``key`` identifies the decision round (a sequence number, a view, a
+    batch key — anything hashable); ``value`` what is voted for (a
+    digest, a record). One sender holds at most one vote per
+    ``(key, value)`` (the last one wins), so duplicate deliveries never
+    reach quorum early, and an equivocating sender splits its weight
+    across values instead of double-counting any one of them. A vote is
+    opaque: a signed message, a threshold share.
     """
 
-    def __init__(self, quorum: Optional[int] = None) -> None:
-        #: default threshold for :meth:`has_quorum` / :meth:`certificate`;
-        #: pass per-call to track a config whose quorum can be swapped.
-        self.quorum = quorum
-        self._votes: Dict[Any, Dict[str, Dict[str, SignedMessage]]] = {}
+    def __init__(self) -> None:
+        self._votes: Dict[Any, Dict[Any, Dict[str, Any]]] = {}
 
-    # -- recording -----------------------------------------------------
-    def add(self, key: Any, digest: str, sender: str, signed: SignedMessage) -> int:
-        """Record one vote; returns the vote count for ``(key, digest)``."""
-        senders = self._votes.setdefault(key, {}).setdefault(digest, {})
-        senders[sender] = signed
-        return len(senders)
+    def add(self, key: Any, value: Any, sender: str, vote: Any) -> Dict[str, Any]:
+        """Record one vote; returns the voters for ``(key, value)``."""
+        senders = self._votes.setdefault(key, {}).setdefault(value, {})
+        senders[sender] = vote
+        return senders
 
-    # -- queries -------------------------------------------------------
-    def voters(self, key: Any, digest: str) -> Dict[str, SignedMessage]:
-        return self._votes.get(key, {}).get(digest, {})
-
-    def count(self, key: Any, digest: str) -> int:
-        return len(self.voters(key, digest))
-
-    def digests(self, key: Any) -> List[str]:
-        """Every digest that received at least one vote for ``key``."""
-        return list(self._votes.get(key, ()))
-
-    def equivocators(self, key: Any) -> Set[str]:
-        """Senders that voted for more than one digest under ``key``."""
-        seen: Dict[str, int] = {}
-        for senders in self._votes.get(key, {}).values():
-            for sender in senders:
-                seen[sender] = seen.get(sender, 0) + 1
-        return {sender for sender, n in seen.items() if n > 1}
-
-    def _threshold(self, quorum: Optional[int]) -> int:
-        if quorum is None:
-            quorum = self.quorum
-        if quorum is None:
-            raise ValueError("no quorum configured or supplied")
-        return quorum
-
-    def has_quorum(self, key: Any, digest: str, quorum: Optional[int] = None) -> bool:
-        return self.count(key, digest) >= self._threshold(quorum)
+    def voters(self, key: Any, value: Any) -> Dict[str, Any]:
+        return self._votes.get(key, {}).get(value, {})
 
     def certificate(
-        self, key: Any, digest: str, quorum: Optional[int] = None
-    ) -> Optional[Tuple[SignedMessage, ...]]:
-        """The canonical certificate once quorum is reached, else None."""
-        threshold = self._threshold(quorum)
-        voters = self.voters(key, digest)
-        if len(voters) < threshold:
+        self, key: Any, value: Any, quorum: int
+    ) -> Optional[Tuple[Any, ...]]:
+        """The canonical certificate once ``quorum`` voters agree, else None."""
+        voters = self.voters(key, value)
+        if len(voters) < quorum:
             return None
-        return assemble_certificate(voters, threshold)
+        return assemble_certificate(voters, quorum)
 
     # -- garbage collection --------------------------------------------
+    def discard(self, key: Any, sender: str) -> None:
+        """Forget every vote ``sender`` holds under ``key``."""
+        values = self._votes.get(key)
+        if values is None:
+            return
+        for value, senders in list(values.items()):
+            senders.pop(sender, None)
+            if not senders:
+                del values[value]
+        if not values:
+            del self._votes[key]
+
     def drop(self, key: Any) -> None:
         self._votes.pop(key, None)
 
     def drop_upto(self, bound: Any) -> None:
-        """Drop every key ``<= bound`` (ordered keys, e.g. sequence numbers)."""
+        """Drop every key ``<= bound`` (ordered keys: seqs, views)."""
         for key in [k for k in self._votes if k <= bound]:
             del self._votes[key]
 
-    def clear(self) -> None:
-        self._votes.clear()
-
-    # -- mapping-style introspection -----------------------------------
+    # -- keys ----------------------------------------------------------
     def __contains__(self, key: Any) -> bool:
         return key in self._votes
 
@@ -136,73 +126,6 @@ class QuorumTracker:
 
     def __len__(self) -> int:
         return len(self._votes)
-
-
-class ThresholdShareTracker:
-    """Share table ``key -> value digest -> sender -> share``.
-
-    The threshold-crypto sibling of :class:`QuorumTracker`: where the
-    quorum tracker counts *signed votes* toward a transferable
-    certificate, this tracks *threshold-signature shares* toward one
-    combined signature. ``key`` identifies the thing being signed (a
-    delivery-record key, a batch ``(origin, po_seq)`` pair), ``digest``
-    distinguishes content variants (a Byzantine sender may sign a
-    different record or Merkle root for the same key — variants must
-    never pool their shares), and one sender contributes at most one
-    share per ``(key, digest)`` (re-sends overwrite), so duplicates
-    cannot fake reaching the combining threshold.
-
-    The tracker is crypto-agnostic: shares are opaque values; callers
-    hand :meth:`shares` to their provider's ``threshold_combine`` once
-    :meth:`ready` says a combining attempt is worthwhile.
-    """
-
-    def __init__(self, threshold: Optional[int] = None) -> None:
-        self.threshold = threshold
-        self._shares: Dict[Any, Dict[Any, Dict[str, Any]]] = {}
-
-    # -- recording -----------------------------------------------------
-    def add(self, key: Any, digest: Any, sender: str, share: Any) -> int:
-        """Record one share; returns the count for ``(key, digest)``."""
-        senders = self._shares.setdefault(key, {}).setdefault(digest, {})
-        senders[sender] = share
-        return len(senders)
-
-    # -- queries -------------------------------------------------------
-    def shares(self, key: Any, digest: Any) -> List[Any]:
-        """All distinct-sender shares for ``(key, digest)``."""
-        return list(self._shares.get(key, {}).get(digest, {}).values())
-
-    def count(self, key: Any, digest: Any) -> int:
-        return len(self._shares.get(key, {}).get(digest, {}))
-
-    def digests(self, key: Any) -> List[Any]:
-        """Every content variant that received at least one share."""
-        return list(self._shares.get(key, ()))
-
-    def _bound(self, threshold: Optional[int]) -> int:
-        if threshold is None:
-            threshold = self.threshold
-        if threshold is None:
-            raise ValueError("no threshold configured or supplied")
-        return threshold
-
-    def ready(self, key: Any, digest: Any, threshold: Optional[int] = None) -> bool:
-        """True once a combining attempt can possibly succeed."""
-        return self.count(key, digest) >= self._bound(threshold)
-
-    # -- garbage collection --------------------------------------------
-    def drop(self, key: Any) -> None:
-        self._shares.pop(key, None)
-
-    def clear(self) -> None:
-        self._shares.clear()
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._shares
-
-    def __len__(self) -> int:
-        return len(self._shares)
 
 
 def collect_valid_voters(

@@ -105,13 +105,40 @@ def test_agreement_and_view_change_are_written_once():
         if shared in path.parents:
             continue
         text = path.read_text()
-        for call in ("record_prepare(", "record_commit(", "derive_reproposals("):
+        for call in (".prepares.add(", ".commits.add(", "derive_reproposals("):
             assert call not in text, (path, call)
     graph = _imports()
     for module in ("repro.pbft.node", "repro.prime.viewchange"):
         assert not any(
             target.endswith(".collect_valid_voters") for target in graph[module]
         ), module
+
+
+def _setdefault_maps(tree):
+    """Lines that build a nested map by hand: ``d.setdefault(key, {})``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict) and not node.args[1].keys
+        ):
+            yield node.lineno
+
+
+def test_every_vote_tally_goes_through_the_one_table():
+    # key -> value -> sender -> vote is written once, in QuorumTracker; a
+    # protocol or endpoint module that nests dicts by hand has regrown a
+    # vote table beside it.
+    found = sorted({
+        path.relative_to(SRC / "repro").as_posix()
+        for package in ("prime", "pbft", "core", "replication")
+        for path in (SRC / "repro" / package).rglob("*.py")
+        if path.name != "quorum.py"
+        for _line in _setdefault_maps(ast.parse(path.read_text()))
+    })
+    assert found == [], found
+    assert list(_setdefault_maps(ast.parse(
+        "votes.setdefault(k, {})[s] = v\nby.setdefault(k, []).append(v)"))) == [1]
 
 
 def test_modbus_is_spoken_only_inside_scada():
@@ -515,6 +542,11 @@ _REMOVED = re.compile(
     r"|\bfairness\b|forward_capacity_per_ms|max_queue_per_source|source_rate_per_ms"
     r"|source_burst|def _admit\b|def _enqueue_forward|def _drain\b|queue_depth|queue_peak"
     r"|dropped_overflow|dropped_ratelimit|class FloodingAttacker"
+    r"|class ThresholdShareTracker|class EpochVoteTable|QuorumTracker\(quorum"
+    r"|def _threshold\b|def has_quorum\b|\.has_quorum\(|def equivocators\b|def digests\b"
+    r"|def record_prepare\b|def record_commit\b|def note_prepared\b|def commit_certificate\b"
+    r"|def chosen\b|\.chosen\(|def senders\b|def drop_below\b|def ready\b|def shares\b"
+    r"|def _bound\b"
 )
 
 

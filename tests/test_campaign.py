@@ -79,8 +79,11 @@ def test_spire_campaign_eviction_via_recovery():
     )
     deployment.start()
     campaign.start()
-    deployment.run_for(45_000)
-    evictions = deployment.obs.log.count(component="campaign", kind="evicted")
+    # up to 45 s, stopping at the first eviction
+    evictions = 0
+    while not evictions and deployment.simulator.now < 45_000:
+        deployment.run_for(1_000)
+        evictions = deployment.obs.log.count(component="campaign", kind="evicted")
     compromises = deployment.obs.log.count(component="campaign", kind="compromised")
     assert compromises >= 1
     assert evictions >= 1  # rejuvenation healed at least one intrusion

@@ -1,5 +1,7 @@
 """Tests for delivery-share collection and client submission management."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import DeliveryCollector, DeliveryRecord, SubmissionManager
@@ -122,6 +124,47 @@ def test_dedup_table_forgets_oldest_first_and_stays_bounded(crypto):
     for rec in records[-cap:]:
         assert collector.add_batch(share_for(crypto, rec, 3)) == []
     assert collector.verified == 3 * cap
+
+
+def alternate_root_share(crypto, rec, index):
+    """A share over ``rec``'s batch key that signs another Merkle root."""
+    batch, entry = batch_of(rec)
+    forged = dataclasses.replace(batch, merkle_root="f" * 64)
+    share = crypto.threshold_sign_share("g", index, forged)
+    return BatchDeliveryShare(f"replica:{index}", forged, share, (entry,))
+
+
+def test_a_released_batch_key_tracks_no_further_variant(crypto):
+    """Once a key is released only a Byzantine replica signs another
+    variant of it: such a share is not kept, where it used to wait for a
+    threshold it can never reach."""
+    collector = DeliveryCollector(crypto, "g")
+    for seq in range(1, 201):
+        rec = record(seq)
+        collector.add_batch(share_for(crypto, rec, 1))
+        assert len(collector.add_batch(share_for(crypto, rec, 2))) == 1
+        assert collector.add_batch(alternate_root_share(crypto, rec, 3)) == []
+    assert collector.pending_records == 0
+    assert collector.verified == 200
+
+
+def test_each_sender_holds_at_most_its_cap_of_unreleased_keys(crypto):
+    """Shares for made-up keys never reach f+1. A sender past its cap
+    forgets its own oldest ones, never another sender's."""
+    collector = DeliveryCollector(crypto, "g")
+    collector.max_held_per_sender = cap = 64
+    honest = record(1)
+    collector.add_batch(share_for(crypto, honest, 1))  # waits for a second share
+    flood = [record(seq) for seq in range(2, 3 * cap + 2)]
+    for rec in flood:
+        collector.add_batch(share_for(crypto, rec, 3, sender="replica:3"))
+    assert collector.pending_records == cap + 1
+    [(released, _signature)] = collector.add_batch(share_for(crypto, honest, 2))
+    assert released == honest
+    assert collector.pending_records == cap
+    # the flooder's newest share is still held, its oldest is gone
+    assert len(collector.add_batch(share_for(crypto, flood[-1], 2))) == 1
+    assert collector.add_batch(share_for(crypto, flood[0], 2)) == []
 
 
 # ----------------------------------------------------------------------

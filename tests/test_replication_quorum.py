@@ -1,16 +1,18 @@
 """Property tests for the shared quorum primitives.
 
-Two families of properties:
+Three families of properties:
 
 * **Threshold placement** — across ``(f, k)`` sweeps with the minimal
   ``n = 3f + 2k + 1`` replica placement, the Prime quorum ``2f + k + 1``
   is exactly where :class:`~repro.replication.quorum.QuorumTracker`
   produces a certificate, and any two such quorums intersect in more
   than ``f`` replicas (so a correct replica witnesses both).
-* **Vote hygiene** — duplicate votes from one sender never inflate a
-  count, and an equivocating sender contributes at most one vote per
-  digest, so it can never push two conflicting values to quorum with
-  fewer honest accomplices than the thresholds demand.
+* **Vote hygiene** — the last vote per sender wins, so duplicates never
+  inflate a count, and an equivocating sender contributes at most one
+  vote per digest, so it can never push two conflicting values to
+  quorum with fewer honest accomplices than the thresholds demand.
+* **Vouched claims** — :func:`~repro.replication.quorum.vouched` is the
+  largest value that ``f + 1`` claimants claim at least.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.replication import (  # noqa: E402
     QuorumTracker,
     SignedMessage,
     assemble_certificate,
+    vouched,
 )
 
 
@@ -66,21 +69,18 @@ def test_tracker_certificate_appears_exactly_at_quorum(fk, data):
     config = PrimeConfig(_names(n), num_faults=f, num_recovering=k)
     quorum = config.quorum
     voters = data.draw(st.permutations(list(config.replicas)))
-    tracker = QuorumTracker(quorum=quorum)
+    tracker = QuorumTracker()
     for index, sender in enumerate(voters, start=1):
-        count = tracker.add("seq", "digest", sender, _vote(sender))
-        assert count == index
-        cert = tracker.certificate("seq", "digest")
+        assert len(tracker.add("seq", "digest", sender, _vote(sender))) == index
+        cert = tracker.certificate("seq", "digest", quorum)
         if index < quorum:
-            assert not tracker.has_quorum("seq", "digest")
             assert cert is None
         else:
-            assert tracker.has_quorum("seq", "digest")
             assert len(cert) == quorum
     # The certificate is canonical: quorum-first voters in name order,
     # independent of arrival order.
     expected = assemble_certificate(tracker.voters("seq", "digest"), quorum)
-    assert tracker.certificate("seq", "digest") == expected
+    assert tracker.certificate("seq", "digest", quorum) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -112,9 +112,27 @@ def test_duplicate_votes_never_inflate_the_count(repeats, honest):
         tracker.add("seq", "digest", "replica:dup", _vote("replica:dup"))
     for i in range(honest):
         tracker.add("seq", "digest", f"replica:{i}", _vote(f"replica:{i}"))
-    assert tracker.count("seq", "digest") == honest + 1
+    assert len(tracker.voters("seq", "digest")) == honest + 1
     # a quorum above the distinct-voter count stays unreachable
     assert tracker.certificate("seq", "digest", honest + 2) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), data=st.data())
+def test_the_last_vote_per_sender_wins(n, data):
+    names = list(_names(n))
+    tracker = QuorumTracker()
+    last = {}
+    senders = data.draw(st.lists(st.sampled_from(names), max_size=4 * n))
+    for index, sender in enumerate(senders):
+        vote = SignedMessage(("vote", sender, index), None)
+        voters = tracker.add("seq", "digest", sender, vote)
+        last[sender] = vote
+        assert voters == last  # what ``add`` returns is the live vote map
+    assert tracker.voters("seq", "digest") == last
+    assert tracker.certificate("seq", "digest", len(last)) == tuple(
+        last[sender] for sender in sorted(last)
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,7 +142,7 @@ def test_equivocator_cannot_double_count_toward_either_digest(fk, data):
     n = 3 * f + 2 * k + 1
     config = PrimeConfig(_names(n), num_faults=f, num_recovering=k)
     quorum = config.quorum
-    tracker = QuorumTracker(quorum=quorum)
+    tracker = QuorumTracker()
     equivocators = list(config.replicas[:f])  # at most f byzantine senders
     honest = list(config.replicas[f:])
     votes_a = data.draw(st.integers(min_value=0, max_value=len(honest)))
@@ -136,14 +154,67 @@ def test_equivocator_cannot_double_count_toward_either_digest(fk, data):
         tracker.add("seq", "digest-a", sender, _vote(sender))
     for sender in honest[votes_a:]:
         tracker.add("seq", "digest-b", sender, _vote(sender))
-    assert tracker.equivocators("seq") == set(equivocators)
-    assert tracker.count("seq", "digest-a") == votes_a + f
-    assert tracker.count("seq", "digest-b") == (len(honest) - votes_a) + f
+    voters_a = tracker.voters("seq", "digest-a")
+    voters_b = tracker.voters("seq", "digest-b")
+    # the equivocators, and only they, hold a vote on each side
+    assert set(voters_a) & set(voters_b) == set(equivocators)
+    assert len(voters_a) == votes_a + f
+    assert len(voters_b) == (len(honest) - votes_a) + f
     # With n = 3f + 2k + 1 and q = 2f + k + 1, both digests reaching
     # quorum would need 2q - f = 3f + 2k + 2 > n distinct honest-or-not
     # voters — impossible: equivocation can poison at most one value.
     both = (
-        tracker.has_quorum("seq", "digest-a")
-        and tracker.has_quorum("seq", "digest-b")
+        tracker.certificate("seq", "digest-a", quorum) is not None
+        and tracker.certificate("seq", "digest-b", quorum) is not None
     )
     assert not both
+
+
+# ----------------------------------------------------------------------
+# Keys: discard, drop and garbage collection
+# ----------------------------------------------------------------------
+def test_a_key_goes_with_its_last_vote():
+    tracker = QuorumTracker()
+    tracker.add(1, "a", "replica:0", _vote("replica:0"))
+    tracker.add(1, "b", "replica:0", _vote("replica:0"))
+    tracker.add(1, "b", "replica:1", _vote("replica:1"))
+    tracker.add(2, "a", "replica:1", _vote("replica:1"))
+    tracker.discard(1, "replica:0")  # both of its values, nobody else's
+    assert list(tracker) == [1, 2]
+    assert tracker.voters(1, "a") == {}
+    assert list(tracker.voters(1, "b")) == ["replica:1"]
+    tracker.discard(1, "replica:1")
+    tracker.discard(3, "replica:1")  # an unknown key is a no-op
+    assert 1 not in tracker and list(tracker) == [2]
+    for seq in range(3, 7):
+        tracker.add(seq, "a", "replica:0", _vote("replica:0"))
+    tracker.drop_upto(4)
+    assert list(tracker) == [5, 6] and len(tracker) == 2
+    tracker.drop(6)
+    assert list(tracker) == [5]
+
+
+def test_the_table_keeps_only_what_program_code_calls():
+    public = {name for name in vars(QuorumTracker) if not name.startswith("_")}
+    assert public == {"add", "voters", "certificate", "discard", "drop", "drop_upto"}
+
+
+# ----------------------------------------------------------------------
+# Vouched claims: the (f+1)-th largest
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    claims=st.lists(st.integers(min_value=0, max_value=20), max_size=10),
+    faults=st.integers(min_value=0, max_value=4),
+)
+def test_vouched_is_the_largest_value_f_plus_one_claim_at_least(claims, faults):
+    supported = [
+        value for value in set(claims)
+        if sum(1 for claim in claims if claim >= value) >= faults + 1
+    ]
+    assert vouched(claims, faults) == max(supported, default=None)
+    # the decision each caller makes: do f+1 replicas claim more than x?
+    for x in range(-1, 22):
+        ahead = sum(1 for claim in claims if claim > x) >= faults + 1
+        best = vouched(iter(claims), faults)
+        assert ahead == (best is not None and best > x)
