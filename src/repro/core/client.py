@@ -210,8 +210,15 @@ class SpireClient(Process):
         if self.stack is not None:
             unwrapped = OverlayStack.unwrap(payload)
             if unwrapped is not None:
-                payload = unwrapped[1]
+                # the overlay authenticated the datagram's origin
+                src, payload = unwrapped
         if isinstance(payload, BatchDeliveryShare):
+            # a share speaks for the replica it came from and no other: a
+            # sender field naming anyone else would let one replica escape
+            # its cap at the collector, or evict another's pending shares
+            if payload.sender != src:
+                self.collector.rejected_shares += 1
+                return
             self._on_delivery_share(payload)
 
     def _on_delivery_share(self, share: BatchDeliveryShare) -> None:

@@ -78,8 +78,6 @@ class SpinesDaemon(Process):
         super().__init__(f"spines:{site_name}", simulator, network)
         self.site_name = site_name
         self.routing = routing
-        #: resolved once per daemon, not per datagram
-        self._shortest = routing.name == "shortest"
         self.crypto = crypto
         self.obs = obs if obs is not None else NULL_OBS
         # Histograms shared by all daemons of a deployment (same names →
@@ -94,7 +92,6 @@ class SpinesDaemon(Process):
         self.neighbors: Dict[str, str] = {}
         self.attached: Set[str] = set()            # endpoint names homed here
         self.endpoint_home: Dict[str, str] = {}    # endpoint -> site (global map)
-        self.endpoint_route: Dict[str, Optional[str]] = {}  # endpoint -> route (global)
         #: origin -> seqs kept; ``_seen_origins`` / ``_seen_seqs`` hold the
         #: same keys oldest first, so eviction deletes exactly the oldest
         self._seen: Dict[str, Dict[int, None]] = {}
@@ -143,15 +140,11 @@ class SpinesDaemon(Process):
 
     def _on_ingress(self, src: str, message: OverlayIngress) -> None:
         data = message.data
-        routes = self.endpoint_route
-        # one datagram serves one route (``OverlayStack.multicast`` builds
-        # nothing else)
         if (
             src not in self.attached
             or not _INGRESS_SHAPE(message)
             or data.origin != src
-            or len({routes[dest] if dest in routes else None
-                    for dest in data.dests}) != 1
+            or not data.dests
         ):
             self.stats["dropped_auth"] += 1
             return
@@ -240,19 +233,25 @@ class SpinesDaemon(Process):
             self._route_default(data, arrived_from)
 
     def _route_default(self, data: OverlayData, arrived_from: Optional[str]) -> None:
-        # forward while at least one destination has a known home; a
-        # routed datagram's destinations share one site, which it heads
-        # for (and stops at), a flooded one goes out on every link
-        # whichever site that is; an isolated daemon has nobody to forward to
+        # forward while some destination has a known home, towards the
+        # sites of all of them (a dict: ordered as named, not by string
+        # hash); an origin with no known home is routed as if it entered
+        # here, and an isolated daemon has nobody to forward to
         targets: Any = ()
-        for dest in data.dests if self.neighbors else ():
-            dest_site = self.endpoint_home.get(dest)
-            if dest_site is not None:
-                if dest_site != self.site_name or not self._shortest:
-                    targets = self.routing.forward_targets(
-                        self.site_name, dest_site, arrived_from
-                    )
-                break
+        if self.neighbors:
+            home = self.endpoint_home
+            dest_sites: Dict[str, None] = {}
+            for dest in data.dests:
+                if dest in home:
+                    dest_sites[home[dest]] = None
+            if dest_sites:
+                origin = data.origin
+                targets = self.routing.forward_targets(
+                    self.site_name,
+                    home[origin] if origin in home else self.site_name,
+                    dest_sites,
+                    arrived_from,
+                )
         if targets and arrived_from is None:
             # the first need of an ingress datagram's digest (a forwarded
             # one had its MAC checked): no encoder, no hop and no delivery

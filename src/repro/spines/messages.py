@@ -33,15 +33,12 @@ class OverlayData:
 
     ``origin``/``dests`` are endpoint (not daemon) names; ``seq`` is a
     per-origin sequence number used for flood deduplication. ``dests`` is
-    the destination *set* of one route: a unicast names one endpoint, a
-    multicast names every destination its route serves and is still one
-    datagram — one ingress, one dedup key, one link MAC per hop (the MAC
-    covers every header field, ``dests`` included, and the digest of
-    ``payload``), one delivery per named endpoint. A flooding overlay
-    has one route, so a whole broadcast is one datagram; routed overlays
-    (``shortest``/``disjoint``) have one per destination site, so a
-    broadcast is one datagram per site around one payload, each encoded
-    without walking it. Ingress drops any other set.
+    the destination *set*: a unicast names one endpoint, a multicast
+    names every destination and is still one datagram on every overlay —
+    one ingress, one dedup key, one link MAC per hop (the MAC covers
+    every header field, ``dests`` included, and the digest of
+    ``payload``), one delivery per named endpoint. Ingress drops an
+    empty set.
     """
 
     encoded_by_digest: ClassVar[Tuple[str, ...]] = ("payload",)

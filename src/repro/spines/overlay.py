@@ -46,7 +46,6 @@ class OverlayStack:
         self._endpoint_send = endpoint.send
         self._obs_enabled = overlay.obs.enabled
         self._simulator = overlay.simulator
-        self._endpoint_route = overlay._endpoint_route
 
     def send(self, dest_endpoint: str, payload: Any, size_bytes: int = 256) -> bool:
         """Send ``payload`` to another overlay endpoint by name."""
@@ -54,22 +53,14 @@ class OverlayStack:
 
     def multicast(self, dests: Sequence[str], payload: Any,
                   size_bytes: int = 256) -> None:
-        """Send ``payload`` to every endpoint in ``dests``: one datagram
-        per route (:meth:`~repro.spines.routing.RoutingStrategy.route_of`),
-        in the order each route first appears, naming every destination
-        that route serves. A flooding overlay carries the whole set in one
-        datagram (one flood reaches every daemon); a routed one sends one
-        per destination site, whose endpoints share every hop.
+        """Send ``payload`` to every endpoint in ``dests`` as one datagram
+        naming them all: one ingress, one dedup key and one link MAC per
+        hop, whatever the overlay's mode (a routed one forwards it along
+        the union of the paths to the destination sites,
+        :meth:`~repro.spines.routing.RoutingStrategy.forward_targets`).
         """
-        served: Dict[Optional[str], Tuple[str, ...]] = {}
-        routes = self._endpoint_route
-        for dest in dests:
-            # an unattached endpoint's route is None; tested, not .get():
-            # no call per destination on the broadcast path
-            route = routes[dest] if dest in routes else None
-            served[route] = served[route] + (dest,) if route in served else (dest,)
-        for route_dests in served.values():
-            self._submit(route_dests, payload, size_bytes)
+        if dests:
+            self._submit(tuple(dests), payload, size_bytes)
 
     def _submit(self, dests: Tuple[str, ...], payload: Any, size_bytes: int) -> bool:
         self._seq += 1
@@ -118,8 +109,6 @@ class SpinesOverlay:
         self.routing = make_routing(mode, topology)
         self.daemons: Dict[str, SpinesDaemon] = {}
         self._endpoint_home: Dict[str, str] = {}
-        #: endpoint -> ``routing.route_of`` its home, resolved at attach
-        self._endpoint_route: Dict[str, Optional[str]] = {}
         for site in topology.sites:
             self.daemons[site.name] = SpinesDaemon(
                 site.name, simulator, network, self.routing, self.crypto, obs=obs,
@@ -139,7 +128,6 @@ class SpinesOverlay:
         # destination (link-state routing advertises client attachment).
         for daemon in self.daemons.values():
             daemon.endpoint_home = self._endpoint_home
-            daemon.endpoint_route = self._endpoint_route
         # Self-healing control plane: shared across daemons (they share the
         # routing instance too, so one rebuild reroutes the whole overlay).
         self.control_plane: Optional[OverlayControlPlane] = None
@@ -161,7 +149,6 @@ class SpinesOverlay:
         if endpoint.name in self._endpoint_home:
             raise ValueError(f"endpoint {endpoint.name} already attached")
         self._endpoint_home[endpoint.name] = site_name
-        self._endpoint_route[endpoint.name] = self.routing.route_of(site_name)
         daemon = self.daemons[site_name]
         daemon.attach_endpoint(endpoint.name)
         spec = LinkSpec(latency_ms=self.last_mile_latency_ms, jitter_ms=0.02)

@@ -13,11 +13,12 @@ Two modes, matching the paper's discussion:
   bandwidth; daemons forward at no modelled cost (see
   :mod:`repro.spines.daemon`), so a flooding attacker delays nobody.
 
-A strategy also decides which destinations one datagram may serve
-(:meth:`RoutingStrategy.route_of`): destinations with one route share a
-datagram. Next-hop and disjoint-path tables route per destination site,
-so the endpoints homed at one site share every hop and one datagram; one
-flood reaches every daemon, so a flooded datagram serves any set.
+One datagram carries a whole multicast, so a strategy routes a *set* of
+destination sites (:meth:`RoutingStrategy.forward_targets`): a flood
+reaches every daemon whatever the set; next-hop and disjoint-path tables
+(:class:`PathTableRouting`) forward along the union of the routes that a
+unicast from the origin's site to each destination site takes. A unicast
+is the set of one.
 
 All strategies additionally support :meth:`RoutingStrategy.rebuild`: the
 self-healing control plane (:mod:`repro.spines.monitor`) hands them an
@@ -28,13 +29,14 @@ and disjoint-path tables re-route, flooding prunes dead links.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..simnet.graph import dijkstra, shortest_path
 from .topology import OverlayTopology
 
 __all__ = [
     "RoutingStrategy",
+    "PathTableRouting",
     "ShortestPathRouting",
     "FloodingRouting",
     "DisjointPathsRouting",
@@ -48,24 +50,95 @@ class RoutingStrategy:
     name = "abstract"
 
     def forward_targets(
-        self, daemon_site: str, dest_site: str, arrived_from: Optional[str]
+        self,
+        daemon_site: str,
+        origin_site: str,
+        dest_sites: Collection[str],
+        arrived_from: Optional[str],
     ) -> List[str]:
-        """Return neighbour sites the datagram should be forwarded to."""
+        """Return the neighbour sites that a datagram from an endpoint at
+        ``origin_site``, now at ``daemon_site``, is forwarded to so that
+        it reaches every site in ``dest_sites`` (the order of
+        ``dest_sites`` decides the order of the targets)."""
         raise NotImplementedError
-
-    def route_of(self, site: str) -> Optional[str]:
-        """The route of the endpoints homed at ``site``: one datagram
-        serves the destinations of one route, and an endpoint with no
-        known home has route ``None``. Per-site tables route per site."""
-        return site
 
     def rebuild(self, observed: OverlayTopology) -> None:
         """Recompute forwarding state from an observed topology view."""
         raise NotImplementedError
 
 
-class ShortestPathRouting(RoutingStrategy):
+class PathTableRouting(RoutingStrategy):
+    """Routing along per-destination next hops, keyed by the origin's site.
+
+    A subclass names each site's next hops towards each destination site;
+    a unicast reaches the daemons they lead to from its origin's site. A
+    datagram is forwarded, at every daemon, to the next hops of each
+    destination site whose unicast from the origin's site reaches that
+    daemon, less the link it arrived on: a multicast walks the union of
+    its unicasts' routes, and a unicast exactly its own. Keyed by origin,
+    not by arrival link: a daemon first reached on one destination's route
+    forwards on every other route it lies on too (a later copy is a
+    duplicate).
+    """
+
+    def __init__(self, topology: OverlayTopology) -> None:
+        self.topology = topology
+        #: (origin site, daemon site) -> {destination site: next hops} for
+        #: every destination whose unicast from the origin reaches the daemon
+        self._along: Dict[Tuple[str, str], Dict[str, Tuple[str, ...]]] = {}
+        self._build()
+
+    def _next_hops(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+        """(site, destination site) -> the site's next hops towards it."""
+        raise NotImplementedError
+
+    def _build(self) -> None:
+        next_hops = self._next_hops()
+        sites = self.topology.graph.nodes
+        along: Dict[Tuple[str, str], Dict[str, Tuple[str, ...]]] = {}
+        for origin in sites:
+            for dest in sites:
+                reached, frontier = {origin}, [origin]
+                while frontier:
+                    at = frontier.pop()
+                    hops = next_hops.get((at, dest))
+                    if hops:
+                        along.setdefault((origin, at), {})[dest] = hops
+                        for nxt in hops:
+                            if nxt not in reached:
+                                reached.add(nxt)
+                                frontier.append(nxt)
+        self._along = along
+
+    def rebuild(self, observed: OverlayTopology) -> None:
+        self.topology = observed
+        self._build()
+
+    def forward_targets(
+        self,
+        daemon_site: str,
+        origin_site: str,
+        dest_sites: Collection[str],
+        arrived_from: Optional[str],
+    ) -> List[str]:
+        along = self._along.get((origin_site, daemon_site))
+        if along is None:
+            return []
+        targets: List[str] = []
+        for dest in dest_sites:
+            if dest in along:
+                for nxt in along[dest]:
+                    if nxt != arrived_from and nxt not in targets:
+                        targets.append(nxt)
+        return targets
+
+
+class ShortestPathRouting(PathTableRouting):
     """Latency-weighted next-hop tables.
+
+    Each site's next hop towards each destination is the first hop of its
+    own shortest path; a unicast follows the *hop-by-hop path*, and a
+    multicast the union of its destinations' hop-by-hop paths.
 
     Built from the advertised topology; a self-healing control plane may
     :meth:`rebuild` them from its observed view when links die or degrade.
@@ -73,27 +146,15 @@ class ShortestPathRouting(RoutingStrategy):
 
     name = "shortest"
 
-    def __init__(self, topology: OverlayTopology) -> None:
-        self.topology = topology
-        self._next_hop: Dict[Tuple[str, str], Optional[str]] = {}
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self._next_hop.clear()
-        for source in self.topology.graph.nodes:
-            _, paths = dijkstra(self.topology.graph, source, "latency_ms")
+    def _next_hops(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+        graph = self.topology.graph
+        next_hops: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        for source in graph.nodes:
+            _, paths = dijkstra(graph, source, "latency_ms")
             for dest, path in paths.items():
-                self._next_hop[(source, dest)] = path[1] if len(path) >= 2 else None
-
-    def rebuild(self, observed: OverlayTopology) -> None:
-        self.topology = observed
-        self._rebuild()
-
-    def forward_targets(
-        self, daemon_site: str, dest_site: str, arrived_from: Optional[str]
-    ) -> List[str]:
-        hop = self._next_hop.get((daemon_site, dest_site))
-        return [hop] if hop is not None else []
+                if len(path) >= 2:
+                    next_hops[(source, dest)] = (path[1],)
+        return next_hops
 
 
 class FloodingRouting(RoutingStrategy):
@@ -103,10 +164,6 @@ class FloodingRouting(RoutingStrategy):
 
     def __init__(self, topology: OverlayTopology) -> None:
         self.rebuild(topology)
-
-    def route_of(self, site: str) -> Optional[str]:
-        # one flood reaches every daemon, known home or not
-        return None
 
     def rebuild(self, observed: OverlayTopology) -> None:
         # flooding has no tables beyond each site's neighbour tuple;
@@ -119,8 +176,13 @@ class FloodingRouting(RoutingStrategy):
         }
 
     def forward_targets(
-        self, daemon_site: str, dest_site: str, arrived_from: Optional[str]
+        self,
+        daemon_site: str,
+        origin_site: str,
+        dest_sites: Collection[str],
+        arrived_from: Optional[str],
     ) -> List[str]:
+        # one flood reaches every daemon, whichever sites it is for
         return [
             neighbor
             for neighbor in self._neighbors[daemon_site]
@@ -128,7 +190,7 @@ class FloodingRouting(RoutingStrategy):
         ]
 
 
-class DisjointPathsRouting(RoutingStrategy):
+class DisjointPathsRouting(PathTableRouting):
     """K node-disjoint-path dissemination (Spines' middle ground).
 
     Every datagram is forwarded along ``k`` precomputed node-disjoint
@@ -140,25 +202,23 @@ class DisjointPathsRouting(RoutingStrategy):
 
     Implementation note: forwarding state is per (source site, dest site):
     a daemon forwards to the next hop of every chosen path it lies on.
-    Because the daemon-level API does not expose the origin site, the
-    per-source plans are merged at build time into one
+    The per-source plans are merged at build time into one
     ``(daemon, dest) -> targets`` table (a superset — slightly more
-    redundancy, never less), so the per-datagram lookup is O(1) instead
-    of a scan over all O(sites²) plans.
+    redundancy, never less): those are a site's next hops towards a
+    destination, and a unicast reaches every daemon they lead to.
     """
 
     name = "disjoint"
 
     def __init__(self, topology: OverlayTopology, k: int = 2) -> None:
-        self.topology = topology
         self.k = k
         #: (src_site, dst_site) -> daemon_site -> [next hops]
         self._plans: Dict[Tuple[str, str], Dict[str, List[str]]] = {}
         #: (daemon_site, dest_site) -> merged next hops across all sources
         self._targets: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        self._build()
+        super().__init__(topology)
 
-    def _build(self) -> None:
+    def _next_hops(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
         self._plans.clear()
         sites = list(self.topology.graph.nodes)
         for src in sites:
@@ -174,6 +234,7 @@ class DisjointPathsRouting(RoutingStrategy):
                             plan[hop].append(nxt)
                 self._plans[(src, dst)] = plan
         self._merge_plans()
+        return self._targets
 
     def _merge_plans(self) -> None:
         """Precompute the per-(daemon, dest) union of all source plans.
@@ -191,10 +252,6 @@ class DisjointPathsRouting(RoutingStrategy):
                         targets.append(nxt)
         self._targets = {key: tuple(value) for key, value in merged.items()}
 
-    def rebuild(self, observed: OverlayTopology) -> None:
-        self.topology = observed
-        self._build()
-
     def _k_disjoint_paths(self, src: str, dst: str) -> List[List[str]]:
         graph = self.topology.graph.copy()
         paths: List[List[str]] = []
@@ -206,12 +263,6 @@ class DisjointPathsRouting(RoutingStrategy):
             # remove interior nodes to force node-disjointness
             graph.remove_nodes_from(path[1:-1])
         return paths
-
-    def forward_targets(
-        self, daemon_site: str, dest_site: str, arrived_from: Optional[str]
-    ) -> List[str]:
-        targets = self._targets.get((daemon_site, dest_site), ())
-        return [nxt for nxt in targets if nxt != arrived_from]
 
 
 def make_routing(mode: str, topology: OverlayTopology, k: int = 2) -> RoutingStrategy:

@@ -546,7 +546,7 @@ _REMOVED = re.compile(
     r"|def _threshold\b|def has_quorum\b|\.has_quorum\(|def equivocators\b|def digests\b"
     r"|def record_prepare\b|def record_commit\b|def note_prepared\b|def commit_certificate\b"
     r"|def chosen\b|\.chosen\(|def senders\b|def drop_below\b|def ready\b|def shares\b"
-    r"|def _bound\b"
+    r"|def _bound\b|endpoint_route"
 )
 
 

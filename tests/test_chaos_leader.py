@@ -46,13 +46,13 @@ DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 #: the view-change path pinned at PYTHONHASHSEED=0: seed -> (fingerprint,
 #: events processed) of ``leader_options(seed)``. Recorded at the parent
 #: of PR 16; re-pinned once when both protocols took one head-of-line
-#: repair path, and again when a routed overlay took one datagram per
-#: destination site (CHANGES.md)
+#: repair path, again when a routed overlay took one datagram per
+#: destination site, and when it took one per multicast (CHANGES.md)
 PINNED_PRIME_LEADER = {
-    2: ("391b6b4ea85be225c7daa51bd4352a321a4c3b545a37fc2327f28b03baa62078",
-        38_191),
-    7: ("dc93af1241e050532ec74b1baa0e091c1922f6f0c0d909f28d7cc8358887172d",
-        35_535),
+    2: ("6284633b089386f1380f06ad0a077eb2db9563482fae595ce4769331aa5f3996",
+        36_664),
+    7: ("25704c716fc9af5f1bda313843cbd61c1edd82c2e53fe1482085b288394bb477",
+        31_066),
 }
 #: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 has
 #: three judged leader faults, and its partitioned view-2 leader cascades

@@ -423,12 +423,13 @@ SMOKE = dict(
 #: fig6 deployment floods, so it alone was re-pinned in PR 15 when a
 #: broadcast became one overlay datagram. All three were re-pinned when
 #: both protocols took one head-of-line repair path; the two chaos ones
-#: again when a routed overlay took one datagram per destination site.
+#: again when a routed overlay took one datagram per destination site,
+#: and when it took one per multicast.
 PINNED_CHAOS = {
-    3: ("239e0eeb6a2b5c5b7549962bde19e3d8b17c5a5bdd197c14eac3567f3587f88c",
-        34_135),
-    11: ("cf9b17f26e77de25f6a2d91b303fbf432867161c49499b2510435fa43750bcf1",
-         50_675),
+    3: ("7a464141c5e4bf19d424f3601ad98e2df59c4467894d65c004f2f4fc7b37e15a",
+        28_742),
+    11: ("9f9c4b8c45196ac247af515a6d0a214371b723058f6223b9c2060ba7b1bd4ee3",
+         33_984),
 }
 
 PINNED_FIG6 = "72c47515e3e181b39521b31942be71208d389593ac371cb9d3bdfb9322dd8e05"

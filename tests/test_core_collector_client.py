@@ -4,10 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.core import DeliveryCollector, DeliveryRecord, SubmissionManager
+from repro.core import DeliveryCollector, DeliveryRecord, HmiClient, SubmissionManager
 from repro.core.update import BatchDeliveryShare, batch_of_records
 from repro.obs import LatencyTracker
 from repro.crypto import FastCrypto, ThresholdShare
+from repro.simnet import LinkSpec, Network, Process, Simulator
+from repro.spines import SpinesOverlay, lan_topology
 
 
 @pytest.fixture
@@ -165,6 +167,58 @@ def test_each_sender_holds_at_most_its_cap_of_unreleased_keys(crypto):
     # the flooder's newest share is still held, its oldest is gone
     assert len(collector.add_batch(share_for(crypto, flood[-1], 2))) == 1
     assert collector.add_batch(share_for(crypto, flood[0], 2)) == []
+
+
+class Replica(Process):
+    """A replica endpoint that only sends."""
+
+    def on_message(self, src, payload):
+        pass
+
+
+@pytest.mark.parametrize("through_overlay", [False, True])
+def test_an_endpoint_binds_every_share_to_its_authenticated_sender(crypto, through_overlay):
+    """A share speaks only for the replica it came from: on a direct link
+    the link's sender, through the overlay the datagram's origin.
+    Byzantine ``replica:1``'s shares under made-up names never reach the
+    collector, so its flood stops at its own cap; under honest
+    ``replica:2``'s name they cannot evict ``replica:2``'s pending share."""
+    simulator = Simulator(seed=1)
+    network = Network(simulator, LinkSpec(latency_ms=1.0))
+    overlay = SpinesOverlay(simulator, network, lan_topology(1), crypto=crypto)
+    hmi = HmiClient("hmi:0", simulator, network, crypto, ["replica:1"])
+    hmi.collector = collector = DeliveryCollector(crypto, "g")
+    released = []
+    hmi._on_verified_record = released.append
+    cap = collector.max_held_per_sender
+    senders = {}
+    for name in ("replica:1", "replica:2", "replica:3"):
+        replica = Replica(name, simulator, network)
+        stack = overlay.attach(replica, "lan0")
+        senders[name] = stack.send if through_overlay else replica.send
+    if through_overlay:
+        hmi.stack = overlay.attach(hmi, "lan0")
+
+    def send(origin, rec, index, sender):
+        senders[origin]("hmi:0", share_for(crypto, rec, index, sender=sender))
+        simulator.run_for(5)
+
+    honest = record(1)
+    send("replica:2", honest, 2, "replica:2")
+    assert collector.pending_records == 1
+    made_up = [record(seq) for seq in range(2, 2 * cap + 2)]
+    for number, rec in enumerate(made_up):
+        send("replica:1", rec, 1, f"replica:ghost{number}")
+    for rec in made_up[:cap + 1]:
+        send("replica:1", rec, 1, "replica:1")
+    # the honest share and replica:1's own newest ``cap``
+    assert collector.pending_records == 1 + cap
+    for rec in made_up[cap:]:
+        send("replica:1", rec, 1, "replica:2")
+    assert collector.rejected_shares == len(made_up) + cap
+    assert collector.pending_records == 1 + cap
+    send("replica:3", honest, 3, "replica:3")
+    assert released == [honest]
 
 
 # ----------------------------------------------------------------------

@@ -428,8 +428,9 @@ def _trace_fingerprint(options, run_ms):
 #: digests at PYTHONHASHSEED=0 (the flooding ``wan7`` was re-pinned once,
 #: both when the protocols took one head-of-line repair path, and the
 #: ``shortest`` ``lan21`` when a routed overlay took one datagram per
-#: destination site; reasons in CHANGES.md): the event trace of a full deployment, in order and at
-#: its simulated times
+#: destination site, and again when it took one per multicast; reasons in
+#: CHANGES.md): the event trace of a full deployment, in order and at its
+#: simulated times
 PINNED_TRACES = {
     "wan7": (
         dict(seed=7, num_substations=3),
@@ -439,7 +440,7 @@ PINNED_TRACES = {
     "lan21": (
         dict(seed=21, num_substations=2, poll_interval_ms=200.0),
         4000.0,
-        "df7eb6e8270a1f1c0c959fe2da17f8c67e73c99e6c34b8d90dafc1a760070610",
+        "cfe9053376f5d2d62894ac178098390b9f3d453b220221589601e2585a9ecd50",
     ),
 }
 

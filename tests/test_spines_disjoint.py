@@ -94,6 +94,6 @@ def test_forward_targets_exclude_arrival():
     routing = DisjointPathsRouting(continental_topology(), k=2)
     paths = routing._k_disjoint_paths("nyc", "lax")
     first_hop = paths[0][1]
-    targets = routing.forward_targets(first_hop, "lax", arrived_from="nyc")
+    targets = routing.forward_targets(first_hop, "nyc", ("lax",), arrived_from="nyc")
     assert "nyc" not in targets
     assert targets  # keeps moving toward the destination

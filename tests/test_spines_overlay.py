@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 from repro.crypto import FastCrypto, RealCrypto
 from repro.obs import Observability
 from repro.simnet import LinkSpec, Network, Process, Simulator
+from repro.simnet.graph import dijkstra
 from repro.spines import (
+    DisjointPathsRouting,
     FloodingRouting,
     OverlayStack,
     OverlayTopology,
     ShortestPathRouting,
     Site,
     SpinesOverlay,
+    continental_topology,
     make_routing,
     wide_area_topology,
 )
@@ -340,14 +343,14 @@ def test_make_routing_factory():
 def test_shortest_path_next_hops():
     topo = wide_area_topology()
     routing = ShortestPathRouting(topo)
-    assert routing.forward_targets("field", "dc1", None) in (["cc1"], ["cc2"])
-    assert routing.forward_targets("cc1", "cc1", None) == []
+    assert routing.forward_targets("field", "field", ("dc1",), None) in (["cc1"], ["cc2"])
+    assert routing.forward_targets("cc1", "cc1", ("cc1",), None) == []
 
 
 def test_flooding_excludes_arrival_link():
     topo = wide_area_topology()
     routing = FloodingRouting(topo)
-    targets = routing.forward_targets("cc1", "dc2", arrived_from="cc2")
+    targets = routing.forward_targets("cc1", "field", ("dc2",), arrived_from="cc2")
     assert "cc2" not in targets
     assert "dc2" in targets
 
@@ -537,12 +540,13 @@ def test_multicast_costs_one_token_however_many_destinations():
 
 
 @pytest.mark.parametrize("mode", ["shortest", "disjoint"])
-def test_routed_overlay_multicasts_one_datagram_per_destination_site(mode):
+def test_routed_overlay_multicasts_one_datagram(mode):
     sim, net, overlay, endpoints, stacks = build_everywhere(mode)
     named = ("cc2", "dc1", "dc2", "dc2b", "field")
     stacks["cc1"].multicast([f"ep:{key}" for key in named], "x")
     sim.run_for(200)
-    assert overlay.total_stats()["ingress"] == 4
+    totals = overlay.total_stats()
+    assert totals["ingress"] == 1 and totals["delivered"] == len(named)
     for key in named:
         assert [p for _, _, p in endpoints[key].received] == ["x"], key
     # the two endpoints at dc2 ride one forward chain: a datagram to both
@@ -558,31 +562,27 @@ def test_routed_overlay_multicasts_one_datagram_per_destination_site(mode):
     assert forwarded[0] == forwarded[1] > 0
 
 
-#: destination sets an attached endpoint may hand a routed daemon: one
-#: route (one site, or none known) is carried, anything else is refused
-ONE_ROUTE = {("ep:dc2", "ep:dc2b"), ("ep:nowhere",)}
-
-
 @pytest.mark.parametrize("mode", ["shortest", "disjoint"])
 @pytest.mark.parametrize("dests", [
     (), ("ep:dc2", "ep:field"), ("ep:dc2", "ep:dc2b"), ("ep:dc2", "ep:nowhere"),
     ("ep:nowhere",),
 ])
 def test_routed_overlay_drops_a_destination_set_at_ingress(mode, dests):
-    """Next-hop tables route towards one site; an attached endpoint that
-    hand-builds a set spanning more than one route (an endpoint with no
-    known home is a route of its own) is refused like any malformed input.
-    A set of one route is carried, and an unknown endpoint reached by nobody."""
+    """Only the empty set is refused, like any malformed input. An
+    attached endpoint may hand its daemon any other set, however many
+    sites it spans, and every named endpoint with a home gets it once; an
+    endpoint with no known home is reached by nobody."""
     sim, net, overlay, endpoints, stacks = build_everywhere(mode)
     data = OverlayData(origin="ep:cc1", dests=dests, seq=1, payload="x")
     endpoints["cc1"].send("spines:cc1", OverlayIngress(data))
     sim.run_for(200)
     totals = overlay.total_stats()
     received = {key for key, endpoint in endpoints.items() if endpoint.received}
-    if dests in ONE_ROUTE:
+    if dests:
         assert totals["dropped_auth"] == 0 and totals["ingress"] == 1
         assert {f"ep:{key}" for key in received} == set(dests) - {"ep:nowhere"}
         assert totals["delivered"] == len(received)
+        assert all(len(endpoints[key].received) == 1 for key in received)
     else:
         assert totals["dropped_auth"] == 1
         assert totals["ingress"] == totals["forwarded"] == totals["delivered"] == 0
@@ -605,14 +605,10 @@ def placed_multicasts(draw):
     return count, links, homes, origin, named
 
 
-@pytest.mark.parametrize("mode", ["flooding", "shortest", "disjoint"])
-@settings(max_examples=40, deadline=None)
-@given(placed_multicasts())
-def test_multicast_is_one_datagram_per_route(mode, case):
-    """Whatever the placement, every named endpoint receives exactly once,
-    nobody else receives anything, and the overlay takes one ingress
-    datagram per route: one for any flood, one per named site when routed."""
-    count, links, homes, origin, named = case
+def run_placed(mode, count, links, homes, origin, named):
+    """Multicast from endpoint ``origin`` to the ``named`` endpoints, with
+    endpoint ``i`` homed at site ``s<homes[i]>``; returns the endpoints
+    and the overlay once quiescent."""
     sim, net, overlay = build_random(count, links, mode)
     endpoints, stacks = [], []
     for index, site in enumerate(homes):
@@ -620,12 +616,152 @@ def test_multicast_is_one_datagram_per_route(mode, case):
         stacks.append(overlay.attach(endpoints[-1], f"s{site}"))
     stacks[origin].multicast([endpoints[i].name for i in named], "payload")
     sim.run_for(1000)  # quiescent: the longest path is < 6 hops of < 12 ms
+    return endpoints, overlay
+
+
+@pytest.mark.parametrize("mode", ["flooding", "shortest", "disjoint"])
+@settings(max_examples=40, deadline=None)
+@given(placed_multicasts())
+def test_multicast_is_one_datagram(mode, case):
+    """Whatever the placement and the mode, every named endpoint receives
+    exactly once, nobody else receives anything, and the overlay takes
+    one ingress datagram for the whole multicast."""
+    count, links, homes, origin, named = case
+    endpoints, overlay = run_placed(mode, *case)
     for index, endpoint in enumerate(endpoints):
         expected = [(endpoints[origin].name, "payload")] if index in named else []
         assert [(o, p) for _, o, p in endpoint.received] == expected
-    sites = {homes[i] for i in named}
-    routes = min(len(sites), 1) if mode == "flooding" else len(sites)
-    assert overlay.total_stats()["ingress"] == routes
+    assert overlay.total_stats()["ingress"] == (1 if named else 0)
+
+
+@pytest.mark.parametrize("mode", ["shortest", "disjoint"])
+@settings(max_examples=40, deadline=None)
+@given(placed_multicasts())
+def test_a_routed_multicast_forwards_no_more_than_its_unicasts(mode, case):
+    """One datagram along the union of the destinations' paths costs no
+    more hops than one unicast to each named site would in total."""
+    count, links, homes, origin, named = case
+    _, overlay = run_placed(mode, *case)
+    multicast = overlay.total_stats()["forwarded"]
+    unicasts = 0
+    for site in sorted({homes[i] for i in named}):
+        one = next(i for i in named if homes[i] == site)
+        _, overlay = run_placed(mode, count, links, homes, origin, [one])
+        unicasts += overlay.total_stats()["forwarded"]
+    assert multicast <= unicasts
+
+
+def meeting_topology():
+    """Two destination sites whose disjoint-path routes from ``origin``
+    meet at ``x`` from different neighbours: ``t2``'s one route runs
+    origin–a–t1–x–t2, and ``t1``'s second route origin–b–x–t1 reaches
+    ``x`` from ``b``, a millisecond later (no jitter)."""
+    topo = OverlayTopology()
+    for name in ("origin", "a", "b", "x", "t1", "t2"):
+        topo.add_site(Site(name))
+    for a, b, latency in [("origin", "a", 1.0), ("a", "t1", 1.0), ("t1", "x", 2.0),
+                          ("x", "t2", 4.0), ("origin", "b", 4.0), ("b", "x", 1.0)]:
+        topo.connect(a, b, latency_ms=latency)
+    return topo
+
+
+@pytest.mark.parametrize("mode", ["shortest", "disjoint"])
+def test_paths_that_meet_at_one_daemon_serve_both_destinations(mode):
+    """``x`` forwards for every destination it serves on its first copy,
+    whichever destination's route that copy came along, and the later copy
+    is a duplicate. Under ``shortest`` the two hop-by-hop paths share
+    their prefix here, so no daemon sees a second copy."""
+    sim = Simulator(seed=3)
+    net = Network(sim, LinkSpec(latency_ms=0.1))
+    overlay = SpinesOverlay(sim, net, meeting_topology(), mode=mode, crypto=FastCrypto())
+    endpoints = {site: Endpoint(f"ep:{site}", sim, net) for site in ("origin", "t1", "t2")}
+    stacks = {site: overlay.attach(endpoint, site) for site, endpoint in endpoints.items()}
+    stacks["origin"].multicast(["ep:t1", "ep:t2"], "x")
+    sim.run_for(200)
+    for site in ("t1", "t2"):
+        assert [p for _, _, p in endpoints[site].received] == ["x"], site
+    totals = overlay.total_stats()
+    assert totals["ingress"] == 1 and totals["delivered"] == 2
+    if mode == "disjoint":
+        assert totals["dropped_dup"] == overlay.daemon("x").stats["dropped_dup"] == 1
+    else:
+        # origin–a–t1 and origin–a–t1–x–t2: four hops, no copy twice
+        assert totals["dropped_dup"] == 0 and totals["forwarded"] == 4
+
+
+def per_destination_next_hops(mode, topology, dest):
+    """site -> its next hops towards ``dest``, built from the graph alone:
+    the first hop of each site's shortest path, or the union over every
+    source of the next hops of its ``k`` node-disjoint paths."""
+    sites = [site.name for site in topology.sites]
+    hops = {}
+    if mode == "shortest":
+        for site in sites:
+            path = dijkstra(topology.graph, site, "latency_ms")[1].get(dest)
+            if path is not None and len(path) >= 2:
+                hops[site] = [path[1]]
+        return hops
+    planner = DisjointPathsRouting(topology)
+    for source in sites:
+        if source != dest:
+            for path in planner._k_disjoint_paths(source, dest):
+                for hop, nxt in zip(path, path[1:]):
+                    hops.setdefault(hop, [])
+                    if nxt not in hops[hop]:
+                        hops[hop].append(nxt)
+    return hops
+
+
+@pytest.mark.parametrize("mode", ["shortest", "disjoint"])
+@pytest.mark.parametrize("build_topology", [wide_area_topology, continental_topology])
+def test_every_unicast_walks_its_hop_by_hop_path(mode, build_topology):
+    """For every (origin site, destination site) pair, each daemon a
+    unicast reaches forwards it to exactly its per-destination next hops
+    but the link it arrived on, once; under ``shortest`` that is the
+    hop-by-hop path, one forward per hop."""
+    sites = [site.name for site in build_topology().sites]
+    for origin in sites:
+        for dest in sites:
+            if origin == dest:
+                continue
+            sim = Simulator(seed=3)
+            net = Network(sim, LinkSpec(latency_ms=0.1))
+            topology = build_topology()
+            overlay = SpinesOverlay(sim, net, topology, mode=mode, crypto=FastCrypto())
+            sender = Endpoint("ep:from", sim, net)
+            receiver = Endpoint("ep:to", sim, net)
+            stack = overlay.attach(sender, origin)
+            overlay.attach(receiver, dest)
+            routed = {}  # daemon site -> the link its first copy came on
+            forward_targets = overlay.routing.forward_targets
+
+            def recording(daemon_site, origin_site, dest_sites, arrived_from):
+                assert daemon_site not in routed
+                routed[daemon_site] = arrived_from
+                return forward_targets(daemon_site, origin_site, dest_sites, arrived_from)
+
+            overlay.routing.forward_targets = recording
+            stack.send("ep:to", "x")
+            sim.run_for(500)
+            assert [p for _, _, p in receiver.received] == ["x"], (origin, dest)
+            hops = per_destination_next_hops(mode, topology, dest)
+            # the daemons reached are those the next hops lead to
+            reached, frontier = {origin}, [origin]
+            while frontier:
+                for nxt in hops.get(frontier.pop(), ()):
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        frontier.append(nxt)
+            assert set(routed) == reached, (origin, dest)
+            expected = sum(
+                len([nxt for nxt in hops.get(site, ()) if nxt != arrived])
+                for site, arrived in routed.items()
+            )
+            totals = overlay.total_stats()
+            assert totals["forwarded"] == expected, (origin, dest)
+            if mode == "shortest":
+                assert totals["forwarded"] == len(reached) - 1
+                assert totals["dropped_dup"] == 0
 
 
 def _datagram(**fields):

@@ -48,7 +48,7 @@ def build(mode, self_healing, seed=11):
 
 def first_hop(overlay, src_site="field", dst_site="dc2"):
     """The neighbour a datagram from src leaves through under shortest."""
-    return overlay.routing.forward_targets(src_site, dst_site, None)[0]
+    return overlay.routing.forward_targets(src_site, src_site, (dst_site,), None)[0]
 
 
 def test_selfhealing_shortest_reroutes_around_dead_link():
