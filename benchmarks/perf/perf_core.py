@@ -76,6 +76,8 @@ BATCH_SIZES = (1, 4, 16, 64)
 #: single samples on a shared host routinely swing ±20%
 FULL_REPEATS = 3
 SMOKE_REPEATS = 2
+#: interleaved rounds of the ordered-delivery sweep (each size keeps its best)
+ORDERED_ROUNDS = 9
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +161,40 @@ def bench_fig3_lan(run_ms: float, repeats: int = 1) -> dict:
 # ----------------------------------------------------------------------
 # Ordered-delivery throughput (batch-amortized threshold crypto)
 # ----------------------------------------------------------------------
+def _ordered_rate(updates: int, batch_size: int) -> float:
+    """One timed pass of ``updates`` through the delivery pipeline in
+    batches of ``batch_size``; returns updates/sec."""
+    group = "perf-masters"
+    players, threshold = 6, 2  # the paper's f=1, k=1 fleet: f+1 shares
+    crypto = RealCrypto(seed="perf-ordered")
+    crypto.create_threshold_group(group, players, threshold)
+    collector = DeliveryCollector(crypto, group)
+    pending = [
+        ClientUpdate("proxy:field", i + 1, ("reading", i, float(i)))
+        for i in range(updates)
+    ]
+    delivered = 0
+    started = perf_counter()
+    for po_seq, base in enumerate(range(0, updates, batch_size), 1):
+        chunk = pending[base:base + batch_size]
+        executed = [
+            (update, base + j + 1, None)
+            for j, update in enumerate(chunk)
+        ]
+        batch, entries = batch_record_for("origin#0", po_seq, executed)
+        for index in range(1, threshold + 1):
+            share = crypto.threshold_sign_share(group, index, batch)
+            delivered += len(
+                collector.add_batch(
+                    BatchDeliveryShare(f"replica:{index}", batch, share, entries)
+                )
+            )
+    elapsed = perf_counter() - started
+    if delivered != updates:
+        raise RuntimeError(f"batch={batch_size}: delivered {delivered} of {updates}")
+    return updates / elapsed
+
+
 def bench_ordered_delivery(
     updates: int, batch_sizes=BATCH_SIZES, repeats: int = 1
 ) -> dict:
@@ -173,49 +209,20 @@ def bench_ordered_delivery(
     Batch size 1 (singleton batches) is the per-update baseline; larger
     sizes amortize one threshold signature across the whole batch, leaving
     only hash-cost Merkle proofs per update.
+
+    Each size reports its best pass, and the amortization ratio is the
+    best saturated pass over the best B=1 one. The passes are interleaved,
+    one of every size per round, over ``ORDERED_ROUNDS`` rounds: a load
+    spike on a shared host then costs one pass of each size, not all of
+    one size's, and the best of nine few-millisecond saturated passes is
+    seldom a contended one.
     """
-    group = "perf-masters"
-    players, threshold = 6, 2  # the paper's f=1, k=1 fleet: f+1 shares
-    sweep = {}
-    # The B=1 leg is short (~0.3s smoke) and RSA-heavy, so one transient
-    # load spike skews the amortization ratio's denominator; best-of-3 at
-    # minimum keeps the recorded baseline and the gated run comparable.
-    repeats = max(repeats, 3)
-    for batch_size in batch_sizes:
-        best = 0.0
-        for _ in range(repeats):
-            crypto = RealCrypto(seed="perf-ordered")
-            crypto.create_threshold_group(group, players, threshold)
-            collector = DeliveryCollector(crypto, group)
-            pending = [
-                ClientUpdate("proxy:field", i + 1, ("reading", i, float(i)))
-                for i in range(updates)
-            ]
-            delivered = 0
-            started = perf_counter()
-            for po_seq, base in enumerate(range(0, updates, batch_size), 1):
-                chunk = pending[base:base + batch_size]
-                executed = [
-                    (update, base + j + 1, None)
-                    for j, update in enumerate(chunk)
-                ]
-                batch, entries = batch_record_for("origin#0", po_seq, executed)
-                for index in range(1, threshold + 1):
-                    share = crypto.threshold_sign_share(group, index, batch)
-                    delivered += len(
-                        collector.add_batch(
-                            BatchDeliveryShare(
-                                f"replica:{index}", batch, share, entries
-                            )
-                        )
-                    )
-            elapsed = perf_counter() - started
-            if delivered != updates:
-                raise RuntimeError(
-                    f"batch={batch_size}: delivered {delivered} of {updates}"
-                )
-            best = max(best, updates / elapsed)
-        sweep[str(batch_size)] = round(best, 1)
+    rounds = max(repeats, ORDERED_ROUNDS)
+    best = {size: 0.0 for size in batch_sizes}
+    for _ in range(rounds):
+        for size in batch_sizes:
+            best[size] = max(best[size], _ordered_rate(updates, size))
+    sweep = {str(size): round(rate, 1) for size, rate in best.items()}
     baseline = sweep[str(batch_sizes[0])]
     saturation = max(batch_sizes, key=lambda b: sweep[str(b)])
     return {

@@ -179,6 +179,9 @@ class PrimeNode(Process):
         self._batch_timer_set = False
         self._own_po_seq = 0
         self._latest_summaries: Dict[str, SignedMessage] = {}
+        #: peer -> the summary of theirs that our last reconciliation push
+        #: answered (pushed again only once they send a newer one)
+        self._recon_answered: Dict[str, SignedMessage] = {}
         self._own_summary_seq = 0
         self._summary_dirty = False
         self._last_summary_sent = 0.0

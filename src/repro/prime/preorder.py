@@ -112,8 +112,7 @@ class PreOrderStage:
             return
         proof = state.acks.certificate(po_seq, our_digest, node.config.quorum)
         if proof is not None:
-            state.certs[po_seq] = (our_digest, proof)
-            if state.advance_certified():
+            if state.add_cert(po_seq, (our_digest, proof), node.simulator.now):
                 node._summary_dirty = True
             node._try_execute()
 

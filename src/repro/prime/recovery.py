@@ -130,6 +130,13 @@ class RecoveryStage:
         request = request_signed.payload
         if not node._po_request_check(request, request_signed.signature.signer):
             return
+        # Cheap exit first: a certificate we hold (or executed past) needs
+        # no signature checks, and the lookup creates no origin state.
+        known = node.origins.get(request.origin)
+        if known is not None and (
+            request.po_seq <= known.executed_upto or request.po_seq in known.certs
+        ):
+            return
         if not node.verify_signed(request_signed):
             return
         content_digest = digest(request)
@@ -148,12 +155,11 @@ class RecoveryStage:
         if senders is None or len(senders) < node.config.quorum:
             return
         state = node._origin_state(request.origin)
-        if request.po_seq <= state.executed_upto or request.po_seq in state.certs:
-            return
         state.requests[request.po_seq] = request_signed
         state.digests[request.po_seq] = content_digest
-        state.certs[request.po_seq] = (content_digest, tuple(msg.acks))
-        if state.advance_certified():
+        if state.add_cert(
+            request.po_seq, (content_digest, tuple(msg.acks)), node.simulator.now
+        ):
             node._summary_dirty = True
         node._try_execute()
 
@@ -208,12 +214,20 @@ class RecoveryStage:
                 )
 
     def push_recon(self, push_window: int = 8) -> None:
-        """Push certified data to peers whose summaries show them behind."""
+        """Push certified data to peers whose summaries show them behind.
+
+        Only on evidence: a certificate held for under one recon interval
+        is most likely still forming at the peer from the same PoAcks, and
+        a summary already answered is not asked again: a live peer that
+        still lacks the data says so in its next summary.
+        """
         node = self.node
+        settled = node.simulator.now - node.config.recon_interval_ms
         for peer, summary in node._latest_summaries.items():
-            if peer == node.name:
+            if peer == node.name or node._recon_answered.get(peer) is summary:
                 continue
             their = dict(summary.payload.vector)
+            pushed = False
             for origin, state in node.origins.items():
                 theirs = their.get(origin, 0)
                 if state.certified_upto <= theirs:
@@ -222,8 +236,14 @@ class RecoveryStage:
                 for po_seq in range(theirs + 1, upper + 1):
                     cert = state.certs.get(po_seq)
                     request = state.requests.get(po_seq)
-                    if cert is not None and request is not None:
+                    if (
+                        cert is not None and request is not None
+                        and state.certified_at[po_seq] <= settled
+                    ):
                         node._send_to(peer, ReconReply(node.name, request, cert[1]))
+                        pushed = True
+            if pushed:
+                node._recon_answered[peer] = summary
 
     # ------------------------------------------------------------------
     # State transfer

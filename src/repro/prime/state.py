@@ -29,6 +29,8 @@ class OriginState:
     acks: QuorumTracker = field(default_factory=QuorumTracker)
     #: certificates: po_seq -> (winning digest, ack tuple) once quorum reached
     certs: Dict[int, Tuple[str, Tuple[SignedMessage, ...]]] = field(default_factory=dict)
+    #: po_seq -> simulated time this replica completed the certificate
+    certified_at: Dict[int, float] = field(default_factory=dict)
     #: highest po_seq such that certs exist for every seq <= it
     certified_upto: int = 0
     #: highest po_seq executed through the global order (agreed, monotone)
@@ -36,6 +38,14 @@ class OriginState:
 
     def has_cert(self, po_seq: int) -> bool:
         return po_seq <= self.certified_upto or po_seq in self.certs
+
+    def add_cert(
+        self, po_seq: int, cert: Tuple[str, Tuple[SignedMessage, ...]], now: float
+    ) -> bool:
+        """Store a certificate; True if the contiguous frontier moved."""
+        self.certs[po_seq] = cert
+        self.certified_at[po_seq] = now
+        return self.advance_certified()
 
     def advance_certified(self) -> bool:
         """Advance the contiguous certified frontier; True if it moved."""
@@ -48,7 +58,7 @@ class OriginState:
     def garbage_collect(self, below: int) -> None:
         """Drop request/ack/cert data at or below ``below`` (checkpointed)."""
         self.acks.drop_upto(below)
-        for table in (self.requests, self.digests, self.certs):
+        for table in (self.requests, self.digests, self.certs, self.certified_at):
             for seq in [s for s in table if s <= below]:
                 del table[seq]
 

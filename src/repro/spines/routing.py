@@ -18,7 +18,7 @@ destination sites (:meth:`RoutingStrategy.forward_targets`): a flood
 reaches every daemon whatever the set; next-hop and disjoint-path tables
 (:class:`PathTableRouting`) forward along the union of the routes that a
 unicast from the origin's site to each destination site takes. A unicast
-is the set of one.
+is the set of one, and walks only its own origin's route.
 
 All strategies additionally support :meth:`RoutingStrategy.rebuild`: the
 self-healing control plane (:mod:`repro.spines.monitor`) hands them an
@@ -29,7 +29,7 @@ and disjoint-path tables re-route, flooding prunes dead links.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Tuple
 
 from ..simnet.graph import dijkstra, shortest_path
 from .topology import OverlayTopology
@@ -68,17 +68,16 @@ class RoutingStrategy:
 
 
 class PathTableRouting(RoutingStrategy):
-    """Routing along per-destination next hops, keyed by the origin's site.
+    """Routing along per-unicast plans, keyed by the origin's site.
 
-    A subclass names each site's next hops towards each destination site;
-    a unicast reaches the daemons they lead to from its origin's site. A
-    datagram is forwarded, at every daemon, to the next hops of each
-    destination site whose unicast from the origin's site reaches that
-    daemon, less the link it arrived on: a multicast walks the union of
-    its unicasts' routes, and a unicast exactly its own. Keyed by origin,
-    not by arrival link: a daemon first reached on one destination's route
-    forwards on every other route it lies on too (a later copy is a
-    duplicate).
+    A subclass names, for each (origin site, destination site) pair, the
+    next hops of every daemon a unicast between them reaches. A datagram
+    is forwarded, at every daemon, to the next hops of each destination
+    site whose unicast from the origin's site reaches that daemon, less
+    the link it arrived on: a multicast walks the union of its unicasts'
+    routes, and a unicast exactly its own. Keyed by origin, not by arrival
+    link: a daemon first reached on one destination's route forwards on
+    every other route it lies on too (a later copy is a duplicate).
     """
 
     def __init__(self, topology: OverlayTopology) -> None:
@@ -88,26 +87,18 @@ class PathTableRouting(RoutingStrategy):
         self._along: Dict[Tuple[str, str], Dict[str, Tuple[str, ...]]] = {}
         self._build()
 
-    def _next_hops(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
-        """(site, destination site) -> the site's next hops towards it."""
+    def _unicast_plans(
+        self,
+    ) -> Iterator[Tuple[Tuple[str, str], Dict[str, Tuple[str, ...]]]]:
+        """Yield ((origin site, destination site), {daemon site: next
+        hops}) for every pair a unicast is routed between."""
         raise NotImplementedError
 
     def _build(self) -> None:
-        next_hops = self._next_hops()
-        sites = self.topology.graph.nodes
         along: Dict[Tuple[str, str], Dict[str, Tuple[str, ...]]] = {}
-        for origin in sites:
-            for dest in sites:
-                reached, frontier = {origin}, [origin]
-                while frontier:
-                    at = frontier.pop()
-                    hops = next_hops.get((at, dest))
-                    if hops:
-                        along.setdefault((origin, at), {})[dest] = hops
-                        for nxt in hops:
-                            if nxt not in reached:
-                                reached.add(nxt)
-                                frontier.append(nxt)
+        for (origin, dest), plan in self._unicast_plans():
+            for at, hops in plan.items():
+                along.setdefault((origin, at), {})[dest] = hops
         self._along = along
 
     def rebuild(self, observed: OverlayTopology) -> None:
@@ -146,15 +137,24 @@ class ShortestPathRouting(PathTableRouting):
 
     name = "shortest"
 
-    def _next_hops(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+    def _unicast_plans(
+        self,
+    ) -> Iterator[Tuple[Tuple[str, str], Dict[str, Tuple[str, ...]]]]:
         graph = self.topology.graph
-        next_hops: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        next_hop: Dict[Tuple[str, str], str] = {}
         for source in graph.nodes:
             _, paths = dijkstra(graph, source, "latency_ms")
             for dest, path in paths.items():
                 if len(path) >= 2:
-                    next_hops[(source, dest)] = (path[1],)
-        return next_hops
+                    next_hop[(source, dest)] = path[1]
+        for origin in graph.nodes:
+            for dest in graph.nodes:
+                plan: Dict[str, Tuple[str, ...]] = {}
+                at = origin
+                while (at, dest) in next_hop and at not in plan:
+                    plan[at] = (next_hop[(at, dest)],)
+                    at = next_hop[(at, dest)]
+                yield (origin, dest), plan
 
 
 class FloodingRouting(RoutingStrategy):
@@ -200,57 +200,32 @@ class DisjointPathsRouting(PathTableRouting):
     topology (like real dissemination-graph routing, they do not react to
     silent degradation — that remains flooding's advantage).
 
-    Implementation note: forwarding state is per (source site, dest site):
-    a daemon forwards to the next hop of every chosen path it lies on.
-    The per-source plans are merged at build time into one
-    ``(daemon, dest) -> targets`` table (a superset — slightly more
-    redundancy, never less): those are a site's next hops towards a
-    destination, and a unicast reaches every daemon they lead to.
+    Forwarding state is per (source site, dest site): a daemon forwards to
+    the next hop of every path of the datagram's own origin that it lies
+    on, so a unicast walks exactly its ``k`` paths.
     """
 
     name = "disjoint"
 
     def __init__(self, topology: OverlayTopology, k: int = 2) -> None:
         self.k = k
-        #: (src_site, dst_site) -> daemon_site -> [next hops]
-        self._plans: Dict[Tuple[str, str], Dict[str, List[str]]] = {}
-        #: (daemon_site, dest_site) -> merged next hops across all sources
-        self._targets: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         super().__init__(topology)
 
-    def _next_hops(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
-        self._plans.clear()
+    def _unicast_plans(
+        self,
+    ) -> Iterator[Tuple[Tuple[str, str], Dict[str, Tuple[str, ...]]]]:
         sites = list(self.topology.graph.nodes)
         for src in sites:
             for dst in sites:
                 if src == dst:
                     continue
-                paths = self._k_disjoint_paths(src, dst)
                 plan: Dict[str, List[str]] = {}
-                for path in paths:
+                for path in self._k_disjoint_paths(src, dst):
                     for hop, nxt in zip(path, path[1:]):
-                        plan.setdefault(hop, [])
-                        if nxt not in plan[hop]:
-                            plan[hop].append(nxt)
-                self._plans[(src, dst)] = plan
-        self._merge_plans()
-        return self._targets
-
-    def _merge_plans(self) -> None:
-        """Precompute the per-(daemon, dest) union of all source plans.
-
-        Iterates the plans in the same source-major insertion order as the
-        former per-datagram scan, so the merged target order (and thus
-        forwarding behaviour) is identical.
-        """
-        merged: Dict[Tuple[str, str], List[str]] = {}
-        for (_, dst), plan in self._plans.items():
-            for daemon_site, next_hops in plan.items():
-                targets = merged.setdefault((daemon_site, dst), [])
-                for nxt in next_hops:
-                    if nxt not in targets:
-                        targets.append(nxt)
-        self._targets = {key: tuple(value) for key, value in merged.items()}
+                        hops = plan.setdefault(hop, [])
+                        if nxt not in hops:
+                            hops.append(nxt)
+                yield (src, dst), {hop: tuple(hops) for hop, hops in plan.items()}
 
     def _k_disjoint_paths(self, src: str, dst: str) -> List[List[str]]:
         graph = self.topology.graph.copy()

@@ -47,12 +47,13 @@ DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 #: events processed) of ``leader_options(seed)``. Recorded at the parent
 #: of PR 16; re-pinned once when both protocols took one head-of-line
 #: repair path, again when a routed overlay took one datagram per
-#: destination site, and when it took one per multicast (CHANGES.md)
+#: destination site, when it took one per multicast, and when Prime's
+#: reconciliation pushed only on evidence (CHANGES.md)
 PINNED_PRIME_LEADER = {
-    2: ("6284633b089386f1380f06ad0a077eb2db9563482fae595ce4769331aa5f3996",
-        36_664),
-    7: ("25704c716fc9af5f1bda313843cbd61c1edd82c2e53fe1482085b288394bb477",
-        31_066),
+    2: ("be02cc85f8b044c5f16bd5d5bb603b82d8746979ed2c6acb291f03da324a1a0d",
+        26_180),
+    7: ("99af2576bc21591083844a6c10ebf97f4ee758084553b088d638bbcbaf304020",
+        24_618),
 }
 #: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 has
 #: three judged leader faults, and its partitioned view-2 leader cascades

@@ -13,7 +13,7 @@ from repro.replication.transport import DirectTransport
 
 #: event budget of the guard configuration with nothing instrumented —
 #: the disabled-observability run must stay within 5% of it
-PRE_INSTRUMENTATION_EVENTS = 29_708
+PRE_INSTRUMENTATION_EVENTS = 27_222
 GUARD_OPTIONS = dict(num_substations=2, poll_interval_ms=200.0, seed=7)
 GUARD_RUN_MS = 3000.0
 

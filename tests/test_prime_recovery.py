@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.prime import StateReply
+from repro.prime import PoRequest, ReconReply, ReconRequest, StateReply
 
 
 def small_checkpoint_cluster(cluster_factory, seed=11, interval=10):
@@ -133,3 +133,84 @@ def test_view_adopted_only_from_f_plus_one_state_replies(
     assert victim.last_executed_seq == seq  # the checkpoint itself is genuine
     assert not victim.awaiting_state
     assert victim.view == (fake_view if adopted else 0)
+
+
+# ----------------------------------------------------------------------
+# Reconciliation pushes go out on evidence only
+# ----------------------------------------------------------------------
+def recon_replies(cluster):
+    """(time, sender, destination, request) of every ReconReply put on the
+    network from now on."""
+    sent = []
+
+    def spy(src, dst, signed):
+        reply = getattr(signed, "payload", None)
+        if isinstance(reply, ReconReply):
+            sent.append((cluster.simulator.now, src, dst, reply.request.payload))
+        return signed
+
+    cluster.network.add_filter(spy)
+    return sent
+
+
+def test_a_fault_free_cluster_pushes_nothing(cluster_factory):
+    """Every replica certifies from the same PoAck broadcast, so no
+    certificate is ever a recon interval old while a peer's summary still
+    lacks it."""
+    cluster = cluster_factory(seed=13).start()
+    sent = recon_replies(cluster)
+    cluster.pump(150, gap_ms=20)
+    cluster.run_for(500)
+    assert sent == []
+    assert len(set(cluster.logs())) == 1 and len(cluster.logs()[0]) == 150
+
+
+def test_a_crashed_peer_gets_at_most_one_push_round_per_summary(cluster_factory):
+    """A down replica sends no newer summary, so each peer answers the one
+    it last heard at most once (one push round, not one per recon tick)."""
+    cluster = small_checkpoint_cluster(cluster_factory, seed=17)
+    cluster.pump(10, gap_ms=20)
+    victim = cluster.nodes[3]
+    sent = recon_replies(cluster)
+    victim.crash()
+    cluster.pump(60, gap_ms=25, node_index=1)  # 1.5 s down
+    rounds = {}
+    for at, src, dst, _ in sent:
+        if dst == victim.name:
+            rounds.setdefault(src, set()).add(at)
+    assert rounds and all(len(times) == 1 for times in rounds.values()), rounds
+    victim.recover()
+    cluster.pump(10, gap_ms=25, node_index=1)
+    cluster.run_for(5000)
+    reference = cluster.assert_safety()
+    assert len(reference) == 80 and len(victim.app.log) == 80
+
+
+def test_a_replica_cut_off_from_one_origin_gets_its_requests_by_push(
+    cluster_factory,
+):
+    """``replica:4`` never receives ``replica:0``'s PoRequests and its own
+    reconciliation pulls are dropped too: only pushes, sent once its
+    summaries show it behind, can give it those requests."""
+    cluster = cluster_factory(seed=19).start()
+    cut, origin = "replica:4", "replica:0"
+
+    def cut_off(src, dst, signed):
+        payload = getattr(signed, "payload", None)
+        if dst == cut and src == origin and isinstance(payload, PoRequest):
+            return None
+        if src == cut and isinstance(payload, ReconRequest):
+            return None
+        return signed
+
+    cluster.network.add_filter(cut_off)
+    sent = recon_replies(cluster)
+    cluster.pump(60, gap_ms=20)
+    cluster.run_for(2000)
+    pushed = {(request.origin, request.po_seq)
+              for _, _, dst, request in sent if dst == cut}
+    stream, own_seq = cluster.nodes[0].origin_id, cluster.nodes[0]._own_po_seq
+    assert own_seq == 10
+    assert {(stream, seq) for seq in range(1, own_seq + 1)} <= pushed
+    logs = cluster.logs()
+    assert len(logs[0]) == 60 and all(log == logs[0] for log in logs)

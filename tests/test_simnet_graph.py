@@ -169,8 +169,6 @@ def _tables(build, removed, over_networkx, monkeypatch):
                 [(site.name, observed.neighbors(site.name)) for site in observed.sites],
                 list(observed.graph.edges),
                 list(getattr(routing, "_along", {}).items()),
-                list(getattr(routing, "_plans", {}).items()),
-                list(getattr(routing, "_targets", {}).items()),
                 list(getattr(routing, "_neighbors", {}).items()),
                 observed.component_count(),
             )

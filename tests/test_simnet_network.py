@@ -425,22 +425,22 @@ def _trace_fingerprint(options, run_ms):
     return digest((image, deployment.simulator.events_processed))
 
 
-#: digests at PYTHONHASHSEED=0 (the flooding ``wan7`` was re-pinned once,
-#: both when the protocols took one head-of-line repair path, and the
-#: ``shortest`` ``lan21`` when a routed overlay took one datagram per
-#: destination site, and again when it took one per multicast; reasons in
-#: CHANGES.md): the event trace of a full deployment, in order and at its
-#: simulated times
+#: digests at PYTHONHASHSEED=0 (both re-pinned when the protocols took one
+#: head-of-line repair path and when Prime's reconciliation pushed only on
+#: evidence; the ``shortest`` ``lan21`` also when a routed overlay took one
+#: datagram per destination site, and again when it took one per
+#: multicast; reasons in CHANGES.md): the event trace of a full
+#: deployment, in order and at its simulated times
 PINNED_TRACES = {
     "wan7": (
         dict(seed=7, num_substations=3),
         6000.0,
-        "924ddce89932deea2ba33c9b3cccbf81fee3477268ac9f9088f4c60da67c8d89",
+        "20e6178be4677db815e41407f27001be7a727a7d42ceced26c2408dc1ebb28d5",
     ),
     "lan21": (
         dict(seed=21, num_substations=2, poll_interval_ms=200.0),
         4000.0,
-        "cfe9053376f5d2d62894ac178098390b9f3d453b220221589601e2585a9ecd50",
+        "9ef899095c04f21f8660d77293d47b83381cb7b4b2988ef638d889728397fc7a",
     ),
 }
 

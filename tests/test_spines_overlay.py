@@ -689,26 +689,22 @@ def test_paths_that_meet_at_one_daemon_serve_both_destinations(mode):
         assert totals["dropped_dup"] == 0 and totals["forwarded"] == 4
 
 
-def per_destination_next_hops(mode, topology, dest):
-    """site -> its next hops towards ``dest``, built from the graph alone:
-    the first hop of each site's shortest path, or the union over every
-    source of the next hops of its ``k`` node-disjoint paths."""
-    sites = [site.name for site in topology.sites]
+def unicast_next_hops(mode, topology, origin, dest):
+    """site -> its next hops on a unicast from ``origin`` to ``dest``,
+    built from the graph alone: the first hop of each site's shortest
+    path, or the next hops of the origin's own ``k`` node-disjoint paths."""
     hops = {}
     if mode == "shortest":
-        for site in sites:
+        for site in (site.name for site in topology.sites):
             path = dijkstra(topology.graph, site, "latency_ms")[1].get(dest)
             if path is not None and len(path) >= 2:
                 hops[site] = [path[1]]
         return hops
-    planner = DisjointPathsRouting(topology)
-    for source in sites:
-        if source != dest:
-            for path in planner._k_disjoint_paths(source, dest):
-                for hop, nxt in zip(path, path[1:]):
-                    hops.setdefault(hop, [])
-                    if nxt not in hops[hop]:
-                        hops[hop].append(nxt)
+    for path in DisjointPathsRouting(topology)._k_disjoint_paths(origin, dest):
+        for hop, nxt in zip(path, path[1:]):
+            hops.setdefault(hop, [])
+            if nxt not in hops[hop]:
+                hops[hop].append(nxt)
     return hops
 
 
@@ -716,10 +712,12 @@ def per_destination_next_hops(mode, topology, dest):
 @pytest.mark.parametrize("build_topology", [wide_area_topology, continental_topology])
 def test_every_unicast_walks_its_hop_by_hop_path(mode, build_topology):
     """For every (origin site, destination site) pair, each daemon a
-    unicast reaches forwards it to exactly its per-destination next hops
-    but the link it arrived on, once; under ``shortest`` that is the
-    hop-by-hop path, one forward per hop."""
+    unicast reaches forwards it to exactly its own next hops but the link
+    it arrived on, once; under ``shortest`` that is the hop-by-hop path,
+    one forward per hop, and under ``disjoint`` the origin's own ``k``
+    paths, not another source's."""
     sites = [site.name for site in build_topology().sites]
+    links = 0  # next-hop links held by the daemons the unicasts reach
     for origin in sites:
         for dest in sites:
             if origin == dest:
@@ -744,7 +742,7 @@ def test_every_unicast_walks_its_hop_by_hop_path(mode, build_topology):
             stack.send("ep:to", "x")
             sim.run_for(500)
             assert [p for _, _, p in receiver.received] == ["x"], (origin, dest)
-            hops = per_destination_next_hops(mode, topology, dest)
+            hops = unicast_next_hops(mode, topology, origin, dest)
             # the daemons reached are those the next hops lead to
             reached, frontier = {origin}, [origin]
             while frontier:
@@ -753,6 +751,7 @@ def test_every_unicast_walks_its_hop_by_hop_path(mode, build_topology):
                         reached.add(nxt)
                         frontier.append(nxt)
             assert set(routed) == reached, (origin, dest)
+            links += sum(len(hops.get(site, ())) for site in reached)
             expected = sum(
                 len([nxt for nxt in hops.get(site, ()) if nxt != arrived])
                 for site, arrived in routed.items()
@@ -762,6 +761,10 @@ def test_every_unicast_walks_its_hop_by_hop_path(mode, build_topology):
             if mode == "shortest":
                 assert totals["forwarded"] == len(reached) - 1
                 assert totals["dropped_dup"] == 0
+    if mode == "disjoint" and build_topology is continental_topology:
+        # the 90 unicasts' own plans; merging every source's plans into one
+        # (daemon, destination) table reached 521
+        assert links == 382
 
 
 def _datagram(**fields):
