@@ -10,9 +10,8 @@ counts and records, per count:
   contaminate each other.
 
 Each sweep point runs ``--one N`` in a fresh interpreter (deterministic:
-``PYTHONHASHSEED=0``, fixed seed).  The CI smoke gate (``--smoke
---check``) runs the 1k-device point and compares it against the committed
-baseline. The throughput floor is ordered readings per wall-second
+fixed seed). The CI smoke gate (``--smoke --check``) runs the 1k-device
+point and compares it against the committed baseline. The throughput floor is ordered readings per wall-second
 (``readings_submitted / run_wall_s``) — the work done, not the events it
 took: a change that orders the same readings with fewer simulator events
 lowers events/wall-s while the run gets faster. The floor is
@@ -137,8 +136,6 @@ def run_isolated(devices: int, sim_ms: float, f: int = 1, k: int = 1,
                  emit=print) -> dict:
     """Run one sweep point in a fresh interpreter so peak-RSS high-water
     marks are per-point, not cumulative."""
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = "0"
     command = [
         sys.executable, os.path.abspath(__file__),
         "--one", str(devices), "--sim-ms", str(sim_ms),
@@ -147,7 +144,7 @@ def run_isolated(devices: int, sim_ms: float, f: int = 1, k: int = 1,
     emit(f"  [{devices} devices] running isolated "
          f"({sim_ms:g} sim-ms, f={f}, k={k})...")
     proc = subprocess.run(
-        command, env=env, capture_output=True, text=True, cwd=_ROOT
+        command, capture_output=True, text=True, cwd=_ROOT
     )
     if proc.returncode != 0:
         raise RuntimeError(

@@ -15,8 +15,8 @@ the seed sweep is the committed number. The run doubles as a gate: any
 violation (no quorum adoption within B per view change, ordering stalled,
 where B is computed from the protocol's timers; a safety/exactly-once
 breach) fails the benchmark, and — simulated
-milliseconds being exact at ``PYTHONHASHSEED=0`` — so does a full sweep
-whose summaries differ from the committed ``viewchange`` block.
+milliseconds being exact — so does a full sweep whose summaries differ
+from the committed ``viewchange`` block.
 
 Usage::
 
@@ -121,8 +121,7 @@ def matches_committed(section: dict, path: str, emit) -> bool:
     for protocol in ("prime", "pbft"):
         if section[protocol] != committed.get(protocol):
             same = False
-            emit(f"FAIL: {protocol} differs from the viewchange block of {path} "
-                 "(recorded at PYTHONHASHSEED=0):")
+            emit(f"FAIL: {protocol} differs from the viewchange block of {path}:")
             emit(f"  committed: {json.dumps(committed.get(protocol), sort_keys=True)}")
             emit(f"  this run:  {json.dumps(section[protocol], sort_keys=True)}")
     return same

@@ -6,8 +6,7 @@ deployment. This package fans :class:`CampaignTask` lists across a
 spawn-based worker pool and merges the picklable outcomes into one
 :class:`CampaignReport` whose deterministic image — violations, stats,
 fingerprints, merged obs snapshots — is byte-identical at any worker
-count (see :mod:`repro.parallel.runner` for the hash-seed pinning that
-makes this true).
+count.
 
 Quickstart::
 
@@ -21,8 +20,6 @@ Quickstart::
 
 from .runner import (
     MAX_ATTEMPTS,
-    canonical_hash_seed,
-    parent_is_pinned,
     resolve_workers,
     run_campaign,
     seed_tasks,
@@ -38,8 +35,6 @@ __all__ = [
     "run_campaign",
     "seed_tasks",
     "resolve_workers",
-    "canonical_hash_seed",
-    "parent_is_pinned",
     "BUILTIN_RUNNERS",
     "resolve_runner",
     "normalize_outcome",

@@ -8,18 +8,9 @@ stream back over per-worker queues and are merged **in task order**, so
 the report (and its fingerprint) is identical no matter how the OS
 schedules workers.
 
-Determinism and the hash seed
------------------------------
-Chaos fingerprints depend on the interpreter's string-hash seed (dict
-iteration order feeds the trace), so the pool pins every worker to one
-canonical ``PYTHONHASHSEED``: the parent's value when the parent was
-launched pinned (``PYTHONHASHSEED`` set and not ``random``), else
-``"0"``. The environment variable is set around ``Process.start()`` —
-spawned children read it at interpreter startup — and restored
-immediately after. ``workers=1`` therefore runs in-process only when the
-parent itself is pinned; an unpinned parent routes even serial campaigns
-through one spawned worker so the merged report is a pure function of
-``(tasks, hash_seed)`` at *any* worker count.
+Records merge in task order, and no result depends on the interpreter's
+string-hash seed (checked by
+``tests/test_parallel_campaign.py::test_pins_hold_at_another_hash_seed``).
 
 Failure story
 -------------
@@ -53,8 +44,6 @@ __all__ = [
     "run_campaign",
     "seed_tasks",
     "resolve_workers",
-    "canonical_hash_seed",
-    "parent_is_pinned",
 ]
 
 #: total attempts per task before a crash/timeout becomes a failure record
@@ -65,24 +54,6 @@ _POLL_S = 0.05
 
 #: grace period for worker shutdown before escalating to terminate()
 _JOIN_S = 5.0
-
-
-def canonical_hash_seed() -> str:
-    """The hash seed every worker is pinned to.
-
-    The parent's own ``PYTHONHASHSEED`` wins when it was launched pinned
-    (set, and not ``"random"``); otherwise ``"0"``.
-    """
-    env = os.environ.get("PYTHONHASHSEED")
-    if env and env != "random":
-        return env
-    return "0"
-
-
-def parent_is_pinned() -> bool:
-    """True when this process was launched with a deterministic hash seed."""
-    env = os.environ.get("PYTHONHASHSEED")
-    return bool(env) and env != "random"
 
 
 def resolve_workers(default: int = 1, env: str = "CHAOS_WORKERS") -> int:
@@ -202,7 +173,7 @@ def _worker_main(
 class _Worker:
     """Parent-side handle for one worker process."""
 
-    def __init__(self, ctx: Any, worker_id: int, hash_seed: str,
+    def __init__(self, ctx: Any, worker_id: int,
                  task_timeout_s: Optional[float]) -> None:
         self.id = worker_id
         self.task_q = ctx.Queue()
@@ -212,17 +183,7 @@ class _Worker:
             args=(worker_id, self.task_q, self.result_q, task_timeout_s),
             daemon=True,
         )
-        # The spawned interpreter reads PYTHONHASHSEED at startup; pin it
-        # for the fork window only, then restore the parent's view.
-        previous = os.environ.get("PYTHONHASHSEED")
-        os.environ["PYTHONHASHSEED"] = hash_seed
-        try:
-            self.proc.start()
-        finally:
-            if previous is None:
-                os.environ.pop("PYTHONHASHSEED", None)
-            else:
-                os.environ["PYTHONHASHSEED"] = previous
+        self.proc.start()
         #: (index, attempts, task, deadline) of the in-flight frame
         self.current: Optional[tuple] = None
 
@@ -274,19 +235,15 @@ def run_campaign(
     tasks: Iterable[CampaignTask],
     workers: int = 1,
     task_timeout_s: Optional[float] = None,
-    in_process: Optional[bool] = None,
     on_record: Optional[Callable[[int, Any], None]] = None,
 ) -> CampaignReport:
     """Execute ``tasks`` and merge the outcomes into a task-ordered report.
 
-    ``workers=1`` runs in-process when the parent is hash-seed pinned
-    (no spawn cost); otherwise, and for ``workers>1``, isolated spawned
-    workers pinned to :func:`canonical_hash_seed` execute the tasks.
-    ``in_process`` overrides the auto-detection: ``True`` forces the
-    inline path (caller vouches for determinism), ``False`` forces
-    spawning even at ``workers=1``. ``on_record`` is invoked in
-    completion order with ``(task_index, record)`` for progress display —
-    the report itself is always merged in task order.
+    ``workers=1`` without a ``task_timeout_s`` runs in-process (no spawn
+    cost); otherwise spawned workers execute the tasks, since only a
+    separate process can be stopped at its deadline. ``on_record`` is
+    invoked in completion order with ``(task_index, record)`` for
+    progress display — the report itself is always merged in task order.
     """
     task_list = list(tasks)
     if workers < 1:
@@ -301,27 +258,19 @@ def run_campaign(
                 f"task {task.task_id!r}: unknown runner {task.runner!r}"
             )
 
-    hash_seed = canonical_hash_seed()
     wall_start = time.perf_counter()
     if not task_list:
-        return CampaignReport(records=[], workers=workers,
-                              hash_seed=hash_seed, wall_s=0.0)
+        return CampaignReport(records=[], workers=workers, wall_s=0.0)
 
-    use_inline = in_process if in_process is not None else (
-        workers == 1 and parent_is_pinned()
-    )
-    if use_inline and workers == 1:
+    if workers == 1 and task_timeout_s is None:
         records = _run_serial(task_list, on_record)
     else:
-        records_map = _run_pool(
-            task_list, workers, hash_seed, task_timeout_s, on_record
-        )
+        records_map = _run_pool(task_list, workers, task_timeout_s, on_record)
         records = [records_map[index] for index in range(len(task_list))]
 
     return CampaignReport(
         records=records,
         workers=workers,
-        hash_seed=hash_seed,
         wall_s=round(time.perf_counter() - wall_start, 4),
     )
 
@@ -329,7 +278,6 @@ def run_campaign(
 def _run_pool(
     tasks: Sequence[CampaignTask],
     workers: int,
-    hash_seed: str,
     task_timeout_s: Optional[float],
     on_record: Optional[Callable[[int, Any], None]],
 ) -> Dict[int, Any]:
@@ -339,7 +287,7 @@ def _run_pool(
 
     def new_worker() -> _Worker:
         nonlocal next_worker_id
-        worker = _Worker(ctx, next_worker_id, hash_seed, task_timeout_s)
+        worker = _Worker(ctx, next_worker_id, task_timeout_s)
         next_worker_id += 1
         return worker
 

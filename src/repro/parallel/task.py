@@ -9,8 +9,8 @@ lambda, or open handle across the spawn boundary.
 
 The merged :class:`CampaignReport` is assembled by the parent in **task
 order** — never completion order — so its deterministic image (and the
-fingerprint derived from it) is a pure function of the task list and the
-pinned hash seed, independent of worker count and scheduling.
+fingerprint derived from it) is a pure function of the task list,
+independent of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ class CampaignReport:
 
     records: List[CampaignRecord]
     workers: int
-    hash_seed: str
     wall_s: float = 0.0
 
     @property
@@ -192,7 +191,6 @@ class CampaignReport:
     def to_dict(self, deterministic_only: bool = False) -> Dict[str, Any]:
         image: Dict[str, Any] = {
             "tasks": len(self.records),
-            "hash_seed": self.hash_seed,
             "ok": self.ok,
             "violations": self.violation_counts,
             "records": [

@@ -20,7 +20,6 @@ that used to hang the harness.
 
 import hashlib
 import json
-import os
 import random
 import re
 import signal
@@ -46,8 +45,6 @@ from repro.chaos.engine import schedule_profile
 from repro.chaos.faults import FAULTS, LEADER_FAULT_KINDS, ChaosSystem
 from repro.chaos.generator import DrawContext
 from repro.simnet import FailureInjector, LinkSpec, Network, Process, Simulator
-
-DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 
 REPLICAS = [f"replica:{i}" for i in range(6)]
 ENDPOINTS = ["proxy:field", "hmi:0"]
@@ -160,7 +157,7 @@ ALL_KINDS_OPTIONS = ChaosOptions(
     self_healing=True,
 )
 
-#: (fingerprint, events processed) at PYTHONHASHSEED=0; re-pinned when
+#: (fingerprint, events processed); re-pinned when
 #: both protocols took one head-of-line repair path and the poller re-sent
 #: a timed-out transaction in place, when a routed overlay took one
 #: datagram per destination site, when it took one per multicast, and
@@ -175,9 +172,6 @@ def test_all_kinds_schedule_holds_every_kind():
     assert {a.kind for a in ALL_KINDS_SCHEDULE} == set(FAULT_KINDS)
 
 
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING, reason="fingerprints pinned at PYTHONHASHSEED=0"
-)
 def test_all_kinds_run_fingerprint_unchanged():
     fingerprint, events = PINNED_ALL_KINDS
     result = ChaosEngine(ALL_KINDS_OPTIONS, schedule=ALL_KINDS_SCHEDULE).run()

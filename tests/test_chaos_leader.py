@@ -14,7 +14,6 @@ view change, B computed from each protocol's timers), and the output
 global order and per replica).
 """
 
-import os
 import time
 
 import pytest
@@ -41,9 +40,7 @@ SMOKE = dict(
 SMOKE_SEEDS = range(25)
 WALL_BUDGET_S = 240.0
 
-DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
-
-#: the view-change path pinned at PYTHONHASHSEED=0: seed -> (fingerprint,
+#: the view-change path pinned: seed -> (fingerprint,
 #: events processed) of ``leader_options(seed)``. Recorded at the parent
 #: of PR 16; re-pinned once when both protocols took one head-of-line
 #: repair path, again when a routed overlay took one datagram per
@@ -153,9 +150,6 @@ def test_pbft_leader_chaos_deterministic():
         [v.to_dict() for v in second.violations]
 
 
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING, reason="fingerprints pinned at PYTHONHASHSEED=0"
-)
 @pytest.mark.parametrize("seed", sorted(PINNED_PRIME_LEADER))
 def test_prime_leader_fault_fingerprints_unchanged(seed):
     fingerprint, events = PINNED_PRIME_LEADER[seed]
@@ -164,9 +158,6 @@ def test_prime_leader_fault_fingerprints_unchanged(seed):
     assert result.stats["events_processed"] == events
 
 
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING, reason="fingerprints pinned at PYTHONHASHSEED=0"
-)
 @pytest.mark.parametrize("seed", sorted(PINNED_PBFT_LEADER))
 def test_pbft_leader_fault_fingerprints_unchanged(seed):
     result = run_pbft_chaos(PbftChaosOptions(seed=seed))

@@ -7,8 +7,6 @@ default (controller off) recovery path stayed bit-identical with the
 pre-refactor scheduler.
 """
 
-import os
-
 import pytest
 
 from repro.chaos import ChaosEngine, ChaosOptions, QuorumAvailabilityMonitor
@@ -31,8 +29,6 @@ from repro.obs import (
     EventLog,
 )
 from repro.simnet import FailureInjector, LinkSpec, Network, Process, Simulator
-
-DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 
 #: the controller's calibration: constants, read through the class
 OPTS = ControlOptions
@@ -418,7 +414,7 @@ SMOKE = dict(
     poll_interval_ms=250.0, proactive_recovery=(5000.0, 400.0),
 )
 
-#: fingerprints of the periodic schedule at PYTHONHASHSEED=0 (pinned in
+#: fingerprints of the periodic schedule (pinned in
 #: PR 12, see CHANGES.md). The chaos scenarios route ``shortest``; the
 #: fig6 deployment floods, so it alone was re-pinned in PR 15 when a
 #: broadcast became one overlay datagram. All three were re-pinned when
@@ -436,9 +432,6 @@ PINNED_CHAOS = {
 PINNED_FIG6 = "302ad96075ec87af53eec04dfb508cd7eab78c545430e42ddc58327de2eee583"
 
 
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING, reason="fingerprints pinned at PYTHONHASHSEED=0"
-)
 @pytest.mark.parametrize("seed", sorted(PINNED_CHAOS))
 def test_periodic_strategy_chaos_fingerprints_unchanged(seed):
     fingerprint, events = PINNED_CHAOS[seed]
@@ -447,9 +440,6 @@ def test_periodic_strategy_chaos_fingerprints_unchanged(seed):
     assert result.stats["events_processed"] == events
 
 
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING, reason="fingerprints pinned at PYTHONHASHSEED=0"
-)
 def test_periodic_strategy_fig6_digest_unchanged():
     deployment = SpireDeployment(SpireOptions(
         num_substations=2, poll_interval_ms=250.0, seed=55, f=1, k=1,

@@ -8,8 +8,6 @@ small fleet deployment end to end (readings ordered and verified,
 operator commands routed through the region resolver and executed).
 """
 
-import os
-
 import pytest
 
 from repro.core import BatchingOptions, SpireDeployment, SpireOptions
@@ -24,8 +22,6 @@ from repro.fleet import (
 )
 from repro.scada import RegionShard, ShardedPollDriver
 from repro.simnet import LinkSpec, Network, Process, Simulator
-
-DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 
 
 # ----------------------------------------------------------------------
@@ -107,10 +103,6 @@ def test_same_seed_same_topology_different_seed_differs():
     assert first != other
 
 
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING,
-    reason="digest comparison across runs needs PYTHONHASHSEED=0",
-)
 def test_manifest_digest_is_stable_across_processes():
     spec = FleetSpec.sized(60, num_regions=2)
     assert digest(generate_fleet(spec, seed=3).manifest()) == digest(

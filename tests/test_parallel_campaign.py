@@ -1,9 +1,9 @@
 """The multiprocess campaign runner: spawn-safety, determinism, failures.
 
-Pins the contract ISSUE/DESIGN §15 promise: the merged campaign report
-is a pure function of the task list and the pinned hash seed — byte-
-identical between serial and parallel runs at any worker count and under
-shuffled completion order — and a misbehaving worker (crash, hang,
+Pins the contract DESIGN §15 promises: the merged campaign report is a
+pure function of the task list — byte-identical between serial and
+parallel runs at any worker count, under shuffled completion order and
+at any string-hash seed — and a misbehaving worker (crash, hang,
 exception, unpicklable result) surfaces as a structured failure record
 instead of hanging the pool.
 """
@@ -11,7 +11,11 @@ instead of hanging the pool.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -38,6 +42,9 @@ from repro.parallel import (
     run_campaign,
     seed_tasks,
 )
+
+from test_chaos_leader import PINNED_PRIME_LEADER
+from test_simnet_network import PINNED_TRACES
 
 #: compact chaos shape — a real deployment per task, small enough that a
 #: multi-worker matrix stays inside the tier-1 budget
@@ -178,8 +185,8 @@ def test_shuffled_completion_order_does_not_leak_into_report():
         )
         for value in range(5)
     ]
-    serial = run_campaign(tasks, workers=1, in_process=True)
-    parallel = run_campaign(tasks, workers=4, in_process=False)
+    serial = run_campaign(tasks, workers=1)
+    parallel = run_campaign(tasks, workers=4)
     assert [r.task_id for r in parallel.records] == \
         [t.task_id for t in tasks]
     assert json.dumps(serial.to_dict(deterministic_only=True),
@@ -198,14 +205,46 @@ def test_shuffled_completion_order_does_not_leak_into_report():
     assert list(merged["events"]["by_task"]) == [t.task_id for t in tasks]
 
 
+_AT_ANOTHER_SEED = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from repro.chaos import ChaosEngine
+from repro.core import SpireOptions
+from test_chaos_leader import leader_options
+from test_simnet_network import PINNED_TRACES, _trace_fingerprint
+chaos = ChaosEngine(leader_options(2)).run()
+overrides, run_ms, _ = PINNED_TRACES["lan21"]
+trace = _trace_fingerprint(SpireOptions.lan(**overrides), run_ms)
+print(json.dumps([chaos.fingerprint, chaos.stats["events_processed"], trace]))
+"""
+
+
+def test_pins_hold_at_another_hash_seed():
+    # the suite's pins hold whatever the interpreter's string-hash seed:
+    # a child at another seed reproduces a chaos and a trace-image pin
+    import repro
+
+    src = pathlib.Path(repro.__file__).parents[1]
+    tests = pathlib.Path(__file__).parent
+    run = subprocess.run(
+        [sys.executable, "-c", _AT_ANOTHER_SEED, str(src), str(tests)],
+        env=dict(os.environ, PYTHONHASHSEED="12345"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    fingerprint, events, trace = json.loads(run.stdout)
+    assert (fingerprint, events) == PINNED_PRIME_LEADER[2]
+    assert trace == PINNED_TRACES["lan21"][2]
+
+
 def test_pbft_campaign_matches_direct_runs():
     options = PbftChaosOptions(warmup_ms=300.0, chaos_ms=800.0,
                                settle_ms=400.0)
     tasks = seed_tasks("pbft_chaos", options, seeds=range(3))
     report = run_campaign(tasks, workers=2)
     assert report.ok
-    hash_pinned_direct = run_campaign(tasks, workers=1)
-    assert report.fingerprint == hash_pinned_direct.fingerprint
+    inline = run_campaign(tasks, workers=1)
+    assert report.fingerprint == inline.fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +257,7 @@ def test_worker_crash_surfaces_failure_and_pool_survives():
         CampaignTask("ok-1", "campaign_runners:echo", {"value": 1}),
         CampaignTask("ok-2", "campaign_runners:echo", {"value": 2}),
     ]
-    report = run_campaign(tasks, workers=2, in_process=False)
+    report = run_campaign(tasks, workers=2)
     assert not report.ok
     failure, = report.failures
     assert failure.task_id == "crash"
@@ -229,14 +268,12 @@ def test_worker_crash_surfaces_failure_and_pool_survives():
     assert all(r.ok for r in report.results)
 
 
-def test_worker_timeout_redispatches_then_reports():
+def _hang_times_out_beside_an_echo(workers):
     tasks = [
         CampaignTask("hang", "campaign_runners:hang", {"value": 0}),
         CampaignTask("ok", "campaign_runners:echo", {"value": 1}),
     ]
-    report = run_campaign(
-        tasks, workers=2, in_process=False, task_timeout_s=1.5,
-    )
+    report = run_campaign(tasks, workers=workers, task_timeout_s=1.5)
     failure, = report.failures
     assert failure.task_id == "hang"
     assert failure.kind == "timeout"
@@ -245,13 +282,23 @@ def test_worker_timeout_redispatches_then_reports():
     assert ok_result.ok and ok_result.task_id == "ok"
 
 
+def test_worker_timeout_redispatches_then_reports():
+    _hang_times_out_beside_an_echo(workers=2)
+
+
+def test_serial_campaign_keeps_its_task_deadline():
+    # a deadline sends even one worker's campaign to a spawned process:
+    # inline, the hang would hang the harness
+    _hang_times_out_beside_an_echo(workers=1)
+
+
 def test_runner_exception_is_structured_not_fatal():
     tasks = [
         CampaignTask("boom", "campaign_runners:boom", {"value": 0}),
         CampaignTask("ok", "campaign_runners:echo", {"value": 1}),
     ]
     # exceptions are caught in-worker: no re-dispatch, full traceback
-    report = run_campaign(tasks, workers=1, in_process=True)
+    report = run_campaign(tasks, workers=1)
     failure, = report.failures
     assert failure.kind == "exception"
     assert failure.attempts == 1
@@ -262,7 +309,8 @@ def test_runner_exception_is_structured_not_fatal():
 
 def test_unpicklable_result_becomes_structured_failure():
     tasks = [CampaignTask("bad", "campaign_runners:unpicklable", {"value": 0})]
-    report = run_campaign(tasks, workers=1, in_process=False)
+    # two workers for one task: the pool spawns one, whose queue pickles
+    report = run_campaign(tasks, workers=2)
     failure, = report.failures
     assert failure.kind == "exception"
     assert "not picklable" in failure.error
@@ -286,7 +334,7 @@ def test_report_violation_counts_and_percentiles():
             wall_s=0.030,
         ),
     ]
-    report = CampaignReport(records=records, workers=1, hash_seed="0")
+    report = CampaignReport(records=records, workers=1)
     assert report.violation_counts == {
         "gate/unverified-delivery": 1,
         "safety/divergence": 2,

@@ -1,7 +1,6 @@
 """Unit tests for the network model."""
 
 import dataclasses
-import os
 
 import pytest
 from hypothesis import settings
@@ -11,8 +10,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.core import SpireDeployment, SpireOptions
 from repro.crypto.encoding import digest
 from repro.simnet import LinkSpec, Network, Process, Simulator
-
-DETERMINISTIC_HASHING = os.environ.get("PYTHONHASHSEED") == "0"
 
 
 class Sink(Process):
@@ -425,7 +422,7 @@ def _trace_fingerprint(options, run_ms):
     return digest((image, deployment.simulator.events_processed))
 
 
-#: digests at PYTHONHASHSEED=0 (both re-pinned when the protocols took one
+#: digests (both re-pinned when the protocols took one
 #: head-of-line repair path and when Prime's reconciliation pushed only on
 #: evidence; the ``shortest`` ``lan21`` also when a routed overlay took one
 #: datagram per destination site, and again when it took one per
@@ -445,10 +442,6 @@ PINNED_TRACES = {
 }
 
 
-@pytest.mark.skipif(
-    not DETERMINISTIC_HASHING,
-    reason="pinned digests need PYTHONHASHSEED=0",
-)
 @pytest.mark.parametrize("case", sorted(PINNED_TRACES))
 def test_trace_image_pinned(case):
     overrides, run_ms, expected = PINNED_TRACES[case]
