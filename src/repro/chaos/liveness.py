@@ -13,7 +13,7 @@ request period), serves three properties:
   (``no-quorum-adoption``), then a delivery follows (``ordering-stalled``),
   within B per view change: one, plus one for each next leader in the
   rotation ``leaders[view % n]`` that is held down when its turn comes,
-  counted from when the schedule holds down no more replicas than the
+  counted only while the schedule holds down no more replicas than the
   fault model tolerates (``f + k``);
 * **an overlay fault** under self-healing — a delivery within the
   overlay's detection bound + B (``reroute-stall``).
@@ -108,19 +108,15 @@ class Liveness:
 
     def _leader_fault(self, at: float, target: str, view: int) -> None:
         bound, n, changes = self.bound_ms, len(self.leaders), 1
-        # nothing is owed while the schedule holds down more replicas than
-        # the fault model tolerates: the clock starts when it is back inside
-        owed_from = next((t for t in sorted({at, *(e for _, e, _ in self.held if e > at)})
-                          if len({r for s, e, targets in self.held if s <= t < e
-                                  for r in targets}) <= self.tolerated), self.end_ms)
+        owed_from, deadline = self._clock(at, 0.0), self._clock(at, bound)
         # the next leader in the rotation, held down when its view would
         # start, costs one more view change
         while changes < n and any(
-                s <= owed_from + changes * bound and owed_from < e
+                s <= deadline and owed_from < e
                 and self.leaders[(view + changes) % n] in targets
                 for s, e, targets in self.held):
             changes += 1
-        deadline = owed_from + changes * bound
+            deadline = self._clock(at, changes * bound)
         earliest: Dict[str, float] = {}
         for when, replica, adopted in self.adoptions:
             if adopted > view and at <= when < earliest.get(replica, float("inf")):
@@ -140,6 +136,19 @@ class Liveness:
         if not self._met(deadline, arrival):
             self._flag("ordering-stalled", at, bound_ms=round(deadline - at, 3),
                        quorum_adopted_at_ms=round(quorum_at, 3), target=target)
+
+    def _clock(self, start: float, owed_ms: float) -> float:
+        """When ``owed_ms`` of owed time has run from ``start``. Nothing is
+        owed while the schedule holds down more replicas than the fault
+        model tolerates: the clock pauses for every such stretch."""
+        edges = sorted({start, *(t for s, e, _ in self.held for t in (s, e) if t > start)})
+        for a, b in zip(edges, edges[1:]):
+            if len({r for s, e, targets in self.held if s <= a < e
+                    for r in targets}) <= self.tolerated:
+                if a + owed_ms <= b:
+                    return a + owed_ms
+                owed_ms -= b - a
+        return edges[-1] + owed_ms  # every window has ended
 
     def _leader_at(self, t: float) -> str:
         """Who leads at ``t``: the highest view a quorum has adopted by then."""

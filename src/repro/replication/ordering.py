@@ -191,6 +191,11 @@ class ThreePhaseAgreement:
         if not self.valid_proposal(proposal):
             return
         slot = self.slot(msg.seq)
+        if from_new_view and slot.is_ordered:
+            # Decided here: its commit certificate is the proof a later
+            # ViewChange carries, and a peer short of the slot repairs it
+            # through SlotFetch, so it is not agreed again.
+            return
         if msg.view in slot.pre_prepares:
             return  # first proposal per (view, seq) wins
         slot.pre_prepares[msg.view] = signed
@@ -242,7 +247,11 @@ class ThreePhaseAgreement:
         quorum = node.config.quorum
         if len(voters) < quorum:
             return
-        if slot.prepared_cert is None or slot.prepared_cert[0] <= view:
+        # An ordered slot keeps the certificate it was ordered with: it may
+        # hold no pre-prepare for a later view to pair with a newer one.
+        if not slot.is_ordered and (
+            slot.prepared_cert is None or slot.prepared_cert[0] <= view
+        ):
             slot.prepared_cert = (view, proposal_digest)
             slot.prepared_proof = assemble_certificate(voters, quorum)
         # Vote only in the view we are in: a replica that has left a view

@@ -373,6 +373,17 @@ LIVENESS_CASES = {
                   (900.0, 2000.0, ("r4",))),
         adoptions=_adopted(1, 500.0) + _adopted(2, 2800.0),
         leader_faults=((1000.0, "r1", 1),)),
+    # r3 is held from before the fault and r4 from after it: three held
+    # from 1500 to 2500 ms, so the clock pauses there and the view change
+    # is owed by 3000 ms, not 2000 ms (Prime leader seed 4 adopts its
+    # view about 220 ms after its third held replica is back)
+    "a-third-replica-held-after-the-leader-fault": Case(
+        _steady((1000.0, 2810.0)), (),
+        dict(view_faults_checked=1, recovery_latencies_ms=[1800.0]), bound_ms=1000.0,
+        blocking=((1000.0, 3000.0, ("r1",)), (1200.0, 4000.0, ("r3",)),
+                  (1500.0, 2500.0, ("r4",))),
+        adoptions=_adopted(1, 500.0) + _adopted(2, 2800.0),
+        leader_faults=((1000.0, "r1", 1),)),
     "a-view-change-and-no-delivery": Case(
         _steady((1000.0, 5000.1)), ("ordering-stalled",), dict(view_faults_checked=1),
         bound_ms=1000.0, blocking=((1000.0, 3000.0, ("r1",)),),

@@ -160,11 +160,12 @@ ALL_KINDS_OPTIONS = ChaosOptions(
 #: (fingerprint, events processed); re-pinned when
 #: both protocols took one head-of-line repair path and the poller re-sent
 #: a timed-out transaction in place, when a routed overlay took one
-#: datagram per destination site, when it took one per multicast, and
-#: when Prime's reconciliation pushed only on evidence (CHANGES.md)
+#: datagram per destination site, when it took one per multicast, when
+#: Prime's reconciliation pushed only on evidence, and when a new view
+#: stopped re-agreeing slots a replica had ordered (CHANGES.md)
 PINNED_ALL_KINDS = (
-    "565eba9511f881c974817169b9b73ae3528af8c3f62bb71d8dfdc83cc9a10dc5",
-    50_835,
+    "6da089ea1497920309cadc4c73a3ead1c0fc24109d4d99ddd147a2b5b287e81a",
+    41_623,
 )
 
 

@@ -44,13 +44,14 @@ WALL_BUDGET_S = 240.0
 #: events processed) of ``leader_options(seed)``. Recorded at the parent
 #: of PR 16; re-pinned once when both protocols took one head-of-line
 #: repair path, again when a routed overlay took one datagram per
-#: destination site, when it took one per multicast, and when Prime's
-#: reconciliation pushed only on evidence (CHANGES.md)
+#: destination site, when it took one per multicast, when Prime's
+#: reconciliation pushed only on evidence, and when a new view stopped
+#: re-agreeing slots a replica had ordered (CHANGES.md)
 PINNED_PRIME_LEADER = {
-    2: ("be02cc85f8b044c5f16bd5d5bb603b82d8746979ed2c6acb291f03da324a1a0d",
-        26_180),
-    7: ("99af2576bc21591083844a6c10ebf97f4ee758084553b088d638bbcbaf304020",
-        24_618),
+    2: ("5d30a6c6db1325dc92c3f97f5c62b066d3d688713937f849bf22def0b4894bcf",
+        25_875),
+    7: ("5f52339e51153011fc7f986048a0c92432416a35b3bd4530758d11f8a14545ef",
+        21_190),
 }
 #: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 has
 #: three judged leader faults, and its partitioned view-2 leader cascades

@@ -38,6 +38,7 @@ from repro.replication import (
     PreparedEntry,
     SignedMessage,
     derive_reproposals,
+    prepared_entries,
 )
 from test_pbft import PbftCluster
 
@@ -442,6 +443,23 @@ def test_served_certified_slot_is_installed_with_its_certificate(side):
     assert (slot.prepared_cert, slot.prepared_proof) == ((0, digest), commits)
 
 
+def test_an_ordered_slot_keeps_its_certificate_through_a_new_view(side):
+    """A NewView re-proposes a slot this replica has ordered: the
+    replica drops the re-proposal, so it holds no pre-prepare for the new
+    view, and a quorum of the others' Prepares there must not replace the
+    certificate it was ordered with; else its next ViewChange, which pairs
+    a certificate with the pre-prepare of the same view, omits the slot."""
+    pre_prepare, digest, commits = _serve(side, SEQ)
+    vcs = side.quorum_view_changes(1, entries=[side.entry(seq=SEQ)])
+    side.node._dispatch(side.new_view(vcs=vcs)[0])
+    assert side.node.view == 1 and 1 not in side.node.slots[SEQ].pre_prepares
+    for vote in side.votes(Prepare, 1, SEQ, digest, side.others(1)[: side.quorum]):
+        side.node._dispatch(vote)
+    carried = {entry.seq: entry for entry in prepared_entries(side.node.slots, above=0)}
+    assert (carried[SEQ].view, carried[SEQ].pre_prepare, carried[SEQ].proof) == (
+        0, pre_prepare, commits)
+
+
 def test_no_commit_in_a_view_the_replica_has_left(side):
     """A replica that sent its ViewChange may have reported the slot
     unprepared there; late Prepares of the old view still complete its
@@ -500,6 +518,101 @@ def test_recovered_laggard_catches_up(side):
     laggard.recover()
     cluster.simulator.run_for(4000)
     _executed_everywhere(cluster, 30)
+
+
+# ----------------------------------------------------------------------
+# A new view does not agree again on what a replica has decided
+# ----------------------------------------------------------------------
+
+def _watch_installs(node):
+    """What ``node`` had ordered among each NewView's re-proposals when it
+    installed it (view -> seqs), and the Prepares and Commits it sent."""
+    decided, sent = {}, []
+    replay, broadcast = node.ordering.on_pre_prepare, node._broadcast
+
+    def on_pre_prepare(signed, msg, from_new_view=False):
+        slot = node.slots.get(msg.seq)
+        if from_new_view and slot is not None and slot.is_ordered:
+            decided.setdefault(msg.view, set()).add(msg.seq)
+        return replay(signed, msg, from_new_view)
+
+    def spy(payload, include_self=True):
+        if isinstance(payload, (Prepare, Commit)):
+            sent.append(payload)
+        return broadcast(payload, include_self)
+
+    node.ordering.on_pre_prepare, node._broadcast = on_pre_prepare, spy
+    return decided, sent
+
+
+def test_no_vote_in_a_new_view_for_a_slot_ordered_before_it(side):
+    """Every view-0 Commit for one slot is lost, so the slots after it are
+    ordered but not executed when the leader dies, and the new leader
+    re-proposes them all. A replica sends no Prepare or Commit in the new
+    view for a re-proposed slot it had ordered before installing it; the
+    lost slot is agreed in the new view and every log converges."""
+    cluster = side.factory(seed=29).start()
+    cluster.pump(6, gap_ms=20)
+    cluster.simulator.run_for(300)
+    lost = cluster.nodes[1].last_executed_seq + 1
+    for node in cluster.nodes:
+        def lossy(signed, _dispatch=node._dispatch):
+            msg = signed.payload
+            if not (isinstance(msg, Commit) and (msg.view, msg.seq) == (0, lost)):
+                _dispatch(signed)
+
+        node._dispatch = lossy
+    watched = [_watch_installs(node) for node in cluster.nodes]
+    cluster.pump(6, gap_ms=20)
+    cluster.simulator.run_for(100)
+    cluster.nodes[0].crash()
+    cluster.pump(6, gap_ms=20)
+    cluster.simulator.run_for(6000)
+    assert all(node.view >= 1 for node in cluster.nodes[1:])
+    for decided, sent in watched[1:]:
+        assert decided  # the new view re-proposed slots this replica had ordered
+        assert not [vote for vote in sent if vote.seq in decided.get(vote.view, ())]
+    _executed_everywhere(cluster, 18)
+
+
+def test_a_laggard_short_of_commits_orders_the_slot_by_fetch(side):
+    """One replica loses every Commit for one slot, and the repair that
+    would have fetched it before the leader dies. The replicas that
+    ordered the slot do not agree on it again in the new view, so the
+    laggard orders it from a peer's commit certificate
+    (SlotFetch/CertifiedSlot)."""
+    cluster = side.factory(seed=31).start()
+    oracle = Oracle(lambda: cluster.simulator.now)
+    oracle.watch(cluster.nodes)
+    cluster.pump(6, gap_ms=20)
+    cluster.simulator.run_for(300)
+    laggard = cluster.nodes[3]
+    target = laggard.last_executed_seq + 1
+    served = []
+    dispatch = laggard._dispatch
+
+    def lossy(signed):
+        msg = signed.payload
+        if isinstance(msg, (Commit, CertifiedSlot)) and msg.seq == target:
+            if isinstance(msg, Commit) or laggard.view == 0:
+                return
+            served.append(msg)
+        dispatch(signed)
+
+    laggard._dispatch = lossy
+    cluster.pump(1)
+    cluster.simulator.run_for(100)
+    assert all(node.slots[target].is_ordered for node in cluster.nodes if node is not laggard)
+    assert not laggard.slots[target].is_ordered
+    cluster.nodes[0].crash()
+    cluster.pump(6, gap_ms=20)
+    cluster.simulator.run_for(6000)
+    assert laggard.view >= 1 and served
+    # ordered with the commit certificate of view 0, served by a peer
+    assert laggard.slots[target].ordered[0] == 0
+    oracle.check_states(cluster.nodes)
+    assert oracle.findings == []
+    _executed_everywhere(cluster, 13)
 
 
 #: (which recorded message, which replica, how much later)
