@@ -3,6 +3,8 @@
 A Spire client (RTU proxy or HMI) signs updates, submits them to one
 SCADA-master replica, and fails over to the next replica when no verified
 delivery acknowledges the update in time (:class:`SubmissionManager`).
+Updates are held until the client flushes, and every held update leaves
+in one :class:`UpdateSubmission`: a proxy flushes once per poll round.
 Because updates are deduplicated at execution by ``(client, client_seq)``,
 retries are safe.  Inward it trusts only deliveries that combine to a
 valid threshold signature (:class:`SpireClient`).
@@ -79,32 +81,50 @@ class SubmissionManager:
         self._next_seq = 0
         self._target = start_index % len(self.replicas)
         self._outstanding: Dict[Tuple[str, int], _Outstanding] = {}
+        #: signed and outstanding, not yet sent: the next flush sends them
+        self._held: List[_Outstanding] = []
         self.submitted_total = 0
         self.retries_total = 0
         self.acked_total = 0
 
     # ------------------------------------------------------------------
     def submit(self, payload: Any) -> Tuple[str, int]:
-        """Sign and submit a new update; returns its (client, seq) key."""
+        """Sign a new update and hold it for the next :meth:`flush`;
+        returns its (client, seq) key. Its latency clock starts now."""
         self._next_seq += 1
         update = sign_client_update(
             self.crypto, self.client_name, self._next_seq, payload
         )
         now = self.now_fn()
         key = (self.client_name, self._next_seq)
-        self._outstanding[key] = _Outstanding(
+        entry = self._outstanding[key] = _Outstanding(
             update, now, now, 1, self._target,
             next_retry_at=now + self.retry_policy.delay_ms(0, self.rng),
         )
         if self.recorder is not None:
             self.recorder.submitted(key, now)
-        self._send(update, self._target)
+        self._held.append(entry)
         self.submitted_total += 1
         return key
 
-    def _send(self, update: ClientUpdate, target_index: int) -> None:
+    def flush(self) -> None:
+        """Send every held update to the current target, in one submission."""
+        if not self._held:
+            return
+        target = self._target
+        for entry in self._held:
+            entry.target_index = target
+        self._send([entry.update for entry in self._held], target)
+        self._held = []
+
+    def drop_held(self) -> None:
+        """Lose the held updates, as a crash loses them: they stay
+        outstanding, so :meth:`retry_tick` sends them when they fall due."""
+        self._held = []
+
+    def _send(self, updates: List[ClientUpdate], target_index: int) -> None:
         replica = self.replicas[target_index % len(self.replicas)]
-        self.send_fn(replica, UpdateSubmission(update), 400)
+        self.send_fn(replica, UpdateSubmission(tuple(updates)), 400 * len(updates))
 
     # ------------------------------------------------------------------
     def acknowledged(self, client: str, client_seq: int) -> Optional[float]:
@@ -122,9 +142,12 @@ class SubmissionManager:
 
     # ------------------------------------------------------------------
     def retry_tick(self) -> int:
-        """Resubmit timed-out updates to the next replica; returns count."""
+        """Resubmit timed-out updates, each to the replica after its last
+        one, in one submission per replica; returns the updates resent."""
         now = self.now_fn()
         retried = 0
+        due: Dict[int, List[ClientUpdate]] = {}
+        count = len(self.replicas)
         for entry in self._outstanding.values():
             if now >= entry.next_retry_at:
                 entry.target_index += 1
@@ -133,9 +156,11 @@ class SubmissionManager:
                 entry.next_retry_at = now + self.retry_policy.delay_ms(
                     entry.attempts - 1, self.rng
                 )
-                self._send(entry.update, entry.target_index)
+                due.setdefault(entry.target_index % count, []).append(entry.update)
                 retried += 1
                 self.retries_total += 1
+        for target_index, updates in due.items():
+            self._send(updates, target_index)
         if retried:
             # rotate the default target away from an unresponsive replica
             self._target = (self._target + 1) % len(self.replicas)
@@ -194,6 +219,7 @@ class SpireClient(Process):
     def on_recover(self) -> None:
         """Periodic timers from the previous incarnation never fire
         again; a started client re-arms them."""
+        self.submissions.drop_held()
         if self._started:
             self.start()
 

@@ -43,7 +43,9 @@ class HmiClient(SpireClient):
             issued_by=self.name,
             reason=reason,
         )
-        return self.submissions.submit(command)
+        key = self.submissions.submit(command)
+        self.submissions.flush()
+        return key
 
     # ------------------------------------------------------------------
     # View maintenance

@@ -4,7 +4,8 @@ Data flow (paper architecture):
 
 * RTU proxies poll field devices over Modbus and package readings as
   :class:`StatusReading` payloads inside signed ``ClientUpdate``s, which
-  they submit to a SCADA-master replica (:class:`UpdateSubmission`).
+  they submit to a SCADA-master replica, a poll round's updates in one
+  :class:`UpdateSubmission`.
 * HMIs submit :class:`BreakerCommand` payloads the same way.
 * Every replica that executes a certified pre-order request produces one
   :class:`BatchDeliveryRecord` over the :class:`DeliveryRecord` of each
@@ -138,9 +139,11 @@ class BatchDeliveryShare:
 
 @dataclass(frozen=True)
 class UpdateSubmission:
-    """Endpoint -> replica: please order this client update."""
+    """Endpoint -> replica: please order these client updates. Each one
+    keeps its own signature and ``(client, client_seq)`` identity, and
+    each costs 400 B on the wire."""
 
-    update: ClientUpdate
+    updates: Tuple[ClientUpdate, ...]
 
 
 def record_for(update: ClientUpdate, order_index: int) -> DeliveryRecord:

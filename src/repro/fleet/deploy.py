@@ -62,6 +62,7 @@ class RegionProxy(RtuProxy):
 
     def _poll_slot(self, slot: DeviceSlot) -> None:
         self.poller.poll(self._binding_for(slot))
+        self._arm_flush_deadline()
 
     def _execute_command(self, command: BreakerCommand) -> None:
         # operator commands can target a not-yet-polled device; they

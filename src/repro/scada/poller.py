@@ -11,7 +11,9 @@ A poll is two serial transactions per device (holding registers, then
 coils) with at most one in flight: a transaction not answered within the
 timeout is counted and sent again at the next tick, so on a field link
 slower than the timeout the late answer still completes it; responses
-that do not match the transaction in flight are ignored.  The poller owns no
+that do not match the transaction in flight are ignored.  :attr:`in_flight`
+counts the devices with a poll under way, so an owner can tell when a
+round has finished without scanning its bindings.  The poller owns no
 timer — its owner's poll tick (or sharded driver) calls :meth:`poll` /
 :meth:`poll_all`, and its ``on_message`` offers every payload to
 :meth:`on_payload` first.
@@ -80,6 +82,8 @@ class ModbusPoller:
         self._by_unit: Dict[int, DeviceBinding] = {}
         self.polls_timed_out = 0
         self.writes_confirmed = 0
+        #: bindings whose phase is not idle
+        self.in_flight = 0
         for binding in devices:
             self.add(binding)
 
@@ -93,6 +97,7 @@ class ModbusPoller:
         poll sequence numbers survive, like the owner's submission seq."""
         for binding in self.devices.values():
             binding.phase = "idle"
+        self.in_flight = 0
 
     # ------------------------------------------------------------------
     def _request(self, binding: DeviceBinding, message: Any) -> None:
@@ -109,6 +114,8 @@ class ModbusPoller:
             if now - binding.started_at <= self.timeout_ms:
                 return
             self.polls_timed_out += 1
+        else:
+            self.in_flight += 1
         binding.started_at = now
         if binding.phase == "await_coils":
             self._request_coils(binding)
@@ -156,6 +163,7 @@ class ModbusPoller:
             self._request_coils(binding)
         elif isinstance(message, ReadCoilsResponse) and binding.phase == "await_coils":
             binding.phase = "idle"
+            self.in_flight -= 1
             binding.poll_seq += 1
             measurements = tuple(
                 (key, unscale_measurement(register))

@@ -321,7 +321,7 @@ def test_malformed_submission_from_a_client_is_dropped_not_raised(update):
     deployment, replica = quiet_replica()
     replica.submit = pytest.fail  # never reached
     sent = deployment.network.stats.sent
-    replica.on_message("hmi:0", UpdateSubmission(update))
+    replica.on_message("hmi:0", UpdateSubmission((update,)))
     assert not replica._pending_updates
     assert deployment.network.stats.sent == sent
 
@@ -385,7 +385,7 @@ def test_an_ill_typed_submission_never_raises_or_submits(field, value):
     update = value if field == "update" else dataclasses.replace(genuine, **{field: value})
     if update == genuine:
         return  # drew the field's own value
-    replica.on_message("hmi:0", UpdateSubmission(update))
+    replica.on_message("hmi:0", UpdateSubmission((update,)))
     assert not replica._pending_updates
 
 
@@ -399,7 +399,7 @@ unencodable = st.one_of(
 
 
 def forged_submission(client, payload):
-    return UpdateSubmission(ClientUpdate(client, 999, payload, Signature(client, "00")))
+    return UpdateSubmission((ClientUpdate(client, 999, payload, Signature(client, "00")),))
 
 
 def overlay_counts(deployment):
@@ -480,7 +480,8 @@ def test_an_unencodable_payload_never_raises_or_gets_anywhere(payload, site):
         _, replica = QUIET
         replica.on_message("hmi:0", forged_submission("hmi:0", payload))
         assert not replica._pending_updates
-        assert replica.submit(forged_submission("hmi:0", payload).update) is False
+        [update] = forged_submission("hmi:0", payload).updates
+        assert replica.submit(update) is False
     else:
         crypto = FastCrypto(seed="unencodable")
         crypto.create_threshold_group(GROUP, 4, 2)

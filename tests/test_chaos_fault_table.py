@@ -161,11 +161,12 @@ ALL_KINDS_OPTIONS = ChaosOptions(
 #: both protocols took one head-of-line repair path and the poller re-sent
 #: a timed-out transaction in place, when a routed overlay took one
 #: datagram per destination site, when it took one per multicast, when
-#: Prime's reconciliation pushed only on evidence, and when a new view
-#: stopped re-agreeing slots a replica had ordered (CHANGES.md)
+#: Prime's reconciliation pushed only on evidence, when a new view
+#: stopped re-agreeing slots a replica had ordered, and when a proxy
+#: submitted each poll round in one message (CHANGES.md)
 PINNED_ALL_KINDS = (
-    "6da089ea1497920309cadc4c73a3ead1c0fc24109d4d99ddd147a2b5b287e81a",
-    41_623,
+    "ab42082b37c5580fd69b8577b3a053f734e82db41c54d1904366dfdcdc13afba",
+    41_704,
 )
 
 

@@ -45,13 +45,14 @@ WALL_BUDGET_S = 240.0
 #: of PR 16; re-pinned once when both protocols took one head-of-line
 #: repair path, again when a routed overlay took one datagram per
 #: destination site, when it took one per multicast, when Prime's
-#: reconciliation pushed only on evidence, and when a new view stopped
-#: re-agreeing slots a replica had ordered (CHANGES.md)
+#: reconciliation pushed only on evidence, when a new view stopped
+#: re-agreeing slots a replica had ordered, and when a proxy submitted
+#: each poll round in one message (CHANGES.md)
 PINNED_PRIME_LEADER = {
-    2: ("5d30a6c6db1325dc92c3f97f5c62b066d3d688713937f849bf22def0b4894bcf",
-        25_875),
-    7: ("5f52339e51153011fc7f986048a0c92432416a35b3bd4530758d11f8a14545ef",
-        21_190),
+    2: ("204afa88fee542efb2bd85483a996930b861f19efd42bc518601b0c7630eb7fb",
+        24_331),
+    7: ("33e7e8fbc7e312fe204e2bc1f8734b0de5afc469af75a130f80a572b48729685",
+        21_111),
 }
 #: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 has
 #: three judged leader faults, and its partitioned view-2 leader cascades

@@ -421,16 +421,17 @@ SMOKE = dict(
 #: both protocols took one head-of-line repair path; the two chaos ones
 #: again when a routed overlay took one datagram per destination site,
 #: and when it took one per multicast. All three again when Prime's
-#: reconciliation pushed only on evidence, and when a new view stopped
-#: re-agreeing slots a replica had ordered.
+#: reconciliation pushed only on evidence, when a new view stopped
+#: re-agreeing slots a replica had ordered, and when a proxy submitted
+#: each poll round in one message.
 PINNED_CHAOS = {
-    3: ("348843248c8423a58ec6a38b4d0d35960a21be30dfc716d5cc21ff7fddf602f3",
-        24_751),
-    11: ("733e509a5807d15c1f40c70f09d7e837e465f0a043be4060607db47215081e12",
-         27_933),
+    3: ("f493e5601c51458fd874ccd8cd25f9b29d6696486d1ba49ec886f7dba588350d",
+        25_216),
+    11: ("cc144fa8ab5c8b52f8945330321ded093c608a09a4ee66d697c77c5854c7881b",
+         26_997),
 }
 
-PINNED_FIG6 = "be867878ceabd37210fb914b11af53e39fd811551bcc3d011cd6bb25b8873bf1"
+PINNED_FIG6 = "5cd5d3d30ca7fbdb89f41d157d87627330284b1743c23854d83a0fd79f620bd0"
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_CHAOS))
@@ -461,5 +462,5 @@ def test_periodic_strategy_fig6_digest_unchanged():
         scheduler.recoveries_started,
         scheduler.deferred_rounds,
     ))
-    assert deployment.simulator.events_processed == 106_819
+    assert deployment.simulator.events_processed == 106_520
     assert fingerprint == PINNED_FIG6

@@ -1,10 +1,18 @@
 """Tests for delivery-share collection and client submission management."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from repro.core import DeliveryCollector, DeliveryRecord, HmiClient, SubmissionManager
+from repro.core import (
+    DeliveryCollector,
+    DeliveryRecord,
+    HmiClient,
+    SpireDeployment,
+    SpireOptions,
+    SubmissionManager,
+)
 from repro.core.update import BatchDeliveryShare, batch_of_records
 from repro.obs import LatencyTracker
 from repro.crypto import FastCrypto, ThresholdShare
@@ -252,11 +260,32 @@ def test_submit_signs_and_sends():
     sm = manager(sent, clock, start_index=0)
     key = sm.submit(("payload",))
     assert key == ("client:a", 1)
+    assert sent == []  # held until the flush
+    sm.flush()
     assert len(sent) == 1
     assert sent[0][0] == "r0"
-    update = sent[0][1].update
+    [update] = sent[0][1].updates
     assert update.client == "client:a" and update.client_seq == 1
     assert update.signature is not None
+    sm.flush()
+    assert len(sent) == 1  # nothing held, nothing sent
+
+
+def test_a_flush_sends_every_held_update_in_one_submission():
+    sent, sizes = [], []
+    sm = SubmissionManager(
+        "client:a", FastCrypto(seed="sm"), ["r0", "r1", "r2"],
+        lambda replica, payload, size: sent.append((replica, payload))
+        or sizes.append(size) or True,
+        FakeClock(), start_index=1,
+    )
+    keys = [sm.submit(("reading", i)) for i in range(4)]
+    sm.flush()
+    [(replica, submission)] = sent
+    assert replica == "r1"
+    assert [(u.client, u.client_seq) for u in submission.updates] == keys
+    assert sizes == [4 * 400]
+    assert sm.submitted_total == 4 and sm.outstanding == 4
 
 
 def test_sequences_increment():
@@ -306,12 +335,189 @@ def test_retry_preserves_update_identity():
     clock = FakeClock()
     sm = manager(sent, clock, resubmit_timeout_ms=10.0)
     key = sm.submit("x")
+    sm.flush()
     clock.now = 20.0
     sm.retry_tick()
-    first, second = (payload.update for _, payload in sent)
+    first, second = (payload.updates for _, payload in sent)
     assert first == second  # same signed update, safe to dedup
+
+
+def test_one_retry_tick_sends_one_submission_per_target():
+    """Updates due at one tick leave as one submission per replica they
+    fail over to, each update once, in the order they were submitted."""
+    sent = []
+    clock = FakeClock()
+    sm = manager(sent, clock, resubmit_timeout_ms=100.0, start_index=0)
+
+    def submit_now(payload):
+        key = sm.submit(payload)
+        sm.flush()
+        return key
+
+    a = submit_now("a")             # r0, due at 100
+    clock.now = 50.0
+    c = submit_now("c")             # r0, due at 150
+    clock.now = 100.0
+    assert sm.retry_tick() == 1     # a to r1, due at 250; target now r1
+    b = submit_now("b")             # r1, due at 200
+    del sent[:]
+    clock.now = 250.0
+    assert sm.retry_tick() == 3
+    assert [
+        (replica, [(u.client, u.client_seq) for u in payload.updates])
+        for replica, payload in sent
+    ] == [("r2", [a, b]), ("r1", [c])]
+    assert sm.retries_total == 4
 
 
 def test_requires_replicas():
     with pytest.raises(ValueError):
         SubmissionManager("c", FastCrypto(), [], lambda *a: True, lambda: 0.0)
+
+
+# ----------------------------------------------------------------------
+# One submission per poll round, on a deployment
+# ----------------------------------------------------------------------
+
+
+def ten_substation_lan():
+    return SpireDeployment(SpireOptions.lan(num_substations=10, seed=5))
+
+
+def spy_submissions(client):
+    """Every submission the client sends: (time, replica, updates)."""
+    seen = []
+    send = client.submissions.send_fn
+
+    def spy(replica, payload, size_bytes):
+        seen.append((client.simulator.now, replica, payload.updates))
+        return send(replica, payload, size_bytes)
+
+    client.submissions.send_fn = spy
+    return seen
+
+
+def spy_round_starts(proxy):
+    starts = []
+    poll_all = proxy.poller.poll_all
+
+    def spy():
+        starts.append(proxy.simulator.now)
+        poll_all()
+
+    proxy.poller.poll_all = spy
+    return starts
+
+
+def spy_executions(replica):
+    """The (client, client_seq) of every update the replica executes."""
+    keys = []
+    replica.batch_execution_listeners.append(
+        lambda request, executed: keys.extend(
+            (update.client, update.client_seq) for update, _, _ in executed
+        )
+    )
+    return keys
+
+
+def spy_acks(client):
+    acked = []
+    acknowledged = client.submissions.acknowledged
+
+    def spy(name, seq):
+        if acknowledged(name, seq) is not None:
+            acked.append((name, seq))
+
+    client.submissions.acknowledged = spy
+    return acked
+
+
+def keys_of(sent):
+    return [(u.client, u.client_seq) for _, _, updates in sent for u in updates]
+
+
+def test_each_poll_round_leaves_in_one_submission_of_ten_updates():
+    deployment = ten_substation_lan()
+    proxy = deployment.proxy
+    starts = spy_round_starts(proxy)
+    sent = spy_submissions(proxy)
+    executed = spy_executions(deployment.replicas[0])
+    acked = spy_acks(proxy)
+    deployment.start()
+    deployment.run_for(1000)
+    while proxy.poller.in_flight:  # let the round under way finish
+        deployment.run_for(1)
+    assert len(starts) >= 9
+    assert len(sent) == len(starts)  # one submission per round
+    substations = sorted(deployment.rtus)
+    for _, _, updates in sent:
+        assert sorted(u.payload.substation for u in updates) == substations
+    keys = keys_of(sent)
+    assert len(keys) == len(set(keys)) == proxy.readings_submitted
+    deployment.run_for(500)
+    counts = Counter(executed)
+    assert all(counts[key] == 1 for key in keys)
+    assert max(counts.values()) == 1
+    assert set(keys) <= set(acked)
+
+
+def test_a_silent_device_holds_its_round_no_longer_than_the_poll_timeout():
+    deployment = ten_substation_lan()
+    proxy = deployment.proxy
+    silent = sorted(deployment.rtus)[3]
+    deployment.rtus[silent].crash()
+    starts = spy_round_starts(proxy)
+    sent = spy_submissions(proxy)
+    acked = spy_acks(proxy)
+    deployment.start()
+    deployment.run_for(1000)
+    assert len(sent) >= 9
+    others = sorted(s for s in deployment.rtus if s != silent)
+    timeout_ms = proxy.poller.timeout_ms
+    for at, _, updates in sent:
+        assert sorted(u.payload.substation for u in updates) == others
+        round_start = max(start for start in starts if start <= at)
+        assert at <= round_start + timeout_ms
+    assert proxy.polls_timed_out >= len(sent) - 1
+    keys = keys_of(sent)
+    deployment.run_for(500)
+    assert set(keys) <= set(acked)
+    latest = deployment.master_state().latest_status
+    assert silent not in latest
+    assert all(latest[s].poll_seq >= len(sent) for s in others)
+
+
+def test_retries_leave_one_submission_per_target_and_execute_once():
+    """The proxy's replica is down: every round it sent there is retried,
+    the updates one tick finds due leave in one submission per replica,
+    and each executes once."""
+    deployment = ten_substation_lan()
+    proxy = deployment.proxy
+    sent = spy_submissions(proxy)
+    deployment.start()
+    deployment.run_for(200)
+    lost = sent[0][1]
+    by_name = {replica.name: replica for replica in deployment.replicas}
+    by_name[lost].crash()
+    live = next(r for r in deployment.replicas if r.name != lost)
+    executed = spy_executions(live)
+    acked = spy_acks(proxy)
+    deployment.run_for(2000)
+    seen, retries = set(), {}
+    for at, replica, updates in sent:
+        keys = [(u.client, u.client_seq) for u in updates]
+        if any(key in seen for key in keys):
+            retries.setdefault(at, []).append(replica)
+            assert all(key in seen for key in keys)  # never mixed with new ones
+        seen.update(keys)
+    assert retries
+    for replicas in retries.values():
+        assert len(replicas) == len(set(replicas))
+    assert max(len(updates) for _, _, updates in sent[1:]) > 10
+    counts = Counter(executed)
+    assert max(counts.values()) == 1
+    retried = {
+        (u.client, u.client_seq)
+        for at, _, updates in sent if at in retries for u in updates
+    }
+    assert retried <= set(executed) and retried <= set(acked)

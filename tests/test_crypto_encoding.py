@@ -465,7 +465,7 @@ def golden_instances():
         batch,
         entry,
         core.BatchDeliveryShare("replica:1", batch, share, (entry,)),
-        core.UpdateSubmission(update),
+        core.UpdateSubmission((update,)),
         data,
         spines.OverlayIngress(vote),
         spines.OverlayForward(vote, "daemon:cc1", b"\x00\x01mac", 88.75),

@@ -72,6 +72,7 @@ def test_submission_retries_back_off_and_fail_over():
     sent = []
     manager = make_manager(clock, sent)
     manager.submit("reading")
+    manager.flush()
     assert [replica for _, replica in sent] == ["replica:0"]
 
     # tick well past a fixed 100ms period: backoff allows only ~3 retries

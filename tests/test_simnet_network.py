@@ -423,8 +423,9 @@ def _trace_fingerprint(options, run_ms):
 
 
 #: digests (both re-pinned when the protocols took one
-#: head-of-line repair path and when Prime's reconciliation pushed only on
-#: evidence; the ``shortest`` ``lan21`` also when a routed overlay took one
+#: head-of-line repair path, when Prime's reconciliation pushed only on
+#: evidence and when a proxy submitted each poll round in one message;
+#: the ``shortest`` ``lan21`` also when a routed overlay took one
 #: datagram per destination site, and again when it took one per
 #: multicast; reasons in CHANGES.md): the event trace of a full
 #: deployment, in order and at its simulated times
@@ -432,12 +433,12 @@ PINNED_TRACES = {
     "wan7": (
         dict(seed=7, num_substations=3),
         6000.0,
-        "20e6178be4677db815e41407f27001be7a727a7d42ceced26c2408dc1ebb28d5",
+        "873a4f7f2711517247142d14d4623e98d047784a0baa761bec488659006b8383",
     ),
     "lan21": (
         dict(seed=21, num_substations=2, poll_interval_ms=200.0),
         4000.0,
-        "9ef899095c04f21f8660d77293d47b83381cb7b4b2988ef638d889728397fc7a",
+        "0f1d85207c3a3a4d64fa2ceb33b59441f6dbf5bb8c91bfd70b249521c66b2113",
     ),
 }
 
