@@ -66,26 +66,12 @@ class TOperatorCommand:
     close: bool
 
 
-class _Endpoint(Process):
-    """A process whose periodic timers are armed by :meth:`start` and,
-    because timers do not survive a crash, again on recovery."""
+class TraditionalMaster(Process):
+    """Single (or hot-standby) SCADA master; it keeps no volatile state."""
 
-    _started = False
-
-    def start(self) -> None:
-        self._started = True
-        self._arm()
-
-    def on_recover(self) -> None:
-        if self._started:
-            self._arm()
-
-    def _arm(self) -> None:
-        raise NotImplementedError
-
-
-class TraditionalMaster(_Endpoint):
-    """Single (or hot-standby) SCADA master."""
+    durable = Process.durable | {
+        "token", "proxies", "is_primary", "peer_master", "latest_status", "commands_issued",
+        "compromised", "_last_peer_heartbeat"}
 
     #: primary -> standby heartbeat period
     heartbeat_interval_ms = 500.0
@@ -153,8 +139,10 @@ class TraditionalMaster(_Endpoint):
         self.compromised = True
 
 
-class TraditionalProxy(_Endpoint):
+class TraditionalProxy(Process):
     """Field proxy: Modbus toward devices, token-checked commands inward."""
+
+    durable = Process.durable | {"token", "masters", "poll_interval_ms", "poller", "status_sent"}
 
     def __init__(
         self,
@@ -172,13 +160,14 @@ class TraditionalProxy(_Endpoint):
         self.poll_interval_ms = poll_interval_ms
         self.poller = ModbusPoller(self, self._send_status, devices)
         self.status_sent = 0
+        self._fresh_state()
+
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
+        self.poller.transactions = {}
 
     def _arm(self) -> None:
         self.every(self.poll_interval_ms, self.poller.poll_all, jitter=2.0)
-
-    def on_recover(self) -> None:
-        self.poller.reset()
-        super().on_recover()
 
     def on_message(self, src: str, payload: Any) -> None:
         if self.poller.on_payload(payload):

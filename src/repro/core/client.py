@@ -82,7 +82,8 @@ class SubmissionManager:
         self._target = start_index % len(self.replicas)
         self._outstanding: Dict[Tuple[str, int], _Outstanding] = {}
         #: signed and outstanding, not yet sent: the next flush sends them
-        self._held: List[_Outstanding] = []
+        #: (a crash loses them; they stay outstanding for retry_tick)
+        self.held: List[_Outstanding] = []
         self.submitted_total = 0
         self.retries_total = 0
         self.acked_total = 0
@@ -103,24 +104,19 @@ class SubmissionManager:
         )
         if self.recorder is not None:
             self.recorder.submitted(key, now)
-        self._held.append(entry)
+        self.held.append(entry)
         self.submitted_total += 1
         return key
 
     def flush(self) -> None:
         """Send every held update to the current target, in one submission."""
-        if not self._held:
+        if not self.held:
             return
         target = self._target
-        for entry in self._held:
+        for entry in self.held:
             entry.target_index = target
-        self._send([entry.update for entry in self._held], target)
-        self._held = []
-
-    def drop_held(self) -> None:
-        """Lose the held updates, as a crash loses them: they stay
-        outstanding, so :meth:`retry_tick` sends them when they fall due."""
-        self._held = []
+        self._send([entry.update for entry in self.held], target)
+        self.held = []
 
     def _send(self, updates: List[ClientUpdate], target_index: int) -> None:
         replica = self.replicas[target_index % len(self.replicas)]
@@ -175,7 +171,9 @@ class SpireClient(Process):
     """An endpoint that submits signed updates and acts on verified
     deliveries.  Subclasses say what a verified record means to them
     (:meth:`_on_verified_record`) and arm whatever polls the outside
-    world (:meth:`_arm_polling`)."""
+    world (:meth:`_arm_polling`). Only its held updates are volatile."""
+
+    durable = Process.durable | {"crypto", "stack", "obs", "collector", "submissions"}
 
     def __init__(
         self,
@@ -206,22 +204,18 @@ class SpireClient(Process):
             start_index=start_index,
             rng=simulator.rng(f"submit/{name}"),
         )
-        self._started = False
+        self._fresh_state()
+
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
+        self.submissions.held = []
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._started = True
+    def _arm(self) -> None:
         self._arm_polling()
         self.every(
             self.submissions.resubmit_timeout_ms / 2, self.submissions.retry_tick
         )
-
-    def on_recover(self) -> None:
-        """Periodic timers from the previous incarnation never fire
-        again; a started client re-arms them."""
-        self.submissions.drop_held()
-        if self._started:
-            self.start()
 
     def _arm_polling(self) -> None:
         """Arm the subclass's own periodic work, before the retry timer."""

@@ -18,7 +18,9 @@ __all__ = ["HmiClient"]
 
 
 class HmiClient(SpireClient):
-    """One operator console endpoint."""
+    """One operator console endpoint; its display survives a restart."""
+
+    durable = SpireClient.durable | {"view", "confirmed_commands", "status_updates_seen"}
 
     def __init__(self, name, simulator, network, crypto, replicas, **kwargs) -> None:
         super().__init__(name, simulator, network, crypto, replicas, **kwargs)

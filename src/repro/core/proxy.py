@@ -27,6 +27,8 @@ __all__ = ["RtuProxy"]
 class RtuProxy(SpireClient):
     """One proxy endpoint fronting a set of field devices."""
 
+    durable = SpireClient.durable | {"poll_interval_ms", "poller", "readings_submitted"}
+
     def __init__(
         self,
         name: str,
@@ -38,13 +40,20 @@ class RtuProxy(SpireClient):
         poll_interval_ms: float = 100.0,
         **kwargs,
     ) -> None:
+        # wiring the client's fresh state reads, so made first
+        self.poller = ModbusPoller(self, self._submit_reading)
         super().__init__(
             name, simulator, network, crypto, replicas,
             start_index=sum(name.encode()), **kwargs,
         )
+        for binding in devices:
+            self.poller.add(binding)
         self.poll_interval_ms = poll_interval_ms
-        self.poller = ModbusPoller(self, self._submit_reading, devices)
         self.readings_submitted = 0
+
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
+        self.poller.transactions = {}
         #: flushes the round's held readings if a device is still silent
         self._flush_deadline: Optional[Timer] = None
 
@@ -80,11 +89,6 @@ class RtuProxy(SpireClient):
             self._flush_deadline = None
         self.submissions.flush()
 
-    def on_recover(self) -> None:
-        self.poller.reset()
-        self._flush_deadline = None
-        super().on_recover()
-
     def on_message(self, src: str, payload: Any) -> None:
         if not self.poller.on_payload(payload):
             super().on_message(src, payload)
@@ -99,7 +103,7 @@ class RtuProxy(SpireClient):
         )
         self.submissions.submit(reading)
         self.readings_submitted += 1
-        if not self.poller.in_flight:
+        if not self.poller.transactions:
             self._flush_round()
         else:
             self._arm_flush_deadline()

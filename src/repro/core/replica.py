@@ -26,7 +26,7 @@ from ..crypto.provider import CryptoProvider
 from ..crypto.schema import check_for
 from ..prime.app import ReplicatedApplication
 from ..prime.config import PrimeConfig
-from ..prime.messages import PoRequest
+from ..prime.messages import PoRequest, verify_client_update
 from ..prime.node import PrimeNode
 from ..replication import Transport
 from ..simnet import Network, Simulator
@@ -55,6 +55,12 @@ class SpireReplica(PrimeNode):
 
     #: the one threshold group every master replica holds a share of
     threshold_group = THRESHOLD_GROUP
+    #: how many executed updates the share cache re-answers
+    recent_share_cap = 5000
+
+    durable = PrimeNode.durable | {
+        "share_index", "subscribers", "proxy_resolver", "deliveries_sent", "share_corruptor",
+        "batches_sent"}
 
     def __init__(
         self,
@@ -82,12 +88,6 @@ class SpireReplica(PrimeNode):
         #: attack hook: transform our threshold share before sending
         #: (models a compromised replica emitting garbage shares)
         self.share_corruptor = None
-        #: bounded cache of what a recent share is built from — ``(batch
-        #: record, threshold share, the client's entry)`` — to re-answer
-        #: client retries of updates that already executed (their first
-        #: delivery may be lost); few are ever asked for
-        self._recent_shares: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._recent_share_cap = 5000
         self.batches_sent = 0
         # one threshold share per executed pre-order request, covering
         # the Merkle root of its records
@@ -100,12 +100,14 @@ class SpireReplica(PrimeNode):
         if endpoint not in self.subscribers:
             self.subscribers.append(endpoint)
 
-    def on_recover(self) -> None:
-        """The share cache is volatile too: a rejuvenated replica must not
-        re-answer retries with shares its last incarnation made, which
-        may have been made while compromised."""
-        self._recent_shares.clear()
-        super().on_recover()
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
+        #: bounded cache of what a recent share is built from — ``(batch
+        #: record, threshold share, the client's entry)`` — to re-answer
+        #: client retries of updates that already executed (their first
+        #: delivery may be lost); few are ever asked for. Volatile: it never
+        #: serves a share the last incarnation made, perhaps while compromised.
+        self._recent_shares: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Incoming submissions
@@ -117,13 +119,19 @@ class SpireReplica(PrimeNode):
         # submission, every update in it, reaches signature verification
         # and the dedup tables; one ill-typed update drops it whole
         if _SUBMISSION_SHAPE(inner):
+            answered = set()
             for update in inner.updates:
                 if self.submit(update):
                     continue
-                # A retry of an already-executed update: re-send our share
-                # so a client whose first delivery was lost can still act.
-                cached = self._recent_shares.get((update.client, update.client_seq))
-                if cached is not None:
+                # A signed retry of an already-executed update: re-send our
+                # share, once, so a client whose first delivery was lost
+                # can still act. Only a cache hit pays for the verify.
+                key = (update.client, update.client_seq)
+                cached = self._recent_shares.get(key)
+                if cached is None or key in answered:
+                    continue
+                if verify_client_update(self.crypto, update):
+                    answered.add(key)
                     batch, share, entry = cached
                     self.transport.send(
                         update.client,
@@ -166,7 +174,7 @@ class SpireReplica(PrimeNode):
             self._recent_shares[(update.client, update.client_seq)] = (
                 batch, share, entries[i],
             )
-        while len(self._recent_shares) > self._recent_share_cap:
+        while len(self._recent_shares) > self.recent_share_cap:
             self._recent_shares.popitem(last=False)
         self.batches_sent += 1
         for target, indices in wanted.items():

@@ -34,6 +34,8 @@ class RegionProxy(RtuProxy):
     which devices are due, and a device exists from its first poll or
     first command on."""
 
+    durable = RtuProxy.durable | {"shard", "_slots", "driver"}
+
     def __init__(
         self, name: str, simulator, network, crypto, replicas: List[str],
         shard: RegionShard, **kwargs,

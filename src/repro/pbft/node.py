@@ -131,7 +131,15 @@ class PbftConfig:
 
 
 class PbftNode(Process):
-    """One baseline replica."""
+    """One baseline replica. PBFT assumes stable storage for its message
+    log: all of its ordering state survives a crash."""
+
+    durable = Process.durable | {
+        "config", "crypto", "app", "obs", "transport", "dispatcher", "runtime", "view",
+        "in_view_change", "slots", "last_executed", "executed_counter", "client_dedup",
+        "execution_listeners", "_pending", "_leader_buffer", "_leader_inflight", "_next_seq",
+        "_min_fresh_seq", "ordering", "view_manager", "_sent_vc_for", "_checkpoint_votes",
+        "stable_seq"}
 
     def __init__(
         self,
@@ -176,7 +184,6 @@ class PbftNode(Process):
         self._pending: Dict[Tuple[str, int], Tuple[ClientUpdate, float]] = {}
         self._leader_buffer: List[ClientUpdate] = []
         self._leader_inflight: set = set()
-        self._batch_timer_set = False
         self._next_seq = 1
         self._min_fresh_seq = 1
         self.ordering = ThreePhaseAgreement(
@@ -189,8 +196,12 @@ class PbftNode(Process):
         #: highest seq with a quorum-certified checkpoint; slots at or
         #: below it are truncated
         self.stable_seq = 0
-        self._started = False
         self._register_handlers()
+        self._fresh_state()
+
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
+        self._batch_timer_set = False
 
     def _register_handlers(self) -> None:
         reg = self.dispatcher.register
@@ -207,26 +218,16 @@ class PbftNode(Process):
         reg(NewView, self._on_new_view)
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._started = True
-        self._start_timers()
-
-    def _start_timers(self) -> None:
+    def _arm(self) -> None:
         self.every(self.config.check_interval_ms, self._timeout_tick, jitter=2.0)
         self.every(self.config.retrans_interval_ms, self.ordering.repair_tick, jitter=2.0)
         self.every(self.config.forward_interval_ms, self._forward_tick, jitter=2.0)
 
     def on_recover(self) -> None:
-        """Rejoin after a crash. PBFT assumes stable storage for the
-        message log, so the ordering state survives; only the timers (and
-        the in-flight batch they drive) are volatile and must be re-armed
-        for the new incarnation."""
-        self._batch_timer_set = False
+        """Probe peers for what we missed while down: the slots they serve
+        carry their execution frontier, which keeps the agreement's repair
+        tick fetching until we reach it."""
         if self._started:
-            self._start_timers()
-            # Probe peers for what we missed while down: the slots they
-            # serve carry their execution frontier, which keeps the
-            # agreement's repair tick fetching until we reach it.
             self._broadcast(SlotFetch(self.name, self.last_executed + 1),
                             include_self=False)
 

@@ -114,7 +114,7 @@ class LeadershipStage:
         if node._vc_timer is not None:
             node._vc_timer.cancel()
         node._vc_timer = node.set_timer(
-            node.config.view_change_timeout_ms, node._view_change_timeout, new_view
+            node.config.view_change_timeout_ms, self.view_change_timeout, new_view
         )
         self._arm_vc_retransmit()
 
@@ -127,7 +127,7 @@ class LeadershipStage:
         if node._vc_retrans_timer is not None:
             node._vc_retrans_timer.cancel()
         node._vc_retrans_timer = node.set_timer(
-            node.config.view_change_timeout_ms / 2, node._vc_retransmit_tick
+            node.config.view_change_timeout_ms / 2, self.vc_retransmit_tick
         )
 
     def vc_retransmit_tick(self) -> None:

@@ -105,7 +105,12 @@ _BASE_SIZES = {
 
 
 class PrimeNode(Process):
-    """One Prime replica process."""
+    """One Prime replica process. A recovered replica keeps only its keys,
+    its wiring and the genesis snapshot it restarts from."""
+
+    durable = Process.durable | {
+        "config", "crypto", "app", "obs", "transport", "dispatcher", "runtime",
+        "_state_retry_policy", "_genesis", "execution_listeners", "batch_execution_listeners"}
 
     def __init__(
         self,
@@ -147,7 +152,6 @@ class PrimeNode(Process):
             max_attempts=6,
         )
         self._genesis = app.snapshot()
-        self._recoveries = 0
         self.execution_listeners: List[Callable[[ClientUpdate, int, Any], None]] = []
         # Batch listeners receive the executed updates of one certified
         # PoRequest at once: (request, [(update, order_index, result),
@@ -156,17 +160,14 @@ class PrimeNode(Process):
         self.batch_execution_listeners: List[
             Callable[[PoRequest, List[Tuple[ClientUpdate, int, Any]]], None]
         ] = []
-        self._init_protocol_state()
-        self._started = False
+        self._fresh_state()
 
-    # ------------------------------------------------------------------
-    # State (re)initialisation
-    # ------------------------------------------------------------------
-    def _init_protocol_state(self) -> None:
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
         self.view = 0
         self.in_view_change = False
         self.awaiting_state = False
-        self.origin_id = f"{self.name}#{self._recoveries}"
+        self.origin_id = f"{self.name}#{self.incarnation}"
         self.origins: Dict[str, OriginState] = {}
         self.slots: Dict[int, ThreePhaseSlot] = {}
         self.last_executed_seq = 0
@@ -246,30 +247,23 @@ class PrimeNode(Process):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm the protocol timers; call once wiring is complete."""
-        self._started = True
-        self._start_timers()
-
-    def _start_timers(self) -> None:
+    def _arm(self) -> None:
         cfg = self.config
-        self.every(cfg.summary_interval_ms, self._summary_tick, jitter=1.0)
+        self.every(cfg.summary_interval_ms, self.preorder.summary_tick, jitter=1.0)
         self.every(cfg.pre_prepare_interval_ms, self._propose_tick, jitter=0.5)
-        self.every(cfg.ping_interval_ms, self._ping_tick, jitter=5.0)
+        self.every(cfg.ping_interval_ms, self.leadership.ping_tick, jitter=5.0)
         self.every(cfg.tat_check_interval_ms, self._tat_tick, jitter=1.0)
-        self.every(cfg.recon_interval_ms, self._recon_tick, jitter=2.0)
-        self.set_timer(1.0, self._ping_tick)  # fast RTT warm-up
+        self.every(cfg.recon_interval_ms, self.recovery.recon_tick, jitter=2.0)
+        self.set_timer(1.0, self.leadership.ping_tick)  # fast RTT warm-up
 
     def on_recover(self) -> None:
-        """Proactive recovery: volatile state is gone; rebuild from peers."""
-        self._recoveries += 1
+        """Proactive recovery: the application restarts from genesis, and
+        the replica rebuilds the rest from its peers."""
         self.app.restore(self._genesis)
-        self._init_protocol_state()
         self.awaiting_state = True
-        self.obs.event(self.name, EV_RECOVERY_START, epoch=self._recoveries)
+        self.obs.event(self.name, EV_RECOVERY_START, epoch=self.incarnation)
         if self._started:
-            self._start_timers()
-            self._request_state()
+            self.recovery.request_state()
 
     # ------------------------------------------------------------------
     # Runtime facade: signing, sending, dispatch
@@ -329,21 +323,12 @@ class PrimeNode(Process):
         return self.config.leader_of_view(self.view) == self.name
 
     # ------------------------------------------------------------------
-    # Stage entry points
-    #
-    # Timer callbacks and cross-stage calls go through these thin
-    # delegators so they resolve the *current* stage objects (recovery
-    # replaces the stages) and remain monkeypatchable per node.
+    # Entry points called through the node: the shared agreement calls
+    # _try_execute, attack installers replace the two ticks per node
     # ------------------------------------------------------------------
     def submit(self, update: ClientUpdate) -> bool:
         """Inject a client update at this replica (its origin)."""
         return self.preorder.submit(update)
-
-    def _flush_batch(self) -> None:
-        self.preorder.flush_batch()
-
-    def _summary_tick(self) -> None:
-        self.preorder.summary_tick()
 
     def _propose_tick(self) -> None:
         self.ordering.propose_tick()
@@ -351,23 +336,5 @@ class PrimeNode(Process):
     def _try_execute(self) -> None:
         self.execution.try_execute()
 
-    def _ping_tick(self) -> None:
-        self.leadership.ping_tick()
-
     def _tat_tick(self) -> None:
         self.leadership.tat_tick()
-
-    def _recon_tick(self) -> None:
-        self.recovery.recon_tick()
-
-    def _request_state(self) -> None:
-        self.recovery.request_state()
-
-    def _state_retry_tick(self) -> None:
-        self.recovery.state_retry_tick()
-
-    def _view_change_timeout(self, expected_view: int) -> None:
-        self.leadership.view_change_timeout(expected_view)
-
-    def _vc_retransmit_tick(self) -> None:
-        self.leadership.vc_retransmit_tick()

@@ -98,7 +98,7 @@ class OrderingStage(ThreePhaseAgreement):
         for entry in msg.matrix:
             if (
                 entry.payload.sender == node.name
-                and entry.payload.epoch == node._recoveries
+                and entry.payload.epoch == node.incarnation
             ):
                 own_seq = max(own_seq, entry.payload.summary_seq)
         if own_seq:

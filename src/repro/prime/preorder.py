@@ -49,7 +49,7 @@ class PreOrderStage:
         node._pending_updates.append(update)
         if not node._batch_timer_set:
             node._batch_timer_set = True
-            node.set_timer(node.config.batch_interval_ms, node._flush_batch)
+            node.set_timer(node.config.batch_interval_ms, self.flush_batch)
         return True
 
     def flush_batch(self) -> None:
@@ -59,7 +59,7 @@ class PreOrderStage:
             if node._pending_updates:
                 # retry after the view change settles
                 node._batch_timer_set = True
-                node.set_timer(node.config.batch_interval_ms, node._flush_batch)
+                node.set_timer(node.config.batch_interval_ms, self.flush_batch)
             return
         # Sort so that per-client sequence order survives network reordering
         # between the client and this origin.
@@ -71,7 +71,7 @@ class PreOrderStage:
         node._broadcast(request)
         if node._pending_updates:
             node._batch_timer_set = True
-            node.set_timer(node.config.batch_interval_ms, node._flush_batch)
+            node.set_timer(node.config.batch_interval_ms, self.flush_batch)
 
     # ------------------------------------------------------------------
     # Pre-ordering
@@ -139,7 +139,7 @@ class PreOrderStage:
         node._own_summary_seq += 1
         summary = PoSummary(
             node.name, node._own_summary_seq, self.current_vector(),
-            node.checkpoints.stable_seq, node._recoveries,
+            node.checkpoints.stable_seq, node.incarnation,
         )
         node._broadcast(summary)
         if dirty:
@@ -165,4 +165,4 @@ class PreOrderStage:
             )
             if claimed is not None and claimed > horizon:
                 node.awaiting_state = True
-                node._request_state()
+                node.recovery.request_state()

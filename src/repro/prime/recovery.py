@@ -263,7 +263,7 @@ class RecoveryStage:
             node.simulator.rng(f"state-retry/{node.name}"),
         )
         node._state_retry_attempts += 1
-        node._state_retry_timer = node.set_timer(delay, node._state_retry_tick)
+        node._state_retry_timer = node.set_timer(delay, self.state_retry_tick)
 
     def reset_state_retry(self) -> None:
         node = self.node

@@ -57,6 +57,8 @@ def undervoltage_rule(threshold_kv: float = 120.0) -> ProtectionRule:
 class PlcDevice(RtuDevice):
     """An RTU that additionally runs a protection scan cycle."""
 
+    durable = RtuDevice.durable | {"rules", "scans", "trips"}
+
     #: protection scan period; a rule's ``pickup_scans`` counts these
     scan_interval_ms = 100.0
 
@@ -74,9 +76,13 @@ class PlcDevice(RtuDevice):
         self.rules = rules if rules is not None else [undervoltage_rule()]
         self.scans = 0
         self.trips = 0
+        self._fresh_state()
+
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
         self._pickup: Dict[str, int] = {}
 
-    def start(self) -> None:
+    def _arm(self) -> None:
         """Arm the scan cycle."""
         self.every(self.scan_interval_ms, self._scan)
 
@@ -91,6 +97,3 @@ class PlcDevice(RtuDevice):
                     rule.action(self, measurements)
             else:
                 self._pickup[rule.name] = 0
-
-    def on_recover(self) -> None:
-        self._pickup.clear()

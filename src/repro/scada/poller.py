@@ -11,9 +11,10 @@ A poll is two serial transactions per device (holding registers, then
 coils) with at most one in flight: a transaction not answered within the
 timeout is counted and sent again at the next tick, so on a field link
 slower than the timeout the late answer still completes it; responses
-that do not match the transaction in flight are ignored.  :attr:`in_flight`
-counts the devices with a poll under way, so an owner can tell when a
-round has finished without scanning its bindings.  The poller owns no
+that do not match the transaction in flight are ignored.
+:attr:`transactions` holds the polls under way (its owner's volatile
+state; a binding's ``poll_seq`` survives a crash), so an owner can tell
+when a round has finished without scanning its bindings.  The poller owns no
 timer — its owner's poll tick (or sharded driver) calls :meth:`poll` /
 :meth:`poll_all`, and its ``on_message`` offers every payload to
 :meth:`on_payload` first.
@@ -22,7 +23,7 @@ timer — its owner's poll tick (or sharded driver) calls :meth:`poll` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..simnet import Network, Simulator
 from .grid import PowerGrid, build_radial_grid
@@ -48,16 +49,22 @@ Breakers = Tuple[Tuple[str, bool], ...]
 
 @dataclass(slots=True)
 class DeviceBinding:
-    """One field device behind a proxy: its address and its poll state."""
+    """One field device behind a proxy: its address and its poll count."""
 
     substation: str
     device_name: str
     unit_id: int
     coil_ids: Tuple[str, ...]  # breaker ids in coil-address order
     poll_seq: int = 0
-    phase: str = "idle"          # idle | await_regs | await_coils
-    started_at: float = 0.0
-    registers: Tuple[int, ...] = ()
+
+
+@dataclass(slots=True)
+class _Transaction:
+    """One poll in flight: when its last request left, and the registers
+    once read (None while they are awaited)."""
+
+    started_at: float
+    registers: Optional[Tuple[int, ...]] = None
 
 
 class ModbusPoller:
@@ -82,8 +89,8 @@ class ModbusPoller:
         self._by_unit: Dict[int, DeviceBinding] = {}
         self.polls_timed_out = 0
         self.writes_confirmed = 0
-        #: bindings whose phase is not idle
-        self.in_flight = 0
+        #: substation -> its poll in flight
+        self.transactions: Dict[str, _Transaction] = {}
         for binding in devices:
             self.add(binding)
 
@@ -91,13 +98,6 @@ class ModbusPoller:
         self.devices[binding.substation] = binding
         self._by_unit[binding.unit_id] = binding
         return binding
-
-    def reset(self) -> None:
-        """Forget transactions in flight (volatile state lost in a crash);
-        poll sequence numbers survive, like the owner's submission seq."""
-        for binding in self.devices.values():
-            binding.phase = "idle"
-        self.in_flight = 0
 
     # ------------------------------------------------------------------
     def _request(self, binding: DeviceBinding, message: Any) -> None:
@@ -110,17 +110,17 @@ class ModbusPoller:
         """Start a poll unless one is in flight and not yet timed out; a
         timed-out coils read is sent again rather than the whole poll."""
         now = self.owner.simulator.now
-        if binding.phase != "idle":
-            if now - binding.started_at <= self.timeout_ms:
+        transaction = self.transactions.get(binding.substation)
+        if transaction is None:
+            self.transactions[binding.substation] = _Transaction(now)
+        else:
+            if now - transaction.started_at <= self.timeout_ms:
                 return
             self.polls_timed_out += 1
-        else:
-            self.in_flight += 1
-        binding.started_at = now
-        if binding.phase == "await_coils":
-            self._request_coils(binding)
-            return
-        binding.phase = "await_regs"
+            transaction.started_at = now
+            if transaction.registers is not None:
+                self._request_coils(binding)
+                return
         self._request(
             binding, ReadRequest(binding.unit_id, 0, len(MEASUREMENT_ORDER))
         )
@@ -156,23 +156,25 @@ class ModbusPoller:
         binding = self._by_unit.get(getattr(message, "unit", None))
         if binding is None:
             return True
-        if isinstance(message, ReadResponse) and binding.phase == "await_regs":
-            binding.registers = message.values
-            binding.phase = "await_coils"
-            binding.started_at = self.owner.simulator.now
+        if isinstance(message, WriteCoilResponse):
+            self.writes_confirmed += 1
+            return True
+        transaction = self.transactions.get(binding.substation)
+        if transaction is None:
+            return True
+        if isinstance(message, ReadResponse) and transaction.registers is None:
+            transaction.registers = message.values
+            transaction.started_at = self.owner.simulator.now
             self._request_coils(binding)
-        elif isinstance(message, ReadCoilsResponse) and binding.phase == "await_coils":
-            binding.phase = "idle"
-            self.in_flight -= 1
+        elif isinstance(message, ReadCoilsResponse) and transaction.registers is not None:
+            del self.transactions[binding.substation]
             binding.poll_seq += 1
             measurements = tuple(
                 (key, unscale_measurement(register))
-                for key, register in zip(MEASUREMENT_ORDER, binding.registers)
+                for key, register in zip(MEASUREMENT_ORDER, transaction.registers)
             )
             breakers = tuple(sorted(zip(binding.coil_ids, message.values)))
             self.on_reading(binding, measurements, breakers)
-        elif isinstance(message, WriteCoilResponse):
-            self.writes_confirmed += 1
         return True
 
 

@@ -197,7 +197,7 @@ class ShardedPollDriver:
 
     def __init__(
         self,
-        owner,  # a simnet Process: supplies guarded periodic timers
+        owner,  # a simnet Process: supplies its incarnation's periodic timers
         shard: RegionShard,
         poll: Callable[[DeviceSlot], None],
         mode: str = "sharded",

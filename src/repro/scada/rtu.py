@@ -49,6 +49,9 @@ class _ModbusFrame:
 class RtuDevice(Process):
     """Modbus server bound to one substation of a :class:`PowerGrid`."""
 
+    durable = Process.durable | {
+        "grid", "substation", "unit_id", "requests_served", "writes_applied"}
+
     def __init__(
         self,
         name: str,

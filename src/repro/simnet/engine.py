@@ -21,9 +21,10 @@ field-by-field comparison used to be the hottest call under profile);
 periodic timers re-arm one event record instead of allocating a fresh
 closure + heap entry per tick; and the queue compacts lazily-cancelled
 entries once they exceed a fixed fraction of the heap. None of this is
-observable: firing order, RNG stream consumption, and
-``events_processed`` are bit-identical to the seed implementation
-(enforced by ``tests/test_perf_determinism.py``).
+observable: firing order, RNG stream consumption and ``events_processed``
+are bit-identical to the seed implementation, save that a stopped periodic
+timer's queued tick is retracted, not run as a no-op (enforced by
+``tests/test_perf_determinism.py``).
 """
 
 from __future__ import annotations
@@ -159,10 +160,8 @@ class PeriodicTimer:
     allocation, which matters because replica/hello/RTU timers dominate
     queue churn.
 
-    :meth:`stop` ends the series. As in the seed engine, a stop does
-    *not* retract the already-queued tick — that tick still executes (as a
-    no-op) and counts toward ``events_processed``, keeping event budgets
-    bit-identical with the pre-overhaul implementation.
+    :meth:`stop` ends the series: no further tick runs, and the queued
+    one is retracted from the heap.
     """
 
     __slots__ = (
@@ -202,8 +201,6 @@ class PeriodicTimer:
         return not self._stopped
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self._action(*self._args)
         if self._stopped:
             return
@@ -218,8 +215,12 @@ class PeriodicTimer:
         simulator._push(event)
 
     def stop(self) -> None:
-        """Stop the series after the currently queued tick."""
+        """Stop the series: no further tick runs."""
         self._stopped = True
+        event = self._event
+        if event.in_heap and not event.cancelled:
+            event.cancelled = True
+            self._simulator._note_cancelled()
 
 
 class Simulator:
@@ -352,7 +353,7 @@ class Simulator:
         rng_name: str = "periodic",
     ) -> PeriodicTimer:
         """Run ``action`` every ``interval`` ms until the returned
-        :class:`PeriodicTimer` is stopped (calling it also stops it).
+        :class:`PeriodicTimer` is stopped.
 
         ``jitter`` adds a uniform random offset in ``[0, jitter)`` to each
         firing, drawn from the named RNG stream; this is used to break the

@@ -61,10 +61,15 @@ BehaviorHook = Callable[[OverlayData, Callable[[], None]], None]
 
 
 class SpinesDaemon(Process):
-    """One overlay daemon at a site."""
+    """One overlay daemon at a site; a started one runs a link monitor,
+    whose resumed hellos re-announce a recovered daemon to its neighbours."""
 
     #: flooded-copy dedup memory: the ``(origin, seq)`` keys kept, FIFO
     dedup_window = 50_000
+
+    durable = Process.durable | {
+        "site_name", "routing", "crypto", "obs", "_hop_latency", "_e2e_latency", "neighbors",
+        "attached", "endpoint_home", "_behavior", "monitor", "stats"}
 
     def __init__(
         self,
@@ -92,11 +97,6 @@ class SpinesDaemon(Process):
         self.neighbors: Dict[str, str] = {}
         self.attached: Set[str] = set()            # endpoint names homed here
         self.endpoint_home: Dict[str, str] = {}    # endpoint -> site (global map)
-        #: origin -> seqs kept; ``_seen_origins`` / ``_seen_seqs`` hold the
-        #: same keys oldest first, so eviction deletes exactly the oldest
-        self._seen: Dict[str, Dict[int, None]] = {}
-        self._seen_origins: Deque[str] = deque()
-        self._seen_seqs: Deque[int] = deque()
         self._behavior: Optional[BehaviorHook] = None
         #: set by SpinesOverlay when self-healing is enabled
         self.monitor: Optional["LinkMonitor"] = None
@@ -107,6 +107,19 @@ class SpinesDaemon(Process):
         for key in self.stats:
             if key.startswith("dropped_"):
                 self.obs.read(f"spines.{key}", lambda key=key: self.stats[key])
+        self._fresh_state()
+
+    def _fresh_state(self) -> None:
+        super()._fresh_state()
+        #: origin -> seqs kept; ``_seen_origins`` / ``_seen_seqs`` hold the
+        #: same keys oldest first, so eviction deletes exactly the oldest
+        self._seen: Dict[str, Dict[int, None]] = {}
+        self._seen_origins: Deque[str] = deque()
+        self._seen_seqs: Deque[int] = deque()
+
+    def _arm(self) -> None:
+        if self.monitor is not None:
+            self.monitor.start()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -281,14 +294,3 @@ class SpinesDaemon(Process):
         sent_at = self.simulator.now if self._hop_latency is not None else 0.0
         self.send(dst, OverlayForward(data, self.site_name, mac, sent_at),
                   size_bytes=data.size_bytes)
-
-    # ------------------------------------------------------------------
-    def on_recover(self) -> None:
-        """A rejoining daemon loses its dedup state (volatile) and —
-        when self-healing is on — restarts its link monitor, whose resumed
-        hellos are what re-announce this daemon to its neighbours."""
-        self._seen.clear()
-        self._seen_origins.clear()
-        self._seen_seqs.clear()
-        if self.monitor is not None:
-            self.monitor.start()

@@ -44,7 +44,7 @@ from ..obs import (
     EV_OVERLAY_REROUTE,
     NULL_OBS,
 )
-from ..simnet import PeriodicTimer, Simulator
+from ..simnet import Simulator
 from .messages import OverlayHello
 from .routing import RoutingStrategy
 from .topology import OverlayTopology
@@ -101,46 +101,33 @@ class LinkMonitorConfig:
 class LinkMonitor:
     """Per-daemon hello sender + per-link failure/degradation detector.
 
-    Timers ride on the daemon's incarnation-guarded :meth:`Process.every`,
-    so they die with the daemon on a crash; ``SpinesDaemon.on_recover``
-    calls :meth:`start` again, which is exactly a rejoining daemon
-    re-announcing itself (its neighbours mark the links back up as soon as
-    its hellos resume).
+    Timers ride on the daemon's incarnation (:meth:`Process.every`), so
+    they stop with the daemon on a crash; a recovered daemon calls
+    :meth:`start` again, which is exactly a rejoining daemon re-announcing
+    itself (its neighbours mark the links back up as soon as its hellos
+    resume).
     """
 
     def __init__(self, daemon: "SpinesDaemon", control: OverlayControlPlane) -> None:
         self.daemon = daemon
         self.control = control
         self._seq = 0
-        self._last_seen: Dict[str, float] = {}
-        self._ewma: Dict[str, float] = {}
-        self._alive: Dict[str, bool] = {}
-        self._degraded: Dict[str, bool] = {}
         self._mutator: Optional[HelloMutator] = None
-        self._timers: List[PeriodicTimer] = []
         self.hellos_sent = 0
         self.hellos_received = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """(Re)start the hello and dead-link-check loops.
-
-        Called once at overlay construction and again from the daemon's
-        ``on_recover`` — timers set before a crash never fire after it.
-        """
-        for timer in self._timers:
-            timer.stop()
-        now = self.daemon.simulator.now
-        for neighbor in sorted(self.daemon.neighbors):
-            self._last_seen[neighbor] = now
-            self._alive[neighbor] = True
-            self._degraded[neighbor] = False
-            self._ewma.pop(neighbor, None)
+        """Build the daemon incarnation's view of its links and arm its hello
+        and dead-link-check loops (on start, and again on each recovery)."""
+        neighbors = sorted(self.daemon.neighbors)
+        self._last_seen = dict.fromkeys(neighbors, self.daemon.simulator.now)
+        self._alive = dict.fromkeys(neighbors, True)
+        self._degraded = dict.fromkeys(neighbors, False)
+        self._ewma: Dict[str, float] = {}
         interval = LinkMonitorConfig.hello_interval_ms
-        self._timers = [
-            self.daemon.every(interval, self._send_hellos),
-            self.daemon.every(interval, self._check_links),
-        ]
+        self.daemon.every(interval, self._send_hellos)
+        self.daemon.every(interval, self._check_links)
 
     def set_hello_mutator(self, mutator: Optional[HelloMutator]) -> None:
         """Install (or clear) a compromised-daemon hello hook."""

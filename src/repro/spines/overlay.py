@@ -140,7 +140,7 @@ class SpinesOverlay:
                 monitor = LinkMonitor(daemon, self.control_plane)
                 daemon.monitor = monitor
                 self.control_plane.monitors[site_name] = monitor
-                monitor.start()
+                daemon.start()
 
     def attach(self, endpoint: Process, site_name: str) -> OverlayStack:
         """Attach an endpoint process to its site's daemon."""

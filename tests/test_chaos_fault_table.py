@@ -162,11 +162,12 @@ ALL_KINDS_OPTIONS = ChaosOptions(
 #: a timed-out transaction in place, when a routed overlay took one
 #: datagram per destination site, when it took one per multicast, when
 #: Prime's reconciliation pushed only on evidence, when a new view
-#: stopped re-agreeing slots a replica had ordered, and when a proxy
-#: submitted each poll round in one message (CHANGES.md)
+#: stopped re-agreeing slots a replica had ordered, when a proxy
+#: submitted each poll round in one message, and when a crash stopped the
+#: periodic timers of the dead incarnation (CHANGES.md)
 PINNED_ALL_KINDS = (
-    "ab42082b37c5580fd69b8577b3a053f734e82db41c54d1904366dfdcdc13afba",
-    41_704,
+    "ac7faafbbc1ea2e7c545ad300ed76939777c8fcc28699cf6ef1f702d3dc8135a",
+    37_936,
 )
 
 

@@ -46,21 +46,23 @@ WALL_BUDGET_S = 240.0
 #: repair path, again when a routed overlay took one datagram per
 #: destination site, when it took one per multicast, when Prime's
 #: reconciliation pushed only on evidence, when a new view stopped
-#: re-agreeing slots a replica had ordered, and when a proxy submitted
-#: each poll round in one message (CHANGES.md)
+#: re-agreeing slots a replica had ordered, when a proxy submitted
+#: each poll round in one message, and when a crash stopped the periodic
+#: timers of the dead incarnation (CHANGES.md)
 PINNED_PRIME_LEADER = {
-    2: ("204afa88fee542efb2bd85483a996930b861f19efd42bc518601b0c7630eb7fb",
-        24_331),
-    7: ("33e7e8fbc7e312fe204e2bc1f8734b0de5afc469af75a130f80a572b48729685",
-        21_111),
+    2: ("f51272d3788af8797273281a37cf16c4baee8f1bcd79f3eef47d80a5a57befcd",
+        22_982),
+    7: ("b77a8d0173c9f2634b6ef1f362352c8065bbc4390230b6f36fe5e8a5efcc5dcf",
+        20_064),
 }
 #: seed -> fingerprint of ``PbftChaosOptions(seed=seed)``; seed 5 has
 #: three judged leader faults, and its partitioned view-2 leader cascades
 #: alone past the cluster's view 3. Re-pinned at PR 23 (the harness took
-#: the Spire engine's fingerprint formula) and with the shared repair path
+#: the Spire engine's fingerprint formula), with the shared repair path,
+#: and (seed 5) when a crash stopped the dead incarnation's timers
 PINNED_PBFT_LEADER = {
     1: "690d9cfe95b9e3d319d293064555ebce09a0ba594bff7e752a354142a6b45e14",
-    5: "bc65e2654e691a53f0f5f5004179089b4f420b892da7415418f0cafc2f9b68ac",
+    5: "8ffd778b1d3fb0a9e2a9f9c6efc3480493e274c1755e88236f1632a326a5b35b",
 }
 
 

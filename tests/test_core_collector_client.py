@@ -445,7 +445,7 @@ def test_each_poll_round_leaves_in_one_submission_of_ten_updates():
     acked = spy_acks(proxy)
     deployment.start()
     deployment.run_for(1000)
-    while proxy.poller.in_flight:  # let the round under way finish
+    while proxy.poller.transactions:  # let the round under way finish
         deployment.run_for(1)
     assert len(starts) >= 9
     assert len(sent) == len(starts)  # one submission per round

@@ -12,6 +12,7 @@ from repro.core import (
     StatusReading,
     UpdateSubmission,
 )
+from repro.prime.messages import ClientUpdate
 from repro.prime.node import sign_client_update
 
 
@@ -98,6 +99,35 @@ def test_duplicate_submission_gets_cached_share_redelivery(deployment):
     assert probe_shares, "duplicate submission must re-trigger the share"
     [entry] = probe_shares[0].entries  # just the client's own slice
     assert entry.record.client_seq == 1
+
+
+def shares_sent_to(replica, client):
+    """Spy on the replica's transport: the shares it sends ``client``."""
+    sent = []
+    send = replica.transport.send
+
+    def spy(dst, payload, size_bytes=256):
+        if dst == client and isinstance(payload, BatchDeliveryShare):
+            sent.append(payload)
+        return send(dst, payload, size_bytes)
+
+    replica.transport.send = spy
+    return sent
+
+
+def test_an_unsigned_retry_of_an_executed_update_gets_no_share(deployment):
+    """Only a retry whose signature verifies is answered from the share
+    cache, and one submission is answered at most once per update."""
+    replica = deployment.replicas[0]
+    key = ("proxy:field", 1)
+    assert key in replica._recent_shares
+    unsigned = ClientUpdate(*key, StatusReading("subX", 1, 0.0, (), ()))
+    sent = shares_sent_to(replica, "proxy:field")
+    replica.on_message("anyone", UpdateSubmission((unsigned,) * 50))
+    assert sent == []
+    signed = sign_client_update(deployment.crypto, *key, unsigned.payload)
+    replica.on_message("anyone", UpdateSubmission((signed,) * 50))
+    assert len(sent) == 1
 
 
 def probe_update(crypto, seq, substation="subX"):

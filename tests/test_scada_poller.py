@@ -1,6 +1,7 @@
 """The Modbus master (repro.scada.poller): its contract, and the
 equivalence the three proxies that mount it rest on."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,14 @@ class Master(Process):
     def on_message(self, src, payload):
         if not self.poller.on_payload(payload):
             self.unhandled.append(payload)
+
+
+def phase(poller, binding):
+    """Where the binding's poll stands: idle, await_regs or await_coils."""
+    transaction = poller.transactions.get(binding.substation)
+    if transaction is None:
+        return "idle"
+    return "await_regs" if transaction.registers is None else "await_coils"
 
 
 def build(num_substations=3):
@@ -117,12 +126,12 @@ def test_responses_that_match_no_transaction_are_ignored():
     binding = master.poller.devices[sorted(rtus)[0]]
     late = frame(ReadResponse(binding.unit_id, (1, 2, 3, 4)))
     assert master.poller.on_payload(late) is True  # a field frame, consumed
-    assert binding.phase == "idle" and sent == []
+    assert phase(master.poller, binding) == "idle" and sent == []
     rtus[binding.substation].crash()
     master.poller.poll(binding)
     coils = frame(ReadCoilsResponse(binding.unit_id, (True,) * len(binding.coil_ids)))
     assert master.poller.on_payload(coils) is True
-    assert binding.phase == "await_regs"
+    assert phase(master.poller, binding) == "await_regs"
     assert binding.poll_seq == 0 and master.readings == []
 
 
@@ -140,7 +149,7 @@ def test_garbage_from_the_field_never_raises_and_never_advances():
         frame(ExceptionResponse(binding.unit_id, FUNC_READ_HOLDING, 2)),
     ):
         assert master.poller.on_payload(payload) is True
-    assert binding.phase == "await_regs"
+    assert phase(master.poller, binding) == "await_regs"
     assert binding.poll_seq == 0 and master.readings == []
     assert len(sent) == 1  # nothing but the original request went out
     assert master.poller.on_payload("not a field frame") is False
@@ -159,22 +168,31 @@ def test_write_coil_operates_only_breakers_it_fronts():
     assert master.poller.writes_confirmed == 1
 
 
-def test_reset_forgets_transactions_but_not_poll_seq():
-    sim, grid, rtus, master, sent = build()
-    master.poller.poll_all()
+@pytest.mark.parametrize("make_proxy", ["classic", "traditional"])
+def test_a_recovered_proxy_forgets_transactions_but_not_poll_seq(make_proxy):
+    sim = Simulator(seed=4)
+    net = Network(sim, LinkSpec(latency_ms=0.2))
+    grid, rtus, bindings = build_radial_field(sim, net, 3, seed=4)
+    proxy = {"classic": _classic, "traditional": _traditional}[make_proxy](
+        sim, net, None, bindings
+    )
+    readings = []
+    proxy.poller.on_reading = lambda b, m, c: readings.append((b.substation, b.poll_seq))
+    proxy.poller.poll_all()
     sim.run()
-    binding = master.poller.devices[sorted(rtus)[0]]
+    binding = proxy.poller.devices[sorted(rtus)[0]]
     rtus[binding.substation].crash()
-    master.poller.poll(binding)
-    assert binding.phase == "await_regs"
-    master.poller.reset()
-    assert binding.phase == "idle"
+    proxy.poller.poll(binding)
+    assert phase(proxy.poller, binding) == "await_regs"
+    proxy.crash()
+    proxy.recover()
+    assert phase(proxy.poller, binding) == "idle"
     assert binding.poll_seq == 1
     rtus[binding.substation].recover()
-    master.poller.poll(binding)  # not guarded, not a timeout
+    proxy.poller.poll(binding)  # not guarded, not a timeout
     sim.run()
-    assert master.poller.polls_timed_out == 0
-    assert master.readings[-1][:2] == (binding.substation, 2)
+    assert proxy.poller.polls_timed_out == 0
+    assert readings[-1] == (binding.substation, 2)
 
 
 # ----------------------------------------------------------------------

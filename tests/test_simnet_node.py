@@ -56,13 +56,36 @@ def test_timer_set_after_recovery_fires():
     assert w.fired == ["post"]
 
 
+def queued(sim, timer):
+    """Live (not cancelled) queue entries of ``timer``."""
+    return [entry for entry in sim._queue
+            if entry[3] is timer._event and not entry[3].cancelled]
+
+
 def test_every_loop_stops_on_crash():
     sim, net, w = build()
-    w.every(10.0, lambda: w.fired.append(sim.now))
+    timer = w.every(10.0, lambda: w.fired.append(sim.now))
     sim.run_until(35.0)
+    assert timer.active and queued(sim, timer)
     w.crash()
+    assert not timer.active
+    assert queued(sim, timer) == []  # the queued tick is retracted
+    late = w.every(10.0, lambda: w.fired.append("late"))  # armed while down
+    assert not late.active and queued(sim, late) == []
+    processed = sim.events_processed
     sim.run_until(100.0)
     assert len(w.fired) == 3
+    assert sim.events_processed == processed
+
+
+def test_a_timer_of_the_last_incarnation_never_runs_beside_the_new_ones():
+    sim, net, w = build()
+    w.set_timer(5.0, w.fired.append, "old")
+    w.crash()
+    w.recover()
+    w.set_timer(5.0, w.fired.append, "new")
+    sim.run()
+    assert w.fired == ["new"]
 
 
 def test_every_returns_stop_function():
